@@ -59,7 +59,6 @@ module Jsonl = Kit_obs.Jsonl
 module Tracer = Kit_obs.Tracer
 module Spantree = Kit_obs.Spantree
 module Profile = Kit_obs.Profile
-module Distrib = Kit_core.Distrib
 module Pool = Kit_serve.Pool
 module Proto = Kit_serve.Proto
 module Sched = Kit_serve.Sched
@@ -288,8 +287,8 @@ let print_observability_overhead () =
         vs what full restores would have replayed (acceptance: <20%);
      2. baseline-trace memoization — program executions with the cache
         on vs off (execution B collapses to one per distinct receiver);
-     3. multicore Distrib — wall-clock at --domains N vs sequential on
-        an identical worker pool.
+     3. multicore domains — wall-clock of the same execute phase at
+        --domains N vs sequential.
    Results accumulate into a JSON object written to $KIT_BENCH_JSON. *)
 
 let bench_json : (string * Jsonl.t) list ref = ref []
@@ -359,33 +358,32 @@ let print_exec_hotpath () =
   record "baseline_execution_ratio" (Jsonl.Float ratio);
   record "campaign_s_cache_on" (Jsonl.Float on_s);
   record "campaign_s_cache_off" (Jsonl.Float off_s);
-  (* 3. multicore Distrib: the same worker pool, sequential vs on a
-     domain pool. Workers and their shards are identical, so this is a
-     pure wall-clock comparison. DF-IA clustering leaves only a few
-     hundred representatives — far too little work for parallelism to
-     matter — so this stage uses a RAND generation, the big flat queue a
-     real server-mode campaign distributes. *)
+  (* 3. multicore domains: the same execute phase, sequential vs dealt
+     over a domain pool, so this is a pure wall-clock comparison. DF-IA
+     clustering leaves only a few hundred representatives — far too
+     little work for parallelism to matter — so this stage executes a
+     RAND generation, a big flat queue, with diagnosis off. Profiling
+     runs outside the timer. *)
   let cores = Domain.recommended_domain_count () in
-  let workers = getenv_int "KIT_BENCH_EXEC_WORKERS" 4 in
   let domains = getenv_int "KIT_BENCH_EXEC_DOMAINS" (min 4 cores) in
   let rand_budget = getenv_int "KIT_BENCH_EXEC_CASES" (16 * corpus_size) in
-  let rand =
-    Campaign.execute_prepared
-      ~strategy:(Cluster.Rand rand_budget)
-      (Campaign.prepare options)
-  in
-  let corpus = rand.Campaign.corpus and generation = rand.Campaign.generation in
   let run ~domains =
-    Distrib.execute ~domains options corpus generation ~workers
+    let prepared =
+      Campaign.prepare
+        { options with Campaign.domains; diagnose = false }
+    in
+    timed (fun () ->
+        Campaign.execute_prepared ~strategy:(Cluster.Rand rand_budget)
+          prepared)
   in
   (* Warm one round so allocator/code paths are hot for both sides. *)
-  ignore (run ~domains:1 : Distrib.t);
-  let d1, d1_s = timed (fun () -> run ~domains:1) in
-  let dn, dn_s = timed (fun () -> run ~domains) in
+  ignore (run ~domains:1 : Campaign.t * float);
+  let d1, d1_s = run ~domains:1 in
+  let dn, dn_s = run ~domains in
   let speedup = if dn_s > 0.0 then d1_s /. dn_s else 1.0 in
   Fmt.pr
-    "multicore distrib:    %d workers, %d cases: %.3fs sequential, %.3fs on %d domains (%.2fx)@."
-    workers rand_budget d1_s dn_s domains speedup;
+    "multicore domains:    %d cases: %.3fs sequential, %.3fs on %d domains (%.2fx)@."
+    rand_budget d1_s dn_s domains speedup;
   if cores <= 1 then
     Fmt.pr
       "                      single-core host (%d recommended domains): a \
@@ -393,14 +391,13 @@ let print_exec_hotpath () =
        determinism only@."
       cores;
   Fmt.pr "                      reports identical: %b@."
-    (List.length d1.Distrib.reports = List.length dn.Distrib.reports);
+    (List.length d1.Campaign.reports = List.length dn.Campaign.reports);
   record "cores" (Jsonl.Int cores);
-  record "distrib_workers" (Jsonl.Int workers);
-  record "distrib_domains" (Jsonl.Int domains);
-  record "distrib_cases" (Jsonl.Int rand_budget);
-  record "distrib_s_domains1" (Jsonl.Float d1_s);
-  record "distrib_s_domainsN" (Jsonl.Float dn_s);
-  record "distrib_speedup" (Jsonl.Float speedup);
+  record "domains_n" (Jsonl.Int domains);
+  record "domains_cases" (Jsonl.Int rand_budget);
+  record "domains_s_domains1" (Jsonl.Float d1_s);
+  record "domains_s_domainsN" (Jsonl.Float dn_s);
+  record "domains_speedup" (Jsonl.Float speedup);
   let rss = Rss.peak_kb () in
   Fmt.pr "peak rss:             %d kB (VmHWM)@." rss;
   record "exec_peak_rss_kb" (Jsonl.Int rss);
@@ -683,16 +680,17 @@ let run_benchmarks () =
   List.iter (fun (name, ns) -> Fmt.pr "%-42s %a@." name pp_time ns) rows
 
 (* --- crash-isolated process pool ----------------------------------------
-   What real process isolation costs over in-process domain sharding:
-     1. spawn + Hello bootstrap + per-job pipe round-trips (same queue,
-        same corpus, workers as processes instead of domains);
+   What real process isolation costs over the in-process execute phase:
+     1. spawn + Hello bootstrap + per-job pipe round-trips (same
+        representatives, same corpus, executed on worker processes
+        instead of sequentially in-process);
      2. crash recovery — a sabotaged worker SIGKILLed mid-run, its shard
         resharded over the survivors (the wall-clock price of one death
         on the same workload). Reports must be identical in all three
         schedules. *)
 
 let print_pool_bench () =
-  Fmt.pr "-- Crash-isolated pool: process vs domain sharding --@.";
+  Fmt.pr "-- Crash-isolated pool: processes vs sequential in-process --@.";
   let corpus_size = getenv_int "KIT_BENCH_POOL_CORPUS" 96 in
   let procs = getenv_int "KIT_BENCH_POOL_PROCS" 4 in
   let options =
@@ -700,27 +698,26 @@ let print_pool_bench () =
   in
   record "pool_corpus" (Jsonl.Int corpus_size);
   record "pool_procs" (Jsonl.Int procs);
-  let base = Campaign.run options in
-  let corpus = base.Campaign.corpus
-  and generation = base.Campaign.generation in
+  let prepared = Campaign.prepare options in
+  let corpus = Campaign.prepared_corpus prepared
+  and generation = Campaign.generate_prepared prepared in
   let cases = List.length generation.Cluster.reps in
-  let in_process () =
-    Distrib.execute ~domains:1 options corpus generation ~workers:procs
-  in
+  (* The sequential campaign's generate + execute phases. *)
+  let in_process () = Campaign.execute_prepared prepared in
   let pool ~sabotage () =
     Pool.execute
       { Pool.default_config with Pool.procs; sabotage }
       options corpus generation
   in
   (* Warm both paths once so allocator and code paths are hot. *)
-  ignore (in_process () : Distrib.t);
+  ignore (in_process () : Campaign.t);
   ignore (pool ~sabotage:Pool.no_sabotage () : Pool.outcome);
   let d, d_s = timed in_process in
   let p, p_s = timed (fun () -> pool ~sabotage:Pool.no_sabotage ()) in
   let kill = { Pool.no_sabotage with Pool.kill_after = [ (0, 2) ] } in
   let pk, pk_s = timed (fun () -> pool ~sabotage:kill ()) in
   let per_case = if cases > 0 then (p_s -. d_s) /. float_of_int cases else 0.0 in
-  Fmt.pr "domain sharding:      %d workers, %d cases: %.3fs@." procs cases d_s;
+  Fmt.pr "sequential:           %d cases: %.3fs@." cases d_s;
   Fmt.pr
     "process pool:         %d procs,   %d cases: %.3fs (%.1f us/case \
      isolation overhead)@."
@@ -731,18 +728,18 @@ let print_pool_bench () =
     pk_s pk.Pool.stats.Pool.resharded pk.Pool.stats.Pool.respawns
     (pk_s -. p_s);
   Fmt.pr "                      reports identical: %b@."
-    (List.length d.Distrib.reports
+    (List.length d.Campaign.reports
      = List.length
          (List.filter_map
             (fun r -> r.Campaign.cr_report)
             p.Pool.results)
-     && List.length d.Distrib.reports
+     && List.length d.Campaign.reports
         = List.length
             (List.filter_map
                (fun r -> r.Campaign.cr_report)
                pk.Pool.results));
   record "pool_cases" (Jsonl.Int cases);
-  record "pool_s_domains" (Jsonl.Float d_s);
+  record "pool_s_sequential" (Jsonl.Float d_s);
   record "pool_s_procs" (Jsonl.Float p_s);
   record "pool_overhead_us_per_case" (Jsonl.Float (per_case *. 1e6));
   record "pool_s_procs_sigkill" (Jsonl.Float pk_s);

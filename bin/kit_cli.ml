@@ -2,10 +2,6 @@
 
      kit campaign    run a full testing campaign and summarise reports
      kit grow        streaming campaign + delta campaign on a grown corpus
-     kit distrib     run a campaign sharded over worker environments
-     kit pool        run the execute phase on crash-isolated worker
-                     processes (real Unix processes, heartbeats,
-                     respawns, reshard-on-death)
      kit serve       multi-tenant campaign daemon: concurrent
                      submissions share one worker pool under weighted
                      deficit-round-robin scheduling, with per-tenant
@@ -24,7 +20,7 @@
                      critical path, Chrome/flamegraph output
 
    All commands are deterministic for a given --seed, including the
-   injected fault schedules. campaign, distrib and run accept
+   injected fault schedules. campaign, grow, serve and run accept
    --metrics FILE / --trace FILE to export campaign telemetry
    (observability plane, lib/obs); kit stats renders such a file.
 
@@ -35,7 +31,6 @@
      3  internal error *)
 
 module Campaign = Kit_core.Campaign
-module Distrib = Kit_core.Distrib
 module Tables = Kit_core.Tables
 module Oracle = Kit_core.Oracle
 module Known_bugs = Kit_core.Known_bugs
@@ -73,10 +68,6 @@ let guarded f =
   with
   | Supervisor.Gave_up msg ->
     Fmt.epr "kit: gave up: %s@." msg;
-    exit_internal
-  | Distrib.All_workers_dead unfinished ->
-    Fmt.epr "kit: every worker died; %d test case(s) unfinished@."
-      (List.length unfinished);
     exit_internal
   | Pool.Aborted { unfinished; stats } ->
     Fmt.epr
@@ -163,7 +154,8 @@ let procs_arg =
     & info [ "procs" ]
         ~doc:
           "Run the execute phase on N crash-isolated worker processes \
-           (real Unix processes driven over pipes; see $(b,kit pool)). \
+           (real Unix processes driven over pipes, with heartbeats, \
+           respawns and reshard-on-death). \
            Reports, funnel and quarantine are identical for any value, \
            even under worker crashes; only wall-clock time changes.")
 
@@ -650,225 +642,6 @@ let cmd_coverage =
       const run $ seed_arg $ corpus_size_arg $ strategy_arg $ domains_arg
       $ procs_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
       $ json_arg $ out_arg)
-
-let cmd_distrib =
-  let workers_arg =
-    Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker environments.")
-  in
-  let kill_arg =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ w; n ] -> (
-        match (int_of_string_opt w, int_of_string_opt n) with
-        | Some w, Some n when w >= 0 && n >= 0 ->
-          Ok { Distrib.dead_worker = w; after = n }
-        | _ -> Error (`Msg "expected WORKER:AFTER (non-negative integers)"))
-      | _ -> Error (`Msg "expected WORKER:AFTER")
-    in
-    let print ppf f =
-      Fmt.pf ppf "%d:%d" f.Distrib.dead_worker f.Distrib.after
-    in
-    Arg.(
-      value
-      & opt_all (conv (parse, print)) []
-      & info [ "kill" ] ~docv:"WORKER:AFTER"
-          ~doc:
-            "Kill worker $(b,WORKER) after it completes $(b,AFTER) test \
-             cases; its remaining queue is resharded over the survivors. \
-             Repeatable.")
-  in
-  let run seed corpus_size strategy workers faults fault_intensity fuel
-      max_retries domains no_baseline_cache kills metrics_file trace_file =
-    guarded (fun () ->
-        let obs = obs_of_flags ~metrics_file ~trace_file in
-        (* The single-node reference campaign stays at domains=1; the
-           --domains flag parallelises the worker pool itself. *)
-        let opts =
-          options ~seed ~corpus_size ~strategy ~faults ~fault_intensity ~fuel
-            ~max_retries ~domains:1 ~baseline_cache:(not no_baseline_cache)
-            ~obs ()
-        in
-        let single = Campaign.run opts in
-        let d =
-          Distrib.execute ~failures:kills ~domains:(max 1 domains) opts
-            single.Campaign.corpus single.Campaign.generation ~workers
-        in
-        (* The metrics export is the merged per-worker registries (what
-           the paper's server would aggregate from its clients); the
-           trace export is the per-worker rings interleaved by
-           deterministic time, each span stamped with worker/case. *)
-        (match (obs, metrics_file) with
-        | Some (obs : Obs.t), Some path ->
-          let snap =
-            Metrics.merge
-              [ d.Distrib.metrics;
-                Metrics.snapshot ~volatile:true Metrics.default ]
-          in
-          Export.write_file path
-            (Export.lines ~wall:true
-               ~meta:
-                 [ ("cmd", Jsonl.Str "distrib"); ("seed", Jsonl.Int seed);
-                   ("workers", Jsonl.Int workers) ]
-               ~events:(Tracer.events obs.Obs.tracer)
-               ~dropped:(Tracer.dropped obs.Obs.tracer) snap);
-          Fmt.pr "telemetry: %s@." path
-        | _ -> ());
-        (match (obs, trace_file) with
-        | Some _, Some path ->
-          Export.write_file path
-            (Export.lines ~wall:true
-               ~meta:
-                 [ ("cmd", Jsonl.Str "distrib"); ("seed", Jsonl.Int seed);
-                   ("workers", Jsonl.Int workers) ]
-               ~events:d.Distrib.trace []);
-          Fmt.pr "trace: %s@." path
-        | _ -> ());
-        Fmt.pr "%a@." Distrib.pp d;
-        List.iter
-          (fun (w : Distrib.worker_result) ->
-            Fmt.pr "worker %d%s: %d/%d test cases, %d executions, %d reports@."
-              w.Distrib.worker
-              (if w.Distrib.died then " (died)" else "")
-              w.Distrib.completed w.Distrib.assigned w.Distrib.executions
-              (List.length w.Distrib.reports))
-          d.Distrib.workers;
-        let identical =
-          List.length single.Campaign.reports = List.length d.Distrib.reports
-        in
-        Fmt.pr "single-node check: %d reports (%s)@."
-          (List.length single.Campaign.reports)
-          (if identical then "identical" else "MISMATCH");
-        if not identical then exit_internal
-        else if d.Distrib.quarantined <> [] then exit_quarantined
-        else if d.Distrib.reports <> [] then exit_reports
-        else exit_clean)
-  in
-  Cmd.v
-    (Cmd.info "distrib" ~doc:"Run a campaign sharded over worker environments")
-    Term.(
-      const run $ seed_arg $ corpus_size_arg $ strategy_arg $ workers_arg
-      $ faults_arg $ fault_intensity_arg $ fuel_arg $ max_retries_arg
-      $ domains_arg $ no_baseline_cache_arg $ kill_arg $ metrics_arg
-      $ trace_arg)
-
-(* kit pool: the crash-isolated process pool, exposed directly so its
-   failure machinery (sabotage, heartbeats, respawns, reshard,
-   checkpoint/resume) can be exercised and CI-gated. Exit 0 means the
-   run COMPLETED — crash isolation held — regardless of how many
-   interference reports were found; an abort (every worker dead with
-   work left) exits 3 through [guarded]. *)
-let cmd_pool =
-  let pool_procs_arg =
-    Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Worker processes.")
-  in
-  let heartbeat_arg =
-    Arg.(
-      value & opt float 30.0
-      & info [ "heartbeat" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-job wall-clock deadline; a worker silent past it is \
-             killed and its shard resharded.")
-  in
-  let max_respawns_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "max-respawns" ] ~doc:"Respawn budget per worker slot.")
-  in
-  let slot_after_conv what =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ w; n ] -> (
-        match (int_of_string_opt w, int_of_string_opt n) with
-        | Some w, Some n when w >= 0 && n >= 0 -> Ok (w, n)
-        | _ -> Error (`Msg "expected SLOT:AFTER (non-negative integers)"))
-      | _ -> Error (`Msg "expected SLOT:AFTER")
-    in
-    let print ppf (w, n) = Fmt.pf ppf "%d:%d" w n in
-    Arg.conv ~docv:(what ^ " SLOT:AFTER") (parse, print)
-  in
-  let kill_arg =
-    Arg.(
-      value
-      & opt_all (slot_after_conv "kill") []
-      & info [ "kill" ] ~docv:"SLOT:AFTER"
-          ~doc:
-            "Sabotage: worker $(b,SLOT) SIGKILLs itself on its next job \
-             once it has completed $(b,AFTER) cases. Repeatable; the CI \
-             crash-isolation gate.")
-  in
-  let hang_arg =
-    Arg.(
-      value
-      & opt_all (slot_after_conv "hang") []
-      & info [ "hang" ] ~docv:"SLOT:AFTER"
-          ~doc:
-            "Sabotage: as $(b,--kill) but the worker hangs forever — \
-             only the heartbeat can catch it. Repeatable.")
-  in
-  let poison_arg =
-    Arg.(
-      value & opt_all int []
-      & info [ "poison" ] ~docv:"CASE"
-          ~doc:
-            "Sabotage: any worker receiving case $(docv) dies — the \
-             twice-lethal quarantine path. Repeatable.")
-  in
-  let run seed corpus_size strategy procs heartbeat_s max_respawns kills hangs
-      poisons checkpoint_file checkpoint_every resume metrics_file trace_file
-      =
-    guarded (fun () ->
-        let obs = obs_of_flags ~metrics_file ~trace_file in
-        let opts =
-          options ~seed ~corpus_size ~strategy ~faults:[] ~fault_intensity:0
-            ~fuel:Campaign.default_options.Campaign.fuel
-            ~max_retries:Campaign.default_options.Campaign.max_retries
-            ~domains:1 ~baseline_cache:true ~obs ()
-        in
-        let cfg =
-          { Pool.default_config with
-            Pool.procs = max 1 procs;
-            heartbeat_s;
-            max_respawns = max 0 max_respawns;
-            checkpoint_path = checkpoint_file;
-            checkpoint_every = max 1 checkpoint_every;
-            sabotage =
-              { Pool.kill_after = kills; hang_after = hangs; poison = poisons }
-          }
-        in
-        let stats = ref None in
-        let executor options corpus generation =
-          let o = Pool.execute ?obs ~resume cfg options corpus generation in
-          stats := Some o.Pool.stats;
-          (o.Pool.results, o.Pool.executions)
-        in
-        let c = Campaign.run_with_executor ~executor opts in
-        export_obs obs ~metrics_file ~trace_file
-          ~meta:
-            [ ("cmd", Jsonl.Str "pool"); ("seed", Jsonl.Int seed);
-              ("corpus_size", Jsonl.Int corpus_size);
-              ("procs", Jsonl.Int procs) ];
-        Fmt.pr "strategy %s: %d clusters, %d reports after filtering@."
-          (Cluster.strategy_name c.Campaign.generation.Cluster.strategy)
-          c.Campaign.generation.Cluster.clusters
-          (List.length c.Campaign.reports);
-        print_pool_stats ~procs:(max 1 procs) !stats;
-        if c.Campaign.quarantined <> [] then
-          Fmt.pr "%d quarantined crasher(s)@."
-            (List.length c.Campaign.quarantined);
-        Fmt.pr "run completed: crash isolation held@.";
-        exit_clean)
-  in
-  Cmd.v
-    (Cmd.info "pool"
-       ~doc:
-         "Run the execute phase on crash-isolated worker processes. Exit 0 \
-          means the run completed (even under --kill/--hang sabotage); an \
-          abort exits 3.")
-    Term.(
-      const run $ seed_arg $ corpus_size_arg $ strategy_arg $ pool_procs_arg
-      $ heartbeat_arg $ max_respawns_arg $ kill_arg $ hang_arg $ poison_arg
-      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ metrics_arg
-      $ trace_arg)
 
 let cmd_tables =
   let run seed corpus_size =
@@ -1525,9 +1298,9 @@ let main =
   Cmd.group
     (Cmd.info "kit" ~version:"1.0.0"
        ~doc:"Functional interference testing for OS-level virtualization")
-    [ cmd_campaign; cmd_grow; cmd_coverage; cmd_distrib; cmd_pool; cmd_serve;
-      cmd_submit; cmd_status; cmd_results; cmd_cancel; cmd_extend; cmd_tables;
-      cmd_known_bugs; cmd_run; cmd_profile; cmd_corpus; cmd_stats; cmd_trace ]
+    [ cmd_campaign; cmd_grow; cmd_coverage; cmd_serve; cmd_submit; cmd_status;
+      cmd_results; cmd_cancel; cmd_extend; cmd_tables; cmd_known_bugs; cmd_run;
+      cmd_profile; cmd_corpus; cmd_stats; cmd_trace ]
 
 (* Pool workers re-execute this binary; the trampoline must run before
    cmdliner sees argv. No-op in the parent. *)

@@ -100,11 +100,6 @@ let sched_create () =
   { sched_candidates = 0; sched_classes = 0; sched_executed = 0;
     sched_pruned = 0; sched_skipped = 0 }
 
-let copy_sched (s : sched_stats) =
-  { sched_candidates = s.sched_candidates; sched_classes = s.sched_classes;
-    sched_executed = s.sched_executed; sched_pruned = s.sched_pruned;
-    sched_skipped = s.sched_skipped }
-
 let add_sched (into : sched_stats) (s : sched_stats) =
   into.sched_candidates <- into.sched_candidates + s.sched_candidates;
   into.sched_classes <- into.sched_classes + s.sched_classes;
@@ -136,14 +131,6 @@ let attrition_create () =
   { at_generated = 0; at_absorbed = 0; at_quar_panic = 0; at_quar_hung = 0;
     at_quar_lost = 0; at_no_divergence = 0; at_filtered_nondet = 0;
     at_filtered_resource = 0; at_reported = 0 }
-
-let copy_attrition (a : attrition) =
-  { at_generated = a.at_generated; at_absorbed = a.at_absorbed;
-    at_quar_panic = a.at_quar_panic; at_quar_hung = a.at_quar_hung;
-    at_quar_lost = a.at_quar_lost; at_no_divergence = a.at_no_divergence;
-    at_filtered_nondet = a.at_filtered_nondet;
-    at_filtered_resource = a.at_filtered_resource;
-    at_reported = a.at_reported }
 
 let attrition_balanced (a : attrition) =
   a.at_generated
@@ -288,56 +275,6 @@ let protected_interference spec sup ~sender ~receiver =
   let interfered = Supervisor.test_interference sup ~sender ~receiver in
   Filter.protected_interfered spec receiver interfered
 
-(* -- checkpoints --------------------------------------------------------- *)
-
-(* Everything the execute phase has accumulated, plus the options
-   fingerprint a resume must match. Reports are kept newest-first while
-   executing and only reversed when the phase completes. *)
-type checkpoint = {
-  ck_seed : int;
-  ck_corpus_size : int;
-  ck_strategy : Cluster.strategy;
-  ck_done : int;                        (* cluster reps completed *)
-  ck_total : int;                       (* cluster reps overall *)
-  ck_funnel : Filter.funnel;
-  ck_rev_reports : Report.t list;       (* newest first *)
-  ck_rev_concurrent : Report.t list;    (* newest first *)
-  ck_sched : sched_stats;
-  ck_quarantined : Supervisor.crash list; (* oldest first *)
-  ck_executions : int;
-  ck_generate_s : float;
-  ck_execute_s : float;
-  ck_attrition : attrition;             (* terminal-stage counts so far *)
-  ck_coverage : Coverage.delta;         (* ledger state at pause time *)
-}
-
-let copy_funnel (f : Filter.funnel) =
-  { Filter.executed = f.Filter.executed; initial = f.Filter.initial;
-    after_nondet = f.Filter.after_nondet;
-    after_resource = f.Filter.after_resource }
-
-let checkpoint_progress ck = (ck.ck_done, ck.ck_total)
-
-let checkpoint_reports ck = List.length ck.ck_rev_reports
-
-(* Checkpoints ride the validated KITCKPT1 container: magic, kind tag,
-   payload length and digest are all checked before any Marshal byte is
-   decoded, so a truncated or corrupt file is a typed error. The kind
-   was bumped to -v2 when trace nodes switched to the packed
-   representation (the reports' Marshal layout changed with it), and to
-   -v3 when reports gained an origin and checkpoints gained the
-   concurrent report list and schedule-search totals; and to -v4 when
-   checkpoints gained the coverage-ledger delta and funnel attrition
-   counts. A pre-change file now fails the kind check as a typed error
-   instead of being mis-decoded. Execute checkpoints are cheap to
-   regenerate, so unlike tenant caches they get no migration path. *)
-let checkpoint_kind = "campaign-execute-v4"
-
-let save_checkpoint path ck = Checkpoint.save path ~kind:checkpoint_kind ck
-
-let load_checkpoint path : (checkpoint, Checkpoint.error) result =
-  Checkpoint.load path ~kind:checkpoint_kind
-
 (* -- supervised execution ------------------------------------------------ *)
 
 let make_supervisor ~obs options =
@@ -395,13 +332,80 @@ let charge_case (a : attrition) (r : case_result) =
     a.at_filtered_nondet <- a.at_filtered_nondet + 1
   else a.at_filtered_resource <- a.at_filtered_resource + 1
 
-(* Attribution and attrition both fold per-case; keeping them in one
-   helper means every fold site (chunked execute, executor assembly,
-   streaming assembly) stays in lockstep. *)
-let absorb_case ~cov (a : attrition) (r : case_result) =
-  charge_case a r;
+(* Everything a campaign folds in from its per-case results. Lists are
+   kept newest-first while folding and reversed once, by [finish]. *)
+type acc = {
+  a_funnel : Filter.funnel;
+  a_sched : sched_stats;
+  a_attrition : attrition;              (* terminal stages; generated and
+                                           absorbed are set by [finish] *)
+  mutable a_rev_reports : Report.t list;
+  mutable a_rev_concurrent : Report.t list;
+  mutable a_rev_quarantined : Supervisor.crash list;
+}
+
+let acc_create () =
+  { a_funnel = Filter.funnel_create (); a_sched = sched_create ();
+    a_attrition = attrition_create (); a_rev_reports = [];
+    a_rev_concurrent = []; a_rev_quarantined = [] }
+
+(* [{ r with f = r.f }] copies a mutable record: a resumed phase folds
+   into its own counters, never into the checkpoint it started from. *)
+let acc_copy a =
+  { a with
+    a_funnel = { a.a_funnel with Filter.executed = a.a_funnel.Filter.executed };
+    a_sched = { a.a_sched with sched_candidates = a.a_sched.sched_candidates };
+    a_attrition =
+      { a.a_attrition with at_generated = a.a_attrition.at_generated } }
+
+(* The one per-case fold. Every path — chunked batch execution,
+   executor assembly and streaming assembly — feeds its results, in
+   representative order, through here. *)
+let absorb ~cov acc (r : case_result) =
+  add_funnel acc.a_funnel r.cr_funnel;
+  add_sched acc.a_sched r.cr_sched;
+  charge_case acc.a_attrition r;
   Option.iter (mark_report_attributed cov) r.cr_report;
-  List.iter (mark_report_attributed cov) r.cr_concurrent
+  List.iter (mark_report_attributed cov) r.cr_concurrent;
+  Option.iter (fun rep -> acc.a_rev_reports <- rep :: acc.a_rev_reports)
+    r.cr_report;
+  acc.a_rev_concurrent <- List.rev_append r.cr_concurrent acc.a_rev_concurrent;
+  acc.a_rev_quarantined <- List.rev_append r.cr_crashes acc.a_rev_quarantined
+
+(* -- checkpoints --------------------------------------------------------- *)
+
+(* Everything the execute phase has accumulated, plus the options
+   fingerprint a resume must match. *)
+type checkpoint = {
+  ck_seed : int;
+  ck_corpus_size : int;
+  ck_strategy : Cluster.strategy;
+  ck_done : int;                        (* cluster reps completed *)
+  ck_total : int;                       (* cluster reps overall *)
+  ck_acc : acc;                         (* results folded so far *)
+  ck_executions : int;
+  ck_generate_s : float;
+  ck_execute_s : float;
+  ck_coverage : Coverage.delta;         (* ledger state at pause time *)
+}
+
+let checkpoint_progress ck = (ck.ck_done, ck.ck_total)
+
+let checkpoint_reports ck = List.length ck.ck_acc.a_rev_reports
+
+(* Checkpoints ride the validated KITCKPT1 container: magic, kind tag,
+   payload length and digest are all checked before any Marshal byte is
+   decoded, so a truncated or corrupt file is a typed error. The kind
+   names the record's layout and is bumped whenever it changes, so a
+   file from an older build fails the kind check as a typed error
+   instead of being mis-decoded. Execute checkpoints are cheap to
+   regenerate, so unlike tenant caches they get no migration path. *)
+let checkpoint_kind = "campaign-execute-v5"
+
+let save_checkpoint path ck = Checkpoint.save path ~kind:checkpoint_kind ck
+
+let load_checkpoint path : (checkpoint, Checkpoint.error) result =
+  Checkpoint.load path ~kind:checkpoint_kind
 
 (* Execute one cluster representative under supervision; quarantined
    crashers are captured by quarantine-count delta and produce no
@@ -495,248 +499,93 @@ let exec_cases_absorbing options corpus sup triples =
   in
   go [] triples
 
-(* Parallel chunk execution on OCaml domains. The chunk's representatives
-   arrive as [(case, attrs, tc)] triples ([case] a globally increasing
-   index, [attrs] the case's correlation attributes) and are dealt
-   round-robin over [domains] slices; each domain boots its own isolated
-   supervised environment and observability registry and produces
-   per-case results, stamping its executions with a ["domain"] attr on
-   top of the case attrs. The merge sorts by case index, so reports,
-   funnel and quarantine come out structurally identical to the
-   sequential schedule — only wall-clock changes. Per-domain registries
-   are folded into the campaign bundle with [Metrics.absorb] and the
-   per-domain trace rings with [Tracer.merge]. *)
-let run_chunk_on_domains ~domains ~obs options corpus chunk =
-  let slices = Array.make domains [] in
-  List.iteri
-    (fun i case -> slices.(i mod domains) <- case :: slices.(i mod domains))
-    chunk;
-  let worker d slice () =
-    let wobs = Obs.create () in
-    let sup = make_supervisor ~obs:wobs options in
-    let dom = ("domain", string_of_int d) in
-    let out =
-      exec_cases_absorbing options corpus sup
-        (List.map (fun (case, attrs, tc) -> (case, dom :: attrs, tc)) slice)
+(* The one chunk runner behind every in-process path. The chunk's
+   representatives arrive as [(case, attrs, tc)] triples ([case] a
+   globally increasing index, [attrs] the case's correlation
+   attributes) and run sequentially on [sup] unless [options.domains]
+   exceeds 1; then they are dealt round-robin over that many slices.
+   Each domain boots its own isolated supervised environment and
+   observability registry and produces per-case results, stamping its
+   executions with a ["domain"] attr on top of the case attrs. The merge
+   sorts by case index, so reports, funnel and quarantine come out
+   structurally identical to the sequential schedule — only wall-clock
+   changes. Per-domain registries are folded into [sup]'s bundle with
+   [Metrics.absorb] and the per-domain trace rings with [Tracer.merge];
+   the absorbed ["exec.executions"] counts are how domain executions
+   reach [Supervisor.executions sup]. Returns per-case results in chunk
+   order. *)
+let run_chunk options corpus sup chunk =
+  let domains = options.domains in
+  if domains <= 1 then
+    List.map snd (exec_cases_absorbing options corpus sup chunk)
+  else begin
+    let obs = sup.Supervisor.obs in
+    let slices = Array.make domains [] in
+    List.iteri
+      (fun i case -> slices.(i mod domains) <- case :: slices.(i mod domains))
+      chunk;
+    let worker d slice () =
+      let wobs = Obs.create () in
+      let wsup = make_supervisor ~obs:wobs options in
+      let dom = ("domain", string_of_int d) in
+      let out =
+        exec_cases_absorbing options corpus wsup
+          (List.map (fun (case, attrs, tc) -> (case, dom :: attrs, tc)) slice)
+      in
+      (out, Obs.snapshot wobs, Tracer.events wobs.Obs.tracer)
     in
-    (out, Supervisor.executions sup, Obs.snapshot wobs,
-     Tracer.events wobs.Obs.tracer)
-  in
-  let handles =
-    Array.mapi
-      (fun d slice ->
-        let slice = List.rev slice in
-        if slice = [] then None else Some (Domain.spawn (worker d slice)))
-      slices
-  in
-  (* Join every domain before propagating any failure, so a crashed
-     domain cannot leak its siblings. *)
-  let joined =
-    Array.map
-      (Option.map (fun h ->
-           match Domain.join h with v -> Ok v | exception e -> Error e))
-      handles
-  in
-  Array.iter
-    (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
-    joined;
-  let results =
-    Array.to_list joined
-    |> List.filter_map (function
-         | Some (Ok r) -> Some r
-         | Some (Error _) | None -> None)
-  in
-  List.iter
-    (fun (_, _, snap, _) -> Metrics.absorb obs.Obs.metrics snap)
-    results;
-  Tracer.merge obs.Obs.tracer
-    (List.map (fun (_, _, _, events) -> events) results);
-  let per_case =
-    List.concat_map (fun (out, _, _, _) -> out) results
+    let handles =
+      Array.mapi
+        (fun d slice ->
+          let slice = List.rev slice in
+          if slice = [] then None else Some (Domain.spawn (worker d slice)))
+        slices
+    in
+    (* Join every domain before propagating any failure, so a crashed
+       domain cannot leak its siblings. *)
+    let joined =
+      Array.map
+        (Option.map (fun h ->
+             match Domain.join h with v -> Ok v | exception e -> Error e))
+        handles
+    in
+    Array.iter
+      (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
+      joined;
+    let results =
+      Array.to_list joined
+      |> List.filter_map (function
+           | Some (Ok r) -> Some r
+           | Some (Error _) | None -> None)
+    in
+    List.iter (fun (_, snap, _) -> Metrics.absorb obs.Obs.metrics snap) results;
+    Tracer.merge obs.Obs.tracer (List.map (fun (_, _, events) -> events) results);
+    List.concat_map (fun (out, _, _) -> out) results
     |> List.sort (fun (i, _) (j, _) -> compare i j)
     |> List.map snd
-  in
-  (per_case, List.fold_left (fun acc (_, execs, _, _) -> acc + execs) 0 results)
+  end
 
+(* Each chunk boots its own supervised environment, like a campaign
+   process restarted after an interrupt; the last chunk's environment
+   goes on to run diagnosis. *)
 let execute_stage =
   Pipeline.v ~consumes:"clusters" ~produces:"case-results" "execute"
-    (fun obs (options, corpus, chunk, domains) ->
-      if domains = 1 then begin
-        let sup = make_supervisor ~obs options in
-        let out = List.map snd (exec_cases_absorbing options corpus sup chunk) in
-        (out, Supervisor.executions sup, Some sup)
-      end
-      else
-        let out, execs = run_chunk_on_domains ~domains ~obs options corpus chunk in
-        (out, execs, None))
+    (fun obs (options, corpus, chunk) ->
+      let sup = make_supervisor ~obs options in
+      (run_chunk options corpus sup chunk, sup))
+
+(* Algorithm 2 on one report, re-testing through [sup]. *)
+let diagnose_report spec sup (r : Report.t) =
+  Aggregate.key_report r
+    (Diagnose.culprits
+       ~test:(protected_interference spec sup)
+       ~sender:r.Report.sender ~receiver:r.Report.receiver
+       ~interfered:r.Report.interfered)
 
 let diagnose_stage =
   Pipeline.v ~consumes:"reports" ~produces:"keyed-reports" "diagnose"
     (fun _obs (options, sup, reports) ->
-      List.map
-        (fun (r : Report.t) ->
-          let pairs =
-            Diagnose.culprits
-              ~test:(protected_interference options.spec sup)
-              ~sender:r.Report.sender ~receiver:r.Report.receiver
-              ~interfered:r.Report.interfered
-          in
-          Aggregate.key_report r pairs)
-        reports)
-
-(* Run the execute phase for up to [budget] representatives, starting
-   from [resume] (or from scratch). Returns either the completed phase
-   or a checkpoint to continue from. Each call boots its own supervised
-   environment, like a campaign process restarted after an interrupt. *)
-type phase_result =
-  | Phase_done of {
-      generation : Cluster.result;
-      funnel : Filter.funnel;
-      reports : Report.t list;
-      concurrent : Report.t list;
-      sched : sched_stats;
-      quarantined : Supervisor.crash list;
-      prior_executions : int;           (* from resumed checkpoints *)
-      sup : Supervisor.t;
-      generate_s : float;
-      execute_s : float;
-      attrition : attrition;            (* terminal stages; generated and
-                                           absorbed are set by [finish] *)
-    }
-  | Phase_paused of checkpoint
-
-let validate_resume options strategy total (ck : checkpoint) =
-  if ck.ck_seed <> options.seed then
-    invalid_arg "Campaign.resume: checkpoint was taken with a different seed";
-  if ck.ck_corpus_size <> options.corpus_size then
-    invalid_arg
-      "Campaign.resume: checkpoint was taken with a different corpus size";
-  if ck.ck_strategy <> strategy then
-    invalid_arg
-      "Campaign.resume: checkpoint was taken with a different strategy";
-  if ck.ck_total <> total then
-    invalid_arg "Campaign.resume: checkpoint cluster count mismatch"
-
-let execute_phase ?resume ~budget ~strategy prepared =
-  let options = { prepared.p_options with strategy } in
-  let obs = prepared.p_obs in
-  let generation, generate_s_now =
-    Pipeline.run_timed obs generate_stage
-      (strategy, options.seed, Array.length prepared.p_corpus, prepared.p_map)
-  in
-  Metrics.set_counter (c_counter obs "generated") generation.Cluster.generated;
-  Metrics.set_counter (c_counter obs "clusters") generation.Cluster.clusters;
-  let reps = generation.Cluster.reps in
-  let total = List.length reps in
-  let done_, funnel, rev_reports, rev_concurrent, sched, quarantined0,
-      executions0, generate_s, execute_s0, attrition =
-    match resume with
-    | None ->
-      (0, Filter.funnel_create (), [], [], sched_create (), [], 0,
-       generate_s_now, 0.0, attrition_create ())
-    | Some ck ->
-      validate_resume options strategy total ck;
-      (* Re-preparation re-marked the profiling rungs; absorbing the
-         checkpointed delta restores attribution, so ledger state is
-         monotone across resumes. *)
-      Coverage.absorb prepared.p_cov ck.ck_coverage;
-      ( ck.ck_done, copy_funnel ck.ck_funnel, ck.ck_rev_reports,
-        ck.ck_rev_concurrent, copy_sched ck.ck_sched, ck.ck_quarantined,
-        ck.ck_executions, ck.ck_generate_s, ck.ck_execute_s,
-        copy_attrition ck.ck_attrition )
-  in
-  Metrics.set_gauge (time_gauge obs "generate_s") generate_s;
-  let reports = ref rev_reports in
-  let concurrent = ref rev_concurrent in
-  (* At least one representative per chunk: a non-positive budget would
-     pause without progress and turn resume-until-done loops into
-     livelocks. *)
-  let budget = max 1 budget in
-  let todo = List.filteri (fun i _ -> i >= done_) reps in
-  let chunk = List.filteri (fun i _ -> i < budget) todo in
-  let executed_now = List.length chunk in
-  (* Global case indices survive checkpoint resume: case [done_ + i] is
-     the same representative whichever process executes it. *)
-  let chunk =
-    List.mapi
-      (fun i tc ->
-        let case = done_ + i in
-        (case, [ ("case", string_of_int case) ], tc))
-      chunk
-  in
-  let domains = max 1 options.domains in
-  let (out, executions_now, chunk_sup), execute_s_now =
-    Pipeline.run_timed obs execute_stage ~elapsed_base:execute_s0
-      ~attrs:
-        [ ("chunk", string_of_int executed_now);
-          ("domains", string_of_int domains) ]
-      (options, prepared.p_corpus, chunk, domains)
-  in
-  let quarantined_now = List.concat_map (fun r -> r.cr_crashes) out in
-  List.iter
-    (fun r ->
-      add_funnel funnel r.cr_funnel;
-      add_sched sched r.cr_sched;
-      absorb_case ~cov:prepared.p_cov attrition r;
-      Option.iter (fun rep -> reports := rep :: !reports) r.cr_report;
-      concurrent := List.rev_append r.cr_concurrent !concurrent)
-    out;
-  let execute_s = execute_s0 +. execute_s_now in
-  (* Per-chunk accounting: representative counts are deterministic,
-     chunk wall-times are volatile. *)
-  Metrics.observe
-    (Metrics.histogram ~always:true obs.Obs.metrics "campaign.chunk_reps")
-    (float_of_int executed_now);
-  Metrics.observe
-    (Metrics.histogram ~volatile:true ~always:true obs.Obs.metrics
-       "campaign.chunk_s")
-    execute_s_now;
-  let quarantined = quarantined0 @ quarantined_now in
-  let executions = executions0 + executions_now in
-  if done_ + executed_now < total then
-    Phase_paused
-      {
-        ck_seed = options.seed;
-        ck_corpus_size = options.corpus_size;
-        ck_strategy = strategy;
-        ck_done = done_ + executed_now;
-        ck_total = total;
-        ck_funnel = copy_funnel funnel;
-        ck_rev_reports = !reports;
-        ck_rev_concurrent = !concurrent;
-        ck_sched = copy_sched sched;
-        ck_quarantined = quarantined;
-        ck_executions = executions;
-        ck_generate_s = generate_s;
-        ck_execute_s = execute_s;
-        ck_attrition = copy_attrition attrition;
-        ck_coverage = Coverage.delta prepared.p_cov;
-      }
-  else
-    (* In parallel mode the chunk supervisors died with their domains;
-       diagnosis gets a fresh sequential environment, and the chunk's
-       executions ride along via [prior_executions]. *)
-    let sup, prior_executions =
-      match chunk_sup with
-      | Some sup -> (sup, executions0)
-      | None -> (make_supervisor ~obs options, executions)
-    in
-    Phase_done
-      { generation; funnel; reports = List.rev !reports;
-        concurrent = List.rev !concurrent; sched; quarantined;
-        prior_executions; sup; generate_s; execute_s; attrition }
-
-(* Mirror final campaign accounting into always-on counters. *)
-let set_result_counters obs ~executions ~funnel ~reports ~quarantined =
-  Metrics.set_counter (c_counter obs "executions") executions;
-  Metrics.set_counter (c_counter obs "funnel_executed") funnel.Filter.executed;
-  Metrics.set_counter (c_counter obs "funnel_initial") funnel.Filter.initial;
-  Metrics.set_counter (c_counter obs "funnel_after_nondet")
-    funnel.Filter.after_nondet;
-  Metrics.set_counter (c_counter obs "funnel_after_resource")
-    funnel.Filter.after_resource;
-  Metrics.set_counter (c_counter obs "reports") (List.length reports);
-  Metrics.set_counter (c_counter obs "quarantined") (List.length quarantined)
+      List.map (diagnose_report options.spec sup) reports)
 
 (* Schedule-search counters exist only when the search actually ran:
    interning them unconditionally would perturb the golden obs export of
@@ -783,69 +632,167 @@ let read_timings obs =
     execute_s = Metrics.gauge_value (time_gauge obs "execute_s");
     diagnose_s = Metrics.gauge_value (time_gauge obs "diagnose_s") }
 
-let finish prepared options phase =
-  match phase with
-  | Phase_paused _ -> assert false
-  | Phase_done
-      { generation; funnel; reports; concurrent; sched; quarantined;
-        prior_executions; sup; generate_s; execute_s; attrition } ->
-    let obs = prepared.p_obs in
-    let keyed =
-      if not options.diagnose then begin
-        Metrics.set_gauge (time_gauge obs "diagnose_s") 0.0;
-        []
-      end
-      else Pipeline.run obs diagnose_stage (options, sup, reports)
-    in
-    Metrics.set_gauge (time_gauge obs "generate_s") generate_s;
-    Metrics.set_gauge (time_gauge obs "execute_s") execute_s;
-    let agg_r = Aggregate.agg_r keyed in
-    let agg_rs = Aggregate.agg_rs keyed in
-    (* diagnosis re-executed through [sup], so read the counter last *)
-    let executions = prior_executions + Supervisor.executions sup in
-    (* Generation totals close the attrition balance: every generated
-       case either clustered into an executed representative (and was
-       charged per-case above) or was absorbed by clustering. *)
-    attrition.at_generated <- generation.Cluster.generated;
-    attrition.at_absorbed <-
-      generation.Cluster.generated - List.length generation.Cluster.reps;
-    set_result_counters obs ~executions ~funnel ~reports ~quarantined;
-    set_sched_counters obs ~concurrent sched;
-    set_coverage_counters obs prepared.p_cov attrition;
-    {
-      options;
-      corpus = prepared.p_corpus;
-      generation;
-      df_total = generation.Cluster.df_total;
-      funnel;
-      reports;
-      concurrent;
-      sched;
-      quarantined;
-      keyed;
-      agg_r;
-      agg_rs;
-      executions;
-      sup_stats = sup.Supervisor.stats;
-      fault_counters = Fault.counters sup.Supervisor.fault;
-      timings = read_timings obs;
-      obs;
-      coverage = prepared.p_cov;
-      attrition;
-    }
+(* The one place a campaign result is built. Closes the attrition
+   balance, diagnoses the reports — [diagnose], by default Algorithm 2
+   on [sup] as the "phase.diagnose" stage — and mirrors the final
+   accounting into the always-on "campaign.*" counters. [executions]
+   counts executions [sup]'s bundle never saw (earlier chunks, pool
+   worker processes). *)
+let finish ?diagnose ~options ~corpus ~obs ~cov ~sup ~executions generation
+    acc =
+  let options = { options with strategy = generation.Cluster.strategy } in
+  let reports = List.rev acc.a_rev_reports in
+  let concurrent = List.rev acc.a_rev_concurrent in
+  let quarantined = List.rev acc.a_rev_quarantined in
+  let keyed =
+    if not options.diagnose then begin
+      Metrics.set_gauge (time_gauge obs "diagnose_s") 0.0;
+      []
+    end
+    else
+      match diagnose with
+      | Some f -> f reports
+      | None -> Pipeline.run obs diagnose_stage (options, sup, reports)
+  in
+  (* diagnosis re-executed through [sup], so read the counter last *)
+  let executions = executions + Supervisor.executions sup in
+  let funnel = acc.a_funnel and sched = acc.a_sched in
+  let attrition = acc.a_attrition in
+  (* Generation totals close the attrition balance: every generated
+     case either clustered into an executed representative (and was
+     charged per-case by [absorb]) or was absorbed by clustering. *)
+  attrition.at_generated <- generation.Cluster.generated;
+  attrition.at_absorbed <-
+    generation.Cluster.generated - List.length generation.Cluster.reps;
+  let set name v = Metrics.set_counter (c_counter obs name) v in
+  set "generated" generation.Cluster.generated;
+  set "clusters" generation.Cluster.clusters;
+  set "executions" executions;
+  set "funnel_executed" funnel.Filter.executed;
+  set "funnel_initial" funnel.Filter.initial;
+  set "funnel_after_nondet" funnel.Filter.after_nondet;
+  set "funnel_after_resource" funnel.Filter.after_resource;
+  set "reports" (List.length reports);
+  set "quarantined" (List.length quarantined);
+  set_sched_counters obs ~concurrent sched;
+  set_coverage_counters obs cov attrition;
+  {
+    options;
+    corpus;
+    generation;
+    df_total = generation.Cluster.df_total;
+    funnel;
+    reports;
+    concurrent;
+    sched;
+    quarantined;
+    keyed;
+    agg_r = Aggregate.agg_r keyed;
+    agg_rs = Aggregate.agg_rs keyed;
+    executions;
+    sup_stats = sup.Supervisor.stats;
+    fault_counters = Fault.counters sup.Supervisor.fault;
+    timings = read_timings obs;
+    obs;
+    coverage = cov;
+    attrition;
+  }
 
-let execute_partial ?strategy ?resume ~budget prepared =
+(* The generate phase alone, on already-prepared inputs. Asynchronous
+   drivers (the serve scheduler) call it to materialise a tenant's
+   cluster representatives up front, execute them over any schedule,
+   and only later fold the results back with {!assemble}. *)
+let generate_prepared ?strategy prepared =
   let options = prepared.p_options in
+  let strategy = Option.value strategy ~default:options.strategy in
+  Pipeline.run prepared.p_obs generate_stage
+    (strategy, options.seed, Array.length prepared.p_corpus, prepared.p_map)
+
+let validate_resume options strategy total (ck : checkpoint) =
+  if ck.ck_seed <> options.seed then
+    invalid_arg "Campaign.resume: checkpoint was taken with a different seed";
+  if ck.ck_corpus_size <> options.corpus_size then
+    invalid_arg
+      "Campaign.resume: checkpoint was taken with a different corpus size";
+  if ck.ck_strategy <> strategy then
+    invalid_arg
+      "Campaign.resume: checkpoint was taken with a different strategy";
+  if ck.ck_total <> total then
+    invalid_arg "Campaign.resume: checkpoint cluster count mismatch"
+
+(* Run the execute phase for up to [budget] more representatives,
+   starting from [resume] (or from scratch), then either finish the
+   campaign or return a checkpoint to continue from. *)
+let execute_partial ?strategy ?resume ~budget prepared =
   let strategy =
     match (strategy, resume) with
     | Some s, _ -> s
     | None, Some ck -> ck.ck_strategy
-    | None, None -> options.strategy
+    | None, None -> prepared.p_options.strategy
   in
-  match execute_phase ?resume ~budget ~strategy prepared with
-  | Phase_paused ck -> `Paused ck
-  | Phase_done _ as phase ->
-    `Done (finish prepared { options with strategy } phase)
+  let options = { prepared.p_options with strategy } in
+  let obs = prepared.p_obs in
+  let generation = generate_prepared ~strategy prepared in
+  let reps = generation.Cluster.reps in
+  let total = List.length reps in
+  let done_, acc, executions0, execute_s0 =
+    match resume with
+    | None -> (0, acc_create (), 0, 0.0)
+    | Some ck ->
+      validate_resume options strategy total ck;
+      (* Re-preparation re-marked the profiling rungs; absorbing the
+         checkpointed delta restores attribution, so ledger state is
+         monotone across resumes. *)
+      Coverage.absorb prepared.p_cov ck.ck_coverage;
+      Metrics.set_gauge (time_gauge obs "generate_s") ck.ck_generate_s;
+      (ck.ck_done, acc_copy ck.ck_acc, ck.ck_executions, ck.ck_execute_s)
+  in
+  (* At least one representative per chunk: a non-positive budget would
+     pause without progress and turn resume-until-done loops into
+     livelocks. *)
+  let budget = max 1 budget in
+  (* Global case indices survive checkpoint resume: case [done_ + i] is
+     the same representative whichever process executes it. *)
+  let chunk =
+    List.filteri (fun i _ -> i >= done_ && i - done_ < budget) reps
+    |> List.mapi (fun i tc ->
+           let case = done_ + i in
+           (case, [ ("case", string_of_int case) ], tc))
+  in
+  let executed_now = List.length chunk in
+  let (out, sup), execute_s_now =
+    Pipeline.run_timed obs execute_stage ~elapsed_base:execute_s0
+      ~attrs:
+        [ ("chunk", string_of_int executed_now);
+          ("domains", string_of_int (max 1 options.domains)) ]
+      (options, prepared.p_corpus, chunk)
+  in
+  List.iter (absorb ~cov:prepared.p_cov acc) out;
+  (* Per-chunk accounting: representative counts are deterministic,
+     chunk wall-times are volatile. *)
+  Metrics.observe
+    (Metrics.histogram ~always:true obs.Obs.metrics "campaign.chunk_reps")
+    (float_of_int executed_now);
+  Metrics.observe
+    (Metrics.histogram ~volatile:true ~always:true obs.Obs.metrics
+       "campaign.chunk_s")
+    execute_s_now;
+  if done_ + executed_now < total then
+    `Paused
+      { ck_seed = options.seed;
+        ck_corpus_size = options.corpus_size;
+        ck_strategy = strategy;
+        ck_done = done_ + executed_now;
+        ck_total = total;
+        ck_acc = acc;
+        ck_executions = executions0 + Supervisor.executions sup;
+        ck_generate_s = Metrics.gauge_value (time_gauge obs "generate_s");
+        ck_execute_s = execute_s0 +. execute_s_now;
+        ck_coverage = Coverage.delta prepared.p_cov }
+  else
+    `Done
+      (finish ~options ~corpus:prepared.p_corpus ~obs ~cov:prepared.p_cov ~sup
+         ~executions:executions0 generation acc)
 
 let execute_prepared ?strategy ?resume prepared =
   match execute_partial ?strategy ?resume ~budget:max_int prepared with
@@ -869,59 +816,18 @@ let run options = execute_prepared (prepare options)
 type executor =
   options -> Program.t array -> Cluster.result -> case_result list * int
 
-(* The generate phase alone, on already-prepared inputs. Split out of
-   [run_with_executor] so asynchronous drivers (the serve scheduler)
-   can materialise a tenant's cluster representatives up front, execute
-   them over any schedule, and only later fold the results back with
-   {!assemble}. *)
-let generate_prepared ?strategy prepared =
-  let options = prepared.p_options in
-  let strategy = Option.value strategy ~default:options.strategy in
-  let obs = prepared.p_obs in
-  let generation, generate_s =
-    Pipeline.run_timed obs generate_stage
-      (strategy, options.seed, Array.length prepared.p_corpus, prepared.p_map)
-  in
-  Metrics.set_gauge (time_gauge obs "generate_s") generate_s;
-  Metrics.set_counter (c_counter obs "generated") generation.Cluster.generated;
-  Metrics.set_counter (c_counter obs "clusters") generation.Cluster.clusters;
-  generation
-
 (* Fold per-case results (representative order) back into a finished
-   campaign: funnel accumulation, report/quarantine collection, then the
-   shared diagnosis machinery on a fresh sequential environment —
-   exactly what [run_with_executor] does after its executor returns. *)
+   campaign, diagnosing on a fresh sequential environment — exactly
+   what [run_with_executor] does after its executor returns. *)
 let assemble ?(execute_s = 0.0) prepared generation out ~executions =
-  let options =
-    { prepared.p_options with strategy = generation.Cluster.strategy }
-  in
   let obs = prepared.p_obs in
-  let funnel = Filter.funnel_create () in
-  let sched = sched_create () in
-  let attrition = attrition_create () in
-  let rev_reports = ref [] and rev_concurrent = ref []
-  and rev_quarantined = ref [] in
-  List.iter
-    (fun r ->
-      add_funnel funnel r.cr_funnel;
-      add_sched sched r.cr_sched;
-      absorb_case ~cov:prepared.p_cov attrition r;
-      Option.iter (fun rep -> rev_reports := rep :: !rev_reports) r.cr_report;
-      rev_concurrent := List.rev_append r.cr_concurrent !rev_concurrent;
-      rev_quarantined := List.rev_append r.cr_crashes !rev_quarantined)
-    out;
-  finish prepared options
-    (Phase_done
-       { generation; funnel;
-         reports = List.rev !rev_reports;
-         concurrent = List.rev !rev_concurrent;
-         sched;
-         quarantined = List.rev !rev_quarantined;
-         prior_executions = executions;
-         sup = make_supervisor ~obs options;
-         generate_s = Metrics.gauge_value (time_gauge obs "generate_s");
-         execute_s;
-         attrition })
+  Metrics.set_gauge (time_gauge obs "execute_s") execute_s;
+  let acc = acc_create () in
+  List.iter (absorb ~cov:prepared.p_cov acc) out;
+  finish ~options:prepared.p_options ~corpus:prepared.p_corpus ~obs
+    ~cov:prepared.p_cov
+    ~sup:(make_supervisor ~obs prepared.p_options)
+    ~executions generation acc
 
 let run_with_executor ~executor options =
   let prepared = prepare options in
@@ -963,7 +869,6 @@ type stream = {
   mutable s_first_report_s : float option;
   mutable s_exec_cases : int;           (* rep executions incl. re-runs *)
   mutable s_reexecuted : int;           (* rep-change invalidations *)
-  mutable s_domain_execs : int;         (* executions by domain workers *)
   mutable s_profile_s : float;
   mutable s_generate_s : float;
   mutable s_execute_s : float;
@@ -1016,7 +921,6 @@ let stream_execute s (events : Cluster.event list) =
       events
   in
   if cases <> [] then begin
-    let domains = max 1 s.s_options.domains in
     (* Streaming case indices are execution ordinals; the cluster id
        rides along so traces can be joined back to the cluster table. *)
     let indexed =
@@ -1029,18 +933,10 @@ let stream_execute s (events : Cluster.event list) =
             tc ))
         cases
     in
-    let (out, dexecs), dt =
-      timed (fun () ->
-          if domains = 1 then
-            ( List.map snd
-                (exec_cases_absorbing s.s_options s.s_corpus s.s_sup indexed),
-              0 )
-          else
-            run_chunk_on_domains ~domains ~obs:s.s_obs s.s_options s.s_corpus
-              indexed)
+    let out, dt =
+      timed (fun () -> run_chunk s.s_options s.s_corpus s.s_sup indexed)
     in
     s.s_execute_s <- s.s_execute_s +. dt;
-    s.s_domain_execs <- s.s_domain_execs + dexecs;
     s.s_exec_cases <- s.s_exec_cases + List.length cases;
     List.iter2
       (fun (id, _) r ->
@@ -1114,7 +1010,6 @@ let stream (options : options) =
       s_first_report_s = None;
       s_exec_cases = 0;
       s_reexecuted = 0;
-      s_domain_execs = 0;
       s_profile_s = 0.0;
       s_generate_s = 0.0;
       s_execute_s = 0.0;
@@ -1134,8 +1029,6 @@ let stream_result s =
   let obs = s.s_obs in
   stream_execute s (Cluster.drain s.s_cstate);
   let generation = Cluster.finalize s.s_cstate in
-  Metrics.set_counter (c_counter obs "generated") generation.Cluster.generated;
-  Metrics.set_counter (c_counter obs "clusters") generation.Cluster.clusters;
   let live = Cluster.live s.s_cstate in
   let ordered =
     match options.strategy with
@@ -1153,83 +1046,42 @@ let stream_result s =
             id Testcase.pp rep)
       ordered
   in
-  let funnel = Filter.funnel_create () in
-  let sched = sched_create () in
   (* Attribution and attrition fold over the *final* per-cluster cache —
      never over superseded executions of replaced representatives — so
      the streaming ledger and funnel match the batch path exactly. *)
-  let attrition = attrition_create () in
-  attrition.at_generated <- generation.Cluster.generated;
-  attrition.at_absorbed <- generation.Cluster.generated - List.length cases;
-  let rev_reports = ref [] and rev_concurrent = ref []
-  and rev_quarantined = ref [] in
-  List.iter
-    (fun (_, r) ->
-      add_funnel funnel r.cr_funnel;
-      add_sched sched r.cr_sched;
-      absorb_case ~cov:s.s_cov attrition r;
-      Option.iter (fun rep -> rev_reports := rep :: !rev_reports) r.cr_report;
-      rev_concurrent := List.rev_append r.cr_concurrent !rev_concurrent;
-      rev_quarantined := List.rev_append r.cr_crashes !rev_quarantined)
-    cases;
-  let reports = List.rev !rev_reports in
-  let concurrent = List.rev !rev_concurrent in
-  let quarantined = List.rev !rev_quarantined in
-  (* Diagnose newly-reported clusters; unchanged clusters reuse the
-     cached keyed report from a previous assembly. *)
-  let keyed, diagnose_dt =
-    timed (fun () ->
-        if not options.diagnose then []
-        else
-          List.filter_map
-            (fun (id, r) ->
-              match r.cr_report with
-              | None -> None
-              | Some rep -> (
-                match Hashtbl.find_opt s.s_keyed id with
-                | Some k -> Some k
-                | None ->
-                  let pairs =
-                    Diagnose.culprits
-                      ~test:(protected_interference options.spec s.s_sup)
-                      ~sender:rep.Report.sender ~receiver:rep.Report.receiver
-                      ~interfered:rep.Report.interfered
-                  in
-                  let k = Aggregate.key_report rep pairs in
-                  Hashtbl.replace s.s_keyed id k;
-                  Some k))
-            cases)
-  in
-  s.s_diagnose_s <- s.s_diagnose_s +. diagnose_dt;
+  let acc = acc_create () in
+  List.iter (fun (_, r) -> absorb ~cov:s.s_cov acc r) cases;
   Metrics.set_gauge (time_gauge obs "profile_s") s.s_profile_s;
   Metrics.set_gauge (time_gauge obs "generate_s") s.s_generate_s;
   Metrics.set_gauge (time_gauge obs "execute_s") s.s_execute_s;
-  Metrics.set_gauge (time_gauge obs "diagnose_s") s.s_diagnose_s;
-  let executions = Supervisor.executions s.s_sup + s.s_domain_execs in
-  set_result_counters obs ~executions ~funnel ~reports ~quarantined;
-  set_sched_counters obs ~concurrent sched;
-  set_coverage_counters obs s.s_cov attrition;
-  {
-    options = { options with corpus_size = Array.length s.s_corpus };
-    corpus = s.s_corpus;
-    generation;
-    df_total = generation.Cluster.df_total;
-    funnel;
-    reports;
-    concurrent;
-    sched;
-    quarantined;
-    keyed;
-    agg_r = Aggregate.agg_r keyed;
-    agg_rs = Aggregate.agg_rs keyed;
-    executions;
-    sup_stats = s.s_sup.Supervisor.stats;
-    fault_counters = Fault.counters s.s_sup.Supervisor.fault;
-    timings = read_timings obs;
-    obs;
-    coverage = s.s_cov;
-    attrition;
-  }
+  (* Diagnose newly-reported clusters; unchanged clusters reuse the
+     cached keyed report from a previous assembly. Walking [cases] yields
+     the reports [finish] hands over, in the same order, with the
+     cluster id each cache entry is keyed by. *)
+  let diagnose _reports =
+    let keyed, dt =
+      timed (fun () ->
+          List.filter_map
+            (fun (id, r) ->
+              Option.map
+                (fun rep ->
+                  match Hashtbl.find_opt s.s_keyed id with
+                  | Some k -> k
+                  | None ->
+                    let k = diagnose_report options.spec s.s_sup rep in
+                    Hashtbl.replace s.s_keyed id k;
+                    k)
+                r.cr_report)
+            cases)
+    in
+    s.s_diagnose_s <- s.s_diagnose_s +. dt;
+    Metrics.set_gauge (time_gauge obs "diagnose_s") s.s_diagnose_s;
+    keyed
+  in
+  finish ~diagnose
+    ~options:{ options with corpus_size = Array.length s.s_corpus }
+    ~corpus:s.s_corpus ~obs ~cov:s.s_cov ~sup:s.s_sup
+    ~executions:0 generation acc
 
 let extend s ~add =
   if add < 0 then invalid_arg "Campaign.extend: add must be non-negative";

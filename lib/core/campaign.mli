@@ -216,9 +216,11 @@ val run : options -> t
     The building blocks external execution drivers (the forked process
     pool in [kit.serve], remote executors) are written against. Every
     built-in path — sequential, domain-parallel, streaming — runs each
-    cluster representative through the same {!exec_case} and folds the
-    resulting {!case_result}s in representative order, which is what
-    makes alternative schedules outcome-equivalent. *)
+    cluster representative through the same {!exec_case}, and every
+    path, external executors included, folds the resulting
+    {!case_result}s in representative order through one per-case fold
+    into one result builder, which is what makes alternative schedules
+    outcome-equivalent. *)
 
 (** One executed cluster representative, self-contained: classification
     is order-free, so results can be produced under any schedule and

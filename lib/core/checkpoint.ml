@@ -24,6 +24,20 @@ let error_to_string = function
   | Not_checkpoint msg -> Printf.sprintf "not a KITCKPT1 checkpoint: %s" msg
   | Checkpoint_corrupt msg -> Printf.sprintf "corrupt checkpoint: %s" msg
 
+(* Make a rename in [dir] durable. Some filesystems refuse fsync on a
+   directory; the renamed file's bytes are already on disk by then, so
+   that is not an error. *)
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+
+(* Write the temp file, fsync it, rename it over [path], then fsync the
+   directory: a crash at any point leaves either the previous [path] or
+   the complete new one, never a renamed file whose bytes were lost. *)
 let save path ~kind v =
   if String.length kind = 0 || String.length kind > 255 then
     invalid_arg "Checkpoint.save: kind must be 1..255 bytes";
@@ -40,8 +54,11 @@ let save path ~kind v =
       Bytes.set_int64_be len 0 (Int64.of_int (String.length payload));
       output_bytes oc len;
       output_string oc (Digest.string payload);
-      output_string oc payload);
-  Sys.rename tmp path
+      output_string oc payload;
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
+  Sys.rename tmp path;
+  fsync_dir (Filename.dirname path)
 
 let read_exactly ic n =
   let buf = Bytes.create n in

@@ -9,7 +9,8 @@
     {!error.Checkpoint_corrupt} with a message naming the failure,
     never as a raw [Failure] or a segfaulting [Marshal.from_channel].
 
-    Writes are atomic (temp file + rename), so a writer killed
+    Writes are atomic and durable (fsynced temp file, rename, fsynced
+    directory), so a writer killed or a machine crashing
     mid-checkpoint leaves the previous checkpoint intact. *)
 
 val magic : string
@@ -29,8 +30,8 @@ type error =
 val error_to_string : error -> string
 
 val save : string -> kind:string -> 'a -> unit
-(** Atomically write [path]: magic, [kind], payload length, MD5 digest,
-    Marshal payload. *)
+(** Atomically and durably write [path]: magic, [kind], payload length,
+    MD5 digest, Marshal payload. *)
 
 val load : string -> kind:string -> ('a, error) result
 (** Validate and read back a checkpoint written by {!save} with the

@@ -1,10 +1,10 @@
 (** The generic campaign job queue: submit / claim / complete / reassign
     with a deterministic merge order.
 
-    One queue abstraction backs every execution driver: the in-process
-    domain pool ({!Distrib}), the streaming per-cluster result cache
-    ({!Campaign.stream}) and the forked-process pool ([Kit_serve.Pool])
-    are all thin drivers over it. Jobs carry a stable integer id —
+    One queue abstraction backs the execution drivers: the streaming
+    per-cluster result cache ({!Campaign.stream}), the forked-process
+    pool ([Kit_serve.Pool]) and the multi-tenant scheduler
+    ([Kit_serve.Tenant]) are all thin drivers over it. Jobs carry a stable integer id —
     either allocated in submit order ({!submit}) or caller-chosen
     ({!submit_as}, e.g. cluster ids) — and every ordered read
     ({!results}, {!unfinished}, {!release}) walks jobs in submit order,

@@ -81,9 +81,9 @@ val equal_snapshot : snapshot -> snapshot -> bool
 
 val merge : snapshot list -> snapshot
 (** Point-wise merge: counters and gauges sum, histograms with matching
-    bounds sum bucket-wise. Used by [Core.Distrib] to aggregate
-    per-worker registries. @raise Invalid_argument on a name registered
-    with incompatible kinds/bounds. *)
+    bounds sum bucket-wise. Used to combine a campaign bundle with the
+    global default registry for export. @raise Invalid_argument on a
+    name registered with incompatible kinds/bounds. *)
 
 val absorb : registry -> snapshot -> unit
 (** [absorb r snap] adds [snap]'s values into [r]'s own metrics

@@ -1,5 +1,5 @@
 (* The observability bundle: one metrics registry plus one span tracer,
-   threaded through the pipeline (runner, supervisor, campaign, distrib,
+   threaded through the pipeline (runner, supervisor, campaign, pool,
    CLI). [nop] is the shared disabled bundle — instrumented code records
    through it at the cost of a bool check, and always-on accounting
    counters (see Metrics) still count. *)

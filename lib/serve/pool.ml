@@ -17,7 +17,7 @@
    reaps, heartbeat-kills and respawns workers, and reports what
    happened as {!event}s. Policy — which job runs next, strikes,
    quarantine, resharding, checkpointing — lives in the drivers:
-   {!execute} (the single-campaign driver behind [kit pool] and
+   {!execute} (the single-campaign driver behind
    [kit campaign --procs]) and the multi-tenant scheduler
    ({!Kit_serve.Sched}), both claiming work from {!Kit_core.Jobqueue}s.
 

@@ -15,7 +15,7 @@
     context), and reports everything as {!event}s. Scheduling policy —
     claim order, strikes, quarantine, resharding, checkpointing — lives
     in the drivers: {!execute}, the single-campaign driver behind
-    [kit pool] and [kit campaign --procs], and the multi-tenant
+    [kit campaign --procs], and the multi-tenant
     scheduler ([Kit_serve.Sched] behind [kit serve]), both feeding the
     pool from {!Kit_core.Jobqueue}s.
 
@@ -29,7 +29,7 @@
 
     Per-case results are schedule-independent, so the merged
     funnel/report/quarantine fingerprint equals the sequential
-    {!Kit_core.Distrib} run for any procs count and any kill schedule
+    {!Kit_core.Campaign.run} for any procs count and any kill schedule
     (property-tested). *)
 
 module Campaign := Kit_core.Campaign
@@ -42,9 +42,9 @@ val worker_entry : unit -> unit
     worker loop over the inherited pipe descriptors the variable names
     and never returns ([Unix._exit]); otherwise it is a no-op. *)
 
-(** Deliberate worker misbehaviour, for tests and the CI crash-isolation
-    gate. Sabotage acts inside the worker — the parent only ever sees
-    its observable effects (death, silence). *)
+(** Deliberate worker misbehaviour, for tests. Sabotage acts inside the
+    worker — the parent only ever sees its observable effects (death,
+    silence). *)
 type sabotage = {
   kill_after : (int * int) list;
       (** [(slot, n)]: worker [slot] SIGKILLs itself on receiving its

@@ -13,7 +13,8 @@ module Cluster = Kit_gen.Cluster
 module Dataflow = Kit_gen.Dataflow
 module Campaign = Kit_core.Campaign
 module Known_bugs = Kit_core.Known_bugs
-module Distrib = Kit_core.Distrib
+module Pool = Kit_serve.Pool
+module Proto = Kit_serve.Proto
 module Oracle = Kit_core.Oracle
 module Signature = Kit_report.Signature
 module Bounds = Kit_trace.Bounds
@@ -167,17 +168,26 @@ let test_campaign_tiny_corpus () =
   in
   check_bool "pipeline survives a tiny corpus" true (c.Campaign.executions >= 0)
 
-let test_distrib_more_workers_than_cases () =
-  let options = { Campaign.default_options with Campaign.corpus_size = 16 } in
+let test_more_workers_than_cases () =
+  (* Idle workers change nothing: more domains than representatives
+     leaves some domain slices empty, and more pool processes than
+     representatives leaves some workers without a job. *)
+  let options =
+    { Campaign.default_options with
+      Campaign.corpus_size = 16;
+      strategy = Cluster.Rand 4 }
+  in
   let single = Campaign.run options in
   let n_cases = List.length single.Campaign.generation.Cluster.reps in
-  let d =
-    Distrib.execute options single.Campaign.corpus single.Campaign.generation
-      ~workers:(n_cases + 5)
+  let domains = Campaign.run { options with Campaign.domains = n_cases + 2 } in
+  let pool =
+    Campaign.run_with_executor
+      ~executor:
+        (Pool.executor { Pool.default_config with Pool.procs = n_cases + 1 })
+      options
   in
-  check_int "same reports despite idle workers"
-    (List.length single.Campaign.reports)
-    (List.length d.Distrib.reports)
+  check_string "domains summary" (Proto.summary single) (Proto.summary domains);
+  check_string "pool summary" (Proto.summary single) (Proto.summary pool)
 
 (* --- known bugs under the refined spec ---------------------------------------------- *)
 
@@ -292,7 +302,7 @@ let suite =
     Alcotest.test_case "edge: campaign with tiny corpus" `Quick
       test_campaign_tiny_corpus;
     Alcotest.test_case "edge: more workers than test cases" `Quick
-      test_distrib_more_workers_than_cases;
+      test_more_workers_than_cases;
     Alcotest.test_case "edge: known bugs under refined spec" `Slow
       test_known_bugs_with_refined_spec;
     Alcotest.test_case "edge: oracle B5 via close" `Quick test_oracle_b5_via_close;

@@ -1,7 +1,6 @@
 (* Tests for the extensions: seed-call dependency selection (paper,
-   section 5.3), report rendering, distributed execution (section 5.2),
-   and the time-namespace / bounds-based detector (section 7 future
-   work). *)
+   section 5.3), report rendering, and the time-namespace / bounds-based
+   detector (section 7 future work). *)
 
 module K = Kit_kernel
 module Seed_dep = Kit_spec.Seed_dep
@@ -9,15 +8,11 @@ module Spec = Kit_spec.Spec
 module Render = Kit_report.Render
 module Aggregate = Kit_report.Aggregate
 module Diagnose = Kit_report.Diagnose
-module Campaign = Kit_core.Campaign
-module Distrib = Kit_core.Distrib
 module Oracle = Kit_core.Oracle
-module Cluster = Kit_gen.Cluster
 module Env = Kit_exec.Env
 module Runner = Kit_exec.Runner
 module Bounds = Kit_trace.Bounds
 module Ast = Kit_trace.Ast
-module Filter = Kit_detect.Filter
 module Report = Kit_detect.Report
 module Testcase = Kit_gen.Testcase
 module Program = Kit_abi.Program
@@ -102,48 +97,6 @@ let test_render_group () =
   let text = Render.groups groups in
   check_bool "group header" true (contains ~needle:"AGG-RS group" text);
   check_bool "culprit line" true (contains ~needle:"socket[AF_PACKET]" text)
-
-(* --- distributed execution ----------------------------------------------------- *)
-
-let test_shard_round_robin () =
-  let shards = Distrib.shard ~workers:3 [ 1; 2; 3; 4; 5; 6; 7 ] in
-  check_int "three shards" 3 (Array.length shards);
-  check (Alcotest.list Alcotest.int) "worker 0" [ 1; 4; 7 ] shards.(0);
-  check (Alcotest.list Alcotest.int) "worker 1" [ 2; 5 ] shards.(1);
-  check (Alcotest.list Alcotest.int) "worker 2" [ 3; 6 ] shards.(2)
-
-let test_distrib_equivalent_to_single_node () =
-  let options = { Campaign.default_options with Campaign.corpus_size = 96 } in
-  let single = Campaign.run options in
-  let distributed =
-    Distrib.execute options single.Campaign.corpus single.Campaign.generation
-      ~workers:4
-  in
-  check_int "same report count"
-    (List.length single.Campaign.reports)
-    (List.length distributed.Distrib.reports);
-  check_int "same initial count" single.Campaign.funnel.Filter.initial
-    distributed.Distrib.funnel.Filter.initial;
-  check_int "same survivor count"
-    single.Campaign.funnel.Filter.after_resource
-    distributed.Distrib.funnel.Filter.after_resource;
-  check_int "all test cases assigned"
-    (List.length single.Campaign.generation.Cluster.reps)
-    (List.fold_left
-       (fun acc (w : Distrib.worker_result) -> acc + w.Distrib.assigned)
-       0 distributed.Distrib.workers)
-
-let test_distrib_single_worker_degenerate () =
-  let options = { Campaign.default_options with Campaign.corpus_size = 64 } in
-  let single = Campaign.run options in
-  let one =
-    Distrib.execute options single.Campaign.corpus single.Campaign.generation
-      ~workers:1
-  in
-  check_int "one worker" 1 (List.length one.Distrib.workers);
-  check_int "same reports"
-    (List.length single.Campaign.reports)
-    (List.length one.Distrib.reports)
 
 (* --- time namespace + bounds-based detection ------------------------------------ *)
 
@@ -257,12 +210,6 @@ let suite =
       test_spec_with_seed_selector;
     Alcotest.test_case "render: report text" `Quick test_render_report;
     Alcotest.test_case "render: group text" `Quick test_render_group;
-    Alcotest.test_case "distrib: round-robin sharding" `Quick
-      test_shard_round_robin;
-    Alcotest.test_case "distrib: equivalent to single node" `Slow
-      test_distrib_equivalent_to_single_node;
-    Alcotest.test_case "distrib: single worker degenerate" `Slow
-      test_distrib_single_worker_degenerate;
     Alcotest.test_case "timens: isolated on fixed kernel" `Quick
       test_timens_isolated_fixed;
     Alcotest.test_case "timens: global offset on buggy kernel (XT)" `Quick

@@ -13,7 +13,6 @@ module Env = Kit_exec.Env
 module Runner = Kit_exec.Runner
 module Supervisor = Kit_exec.Supervisor
 module Campaign = Kit_core.Campaign
-module Distrib = Kit_core.Distrib
 module Filter = Kit_detect.Filter
 
 let check = Alcotest.check
@@ -417,56 +416,6 @@ let test_resume_validates_options () =
       Alcotest.fail "resuming with a different corpus must be rejected"
     with Invalid_argument _ -> ())
 
-(* --- distributed worker failure ---------------------------------------------- *)
-
-(* The distributed server merges reports in test-case order while a
-   single-node campaign emits them in cluster-representative order (and
-   two clusters can share a representative pair), so compare reports as
-   a multiset: the serialized reports, sorted bytewise. *)
-let report_multiset reports =
-  List.sort String.compare
-    (List.map (fun (r : Kit_detect.Report.t) -> Marshal.to_string r []) reports)
-
-let distrib_fingerprint (d : Distrib.t) =
-  Marshal.to_string (report_multiset d.Distrib.reports, d.Distrib.funnel) []
-
-let single_fingerprint (c : Campaign.t) =
-  Marshal.to_string (report_multiset c.Campaign.reports, c.Campaign.funnel) []
-
-(* Killing any single worker at any point of its shard never changes the
-   merged funnel or reports: the orphaned queue is resharded. *)
-let prop_worker_death_is_transparent =
-  QCheck.Test.make ~name:"killing any single worker never changes merged results"
-    ~count:8
-    QCheck.(pair (int_bound 2) (int_bound 20))
-    (fun (dead_worker, after) ->
-      let b = Lazy.force baseline in
-      let d =
-        Distrib.execute
-          ~failures:[ { Distrib.dead_worker; after } ]
-          small_options b.Campaign.corpus b.Campaign.generation ~workers:3
-      in
-      d.Distrib.resharded >= 0
-      && distrib_fingerprint d = single_fingerprint b)
-
-let test_all_workers_dead_fails () =
-  let b = Lazy.force baseline in
-  try
-    ignore
-      (Distrib.execute
-         ~failures:
-           [ { Distrib.dead_worker = 0; after = 0 };
-             { Distrib.dead_worker = 1; after = 0 } ]
-         small_options b.Campaign.corpus b.Campaign.generation ~workers:2
-        : Distrib.t);
-    Alcotest.fail "no survivors must be an error"
-  with Distrib.All_workers_dead unfinished ->
-    (* the typed error carries the whole orphaned queue *)
-    Alcotest.(check int)
-      "unfinished queue"
-      (List.length b.Campaign.generation.Kit_gen.Cluster.reps)
-      (List.length unfinished)
-
 let suite =
   [
     Alcotest.test_case "transient fault wears off" `Quick
@@ -503,7 +452,4 @@ let suite =
       test_checkpoint_rejects_garbage;
     Alcotest.test_case "resume validates the campaign fingerprint" `Quick
       test_resume_validates_options;
-    QCheck_alcotest.to_alcotest prop_worker_death_is_transparent;
-    Alcotest.test_case "all workers dead is an error" `Quick
-      test_all_workers_dead_fails;
   ]

@@ -13,7 +13,6 @@ module Ast = Kit_trace.Ast
 module Bounds = Kit_trace.Bounds
 module Known_bugs = Kit_core.Known_bugs
 module Campaign = Kit_core.Campaign
-module Distrib = Kit_core.Distrib
 module Fault = Kit_kernel.Fault
 
 (* Random programs drawn from the corpus generator, so they are
@@ -179,34 +178,6 @@ let prop_parallel_campaign_equals_sequential =
       campaign_fp (Campaign.run { options with Campaign.domains })
       = campaign_fp (Campaign.run options))
 
-let prop_parallel_distrib_equals_sequential =
-  (* Worker results merge in worker order, so the domain count is
-     invisible; killing a worker task (which takes its whole domain
-     down) reshards through the same path as a planned death, so the
-     merged report multiset, funnel and quarantine survive that too. *)
-  QCheck.Test.make ~name:"distrib domains=N = domains=1, crashes included"
-    ~count:4
-    QCheck.(pair (int_range 0 1000) (pair (int_range 2 4) (int_range 0 3)))
-    (fun (seed, (domains, crashed)) ->
-      let options =
-        { Campaign.default_options with Campaign.seed; corpus_size = 24 }
-      in
-      let c = Campaign.run options in
-      let run ~domains ~crashes =
-        Distrib.execute ~domains ~crashes options c.Campaign.corpus
-          c.Campaign.generation ~workers:4
-      in
-      let fp_one x = Digest.string (Marshal.to_string x [ Marshal.No_sharing ]) in
-      let multiset l = List.sort compare (List.map fp_one l) in
-      let fps (d : Distrib.t) =
-        ( multiset d.Distrib.reports,
-          fp_one d.Distrib.funnel,
-          multiset d.Distrib.quarantined )
-      in
-      let reference = run ~domains:1 ~crashes:[] in
-      fps (run ~domains ~crashes:[]) = fps reference
-      && fps (run ~domains ~crashes:[ crashed ]) = fps reference)
-
 (* --- streaming pipeline equivalences ------------------------------------ *)
 
 (* The streaming fingerprint additionally pins df_total: the online
@@ -301,7 +272,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incremental_restore_equals_full;
     QCheck_alcotest.to_alcotest prop_baseline_cache_invisible;
     QCheck_alcotest.to_alcotest prop_parallel_campaign_equals_sequential;
-    QCheck_alcotest.to_alcotest prop_parallel_distrib_equals_sequential;
     QCheck_alcotest.to_alcotest prop_streaming_equals_batch;
     QCheck_alcotest.to_alcotest prop_extend_delta_is_cheaper;
     Alcotest.test_case "fixed kernel silences every reproducer" `Quick

@@ -6,7 +6,6 @@
    pool checkpoint. *)
 
 module Campaign = Kit_core.Campaign
-module Distrib = Kit_core.Distrib
 module Jobqueue = Kit_core.Jobqueue
 module Checkpoint = Kit_core.Checkpoint
 module Testcase = Kit_gen.Testcase
@@ -159,6 +158,28 @@ let test_checkpoint_typed_errors () =
    | Ok _ -> Alcotest.fail "corrupt payload cannot load");
   Sys.remove path
 
+let test_checkpoint_crash_before_rename () =
+  (* A writer killed between write and rename leaves a truncated
+     [path.tmp] beside the previous good [path]: the old value must
+     still load, and the next save must still replace it. *)
+  let path = tmp "kit_test_ckpt_crash" in
+  Checkpoint.save path ~kind:"k" 1;
+  Checkpoint.save (path ^ ".next") ~kind:"k" 2;
+  let next = In_channel.with_open_bin (path ^ ".next") In_channel.input_all in
+  Sys.remove (path ^ ".next");
+  Out_channel.with_open_bin (path ^ ".tmp") (fun oc ->
+      Out_channel.output_string oc
+        (String.sub next 0 (String.length next / 2)));
+  (match (Checkpoint.load path ~kind:"k" : (int, _) result) with
+   | Ok v -> check_int "previous checkpoint survives" 1 v
+   | Error e -> Alcotest.failf "load: %s" (Checkpoint.error_to_string e));
+  Checkpoint.save path ~kind:"k" 3;
+  (match (Checkpoint.load path ~kind:"k" : (int, _) result) with
+   | Ok v -> check_int "next save lands" 3 v
+   | Error e -> Alcotest.failf "load: %s" (Checkpoint.error_to_string e));
+  check_bool "temp file consumed" false (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path
+
 (* --- the pool ----------------------------------------------------------- *)
 
 let small_options =
@@ -199,16 +220,12 @@ let pool_fps (o : Pool.outcome) =
   in
   (multiset reports, funnel, multiset quarantined)
 
-let distrib_fps (d : Distrib.t) =
-  (multiset d.Distrib.reports, funnel_fp d.Distrib.funnel,
-   multiset d.Distrib.quarantined)
-
+(* The sequential reference: the in-process [Campaign.run] baseline. *)
 let reference =
   lazy
     (let b = Lazy.force baseline in
-     distrib_fps
-       (Distrib.execute small_options b.Campaign.corpus b.Campaign.generation
-          ~workers:1))
+     (multiset b.Campaign.reports, funnel_fp b.Campaign.funnel,
+      multiset b.Campaign.quarantined))
 
 let run_pool ?(cfg = test_config) ?resume () =
   let b = Lazy.force baseline in
@@ -217,7 +234,7 @@ let run_pool ?(cfg = test_config) ?resume () =
 
 let test_pool_matches_sequential () =
   let o = run_pool ~cfg:{ test_config with Pool.procs = 3 } () in
-  check_bool "pool(3) = sequential distrib" true
+  check_bool "pool(3) = sequential campaign" true
     (pool_fps o = Lazy.force reference);
   check_int "no deaths in a clean run" 0 o.Pool.stats.Pool.deaths
 
@@ -236,14 +253,14 @@ let test_pool_survives_sigkill () =
   check_bool "shard resharded" true (o.Pool.stats.Pool.resharded > 0);
   check_bool "worker respawned" true (o.Pool.stats.Pool.respawns >= 1)
 
-let prop_pool_equals_distrib =
+let prop_pool_equals_sequential =
   (* The acceptance invariant: for any procs count and any single-kill
      schedule (slot × cases-completed-before-death, SIGKILL mid-case),
      the merged funnel/reports/quarantine fingerprint equals the
-     sequential Distrib run. Multi-kill schedules are covered by the
+     sequential campaign. Multi-kill schedules are covered by the
      directed twice-lethal test — two kills in a row on one case
      *should* quarantine it, by design. *)
-  QCheck.Test.make ~name:"pool procs=N × kill schedule = sequential distrib"
+  QCheck.Test.make ~name:"pool procs=N × kill schedule = sequential campaign"
     ~count:5
     QCheck.(pair (int_range 1 4) (pair (int_range 0 3) (int_range 1 3)))
     (fun (procs, (slot, after)) ->
@@ -576,11 +593,13 @@ let suite =
       test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint corruption is a typed error" `Quick
       test_checkpoint_typed_errors;
-    Alcotest.test_case "pool matches the sequential distrib run" `Quick
+    Alcotest.test_case "checkpoint survives a crash before its rename"
+      `Quick test_checkpoint_crash_before_rename;
+    Alcotest.test_case "pool matches the sequential campaign run" `Quick
       test_pool_matches_sequential;
     Alcotest.test_case "SIGKILLed worker reshards, never aborts" `Quick
       test_pool_survives_sigkill;
-    QCheck_alcotest.to_alcotest prop_pool_equals_distrib;
+    QCheck_alcotest.to_alcotest prop_pool_equals_sequential;
     Alcotest.test_case "twice-lethal case is quarantined, not retried" `Quick
       test_pool_poison_two_strikes;
     Alcotest.test_case "hung worker is caught by the heartbeat" `Quick
