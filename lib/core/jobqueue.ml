@@ -1,10 +1,19 @@
 (* The generic campaign job queue. See jobqueue.mli for the contract.
 
-   Jobs live in a hashtable keyed by id; every ordered read sorts by the
-   submit sequence number, so the merge order is a function of the
-   submissions alone — never of worker scheduling. Queue sizes are
-   cluster-representative counts (hundreds), so O(n log n) ordered scans
-   per operation are noise next to a single program execution. *)
+   Jobs live in a hashtable keyed by id and in one map keyed by submit
+   sequence number, so every ordered read walks that map and the merge
+   order is a function of the submissions alone — never of worker
+   scheduling. Two more indexes make the per-dispatch operations cheap:
+   per worker, the assigned-but-unclaimed jobs in submit order with
+   their count, and counts of live (queued, assigned, running) and
+   completed jobs. Every status write goes through [set], which moves
+   the job between the indexes, so they never drift from the statuses.
+   A claim, completion or drain check costs O(log n) or less, a steal
+   adds one pass over the workers; only the bulk operations
+   ([assign_round_robin], [release]) and the list-returning reads walk
+   every job. *)
+
+module Imap = Map.Make (Int)
 
 type ('a, 'b) status =
   | Queued
@@ -20,8 +29,18 @@ type ('a, 'b) job = {
   mutable j_status : ('a, 'b) status;
 }
 
+(* One worker's assigned-but-unclaimed jobs, keyed by submit sequence. *)
+type ('a, 'b) shard = {
+  mutable s_jobs : ('a, 'b) job Imap.t;
+  mutable s_len : int;
+}
+
 type ('a, 'b) t = {
   jobs : (int, ('a, 'b) job) Hashtbl.t;
+  mutable by_seq : ('a, 'b) job Imap.t;
+  shards : (int, ('a, 'b) shard) Hashtbl.t;  (* by worker id *)
+  mutable live : int;                  (* queued, assigned or running *)
+  mutable completed : int;
   mutable seq : int;
   mutable next_id : int;
   mutable resharded : int;
@@ -29,7 +48,37 @@ type ('a, 'b) t = {
 }
 
 let create () =
-  { jobs = Hashtbl.create 64; seq = 0; next_id = 0; resharded = 0; stolen = 0 }
+  { jobs = Hashtbl.create 64; by_seq = Imap.empty; shards = Hashtbl.create 8;
+    live = 0; completed = 0; seq = 0; next_id = 0; resharded = 0; stolen = 0 }
+
+let shard t w =
+  match Hashtbl.find_opt t.shards w with
+  | Some s -> s
+  | None ->
+    let s = { s_jobs = Imap.empty; s_len = 0 } in
+    Hashtbl.replace t.shards w s;
+    s
+
+(* Add the job to ([add]) or take it out of the indexes its current
+   status puts it in. *)
+let account t j ~add =
+  let d = if add then 1 else -1 in
+  match j.j_status with
+  | Assigned w ->
+    let s = shard t w in
+    s.s_jobs <-
+      (if add then Imap.add j.j_seq j s.s_jobs else Imap.remove j.j_seq s.s_jobs);
+    s.s_len <- s.s_len + d;
+    t.live <- t.live + d
+  | Queued | Running _ -> t.live <- t.live + d
+  | Completed _ -> t.completed <- t.completed + d
+  | Quarantined -> ()
+
+(* The one status write. *)
+let set t j status =
+  account t j ~add:false;
+  j.j_status <- status;
+  account t j ~add:true
 
 let job t id =
   match Hashtbl.find_opt t.jobs id with
@@ -40,10 +89,12 @@ let submit_as t ~id payload =
   match Hashtbl.find_opt t.jobs id with
   | Some j ->
     j.j_payload <- payload;
-    j.j_status <- Queued
+    set t j Queued
   | None ->
-    Hashtbl.replace t.jobs id
-      { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued };
+    let j = { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued } in
+    Hashtbl.replace t.jobs id j;
+    t.by_seq <- Imap.add j.j_seq j t.by_seq;
+    account t j ~add:true;
     t.seq <- t.seq + 1;
     if id >= t.next_id then t.next_id <- id + 1
 
@@ -56,25 +107,26 @@ let mem t id = Hashtbl.mem t.jobs id
 
 let payload t id = (job t id).j_payload
 
-(* All jobs in submit order — the one ordering every read derives from. *)
-let ordered t =
-  Hashtbl.fold (fun _ j acc -> j :: acc) t.jobs []
-  |> List.sort (fun a b -> compare a.j_seq b.j_seq)
+(* The jobs [f] keeps, in submit order. *)
+let collect t f =
+  Imap.fold (fun _ j acc -> match f j with Some x -> x :: acc | None -> acc)
+    t.by_seq []
+  |> List.rev
 
 let assign_round_robin t ~workers =
   let workers = max 1 workers in
   let buckets = Array.make workers [] in
   let i = ref 0 in
-  List.iter
-    (fun j ->
+  Imap.iter
+    (fun _ j ->
       match j.j_status with
       | Queued ->
         let w = !i mod workers in
-        j.j_status <- Assigned w;
+        set t j (Assigned w);
         buckets.(w) <- (j.j_id, j.j_payload) :: buckets.(w);
         incr i
       | Assigned _ | Running _ | Completed _ | Quarantined -> ())
-    (ordered t);
+    t.by_seq;
   Array.map List.rev buckets
 
 exception No_survivors
@@ -85,75 +137,53 @@ let deal t jobs ~to_ =
   | survivors ->
     let arr = Array.of_list survivors in
     List.iteri
-      (fun k (id, _) -> (job t id).j_status <- Assigned arr.(k mod Array.length arr))
+      (fun k (id, _) -> set t (job t id) (Assigned arr.(k mod Array.length arr)))
       jobs
 
+(* Mark [j] running on [worker] and hand it out. *)
+let start t j ~worker =
+  set t j (Running worker);
+  (j.j_id, j.j_payload)
+
 let claim_next t ~worker =
-  let rec first = function
-    | [] -> None
-    | j :: rest -> (
-      match j.j_status with
-      | Assigned w when w = worker ->
-        j.j_status <- Running worker;
-        Some (j.j_id, j.j_payload)
-      | _ -> first rest)
-  in
-  first (ordered t)
+  match Hashtbl.find_opt t.shards worker with
+  | Some s when s.s_len > 0 ->
+    Some (start t (snd (Imap.min_binding s.s_jobs)) ~worker)
+  | Some _ | None -> None
 
 let assigned_count t ~worker =
-  Hashtbl.fold
-    (fun _ j acc ->
-      match j.j_status with Assigned w when w = worker -> acc + 1 | _ -> acc)
-    t.jobs 0
+  match Hashtbl.find_opt t.shards worker with Some s -> s.s_len | None -> 0
 
 let steal t ~thief =
   (* Victim: the longest assigned queue that is not the thief's own;
      take its newest (highest-seq) assigned job so the victim's own
-     claim order stays untouched at the front. *)
-  let counts = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ j ->
-      match j.j_status with
-      | Assigned w when w <> thief ->
-        Hashtbl.replace counts w
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts w))
-      | _ -> ())
-    t.jobs;
+     claim order stays untouched at the front. Deterministic: longest
+     queue wins, lowest worker id breaks ties. *)
   let victim =
-    (* Deterministic: longest queue wins, lowest worker id breaks ties. *)
     Hashtbl.fold
-      (fun w n best ->
-        match best with
-        | Some (bw, bn) when bn > n || (bn = n && bw < w) -> best
-        | Some _ | None -> Some (w, n))
-      counts None
+      (fun w s best ->
+        if w = thief || s.s_len = 0 then best
+        else
+          match best with
+          | Some (bw, bs) when bs.s_len > s.s_len || (bs.s_len = s.s_len && bw < w)
+            -> best
+          | Some _ | None -> Some (w, s))
+      t.shards None
   in
-  match victim with
-  | None -> None
-  | Some (w, _) ->
-    let last =
-      List.fold_left
-        (fun acc j ->
-          match j.j_status with Assigned w' when w' = w -> Some j | _ -> acc)
-        None (ordered t)
-    in
-    Option.map
-      (fun j ->
-        j.j_status <- Running thief;
-        t.stolen <- t.stolen + 1;
-        (j.j_id, j.j_payload))
-      last
+  Option.map
+    (fun (_, s) ->
+      t.stolen <- t.stolen + 1;
+      start t (snd (Imap.max_binding s.s_jobs)) ~worker:thief)
+    victim
 
 let release t ~worker =
   let orphans =
-    List.filter
-      (fun j ->
+    collect t (fun j ->
         match j.j_status with
-        | Assigned w | Running w -> w = worker
-        | Queued | Completed _ | Quarantined -> false)
-      (ordered t)
+        | (Assigned w | Running w) when w = worker -> Some j
+        | Queued | Assigned _ | Running _ | Completed _ | Quarantined -> None)
   in
-  List.iter (fun j -> j.j_status <- Queued) orphans;
+  List.iter (fun j -> set t j Queued) orphans;
   t.resharded <- t.resharded + List.length orphans;
   List.map (fun j -> (j.j_id, j.j_payload)) orphans
 
@@ -161,11 +191,17 @@ let complete t id r =
   let j = job t id in
   match j.j_status with
   | Quarantined -> ()                  (* a late result for a retired job *)
-  | Queued | Assigned _ | Running _ | Completed _ -> j.j_status <- Completed r
+  | Queued | Assigned _ | Running _ | Completed _ -> set t j (Completed r)
 
-let quarantine t id = (job t id).j_status <- Quarantined
+let quarantine t id = set t (job t id) Quarantined
 
-let drop t id = Hashtbl.remove t.jobs id
+let drop t id =
+  match Hashtbl.find_opt t.jobs id with
+  | None -> ()
+  | Some j ->
+    account t j ~add:false;
+    Hashtbl.remove t.jobs id;
+    t.by_seq <- Imap.remove j.j_seq t.by_seq
 
 let result t id =
   match Hashtbl.find_opt t.jobs id with
@@ -173,33 +209,21 @@ let result t id =
   | Some _ | None -> None
 
 let results t =
-  List.filter_map
-    (fun j ->
+  collect t (fun j ->
       match j.j_status with Completed r -> Some (j.j_id, r) | _ -> None)
-    (ordered t)
 
 let unfinished t =
-  List.filter_map
-    (fun j ->
+  collect t (fun j ->
       match j.j_status with
       | Queued | Assigned _ | Running _ -> Some (j.j_id, j.j_payload)
       | Completed _ | Quarantined -> None)
-    (ordered t)
 
 let quarantined_ids t =
-  List.filter_map
-    (fun j ->
+  collect t (fun j ->
       match j.j_status with Quarantined -> Some j.j_id | _ -> None)
-    (ordered t)
 
-let is_drained t =
-  Hashtbl.fold
-    (fun _ j acc ->
-      acc
-      && match j.j_status with
-         | Completed _ | Quarantined -> true
-         | Queued | Assigned _ | Running _ -> false)
-    t.jobs true
-
+let unfinished_count t = t.live
+let completed_count t = t.completed
+let is_drained t = t.live = 0
 let resharded t = t.resharded
 let stolen t = t.stolen

@@ -15,7 +15,14 @@
     {e assigned} to a worker's queue (round-robin sharding, resharding
     after a death) and then {e claimed} when the worker actually starts
     it. {!release} returns a dead worker's whole unfinished queue —
-    assigned and in-flight — for resharding over the survivors. *)
+    assigned and in-flight — for resharding over the survivors.
+
+    Costs below are for a queue of [n] jobs over [w] distinct worker
+    ids. The queue keeps every job in a map keyed by submit order, each
+    worker's assigned-but-unclaimed jobs in a second ordered map, and
+    running counts of live and completed jobs, so the operations a
+    driver calls once per dispatch or per event never walk the whole
+    table. *)
 
 type ('a, 'b) t
 (** A queue of jobs with payload ['a] and result ['b]. Not
@@ -28,18 +35,19 @@ val create : unit -> ('a, 'b) t
 
 val submit : ('a, 'b) t -> 'a -> int
 (** Enqueue a job; returns its id (consecutive from 0 in submit
-    order when ids are never chosen explicitly). *)
+    order when ids are never chosen explicitly). O(log n). *)
 
 val submit_as : ('a, 'b) t -> id:int -> 'a -> unit
 (** Enqueue under a caller-chosen id (e.g. a cluster id). If the id
     already exists the job {e reopens}: payload replaced, any previous
     result discarded, state back to queued — the streaming pipeline's
     representative-changed invalidation. The job keeps its original
-    submit-order position. *)
+    submit-order position. O(log n). *)
 
 val mem : ('a, 'b) t -> int -> bool
 val payload : ('a, 'b) t -> int -> 'a
-(** @raise Not_found if the id was never submitted (or was dropped). *)
+(** @raise Not_found if the id was never submitted (or was dropped).
+    O(1), like {!mem}. *)
 
 (** {2 Assignment and claiming} *)
 
@@ -47,7 +55,7 @@ val assign_round_robin : ('a, 'b) t -> workers:int -> (int * 'a) list array
 (** Deal every queued job round-robin over [workers] queues by submit
     order — the paper's RPC sharding. Returns the per-worker queues
     ([(id, payload)], submit order); jobs already assigned, running or
-    finished are untouched. *)
+    finished are untouched. O(n log n). *)
 
 exception No_survivors
 (** {!deal} was given an empty [to_] list: there is nobody left to
@@ -59,49 +67,66 @@ val deal : ('a, 'b) t -> (int * 'a) list -> to_:int list -> unit
 (** [deal t jobs ~to_:survivors] reassigns [jobs] (typically a dead
     worker's {!release}d queue) round-robin over the [survivors] in list
     order: job [k] goes to [List.nth survivors (k mod n)].
+    O(log n) per job.
     @raise No_survivors when [survivors] is empty. *)
 
 val claim_next : ('a, 'b) t -> worker:int -> (int * 'a) option
 (** The worker's next assigned-but-unclaimed job, in submit order;
-    marks it running. [None] if its queue is empty. *)
+    marks it running. [None] if its queue is empty. O(log n). *)
 
 val steal : ('a, 'b) t -> thief:int -> (int * 'a) option
 (** Work stealing for an idle worker: take the {e last} assigned
-    (unclaimed) job of the worker with the longest queue, mark it
-    running on [thief]. [None] when nothing is stealable. *)
+    (unclaimed) job of the worker with the longest queue (lowest worker
+    id on ties), mark it running on [thief]. [None] when nothing is
+    stealable. O(w + log n). *)
 
 val release : ('a, 'b) t -> worker:int -> (int * 'a) list
 (** A worker died: return its whole unfinished queue — assigned and
     running jobs, in submit order — to the queued state and count the
-    jobs as resharded. *)
+    jobs as resharded. O(n), plus O(log n) per released job. *)
 
 (** {2 Completion} *)
 
 val complete : ('a, 'b) t -> int -> 'b -> unit
 (** Record a job's result. Permitted from any live state (queued,
     assigned or running — drivers that execute whole shards complete
-    jobs post-hoc). @raise Not_found on an unknown id. *)
+    jobs post-hoc); a no-op on a quarantined job. O(log n).
+    @raise Not_found on an unknown id. *)
 
 val quarantine : ('a, 'b) t -> int -> unit
 (** Retire a poisoned job: it will never be claimed, dealt or listed
-    as unfinished again, and produces no result. *)
+    as unfinished again, and produces no result. O(log n). *)
 
 val drop : ('a, 'b) t -> int -> unit
-(** Forget a job entirely (streaming cluster [Dropped] events). *)
+(** Forget a job entirely (streaming cluster [Dropped] events).
+    O(log n). *)
 
 (** {2 Reads — all in submit order (deterministic merge order)} *)
 
 val result : ('a, 'b) t -> int -> 'b option
+(** O(1). *)
+
 val results : ('a, 'b) t -> (int * 'b) list
+(** O(n). *)
+
 val unfinished : ('a, 'b) t -> (int * 'a) list
-(** Jobs not yet completed or quarantined. *)
+(** Jobs not yet completed or quarantined. O(n). *)
 
 val quarantined_ids : ('a, 'b) t -> int list
+(** O(n). *)
+
+val unfinished_count : ('a, 'b) t -> int
+(** [List.length (unfinished t)] — queued, assigned and running jobs —
+    in O(1). *)
+
+val completed_count : ('a, 'b) t -> int
+(** [List.length (results t)] in O(1). *)
+
 val is_drained : ('a, 'b) t -> bool
-(** No queued, assigned or running jobs remain. *)
+(** No queued, assigned or running jobs remain. O(1). *)
 
 val assigned_count : ('a, 'b) t -> worker:int -> int
-(** Assigned-but-unclaimed jobs in the worker's queue. *)
+(** Assigned-but-unclaimed jobs in the worker's queue. O(1). *)
 
 val resharded : ('a, 'b) t -> int
 (** Total jobs ever {!release}d from dead workers. *)

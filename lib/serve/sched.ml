@@ -193,9 +193,9 @@ let eligible tn = Tenant.claimable tn && Tenant.under_inflight_cap tn
    claimable work), let the first eligible tenant steal it (its deficit
    goes negative — the debt repays on later refills); otherwise refill
    every active tenant by its weight (capped at [refill_cap] x weight)
-   and try again. *)
-let rec pick_tenant t =
-  let active = actives t in
+   and try again. [active] is [actives t]: phases do not change while a
+   slot is being served. *)
+let rec pick_tenant active =
   let runnable = List.filter eligible active in
   match runnable with
   | [] -> None
@@ -216,17 +216,18 @@ let rec pick_tenant t =
             Tenant.set_deficit tn
               (Float.min (Tenant.deficit tn +. w) (refill_cap *. w)))
           active;
-        pick_tenant t
+        pick_tenant active
       end)
 
 let dispatch_idle t =
   List.iter
     (fun slot ->
-      match pick_tenant t with
+      let active = actives t in
+      match pick_tenant active with
       | None -> ()
       | Some (tn, stolen) -> (
         let contended =
-          List.length (List.filter Tenant.claimable (actives t)) >= 2
+          List.length (List.filter Tenant.claimable active) >= 2
         in
         match Tenant.claim tn ~slot with
         | None -> ()

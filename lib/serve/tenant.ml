@@ -127,7 +127,7 @@ let total t =
   | Some g -> List.length g.Cluster.reps
 
 let completed t =
-  List.length (Jobqueue.results t.t_q) + Hashtbl.length t.t_quar
+  Jobqueue.completed_count t.t_q + Hashtbl.length t.t_quar
 
 (* -- activation ----------------------------------------------------------- *)
 
@@ -176,10 +176,10 @@ let corpus t =
 (* -- scheduling hooks ----------------------------------------------------- *)
 
 (* Work a slot could start right now: unfinished jobs beyond the ones
-   already running ([unfinished] counts queued, assigned and running). *)
+   already running ([unfinished_count] counts queued, assigned and
+   running). *)
 let claimable t =
-  t.t_phase = Active
-  && List.length (Jobqueue.unfinished t.t_q) > t.t_inflight
+  t.t_phase = Active && Jobqueue.unfinished_count t.t_q > t.t_inflight
 
 let claim t ~slot =
   match Jobqueue.claim_next t.t_q ~worker:slot with

@@ -94,6 +94,379 @@ let test_jobqueue_quarantine () =
   Jobqueue.complete q b 2;
   check_bool "drained with quarantine" true (Jobqueue.is_drained q)
 
+(* The reference model: the queue as it was before it was indexed — one
+   hashtable, and every ordered read sorts it by submit sequence. Slow,
+   but obviously right; the indexed queue must agree with it on every
+   return value and every read. *)
+module Model = struct
+  type ('a, 'b) status =
+    | Queued
+    | Assigned of int
+    | Running of int
+    | Completed of 'b
+    | Quarantined
+
+  type ('a, 'b) job = {
+    j_id : int;
+    j_seq : int;
+    mutable j_payload : 'a;
+    mutable j_status : ('a, 'b) status;
+  }
+
+  type ('a, 'b) t = {
+    jobs : (int, ('a, 'b) job) Hashtbl.t;
+    mutable seq : int;
+    mutable next_id : int;
+    mutable resharded : int;
+    mutable stolen : int;
+  }
+
+  let create () =
+    { jobs = Hashtbl.create 64; seq = 0; next_id = 0; resharded = 0; stolen = 0 }
+
+  let job t id =
+    match Hashtbl.find_opt t.jobs id with
+    | Some j -> j
+    | None -> raise Not_found
+
+  let submit_as t ~id payload =
+    match Hashtbl.find_opt t.jobs id with
+    | Some j ->
+      j.j_payload <- payload;
+      j.j_status <- Queued
+    | None ->
+      Hashtbl.replace t.jobs id
+        { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued };
+      t.seq <- t.seq + 1;
+      if id >= t.next_id then t.next_id <- id + 1
+
+  let submit t payload =
+    let id = t.next_id in
+    submit_as t ~id payload;
+    id
+
+  let ordered t =
+    Hashtbl.fold (fun _ j acc -> j :: acc) t.jobs []
+    |> List.sort (fun a b -> compare a.j_seq b.j_seq)
+
+  let assign_round_robin t ~workers =
+    let workers = max 1 workers in
+    let buckets = Array.make workers [] in
+    let i = ref 0 in
+    List.iter
+      (fun j ->
+        match j.j_status with
+        | Queued ->
+          let w = !i mod workers in
+          j.j_status <- Assigned w;
+          buckets.(w) <- (j.j_id, j.j_payload) :: buckets.(w);
+          incr i
+        | Assigned _ | Running _ | Completed _ | Quarantined -> ())
+      (ordered t);
+    Array.map List.rev buckets
+
+  exception No_survivors
+
+  let deal t jobs ~to_ =
+    match to_ with
+    | [] -> raise No_survivors
+    | survivors ->
+      let arr = Array.of_list survivors in
+      List.iteri
+        (fun k (id, _) ->
+          (job t id).j_status <- Assigned arr.(k mod Array.length arr))
+        jobs
+
+  let claim_next t ~worker =
+    let rec first = function
+      | [] -> None
+      | j :: rest -> (
+        match j.j_status with
+        | Assigned w when w = worker ->
+          j.j_status <- Running worker;
+          Some (j.j_id, j.j_payload)
+        | _ -> first rest)
+    in
+    first (ordered t)
+
+  let assigned_count t ~worker =
+    Hashtbl.fold
+      (fun _ j acc ->
+        match j.j_status with Assigned w when w = worker -> acc + 1 | _ -> acc)
+      t.jobs 0
+
+  let steal t ~thief =
+    let counts = Hashtbl.create 8 in
+    Hashtbl.iter
+      (fun _ j ->
+        match j.j_status with
+        | Assigned w when w <> thief ->
+          Hashtbl.replace counts w
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts w))
+        | _ -> ())
+      t.jobs;
+    let victim =
+      Hashtbl.fold
+        (fun w n best ->
+          match best with
+          | Some (bw, bn) when bn > n || (bn = n && bw < w) -> best
+          | Some _ | None -> Some (w, n))
+        counts None
+    in
+    match victim with
+    | None -> None
+    | Some (w, _) ->
+      let last =
+        List.fold_left
+          (fun acc j ->
+            match j.j_status with Assigned w' when w' = w -> Some j | _ -> acc)
+          None (ordered t)
+      in
+      Option.map
+        (fun j ->
+          j.j_status <- Running thief;
+          t.stolen <- t.stolen + 1;
+          (j.j_id, j.j_payload))
+        last
+
+  let release t ~worker =
+    let orphans =
+      List.filter
+        (fun j ->
+          match j.j_status with
+          | Assigned w | Running w -> w = worker
+          | Queued | Completed _ | Quarantined -> false)
+        (ordered t)
+    in
+    List.iter (fun j -> j.j_status <- Queued) orphans;
+    t.resharded <- t.resharded + List.length orphans;
+    List.map (fun j -> (j.j_id, j.j_payload)) orphans
+
+  let complete t id r =
+    let j = job t id in
+    match j.j_status with
+    | Quarantined -> ()
+    | Queued | Assigned _ | Running _ | Completed _ -> j.j_status <- Completed r
+
+  let quarantine t id = (job t id).j_status <- Quarantined
+  let drop t id = Hashtbl.remove t.jobs id
+
+  let results t =
+    List.filter_map
+      (fun j ->
+        match j.j_status with Completed r -> Some (j.j_id, r) | _ -> None)
+      (ordered t)
+
+  let unfinished t =
+    List.filter_map
+      (fun j ->
+        match j.j_status with
+        | Queued | Assigned _ | Running _ -> Some (j.j_id, j.j_payload)
+        | Completed _ | Quarantined -> None)
+      (ordered t)
+
+  let quarantined_ids t =
+    List.filter_map
+      (fun j -> match j.j_status with Quarantined -> Some j.j_id | _ -> None)
+      (ordered t)
+
+  let is_drained t =
+    Hashtbl.fold
+      (fun _ j acc ->
+        acc
+        && match j.j_status with
+           | Completed _ | Quarantined -> true
+           | Queued | Assigned _ | Running _ -> false)
+      t.jobs true
+end
+
+(* One queue operation; ids range over a small space so reopening,
+   completing, quarantining and dropping hit every state, and some ids
+   are never submitted (the Not_found paths). *)
+type jq_op =
+  | Submit
+  | Submit_as of int
+  | Assign of int
+  | Deal of int list * int list           (* ids, survivors *)
+  | Claim of int
+  | Steal of int
+  | Release of int
+  | Complete of int * int
+  | Quarantine of int
+  | Drop of int
+
+let show_op = function
+  | Submit -> "submit"
+  | Submit_as id -> Printf.sprintf "submit_as %d" id
+  | Assign w -> Printf.sprintf "assign %d" w
+  | Deal (ids, to_) ->
+    let l xs = String.concat ";" (List.map string_of_int xs) in
+    Printf.sprintf "deal [%s] to [%s]" (l ids) (l to_)
+  | Claim w -> Printf.sprintf "claim %d" w
+  | Steal w -> Printf.sprintf "steal %d" w
+  | Release w -> Printf.sprintf "release %d" w
+  | Complete (id, r) -> Printf.sprintf "complete %d %d" id r
+  | Quarantine id -> Printf.sprintf "quarantine %d" id
+  | Drop id -> Printf.sprintf "drop %d" id
+
+(* The worker ids a run uses: 0..workers-1, plus 9 — a thief (or a
+   claimer) with no shard of its own. *)
+let jq_workers workers = List.init workers Fun.id @ [ 9 ]
+
+let gen_jq_case =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun workers ->
+  let worker = oneofl (jq_workers workers) in
+  let id = int_range 0 13 in
+  let op =
+    frequency
+      [ (3, return Submit);
+        (3, map (fun i -> Submit_as i) id);
+        (2, map (fun w -> Assign w) (int_range 1 workers));
+        (1, map2 (fun ids to_ -> Deal (ids, to_))
+              (list_size (int_range 0 4) id)
+              (list_size (int_range 0 3) (int_range 0 (workers - 1))));
+        (4, map (fun w -> Claim w) worker);
+        (3, map (fun w -> Steal w) worker);
+        (1, map (fun w -> Release w) worker);
+        (3, map2 (fun i r -> Complete (i, r)) id (int_range 0 99));
+        (1, map (fun i -> Quarantine i) id);
+        (1, map (fun i -> Drop i) id) ]
+  in
+  pair (return workers) (list_size (int_range 0 60) op)
+
+let arb_jq_case =
+  QCheck.make
+    ~print:(fun (workers, ops) ->
+      Printf.sprintf "workers=%d: %s" workers
+        (String.concat ", " (List.map show_op ops)))
+    gen_jq_case
+
+(* Run an operation, turning the exceptions both queues may raise into
+   comparable values. *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Not_found -> Error "Not_found"
+  | exception (Jobqueue.No_survivors | Model.No_survivors) ->
+    Error "No_survivors"
+
+let prop_jobqueue_matches_model =
+  QCheck.Test.make ~name:"jobqueue: indexed queue = sort-based model"
+    ~count:500 arb_jq_case
+    (fun (workers, ops) ->
+      let q : (int, int) Jobqueue.t = Jobqueue.create () in
+      let m : (int, int) Model.t = Model.create () in
+      let agree step what a b =
+        if a <> b then
+          QCheck.Test.fail_reportf "step %d (%s): %s differs" step
+            (show_op (List.nth ops step)) what
+      in
+      List.iteri
+        (fun step op ->
+          let payload = step in
+          let same what a b = agree step what (outcome a) (outcome b) in
+          (match op with
+          | Submit ->
+            same "id" (fun () -> Jobqueue.submit q payload)
+              (fun () -> Model.submit m payload)
+          | Submit_as id ->
+            same "unit" (fun () -> Jobqueue.submit_as q ~id payload)
+              (fun () -> Model.submit_as m ~id payload)
+          | Assign w ->
+            same "shards" (fun () -> Jobqueue.assign_round_robin q ~workers:w)
+              (fun () -> Model.assign_round_robin m ~workers:w)
+          | Deal (ids, to_) ->
+            let jobs = List.map (fun id -> (id, -1)) ids in
+            same "unit" (fun () -> Jobqueue.deal q jobs ~to_)
+              (fun () -> Model.deal m jobs ~to_)
+          | Claim w ->
+            same "claim" (fun () -> Jobqueue.claim_next q ~worker:w)
+              (fun () -> Model.claim_next m ~worker:w)
+          | Steal w ->
+            same "steal" (fun () -> Jobqueue.steal q ~thief:w)
+              (fun () -> Model.steal m ~thief:w)
+          | Release w ->
+            same "orphans" (fun () -> Jobqueue.release q ~worker:w)
+              (fun () -> Model.release m ~worker:w)
+          | Complete (id, r) ->
+            same "unit" (fun () -> Jobqueue.complete q id r)
+              (fun () -> Model.complete m id r)
+          | Quarantine id ->
+            same "unit" (fun () -> Jobqueue.quarantine q id)
+              (fun () -> Model.quarantine m id)
+          | Drop id ->
+            same "unit" (fun () -> Jobqueue.drop q id)
+              (fun () -> Model.drop m id));
+          agree step "results" (Jobqueue.results q) (Model.results m);
+          agree step "unfinished" (Jobqueue.unfinished q) (Model.unfinished m);
+          agree step "quarantined_ids" (Jobqueue.quarantined_ids q)
+            (Model.quarantined_ids m);
+          agree step "unfinished_count" (Jobqueue.unfinished_count q)
+            (List.length (Model.unfinished m));
+          agree step "completed_count" (Jobqueue.completed_count q)
+            (List.length (Model.results m));
+          agree step "is_drained" (Jobqueue.is_drained q) (Model.is_drained m);
+          List.iter
+            (fun w ->
+              agree step
+                (Printf.sprintf "assigned_count %d" w)
+                (Jobqueue.assigned_count q ~worker:w)
+                (Model.assigned_count m ~worker:w))
+            (jq_workers workers);
+          agree step "resharded" (Jobqueue.resharded q) m.Model.resharded;
+          agree step "stolen" (Jobqueue.stolen q) m.Model.stolen)
+        ops;
+      true)
+
+let test_jobqueue_scales () =
+  (* 100 000 jobs over 4 workers, drained by claims, steals and
+     completions with one worker death in the middle. No time bound:
+     the indexed queue takes milliseconds, and a queue that walked the
+     table per claim would run into the suite's timeout instead. *)
+  let n = 100_000 in
+  let q : (int, int) Jobqueue.t = Jobqueue.create () in
+  for i = 0 to n - 1 do ignore (Jobqueue.submit q i : int) done;
+  ignore (Jobqueue.assign_round_robin q ~workers:4 : (int * int) list array);
+  let seen = Array.make n 0 in
+  let finish (id, payload) =
+    check_int "payload rides with its id" id payload;
+    seen.(id) <- seen.(id) + 1;
+    Jobqueue.complete q id (2 * id)
+  in
+  let take w =
+    match Jobqueue.claim_next q ~worker:w with
+    | Some job -> Some job
+    | None -> Jobqueue.steal q ~thief:w
+  in
+  let died = ref false in
+  while not (Jobqueue.is_drained q) do
+    (* worker 3 works twice as fast, so it runs dry first and steals *)
+    List.iter (fun w -> Option.iter finish (take w)) [ 0; 1; 2; 3; 3 ];
+    if (not !died) && Jobqueue.completed_count q >= n / 2 then begin
+      died := true;
+      (* worker 1 dies holding a claimed job *)
+      let in_flight = Jobqueue.claim_next q ~worker:1 in
+      check_bool "dying worker held a job" true (in_flight <> None);
+      let orphans = Jobqueue.release q ~worker:1 in
+      check_bool "in-flight job released" true
+        (List.mem (Option.get in_flight) orphans);
+      Jobqueue.deal q orphans ~to_:[ 0; 2; 3 ];
+      check_int "dead worker's shard emptied" 0
+        (Jobqueue.assigned_count q ~worker:1)
+    end
+  done;
+  check_bool "a worker died mid-drain" true !died;
+  check_bool "idle workers stole" true (Jobqueue.stolen q > 0);
+  check_bool "every job completed exactly once" true
+    (Array.for_all (fun c -> c = 1) seen);
+  check_int "completed count" n (Jobqueue.completed_count q);
+  let results = Jobqueue.results q in
+  check_int "one result per job" n (List.length results);
+  check_bool "results in submit order" true
+    (List.for_all2 (fun i (id, r) -> id = i && r = 2 * i)
+       (List.init n Fun.id) results)
+
 (* --- Checkpoint --------------------------------------------------------- *)
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
@@ -589,6 +962,9 @@ let suite =
       `Quick test_jobqueue_reshard;
     Alcotest.test_case "jobqueue quarantine retires a job for good" `Quick
       test_jobqueue_quarantine;
+    QCheck_alcotest.to_alcotest prop_jobqueue_matches_model;
+    Alcotest.test_case "jobqueue drains 100k jobs with claims, steals, a death"
+      `Quick test_jobqueue_scales;
     Alcotest.test_case "checkpoint round-trips through KITCKPT1" `Quick
       test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint corruption is a typed error" `Quick
