@@ -399,7 +399,7 @@ let checkpoint_reports ck = List.length ck.ck_acc.a_rev_reports
    names the record's layout and is bumped whenever it changes, so a
    file from an older build fails the kind check as a typed error
    instead of being mis-decoded. Execute checkpoints are cheap to
-   regenerate, so unlike tenant caches they get no migration path. *)
+   regenerate, so they get no migration path. *)
 let checkpoint_kind = "campaign-execute-v5"
 
 let save_checkpoint path ck = Checkpoint.save path ~kind:checkpoint_kind ck

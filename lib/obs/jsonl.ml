@@ -77,6 +77,10 @@ let to_string v =
 
 exception Fail of string
 
+(* The parser recurses once per nesting level; past this depth the
+   input is refused, so hostile input cannot overflow the stack. *)
+let max_depth = 512
+
 let parse s =
   let pos = ref 0 in
   let len = String.length s in
@@ -157,7 +161,8 @@ let parse s =
       | Some n -> Int n
       | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
+    if depth > max_depth then fail "nesting too deep";
     skip_ws ();
     match peek () with
     | Some '"' -> Str (parse_string ())
@@ -171,7 +176,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' -> advance (); fields ((k, v) :: acc)
@@ -186,7 +191,7 @@ let parse s =
       if peek () = Some ']' then begin advance (); List [] end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' -> advance (); items (v :: acc)
@@ -202,7 +207,7 @@ let parse s =
     | None -> fail "empty input"
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> len then fail "trailing garbage";
     v

@@ -16,6 +16,8 @@ val to_string : t -> string
 (** Compact single-line rendering. *)
 
 val parse : string -> (t, string) result
+(** Total: malformed input, and input nested deeper than 512 levels,
+    come back as [Error]. *)
 
 (** {2 Accessors} — shallow, [None] on kind mismatch. *)
 

@@ -47,6 +47,8 @@ module Supervisor = Kit_exec.Supervisor
 module Campaign = Kit_core.Campaign
 module Jobqueue = Kit_core.Jobqueue
 module Checkpoint = Kit_core.Checkpoint
+module Codec = Kit_core.Codec
+module Jsonl = Kit_obs.Jsonl
 module Obs = Kit_obs.Obs
 module Metrics = Kit_obs.Metrics
 module Tracer = Kit_obs.Tracer
@@ -592,39 +594,65 @@ type exec_state = {
   total : int;
   mutable execs : int;
   mutable since_ckpt : int;              (* completions since last save *)
+  mutable new_done : (int * Campaign.case_result) list;
+  mutable new_quar : (int * Campaign.case_result) list;
+      (* completed / quarantined since the last save, newest first *)
+  mutable logged : bool;                 (* this run wrote the whole log *)
   mutable poisoned : int;
   mutable resumed : int;
 }
 
-(* -- checkpointing -------------------------------------------------------- *)
+(* -- checkpointing --------------------------------------------------------
 
-(* -v2 when the packed trace representation changed the case results'
-   Marshal layout, -v3 when case results gained the schedule-search
-   fields; pre-change files fail the kind check as a typed error. Pool
-   runs re-execute from the corpus, so no migration path. *)
-let checkpoint_kind = "pool-shards-v3"
+   An append-only KITCKPT1 log of JSON records (see Checkpoint). The
+   first save of a run writes the campaign identity — seed, corpus size
+   and representative count, which resume checks — with every result
+   so far; each later save appends only the ids completed or
+   quarantined since, with their case results (Codec). Every record
+   carries the running execution count; the last one wins. Pool runs
+   re-execute from the corpus, so older kinds get no migration. *)
+let checkpoint_kind = "pool-shards-v4"
 
-type pool_checkpoint = {
-  pc_seed : int;
-  pc_corpus_size : int;
-  pc_total : int;
-  pc_completed : (int * Campaign.case_result) list;
-  pc_quarantined : (int * Campaign.case_result) list;
-  pc_executions : int;
-}
+let record st ~identity ~completed ~quarantined =
+  let entries l =
+    Jsonl.List
+      (List.map
+         (fun (id, r) ->
+           Jsonl.Obj
+             [ ("id", Jsonl.Int id);
+               ("result", Codec.case_result_to_json r) ])
+         l)
+  in
+  Jsonl.to_string
+    (Jsonl.Obj
+       ((if identity then
+           [ ( "campaign",
+               Jsonl.Obj
+                 [ ("seed", Jsonl.Int st.options.Campaign.seed);
+                   ("corpus_size", Jsonl.Int st.options.Campaign.corpus_size);
+                   ("total", Jsonl.Int st.total) ] ) ]
+         else [])
+       @ [ ("executions", Jsonl.Int st.execs);
+           ("completed", entries completed);
+           ("quarantined", entries quarantined) ]))
 
 let save_checkpoint st path =
-  let quarantined =
-    Hashtbl.fold (fun id r acc -> (id, r) :: acc) st.qres []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Checkpoint.save path ~kind:checkpoint_kind
-    { pc_seed = st.options.Campaign.seed;
-      pc_corpus_size = st.options.Campaign.corpus_size;
-      pc_total = st.total;
-      pc_completed = Jobqueue.results st.q;
-      pc_quarantined = quarantined;
-      pc_executions = st.execs }
+  if st.logged then
+    Checkpoint.append path
+      (record st ~identity:false ~completed:(List.rev st.new_done)
+         ~quarantined:(List.rev st.new_quar))
+  else begin
+    let quarantined =
+      Hashtbl.fold (fun id r acc -> (id, r) :: acc) st.qres []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    Checkpoint.write path ~kind:checkpoint_kind
+      [ record st ~identity:true ~completed:(Jobqueue.results st.q)
+          ~quarantined ];
+    st.logged <- true
+  end;
+  st.new_done <- [];
+  st.new_quar <- []
 
 let maybe_checkpoint ?(force = false) cfg st =
   match cfg.checkpoint_path with
@@ -635,26 +663,71 @@ let maybe_checkpoint ?(force = false) cfg st =
       save_checkpoint st path
     end
 
+type record = {
+  r_identity : (int * int * int) option;   (* seed, corpus size, total *)
+  r_executions : int;
+  r_completed : (int * Campaign.case_result) list;
+  r_quarantined : (int * Campaign.case_result) list;
+}
+
+let record_of_json j =
+  let open Codec in
+  let entry e =
+    let* id = field "id" int e in
+    let* r = field "result" case_result_of_json e in
+    Ok (id, r)
+  in
+  let identity c =
+    let* seed = field "seed" int c in
+    let* corpus_size = field "corpus_size" int c in
+    let* total = field "total" int c in
+    Ok (Some (seed, corpus_size, total))
+  in
+  let* r_identity = field_or "campaign" ~default:None identity j in
+  let* r_executions = field "executions" int j in
+  let* r_completed = field_or "completed" ~default:[] (list entry) j in
+  let* r_quarantined = field_or "quarantined" ~default:[] (list entry) j in
+  Ok { r_identity; r_executions; r_completed; r_quarantined }
+
 let load_resume st path =
-  match (Checkpoint.load path ~kind:checkpoint_kind
-         : (pool_checkpoint, Checkpoint.error) result)
-  with
+  let corrupt msg =
+    failwith
+      (Checkpoint.error_to_string
+         (Checkpoint.Checkpoint_corrupt (path ^ ": " ^ msg)))
+  in
+  match Checkpoint.read path ~kind:checkpoint_kind with
   | Error e -> failwith (Checkpoint.error_to_string e)
-  | Ok ck ->
-    if ck.pc_seed <> st.options.Campaign.seed
-       || ck.pc_corpus_size <> st.options.Campaign.corpus_size
-       || ck.pc_total <> st.total
-    then
-      invalid_arg
-        "Pool.execute: checkpoint was taken with different campaign inputs";
-    List.iter (fun (id, r) -> Jobqueue.complete st.q id r) ck.pc_completed;
+  | Ok { Checkpoint.records; torn = _ } ->
+    let records =
+      match Codec.parse_all record_of_json records with
+      | Ok rs -> rs
+      | Error e -> corrupt e
+    in
+    (match records with
+     | [] -> corrupt "no complete record"
+     | { r_identity = None; _ } :: _ -> corrupt "first record has no identity"
+     | { r_identity = Some (seed, corpus_size, total); _ } :: _ ->
+       if seed <> st.options.Campaign.seed
+          || corpus_size <> st.options.Campaign.corpus_size
+          || total <> st.total
+       then
+         invalid_arg
+           "Pool.execute: checkpoint was taken with different campaign inputs");
+    let valid (id, _) = id >= 0 && id < st.total in
     List.iter
-      (fun (id, r) ->
-        Jobqueue.quarantine st.q id;
-        Hashtbl.replace st.qres id r)
-      ck.pc_quarantined;
-    st.execs <- st.execs + ck.pc_executions;
-    st.resumed <- List.length ck.pc_completed + List.length ck.pc_quarantined
+      (fun r ->
+        if not (List.for_all valid r.r_completed
+                && List.for_all valid r.r_quarantined)
+        then corrupt "representative id out of range";
+        List.iter (fun (id, cr) -> Jobqueue.complete st.q id cr) r.r_completed;
+        List.iter
+          (fun (id, cr) ->
+            Jobqueue.quarantine st.q id;
+            Hashtbl.replace st.qres id cr)
+          r.r_quarantined;
+        st.execs <- r.r_executions)
+      records;
+    st.resumed <- Jobqueue.completed_count st.q + Hashtbl.length st.qres
 
 let execute ?obs ?(resume = false) cfg options corpus
     (generation : Cluster.result) =
@@ -665,7 +738,8 @@ let execute ?obs ?(resume = false) cfg options corpus
   let total = List.length generation.Cluster.reps in
   let st =
     { q; qres = Hashtbl.create 16; lethal = Hashtbl.create 16; options;
-      corpus; total; execs = 0; since_ckpt = 0; poisoned = 0; resumed = 0 }
+      corpus; total; execs = 0; since_ckpt = 0; new_done = []; new_quar = [];
+      logged = false; poisoned = 0; resumed = 0 }
   in
   (match cfg.checkpoint_path with
    | Some path when resume && Sys.file_exists path -> load_resume st path
@@ -700,6 +774,8 @@ let execute ?obs ?(resume = false) cfg options corpus
   in
   let handle = function
     | Job_done { ev_id = id; ev_result = r; ev_execs = d; _ } ->
+      if Jobqueue.result q id = None && not (Hashtbl.mem st.qres id) then
+        st.new_done <- (id, r) :: st.new_done;
       Jobqueue.complete q id r;          (* no-op if already quarantined *)
       Hashtbl.remove st.lethal id;       (* a success resets the strikes *)
       st.execs <- st.execs + d;
@@ -717,12 +793,15 @@ let execute ?obs ?(resume = false) cfg options corpus
          Hashtbl.replace st.lethal id strikes;
          if strikes >= 2 then begin
            let tc = Jobqueue.payload q id in
-           Hashtbl.replace st.qres id
-             (Campaign.lost_case_result ~attempts:strikes corpus
-                ~why:
-                  (Printf.sprintf
-                     "case killed %d workers in a row; last: %s" strikes why)
-                tc);
+           let r =
+             Campaign.lost_case_result ~attempts:strikes corpus
+               ~why:
+                 (Printf.sprintf
+                    "case killed %d workers in a row; last: %s" strikes why)
+               tc
+           in
+           Hashtbl.replace st.qres id r;
+           st.new_quar <- (id, r) :: st.new_quar;
            Jobqueue.quarantine q id;
            st.poisoned <- st.poisoned + 1;
            Metrics.inc (pm "poisoned")

@@ -23,9 +23,10 @@
     worker's unfinished queue is resharded over the survivors, a case
     that kills two workers in a row is quarantined as a first-class
     [Worker_lost] crash report instead of looping respawns, completed
-    shards checkpoint on the validated KITCKPT1 container so a killed
-    parent resumes without re-executing finished work, and {!Aborted}
-    is raised when every worker is gone.
+    shards checkpoint to an append-only KITCKPT1 log (each save appends
+    only the cases completed or quarantined since the previous one) so
+    a killed parent resumes without re-executing finished work, and
+    {!Aborted} is raised when every worker is gone.
 
     Per-case results are schedule-independent, so the merged
     funnel/report/quarantine fingerprint equals the sequential
@@ -199,7 +200,9 @@ val execute :
 (** Run every cluster representative of [generation] on a fresh pool.
     [resume] (default [false]) preloads completed shards from
     [config.checkpoint_path] first — ignored when the file is missing;
-    a corrupt file aborts with the typed checkpoint error message.
+    a torn final record (a kill mid-append) is dropped and its cases
+    re-execute; a corrupt file aborts with the typed checkpoint error
+    message.
     @raise Aborted when no worker can absorb the remaining queue. *)
 
 val executor :

@@ -9,7 +9,9 @@
    (the connection is one-shot, so no re-synchronisation is needed). *)
 
 module Campaign = Kit_core.Campaign
+module Codec = Kit_core.Codec
 module Cluster = Kit_gen.Cluster
+module Jsonl = Kit_obs.Jsonl
 module Tables = Kit_core.Tables
 module Oracle = Kit_core.Oracle
 module Bugs = Kit_kernel.Bugs
@@ -53,6 +55,53 @@ let options_of_spec spec =
     diagnose = spec.sp_diagnose;
     schedules = max 1 spec.sp_schedules;
     obs = None }
+
+(* The spec's checkpoint codec: field names are the tags; the campaign
+   identity (name, seed, corpus size, strategy) is required, the
+   scheduling knobs fall back to [default_spec] when absent. *)
+let strategy_to_json = function
+  | Cluster.Df -> Jsonl.Str "df"
+  | Cluster.Df_ia -> Jsonl.Str "df-ia"
+  | Cluster.Df_st k -> Jsonl.Obj [ ("df-st", Jsonl.Int k) ]
+  | Cluster.Rand n -> Jsonl.Obj [ ("rand", Jsonl.Int n) ]
+
+let strategy_of_json = function
+  | Jsonl.Str "df" -> Ok Cluster.Df
+  | Jsonl.Str "df-ia" -> Ok Cluster.Df_ia
+  | Jsonl.Obj fields as j when List.mem_assoc "df-st" fields ->
+    Result.map (fun k -> Cluster.Df_st k) (Codec.field "df-st" Codec.int j)
+  | Jsonl.Obj fields as j when List.mem_assoc "rand" fields ->
+    Result.map (fun n -> Cluster.Rand n) (Codec.field "rand" Codec.int j)
+  | _ -> Error "unknown strategy"
+
+let spec_to_json s =
+  Jsonl.Obj
+    [ ("name", Jsonl.Str s.sp_name); ("seed", Jsonl.Int s.sp_seed);
+      ("corpus_size", Jsonl.Int s.sp_corpus_size);
+      ("strategy", strategy_to_json s.sp_strategy);
+      ("weight", Jsonl.Int s.sp_weight);
+      ("max_inflight", Jsonl.Int s.sp_max_inflight);
+      ("diagnose", Jsonl.Bool s.sp_diagnose);
+      ("schedules", Jsonl.Int s.sp_schedules) ]
+
+let spec_of_json j =
+  let open Codec in
+  let d = default_spec in
+  let* sp_name = field "name" string j in
+  let* sp_seed = field "seed" int j in
+  let* sp_corpus_size = field "corpus_size" int j in
+  let* sp_strategy = field "strategy" strategy_of_json j in
+  let* sp_weight = field_or "weight" ~default:d.sp_weight int j in
+  let* sp_max_inflight =
+    field_or "max_inflight" ~default:d.sp_max_inflight int j
+  in
+  let* sp_diagnose = field_or "diagnose" ~default:d.sp_diagnose bool j in
+  let* sp_schedules = field_or "schedules" ~default:d.sp_schedules int j in
+  if not (valid_name sp_name) then Error ("invalid tenant name " ^ sp_name)
+  else
+    Ok
+      { sp_name; sp_seed; sp_corpus_size; sp_strategy; sp_weight;
+        sp_max_inflight; sp_diagnose; sp_schedules }
 
 (* -- requests and replies ------------------------------------------------- *)
 

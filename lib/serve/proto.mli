@@ -41,6 +41,14 @@ val options_of_spec : spec -> Kit_core.Campaign.options
     makes a tenant's {!summary} byte-comparable to the standalone
     run's. *)
 
+val spec_to_json : spec -> Kit_obs.Jsonl.t
+
+val spec_of_json : spec Kit_core.Codec.decoder
+(** The spec's checkpoint codec. Name, seed, corpus size and strategy
+    are required (and the name must be {!valid_name}); weight,
+    in-flight cap, diagnosis and schedules take {!default_spec}'s
+    values when absent. *)
+
 type request =
   | Submit of spec
   | Extend of { x_name : string; x_add : int }

@@ -130,7 +130,13 @@ let resume t =
           t.next_id <- t.next_id + 1;
           add_tenant t tn;
           if Tenant.phase tn <> Tenant.Finished then begin_span t tn;
-          Some (Tenant.name tn, Tenant.phase_string (Tenant.phase tn))
+          let state = Tenant.phase_string (Tenant.phase tn) in
+          Some
+            ( Tenant.name tn,
+              if Tenant.torn tn = 0 then state
+              else
+                Printf.sprintf "%s; dropped a %d-byte torn tail" state
+                  (Tenant.torn tn) )
         | Error why -> Some (file, "unreadable checkpoint: " ^ why))
       files
 

@@ -19,7 +19,8 @@
 
     {b Crash safety.} Tenants checkpoint their fingerprint-keyed result
     caches every [sc_checkpoint_every] completions (kind
-    ["serve-tenant"], KITCKPT1). A SIGKILLed daemon restarted with
+    ["serve-tenant-v4"], an append-only KITCKPT1 log: see
+    {!Tenant.save_checkpoint}). A SIGKILLed daemon restarted with
     {!resume} rebuilds every tenant from [sc_state_dir] and replays
     cached results at activation — no checkpointed representative is
     re-executed, and finished tenants keep serving their summaries.
@@ -61,7 +62,9 @@ val shutdown : t -> unit
 val resume : t -> (string * string) list
 (** Rebuild tenants from every [tenant-*.ckpt] in the state directory
     (sorted by file name). Returns [(name, state)] per restored tenant,
-    for logging; unreadable checkpoints are reported, not fatal. *)
+    for logging; the state says when a torn tail was dropped.
+    Unreadable checkpoints (damaged, or of an older kind) come back as
+    [(file, "unreadable checkpoint: ...")] and are not fatal. *)
 
 val request : t -> Proto.request -> Proto.reply
 (** The daemon's request handler, exposed directly so in-process tests

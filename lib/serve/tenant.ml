@@ -12,16 +12,12 @@
 module Campaign = Kit_core.Campaign
 module Jobqueue = Kit_core.Jobqueue
 module Checkpoint = Kit_core.Checkpoint
+module Codec = Kit_core.Codec
 module Cluster = Kit_gen.Cluster
 module Testcase = Kit_gen.Testcase
-module Program = Kit_abi.Program
 module Fnv = Kit_compact.Fnv
-module Ast = Kit_trace.Ast
-module Compare = Kit_trace.Compare
-module Report = Kit_detect.Report
-module Filter = Kit_detect.Filter
-module Supervisor = Kit_exec.Supervisor
 module Coverage = Kit_obs.Coverage
+module Jsonl = Kit_obs.Jsonl
 
 type phase =
   | Pending
@@ -55,6 +51,12 @@ type t = {
   mutable t_resumed : int;              (* cache replays this activation *)
   mutable t_inflight : int;
   mutable t_since_ckpt : int;
+  mutable t_unsaved : (string * (Campaign.case_result * int)) list;
+      (* cache entries completed since the last save, newest first *)
+  mutable t_log : string option;
+      (* the checkpoint this incarnation wrote in full: later saves
+         append to it *)
+  mutable t_torn : int;                 (* torn-tail bytes dropped at load *)
   (* scheduling state, owned by Sched *)
   mutable t_deficit : float;
   mutable t_dispatched : int;
@@ -65,18 +67,10 @@ type t = {
   mutable t_summary : string option;
 }
 
-(* The pre-FNV fingerprint: an MD5 of the marshalled testcase. Kept
-   behind the KIT_LEGACY_FINGERPRINT compat flag so an operator can pin
-   the old keying scheme while old and new daemons share a state dir;
-   legacy checkpoints themselves are migrated by re-fingerprinting (the
-   cached results carry their testcases), not by keeping this around. *)
-let fingerprint_legacy tc =
-  Digest.string (Marshal.to_string tc [ Marshal.No_sharing ])
-
-(* Streaming FNV over the testcase fields: no Marshal buffer, no MD5,
+(* Streaming FNV over the testcase fields: no serialised copy, no MD5,
    and process-stable (ints only — no pointers, no hash randomisation).
    Stacks are length-prefixed so adjacent lists cannot alias. *)
-let fingerprint_fnv (tc : Testcase.t) =
+let fingerprint (tc : Testcase.t) =
   let ints h l = List.fold_left Fnv.int (Fnv.int h (List.length l)) l in
   let h = Fnv.int Fnv.init tc.Testcase.sender in
   let h = Fnv.int h tc.Testcase.receiver in
@@ -94,21 +88,14 @@ let fingerprint_fnv (tc : Testcase.t) =
   in
   Fnv.to_hex h
 
-let legacy_fingerprints =
-  match Sys.getenv_opt "KIT_LEGACY_FINGERPRINT" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let fingerprint tc =
-  if legacy_fingerprints then fingerprint_legacy tc else fingerprint_fnv tc
-
 let create ~id spec =
   { t_id = id; t_spec = spec; t_phase = Pending; t_prepared = None;
     t_generation = None; t_q = Jobqueue.create ();
     t_quar = Hashtbl.create 7; t_strikes = Hashtbl.create 7;
     t_cache = Hashtbl.create 64; t_fps = Hashtbl.create 64;
     t_executions = 0; t_resumed = 0;
-    t_inflight = 0; t_since_ckpt = 0; t_deficit = 0.0; t_dispatched = 0;
+    t_inflight = 0; t_since_ckpt = 0; t_unsaved = []; t_log = None;
+    t_torn = 0; t_deficit = 0.0; t_dispatched = 0;
     t_contended = 0; t_steals = 0; t_result = None; t_summary = None }
 
 let id t = t.t_id
@@ -120,6 +107,11 @@ let summary t = t.t_summary
 let result t = t.t_result
 let inflight t = t.t_inflight
 let resumed t = t.t_resumed
+let torn t = t.t_torn
+
+let cached t =
+  List.sort String.compare
+    (Hashtbl.fold (fun fp _ acc -> fp :: acc) t.t_cache [])
 
 let total t =
   match t.t_generation with
@@ -202,6 +194,7 @@ let record_done t ~id result execs =
     in
     Jobqueue.complete t.t_q id result;
     Hashtbl.replace t.t_cache fp (result, execs);
+    t.t_unsaved <- (fp, (result, execs)) :: t.t_unsaved;
     t.t_executions <- t.t_executions + execs;
     t.t_inflight <- max 0 (t.t_inflight - 1);
     t.t_since_ckpt <- t.t_since_ckpt + 1;
@@ -324,214 +317,101 @@ let status t =
     ts_cov_attributed = cov_summary (fun s -> s.Coverage.sum_attributed) t;
     ts_cov_gaps = cov_summary (fun s -> s.Coverage.sum_gaps) t }
 
-(* -- checkpoints ---------------------------------------------------------- *)
+(* -- checkpoints ----------------------------------------------------------
 
-(* The kind was bumped to -v2 when trace nodes switched to the packed
-   representation, and to -v3 when reports gained an origin, case
-   results gained the schedule-search fields and specs gained
-   [sp_schedules]: the Marshal layout of the cached case results changed
-   each time, and the kind tag is what keeps the loader from decoding
-   old bytes into the new types. Old-kind files are still loadable — see
-   [Legacy] (v1) and [V2] below. *)
-let ckpt_kind = "serve-tenant-v3"
-let ckpt_kind_v2 = "serve-tenant-v2"
-let ckpt_kind_legacy = "serve-tenant"
-
-(* The spec layout every pre-v3 checkpoint embeds (before
-   [sp_schedules]); migrated as sequential-only. *)
-type legacy_spec = {
-  lsp_name : string;
-  lsp_seed : int;
-  lsp_corpus_size : int;
-  lsp_strategy : Cluster.strategy;
-  lsp_weight : int;
-  lsp_max_inflight : int;
-  lsp_diagnose : bool;
-}
-
-let spec_of_legacy (s : legacy_spec) =
-  { Proto.sp_name = s.lsp_name; sp_seed = s.lsp_seed;
-    sp_corpus_size = s.lsp_corpus_size; sp_strategy = s.lsp_strategy;
-    sp_weight = s.lsp_weight; sp_max_inflight = s.lsp_max_inflight;
-    sp_diagnose = s.lsp_diagnose; sp_schedules = 1 }
-
-type ckpt = {
-  ck_spec : Proto.spec;
-  ck_completed : (string * (Campaign.case_result * int)) list;
-  ck_finished : bool;
-  ck_summary : string option;
-}
-
-(* Mirrors of the exact record layouts a pre-packing daemon marshalled
-   under the "serve-tenant" kind — trace nodes as the old four-field
-   record, reports and case results around them. Loading decodes into
-   these, rebuilds packed nodes, and re-keys the cache with the current
-   fingerprint scheme (the cached results carry their testcases, so no
-   legacy digest is ever needed). *)
-module Legacy = struct
-  type diff = {
-    ld_path : string list;
-    ld_left : Ast.Legacy.ast;
-    ld_right : Ast.Legacy.ast;
-  }
-
-  type report = {
-    lr_testcase : Testcase.t;
-    lr_sender : Program.t;
-    lr_receiver : Program.t;
-    lr_interfered : int list;
-    lr_diffs : diff list;
-    lr_trace_a : Ast.Legacy.ast;
-    lr_trace_b : Ast.Legacy.ast;
-  }
-
-  type case_result = {
-    lc_tc : Testcase.t;
-    lc_funnel : Filter.funnel;
-    lc_report : report option;
-    lc_crashes : Supervisor.crash list;
-  }
-
-  type ckpt = {
-    lk_spec : legacy_spec;
-    lk_completed : (string * (case_result * int)) list;
-    lk_finished : bool;
-    lk_summary : string option;
-  }
-
-  let diff_of (d : diff) =
-    { Compare.path = d.ld_path; left = Ast.of_legacy d.ld_left;
-      right = Ast.of_legacy d.ld_right }
-
-  let report_of (r : report) =
-    { Report.testcase = r.lr_testcase; sender = r.lr_sender;
-      receiver = r.lr_receiver; interfered = r.lr_interfered;
-      diffs = List.map diff_of r.lr_diffs;
-      trace_a = Ast.of_legacy r.lr_trace_a;
-      trace_b = Ast.of_legacy r.lr_trace_b;
-      origin = Report.Sequential }
-
-  let case_result_of (c : case_result) =
-    { Campaign.cr_tc = c.lc_tc; cr_funnel = c.lc_funnel;
-      cr_report = Option.map report_of c.lc_report;
-      cr_concurrent = []; cr_sched = Campaign.sched_create ();
-      cr_crashes = c.lc_crashes }
-end
-
-(* Mirrors of the v2 layouts: trace nodes already packed, but reports
-   have no origin and case results no schedule-search fields. A v2
-   daemon only ever ran sequentially, so migration fills
-   [Report.Sequential] origins and empty search results; the cache keys
-   are already the current FNV fingerprints, so they carry over. *)
-module V2 = struct
-  type report = {
-    v2r_testcase : Testcase.t;
-    v2r_sender : Program.t;
-    v2r_receiver : Program.t;
-    v2r_interfered : int list;
-    v2r_diffs : Compare.diff list;
-    v2r_trace_a : Ast.t;
-    v2r_trace_b : Ast.t;
-  }
-
-  type case_result = {
-    v2c_tc : Testcase.t;
-    v2c_funnel : Filter.funnel;
-    v2c_report : report option;
-    v2c_crashes : Supervisor.crash list;
-  }
-
-  type ckpt = {
-    v2k_spec : legacy_spec;
-    v2k_completed : (string * (case_result * int)) list;
-    v2k_finished : bool;
-    v2k_summary : string option;
-  }
-
-  let report_of (r : report) =
-    { Report.testcase = r.v2r_testcase; sender = r.v2r_sender;
-      receiver = r.v2r_receiver; interfered = r.v2r_interfered;
-      diffs = r.v2r_diffs; trace_a = r.v2r_trace_a; trace_b = r.v2r_trace_b;
-      origin = Report.Sequential }
-
-  let case_result_of (c : case_result) =
-    { Campaign.cr_tc = c.v2c_tc; cr_funnel = c.v2c_funnel;
-      cr_report = Option.map report_of c.v2c_report;
-      cr_concurrent = []; cr_sched = Campaign.sched_create ();
-      cr_crashes = c.v2c_crashes }
-end
+   A KITCKPT1 log (see Checkpoint). Every record is one JSON object:
+   the spec, the finished flag, the summary once finished, and cache
+   entries ({"fp", "execs", "result"}). The first save of an
+   incarnation writes the whole cache as a one-record log; every later
+   save appends one record with only the entries completed since. On
+   load, entries accumulate across records and the last record's spec,
+   flag and summary win. *)
+let ckpt_kind = "serve-tenant-v4"
 
 let ckpt_path dir t = Filename.concat dir ("tenant-" ^ name t ^ ".ckpt")
 
 let checkpoint_due t ~every = t.t_since_ckpt >= max 1 every
 
-(* Checkpoint = the whole fingerprint cache (plus the summary once
-   finished). A resumed daemon replays the cache at activation, so
-   checkpointed representatives are never re-executed. *)
-let save_checkpoint dir t =
-  let ck =
-    { ck_spec = t.t_spec;
-      ck_completed =
-        Hashtbl.fold (fun fp entry acc -> (fp, entry) :: acc) t.t_cache [];
-      ck_finished = (t.t_phase = Finished);
-      ck_summary = t.t_summary }
+let record t entries =
+  let entry (fp, (result, execs)) =
+    Jsonl.Obj
+      [ ("fp", Jsonl.Str fp); ("execs", Jsonl.Int execs);
+        ("result", Codec.case_result_to_json result) ]
   in
-  Checkpoint.save (ckpt_path dir t) ~kind:ckpt_kind ck;
+  Jsonl.to_string
+    (Jsonl.Obj
+       ([ ("spec", Proto.spec_to_json t.t_spec);
+          ("finished", Jsonl.Bool (t.t_phase = Finished)) ]
+       @ (match t.t_summary with
+         | Some s -> [ ("summary", Jsonl.Str s) ]
+         | None -> [])
+       @ [ ("entries", Jsonl.List (List.map entry entries)) ]))
+
+(* An append costs O(entries completed since the last save), not
+   O(cache). The full write on an incarnation's first save also
+   compacts the file and drops any torn tail it was loaded with. *)
+let save_checkpoint dir t =
+  let path = ckpt_path dir t in
+  (match t.t_log with
+  | Some logged when logged = path && Sys.file_exists path ->
+    Checkpoint.append path (record t (List.rev t.t_unsaved))
+  | Some _ | None ->
+    let all = Hashtbl.fold (fun fp e acc -> (fp, e) :: acc) t.t_cache [] in
+    Checkpoint.write path ~kind:ckpt_kind [ record t all ];
+    t.t_log <- Some path);
+  t.t_unsaved <- [];
   t.t_since_ckpt <- 0
 
-(* A pre-packing checkpoint, migrated: packed trace nodes rebuilt from
-   the legacy layout, cache re-keyed by the current fingerprint of each
-   entry's own testcase (stored keys are stale MD5 digests). *)
-let migrate_legacy ~id (ck : Legacy.ckpt) =
-  let t = create ~id (spec_of_legacy ck.Legacy.lk_spec) in
-  List.iter
-    (fun (_old_fp, (lc, execs)) ->
-      let cr = Legacy.case_result_of lc in
-      Hashtbl.replace t.t_cache (fingerprint cr.Campaign.cr_tc) (cr, execs))
-    ck.Legacy.lk_completed;
-  if ck.Legacy.lk_finished then begin
-    t.t_phase <- Finished;
-    t.t_summary <- ck.Legacy.lk_summary
-  end;
-  t
+type record = {
+  r_spec : Proto.spec;
+  r_finished : bool;
+  r_summary : string option;
+  r_entries : (string * (Campaign.case_result * int)) list;
+}
 
-(* A v2 checkpoint, migrated: origins and schedule-search fields filled
-   with their sequential-only defaults, cache keys reused as stored. *)
-let migrate_v2 ~id (ck : V2.ckpt) =
-  let t = create ~id (spec_of_legacy ck.V2.v2k_spec) in
-  List.iter
-    (fun (fp, (vc, execs)) ->
-      Hashtbl.replace t.t_cache fp (V2.case_result_of vc, execs))
-    ck.V2.v2k_completed;
-  if ck.V2.v2k_finished then begin
-    t.t_phase <- Finished;
-    t.t_summary <- ck.V2.v2k_summary
-  end;
-  t
+let record_of_json j =
+  let open Codec in
+  let entry e =
+    let* fp = field "fp" string e in
+    let* execs = field "execs" int e in
+    let* result = field "result" case_result_of_json e in
+    Ok (fp, (result, execs))
+  in
+  let* r_spec = field "spec" Proto.spec_of_json j in
+  let* r_finished = field_or "finished" ~default:false bool j in
+  let* r_summary =
+    field_or "summary" ~default:None
+      (fun s -> Result.map Option.some (string s))
+      j
+  in
+  let* r_entries = field_or "entries" ~default:[] (list entry) j in
+  Ok { r_spec; r_finished; r_summary; r_entries }
 
 (* Rebuild a tenant from its checkpoint file: a finished tenant comes
    back Finished with its stored summary; an unfinished one comes back
-   Pending with the cache primed, ready to re-activate. Old-kind files
-   go through the legacy decode + migration path. *)
+   Pending with the cache primed, ready to re-activate. *)
 let of_checkpoint ~id path =
-  match (Checkpoint.load path ~kind:ckpt_kind : (ckpt, _) result) with
-  | Ok ck ->
-    let t = create ~id ck.ck_spec in
-    List.iter (fun (fp, entry) -> Hashtbl.replace t.t_cache fp entry)
-      ck.ck_completed;
-    if ck.ck_finished then begin
-      t.t_phase <- Finished;
-      t.t_summary <- ck.ck_summary
-    end;
-    Ok t
-  | Error (Checkpoint.Checkpoint_corrupt _ as e) -> (
-    (* possibly an older-kind file: the kind tag tells *)
-    match (Checkpoint.load path ~kind:ckpt_kind_v2 : (V2.ckpt, _) result) with
-    | Ok ck -> Ok (migrate_v2 ~id ck)
-    | Error _ -> (
-      match
-        (Checkpoint.load path ~kind:ckpt_kind_legacy : (Legacy.ckpt, _) result)
-      with
-      | Ok ck -> Ok (migrate_legacy ~id ck)
-      | Error _ -> Error (Checkpoint.error_to_string e)))
+  let corrupt msg =
+    Error
+      (Checkpoint.error_to_string
+         (Checkpoint.Checkpoint_corrupt (path ^ ": " ^ msg)))
+  in
+  match Checkpoint.read path ~kind:ckpt_kind with
   | Error e -> Error (Checkpoint.error_to_string e)
+  | Ok { Checkpoint.records; torn } -> (
+    match Codec.parse_all record_of_json records with
+    | Error e -> corrupt e
+    | Ok [] -> corrupt "no complete record"
+    | Ok rs ->
+      let last = List.nth rs (List.length rs - 1) in
+      let t = create ~id last.r_spec in
+      List.iter
+        (fun r ->
+          List.iter (fun (fp, e) -> Hashtbl.replace t.t_cache fp e) r.r_entries)
+        rs;
+      if last.r_finished then begin
+        t.t_phase <- Finished;
+        t.t_summary <- last.r_summary
+      end;
+      t.t_torn <- torn;
+      Ok t)

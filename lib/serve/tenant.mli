@@ -124,110 +124,28 @@ val note_dispatch : t -> contended:bool -> stolen:bool -> unit
 
 val fingerprint : Kit_gen.Testcase.t -> string
 (** The cache key for a representative: a streaming FNV hash of the
-    testcase fields, identical across processes. Setting the
-    [KIT_LEGACY_FINGERPRINT] environment variable to [1]/[true]/[yes]
-    switches back to {!fingerprint_legacy}. *)
+    testcase fields, identical across processes. *)
 
-val fingerprint_legacy : Kit_gen.Testcase.t -> string
-(** The pre-FNV scheme: MD5 of the marshalled testcase. *)
+val cached : t -> string list
+(** The fingerprints in the result cache, sorted. *)
 
 (** {2 Checkpoints}
 
-    Kind ["serve-tenant-v3"] in the validated KITCKPT1 container: the
-    spec, the whole fingerprint cache, and the summary once finished. A
-    resumed daemon rebuilds the tenant from this file; re-activation
-    replays the cache, so checkpointed representatives are never
-    re-executed. Files written under the pre-scheduler
-    ["serve-tenant-v2"] kind load through {!V2} (origins and
-    schedule-search fields filled with sequential-only defaults), and
-    pre-packing ["serve-tenant"] files through {!Legacy} (packed trace
-    nodes rebuilt, cache re-keyed with {!fingerprint}). *)
+    Kind ["serve-tenant-v4"]: an append-only log on the validated
+    KITCKPT1 container ({!Kit_core.Checkpoint}). Each record is a JSON
+    object holding the spec ({!Proto.spec_to_json}), the finished flag,
+    the summary once finished, and cache entries — fingerprint,
+    execution count and the case result ({!Kit_core.Codec}). The first
+    save of each incarnation (fresh, or loaded from a checkpoint)
+    writes the whole cache atomically; every later save appends one
+    record with only the entries completed since the previous save, so
+    a save costs O(new completions) and one fsync. On load, entries
+    accumulate over the records and the last record's spec, flag and
+    summary win. A resumed daemon rebuilds the tenant from this file;
+    re-activation replays the cache, so checkpointed representatives
+    are never re-executed. Files of older kinds load as an [Error]. *)
 
 val ckpt_kind : string
-val ckpt_kind_v2 : string
-val ckpt_kind_legacy : string
-
-(** The spec layout every pre-v3 checkpoint embeds (before
-    [sp_schedules]); migrated as sequential-only. *)
-type legacy_spec = {
-  lsp_name : string;
-  lsp_seed : int;
-  lsp_corpus_size : int;
-  lsp_strategy : Kit_gen.Cluster.strategy;
-  lsp_weight : int;
-  lsp_max_inflight : int;
-  lsp_diagnose : bool;
-}
-
-val spec_of_legacy : legacy_spec -> Proto.spec
-
-(** The exact Marshal layouts a pre-packing daemon checkpointed, and
-    their conversions — exposed so the compat test can fabricate
-    old-format files. *)
-module Legacy : sig
-  type diff = {
-    ld_path : string list;
-    ld_left : Kit_trace.Ast.Legacy.ast;
-    ld_right : Kit_trace.Ast.Legacy.ast;
-  }
-
-  type report = {
-    lr_testcase : Kit_gen.Testcase.t;
-    lr_sender : Kit_abi.Program.t;
-    lr_receiver : Kit_abi.Program.t;
-    lr_interfered : int list;
-    lr_diffs : diff list;
-    lr_trace_a : Kit_trace.Ast.Legacy.ast;
-    lr_trace_b : Kit_trace.Ast.Legacy.ast;
-  }
-
-  type case_result = {
-    lc_tc : Kit_gen.Testcase.t;
-    lc_funnel : Kit_detect.Filter.funnel;
-    lc_report : report option;
-    lc_crashes : Kit_exec.Supervisor.crash list;
-  }
-
-  type ckpt = {
-    lk_spec : legacy_spec;
-    lk_completed : (string * (case_result * int)) list;
-    lk_finished : bool;
-    lk_summary : string option;
-  }
-
-  val case_result_of : case_result -> Kit_core.Campaign.case_result
-end
-
-(** The exact Marshal layouts a v2 (pre-scheduler) daemon checkpointed,
-    and their conversions — exposed so the compat test can fabricate
-    v2-format files. *)
-module V2 : sig
-  type report = {
-    v2r_testcase : Kit_gen.Testcase.t;
-    v2r_sender : Kit_abi.Program.t;
-    v2r_receiver : Kit_abi.Program.t;
-    v2r_interfered : int list;
-    v2r_diffs : Kit_trace.Compare.diff list;
-    v2r_trace_a : Kit_trace.Ast.t;
-    v2r_trace_b : Kit_trace.Ast.t;
-  }
-
-  type case_result = {
-    v2c_tc : Kit_gen.Testcase.t;
-    v2c_funnel : Kit_detect.Filter.funnel;
-    v2c_report : report option;
-    v2c_crashes : Kit_exec.Supervisor.crash list;
-  }
-
-  type ckpt = {
-    v2k_spec : legacy_spec;
-    v2k_completed : (string * (case_result * int)) list;
-    v2k_finished : bool;
-    v2k_summary : string option;
-  }
-
-  val case_result_of : case_result -> Kit_core.Campaign.case_result
-end
 
 val ckpt_path : string -> t -> string
 (** [ckpt_path state_dir t] — [state_dir/tenant-<name>.ckpt]. *)
@@ -236,8 +154,17 @@ val checkpoint_due : t -> every:int -> bool
 (** [every] or more completions since the last checkpoint. *)
 
 val save_checkpoint : string -> t -> unit
+(** [save_checkpoint state_dir t]: the whole cache on the first save of
+    this incarnation to [ckpt_path state_dir t], one appended record
+    of the new completions after that. Ends with an fsync either way. *)
 
 val of_checkpoint : id:int -> string -> (t, string) result
 (** Rebuild from a checkpoint file: finished tenants come back
     [Finished] with their stored summary, unfinished ones [Pending]
-    with the cache primed. *)
+    with the cache primed. A torn final record (a crash mid-append) is
+    dropped, and those cases re-execute; see {!torn}. Any other damage,
+    an undecodable record or an old kind is an [Error]. *)
+
+val torn : t -> int
+(** Bytes of torn tail {!of_checkpoint} dropped; 0 for a fresh tenant
+    or a clean file. The next save rewrites the file without them. *)

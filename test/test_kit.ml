@@ -29,4 +29,5 @@ let () =
       ("sched", Test_sched.suite);
       ("coverage", Test_coverage.suite);
       ("serve", Test_serve.suite);
+      ("ckpt", Test_ckpt.suite);
     ]

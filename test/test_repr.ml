@@ -1,8 +1,7 @@
 (* Equivalence gates for the compact hot-path representations: the
    packed trace comparison against a reference Algorithm 1 on the legacy
-   node layout, the packed bitsets against a Set.Make(Int) model,
-   fingerprint stability across processes, and migration of a
-   pre-packing serve-tenant checkpoint. *)
+   node layout, the packed bitsets against a Set.Make(Int) model, and
+   fingerprint stability across processes. *)
 
 module Ast = Kit_trace.Ast
 module L = Kit_trace.Ast.Legacy
@@ -10,13 +9,7 @@ module Compare = Kit_trace.Compare
 module Nondet = Kit_trace.Nondet
 module Bitset = Kit_compact.Bitset
 module Testcase = Kit_gen.Testcase
-module Campaign = Kit_core.Campaign
-module Checkpoint = Kit_core.Checkpoint
-module Proto = Kit_serve.Proto
 module Tenant = Kit_serve.Tenant
-module Report = Kit_detect.Report
-module Obs = Kit_obs.Obs
-module Tracer = Kit_obs.Tracer
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -272,15 +265,12 @@ let test_fingerprint_shape () =
 (* The cache key must not depend on process identity: re-execute the
    test binary (the same spawn mechanism the worker pool uses — raw
    [Unix.fork] is unavailable once any domain has been spawned), have
-   the child print the same fingerprints, and compare. The legacy
-   MD5-of-Marshal scheme had this property too; the FNV scheme must
-   keep it for daemon checkpoints to replay across restarts. *)
+   the child print the same fingerprints, and compare. Daemon
+   checkpoints replay across restarts only because of this. *)
 let fp_env_var = "KIT_TEST_FP_CHILD"
 
 let fp_view () =
-  String.concat ";"
-    (List.map Tenant.fingerprint sample_testcases
-    @ List.map Tenant.fingerprint_legacy sample_testcases)
+  String.concat ";" (List.map Tenant.fingerprint sample_testcases)
 
 (* Trampoline called from test_kit.ml before alcotest sees argv. The
    view goes to a file, not stdout — other suites print banners at
@@ -318,198 +308,6 @@ let test_fingerprint_cross_process () =
       check_string "child sees identical fingerprints" parent_view
         child_view)
 
-(* --- legacy serve-tenant checkpoint migration ---------------------------
-
-   Fabricate a checkpoint byte-for-byte like a pre-packing daemon wrote:
-   legacy Ast nodes inside the reports, cache keyed by MD5-of-Marshal
-   fingerprints, saved under the old KITCKPT1 kind. Loading it must
-   migrate in place — packed nodes rebuilt, cache re-keyed — and
-   re-activation must replay every migrated entry from cache. *)
-
-let compat_spec =
-  { Proto.default_spec with
-    Proto.sp_name = "compat"; sp_seed = 7; sp_corpus_size = 24;
-    sp_diagnose = false }
-
-(* Pre-v3 specs have no [sp_schedules]; fabricated old-format files use
-   this layout. *)
-let legacy_spec_of (s : Proto.spec) =
-  { Tenant.lsp_name = s.Proto.sp_name;
-    lsp_seed = s.Proto.sp_seed;
-    lsp_corpus_size = s.Proto.sp_corpus_size;
-    lsp_strategy = s.Proto.sp_strategy;
-    lsp_weight = s.Proto.sp_weight;
-    lsp_max_inflight = s.Proto.sp_max_inflight;
-    lsp_diagnose = s.Proto.sp_diagnose }
-
-let legacy_of_diff (d : Compare.diff) =
-  { Tenant.Legacy.ld_path = d.Compare.path;
-    ld_left = Ast.to_legacy d.Compare.left;
-    ld_right = Ast.to_legacy d.Compare.right }
-
-let legacy_of_report (r : Report.t) =
-  { Tenant.Legacy.lr_testcase = r.Report.testcase;
-    lr_sender = r.Report.sender;
-    lr_receiver = r.Report.receiver;
-    lr_interfered = r.Report.interfered;
-    lr_diffs = List.map legacy_of_diff r.Report.diffs;
-    lr_trace_a = Ast.to_legacy r.Report.trace_a;
-    lr_trace_b = Ast.to_legacy r.Report.trace_b }
-
-let legacy_of_case (cr : Campaign.case_result) =
-  { Tenant.Legacy.lc_tc = cr.Campaign.cr_tc;
-    lc_funnel = cr.Campaign.cr_funnel;
-    lc_report = Option.map legacy_of_report cr.Campaign.cr_report;
-    lc_crashes = cr.Campaign.cr_crashes }
-
-let marshal_fp x = Digest.string (Marshal.to_string x [ Marshal.No_sharing ])
-
-let test_legacy_checkpoint_migrates () =
-  (* Real case results for the spec's first two representatives, so the
-     migrated cache keys match what re-activation generates. *)
-  let scratch = Tenant.create ~id:1 compat_spec in
-  let options, corpus = Tenant.activate scratch ~procs:1 in
-  let rec claim_all acc =
-    match Tenant.claim scratch ~slot:0 with
-    | Some job -> claim_all (job :: acc)
-    | None -> List.rev acc
-  in
-  let jobs = claim_all [] in
-  check_bool "spec generates enough representatives" true
-    (List.length jobs >= 2);
-  let obs = Obs.create ~tracer:Tracer.nop () in
-  let sup = Campaign.supervisor ~obs options in
-  let executed =
-    List.map
-      (fun (_, tc) -> Campaign.exec_case options corpus sup tc)
-      (List.filteri (fun i _ -> i < 2) jobs)
-  in
-  (* The legacy round trip itself must be lossless. *)
-  List.iter
-    (fun cr ->
-      check_string "legacy case_result converts back losslessly"
-        (marshal_fp cr)
-        (marshal_fp (Tenant.Legacy.case_result_of (legacy_of_case cr))))
-    executed;
-  let ck =
-    { Tenant.Legacy.lk_spec = legacy_spec_of compat_spec;
-      lk_completed =
-        List.map
-          (fun cr ->
-            ( Tenant.fingerprint_legacy cr.Campaign.cr_tc,
-              (legacy_of_case cr, 1) ))
-          executed;
-      lk_finished = false;
-      lk_summary = None }
-  in
-  let path = Filename.temp_file "kit-tenant-legacy" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Checkpoint.save path ~kind:Tenant.ckpt_kind_legacy ck;
-      match Tenant.of_checkpoint ~id:2 path with
-      | Error e -> Alcotest.failf "legacy checkpoint rejected: %s" e
-      | Ok t ->
-        check_bool "migrated tenant comes back pending" true
-          (Tenant.phase t = Tenant.Pending);
-        let _ = Tenant.activate t ~procs:1 in
-        check_int "every migrated entry replays from cache" 2
-          (Tenant.resumed t);
-        check_int "replayed entries are completed" 2 (Tenant.completed t);
-        (* A fresh save of the migrated tenant writes the current kind
-           and reloads without the legacy probe, cache intact. *)
-        let dir = Filename.temp_file "kit-tenant-v3" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o700;
-        Fun.protect
-          ~finally:(fun () ->
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            Unix.rmdir dir)
-          (fun () ->
-            Tenant.save_checkpoint dir t;
-            match Tenant.of_checkpoint ~id:3 (Tenant.ckpt_path dir t) with
-            | Error e -> Alcotest.failf "re-saved checkpoint rejected: %s" e
-            | Ok t2 ->
-              let _ = Tenant.activate t2 ~procs:1 in
-              check_int "re-saved reload replays the same cache" 2
-                (Tenant.resumed t2)))
-
-(* Fabricate a checkpoint exactly as a v2 (pre-scheduler) daemon wrote
-   it: packed trace nodes, but reports without an origin, case results
-   without the schedule-search fields and a spec without [sp_schedules].
-   Loading must migrate it — sequential origins, empty search results,
-   schedules = 1 — with the cache keys carried over unchanged. *)
-let v2_of_report (r : Report.t) =
-  { Tenant.V2.v2r_testcase = r.Report.testcase;
-    v2r_sender = r.Report.sender;
-    v2r_receiver = r.Report.receiver;
-    v2r_interfered = r.Report.interfered;
-    v2r_diffs = r.Report.diffs;
-    v2r_trace_a = r.Report.trace_a;
-    v2r_trace_b = r.Report.trace_b }
-
-let v2_of_case (cr : Campaign.case_result) =
-  { Tenant.V2.v2c_tc = cr.Campaign.cr_tc;
-    v2c_funnel = cr.Campaign.cr_funnel;
-    v2c_report = Option.map v2_of_report cr.Campaign.cr_report;
-    v2c_crashes = cr.Campaign.cr_crashes }
-
-let test_v2_checkpoint_migrates () =
-  let scratch = Tenant.create ~id:1 compat_spec in
-  let options, corpus = Tenant.activate scratch ~procs:1 in
-  let rec claim_all acc =
-    match Tenant.claim scratch ~slot:0 with
-    | Some job -> claim_all (job :: acc)
-    | None -> List.rev acc
-  in
-  let jobs = claim_all [] in
-  let obs = Obs.create ~tracer:Tracer.nop () in
-  let sup = Campaign.supervisor ~obs options in
-  let executed =
-    List.map
-      (fun (_, tc) -> Campaign.exec_case options corpus sup tc)
-      (List.filteri (fun i _ -> i < 2) jobs)
-  in
-  (* The v2 round trip itself must be lossless on sequential results. *)
-  List.iter
-    (fun cr ->
-      check_string "v2 case_result converts back losslessly" (marshal_fp cr)
-        (marshal_fp (Tenant.V2.case_result_of (v2_of_case cr))))
-    executed;
-  let ck =
-    { Tenant.V2.v2k_spec = legacy_spec_of compat_spec;
-      v2k_completed =
-        List.map
-          (fun cr ->
-            (Tenant.fingerprint cr.Campaign.cr_tc, (v2_of_case cr, 1)))
-          executed;
-      v2k_finished = false;
-      v2k_summary = None }
-  in
-  let path = Filename.temp_file "kit-tenant-v2compat" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Checkpoint.save path ~kind:Tenant.ckpt_kind_v2 ck;
-      match Tenant.of_checkpoint ~id:2 path with
-      | Error e -> Alcotest.failf "v2 checkpoint rejected: %s" e
-      | Ok t ->
-        check_bool "migrated tenant comes back pending" true
-          (Tenant.phase t = Tenant.Pending);
-        check_int "migrated spec is sequential-only" 1
-          (Tenant.spec t).Proto.sp_schedules;
-        let _ = Tenant.activate t ~procs:1 in
-        check_int "every migrated v2 entry replays from cache" 2
-          (Tenant.resumed t))
-
-let test_legacy_kind_is_distinct () =
-  check_bool "kind bumped past legacy" true
-    (not (String.equal Tenant.ckpt_kind Tenant.ckpt_kind_legacy));
-  check_bool "kind bumped past v2" true
-    (not (String.equal Tenant.ckpt_kind Tenant.ckpt_kind_v2))
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -523,10 +321,4 @@ let suite =
       test_fingerprint_shape;
     Alcotest.test_case "fingerprint: identical across processes" `Quick
       test_fingerprint_cross_process;
-    Alcotest.test_case "checkpoint: legacy serve-tenant file migrates"
-      `Quick test_legacy_checkpoint_migrates;
-    Alcotest.test_case "checkpoint: v2 serve-tenant file migrates" `Quick
-      test_v2_checkpoint_migrates;
-    Alcotest.test_case "checkpoint: kind bumped for new layouts" `Quick
-      test_legacy_kind_is_distinct;
   ]

@@ -952,6 +952,29 @@ let test_pool_resume_all_restored () =
     (pool_fps o2 = pool_fps o1);
   Sys.remove path
 
+let test_pool_resume_torn_tail () =
+  (* A kill mid-append leaves a torn tail on the pool log: resume drops
+     it, restores every complete record and re-executes the rest. *)
+  let path = tmp "kit_test_pool_torn_ckpt" in
+  if Sys.file_exists path then Sys.remove path;
+  let cfg =
+    { test_config with Pool.checkpoint_path = Some path; checkpoint_every = 1 }
+  in
+  let total = List.length (run_pool ~cfg ()).Pool.results in
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  let resume_from contents =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc contents);
+    let o = run_pool ~cfg ~resume:true () in
+    check_bool "resumed outcome equals the crash-free run" true
+      (pool_fps o = Lazy.force reference);
+    o.Pool.stats.Pool.resumed
+  in
+  check_int "a garbage tail loses nothing" total (resume_from (full ^ "torn"));
+  let cut = resume_from (String.sub full 0 (String.length full / 2)) in
+  check_bool "a cut log restores a strict prefix" true (cut > 0 && cut < total);
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "jobqueue merge order is submit order" `Quick
@@ -997,4 +1020,6 @@ let suite =
       test_sched_admission;
     Alcotest.test_case "fully-restored pool resume reports its count" `Quick
       test_pool_resume_all_restored;
+    Alcotest.test_case "pool resume drops a torn tail, re-runs the rest"
+      `Quick test_pool_resume_torn_tail;
   ]
