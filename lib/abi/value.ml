@@ -24,4 +24,8 @@ let pp ppf = function
   | Str s -> Fmt.pf ppf "%S" s
   | Ref i -> Fmt.pf ppf "r%d" i
 
-let to_string v = Fmt.str "%a" pp v
+(* [pp]'s bytes without a formatter: [%S] is a quoted [String.escaped]. *)
+let to_string = function
+  | Int n -> string_of_int n
+  | Str s -> "\"" ^ String.escaped s ^ "\""
+  | Ref i -> "r" ^ string_of_int i

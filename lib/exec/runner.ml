@@ -25,9 +25,9 @@
    schedules that order every conflicting access pair (both programs
    touch the address, at least one writes) the same way are equivalent,
    so only the first seed of each class runs. The abstract replay
-   ([Sched.simulate]) is driven by the same decision function as the
-   real driver, so it is exact whenever interference does not change a
-   program's access count.
+   ([Sched.walk]) is driven by the same decision function as the real
+   driver, so it orders accesses exactly as execution does whenever
+   interference does not change a program's access count.
 
    Three memo caches cut the execution count, all size-capped with LRU
    eviction (lookups refresh recency, so hot entries survive large
@@ -52,8 +52,10 @@
      namespace ids differ), hence the wider key. Note what is *not*
      keyed by schedule: solo artifacts (baseline, mask, accesses) are
      schedule-independent because a solo run has exactly one task, and
-     per-(receiver, schedule) traces are never cached because each
-     schedule class representative executes exactly once per case.
+     per-(receiver, schedule) traces are never cached across cases
+     because each schedule class representative executes exactly once
+     per case. Within one case's search, the judgement of each distinct
+     receiver result is computed once (see [search_schedules]).
 
    Execution and cache counters live in the observability plane's
    metrics registry ("exec.executions", "exec.mask_hits",
@@ -78,6 +80,8 @@ module Compare = Kit_trace.Compare
 module Nondet = Kit_trace.Nondet
 module Obs = Kit_obs.Obs
 module Metrics = Kit_obs.Metrics
+module Fnv = Kit_compact.Fnv
+module Keytab = Kit_compact.Keytab
 
 type t = {
   env : Env.t;
@@ -154,12 +158,14 @@ let run_pair t ~base sender receiver =
   Decode.decode_trace results
 
 (* Interleaved execution A: sender and receiver run as two schedulable
-   tasks; [Kernel.Sched] transfers control at every instrumented memory
+   tasks; [Kernel.Sched] takes a decision at every instrumented memory
    access, picking the next task as a pure function of the schedule.
    [Sched.Sequential] always picks the sender first and reproduces
    [run_pair] byte-for-byte. A panic or fuel exhaustion in either task
-   unwinds both and re-raises, matching the sequential crash paths. *)
-let run_interleaved t ~schedule ~base sender receiver =
+   unwinds both and re-raises, matching the sequential crash paths.
+   [interleave] returns the receiver's raw results, which schedule
+   search judges before decoding. *)
+let interleave t ~schedule ~base sender receiver =
   Env.reset t.env ~base;
   Metrics.inc t.c_execs;
   let k = t.env.Env.kernel in
@@ -174,7 +180,10 @@ let run_interleaved t ~schedule ~base sender receiver =
     ]
   in
   let _decisions : int = Sched.run ~schedule k.State.ctx tasks in
-  Decode.decode_trace !results
+  !results
+
+let run_interleaved t ~schedule ~base sender receiver =
+  Decode.decode_trace (interleave t ~schedule ~base sender receiver)
 
 (* The solo instrumented access sequence of a program run in container
    [pid] — the raw material of partial-order reduction. Captured with a
@@ -208,61 +217,77 @@ let solo_accesses t ~pid prog =
 
 (* Partial-order reduction over candidate seeds 0..schedules-1. A
    conflict address is one both programs touch with at least one write;
-   a schedule's class key is its simulated merged access order projected
-   onto conflict addresses. Schedules with equal keys order every
-   conflicting pair identically, so their executions coincide (exact up
-   to interference changing a task's access count — measured by the POR
-   soundness property in the test suite). The key is also compared
-   against the all-sender-first order: classes equivalent to it are
-   already covered by the sequential phase and never execute. *)
+   a schedule's class key is its merged access order ([Sched.walk])
+   projected onto conflict addresses, each access coded as
+   (addr * 4) + (task * 2) + is_write. Schedules with equal keys order
+   every conflicting pair identically, so their executions coincide up
+   to what POR cannot see: interference changing a task's access count,
+   or a virtual-clock value (see DESIGN §15 for the contract). The key
+   is also compared against the all-sender-first order: classes
+   equivalent to it are already covered by the sequential phase and
+   never execute. *)
 type sched_class = {
   cls_seeds : int list;        (* member seeds, ascending; head = representative *)
   cls_sequential : bool;       (* equivalent to the sequential order *)
 }
 
+(* Each access's key code, or -1 off conflict addresses: computed once
+   per case, so a walk only indexes. *)
+let conflict_codes sa ra =
+  let written accesses =                (* addr -> written at least once *)
+    let tbl = Hashtbl.create 16 in
+    Array.iter
+      (fun (addr, w) ->
+        Hashtbl.replace tbl addr (w || Hashtbl.find_opt tbl addr = Some true))
+      accesses;
+    tbl
+  in
+  let sw = written sa and rw = written ra in
+  let conflicting addr =
+    match Hashtbl.find_opt sw addr, Hashtbl.find_opt rw addr with
+    | Some ws, Some wr -> ws || wr
+    | _ -> false
+  in
+  let codes task =
+    Array.map (fun (addr, w) ->
+        if conflicting addr then (addr * 4) + (task * 2) + Bool.to_int w else -1)
+  in
+  (codes 0 sa, codes 1 ra)
+
 let schedule_classes t ~schedules ~sender ~receiver =
   let sa = solo_accesses t ~pid:t.env.Env.sender_pid sender in
   let ra = solo_accesses t ~pid:t.env.Env.receiver_pid receiver in
-  let conflict = Hashtbl.create 16 in
-  let mark tbl (addr, w) =
-    let r, wr = Option.value ~default:(false, false) (Hashtbl.find_opt tbl addr) in
-    Hashtbl.replace tbl addr (r || not w, wr || w)
-  in
-  let sides = Hashtbl.create 16 and rsides = Hashtbl.create 16 in
-  Array.iter (mark sides) sa;
-  Array.iter (mark rsides) ra;
-  Hashtbl.iter
-    (fun addr (sr, sw) ->
-      match Hashtbl.find_opt rsides addr with
-      | Some (rr, rw) when (sw && (rr || rw)) || (rw && (sr || sw)) ->
-        Hashtbl.replace conflict addr ()
-      | _ -> ())
-    sides;
+  let scodes, rcodes = conflict_codes sa ra in
   let counts = [| Array.length sa; Array.length ra |] in
-  let key_of schedule =
-    List.filter_map
-      (fun (task, i) ->
-        let addr, w = if task = 0 then sa.(i) else ra.(i) in
-        if Hashtbl.mem conflict addr then
-          Some ((addr * 4) + (task * 2) + Bool.to_int w)
-        else None)
-      (Sched.simulate schedule counts)
+  (* Every schedule visits every access once, so all keys have the same
+     length; [key_of] writes the key into [scratch] and returns its FNV
+     hash, folded in on the way. *)
+  let conflicts codes =
+    Array.fold_left (fun n c -> if c >= 0 then n + 1 else n) 0 codes
   in
-  let seq_key = key_of Sched.Sequential in
-  let classes = Hashtbl.create 16 in
-  let order = ref [] in
+  let scratch = Array.make (conflicts scodes + conflicts rcodes) 0 in
+  let key_of schedule =
+    let len = ref 0 and h = ref Fnv.init in
+    Sched.walk schedule counts (fun task i ->
+        let c = if task = 0 then scodes.(i) else rcodes.(i) in
+        if c >= 0 then begin
+          scratch.(!len) <- c;
+          incr len;
+          h := Fnv.int !h c
+        end);
+    Fnv.to_int !h
+  in
+  let seq_hash = key_of Sched.Sequential in
+  let seq_key = Array.copy scratch in
+  let keys = Keytab.create 64 in
+  let members = Array.make (max 0 schedules) [] in (* id -> seeds, descending *)
   for s = 0 to schedules - 1 do
-    let k = key_of (Sched.Seeded s) in
-    match Hashtbl.find_opt classes k with
-    | Some seeds -> Hashtbl.replace classes k (s :: seeds)
-    | None ->
-      Hashtbl.replace classes k [ s ];
-      order := k :: !order
+    let id = Keytab.id keys ~hash:(key_of (Sched.Seeded s)) scratch in
+    members.(id) <- s :: members.(id)
   done;
-  List.rev !order
-  |> List.map (fun k ->
-         { cls_seeds = List.rev (Hashtbl.find classes k);
-           cls_sequential = k = seq_key })
+  let seq_id = Keytab.find keys ~hash:seq_hash seq_key in
+  List.init (Keytab.length keys) (fun id ->
+      { cls_seeds = List.rev members.(id); cls_sequential = seq_id = Some id })
 
 (* The receiver's solo trace from the pristine snapshot at the reference
    clock base — execution B, and the mask's reference run. Memoized per
@@ -375,7 +400,14 @@ let empty_search =
    representative that panics or hangs is counted and skipped — a
    schedule-dependent crash is interesting but is not a functional
    interference report, and must not quarantine a test case that runs
-   fine sequentially. *)
+   fine sequentially.
+
+   Representatives mostly reproduce a handful of receiver results, and
+   everything after execution is a pure function of those results and
+   the case: [judge] decodes, diffs and masks each distinct result
+   (structural equality, never a hash) once per case. The first trace
+   with a fingerprint stays the finding's trace, since a result's first
+   occurrence is the first class that can produce its fingerprint. *)
 let search_schedules t ~schedules ~sender ~receiver (seq : outcome) =
   if schedules <= 1 then empty_search
   else
@@ -385,6 +417,33 @@ let search_schedules t ~schedules ~sender ~receiver (seq : outcome) =
       { empty_search with sr_schedules = schedules; sr_skipped = 1 }
     | classes ->
       let seq_fp = Compare.fingerprint_diffs seq.masked_diffs in
+      let masked_b =
+        lazy
+          (let mask = nondet_mask t receiver in
+           (mask, Nondet.apply_mask mask seq.trace_b))
+      in
+      (* Some (fingerprint, masked diffs, trace) for a concurrent-only
+         divergence, None otherwise *)
+      let judged = Hashtbl.create 8 in
+      let judge results =
+        match Hashtbl.find_opt judged results with
+        | Some verdict -> verdict
+        | None ->
+          let trace = Decode.decode_trace results in
+          let verdict =
+            if Compare.diff_trees trace seq.trace_b = [] then None
+            else
+              let mask, masked_b = Lazy.force masked_b in
+              let masked = Nondet.apply_mask mask trace in
+              match Compare.diff_trees masked masked_b with
+              | [] -> None
+              | diffs ->
+                let fp = Compare.fingerprint_diffs diffs in
+                if fp = seq_fp then None else Some (fp, diffs, trace)
+          in
+          Hashtbl.replace judged results verdict;
+          verdict
+      in
       let executed = ref 0 and skipped = ref 0 in
       let findings = ref [] in      (* (fingerprint, concurrent), first-seen *)
       List.iter
@@ -392,37 +451,29 @@ let search_schedules t ~schedules ~sender ~receiver (seq : outcome) =
           if not cls.cls_sequential then begin
             incr executed;
             match
-              run_interleaved t
+              interleave t
                 ~schedule:(Sched.Seeded (List.hd cls.cls_seeds))
                 ~base:t.env.Env.base0 sender receiver
             with
             | exception (Fault.Kernel_panic _ | Fault.Fuel_exhausted) ->
               incr skipped
-            | trace_i ->
-              let raw = Compare.diff_trees trace_i seq.trace_b in
-              if raw <> [] then begin
-                let mask = nondet_mask t receiver in
-                let masked_i = Nondet.apply_mask mask trace_i in
-                let masked_b = Nondet.apply_mask mask seq.trace_b in
-                let diffs = Compare.diff_trees masked_i masked_b in
-                if diffs <> [] then begin
-                  let fp = Compare.fingerprint_diffs diffs in
-                  if fp <> seq_fp then
-                    match List.assoc_opt fp !findings with
-                    | Some c ->
-                      findings :=
-                        (fp, { c with cc_seeds = c.cc_seeds @ cls.cls_seeds })
-                        :: List.remove_assoc fp !findings
-                    | None ->
-                      findings :=
-                        ( fp,
-                          { cc_seeds = cls.cls_seeds; cc_fingerprint = fp;
-                            cc_diffs = diffs;
-                            cc_interfered = Compare.interfered_of_diffs diffs;
-                            cc_trace = trace_i } )
-                        :: !findings
-                end
-              end
+            | results -> (
+              match judge results with
+              | None -> ()
+              | Some (fp, diffs, trace) -> (
+                match List.assoc_opt fp !findings with
+                | Some c ->
+                  findings :=
+                    (fp, { c with cc_seeds = c.cc_seeds @ cls.cls_seeds })
+                    :: List.remove_assoc fp !findings
+                | None ->
+                  findings :=
+                    ( fp,
+                      { cc_seeds = cls.cls_seeds; cc_fingerprint = fp;
+                        cc_diffs = diffs;
+                        cc_interfered = Compare.interfered_of_diffs diffs;
+                        cc_trace = trace } )
+                    :: !findings))
           end)
         classes;
       let sr_findings =

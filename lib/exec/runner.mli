@@ -99,9 +99,11 @@ val schedule_classes :
   t -> schedules:int ->
   sender:Kit_abi.Program.t -> receiver:Kit_abi.Program.t -> sched_class list
 (** Partition candidate seeds [0..schedules-1] into partial-order
-    equivalence classes: seeds whose simulated merged access order,
-    projected onto conflict addresses (both programs touch, at least
-    one writes), is identical. First-seen order. *)
+    equivalence classes: seeds whose merged access order
+    ([Sched.walk]), projected onto conflict addresses (both programs
+    touch, at least one writes), is identical. First-seen order. Class
+    identity is the exact projected order; its FNV hash only picks a
+    bucket. *)
 
 val baseline_trace : t -> Kit_abi.Program.t -> Kit_trace.Ast.t
 (** The receiver's solo trace from the pristine snapshot at the
@@ -162,9 +164,12 @@ val search_schedules :
     one interleaved execution per non-sequential class, divergences
     fingerprinted and deduplicated, findings matching the sequential
     outcome's fingerprint dropped (same root cause, already reported).
-    Representatives that panic or hang are counted in [sr_skipped], not
-    quarantined. Never raises on panic/fuel; [Fault.Snapshot_corrupt]
-    still escapes (the supervisor's job). *)
+    Each distinct raw receiver result (structural equality) is decoded,
+    diffed and masked once per case; the first trace with a fingerprint
+    is the finding's trace. Representatives that panic or hang are
+    counted in [sr_skipped], not quarantined. Never raises on
+    panic/fuel; [Fault.Snapshot_corrupt] still escapes (the
+    supervisor's job). *)
 
 (** Failure-aware execution result: executors die in the real system
     (kernel panics, runaway programs killed by the fuel deadline), so an

@@ -18,6 +18,8 @@ let emit t ev =
   | None -> ()
   | Some f -> if not t.in_irq then f ev
 
+let tracing t = match t.sink with None -> false | Some _ -> not t.in_irq
+
 let with_sink t sink f =
   let saved = t.sink in
   t.sink <- Some sink;

@@ -18,6 +18,11 @@ val emit : t -> Kevent.t -> unit
 (** Deliver an event to the sink, unless tracing is off or the context
     is in interrupt context. *)
 
+val tracing : t -> bool
+(** Whether {!emit} would deliver an event now: a sink is installed and
+    the context is not in interrupt context. Hot paths test it to skip
+    building events nobody receives. *)
+
 val with_sink : t -> (Kevent.t -> unit) -> (unit -> 'a) -> 'a
 (** Run a computation with a profiling sink installed; the previous sink
     is restored afterwards, exceptions included. *)

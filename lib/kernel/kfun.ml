@@ -28,13 +28,24 @@ let name id =
 
 let id_of_name n = Hashtbl.find_opt ids n
 
+(* Events are built only when a sink will receive them. The stack is
+   popped on return and on exceptions, which are re-raised with their
+   backtrace — including the [Sched.Aborted] that unwinds a suspended
+   task. *)
+let pop ctx fn =
+  (match ctx.Ctx.stack with
+  | _ :: rest -> ctx.Ctx.stack <- rest
+  | [] -> ());
+  if Ctx.tracing ctx then Ctx.emit ctx (Kevent.Fn_exit fn)
+
 let call ctx fn f =
-  Ctx.emit ctx (Kevent.Fn_enter fn);
+  if Ctx.tracing ctx then Ctx.emit ctx (Kevent.Fn_enter fn);
   ctx.Ctx.stack <- fn :: ctx.Ctx.stack;
-  let pop () =
-    (match ctx.Ctx.stack with
-    | _ :: rest -> ctx.Ctx.stack <- rest
-    | [] -> ());
-    Ctx.emit ctx (Kevent.Fn_exit fn)
-  in
-  Fun.protect ~finally:pop f
+  match f () with
+  | v ->
+    pop ctx fn;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    pop ctx fn;
+    Printexc.raise_with_backtrace e bt

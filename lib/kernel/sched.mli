@@ -17,8 +17,7 @@ type schedule =
 
 exception Aborted
 (** Raised into suspended tasks when a sibling task crashes, so their
-    [Fun.protect] finalizers (ctx stack pops) run. Never escapes
-    {!run}. *)
+    [Kfun.call] handlers (ctx stack pops) run. Never escapes {!run}. *)
 
 val pp_schedule : Format.formatter -> schedule -> unit
 
@@ -27,21 +26,31 @@ val mix : seed:int -> step:int -> int
 
 val choose : schedule -> step:int -> runnable:int list -> int
 (** Pick the next task among [runnable] (sorted ascending, non-empty).
-    Shared by {!run} and {!simulate} so the abstract replay matches the
-    real driver decision-for-decision. *)
+    {!run}, {!walk} and [choose] apply one decision rule, so the
+    abstract replay matches the real driver decision for decision. *)
 
 val run : ?schedule:schedule -> Ctx.t -> (unit -> unit) list -> int
 (** [run ~schedule ctx thunks] executes the thunks to completion as
     cooperatively scheduled tasks, installing the yield hook on [ctx]
-    for the duration. Returns the number of scheduling decisions taken.
+    for the duration. Returns the number of scheduling decisions taken:
+    one per yield point, one at the start and one after each task but
+    the last finishes. The hook decides in place and suspends the
+    running task only when the decision picks another one; no decision
+    allocates.
     If a task raises (kernel panic, fuel exhaustion), all other tasks
     are unwound via {!Aborted} and the original exception is re-raised
     — mirroring the sequential runner's crash behaviour. *)
 
-val simulate : schedule -> int array -> (int * int) list
-(** [simulate schedule counts] replays the driver's decision procedure
+val walk : schedule -> int array -> (int -> int -> unit) -> unit
+(** [walk schedule counts f] replays the driver's decision procedure
     abstractly: task [i] has [counts.(i)] accesses, hence
-    [counts.(i) + 1] resume segments. Returns the merged access order
-    as [(task, access_index)] pairs. This is exact whenever each task
+    [counts.(i) + 1] resume segments. It calls [f task access_index]
+    for every access in the merged order the schedule induces, and
+    allocates nothing per step. This is exact whenever each task
     performs the same accesses as in its solo profile; schedule search
-    uses it to prune equivalent seeds before executing anything. *)
+    builds its class keys on it to prune equivalent seeds before
+    executing anything. *)
+
+val simulate : schedule -> int array -> (int * int) list
+(** The merged access order of {!walk} as [(task, access_index)]
+    pairs. *)

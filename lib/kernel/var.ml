@@ -38,14 +38,18 @@ let instrumented t = t.instrumented
    [Ctx.yield] fires before the event is emitted, so a suspended task
    resumes exactly at the access it was about to perform. Keeping yield
    behind the same [instrumented] guard (and [Ctx.yield]'s in_irq guard)
-   means the set of yield points equals the set of profiled accesses. *)
+   means the set of yield points equals the set of profiled accesses.
+   The event is built only when a sink will receive it: test execution
+   runs without one and allocates nothing here. *)
 let trace ctx t rw =
   if t.instrumented then begin
     Ctx.yield ctx;
-    let fn = Ctx.innermost ctx in
-    let caller = Ctx.caller ctx in
-    let ip = Kevent.ip_of ~fn ~caller ~addr:t.addr ~rw in
-    Ctx.emit ctx (Kevent.Mem { addr = t.addr; width = t.width; rw; ip })
+    if Ctx.tracing ctx then begin
+      let fn = Ctx.innermost ctx in
+      let caller = Ctx.caller ctx in
+      let ip = Kevent.ip_of ~fn ~caller ~addr:t.addr ~rw in
+      Ctx.emit ctx (Kevent.Mem { addr = t.addr; width = t.width; rw; ip })
+    end
   end
 
 let read ctx t =

@@ -6,8 +6,8 @@
 
    Decoding feeds the packed AST constructors directly: labels and
    values are hash-consed as the nodes are built, and the recurring
-   positional labels ("lineN", "argN") and small numeric values come
-   from preallocated tables instead of a fresh Printf per node. *)
+   labels ("callN:sysno", "lineN", "argN") and small numeric values
+   come from preallocated tables instead of a fresh Printf per node. *)
 
 module Program = Kit_abi.Program
 module Value = Kit_abi.Value
@@ -28,6 +28,22 @@ let positional prefix =
 
 let line_label = positional "line"
 let arg_label = positional "arg"
+
+(* "call<index>:<sysno>" for every sysno at indices below 64. *)
+let call_labels =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun sysno ->
+      Hashtbl.replace tbl sysno
+        (Array.init 64 (fun i ->
+             Printf.sprintf "call%d:%s" i (Sysno.to_string sysno))))
+    Sysno.all;
+  tbl
+
+let call_label index sysno =
+  if index >= 0 && index < 64 then
+    Array.unsafe_get (Hashtbl.find call_labels sysno) index
+  else Printf.sprintf "call%d:%s" index (Sysno.to_string sysno)
 
 let int_value = Intern.string_of_small_int
 
@@ -65,8 +81,7 @@ let decode_result (r : Interp.result) =
         | None -> "0"
         | Some e -> Errno.to_string e) ]
   in
-  Ast.node
-    (Printf.sprintf "call%d:%s" r.Interp.index (Sysno.to_string call.Program.sysno))
+  Ast.node (call_label r.Interp.index call.Program.sysno)
     (decode_args call.Program.args @ base @ decode_payload ret.Sysret.out)
 
 (* A whole receiver execution as a single trace tree. *)

@@ -4,6 +4,10 @@
     buffers one child per field, so divergence is localised to the
     smallest result component. *)
 
+val call_label : int -> Kit_abi.Sysno.t -> string
+(** [call_label index sysno] is ["call<index>:<name>"], from a table
+    built once for indices below 64. *)
+
 val decode_result : Kit_kernel.Interp.result -> Ast.t
 (** One call result as a ["callN:name"] node with argument, ret, errno
     and payload children. *)

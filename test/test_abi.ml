@@ -46,6 +46,26 @@ let test_value_print () =
   check_string "int" "7" (Value.to_string (Value.Int 7));
   check_string "str" "\"x\"" (Value.to_string (Value.Str "x"))
 
+(* [to_string] writes [pp]'s bytes without a formatter: every shape,
+   both int extremes, and strings of arbitrary bytes — quotes,
+   backslashes, control bytes and bytes >= 0x80. *)
+let gen_value =
+  let open QCheck.Gen in
+  let int_ = oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] in
+  let awkward =
+    oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\127'; '\128'; '\255'; 'a' ]
+  in
+  oneof
+    [ map (fun n -> Value.Int n) int_;
+      map (fun i -> Value.Ref i) int_;
+      map (fun s -> Value.Str s) (string_size ~gen:char (int_bound 40));
+      map (fun s -> Value.Str s) (string_size ~gen:awkward (int_bound 12)) ]
+
+let prop_value_to_string_matches_pp =
+  QCheck.Test.make ~name:"value: to_string = pp, byte for byte" ~count:1000
+    (QCheck.make ~print:(Fmt.str "%a" Value.pp) gen_value)
+    (fun v -> Value.to_string v = Fmt.str "%a" Value.pp v)
+
 (* --- Fdtype ------------------------------------------------------------ *)
 
 let test_fdtype_of_domain () =
@@ -305,6 +325,7 @@ let suite =
     Alcotest.test_case "sysno: names unique" `Quick test_sysno_names_unique;
     Alcotest.test_case "value: equality" `Quick test_value_equal;
     Alcotest.test_case "value: printing" `Quick test_value_print;
+    QCheck_alcotest.to_alcotest prop_value_to_string_matches_pp;
     Alcotest.test_case "fdtype: of_socket_domain" `Quick test_fdtype_of_domain;
     Alcotest.test_case "fdtype: of_path" `Quick test_fdtype_of_path;
     Alcotest.test_case "fdtype: names unique" `Quick test_fdtype_names_unique;

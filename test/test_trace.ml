@@ -245,9 +245,25 @@ let prop_apply_mask_only_clears =
       let masked = Nondet.apply_mask mask t in
       all_det_implied masked t)
 
+(* --- Decode labels ------------------------------------------------------ *)
+
+let test_call_labels () =
+  List.iter
+    (fun sysno ->
+      List.iter
+        (fun i ->
+          let expected =
+            Printf.sprintf "call%d:%s" i (Kit_abi.Sysno.to_string sysno)
+          in
+          check Alcotest.string expected expected (Decode.call_label i sysno))
+        [ 0; 63; 64; 200 ])
+    Kit_abi.Sysno.all
+
 let suite =
   [
     Alcotest.test_case "ast: size and counts" `Quick test_ast_size;
+    Alcotest.test_case "decode: tabled call labels = Printf" `Quick
+      test_call_labels;
     Alcotest.test_case "ast: equality" `Quick test_ast_equal;
     Alcotest.test_case "compare: identical trees" `Quick test_compare_identical;
     Alcotest.test_case "compare: value mismatch" `Quick
