@@ -1,5 +1,5 @@
-(* Peak and current resident-set gauges from /proc/self/status, so the
-   bench JSON can track memory wins alongside throughput. Returns 0 on
+(* Peak and current resident-set gauges from /proc/self/status, so
+   kitbench can track memory wins alongside throughput. Returns 0 on
    platforms without procfs rather than failing — the gauge is
    best-effort telemetry, never load-bearing. *)
 

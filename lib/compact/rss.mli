@@ -1,4 +1,4 @@
-(** Resident-set gauges from [/proc/self/status], for the bench JSON.
+(** Resident-set gauges from [/proc/self/status], for kitbench.
     Best-effort: both return 0 where procfs is unavailable. *)
 
 val peak_kb : unit -> int

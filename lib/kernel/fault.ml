@@ -202,20 +202,29 @@ let mix state =
      can still land in the native sign bit — mask it off. *)
   Int64.to_int (Int64.logxor !z (Int64.shift_right_logical !z 31)) land max_int
 
+(* A boot that fails more often than the supervisor's reboot budget (8
+   by default) gives up, so boot draws are clamped to that total and a
+   boot draw with nothing left is dropped. Clamping consumes no extra
+   draws: every other arming is the one the seed would give anyway. *)
+let max_boot_failures = 8
+
 let schedule_of_seed ~seed ~intensity =
   let state = ref (Int64.of_int (seed lxor 0x6b17)) in
   let pick n = mix state mod max 1 n in
   let sysnos = Array.of_list Sysno.all in
+  let boots = ref 0 in
   List.init (max 0 intensity) (fun _ ->
       let k = 1 + pick 3 in
-      let fault =
-        match pick 100 with
-        | r when r < 40 -> Panic_on sysnos.(pick (Array.length sysnos))
-        | r when r < 70 -> Hang_on sysnos.(pick (Array.length sysnos))
-        | r when r < 85 -> Boot_failure
-        | _ -> Snapshot_corruption
-      in
-      { fault; persistence = Transient k })
+      let arm fault k = Some { fault; persistence = Transient k } in
+      match pick 100 with
+      | r when r < 40 -> arm (Panic_on sysnos.(pick (Array.length sysnos))) k
+      | r when r < 70 -> arm (Hang_on sysnos.(pick (Array.length sysnos))) k
+      | r when r < 85 ->
+        let k = min k (max_boot_failures - !boots) in
+        boots := !boots + k;
+        if k > 0 then arm Boot_failure k else None
+      | _ -> arm Snapshot_corruption k)
+  |> List.filter_map Fun.id
 
 let transient_only sched =
   List.for_all

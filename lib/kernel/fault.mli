@@ -62,7 +62,11 @@ val schedule_of_seed : seed:int -> intensity:int -> schedule
     panics and hangs on corpus-exercised syscalls, boot failures and
     snapshot corruptions, with occurrence counts in 1..3. Never emits
     permanent faults, so a supervisor with enough retries always
-    recovers. *)
+    recovers. Boot-failure counts are capped at 8 in total — the
+    supervisor's default [max_reboots] — because a boot that keeps
+    failing past the reboot budget gives up: the draw that would cross
+    the cap is clamped, and a boot draw after it is dropped, so the
+    schedule can hold fewer than [intensity] armings. *)
 
 val transient_only : schedule -> bool
 

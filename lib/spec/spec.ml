@@ -51,8 +51,8 @@ let default =
   }
 
 (* A specification refined by dropping Procfs_misc — what a user would do
-   after triaging the /proc/crypto false positives. Used by the ablation
-   benchmarks. *)
+   after triaging the /proc/crypto false positives. Used by the section
+   6.4 ablation of [kit tables]. *)
 let refined =
   {
     default with

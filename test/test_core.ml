@@ -276,6 +276,148 @@ let test_performance_renders () =
   let c = Lazy.force small_campaign in
   check_bool "non-empty" true (String.length (Tables.performance c) > 0)
 
+(* --- Paper shape at corpus 320 ------------------------------------------------
+
+   Table 4's ratios and the three ablations, read through the [Tables]
+   rows at three seeds. Corpus 320 because at 96, RAND under jump labels
+   reaches no flow-label bug at seeds 7, 11, 3 or 1. *)
+
+let shape_options seed =
+  { Campaign.default_options with Campaign.seed; corpus_size = 320 }
+
+let shape_seeds = [ 7; 11; 3 ]
+
+let per_seed f = List.map (fun seed -> (seed, lazy (f seed))) shape_seeds
+
+let table4_by_seed =
+  per_seed (fun seed ->
+      let rows, _, _ = Tables.table4 (Campaign.prepare (shape_options seed)) in
+      rows)
+
+let jump_label_by_seed =
+  per_seed (fun seed -> fst (Tables.jump_label (shape_options seed)))
+
+let spec_by_seed =
+  per_seed (fun seed -> fst (Tables.spec_refinement (shape_options seed)))
+
+let each_seed table f =
+  List.iter
+    (fun (seed, rows) -> f (Printf.sprintf "seed %d" seed) (Lazy.force rows))
+    table
+
+let table4_rows what rows =
+  match rows with
+  | [ ia; st1; st2; rand; df ] -> (ia, st1, st2, rand, df)
+  | _ -> Alcotest.failf "%s: Table 4 has five rows" what
+
+let check_within what lo hi x =
+  if not (x >= lo && x <= hi) then
+    Alcotest.failf "%s: %.2f outside [%.2f, %.2f]" what x lo hi
+
+(* The paper's ratios are 2.9 and 2.0; each must hold within 20%. *)
+let test_table4_ratios () =
+  each_seed table4_by_seed (fun what rows ->
+      let ia, st1, st2, _, _ = table4_rows what rows in
+      let ratio (a : Tables.strategy_row) (b : Tables.strategy_row) =
+        float_of_int a.Tables.test_cases /. float_of_int b.Tables.test_cases
+      in
+      check_within (what ^ " DF-ST-1/DF-IA") 2.32 3.48 (ratio st1 ia);
+      check_within (what ^ " DF-ST-2/DF-ST-1") 1.6 2.4 (ratio st2 st1))
+
+let test_table4_bug_counts () =
+  each_seed table4_by_seed (fun what rows ->
+      let ia, st1, st2, rand, df = table4_rows what rows in
+      let found (r : Tables.strategy_row) = List.length r.Tables.bugs_found in
+      check_int (what ^ " DF-IA 9/9") 9 (found ia);
+      check_int (what ^ " DF-ST-1 9/9") 9 (found st1);
+      check_int (what ^ " DF-ST-2 9/9") 9 (found st2);
+      check_bool (what ^ " RAND finds fewer") true (found rand < 9);
+      check_int (what ^ " RAND budget is 1.3x DF-ST-2")
+        (max 32 (st2.Tables.test_cases * 13 / 10))
+        rand.Tables.test_cases;
+      check_bool (what ^ " DF is at least 100x DF-IA") true
+        (df.Tables.test_cases >= 100 * ia.Tables.test_cases))
+
+let is_flow_label b =
+  K.Bugs.equal b K.Bugs.B2_flowlabel_send
+  || K.Bugs.equal b K.Bugs.B4_flowlabel_connect
+
+let test_jump_label_ablation () =
+  each_seed jump_label_by_seed (fun what rows ->
+      match rows with
+      | [ ia; rand ] ->
+        check
+          (Alcotest.list Alcotest.string)
+          (what ^ " DF-IA misses exactly #2 and #4")
+          [ "bug#2-flowlabel-send"; "bug#4-flowlabel-connect" ]
+          (List.map K.Bugs.to_string
+             (List.filter
+                (fun b ->
+                  not (List.exists (K.Bugs.equal b) ia.Tables.bugs_found))
+                K.Bugs.new_bugs));
+        check_int (what ^ " RAND budget is 4x the corpus") 1280
+          rand.Tables.test_cases;
+        check_bool (what ^ " RAND finds a flow-label bug") true
+          (List.exists is_flow_label rand.Tables.bugs_found)
+      | _ -> Alcotest.failf "%s: two rows" what)
+
+let test_spec_refinement_ablation () =
+  each_seed spec_by_seed (fun what classes ->
+      let bugs =
+        List.filter
+          (fun (c : Tables.report_class) ->
+            String.starts_with ~prefix:"bug#" c.Tables.attribution)
+          classes
+      in
+      check_int (what ^ " 9/9 bugs")
+        9
+        (List.length
+           (List.sort_uniq compare
+              (List.map (fun c -> c.Tables.attribution) bugs)));
+      let total get = List.fold_left (fun acc c -> acc + get c) 0 classes in
+      check_int (what ^ " default reports") 35
+        (total (fun c -> c.Tables.default_reports));
+      check_int (what ^ " refined reports") 31
+        (total (fun c -> c.Tables.refined_reports));
+      let row (c : Tables.report_class) =
+        Printf.sprintf "%s %s %d->%d" c.Tables.attribution c.Tables.receiver
+          c.Tables.default_reports c.Tables.refined_reports
+      in
+      (* Every other class, each bug's included, keeps its count. *)
+      let changed =
+        List.filter
+          (fun c -> c.Tables.default_reports <> c.Tables.refined_reports)
+          classes
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (what ^ " only the /proc/crypto and /proc/slabinfo reports go")
+        [ "FP:crypto read[/proc/crypto] 2->0"; "UI read[/proc/slabinfo] 2->0" ]
+        (List.map row changed);
+      let kept =
+        List.filter
+          (fun c ->
+            List.mem c.Tables.receiver [ "af_alg_bind[AF_ALG]"; "msgget" ])
+          classes
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (what ^ " the af_alg_bind and msgget reports stay")
+        [ "FP:crypto af_alg_bind[AF_ALG] 2->2"; "UI msgget 9->9" ]
+        (List.map row kept))
+
+(* test_ext pins the behaviour; this checks the row reports it. *)
+let test_bounds_ablation () =
+  match fst (Tables.bounds ()) with
+  | [ buggy; fixed ] ->
+    check Alcotest.string "buggy kernel" "5.13" buggy.Tables.kernel;
+    check_bool "raw divergence" true (buggy.Tables.raw_diffs > 0);
+    check_int "masked away" 0 buggy.Tables.masked_diffs;
+    check_bool "bounds detector flags it" true (buggy.Tables.violations > 0);
+    check Alcotest.string "control kernel" "fixed" fixed.Tables.kernel;
+    check_int "fixed kernel clean" 0 fixed.Tables.violations
+  | _ -> Alcotest.fail "two rows"
+
 let suite =
   [
     Alcotest.test_case "oracle: new bugs" `Quick test_oracle_new_bugs;
@@ -314,4 +456,14 @@ let suite =
     Alcotest.test_case "tables: table 5 renders" `Slow test_table5_renders;
     Alcotest.test_case "tables: performance renders" `Slow
       test_performance_renders;
+    Alcotest.test_case "tables: table 4 ratios within 20% of the paper" `Slow
+      test_table4_ratios;
+    Alcotest.test_case "tables: table 4 bug counts and budgets" `Slow
+      test_table4_bug_counts;
+    Alcotest.test_case "ablation: jump labels hide bugs #2 and #4" `Slow
+      test_jump_label_ablation;
+    Alcotest.test_case "ablation: refined spec drops only /proc FPs" `Slow
+      test_spec_refinement_ablation;
+    Alcotest.test_case "ablation: bounds detector row" `Quick
+      test_bounds_ablation;
   ]

@@ -7,6 +7,10 @@
 module Coverage = Kit_obs.Coverage
 module Campaign = Kit_core.Campaign
 module Pool = Kit_serve.Pool
+module Dataflow = Kit_gen.Dataflow
+module Accessmap = Kit_profile.Accessmap
+module Heap = Kit_kernel.Heap
+module Stackrec = Kit_profile.Stackrec
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -184,6 +188,55 @@ let prop_attrition_balanced =
       && c.Campaign.attrition.Campaign.at_reported
          = List.length c.Campaign.reports)
 
+(* --- marking cost -------------------------------------------------------------
+
+   The ledger is always on, so every profiled access pays for a mark.
+   Replay the stream a seed-7, corpus-96 campaign marks: each mark must
+   be one hash lookup and a bit set — at most the 2-word [Some] of the
+   lookup on the minor heap, no per-mark key or string. *)
+let test_marking_cost () =
+  let o = Campaign.default_options in
+  let spec = o.Campaign.spec in
+  let profiles =
+    Dataflow.profile_corpus o.Campaign.config spec
+      (Kit_abi.Corpus.generate ~seed:7 ~size:96)
+  in
+  let map = Dataflow.build_map profiles in
+  let universe =
+    List.filter_map
+      (fun (v : Heap.varinfo) ->
+        if
+          v.Heap.v_instrumented
+          && Kit_spec.Spec.var_protected spec v.Heap.v_name
+        then Some (v.Heap.v_name, v.Heap.v_addr)
+        else None)
+      profiles.Dataflow.vars
+  in
+  let touched =
+    Array.of_list
+      (List.concat_map
+         (List.map (fun (a : Stackrec.access) -> a.Stackrec.addr))
+         (Array.to_list profiles.Dataflow.accesses))
+  and written = Array.of_list (Accessmap.writer_addresses map)
+  and read = Array.of_list (Accessmap.reader_addresses map) in
+  let cov = Coverage.create universe in
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length touched - 1 do
+    Coverage.mark_touched cov ~addr:touched.(i)
+  done;
+  for i = 0 to Array.length written - 1 do
+    Coverage.mark_written cov ~addr:written.(i)
+  done;
+  for i = 0 to Array.length read - 1 do
+    Coverage.mark_read cov ~addr:read.(i)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let marks = Array.length touched + Array.length written + Array.length read in
+  check_bool "the stream pairs some variables" true
+    ((Coverage.summary cov).Coverage.sum_paired > 0);
+  if words > 2.0 *. float_of_int marks then
+    Alcotest.failf "%.0f minor words for %d marks" words marks
+
 let suite =
   [
     Alcotest.test_case "per-var state machine" `Quick test_state_machine;
@@ -203,4 +256,6 @@ let suite =
     Alcotest.test_case "ledger monotone across checkpoint resume" `Quick
       test_ledger_monotone_across_resume;
     QCheck_alcotest.to_alcotest prop_attrition_balanced;
+    Alcotest.test_case "marking costs at most 2 words per mark" `Quick
+      test_marking_cost;
   ]

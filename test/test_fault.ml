@@ -319,6 +319,35 @@ let prop_transient_faults_preserve_results =
       in
       campaign_fingerprint c = campaign_fingerprint (Lazy.force baseline))
 
+(* The property above draws seeds 0..99 at intensities 0..8. Boot
+   failures past the reboot budget cannot be recovered from, so the
+   generator caps them; check every input the property can draw. *)
+let test_seeded_boot_failures_within_budget () =
+  for seed = 0 to 99 do
+    for intensity = 0 to 8 do
+      let boots =
+        List.fold_left
+          (fun acc (a : Fault.arming) ->
+            match (a.Fault.fault, a.Fault.persistence) with
+            | Fault.Boot_failure, Fault.Transient k -> acc + k
+            | _ -> acc)
+          0
+          (Fault.schedule_of_seed ~seed ~intensity)
+      in
+      if boots > Supervisor.default_config.Supervisor.max_reboots then
+        Alcotest.failf "seed %d intensity %d: %d boot failures" seed intensity
+          boots
+    done
+  done
+
+(* Seed 71 draws boot:3 three times by intensity 6, one more boot than
+   the budget before the cap. *)
+let test_capped_boot_schedule_recovers () =
+  let faults = Fault.schedule_of_seed ~seed:71 ~intensity:6 in
+  let c = Campaign.run { small_options with Campaign.faults } in
+  check_bool "same results as fault-free" true
+    (campaign_fingerprint c = campaign_fingerprint (Lazy.force baseline))
+
 let test_permanent_crashers_quarantined_once () =
   let c =
     Campaign.run
@@ -443,6 +472,10 @@ let suite =
     Alcotest.test_case "supervisor gives up on a dead VM" `Quick
       test_supervisor_gives_up_on_dead_vm;
     QCheck_alcotest.to_alcotest prop_transient_faults_preserve_results;
+    Alcotest.test_case "seeded boot failures fit the reboot budget" `Quick
+      test_seeded_boot_failures_within_budget;
+    Alcotest.test_case "capped boot schedule recovers (seed 71)" `Quick
+      test_capped_boot_schedule_recovers;
     Alcotest.test_case "permanent crashers quarantined exactly once" `Quick
       test_permanent_crashers_quarantined_once;
     QCheck_alcotest.to_alcotest prop_chunked_equals_straight;

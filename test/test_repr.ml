@@ -308,6 +308,52 @@ let test_fingerprint_cross_process () =
       check_string "child sees identical fingerprints" parent_view
         child_view)
 
+(* --- counted work ---------------------------------------------------------
+
+   The packed paths must do O(1) (compare) or O(words) (intersection)
+   work with no per-node or per-member allocation. Minor-heap words per
+   call count that work deterministically, where a timing would not. *)
+
+let words_per_call iters f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+(* Two separately built, structurally equal traces (64 calls x 8 result
+   fields): the common case, where run A agrees with run B. The
+   content-hash short-circuit answers at the root; a walk allocates a
+   path cons per node it descends through. *)
+let test_compare_equal_traces_no_alloc () =
+  let mk_trace () =
+    Ast.node "trace"
+      (List.init 64 (fun i ->
+           Ast.node
+             (Printf.sprintf "call%d:open" i)
+             (List.init 8 (fun j ->
+                  Ast.leaf (Printf.sprintf "arg%d" j)
+                    (string_of_int ((i * 8) + j))))))
+  in
+  let ta = mk_trace () and tb = mk_trace () in
+  check_bool "separately built" false (ta == tb);
+  check_int "no diffs" 0 (List.length (Compare.diff_trees ta tb));
+  check_bool "no allocation per compare" true
+    (words_per_call 100 (fun () -> Compare.diff_trees ta tb) < 1.0)
+
+let test_bitset_inter_count_no_alloc () =
+  let of_step step =
+    let b = Bitset.create 0x8000 in
+    for i = 0 to 4095 do
+      Bitset.add b (0x1000 + (step * i))
+    done;
+    b
+  in
+  let w = of_step 3 and r = of_step 5 in
+  check_int "overlap" 820 (Bitset.inter_count w r);
+  check_bool "no allocation per intersection" true
+    (words_per_call 100 (fun () -> Bitset.inter_count w r) < 1.0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -321,4 +367,8 @@ let suite =
       test_fingerprint_shape;
     Alcotest.test_case "fingerprint: identical across processes" `Quick
       test_fingerprint_cross_process;
+    Alcotest.test_case "compare: equal traces cost no allocation" `Quick
+      test_compare_equal_traces_no_alloc;
+    Alcotest.test_case "bitset: inter_count allocates nothing" `Quick
+      test_bitset_inter_count_no_alloc;
   ]
