@@ -32,6 +32,7 @@
      3  internal error *)
 
 module Campaign = Kit_core.Campaign
+module Caselog = Kit_core.Caselog
 module Tables = Kit_core.Tables
 module Oracle = Kit_core.Oracle
 module Known_bugs = Kit_core.Known_bugs
@@ -63,10 +64,16 @@ let exit_reports = 1
 let exit_quarantined = 2
 let exit_internal = 3
 
+(* A --checkpoint file this run will not resume from. *)
+exception Refused of string
+
 (* Run a command body, mapping uncaught exceptions to exit code 3. *)
 let guarded f =
   try f ()
   with
+  | Refused msg ->
+    Fmt.epr "kit: cannot resume: %s@." msg;
+    exit_internal
   | Supervisor.Gave_up msg ->
     Fmt.epr "kit: gave up: %s@." msg;
     exit_internal
@@ -75,7 +82,7 @@ let guarded f =
       "kit: pool aborted: %d unfinished case(s) after %d death(s) and %d \
        respawn(s)%s@."
       (List.length unfinished) stats.Pool.deaths stats.Pool.respawns
-      " (completed shards were checkpointed if --checkpoint was given; \
+      " (completed cases were checkpointed if --checkpoint was given; \
        rerun with --resume)";
     exit_internal
   | Sched.Dead_pool ->
@@ -204,7 +211,10 @@ let checkpoint_arg =
     value
     & opt (some string) None
     & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:"Checkpoint the execute phase to $(docv) as the campaign runs.")
+        ~doc:
+          "Log each executed representative's result to $(docv) as the \
+           campaign runs (one format for every executor); the file is \
+           deleted once the campaign's result is built.")
 
 let checkpoint_every_arg =
   Arg.(
@@ -216,7 +226,10 @@ let resume_arg =
   Arg.(
     value & flag
     & info [ "resume" ]
-        ~doc:"Resume from the --checkpoint file if it exists.")
+        ~doc:
+          "Resume from the --checkpoint file if it exists: its results are \
+           replayed, not re-executed. A file taken under different \
+           campaign options is refused (exit 3) and left alone.")
 
 (* -- observability options ----------------------------------------------- *)
 
@@ -312,8 +325,8 @@ let print_pool_stats ~procs = function
     Fmt.pr "pool: %d procs, %d spawns, %d deaths (%d heartbeat), %d respawns@."
       procs s.Pool.spawns s.Pool.deaths s.Pool.heartbeat_timeouts
       s.Pool.respawns;
-    Fmt.pr "pool: %d resharded, %d stolen, %d poisoned, %d resumed@."
-      s.Pool.resharded s.Pool.stolen s.Pool.poisoned s.Pool.resumed
+    Fmt.pr "pool: %d resharded, %d stolen, %d poisoned@."
+      s.Pool.resharded s.Pool.stolen s.Pool.poisoned
 
 (* Exit code of a finished campaign: quarantined crashers dominate. *)
 let campaign_exit (c : Campaign.t) =
@@ -336,40 +349,38 @@ let print_robustness (c : Campaign.t) =
       c.Campaign.quarantined
   end
 
-(* Run the execute phase chunk by chunk when checkpointing is on, saving
-   the checkpoint file after every chunk. *)
-let run_campaign opts ~checkpoint_file ~checkpoint_every ~resume =
+(* The execute phase of kit campaign and kit coverage: in process
+   (sequential or --domains) or on --procs worker processes, with
+   --checkpoint logging each result as it completes. *)
+let execute_campaign ?obs ?on_stats opts ~procs ~checkpoint_file
+    ~checkpoint_every ~resume =
+  let executor =
+    if procs > 1 then
+      Some (Pool.executor ?obs ?on_stats { Pool.default_config with Pool.procs })
+    else None
+  in
+  let log =
+    Option.map
+      (fun path ->
+        match Caselog.campaign ~resume ~every:checkpoint_every path opts with
+        | Ok log -> (path, log)
+        | Error e -> raise (Refused (Caselog.error_to_string e)))
+      checkpoint_file
+  in
   let prepared = Campaign.prepare opts in
-  match checkpoint_file with
-  | None -> Campaign.execute_prepared prepared
-  | Some path ->
-    let start =
-      if resume && Sys.file_exists path then
-        match Campaign.load_checkpoint path with
-        | Ok ck ->
-          let done_, total = Campaign.checkpoint_progress ck in
-          Fmt.pr "resuming from %s: %d/%d representatives done@." path done_
-            total;
-          Some ck
-        | Error e ->
-          Fmt.epr "kit: cannot resume: %s (starting over)@."
-            (Kit_core.Checkpoint.error_to_string e);
-          None
-      else None
-    in
-    let rec go resume =
-      match
-        Campaign.execute_partial ?resume ~budget:(max 1 checkpoint_every)
-          prepared
-      with
-      | `Done t ->
-        if Sys.file_exists path then Sys.remove path;
-        t
-      | `Paused ck ->
-        Campaign.save_checkpoint path ck;
-        go (Some ck)
-    in
-    go start
+  let generation = Campaign.generate_prepared prepared in
+  Option.iter
+    (fun (path, log) ->
+      let reps = generation.Cluster.reps in
+      let replayed =
+        List.length
+          (List.filteri (fun i tc -> log.Campaign.replay i tc <> None) reps)
+      in
+      if replayed > 0 then
+        Fmt.pr "resuming from %s: %d/%d representatives done@." path replayed
+          (List.length reps))
+    log;
+  Campaign.execute ?executor ?log:(Option.map snd log) prepared generation
 
 let cmd_campaign =
   let run seed corpus_size strategy verbose faults fault_intensity fuel
@@ -385,22 +396,9 @@ let cmd_campaign =
         in
         let pool_stats = ref None in
         let c =
-          if procs > 1 then
-            (* Crash-isolated execute phase: the pool owns checkpointing
-               (its shard file is not the in-process campaign format). *)
-            let cfg =
-              { Pool.default_config with
-                Pool.procs;
-                checkpoint_path = checkpoint_file;
-                checkpoint_every = max 1 checkpoint_every }
-            in
-            Campaign.run_with_executor
-              ~executor:
-                (Pool.executor ?obs ~resume
-                   ~on_stats:(fun s -> pool_stats := Some s)
-                   cfg)
-              opts
-          else run_campaign opts ~checkpoint_file ~checkpoint_every ~resume
+          execute_campaign ?obs
+            ~on_stats:(fun s -> pool_stats := Some s)
+            opts ~procs ~checkpoint_file ~checkpoint_every ~resume
         in
         export_obs obs ~metrics_file ~trace_file
           ~meta:
@@ -437,8 +435,6 @@ let cmd_campaign =
             c.Campaign.concurrent
         end;
         Fmt.pr "%s@." (Tables.performance c);
-        (* satellite: a resumed --procs run must say so — the pool line
-           (including the resumed count) used to be dropped here *)
         print_pool_stats ~procs !pool_stats;
         print_robustness c;
         if verbose then Fmt.pr "@.%s@." (Kit_report.Render.groups c.Campaign.agg_rs);
@@ -570,17 +566,8 @@ let cmd_coverage =
             diagnose = false }
         in
         let c =
-          if procs > 1 then
-            let cfg =
-              { Pool.default_config with
-                Pool.procs;
-                checkpoint_path = checkpoint_file;
-                checkpoint_every = max 1 checkpoint_every }
-            in
-            Campaign.run_with_executor
-              ~executor:(Pool.executor ~resume cfg)
-              opts
-          else run_campaign opts ~checkpoint_file ~checkpoint_every ~resume
+          execute_campaign opts ~procs ~checkpoint_file ~checkpoint_every
+            ~resume
         in
         let a = c.Campaign.attrition in
         let funnel_line =

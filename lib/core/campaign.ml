@@ -5,16 +5,17 @@
 
    Execution runs under the supervised runtime (Exec.Supervisor): test
    cases that panic or hang the kernel are retried with backoff and
-   quarantined as crash reports once the retry budget is spent, and the
-   execute phase checkpoints so an interrupted campaign resumes without
-   re-executing completed clusters.
+   quarantined as crash reports once the retry budget is spent. With a
+   case-result log ([log], kept on disk by Caselog) an interrupted
+   campaign resumes without re-executing completed clusters.
 
    The pipeline comes in two shapes built from the same Pipeline stages
    and the same per-case executor:
 
-   - the batch path ([run]): profile everything, cluster in one shot,
-     then execute every representative — with checkpointing and optional
-     domain parallelism;
+   - the batch path ([execute]): profile everything, cluster in one
+     shot, replay what the log holds, then hand every other
+     representative to an executor — in process (sequential or over
+     domains) or the process pool;
    - the streaming path ([stream]/[extend]): profile one program at a
      time, fold it into the online cluster table, and execute
      newly-sealed representatives immediately; [extend] grows the corpus
@@ -349,18 +350,9 @@ let acc_create () =
     a_attrition = attrition_create (); a_rev_reports = [];
     a_rev_concurrent = []; a_rev_quarantined = [] }
 
-(* [{ r with f = r.f }] copies a mutable record: a resumed phase folds
-   into its own counters, never into the checkpoint it started from. *)
-let acc_copy a =
-  { a with
-    a_funnel = { a.a_funnel with Filter.executed = a.a_funnel.Filter.executed };
-    a_sched = { a.a_sched with sched_candidates = a.a_sched.sched_candidates };
-    a_attrition =
-      { a.a_attrition with at_generated = a.a_attrition.at_generated } }
-
-(* The one per-case fold. Every path — chunked batch execution,
-   executor assembly and streaming assembly — feeds its results, in
-   representative order, through here. *)
+(* The one per-case fold. Both paths — the execute driver and streaming
+   assembly — feed their results, in representative order, through
+   here. *)
 let absorb ~cov acc (r : case_result) =
   add_funnel acc.a_funnel r.cr_funnel;
   add_sched acc.a_sched r.cr_sched;
@@ -371,41 +363,6 @@ let absorb ~cov acc (r : case_result) =
     r.cr_report;
   acc.a_rev_concurrent <- List.rev_append r.cr_concurrent acc.a_rev_concurrent;
   acc.a_rev_quarantined <- List.rev_append r.cr_crashes acc.a_rev_quarantined
-
-(* -- checkpoints --------------------------------------------------------- *)
-
-(* Everything the execute phase has accumulated, plus the options
-   fingerprint a resume must match. *)
-type checkpoint = {
-  ck_seed : int;
-  ck_corpus_size : int;
-  ck_strategy : Cluster.strategy;
-  ck_done : int;                        (* cluster reps completed *)
-  ck_total : int;                       (* cluster reps overall *)
-  ck_acc : acc;                         (* results folded so far *)
-  ck_executions : int;
-  ck_generate_s : float;
-  ck_execute_s : float;
-  ck_coverage : Coverage.delta;         (* ledger state at pause time *)
-}
-
-let checkpoint_progress ck = (ck.ck_done, ck.ck_total)
-
-let checkpoint_reports ck = List.length ck.ck_acc.a_rev_reports
-
-(* Checkpoints ride the validated KITCKPT1 container: magic, kind tag,
-   payload length and digest are all checked before any Marshal byte is
-   decoded, so a truncated or corrupt file is a typed error. The kind
-   names the record's layout and is bumped whenever it changes, so a
-   file from an older build fails the kind check as a typed error
-   instead of being mis-decoded. Execute checkpoints are cheap to
-   regenerate, so they get no migration path. *)
-let checkpoint_kind = "campaign-execute-v5"
-
-let save_checkpoint path ck = Checkpoint.save path ~kind:checkpoint_kind ck
-
-let load_checkpoint path : (checkpoint, Checkpoint.error) result =
-  Checkpoint.load path ~kind:checkpoint_kind
 
 (* Execute one cluster representative under supervision; quarantined
    crashers are captured by quarantine-count delta and produce no
@@ -476,33 +433,36 @@ let lost_case_result ?(attempts = 0) corpus ~why (tc : Testcase.t) =
   { cr_tc = tc; cr_funnel = Filter.funnel_create (); cr_report = None;
     cr_concurrent = []; cr_sched = sched_create (); cr_crashes = [ crash ] }
 
-(* Run a chunk of [(case, attrs, tc)] triples sequentially, absorbing
+(* Run a chunk of [(case, tc)] pairs sequentially, absorbing
    [Supervisor.Gave_up] at the chunk boundary: a permanent
    infrastructure fault quarantines the faulting case (one attempt) and
    the rest of the chunk (zero attempts) as [Worker_lost] crash reports
-   instead of aborting the campaign. Returns [(case, result)] pairs in
-   input order. *)
-let exec_cases_absorbing options corpus sup triples =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (case, attrs, tc) :: rest -> (
-      match exec_case ~attrs options corpus sup tc with
-      | r -> go ((case, r) :: acc) rest
+   instead of aborting the campaign. Calls [emit case result executions]
+   in input order as each case finishes, [executions] being what the
+   case cost on [sup]. *)
+let exec_cases_absorbing ~attrs ~emit options corpus sup cases =
+  let rec go = function
+    | [] -> ()
+    | (case, tc) :: rest -> (
+      let e0 = Supervisor.executions sup in
+      match exec_case ~attrs:(attrs case) options corpus sup tc with
+      | r ->
+        emit case r (Supervisor.executions sup - e0);
+        go rest
       | exception Supervisor.Gave_up why ->
-        let first = (case, lost_case_result ~attempts:1 corpus ~why tc) in
-        let others =
-          List.map
-            (fun (case, _, tc) -> (case, lost_case_result corpus ~why tc))
-            rest
-        in
-        List.rev_append acc (first :: others))
+        emit case
+          (lost_case_result ~attempts:1 corpus ~why tc)
+          (Supervisor.executions sup - e0);
+        List.iter
+          (fun (case, tc) -> emit case (lost_case_result corpus ~why tc) 0)
+          rest)
   in
-  go [] triples
+  go cases
 
 (* The one chunk runner behind every in-process path. The chunk's
-   representatives arrive as [(case, attrs, tc)] triples ([case] a
-   globally increasing index, [attrs] the case's correlation
-   attributes) and run sequentially on [sup] unless [options.domains]
+   representatives arrive as [(case, tc)] pairs ([case] a globally
+   increasing index; [attrs case] its correlation attributes, built as
+   the case runs) and run sequentially on [sup] unless [options.domains]
    exceeds 1; then they are dealt round-robin over that many slices.
    Each domain boots its own isolated supervised environment and
    observability registry and produces per-case results, stamping its
@@ -512,12 +472,12 @@ let exec_cases_absorbing options corpus sup triples =
    changes. Per-domain registries are folded into [sup]'s bundle with
    [Metrics.absorb] and the per-domain trace rings with [Tracer.merge];
    the absorbed ["exec.executions"] counts are how domain executions
-   reach [Supervisor.executions sup]. Returns per-case results in chunk
-   order. *)
-let run_chunk options corpus sup chunk =
+   reach [Supervisor.executions sup]. Emits like [exec_cases_absorbing],
+   in chunk order: sequentially as each case finishes, over domains once
+   every domain is joined. *)
+let run_chunk ~attrs ~emit options corpus sup chunk =
   let domains = options.domains in
-  if domains <= 1 then
-    List.map snd (exec_cases_absorbing options corpus sup chunk)
+  if domains <= 1 then exec_cases_absorbing ~attrs ~emit options corpus sup chunk
   else begin
     let obs = sup.Supervisor.obs in
     let slices = Array.make domains [] in
@@ -528,11 +488,12 @@ let run_chunk options corpus sup chunk =
       let wobs = Obs.create () in
       let wsup = make_supervisor ~obs:wobs options in
       let dom = ("domain", string_of_int d) in
-      let out =
-        exec_cases_absorbing options corpus wsup
-          (List.map (fun (case, attrs, tc) -> (case, dom :: attrs, tc)) slice)
-      in
-      (out, Obs.snapshot wobs, Tracer.events wobs.Obs.tracer)
+      let out = ref [] in
+      exec_cases_absorbing
+        ~attrs:(fun case -> dom :: attrs case)
+        ~emit:(fun case r execs -> out := (case, r, execs) :: !out)
+        options corpus wsup slice;
+      (!out, Obs.snapshot wobs, Tracer.events wobs.Obs.tracer)
     in
     let handles =
       Array.mapi
@@ -561,18 +522,17 @@ let run_chunk options corpus sup chunk =
     List.iter (fun (_, snap, _) -> Metrics.absorb obs.Obs.metrics snap) results;
     Tracer.merge obs.Obs.tracer (List.map (fun (_, _, events) -> events) results);
     List.concat_map (fun (out, _, _) -> out) results
-    |> List.sort (fun (i, _) (j, _) -> compare i j)
-    |> List.map snd
+    |> List.sort (fun (i, _, _) (j, _, _) -> compare i j)
+    |> List.iter (fun (case, r, execs) -> emit case r execs)
   end
 
-(* Each chunk boots its own supervised environment, like a campaign
-   process restarted after an interrupt; the last chunk's environment
-   goes on to run diagnosis. *)
+(* The execute phase boots one supervised environment; [run] executes
+   on it, and it goes on to run diagnosis. *)
 let execute_stage =
   Pipeline.v ~consumes:"clusters" ~produces:"case-results" "execute"
-    (fun obs (options, corpus, chunk) ->
+    (fun obs (options, run) ->
       let sup = make_supervisor ~obs options in
-      (run_chunk options corpus sup chunk, sup))
+      (run sup, sup))
 
 (* Algorithm 2 on one report, re-testing through [sup]. *)
 let diagnose_report spec sup (r : Report.t) =
@@ -636,7 +596,7 @@ let read_timings obs =
    balance, diagnoses the reports — [diagnose], by default Algorithm 2
    on [sup] as the "phase.diagnose" stage — and mirrors the final
    accounting into the always-on "campaign.*" counters. [executions]
-   counts executions [sup]'s bundle never saw (earlier chunks, pool
+   counts executions [sup]'s bundle never saw (replayed results, pool
    worker processes). *)
 let finish ?diagnose ~options ~corpus ~obs ~cov ~sup ~executions generation
     acc =
@@ -708,138 +668,161 @@ let generate_prepared ?strategy prepared =
   Pipeline.run prepared.p_obs generate_stage
     (strategy, options.seed, Array.length prepared.p_corpus, prepared.p_map)
 
-let validate_resume options strategy total (ck : checkpoint) =
-  if ck.ck_seed <> options.seed then
-    invalid_arg "Campaign.resume: checkpoint was taken with a different seed";
-  if ck.ck_corpus_size <> options.corpus_size then
-    invalid_arg
-      "Campaign.resume: checkpoint was taken with a different corpus size";
-  if ck.ck_strategy <> strategy then
-    invalid_arg
-      "Campaign.resume: checkpoint was taken with a different strategy";
-  if ck.ck_total <> total then
-    invalid_arg "Campaign.resume: checkpoint cluster count mismatch"
+(* Public alias: pool workers boot the exact environment the built-in
+   paths use. *)
+let supervisor = make_supervisor
 
-(* Run the execute phase for up to [budget] more representatives,
-   starting from [resume] (or from scratch), then either finish the
-   campaign or return a checkpoint to continue from. *)
-let execute_partial ?strategy ?resume ~budget prepared =
-  let strategy =
-    match (strategy, resume) with
-    | Some s, _ -> s
-    | None, Some ck -> ck.ck_strategy
-    | None, None -> prepared.p_options.strategy
-  in
-  let options = { prepared.p_options with strategy } in
-  let obs = prepared.p_obs in
-  let generation = generate_prepared ~strategy prepared in
-  let reps = generation.Cluster.reps in
-  let total = List.length reps in
-  let done_, acc, executions0, execute_s0 =
-    match resume with
-    | None -> (0, acc_create (), 0, 0.0)
-    | Some ck ->
-      validate_resume options strategy total ck;
-      (* Re-preparation re-marked the profiling rungs; absorbing the
-         checkpointed delta restores attribution, so ledger state is
-         monotone across resumes. *)
-      Coverage.absorb prepared.p_cov ck.ck_coverage;
-      Metrics.set_gauge (time_gauge obs "generate_s") ck.ck_generate_s;
-      (ck.ck_done, acc_copy ck.ck_acc, ck.ck_executions, ck.ck_execute_s)
-  in
-  (* At least one representative per chunk: a non-positive budget would
-     pause without progress and turn resume-until-done loops into
-     livelocks. *)
-  let budget = max 1 budget in
-  (* Global case indices survive checkpoint resume: case [done_ + i] is
-     the same representative whichever process executes it. *)
-  let chunk =
-    List.filteri (fun i _ -> i >= done_ && i - done_ < budget) reps
-    |> List.mapi (fun i tc ->
-           let case = done_ + i in
-           (case, [ ("case", string_of_int case) ], tc))
-  in
-  let executed_now = List.length chunk in
-  let (out, sup), execute_s_now =
-    Pipeline.run_timed obs execute_stage ~elapsed_base:execute_s0
-      ~attrs:
-        [ ("chunk", string_of_int executed_now);
-          ("domains", string_of_int (max 1 options.domains)) ]
-      (options, prepared.p_corpus, chunk)
-  in
-  List.iter (absorb ~cov:prepared.p_cov acc) out;
-  (* Per-chunk accounting: representative counts are deterministic,
-     chunk wall-times are volatile. *)
-  Metrics.observe
-    (Metrics.histogram ~always:true obs.Obs.metrics "campaign.chunk_reps")
-    (float_of_int executed_now);
-  Metrics.observe
-    (Metrics.histogram ~volatile:true ~always:true obs.Obs.metrics
-       "campaign.chunk_s")
-    execute_s_now;
-  if done_ + executed_now < total then
-    `Paused
-      { ck_seed = options.seed;
-        ck_corpus_size = options.corpus_size;
-        ck_strategy = strategy;
-        ck_done = done_ + executed_now;
-        ck_total = total;
-        ck_acc = acc;
-        ck_executions = executions0 + Supervisor.executions sup;
-        ck_generate_s = Metrics.gauge_value (time_gauge obs "generate_s");
-        ck_execute_s = execute_s0 +. execute_s_now;
-        ck_coverage = Coverage.delta prepared.p_cov }
-  else
-    `Done
-      (finish ~options ~corpus:prepared.p_corpus ~obs ~cov:prepared.p_cov ~sup
-         ~executions:executions0 generation acc)
+(* -- the execute driver ---------------------------------------------------
 
-let execute_prepared ?strategy ?resume prepared =
-  match execute_partial ?strategy ?resume ~budget:max_int prepared with
-  | `Done t -> t
-  | `Paused _ -> assert false (* budget covers every representative *)
+   Every batch campaign runs its execute phase here. The driver replays
+   the results the log already holds, hands the other representatives —
+   with their global case indices, so case [i] is the same
+   representative whichever process runs it — to an executor, records
+   each completion as it arrives and saves the log every [log.every]
+   completions, then folds every result in representative order through
+   [absorb] and [finish]. Without a log nothing is replayed or recorded,
+   and the in-process executor runs every representative as one chunk
+   on the execute-phase supervisor. *)
+
+type executor =
+  options -> Program.t array -> Supervisor.t -> batch:int ->
+  (int * Testcase.t) list -> on_done:(int -> case_result -> int -> unit) ->
+  int
+
+type log = {
+  replay : int -> Testcase.t -> (case_result * int) option;
+  record : Testcase.t -> case_result -> int -> unit;
+  every : int;
+  save : unit -> unit;
+  close : unit -> unit;
+}
+
+(* The first [n] elements of [l] and the rest; [l] itself, uncopied,
+   when it has no more than [n]. *)
+let split_at n l =
+  let rec go n acc = function
+    | x :: rest when n > 0 -> go (n - 1) (x :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  if List.compare_length_with l n <= 0 then (l, []) else go n [] l
+
+(* [run_chunk] on [sup], [batch] cases at a time, so a log is saved
+   while the campaign runs even when the chunks fan out over domains.
+   Every execution reaches [sup]'s registry, so none is external. *)
+let in_process options corpus sup ~batch cases ~on_done =
+  let attrs case = [ ("case", string_of_int case) ] in
+  let rec go cases =
+    if cases <> [] then begin
+      let now, later = split_at (max 1 batch) cases in
+      run_chunk ~attrs ~emit:on_done options corpus sup now;
+      go later
+    end
+  in
+  go cases;
+  0
+
+let execute ?(executor = in_process) ?log prepared generation =
+  let options =
+    { prepared.p_options with strategy = generation.Cluster.strategy }
+  in
+  let reps = Array.of_list generation.Cluster.reps in
+  (* Results are folded in representative order as they arrive; one
+     that arrives early waits in [early] for the cases before it. *)
+  let acc = acc_create () in
+  let next = ref 0 and early = Hashtbl.create 16 in
+  let rec arrive case r =
+    if case <> !next then Hashtbl.replace early case r
+    else begin
+      absorb ~cov:prepared.p_cov acc r;
+      incr next;
+      match Hashtbl.find_opt early !next with
+      | Some r ->
+        Hashtbl.remove early !next;
+        arrive !next r
+      | None -> ()
+    end
+  in
+  let replayed_execs = ref 0 and todo = ref [] in
+  Array.iteri
+    (fun i tc ->
+      match Option.bind log (fun l -> l.replay i tc) with
+      | Some (r, execs) ->
+        arrive i r;
+        replayed_execs := !replayed_execs + execs
+      | None -> todo := (i, tc) :: !todo)
+    reps;
+  let todo = List.rev !todo in
+  let unsaved = ref 0 in
+  let save () =
+    match log with
+    | Some l when !unsaved > 0 ->
+      unsaved := 0;
+      l.save ()
+    | Some _ | None -> ()
+  in
+  let on_done case r execs =
+    arrive case r;
+    match log with
+    | None -> ()
+    | Some l ->
+      l.record reps.(case) r execs;
+      incr unsaved;
+      if !unsaved >= l.every then save ()
+  in
+  let run sup =
+    if todo = [] then 0
+    else
+      executor options prepared.p_corpus sup
+        ~batch:(match log with Some l -> l.every | None -> max_int)
+        todo ~on_done
+  in
+  (* An executor that dies (a pool with every worker gone) still leaves
+     its completions in the log for the next run to replay. *)
+  let external_execs, sup =
+    match
+      Pipeline.run prepared.p_obs execute_stage
+        ~attrs:
+          [ ("cases", string_of_int (List.length todo));
+            ("domains", string_of_int (max 1 options.domains)) ]
+        (options, run)
+    with
+    | v ->
+      save ();
+      v
+    | exception e ->
+      save ();
+      raise e
+  in
+  if !next < Array.length reps then
+    Fmt.invalid_arg "Campaign.execute: case %d has no result" !next;
+  let t =
+    finish ~options ~corpus:prepared.p_corpus ~obs:prepared.p_obs
+      ~cov:prepared.p_cov ~sup
+      ~executions:(!replayed_execs + external_execs)
+      generation acc
+  in
+  Option.iter (fun l -> l.close ()) log;
+  t
+
+let execute_prepared ?strategy prepared =
+  execute prepared (generate_prepared ?strategy prepared)
 
 (* Run a complete campaign with [options]. *)
 let run options = execute_prepared (prepare options)
 
-(* -- pluggable executors -------------------------------------------------
-
-   The seam external execution drivers (the forked process pool in
-   kit.serve, remote executors) plug into: the campaign prepares and
-   generates as usual, hands the cluster representatives to [executor],
-   and folds whatever per-case results come back through the same
-   funnel/report/quarantine/diagnosis machinery as the built-in paths.
-   The executor returns case results in representative order plus its
-   total execution count (it runs in its own processes, so supervisor
-   counters don't flow back through [obs]). *)
-
-type executor =
-  options -> Program.t array -> Cluster.result -> case_result list * int
-
-(* Fold per-case results (representative order) back into a finished
-   campaign, diagnosing on a fresh sequential environment — exactly
-   what [run_with_executor] does after its executor returns. *)
-let assemble ?(execute_s = 0.0) prepared generation out ~executions =
-  let obs = prepared.p_obs in
-  Metrics.set_gauge (time_gauge obs "execute_s") execute_s;
-  let acc = acc_create () in
-  List.iter (absorb ~cov:prepared.p_cov acc) out;
-  finish ~options:prepared.p_options ~corpus:prepared.p_corpus ~obs
-    ~cov:prepared.p_cov
-    ~sup:(make_supervisor ~obs prepared.p_options)
-    ~executions generation acc
-
-let run_with_executor ~executor options =
-  let prepared = prepare options in
-  let generation = generate_prepared prepared in
-  let (out, executions), execute_s =
-    timed (fun () -> executor options prepared.p_corpus generation)
-  in
-  assemble prepared generation out ~executions ~execute_s
-
-(* Public alias: pool workers boot the exact environment the built-in
-   paths use. *)
-let supervisor = make_supervisor
+(* Every result already known — a serve tenant's, executed on the
+   shared pool: the driver replays them all, executes nothing, and
+   diagnoses on a fresh sequential environment. *)
+let assemble prepared generation results =
+  let results = Array.of_list results in
+  execute
+    ~log:
+      { replay = (fun i _ -> Some results.(i));
+        record = (fun _ _ _ -> ());
+        every = max_int;
+        save = ignore;
+        close = ignore }
+    prepared generation
 
 (* -- streaming pipeline --------------------------------------------------
 
@@ -923,27 +906,24 @@ let stream_execute s (events : Cluster.event list) =
   if cases <> [] then begin
     (* Streaming case indices are execution ordinals; the cluster id
        rides along so traces can be joined back to the cluster table. *)
-    let indexed =
-      List.mapi
-        (fun i (id, tc) ->
-          let case = s.s_exec_cases + i in
-          ( case,
-            [ ("case", string_of_int case);
-              ("cluster", string_of_int id) ],
-            tc ))
-        cases
+    let base = s.s_exec_cases in
+    let ids = Array.of_list (List.map fst cases) in
+    let attrs case =
+      [ ("case", string_of_int case);
+        ("cluster", string_of_int ids.(case - base)) ]
     in
-    let out, dt =
-      timed (fun () -> run_chunk s.s_options s.s_corpus s.s_sup indexed)
+    let indexed = List.mapi (fun i (_, tc) -> (base + i, tc)) cases in
+    let emit case r _ =
+      Jobqueue.complete s.s_results ids.(case - base) r;
+      if Option.is_some r.cr_report && s.s_first_report_s = None then
+        s.s_first_report_s <- Some (Unix.gettimeofday () -. s.s_t0)
+    in
+    let (), dt =
+      timed (fun () ->
+          run_chunk ~attrs ~emit s.s_options s.s_corpus s.s_sup indexed)
     in
     s.s_execute_s <- s.s_execute_s +. dt;
-    s.s_exec_cases <- s.s_exec_cases + List.length cases;
-    List.iter2
-      (fun (id, _) r ->
-        Jobqueue.complete s.s_results id r;
-        if Option.is_some r.cr_report && s.s_first_report_s = None then
-          s.s_first_report_s <- Some (Unix.gettimeofday () -. s.s_t0))
-      cases out
+    s.s_exec_cases <- s.s_exec_cases + List.length cases
   end
 
 (* Profile programs [from, to_size) one at a time and fold each into the

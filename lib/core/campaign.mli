@@ -4,16 +4,16 @@
     report aggregation. Fully deterministic for a given seed.
 
     Execution runs under the supervised runtime: crashes and hangs are
-    retried and quarantined rather than killing the campaign, and the
-    execute phase checkpoints so interrupted campaigns resume without
-    re-execution.
+    retried and quarantined rather than killing the campaign. With a
+    case-result {!log} ({!Caselog} keeps one on disk) an interrupted
+    campaign resumes without re-executing completed representatives.
 
     The pipeline comes in two shapes built from the same {!Pipeline}
-    stages and the same per-case executor: the batch path ({!run}) and
-    the streaming path ({!stream}/{!extend}), which profiles one program
-    at a time, folds it into the online cluster table and executes
-    newly-sealed representatives immediately. Both produce structurally
-    identical reports, funnel, quarantine and [df_total]
+    stages and the same per-case executor: the batch path ({!execute},
+    {!run}) and the streaming path ({!stream}/{!extend}), which profiles
+    one program at a time, folds it into the online cluster table and
+    executes newly-sealed representatives immediately. Both produce
+    structurally identical reports, funnel, quarantine and [df_total]
     (property-tested). *)
 
 type options = {
@@ -147,7 +147,7 @@ type t = {
       (raw profiling), written/read (access-map universes), paired
       (overlapping write/read observed) and attributed (pinned by a
       report's data flow). Deterministic for a given seed: byte-stable
-      across [domains], process pools and checkpoint schedules.
+      across [domains], process pools and resumed logs.
       Summaries mirror into always-on ["campaign.cov_*"] counters. *)
   attrition : attrition;
   (** funnel attrition totals; {!attrition_balanced} always holds.
@@ -165,61 +165,20 @@ val prepared_corpus : prepared -> Kit_abi.Program.t array
     program array itself (pool context registration,
     {!lost_case_result}). *)
 
-(** {2 Checkpointing}
+val generate_prepared :
+  ?strategy:Kit_gen.Cluster.strategy -> prepared -> Kit_gen.Cluster.result
+(** The generate phase alone (clusters + representatives from the
+    prepared access map, with the usual phase span and counters).
+    Asynchronous drivers like the serve scheduler call it up front so
+    many tenants' representatives can interleave on one shared pool. *)
 
-    The execute phase — the long-running part of a campaign — can pause
-    after any number of cluster representatives and resume later, even
-    in a fresh process: the checkpoint value carries the funnel, the
-    accumulated reports and quarantine, the coverage-ledger delta and
-    attrition counts, and an options fingerprint that resume validates.
-    Chunked execution is outcome-equivalent to a straight-through run
-    (property-tested), and ledger state is monotone across resumes:
-    re-preparation re-marks the profiling rungs and the absorbed delta
-    restores attribution. *)
+(** {2 Per-case execution}
 
-type checkpoint
-
-val checkpoint_progress : checkpoint -> int * int
-(** [(completed, total)] cluster representatives. *)
-
-val checkpoint_reports : checkpoint -> int
-(** Reports accumulated so far — lets callers poll chunked execution for
-    time-to-first-report without finishing the phase. *)
-
-val save_checkpoint : string -> checkpoint -> unit
-(** Write a checkpoint file in the validated KITCKPT1 container
-    ({!Checkpoint}): magic, kind tag, payload length and digest. *)
-
-val load_checkpoint : string -> (checkpoint, Checkpoint.error) result
-(** Validate and load a checkpoint. Magic, kind, length and digest are
-    checked before any byte is deserialised; truncation or corruption
-    comes back as {!Checkpoint.error.Checkpoint_corrupt}, never a raw
-    [Failure] or a crash inside [Marshal]. *)
-
-val execute_partial :
-  ?strategy:Kit_gen.Cluster.strategy -> ?resume:checkpoint -> budget:int ->
-  prepared -> [ `Done of t | `Paused of checkpoint ]
-(** Execute up to [budget] more cluster representatives, starting from
-    [resume] if given (its strategy is used unless [strategy] overrides;
-    seed, corpus size and cluster count must match, or the call raises
-    [Invalid_argument]). Each call boots a fresh supervised environment,
-    like a campaign process restarted after an interrupt. *)
-
-val execute_prepared :
-  ?strategy:Kit_gen.Cluster.strategy -> ?resume:checkpoint -> prepared -> t
-
-val run : options -> t
-(** [run options] = [execute_prepared (prepare options)]. *)
-
-(** {2 Per-case execution — the driver seam}
-
-    The building blocks external execution drivers (the forked process
-    pool in [kit.serve], remote executors) are written against. Every
-    built-in path — sequential, domain-parallel, streaming — runs each
-    cluster representative through the same {!exec_case}, and every
-    path, external executors included, folds the resulting
-    {!case_result}s in representative order through one per-case fold
-    into one result builder, which is what makes alternative schedules
+    Every path — sequential, domain-parallel, the process pool,
+    streaming — runs each cluster representative through the same
+    {!exec_case}, and folds the resulting {!case_result}s in
+    representative order through one per-case fold into one result
+    builder, which is what makes alternative schedules
     outcome-equivalent. *)
 
 (** One executed cluster representative, self-contained: classification
@@ -259,37 +218,69 @@ val lost_case_result :
     died under it ([Worker_lost]) — what drivers convert un-runnable
     cases into instead of aborting. *)
 
+(** {2 The execute driver}
+
+    {!execute} is the execute phase of every batch campaign. It replays
+    the results a {!log} already holds, hands the remaining
+    representatives, with their global case indices, to an {!executor}
+    — {!in_process} or the process pool ([Kit_serve.Pool.executor]) —
+    records each completion in the log as it arrives, saves the log
+    every [log.every] completions, and folds every result through the
+    one per-case fold. Every campaign count (funnel, attrition,
+    coverage attribution, quarantine, schedule totals) is a fold of
+    per-case results, so the results are all a log needs to hold. *)
+
 type executor =
-  options -> Kit_abi.Program.t array -> Kit_gen.Cluster.result ->
-  case_result list * int
-(** An execute-phase replacement: given the prepared corpus and the
-    generated clusters, return per-representative case results in
-    representative order plus the total execution count. *)
+  options -> Kit_abi.Program.t array -> Kit_exec.Supervisor.t ->
+  batch:int -> (int * Kit_gen.Testcase.t) list ->
+  on_done:(int -> case_result -> int -> unit) -> int
+(** [executor options corpus sup ~batch cases ~on_done] runs every
+    [(case, representative)] of [cases] and calls
+    [on_done case result executions] once per case as it completes, in
+    any order; [executions] is what the case cost. [sup] is the
+    execute-phase supervisor, which goes on to run diagnosis; [batch]
+    is the most completions an executor should hold back before
+    reporting them. Returns the executions it ran outside [sup]'s
+    registry (worker processes), which {!t.executions} adds. *)
 
-val run_with_executor : executor:executor -> options -> t
-(** A full campaign — prepare, generate, execute, diagnose, aggregate —
-    with the execute phase delegated to [executor]. Used by
-    [kit campaign --procs N] to run execution on the forked process
-    pool while diagnosis and reporting stay in-process. *)
+val in_process : executor
+(** Sequential on [sup], or dealt over [options.domains] domains, in
+    chunks of [batch] cases. *)
 
-val generate_prepared :
-  ?strategy:Kit_gen.Cluster.strategy -> prepared -> Kit_gen.Cluster.result
-(** The generate phase alone (clusters + representatives from the
-    prepared access map, with the usual phase span and counters).
-    {!run_with_executor} is [prepare] → [generate_prepared] → executor →
-    {!assemble}; asynchronous drivers like the serve scheduler call the
-    pieces separately so many tenants' representatives can interleave on
-    one shared pool. *)
+(** A case-result log, as the driver sees it. *)
+type log = {
+  replay : int -> Kit_gen.Testcase.t -> (case_result * int) option;
+      (** the result and execution count an earlier run recorded for
+          case [i], if any *)
+  record : Kit_gen.Testcase.t -> case_result -> int -> unit;
+      (** one completion, as it arrives *)
+  every : int;                    (** completions between saves *)
+  save : unit -> unit;            (** make the recorded completions durable *)
+  close : unit -> unit;
+      (** called once the result is built; a file log deletes itself *)
+}
+
+val execute :
+  ?executor:executor -> ?log:log -> prepared -> Kit_gen.Cluster.result -> t
+(** Execute, diagnose and aggregate [generation] (default executor
+    {!in_process}). If the executor raises, the completions recorded so
+    far are saved before the exception propagates. Without a log no
+    result is encoded, and {!in_process} runs every representative as
+    one chunk on the supervisor that then runs diagnosis. *)
+
+val execute_prepared : ?strategy:Kit_gen.Cluster.strategy -> prepared -> t
+(** {!execute} of {!generate_prepared} (Table 4 runs each strategy on
+    the same prepared inputs). *)
+
+val run : options -> t
+(** [run options] = [execute_prepared (prepare options)]. *)
 
 val assemble :
-  ?execute_s:float ->
-  prepared -> Kit_gen.Cluster.result -> case_result list ->
-  executions:int -> t
-(** Fold per-case results (in representative order, one per
-    representative of the generation) into a finished campaign:
-    funnel/report/quarantine accumulation, diagnosis on a fresh
-    sequential environment, aggregation — the back half of
-    {!run_with_executor}. *)
+  prepared -> Kit_gen.Cluster.result -> (case_result * int) list -> t
+(** {!execute} with every result already known — one
+    [(result, executions)] per representative, in representative order;
+    nothing executes, and diagnosis runs on a fresh sequential
+    environment. How a serve tenant finishes. *)
 
 (** {2 Streaming campaigns}
 

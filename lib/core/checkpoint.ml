@@ -9,10 +9,9 @@
      16 bytes      MD5 digest of the payload
      n bytes       payload
 
-   A file written by [save] is a one-record log with a Marshal payload.
    Every record is length- and digest-checked before its payload is
    handed to anyone, so a truncated, bit-flipped or mislabelled file is
-   a typed error, never a crash inside a deserialiser.
+   a typed error, never a crash inside a decoder.
 
    The torn-tail rule: [append] is the only writer that can leave a
    partial record behind (everything else is temp file + rename), and
@@ -165,24 +164,3 @@ let read path ~kind =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error (Io msg)
   | s -> parse_log path ~kind s
-
-let save path ~kind v =
-  write path ~kind [ Marshal.to_string v [ Marshal.No_sharing ] ]
-
-let load path ~kind =
-  match read path ~kind with
-  | Error _ as e -> e
-  | Ok { records = [ payload ]; torn = 0 } -> (
-    try Ok (Marshal.from_string payload 0)
-    with Failure msg | Invalid_argument msg ->
-      Error
-        (Checkpoint_corrupt
-           (Printf.sprintf "%s: undecodable payload (%s)" path msg)))
-  | Ok { records = [] | [ _ ]; _ } ->
-    Error
-      (Checkpoint_corrupt
-         (Printf.sprintf "%s: truncated or damaged record" path))
-  | Ok _ ->
-    Error
-      (Checkpoint_corrupt
-         (Printf.sprintf "%s: expected exactly one record" path))

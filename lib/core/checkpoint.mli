@@ -6,13 +6,11 @@
     records, each an 8-byte payload length, the payload's MD5 digest
     and the payload. Length and digest are verified before a payload is
     handed to anyone, so truncated or bit-flipped files surface as a
-    typed {!error.Checkpoint_corrupt}, never as a raw [Failure] or a
-    segfaulting [Marshal.from_channel].
+    typed {!error.Checkpoint_corrupt}, never as a raw [Failure].
 
     Two ways to write:
-    - {!write} (and {!save}, a one-record {!write} of a Marshal value)
-      replaces the file atomically and durably: fsynced temp file,
-      rename, fsynced directory. A crash at any point leaves the
+    - {!write} replaces the file atomically and durably: fsynced temp
+      file, rename, fsynced directory. A crash at any point leaves the
       previous file or the complete new one.
     - {!append} adds one record to the end of an existing log and
       fsyncs the file: one fsync instead of two, and the cost is the
@@ -24,12 +22,11 @@
     damaged record with a valid record after it cannot come from a
     crash, so the file is {!error.Checkpoint_corrupt}.
 
-    Callers: [kit serve] tenant checkpoints ([Serve.Tenant]) and process
-    pool checkpoints ([Serve.Pool]) are logs — the first save of each
-    process writes the whole state with {!write}, later saves {!append}
-    the new completions as typed JSON records. The campaign execute
-    checkpoint ([Campaign.save_checkpoint]) still uses {!save} and
-    {!load}. *)
+    One caller: {!Caselog}, the case-result log behind both
+    [kit campaign]/[kit coverage --checkpoint] and the [kit serve]
+    tenant checkpoints ([Serve.Tenant]). The first save of each process
+    writes the whole log with {!write}; later saves {!append} the new
+    completions as typed JSON records. *)
 
 val magic : string
 (** ["KITCKPT1"] — shared by every checkpoint family; [kind]
@@ -42,8 +39,7 @@ type error =
       (** the file exists but does not start with the KITCKPT1 magic *)
   | Checkpoint_corrupt of string
       (** magic matched but the rest is unusable: truncated header,
-          wrong [kind], a damaged record followed by valid data, or
-          (for {!load}) a truncated or undecodable payload *)
+          wrong [kind], or a damaged record followed by valid data *)
 
 val error_to_string : error -> string
 
@@ -66,16 +62,3 @@ type log = {
 val read : string -> kind:string -> (log, error) result
 (** Validate and read a log written by {!write} and {!append} with the
     same [kind], applying the torn-tail rule. *)
-
-(** {2 Single values} *)
-
-val save : string -> kind:string -> 'a -> unit
-(** [write] of a one-record log whose payload is the Marshal of the
-    value. *)
-
-val load : string -> kind:string -> ('a, error) result
-(** Read back a value written by {!save} with the same [kind]: the file
-    must hold exactly one complete record. The caller fixes ['a]; as
-    with any Marshal read the type must match what was saved — the
-    [kind] tag exists so distinct checkpoint families can never be
-    confused for each other. *)

@@ -53,16 +53,6 @@ let field_or name ~default d = lookup name d ~absent:(fun () -> Ok default)
 let parse d s =
   match Jsonl.parse s with Ok j -> d j | Error e -> Error ("bad JSON: " ^ e)
 
-let parse_all d payloads =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest -> (
-      match parse d p with
-      | Ok v -> go (i + 1) (v :: acc) rest
-      | Error e -> Error (Printf.sprintf "record %d: %s" i e))
-  in
-  go 0 [] payloads
-
 (* [field_or]'s encoding twin: the field only when it is not the
    default. *)
 let opt name enc ~default v = if v = default then [] else [ (name, enc v) ]

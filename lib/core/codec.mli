@@ -1,6 +1,5 @@
 (** Typed JSON codecs for case results, on the {!Kit_obs.Jsonl} value
-    type — the payload format of the [kit serve] tenant checkpoints and
-    the process-pool checkpoints.
+    type — the payload format of case-result logs ({!Caselog}).
 
     A record is a JSON object whose field names are the tags: decoders
     find fields by name, ignore unknown ones, and give absent optional
@@ -35,10 +34,6 @@ val field_or : string -> default:'a -> 'a decoder -> 'a decoder
 
 val parse : 'a decoder -> string -> ('a, string) result
 (** {!Kit_obs.Jsonl.parse}, then the decoder. *)
-
-val parse_all : 'a decoder -> string list -> ('a list, string) result
-(** {!parse} every payload (a checkpoint log's records); the error
-    names the first record that fails. *)
 
 (** {2 Case results} *)
 

@@ -5,13 +5,9 @@
    universe is fixed at creation — marks for unknown addresses are
    dropped, which is what scopes the ledger to the spec-listed
    namespace-protected variables and keeps the hot marking path a
-   hashtable probe plus a bit set.
-
-   Deltas are the transport form: a (name, flag-bits) list sorted by
-   name with unique names, so merging two deltas is a sorted merge with
-   bitwise-or on collisions — commutative, associative and idempotent by
-   construction (qcheck-tested), exactly the algebra checkpoint resume
-   and cross-process absorption need for monotone coverage. *)
+   hashtable probe plus a bit set. A ledger is never shipped between
+   processes: every mark is recomputed from profiling and from the
+   folded case results, which is what makes it schedule-invariant. *)
 
 module Bitset = Kit_compact.Bitset
 
@@ -19,7 +15,6 @@ type t = {
   names : string array;               (* universe, registration order *)
   addrs : int array;
   by_addr : (int, int) Hashtbl.t;
-  by_name : (string, int) Hashtbl.t;
   touched : Bitset.t;
   written : Bitset.t;
   read : Bitset.t;
@@ -46,10 +41,8 @@ let create vars =
     vars;
   let names = Array.sub names 0 n and addrs = Array.sub addrs 0 n in
   let by_addr = Hashtbl.create (2 * n + 1) in
-  let by_name = Hashtbl.create (2 * n + 1) in
   Array.iteri (fun i addr -> Hashtbl.replace by_addr addr i) addrs;
-  Array.iteri (fun i name -> Hashtbl.replace by_name name i) names;
-  { names; addrs; by_addr; by_name;
+  { names; addrs; by_addr;
     touched = Bitset.create (max 1 n);
     written = Bitset.create (max 1 n);
     read = Bitset.create (max 1 n);
@@ -57,7 +50,7 @@ let create vars =
 
 let size t = Array.length t.names
 
-(* Flag bits, the delta encoding. *)
+(* Flag bits. *)
 let f_touched = 1
 let f_written = 2
 let f_read = 4
@@ -65,8 +58,7 @@ let f_attributed = 8
 let f_mask = 15
 
 (* Higher rungs imply the lower ones, so every mark closes downward:
-   the state machine can only move forward and merge order cannot
-   matter. *)
+   the state machine can only move forward. *)
 let set_flags t i flags =
   if flags land f_touched <> 0 then Bitset.add t.touched i;
   if flags land f_written <> 0 then Bitset.add t.written i;
@@ -133,62 +125,6 @@ let gaps t =
       out := t.names.(i) :: !out
   done;
   !out
-
-(* -- deltas --------------------------------------------------------------- *)
-
-type delta = (string * int) list      (* sorted by name, unique, flags>0 *)
-
-let empty_delta = []
-
-let flags_of t i =
-  (if Bitset.mem t.touched i then f_touched else 0)
-  lor (if Bitset.mem t.written i then f_written else 0)
-  lor (if Bitset.mem t.read i then f_read else 0)
-  lor (if Bitset.mem t.attributed i then f_attributed else 0)
-
-let delta t =
-  let pairs = ref [] in
-  for i = size t - 1 downto 0 do
-    let flags = flags_of t i in
-    if flags <> 0 then pairs := (t.names.(i), flags) :: !pairs
-  done;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !pairs
-
-let rec merge a b =
-  match (a, b) with
-  | [], d | d, [] -> d
-  | (na, fa) :: ra, (nb, fb) :: rb ->
-    let c = String.compare na nb in
-    if c < 0 then (na, fa) :: merge ra b
-    else if c > 0 then (nb, fb) :: merge a rb
-    else (na, fa lor fb) :: merge ra rb
-
-let equal_delta (a : delta) b = a = b
-
-let absorb t (d : delta) =
-  List.iter
-    (fun (name, flags) ->
-      match Hashtbl.find_opt t.by_name name with
-      | None -> ()                     (* the producer ran a wider spec *)
-      | Some i -> set_flags t i flags)
-    d
-
-let delta_of_list pairs =
-  List.filter_map
-    (fun (name, flags) ->
-      let flags = flags land f_mask in
-      if flags = 0 then None else Some (name, flags))
-    pairs
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.fold_left
-       (fun acc (name, flags) ->
-         match acc with
-         | (n, f) :: rest when n = name -> (n, f lor flags) :: rest
-         | _ -> (name, flags) :: acc)
-       []
-  |> List.rev
-
-let delta_to_list (d : delta) = d
 
 (* -- rendering ------------------------------------------------------------ *)
 

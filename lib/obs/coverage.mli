@@ -6,15 +6,12 @@
     where [paired] means an overlapping (write, read) pair was observed
     on the variable and [attributed] means an interference report's data
     flow landed on it. Backed by packed bitsets over the variable
-    universe, so marking is O(1) and merging is O(words).
+    universe, so marking is O(1).
 
-    Ledgers are delta-mergeable across domains, pool workers and serve
-    tenants the same way {!Metrics.absorb} merges registries: {!delta}
-    extracts a canonical, order-independent value, {!merge} folds deltas
-    (commutative, associative and idempotent — qcheck-tested) and
-    {!absorb} unions a delta back into a live ledger. Deltas are plain
-    marshalable data, so they ride KITCKPT1 checkpoints and keep
-    coverage monotone across [--resume] and [Campaign.extend]. *)
+    A campaign rebuilds its ledger from scratch: profiling marks the
+    lower rungs and the per-case result fold marks attribution, so the
+    same case results give the same ledger whatever schedule, process
+    count or resumed log produced them. *)
 
 type t
 
@@ -79,33 +76,6 @@ val sub_summary : summary -> summary -> summary
 val gaps : t -> string list
 (** Variables with no overlapping (write, read) pair, in universe order
     — the seed list feedback-driven generation will consume. *)
-
-(** {2 Merging} *)
-
-type delta
-(** A canonical, order-independent extract of a ledger's marks: plain
-    marshalable data (no bitsets), sorted by variable name. *)
-
-val delta : t -> delta
-
-val merge : delta -> delta -> delta
-(** Pointwise union by variable name. Commutative, associative,
-    idempotent; [empty_delta] is the identity. *)
-
-val empty_delta : delta
-
-val equal_delta : delta -> delta -> bool
-
-val absorb : t -> delta -> unit
-(** Union a delta's marks into a live ledger, matching variables by
-    name; unknown names are ignored (the producer ran a wider spec). *)
-
-val delta_of_list : (string * int) list -> delta
-(** Canonicalise arbitrary [(name, flag-bits)] pairs (bit 0 touched,
-    1 written, 2 read, 3 attributed; higher bits masked off, duplicate
-    names unioned) — the qcheck generator's entry point. *)
-
-val delta_to_list : delta -> (string * int) list
 
 (** {2 Rendering} *)
 

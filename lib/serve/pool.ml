@@ -16,8 +16,8 @@
    The pool itself is tenant-agnostic plumbing: it spawns, feeds,
    reaps, heartbeat-kills and respawns workers, and reports what
    happened as {!event}s. Policy — which job runs next, strikes,
-   quarantine, resharding, checkpointing — lives in the drivers:
-   {!execute} (the single-campaign driver behind
+   quarantine, resharding — lives in the drivers:
+   {!execute} (the single-campaign executor behind
    [kit campaign --procs]) and the multi-tenant scheduler
    ({!Kit_serve.Sched}), both claiming work from {!Kit_core.Jobqueue}s.
 
@@ -42,13 +42,9 @@
 
 module Program = Kit_abi.Program
 module Testcase = Kit_gen.Testcase
-module Cluster = Kit_gen.Cluster
 module Supervisor = Kit_exec.Supervisor
 module Campaign = Kit_core.Campaign
 module Jobqueue = Kit_core.Jobqueue
-module Checkpoint = Kit_core.Checkpoint
-module Codec = Kit_core.Codec
-module Jsonl = Kit_obs.Jsonl
 module Obs = Kit_obs.Obs
 module Metrics = Kit_obs.Metrics
 module Tracer = Kit_obs.Tracer
@@ -66,14 +62,12 @@ type config = {
   heartbeat_s : float;
   max_respawns : int;
   backoff_base_ms : float;
-  checkpoint_path : string option;
-  checkpoint_every : int;
   sabotage : sabotage;
 }
 
 let default_config =
   { procs = 4; heartbeat_s = 30.0; max_respawns = 3; backoff_base_ms = 5.0;
-    checkpoint_path = None; checkpoint_every = 16; sabotage = no_sabotage }
+    sabotage = no_sabotage }
 
 type stats = {
   spawns : int;
@@ -82,14 +76,7 @@ type stats = {
   resharded : int;
   heartbeat_timeouts : int;
   poisoned : int;
-  resumed : int;
   stolen : int;
-}
-
-type outcome = {
-  results : Campaign.case_result list;
-  executions : int;
-  stats : stats;
 }
 
 exception
@@ -580,184 +567,36 @@ let core_stats t =
   { c_spawns = t.spawns; c_deaths = t.deaths; c_respawns = t.respawns;
     c_heartbeat_timeouts = t.hb_timeouts }
 
-(* -- the single-campaign driver ------------------------------------------- *)
+(* -- the single-campaign executor ----------------------------------------- *)
 
-(* Driver-side campaign state for [execute]: the queue, quarantine
-   results, strike counts and checkpoint accounting the pool core
-   deliberately knows nothing about. *)
-type exec_state = {
-  q : (Testcase.t, Campaign.case_result) Jobqueue.t;
-  qres : (int, Campaign.case_result) Hashtbl.t;  (* pool-quarantined *)
-  lethal : (int, int) Hashtbl.t;         (* consecutive kills per case *)
-  options : Campaign.options;
-  corpus : Program.t array;
-  total : int;
-  mutable execs : int;
-  mutable since_ckpt : int;              (* completions since last save *)
-  mutable new_done : (int * Campaign.case_result) list;
-  mutable new_quar : (int * Campaign.case_result) list;
-      (* completed / quarantined since the last save, newest first *)
-  mutable logged : bool;                 (* this run wrote the whole log *)
-  mutable poisoned : int;
-  mutable resumed : int;
-}
-
-(* -- checkpointing --------------------------------------------------------
-
-   An append-only KITCKPT1 log of JSON records (see Checkpoint). The
-   first save of a run writes the campaign identity — seed, corpus size
-   and representative count, which resume checks — with every result
-   so far; each later save appends only the ids completed or
-   quarantined since, with their case results (Codec). Every record
-   carries the running execution count; the last one wins. Pool runs
-   re-execute from the corpus, so older kinds get no migration. *)
-let checkpoint_kind = "pool-shards-v4"
-
-let record st ~identity ~completed ~quarantined =
-  let entries l =
-    Jsonl.List
-      (List.map
-         (fun (id, r) ->
-           Jsonl.Obj
-             [ ("id", Jsonl.Int id);
-               ("result", Codec.case_result_to_json r) ])
-         l)
-  in
-  Jsonl.to_string
-    (Jsonl.Obj
-       ((if identity then
-           [ ( "campaign",
-               Jsonl.Obj
-                 [ ("seed", Jsonl.Int st.options.Campaign.seed);
-                   ("corpus_size", Jsonl.Int st.options.Campaign.corpus_size);
-                   ("total", Jsonl.Int st.total) ] ) ]
-         else [])
-       @ [ ("executions", Jsonl.Int st.execs);
-           ("completed", entries completed);
-           ("quarantined", entries quarantined) ]))
-
-let save_checkpoint st path =
-  if st.logged then
-    Checkpoint.append path
-      (record st ~identity:false ~completed:(List.rev st.new_done)
-         ~quarantined:(List.rev st.new_quar))
-  else begin
-    let quarantined =
-      Hashtbl.fold (fun id r acc -> (id, r) :: acc) st.qres []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    Checkpoint.write path ~kind:checkpoint_kind
-      [ record st ~identity:true ~completed:(Jobqueue.results st.q)
-          ~quarantined ];
-    st.logged <- true
-  end;
-  st.new_done <- [];
-  st.new_quar <- []
-
-let maybe_checkpoint ?(force = false) cfg st =
-  match cfg.checkpoint_path with
-  | None -> ()
-  | Some path ->
-    if force || st.since_ckpt >= max 1 cfg.checkpoint_every then begin
-      st.since_ckpt <- 0;
-      save_checkpoint st path
-    end
-
-type record = {
-  r_identity : (int * int * int) option;   (* seed, corpus size, total *)
-  r_executions : int;
-  r_completed : (int * Campaign.case_result) list;
-  r_quarantined : (int * Campaign.case_result) list;
-}
-
-let record_of_json j =
-  let open Codec in
-  let entry e =
-    let* id = field "id" int e in
-    let* r = field "result" case_result_of_json e in
-    Ok (id, r)
-  in
-  let identity c =
-    let* seed = field "seed" int c in
-    let* corpus_size = field "corpus_size" int c in
-    let* total = field "total" int c in
-    Ok (Some (seed, corpus_size, total))
-  in
-  let* r_identity = field_or "campaign" ~default:None identity j in
-  let* r_executions = field "executions" int j in
-  let* r_completed = field_or "completed" ~default:[] (list entry) j in
-  let* r_quarantined = field_or "quarantined" ~default:[] (list entry) j in
-  Ok { r_identity; r_executions; r_completed; r_quarantined }
-
-let load_resume st path =
-  let corrupt msg =
-    failwith
-      (Checkpoint.error_to_string
-         (Checkpoint.Checkpoint_corrupt (path ^ ": " ^ msg)))
-  in
-  match Checkpoint.read path ~kind:checkpoint_kind with
-  | Error e -> failwith (Checkpoint.error_to_string e)
-  | Ok { Checkpoint.records; torn = _ } ->
-    let records =
-      match Codec.parse_all record_of_json records with
-      | Ok rs -> rs
-      | Error e -> corrupt e
-    in
-    (match records with
-     | [] -> corrupt "no complete record"
-     | { r_identity = None; _ } :: _ -> corrupt "first record has no identity"
-     | { r_identity = Some (seed, corpus_size, total); _ } :: _ ->
-       if seed <> st.options.Campaign.seed
-          || corpus_size <> st.options.Campaign.corpus_size
-          || total <> st.total
-       then
-         invalid_arg
-           "Pool.execute: checkpoint was taken with different campaign inputs");
-    let valid (id, _) = id >= 0 && id < st.total in
-    List.iter
-      (fun r ->
-        if not (List.for_all valid r.r_completed
-                && List.for_all valid r.r_quarantined)
-        then corrupt "representative id out of range";
-        List.iter (fun (id, cr) -> Jobqueue.complete st.q id cr) r.r_completed;
-        List.iter
-          (fun (id, cr) ->
-            Jobqueue.quarantine st.q id;
-            Hashtbl.replace st.qres id cr)
-          r.r_quarantined;
-        st.execs <- r.r_executions)
-      records;
-    st.resumed <- Jobqueue.completed_count st.q + Hashtbl.length st.qres
-
-let execute ?obs ?(resume = false) cfg options corpus
-    (generation : Cluster.result) =
+(* The pool core knows nothing of campaigns; this driver keeps the
+   campaign's queue (job id = global case index), the strike counts of
+   the twice-lethal rule, and the set of cases already reported, so
+   [on_done] fires once per case whichever of a completion or a
+   quarantine came first. *)
+let execute ?obs cfg options corpus cases ~on_done =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let procs = max 1 cfg.procs in
-  let q : (Testcase.t, Campaign.case_result) Jobqueue.t = Jobqueue.create () in
-  List.iter (fun tc -> ignore (Jobqueue.submit q tc)) generation.Cluster.reps;
-  let total = List.length generation.Cluster.reps in
-  let st =
-    { q; qres = Hashtbl.create 16; lethal = Hashtbl.create 16; options;
-      corpus; total; execs = 0; since_ckpt = 0; new_done = []; new_quar = [];
-      logged = false; poisoned = 0; resumed = 0 }
-  in
-  (match cfg.checkpoint_path with
-   | Some path when resume && Sys.file_exists path -> load_resume st path
-   | Some _ | None -> ());
+  let q : (Testcase.t, unit) Jobqueue.t = Jobqueue.create () in
+  List.iter (fun (case, tc) -> Jobqueue.submit_as q ~id:case tc) cases;
   ignore (Jobqueue.assign_round_robin q ~workers:procs : (int * _) list array);
+  let lethal = Hashtbl.create 16 in          (* consecutive kills per case *)
+  let reported = Hashtbl.create 64 in
+  let poisoned = ref 0 in
+  let report id r execs =
+    if not (Hashtbl.mem reported id) then begin
+      Hashtbl.replace reported id ();
+      on_done id r execs
+    end
+  in
   let t = create ~obs { cfg with procs } in
   let pm name = Metrics.counter ~always:true obs.Obs.metrics ("pool." ^ name) in
-  Metrics.set_counter (pm "resumed") st.resumed;
   let stats_of () =
     let c = core_stats t in
     { spawns = c.c_spawns; deaths = c.c_deaths; respawns = c.c_respawns;
       resharded = Jobqueue.resharded q;
-      heartbeat_timeouts = c.c_heartbeat_timeouts; poisoned = st.poisoned;
-      resumed = st.resumed; stolen = Jobqueue.stolen q }
-  in
-  let abort () =
-    maybe_checkpoint ~force:true cfg st;
-    raise (Aborted { unfinished = Jobqueue.unfinished q; stats = stats_of () })
+      heartbeat_timeouts = c.c_heartbeat_timeouts; poisoned = !poisoned;
+      stolen = Jobqueue.stolen q }
   in
   let dispatch_idle () =
     List.iter
@@ -774,13 +613,9 @@ let execute ?obs ?(resume = false) cfg options corpus
   in
   let handle = function
     | Job_done { ev_id = id; ev_result = r; ev_execs = d; _ } ->
-      if Jobqueue.result q id = None && not (Hashtbl.mem st.qres id) then
-        st.new_done <- (id, r) :: st.new_done;
-      Jobqueue.complete q id r;          (* no-op if already quarantined *)
-      Hashtbl.remove st.lethal id;       (* a success resets the strikes *)
-      st.execs <- st.execs + d;
-      st.since_ckpt <- st.since_ckpt + 1;
-      maybe_checkpoint cfg st
+      Jobqueue.complete q id ();         (* no-op if already quarantined *)
+      Hashtbl.remove lethal id;          (* a success resets the strikes *)
+      report id r d
     | Worker_lost { ev_slot = slot; ev_why = why; ev_in_flight; _ } ->
       (* Two strikes: a case that killed two workers in a row is poison
          — quarantine it as a first-class crash report instead of
@@ -788,23 +623,20 @@ let execute ?obs ?(resume = false) cfg options corpus
       (match ev_in_flight with
        | Some (_, id) when Jobqueue.result q id = None ->
          let strikes =
-           1 + Option.value ~default:0 (Hashtbl.find_opt st.lethal id)
+           1 + Option.value ~default:0 (Hashtbl.find_opt lethal id)
          in
-         Hashtbl.replace st.lethal id strikes;
+         Hashtbl.replace lethal id strikes;
          if strikes >= 2 then begin
-           let tc = Jobqueue.payload q id in
-           let r =
-             Campaign.lost_case_result ~attempts:strikes corpus
-               ~why:
-                 (Printf.sprintf
-                    "case killed %d workers in a row; last: %s" strikes why)
-               tc
-           in
-           Hashtbl.replace st.qres id r;
-           st.new_quar <- (id, r) :: st.new_quar;
            Jobqueue.quarantine q id;
-           st.poisoned <- st.poisoned + 1;
-           Metrics.inc (pm "poisoned")
+           incr poisoned;
+           Metrics.inc (pm "poisoned");
+           report id
+             (Campaign.lost_case_result ~attempts:strikes corpus
+                ~why:
+                  (Printf.sprintf
+                     "case killed %d workers in a row; last: %s" strikes why)
+                (Jobqueue.payload q id))
+             0
          end
        | Some _ | None -> ());
       let orphans = Jobqueue.release q ~worker:slot in
@@ -823,24 +655,25 @@ let execute ?obs ?(resume = false) cfg options corpus
         (fun () ->
           register t ~tenant:0 ~label:"" options corpus;
           while not (Jobqueue.is_drained q) do
-            if live_count t = 0 then abort ();
+            if live_count t = 0 then
+              raise
+                (Aborted
+                   { unfinished = Jobqueue.unfinished q; stats = stats_of () });
             dispatch_idle ();
             let events, _ = poll t ~timeout:0.2 in
             List.iter handle events
           done;
-          maybe_checkpoint ~force:true cfg st;
-          let results =
-            List.init total (fun id ->
-                match Jobqueue.result q id with
-                | Some r -> r
-                | None -> Hashtbl.find st.qres id)
-          in
           Metrics.set_counter (pm "resharded") (Jobqueue.resharded q);
           Metrics.set_counter (pm "stolen") (Jobqueue.stolen q);
-          { results; executions = st.execs; stats = stats_of () }))
+          stats_of ()))
 
-let executor ?obs ?resume ?on_stats cfg : Campaign.executor =
- fun options corpus generation ->
-  let o = execute ?obs ?resume cfg options corpus generation in
-  Option.iter (fun f -> f o.stats) on_stats;
-  (o.results, o.executions)
+let executor ?obs ?on_stats cfg : Campaign.executor =
+ fun options corpus _sup ~batch:_ cases ~on_done ->
+  let execs = ref 0 in
+  let stats =
+    execute ?obs cfg options corpus cases ~on_done:(fun case r d ->
+        execs := !execs + d;
+        on_done case r d)
+  in
+  Option.iter (fun f -> f stats) on_stats;
+  !execs

@@ -13,20 +13,19 @@
     (an expired worker is [SIGKILL]ed), respawns crashed workers with
     bounded retries and exponential backoff (re-sending every registered
     context), and reports everything as {!event}s. Scheduling policy —
-    claim order, strikes, quarantine, resharding, checkpointing — lives
-    in the drivers: {!execute}, the single-campaign driver behind
+    claim order, strikes, quarantine, resharding — lives in the
+    drivers: {!execute}, the single-campaign executor behind
     [kit campaign --procs], and the multi-tenant
     scheduler ([Kit_serve.Sched] behind [kit serve]), both feeding the
     pool from {!Kit_core.Jobqueue}s.
 
-    {!execute} preserves the full single-campaign contract: a dead
-    worker's unfinished queue is resharded over the survivors, a case
-    that kills two workers in a row is quarantined as a first-class
-    [Worker_lost] crash report instead of looping respawns, completed
-    shards checkpoint to an append-only KITCKPT1 log (each save appends
-    only the cases completed or quarantined since the previous one) so
-    a killed parent resumes without re-executing finished work, and
-    {!Aborted} is raised when every worker is gone.
+    {!execute} only executes: a dead worker's unfinished queue is
+    resharded over the survivors, a case that kills two workers in a
+    row is quarantined as a first-class [Worker_lost] crash report
+    instead of looping respawns, every completion or quarantine is
+    reported as it arrives, and {!Aborted} is raised when every worker
+    is gone. Checkpointing is the campaign driver's
+    ({!Kit_core.Campaign.execute}), the same for every executor.
 
     Per-case results are schedule-independent, so the merged
     funnel/report/quarantine fingerprint equals the sequential
@@ -37,7 +36,7 @@ module Campaign := Kit_core.Campaign
 
 val worker_entry : unit -> unit
 (** The worker trampoline. Every executable that calls {!execute} (or
-    installs {!executor}) MUST call this first thing in [main], before
+    runs {!executor}) MUST call this first thing in [main], before
     argument parsing: when the process was spawned as a pool worker
     (the [KIT_POOL_WORKER] environment variable is set), it runs the
     worker loop over the inherited pipe descriptors the variable names
@@ -68,15 +67,11 @@ type config = {
       (** per-job wall-clock deadline; an overdue worker is killed *)
   max_respawns : int;                (** respawn budget per worker slot *)
   backoff_base_ms : float;           (** respawn backoff base, doubling *)
-  checkpoint_path : string option;
-      (** {!execute} only: checkpoint completed shards here *)
-  checkpoint_every : int;            (** completions between checkpoints *)
   sabotage : sabotage;
 }
 
 val default_config : config
-(** 4 procs, 30 s heartbeat, 3 respawns, 5 ms backoff, no checkpointing,
-    no sabotage. *)
+(** 4 procs, 30 s heartbeat, 3 respawns, 5 ms backoff, no sabotage. *)
 
 (** {2 The persistent pool core} *)
 
@@ -158,7 +153,7 @@ type core_stats = {
 
 val core_stats : t -> core_stats
 
-(** {2 The single-campaign driver} *)
+(** {2 The single-campaign executor} *)
 
 type stats = {
   spawns : int;                      (** worker processes ever forked *)
@@ -167,51 +162,40 @@ type stats = {
   resharded : int;                   (** cases redealt from dead workers *)
   heartbeat_timeouts : int;
   poisoned : int;                    (** cases quarantined as twice-lethal *)
-  resumed : int;                     (** cases restored from checkpoint *)
   stolen : int;                      (** cases work-stolen by idle workers *)
-}
-
-type outcome = {
-  results : Campaign.case_result list;
-      (** one per cluster representative, in representative order;
-          pool-quarantined cases appear as [Worker_lost] crash results *)
-  executions : int;                  (** summed over workers and resumes *)
-  stats : stats;
 }
 
 exception
   Aborted of {
     unfinished : (int * Kit_gen.Testcase.t) list;
-        (** the queue nobody could absorb, in case order *)
+        (** the cases nobody could absorb, in case order *)
     stats : stats;
   }
 (** Every worker slot is dead with its respawn budget spent and work
-    still queued. If a checkpoint path is configured the completed
-    shards were saved before raising, so a fresh pool resumes. *)
+    still queued. Every case reported before the abort stays reported:
+    the campaign driver saves its log before the exception reaches the
+    caller, so a rerun with the log resumes. *)
 
 val execute :
   ?obs:Kit_obs.Obs.t ->
-  ?resume:bool ->
   config ->
   Campaign.options ->
   Kit_abi.Program.t array ->
-  Kit_gen.Cluster.result ->
-  outcome
-(** Run every cluster representative of [generation] on a fresh pool.
-    [resume] (default [false]) preloads completed shards from
-    [config.checkpoint_path] first — ignored when the file is missing;
-    a torn final record (a kill mid-append) is dropped and its cases
-    re-execute; a corrupt file aborts with the typed checkpoint error
-    message.
+  (int * Kit_gen.Testcase.t) list ->
+  on_done:(int -> Campaign.case_result -> int -> unit) ->
+  stats
+(** Run every [(case, representative)] on a fresh pool, calling
+    [on_done case result executions] exactly once per case as its
+    completion (or its twice-lethal quarantine, with 0 executions)
+    arrives. [case] is the job id on the wire: the ["case"] trace attr
+    and the key of [sabotage.poison].
     @raise Aborted when no worker can absorb the remaining queue. *)
 
 val executor :
-  ?obs:Kit_obs.Obs.t -> ?resume:bool -> ?on_stats:(stats -> unit) ->
-  config -> Campaign.executor
-(** Package {!execute} as a campaign execute-phase driver for
-    {!Kit_core.Campaign.run_with_executor} — the engine behind
-    [kit campaign --procs N]. [on_stats] receives the pool statistics
-    when the execute phase completes, so callers that only see the
-    assembled campaign (the CLI) can still report spawns, deaths,
-    reshards and — critically for resumed runs — the restored-shard
-    count. *)
+  ?obs:Kit_obs.Obs.t -> ?on_stats:(stats -> unit) -> config ->
+  Campaign.executor
+(** {!execute} as a campaign executor for {!Kit_core.Campaign.execute}
+    — the engine behind [kit campaign --procs N]. It returns the summed
+    worker executions. [on_stats] receives the pool statistics when the
+    pool drains, so callers that only see the assembled campaign (the
+    CLI) can still report spawns, deaths and reshards. *)

@@ -13,9 +13,9 @@ module Campaign = Kit_core.Campaign
 module Jobqueue = Kit_core.Jobqueue
 module Checkpoint = Kit_core.Checkpoint
 module Codec = Kit_core.Codec
+module Caselog = Kit_core.Caselog
 module Cluster = Kit_gen.Cluster
 module Testcase = Kit_gen.Testcase
-module Fnv = Kit_compact.Fnv
 module Coverage = Kit_obs.Coverage
 module Jsonl = Kit_obs.Jsonl
 
@@ -39,7 +39,8 @@ type t = {
   mutable t_phase : phase;
   mutable t_prepared : Campaign.prepared option;  (* while Active *)
   mutable t_generation : Cluster.result option;
-  mutable t_q : (Testcase.t, Campaign.case_result) Jobqueue.t;
+  mutable t_q : (Testcase.t, Campaign.case_result * int) Jobqueue.t;
+      (* results with their execution counts *)
   t_quar : (int, Campaign.case_result) Hashtbl.t;
       (* twice-lethal representatives, by job id *)
   t_strikes : (int, int) Hashtbl.t;     (* worker deaths per in-flight id *)
@@ -51,11 +52,7 @@ type t = {
   mutable t_resumed : int;              (* cache replays this activation *)
   mutable t_inflight : int;
   mutable t_since_ckpt : int;
-  mutable t_unsaved : (string * (Campaign.case_result * int)) list;
-      (* cache entries completed since the last save, newest first *)
-  mutable t_log : string option;
-      (* the checkpoint this incarnation wrote in full: later saves
-         append to it *)
+  t_log : Caselog.writer;               (* this incarnation's checkpoint *)
   mutable t_torn : int;                 (* torn-tail bytes dropped at load *)
   (* scheduling state, owned by Sched *)
   mutable t_deficit : float;
@@ -67,26 +64,8 @@ type t = {
   mutable t_summary : string option;
 }
 
-(* Streaming FNV over the testcase fields: no serialised copy, no MD5,
-   and process-stable (ints only — no pointers, no hash randomisation).
-   Stacks are length-prefixed so adjacent lists cannot alias. *)
-let fingerprint (tc : Testcase.t) =
-  let ints h l = List.fold_left Fnv.int (Fnv.int h (List.length l)) l in
-  let h = Fnv.int Fnv.init tc.Testcase.sender in
-  let h = Fnv.int h tc.Testcase.receiver in
-  let h =
-    match tc.Testcase.flow with
-    | None -> Fnv.int h 0
-    | Some f ->
-      let h = Fnv.int h 1 in
-      let h = Fnv.int h f.Testcase.addr in
-      let h = Fnv.int h f.Testcase.w_ip in
-      let h = Fnv.int h f.Testcase.r_ip in
-      let h = Fnv.int h f.Testcase.r_sys_index in
-      let h = ints h f.Testcase.w_stack in
-      ints h f.Testcase.r_stack
-  in
-  Fnv.to_hex h
+(* Ahead of [create], whose checkpoint writer needs it. *)
+let ckpt_kind = "serve-tenant-v4"
 
 let create ~id spec =
   { t_id = id; t_spec = spec; t_phase = Pending; t_prepared = None;
@@ -94,7 +73,7 @@ let create ~id spec =
     t_quar = Hashtbl.create 7; t_strikes = Hashtbl.create 7;
     t_cache = Hashtbl.create 64; t_fps = Hashtbl.create 64;
     t_executions = 0; t_resumed = 0;
-    t_inflight = 0; t_since_ckpt = 0; t_unsaved = []; t_log = None;
+    t_inflight = 0; t_since_ckpt = 0; t_log = Caselog.writer ~kind:ckpt_kind;
     t_torn = 0; t_deficit = 0.0; t_dispatched = 0;
     t_contended = 0; t_steals = 0; t_result = None; t_summary = None }
 
@@ -147,11 +126,11 @@ let activate t ~procs =
       assert (id = i);
       (* one fingerprint per representative per activation: the cache
          lookup here and the store in [record_done] share it *)
-      let fp = fingerprint tc in
+      let fp = Caselog.fingerprint tc in
       Hashtbl.replace t.t_fps id fp;
       match Hashtbl.find_opt t.t_cache fp with
-      | Some (result, execs) ->
-        Jobqueue.complete q id result;
+      | Some ((_, execs) as cached) ->
+        Jobqueue.complete q id cached;
         t.t_executions <- t.t_executions + execs;
         t.t_resumed <- t.t_resumed + 1
       | None -> ())
@@ -190,11 +169,11 @@ let record_done t ~id result execs =
     let fp =
       match Hashtbl.find_opt t.t_fps id with
       | Some fp -> fp
-      | None -> fingerprint (Jobqueue.payload t.t_q id)
+      | None -> Caselog.fingerprint (Jobqueue.payload t.t_q id)
     in
-    Jobqueue.complete t.t_q id result;
+    Jobqueue.complete t.t_q id (result, execs);
     Hashtbl.replace t.t_cache fp (result, execs);
-    t.t_unsaved <- (fp, (result, execs)) :: t.t_unsaved;
+    Caselog.add t.t_log (fp, (result, execs));
     t.t_executions <- t.t_executions + execs;
     t.t_inflight <- max 0 (t.t_inflight - 1);
     t.t_since_ckpt <- t.t_since_ckpt + 1;
@@ -238,9 +217,9 @@ let steals t = t.t_steals
 (* -- finishing ------------------------------------------------------------ *)
 
 (* Fold the per-representative results (queue results, plus quarantined
-   crash reports) in representative order through Campaign.assemble:
-   diagnosis and aggregation run here, in the daemon, exactly as a solo
-   campaign would run them. *)
+   crash reports, which cost no executions) in representative order
+   through Campaign.assemble: diagnosis and aggregation run here, in the
+   daemon, exactly as a solo campaign would run them. *)
 let finish t =
   match (t.t_prepared, t.t_generation) with
   | Some prepared, Some generation ->
@@ -251,16 +230,14 @@ let finish t =
           | Some r -> r
           | None -> (
             match Hashtbl.find_opt t.t_quar i with
-            | Some r -> r
+            | Some r -> (r, 0)
             | None ->
               invalid_arg
                 (Printf.sprintf "Tenant.finish: representative %d of %s \
                                  has no result" i (name t))))
         generation.Cluster.reps
     in
-    let c =
-      Campaign.assemble prepared generation results ~executions:t.t_executions
-    in
+    let c = Campaign.assemble prepared generation results in
     t.t_result <- Some c;
     t.t_summary <- Some (Proto.summary c);
     t.t_phase <- Finished;
@@ -319,99 +296,58 @@ let status t =
 
 (* -- checkpoints ----------------------------------------------------------
 
-   A KITCKPT1 log (see Checkpoint). Every record is one JSON object:
-   the spec, the finished flag, the summary once finished, and cache
-   entries ({"fp", "execs", "result"}). The first save of an
+   A case-result log (see Caselog) whose header is the spec, the
+   finished flag and the summary once finished. The first save of an
    incarnation writes the whole cache as a one-record log; every later
    save appends one record with only the entries completed since. On
    load, entries accumulate across records and the last record's spec,
    flag and summary win. *)
-let ckpt_kind = "serve-tenant-v4"
 
 let ckpt_path dir t = Filename.concat dir ("tenant-" ^ name t ^ ".ckpt")
 
 let checkpoint_due t ~every = t.t_since_ckpt >= max 1 every
 
-let record t entries =
-  let entry (fp, (result, execs)) =
-    Jsonl.Obj
-      [ ("fp", Jsonl.Str fp); ("execs", Jsonl.Int execs);
-        ("result", Codec.case_result_to_json result) ]
-  in
-  Jsonl.to_string
-    (Jsonl.Obj
-       ([ ("spec", Proto.spec_to_json t.t_spec);
-          ("finished", Jsonl.Bool (t.t_phase = Finished)) ]
-       @ (match t.t_summary with
-         | Some s -> [ ("summary", Jsonl.Str s) ]
-         | None -> [])
-       @ [ ("entries", Jsonl.List (List.map entry entries)) ]))
+let header t =
+  [ ("spec", Proto.spec_to_json t.t_spec);
+    ("finished", Jsonl.Bool (t.t_phase = Finished)) ]
+  @ match t.t_summary with Some s -> [ ("summary", Jsonl.Str s) ] | None -> []
 
-(* An append costs O(entries completed since the last save), not
-   O(cache). The full write on an incarnation's first save also
-   compacts the file and drops any torn tail it was loaded with. *)
 let save_checkpoint dir t =
-  let path = ckpt_path dir t in
-  (match t.t_log with
-  | Some logged when logged = path && Sys.file_exists path ->
-    Checkpoint.append path (record t (List.rev t.t_unsaved))
-  | Some _ | None ->
-    let all = Hashtbl.fold (fun fp e acc -> (fp, e) :: acc) t.t_cache [] in
-    Checkpoint.write path ~kind:ckpt_kind [ record t all ];
-    t.t_log <- Some path);
-  t.t_unsaved <- [];
+  Caselog.save t.t_log (ckpt_path dir t) ~header:(header t) ~all:(fun () ->
+      Hashtbl.fold (fun fp e acc -> (fp, e) :: acc) t.t_cache []);
   t.t_since_ckpt <- 0
 
-type record = {
-  r_spec : Proto.spec;
-  r_finished : bool;
-  r_summary : string option;
-  r_entries : (string * (Campaign.case_result * int)) list;
-}
-
-let record_of_json j =
+let header_of_json j =
   let open Codec in
-  let entry e =
-    let* fp = field "fp" string e in
-    let* execs = field "execs" int e in
-    let* result = field "result" case_result_of_json e in
-    Ok (fp, (result, execs))
-  in
-  let* r_spec = field "spec" Proto.spec_of_json j in
-  let* r_finished = field_or "finished" ~default:false bool j in
-  let* r_summary =
+  let* spec = field "spec" Proto.spec_of_json j in
+  let* finished = field_or "finished" ~default:false bool j in
+  let* summary =
     field_or "summary" ~default:None
       (fun s -> Result.map Option.some (string s))
       j
   in
-  let* r_entries = field_or "entries" ~default:[] (list entry) j in
-  Ok { r_spec; r_finished; r_summary; r_entries }
+  Ok (spec, finished, summary)
 
 (* Rebuild a tenant from its checkpoint file: a finished tenant comes
    back Finished with its stored summary; an unfinished one comes back
    Pending with the cache primed, ready to re-activate. *)
 let of_checkpoint ~id path =
-  let corrupt msg =
+  match Caselog.read path ~kind:ckpt_kind header_of_json with
+  | Error e -> Error (Checkpoint.error_to_string e)
+  | Ok ([], _) ->
     Error
       (Checkpoint.error_to_string
-         (Checkpoint.Checkpoint_corrupt (path ^ ": " ^ msg)))
-  in
-  match Checkpoint.read path ~kind:ckpt_kind with
-  | Error e -> Error (Checkpoint.error_to_string e)
-  | Ok { Checkpoint.records; torn } -> (
-    match Codec.parse_all record_of_json records with
-    | Error e -> corrupt e
-    | Ok [] -> corrupt "no complete record"
-    | Ok rs ->
-      let last = List.nth rs (List.length rs - 1) in
-      let t = create ~id last.r_spec in
-      List.iter
-        (fun r ->
-          List.iter (fun (fp, e) -> Hashtbl.replace t.t_cache fp e) r.r_entries)
-        rs;
-      if last.r_finished then begin
-        t.t_phase <- Finished;
-        t.t_summary <- last.r_summary
-      end;
-      t.t_torn <- torn;
-      Ok t)
+         (Checkpoint.Checkpoint_corrupt (path ^ ": no complete record")))
+  | Ok (rs, torn) ->
+    let (spec, finished, summary), _ = List.nth rs (List.length rs - 1) in
+    let t = create ~id spec in
+    List.iter
+      (fun (_, entries) ->
+        List.iter (fun (fp, e) -> Hashtbl.replace t.t_cache fp e) entries)
+      rs;
+    if finished then begin
+      t.t_phase <- Finished;
+      t.t_summary <- summary
+    end;
+    t.t_torn <- torn;
+    Ok t

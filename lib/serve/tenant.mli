@@ -10,11 +10,10 @@
     interleaving assembles the same campaign a solo [kit campaign] run
     produces — the cross-check behind the serve CI gate.
 
-    The result cache is keyed by testcase fingerprint — a streaming FNV
-    hash over the representative's fields, process-stable and computed
-    without any Marshal round trip. Corpus generation is prefix-stable,
-    so both daemon resume and {!extend} replay unchanged representatives
-    from cache instead of re-executing them. *)
+    The result cache is keyed by testcase fingerprint
+    ({!Kit_core.Caselog.fingerprint}). Corpus generation is
+    prefix-stable, so both daemon resume and {!extend} replay unchanged
+    representatives from cache instead of re-executing them. *)
 
 type phase =
   | Pending      (** admitted, waiting for an activation slot *)
@@ -120,30 +119,24 @@ val note_dispatch : t -> contended:bool -> stolen:bool -> unit
     claimable work at dispatch time (the fairness denominator),
     [stolen] when the dispatch spent another tenant's slack. *)
 
-(** {2 Fingerprints} *)
+(** {2 Checkpoints}
 
-val fingerprint : Kit_gen.Testcase.t -> string
-(** The cache key for a representative: a streaming FNV hash of the
-    testcase fields, identical across processes. *)
+    Kind ["serve-tenant-v4"]: a case-result log
+    ({!Kit_core.Caselog}) whose header is the spec
+    ({!Proto.spec_to_json}), the finished flag and the summary once
+    finished; its entries are the cache — fingerprint, execution count
+    and case result. The first save of each incarnation (fresh, or
+    loaded from a checkpoint) writes the whole cache atomically; every
+    later save appends one record with only the entries completed since
+    the previous save, so a save costs O(new completions) and one
+    fsync. On load, entries accumulate over the records and the last
+    record's spec, flag and summary win. A resumed daemon rebuilds the
+    tenant from this file; re-activation replays the cache, so
+    checkpointed representatives are never re-executed. Files of other
+    kinds load as an [Error]. *)
 
 val cached : t -> string list
 (** The fingerprints in the result cache, sorted. *)
-
-(** {2 Checkpoints}
-
-    Kind ["serve-tenant-v4"]: an append-only log on the validated
-    KITCKPT1 container ({!Kit_core.Checkpoint}). Each record is a JSON
-    object holding the spec ({!Proto.spec_to_json}), the finished flag,
-    the summary once finished, and cache entries — fingerprint,
-    execution count and the case result ({!Kit_core.Codec}). The first
-    save of each incarnation (fresh, or loaded from a checkpoint)
-    writes the whole cache atomically; every later save appends one
-    record with only the entries completed since the previous save, so
-    a save costs O(new completions) and one fsync. On load, entries
-    accumulate over the records and the last record's spec, flag and
-    summary win. A resumed daemon rebuilds the tenant from this file;
-    re-activation replays the cache, so checkpointed representatives
-    are never re-executed. Files of older kinds load as an [Error]. *)
 
 val ckpt_kind : string
 

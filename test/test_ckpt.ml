@@ -1,10 +1,11 @@
 (* Typed checkpoint codecs and the append-only KITCKPT1 log: round
    trips over real case results and specs, decoder fuzzing, the
-   torn-tail rule, a simulated crash at every byte of a tenant log, and
-   old-kind tenant files in a resumed daemon. *)
+   torn-tail rule, a simulated crash at every byte of a tenant log and
+   of a campaign log, and old-kind files in a resumed daemon. *)
 
 module Checkpoint = Kit_core.Checkpoint
 module Codec = Kit_core.Codec
+module Caselog = Kit_core.Caselog
 module Campaign = Kit_core.Campaign
 module Jsonl = Kit_obs.Jsonl
 module Obs = Kit_obs.Obs
@@ -204,7 +205,8 @@ let test_assembled_from_decoded () =
       results
   in
   let summary rs =
-    Proto.summary (Campaign.assemble prepared generation rs ~executions:0)
+    Proto.summary
+      (Campaign.assemble prepared generation (List.map (fun r -> (r, 0)) rs))
   in
   check_string "summary of decoded results" (summary results)
     (summary decoded)
@@ -368,9 +370,101 @@ let entries_within records cut =
        (fun (stop, fps) -> if stop <= cut then fps else [])
        records)
 
+(* The container's view of a log cut at [cut]: exactly the records
+   wholly inside the prefix, and the rest reported as torn. *)
+let check_prefix ~kind records path cut =
+  let hl = header_len kind in
+  let last_boundary =
+    List.fold_left (fun acc (stop, _) -> if stop <= cut then stop else acc)
+      hl records
+  in
+  match Checkpoint.read path ~kind with
+  | Error (Checkpoint.Not_checkpoint _ | Checkpoint.Checkpoint_corrupt _)
+    when cut < hl -> ()
+  | Ok { Checkpoint.records = rs; torn } when cut >= hl ->
+    check_int "complete records"
+      (List.length (List.filter (fun (s, _) -> s <= cut) records))
+      (List.length rs);
+    check_int "torn bytes" (cut - last_boundary) torn
+  | Ok _ | Error _ -> Alcotest.failf "prefix %d: wrong outcome" cut
+
+(* The tenant's campaign through the execute driver, logged every 2
+   completions and killed after 9 — the same shape as [build_log]: the
+   file, per record its end offset and the fingerprints it added, and
+   the representatives. *)
+let campaign_options = Proto.options_of_spec crash_spec
+
+let build_campaign_log dir =
+  let path = Filename.concat dir "campaign.ckpt" in
+  let prepared = Campaign.prepare campaign_options in
+  let generation = Campaign.generate_prepared prepared in
+  let log = Resume.open_log ~every:2 path campaign_options in
+  let records = ref [] and added = ref [] in
+  let log =
+    { log with
+      Campaign.record =
+        (fun tc r execs ->
+          added := Caselog.fingerprint tc :: !added;
+          log.Campaign.record tc r execs);
+      save =
+        (fun () ->
+          log.Campaign.save ();
+          records :=
+            ((Unix.stat path).Unix.st_size, List.sort_uniq String.compare !added)
+            :: !records;
+          added := []) }
+  in
+  (match
+     Campaign.execute ~executor:(Resume.killed_after 9) ~log prepared
+       generation
+   with
+  | _ -> Alcotest.fail "the campaign must be killed"
+  | exception Resume.Killed -> ());
+  (read_file path, List.rev !records, generation.Cluster.reps)
+
+(* Representatives whose fingerprint the records within [cut] hold. *)
+let replayable records reps cut =
+  let fps = entries_within records cut in
+  List.length
+    (List.filter (fun tc -> List.mem (Caselog.fingerprint tc) fps) reps)
+
+let campaign_log_crash_every_byte () =
+  with_dir "kit-campaign-log" (fun dir ->
+      let log, records, reps = build_campaign_log dir in
+      let first_end = fst (List.hd records) in
+      with_dir "kit-campaign-cut" (fun cut_dir ->
+          let path = Filename.concat cut_dir "campaign.ckpt" in
+          for cut = 0 to String.length log do
+            write_file path (String.sub log 0 cut);
+            check_prefix ~kind:Caselog.campaign_kind records path cut;
+            match
+              Caselog.campaign ~resume:true ~every:2 path campaign_options
+            with
+            | Ok l when cut >= first_end ->
+              if Resume.replayed l reps <> replayable records reps cut then
+                Alcotest.failf "prefix %d: wrong entries" cut
+            | Error _ when cut < first_end -> ()
+            | Ok _ | Error _ -> Alcotest.failf "prefix %d: wrong log" cut
+          done;
+          List.iter
+            (fun cut ->
+              write_file path (String.sub log 0 cut);
+              match Resume.run_process ~every:2 path campaign_options with
+              | _, None -> Alcotest.fail "an unkilled process must finish"
+              | replayed, Some c ->
+                check_int "resumed = entries in complete records"
+                  (replayable records reps cut) replayed;
+                check_string "summary = straight-through run"
+                  (Lazy.force straight) (Proto.summary c);
+                check_bool "the log is deleted with the result built" false
+                  (Sys.file_exists path))
+            (List.concat_map (fun (stop, _) -> [ stop; stop + 5 ]) records
+            |> List.filter (fun c -> c <= String.length log))))
+
 (* Simulate a crash after every byte of the log by truncating a copy
    there: each prefix holds exactly the records wholly inside it, and a
-   tenant resumed from a prefix finishes as if it had never stopped. *)
+   tenant resumed from a prefix finishes as if it had never stopped.
+   The campaign log of the same campaign gets the same treatment. *)
 let test_tenant_log_crash_every_byte () =
   check_string "the in-process drain = a solo campaign"
     (Proto.summary (Campaign.run (Proto.options_of_spec crash_spec)))
@@ -388,16 +482,7 @@ let test_tenant_log_crash_every_byte () =
           let path = Filename.concat cut_dir "tenant-crash.ckpt" in
           for cut = 0 to String.length log do
             write_file path (String.sub log 0 cut);
-            (match Checkpoint.read path ~kind:Tenant.ckpt_kind with
-            | Error
-                (Checkpoint.Not_checkpoint _ | Checkpoint.Checkpoint_corrupt _)
-              when cut < hl -> ()
-            | Ok { Checkpoint.records = rs; torn } when cut >= hl ->
-              check_int "complete records"
-                (List.length (List.filter (fun (s, _) -> s <= cut) records))
-                (List.length rs);
-              check_int "torn bytes" (cut - last_boundary cut) torn
-            | Ok _ | Error _ -> Alcotest.failf "prefix %d: wrong outcome" cut);
+            check_prefix ~kind:Tenant.ckpt_kind records path cut;
             match Tenant.of_checkpoint ~id:1 path with
             | Ok t when cut >= first_end ->
               if Tenant.cached t <> entries_within records cut then
@@ -445,7 +530,8 @@ let test_tenant_log_crash_every_byte () =
                   (Tenant.phase t' = Tenant.Finished
                   && Tenant.summary t' = Some summary
                   && Tenant.cached t' = Tenant.cached t))
-            cuts))
+            cuts));
+  campaign_log_crash_every_byte ()
 
 (* A bit flipped anywhere in a record that has a valid record after it
    is never decoded: the digest rejects the file. *)
@@ -479,17 +565,26 @@ let test_tenant_log_bit_flips () =
 
 (* --- old kinds ----------------------------------------------------------- *)
 
-(* A resumed daemon: old-kind files are listed as unreadable, a torn
-   log resumes with the torn tail named, and the daemon keeps serving. *)
+(* A resumed daemon: old-kind files — older tenant logs, and the retired
+   campaign execute checkpoint and pool shard log — are listed as
+   unreadable (and no campaign log either), a torn log resumes with the
+   torn tail named, and the daemon keeps serving. *)
 let test_resume_old_kinds_and_torn_tail () =
   with_dir "kit-resume" (fun dir ->
       List.iter
         (fun kind ->
           let path = Filename.concat dir ("tenant-" ^ kind ^ ".ckpt") in
-          Checkpoint.save path ~kind ("old layout", [ 1; 2; 3 ]);
+          Checkpoint.write path ~kind [ {|{"old layout":[1,2,3]}|} ];
           check_bool (kind ^ " is an Error") true
-            (is_error (Tenant.of_checkpoint ~id:0 path)))
-        [ "serve-tenant"; "serve-tenant-v2"; "serve-tenant-v3" ];
+            (is_error (Tenant.of_checkpoint ~id:0 path));
+          check_bool (kind ^ " is no campaign log") true
+            (match
+               Caselog.campaign ~resume:true ~every:1 path campaign_options
+             with
+            | Error (Caselog.Unreadable _) -> true
+            | Ok _ | Error (Caselog.Options_differ _) -> false))
+        [ "serve-tenant"; "serve-tenant-v2"; "serve-tenant-v3";
+          "campaign-execute-v5"; "pool-shards-v4" ];
       let log, _ = build_log dir in
       write_file (Filename.concat dir "tenant-crash.ckpt") (log ^ "torn");
       let cfg =
@@ -503,7 +598,7 @@ let test_resume_old_kinds_and_torn_tail () =
         ~finally:(fun () -> Sched.shutdown s)
         (fun () ->
           let restored = Sched.resume s in
-          check_int "four files listed" 4 (List.length restored);
+          check_int "six files listed" 6 (List.length restored);
           List.iter
             (fun (file, state) ->
               if file <> "crash" then

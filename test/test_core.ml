@@ -223,21 +223,28 @@ let test_extend_rejects_negative () =
     (Invalid_argument "Campaign.extend: add must be non-negative") (fun () ->
       ignore (Campaign.extend s ~add:(-1)))
 
-let test_checkpoint_reports_accessor () =
-  let prepared =
-    Campaign.prepare { Campaign.default_options with Campaign.corpus_size = 48 }
+(* Logging is bookkeeping: with a log saved after every case, a
+   campaign does exactly the work of one without — the same results and
+   the same execution count, diagnosis included — and the log is gone
+   once the result is built. *)
+let test_log_changes_nothing () =
+  let options =
+    { Campaign.default_options with Campaign.corpus_size = 48; seed = 11 }
   in
-  let rec drive resume acc =
-    match Campaign.execute_partial ?resume ~budget:16 prepared with
-    | `Paused ck ->
-      let n = Campaign.checkpoint_reports ck in
-      check_bool "report count monotone across chunks" true (n >= acc);
-      drive (Some ck) n
-    | `Done t -> (acc, t)
-  in
-  let last_seen, t = drive None 0 in
-  check_bool "final count caps the checkpoints" true
-    (last_seen <= List.length t.Campaign.reports)
+  let plain = Campaign.run options in
+  Resume.with_path "kit-core" (fun path ->
+      match Resume.run_process ~every:1 path options with
+      | _, None -> Alcotest.fail "an unkilled process must finish"
+      | _, Some logged ->
+        check_bool "same reports and funnel" true
+          (logged.Campaign.funnel = plain.Campaign.funnel
+          && List.length logged.Campaign.reports
+             = List.length plain.Campaign.reports
+          && List.length logged.Campaign.keyed
+             = List.length plain.Campaign.keyed);
+        check_int "same executions" plain.Campaign.executions
+          logged.Campaign.executions;
+        check_bool "log deleted" false (Sys.file_exists path))
 
 (* --- Tables ----------------------------------------------------------------------- *)
 
@@ -447,8 +454,8 @@ let suite =
       test_stream_result_idempotent;
     Alcotest.test_case "stream: negative growth rejected" `Quick
       test_extend_rejects_negative;
-    Alcotest.test_case "checkpoint: report count accessor" `Slow
-      test_checkpoint_reports_accessor;
+    Alcotest.test_case "campaign: a log changes no result or execution count"
+      `Quick test_log_changes_nothing;
     Alcotest.test_case "tables: table 2 static rows" `Quick test_table2_rows;
     Alcotest.test_case "tables: table 2 marks all found" `Slow
       test_table2_marks_found;

@@ -1,8 +1,8 @@
 (* Tests for the coverage ledger (Obs.Coverage) and funnel attrition
-   accounting: per-var state-machine mechanics, delta merge laws
-   (commutative/associative/idempotent), schedule invariance — the
-   ledger bytes are identical across domains, process pools, streaming
-   and checkpoint-resumed runs — and the attrition balance invariant. *)
+   accounting: per-var state-machine mechanics, schedule invariance —
+   the ledger bytes are identical across domains, process pools,
+   streaming and case-result logs resumed on any executor — and the
+   attrition balance invariant. *)
 
 module Coverage = Kit_obs.Coverage
 module Campaign = Kit_core.Campaign
@@ -53,54 +53,68 @@ let test_state_machine () =
   check_int "gaps" 1 s.Coverage.sum_gaps;
   check_lines "gap names" [ "b" ] (Coverage.gaps cov)
 
-let test_delta_absorb_round_trip () =
-  let cov = mini () in
-  Coverage.mark_attributed cov ~addr:100;
-  Coverage.mark_read cov ~addr:200;
-  let fresh = mini () in
-  Coverage.absorb fresh (Coverage.delta cov);
-  check_lines "absorbed ledger renders identically"
-    (Coverage.jsonl_lines cov) (Coverage.jsonl_lines fresh);
-  (* absorbing a delta mentioning unknown vars is harmless *)
-  Coverage.absorb fresh (Coverage.delta_of_list [ ("zzz", 15) ]);
-  check_lines "unknown vars ignored" (Coverage.jsonl_lines cov)
-    (Coverage.jsonl_lines fresh)
+(* --- one log, any executor ------------------------------------------------
 
-(* --- merge laws ----------------------------------------------------------- *)
+   A case-result log is a log whoever wrote it: a campaign killed after
+   12 completions, on the pool or in process, resumes on another
+   executor with the straight-through summary and ledger. *)
 
-let delta_gen =
-  let names = [| "a"; "b"; "c"; "d" |] in
-  QCheck.(
-    map
-      (fun pairs ->
-        Coverage.delta_of_list
-          (List.map (fun (i, flags) -> (names.(i), flags)) pairs))
-      (list_of_size Gen.(0 -- 8) (pair (int_bound 3) (int_bound 15))))
+let ledger_lines (c : Campaign.t) = Coverage.jsonl_lines c.Campaign.coverage
 
-let prop_merge_commutative =
-  QCheck.Test.make ~name:"ledger merge is commutative" ~count:200
-    (QCheck.pair delta_gen delta_gen)
-    (fun (d1, d2) ->
-      Coverage.equal_delta (Coverage.merge d1 d2) (Coverage.merge d2 d1))
+let cross_options =
+  { Campaign.default_options with Campaign.corpus_size = 48; seed = 11 }
 
-let prop_merge_associative =
-  QCheck.Test.make ~name:"ledger merge is associative" ~count:200
-    (QCheck.triple delta_gen delta_gen delta_gen)
-    (fun (d1, d2, d3) ->
-      Coverage.equal_delta
-        (Coverage.merge (Coverage.merge d1 d2) d3)
-        (Coverage.merge d1 (Coverage.merge d2 d3)))
+let view (c : Campaign.t) = (Kit_serve.Proto.summary c, ledger_lines c)
 
-let prop_merge_idempotent =
-  QCheck.Test.make ~name:"ledger merge is idempotent" ~count:200 delta_gen
-    (fun d -> Coverage.equal_delta (Coverage.merge d d) d)
+let straight_view = lazy (view (Campaign.run cross_options))
+
+let pool = Pool.executor { Pool.default_config with Pool.procs = 2 }
+
+(* Kill a writer after 12 completions (its log saved every 5), let
+   [damage] have the file, then resume. *)
+let resume_written_by ?writer ?(writer_options = cross_options)
+    ?(damage = fun _ -> ()) ?executor ~replays options =
+  Resume.with_path "kit-cross" (fun path ->
+      (match
+         Resume.run_process ?executor:writer ~kill:12 ~every:5 path
+           writer_options
+       with
+      | _, None -> ()
+      | _, Some _ -> Alcotest.fail "the writer must be killed");
+      damage path;
+      match Resume.run_process ?executor ~every:5 path options with
+      | replayed, Some c ->
+        check_int "replayed cases" replays replayed;
+        check_bool "summary and ledger = straight through" true
+          (view c = Lazy.force straight_view)
+      | _, None -> Alcotest.fail "an unkilled process must finish")
+
+let test_pool_log_in_process () =
+  resume_written_by ~writer:pool ~replays:12 cross_options
+
+let test_pool_log_on_domains () =
+  resume_written_by ~writer:pool ~replays:12
+    { cross_options with Campaign.domains = 4 }
+
+let test_domains_log_on_pool () =
+  resume_written_by
+    ~writer_options:{ cross_options with Campaign.domains = 4 }
+    ~executor:pool ~replays:12 cross_options
+
+(* A kill mid-append: the last record (the 2 completions flushed at the
+   kill) is torn off, and those cases run again. *)
+let test_torn_log () =
+  let damage path =
+    let log = In_channel.with_open_bin path In_channel.input_all in
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (String.sub log 0 (String.length log - 9)))
+  in
+  resume_written_by ~damage ~replays:10 cross_options
 
 (* --- campaign-level invariance -------------------------------------------- *)
 
 let small_options =
   { Campaign.default_options with Campaign.corpus_size = 48; diagnose = false }
-
-let ledger_lines (c : Campaign.t) = Coverage.jsonl_lines c.Campaign.coverage
 
 let test_campaign_ledger_nonempty () =
   let c = Campaign.run small_options in
@@ -127,8 +141,10 @@ let test_ledger_identical_across_domains () =
 let test_ledger_identical_on_pool () =
   let c1 = Campaign.run small_options in
   let cfg = { Pool.default_config with Pool.procs = 2 } in
+  let prepared = Campaign.prepare small_options in
   let c2 =
-    Campaign.run_with_executor ~executor:(Pool.executor cfg) small_options
+    Campaign.execute ~executor:(Pool.executor cfg) prepared
+      (Campaign.generate_prepared prepared)
   in
   check_lines "sequential = procs 2" (ledger_lines c1) (ledger_lines c2);
   check_bool "attrition identical" true
@@ -142,39 +158,29 @@ let test_ledger_identical_streaming () =
   check_bool "attrition identical" true
     (c1.Campaign.attrition = c2.Campaign.attrition)
 
-(* Chunked execution with a checkpoint save/load cycle per pause —
-   a daemon killed and restarted after every chunk — must converge to
-   the straight-through ledger, and coverage must be monotone across
-   the resumes. *)
+(* Killed every 7 completions and restarted from the log each time — a
+   fresh prepare per process — the campaign must converge to the
+   straight-through ledger: each restart re-marks profiling and replays
+   the logged results, whose attribution the fold marks again, and
+   every restart starts further along than the one before. *)
 let test_ledger_monotone_across_resume () =
   let straight = Campaign.run small_options in
-  let path = Filename.temp_file "kit_cov" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let rec go resume =
-        (* A fresh prepare per chunk, like a restarted process; the
-           resumed ledger re-marks the profiling rungs and absorbs the
-           checkpointed attribution delta, so state never regresses. *)
-        let prepared = Campaign.prepare small_options in
-        match Campaign.execute_partial ?resume ~budget:7 prepared with
-        | `Done t -> t
-        | `Paused ck ->
-          Campaign.save_checkpoint path ck;
-          let ck =
-            match Campaign.load_checkpoint path with
-            | Ok ck -> ck
-            | Error e ->
-              Alcotest.failf "checkpoint reload: %s"
-                (Kit_core.Checkpoint.error_to_string e)
-          in
-          go (Some ck)
+  Resume.with_path "kit_cov" (fun path ->
+      let rec go replayed_before =
+        let replayed, result =
+          Resume.run_process ~kill:7 ~every:7 path small_options
+        in
+        check_bool "every restart resumes further along" true
+          (replayed > replayed_before);
+        match result with Some c -> c | None -> go replayed
       in
-      let resumed = go None in
+      let resumed = go (-1) in
       check_lines "chunked resume = straight through" (ledger_lines straight)
         (ledger_lines resumed);
       check_bool "attrition identical" true
-        (straight.Campaign.attrition = resumed.Campaign.attrition))
+        (straight.Campaign.attrition = resumed.Campaign.attrition);
+      check_bool "the log is gone once the result is built" false
+        (Sys.file_exists path))
 
 let prop_attrition_balanced =
   QCheck.Test.make ~name:"attrition balances for any seed" ~count:3
@@ -240,11 +246,14 @@ let test_marking_cost () =
 let suite =
   [
     Alcotest.test_case "per-var state machine" `Quick test_state_machine;
-    Alcotest.test_case "delta absorb round trip" `Quick
-      test_delta_absorb_round_trip;
-    QCheck_alcotest.to_alcotest prop_merge_commutative;
-    QCheck_alcotest.to_alcotest prop_merge_associative;
-    QCheck_alcotest.to_alcotest prop_merge_idempotent;
+    Alcotest.test_case "ledger identical: pool log resumed in process" `Quick
+      test_pool_log_in_process;
+    Alcotest.test_case "ledger identical: pool log resumed on domains" `Quick
+      test_pool_log_on_domains;
+    Alcotest.test_case "ledger identical: domains log resumed on the pool"
+      `Quick test_domains_log_on_pool;
+    Alcotest.test_case "ledger identical: torn log resumed" `Quick
+      test_torn_log;
     Alcotest.test_case "campaign ledger non-empty, balanced" `Quick
       test_campaign_ledger_nonempty;
     Alcotest.test_case "ledger identical across domains" `Quick

@@ -181,10 +181,12 @@ let test_more_workers_than_cases () =
   let n_cases = List.length single.Campaign.generation.Cluster.reps in
   let domains = Campaign.run { options with Campaign.domains = n_cases + 2 } in
   let pool =
-    Campaign.run_with_executor
+    let prepared = Campaign.prepare options in
+    Campaign.execute
       ~executor:
         (Pool.executor { Pool.default_config with Pool.procs = n_cases + 1 })
-      options
+      prepared
+      (Campaign.generate_prepared prepared)
   in
   check_string "domains summary" (Proto.summary single) (Proto.summary domains);
   check_string "pool summary" (Proto.summary single) (Proto.summary pool)

@@ -1,9 +1,9 @@
 (* Tests for the fault-injection plane and the supervised execution
    runtime: fault plane mechanics, schedule parsing, recovery in
-   Runner/Supervisor, bounded mask cache, campaign checkpoint/resume,
-   and the headline robustness properties — transient fault schedules
-   and worker deaths never change campaign results; permanent crashers
-   are quarantined exactly once. *)
+   Runner/Supervisor, bounded mask cache, resume from campaign
+   case-result logs, and the headline robustness properties — transient
+   fault schedules and worker deaths never change campaign results;
+   permanent crashers are quarantined exactly once. *)
 
 module K = Kit_kernel
 module Fault = Kit_kernel.Fault
@@ -13,6 +13,7 @@ module Env = Kit_exec.Env
 module Runner = Kit_exec.Runner
 module Supervisor = Kit_exec.Supervisor
 module Campaign = Kit_core.Campaign
+module Caselog = Kit_core.Caselog
 module Filter = Kit_detect.Filter
 
 let check = Alcotest.check
@@ -372,78 +373,96 @@ let test_permanent_crashers_quarantined_once () =
          | Supervisor.Hung_forever | Supervisor.Worker_lost _ -> false)
        q)
 
-(* --- checkpoint / resume ----------------------------------------------------- *)
+(* --- checkpoint / resume -----------------------------------------------------
 
-let run_chunked ?(budget = 16) prepared =
-  let rec go resume =
-    match Campaign.execute_partial ?resume ~budget prepared with
-    | `Done t -> t
-    | `Paused ck -> go (Some ck)
-  in
-  go None
+   One process per chunk, each killed after [every] completions and
+   restarted from the case-result log. *)
 
 let prop_chunked_equals_straight =
   QCheck.Test.make ~name:"chunked checkpointed execution = straight-through"
     ~count:4
     QCheck.(int_range 4 60)
-    (fun budget ->
-      let prepared = Campaign.prepare small_options in
-      let chunked = run_chunked ~budget prepared in
-      campaign_fingerprint chunked
-      = campaign_fingerprint (Lazy.force baseline))
+    (fun every ->
+      Resume.with_path "kit" (fun path ->
+          campaign_fingerprint (Resume.run_chunked ~every path small_options)
+          = campaign_fingerprint (Lazy.force baseline)))
+
+let log_entries path =
+  match
+    Caselog.read path ~kind:Caselog.campaign_kind
+      (Kit_core.Codec.field "campaign" Result.ok)
+  with
+  | Ok (records, torn) -> (List.length (List.concat_map snd records), torn)
+  | Error e ->
+    Alcotest.failf "read: %s" (Kit_core.Checkpoint.error_to_string e)
 
 let test_checkpoint_file_round_trip () =
-  let prepared = Campaign.prepare small_options in
-  match Campaign.execute_partial ~budget:10 prepared with
-  | `Done _ -> Alcotest.fail "48-program campaign has more than 10 reps"
-  | `Paused ck ->
-    let path = Filename.temp_file "kit" ".ckpt" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Campaign.save_checkpoint path ck;
-        match Campaign.load_checkpoint path with
-        | Error e ->
-          Alcotest.failf "load_checkpoint: %s"
-            (Kit_core.Checkpoint.error_to_string e)
-        | Ok ck' ->
-          check_bool "progress survives" true
-            (Campaign.checkpoint_progress ck = Campaign.checkpoint_progress ck');
-          let resumed =
-            match
-              Campaign.execute_partial ~resume:ck' ~budget:max_int prepared
-            with
-            | `Done t -> t
-            | `Paused _ -> Alcotest.fail "unbounded budget must finish"
-          in
-          check_bool "resumed run matches baseline" true
-            (campaign_fingerprint resumed
-            = campaign_fingerprint (Lazy.force baseline)))
+  Resume.with_path "kit" (fun path ->
+      (match Resume.run_process ~kill:10 ~every:4 path small_options with
+      | _, Some _ -> Alcotest.fail "48-program campaign has more than 10 reps"
+      | _, None -> ());
+      check (Alcotest.pair Alcotest.int Alcotest.int)
+        "every completion before the kill is in the file" (10, 0)
+        (log_entries path);
+      match Resume.run_process ~every:4 path small_options with
+      | _, None -> Alcotest.fail "an unkilled process must finish"
+      | replayed, Some resumed ->
+        check_int "the logged cases replay" 10 replayed;
+        check_bool "resumed run matches baseline" true
+          (campaign_fingerprint resumed
+          = campaign_fingerprint (Lazy.force baseline));
+        check_bool "the file is deleted once the result is built" false
+          (Sys.file_exists path))
 
 let test_checkpoint_rejects_garbage () =
-  let path = Filename.temp_file "kit" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "not a checkpoint";
-      close_out oc;
-      match Campaign.load_checkpoint path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "garbage must not load")
+  Resume.with_path "kit" (fun path ->
+      let garbage = "not a checkpoint" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc garbage);
+      (match Caselog.campaign ~resume:true ~every:1 path small_options with
+      | Error (Caselog.Unreadable _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Caselog.error_to_string e)
+      | Ok _ -> Alcotest.fail "garbage must not load");
+      check_bool "the file is left alone" true
+        (In_channel.with_open_bin path In_channel.input_all = garbage))
 
+(* Every option that changes a case result is in the header, and a log
+   taken under another value is refused by name; options that change no
+   result are not recorded. *)
 let test_resume_validates_options () =
-  let prepared = Campaign.prepare small_options in
-  match Campaign.execute_partial ~budget:10 prepared with
-  | `Done _ -> Alcotest.fail "expected a pause"
-  | `Paused ck -> (
-    let other =
-      Campaign.prepare { small_options with Campaign.corpus_size = 64 }
-    in
-    try
-      ignore (Campaign.execute_partial ~resume:ck ~budget:max_int other);
-      Alcotest.fail "resuming with a different corpus must be rejected"
-    with Invalid_argument _ -> ())
+  Resume.with_path "kit" (fun path ->
+      ignore (Resume.run_process ~kill:10 ~every:4 path small_options);
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let o = small_options in
+      List.iter
+        (fun (name, options) ->
+          match Caselog.campaign ~resume:true ~every:4 path options with
+          | Error (Caselog.Options_differ got) ->
+            check Alcotest.string "the refusal names the option" name got
+          | Error e ->
+            Alcotest.failf "%s: wrong error: %s" name
+              (Caselog.error_to_string e)
+          | Ok _ -> Alcotest.failf "a different %s must be refused" name)
+        [ ("config", { o with Campaign.config = K.Config.v5_13_rw () });
+          ("spec", { o with Campaign.spec = Kit_spec.Spec.refined });
+          ("strategy", { o with Campaign.strategy = Kit_gen.Cluster.Rand 16 });
+          ("seed", { o with Campaign.seed = 8 });
+          ("corpus_size", { o with Campaign.corpus_size = 64 });
+          ("reruns", { o with Campaign.reruns = 2 });
+          ("fuel", { o with Campaign.fuel = o.Campaign.fuel + 1 });
+          ("max_retries", { o with Campaign.max_retries = 5 });
+          ("faults", { o with Campaign.faults = sched "panic:socket:1" });
+          ("schedules", { o with Campaign.schedules = 64 }) ];
+      check_bool "refusals leave the file alone" true
+        (In_channel.with_open_bin path In_channel.input_all = bytes);
+      List.iter
+        (fun options ->
+          match Caselog.campaign ~resume:true ~every:4 path options with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Caselog.error_to_string e))
+        [ { o with Campaign.domains = 4 };
+          { o with Campaign.baseline_cache = false };
+          { o with Campaign.diagnose = false } ])
 
 let suite =
   [

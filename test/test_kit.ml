@@ -30,4 +30,5 @@ let () =
       ("coverage", Test_coverage.suite);
       ("serve", Test_serve.suite);
       ("ckpt", Test_ckpt.suite);
+      ("cli", Test_cli.suite);
     ]

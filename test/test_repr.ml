@@ -9,7 +9,7 @@ module Compare = Kit_trace.Compare
 module Nondet = Kit_trace.Nondet
 module Bitset = Kit_compact.Bitset
 module Testcase = Kit_gen.Testcase
-module Tenant = Kit_serve.Tenant
+module Caselog = Kit_core.Caselog
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -248,8 +248,8 @@ let sample_testcases =
 let test_fingerprint_shape () =
   List.iter
     (fun tc ->
-      let fp = Tenant.fingerprint tc in
-      check_string "recompute is stable" fp (Tenant.fingerprint tc);
+      let fp = Caselog.fingerprint tc in
+      check_string "recompute is stable" fp (Caselog.fingerprint tc);
       check_int "16 hex chars" 16 (String.length fp);
       String.iter
         (fun c ->
@@ -257,7 +257,7 @@ let test_fingerprint_shape () =
             ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
         fp)
     sample_testcases;
-  let fps = List.map Tenant.fingerprint sample_testcases in
+  let fps = List.map Caselog.fingerprint sample_testcases in
   check_int "distinct testcases get distinct fingerprints"
     (List.length fps)
     (List.length (List.sort_uniq compare fps))
@@ -270,7 +270,7 @@ let test_fingerprint_shape () =
 let fp_env_var = "KIT_TEST_FP_CHILD"
 
 let fp_view () =
-  String.concat ";" (List.map Tenant.fingerprint sample_testcases)
+  String.concat ";" (List.map Caselog.fingerprint sample_testcases)
 
 (* Trampoline called from test_kit.ml before alcotest sees argv. The
    view goes to a file, not stdout — other suites print banners at

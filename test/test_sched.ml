@@ -376,18 +376,20 @@ let test_campaign_deterministic_across_procs () =
   (* The pool path (separate worker processes) folds the same
      schedule-search results as the in-process campaign. *)
   let reference = Lazy.force rw_campaign in
-  let outcome =
-    Pool.execute
-      { Pool.default_config with Pool.procs = 2 }
-      rw_campaign_options reference.Campaign.corpus
-      reference.Campaign.generation
-  in
+  let results = ref [] in
+  ignore
+    (Pool.execute
+       { Pool.default_config with Pool.procs = 2 }
+       rw_campaign_options reference.Campaign.corpus
+       (List.mapi (fun i tc -> (i, tc))
+          reference.Campaign.generation.Cluster.reps)
+       ~on_done:(fun _ r _ -> results := r :: !results)
+      : Pool.stats);
   let concurrent =
-    List.concat_map (fun r -> r.Campaign.cr_concurrent) outcome.Pool.results
+    List.concat_map (fun r -> r.Campaign.cr_concurrent) !results
   in
   let sched = Campaign.sched_create () in
-  List.iter (fun r -> Campaign.add_sched sched r.Campaign.cr_sched)
-    outcome.Pool.results;
+  List.iter (fun r -> Campaign.add_sched sched r.Campaign.cr_sched) !results;
   let fps_of list =
     List.sort compare
       (List.map

@@ -2,8 +2,8 @@
    container, and the forked worker pool — including the acceptance
    invariant that a SIGKILLed worker never changes the merged campaign
    outcome (qcheck over procs × kill schedules), the twice-lethal
-   quarantine, the heartbeat hang-catcher, and abort/resume through the
-   pool checkpoint. *)
+   quarantine, the heartbeat hang-catcher, and abort/resume of a pool
+   campaign through its case-result log. *)
 
 module Campaign = Kit_core.Campaign
 module Jobqueue = Kit_core.Jobqueue
@@ -471,85 +471,78 @@ let test_jobqueue_scales () =
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
+let read_ok path ~kind =
+  match Checkpoint.read path ~kind with
+  | Ok log -> log
+  | Error e -> Alcotest.failf "read: %s" (Checkpoint.error_to_string e)
+
 let test_checkpoint_roundtrip () =
   let path = tmp "kit_test_ckpt_rt" in
-  Checkpoint.save path ~kind:"unit-test" (42, "payload", [ 1; 2; 3 ]);
-  (match Checkpoint.load path ~kind:"unit-test" with
-   | Ok v ->
-     check_bool "value round-trips" true (v = (42, "payload", [ 1; 2; 3 ]))
-   | Error e -> Alcotest.failf "load: %s" (Checkpoint.error_to_string e));
+  let records = [ "42"; "payload"; ""; String.make 300 '\xff' ] in
+  Checkpoint.write path ~kind:"unit-test" records;
+  let log = read_ok path ~kind:"unit-test" in
+  check_bool "records round-trip" true (log.Checkpoint.records = records);
+  check_int "no torn tail" 0 log.Checkpoint.torn;
   Sys.remove path
+
+let expect_error what want path ~kind =
+  match Checkpoint.read path ~kind with
+  | Error e when want e -> ()
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Checkpoint.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s cannot load" what
 
 let test_checkpoint_typed_errors () =
   let path = tmp "kit_test_ckpt_err" in
-  (* missing file *)
-  (match (Checkpoint.load (tmp "kit_no_such_ckpt") ~kind:"k" : (int, _) result) with
-   | Error (Checkpoint.Io _) -> ()
-   | Error e -> Alcotest.failf "want Io, got %s" (Checkpoint.error_to_string e)
-   | Ok _ -> Alcotest.fail "missing file cannot load");
-  (* not a checkpoint at all *)
+  let corrupt = function Checkpoint.Checkpoint_corrupt _ -> true | _ -> false in
+  expect_error "missing file"
+    (function Checkpoint.Io _ -> true | _ -> false)
+    (tmp "kit_no_such_ckpt") ~kind:"k";
   let oc = open_out_bin path in
   output_string oc "definitely not a checkpoint";
   close_out oc;
-  (match (Checkpoint.load path ~kind:"k" : (int, _) result) with
-   | Error (Checkpoint.Not_checkpoint _) -> ()
-   | Error e ->
-     Alcotest.failf "want Not_checkpoint, got %s" (Checkpoint.error_to_string e)
-   | Ok _ -> Alcotest.fail "garbage cannot load");
-  (* wrong kind *)
-  Checkpoint.save path ~kind:"kind-a" 1;
-  (match (Checkpoint.load path ~kind:"kind-b" : (int, _) result) with
-   | Error (Checkpoint.Checkpoint_corrupt _) -> ()
-   | Error e ->
-     Alcotest.failf "want Checkpoint_corrupt, got %s"
-       (Checkpoint.error_to_string e)
-   | Ok _ -> Alcotest.fail "kind mismatch cannot load");
-  (* truncation: cut the file short *)
-  Checkpoint.save path ~kind:"k" (Array.make 64 "x");
+  expect_error "garbage"
+    (function Checkpoint.Not_checkpoint _ -> true | _ -> false)
+    path ~kind:"k";
+  Checkpoint.write path ~kind:"kind-a" [ "1" ];
+  expect_error "kind mismatch" corrupt path ~kind:"kind-b";
+  Checkpoint.write path ~kind:"k" [ String.make 64 'x'; "second" ];
   let full = In_channel.with_open_bin path In_channel.input_all in
-  let oc = open_out_bin path in
-  output_string oc (String.sub full 0 (String.length full - 7));
-  close_out oc;
-  (match (Checkpoint.load path ~kind:"k" : (string array, _) result) with
-   | Error (Checkpoint.Checkpoint_corrupt _) -> ()
-   | Error e ->
-     Alcotest.failf "want Checkpoint_corrupt, got %s"
-       (Checkpoint.error_to_string e)
-   | Ok _ -> Alcotest.fail "truncated file cannot load");
-  (* bit flip in the payload: digest must catch it *)
-  let oc = open_out_bin path in
+  let store s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s) in
+  (* a cut inside the header *)
+  store (String.sub full 0 (String.length Checkpoint.magic + 1));
+  expect_error "truncated header" corrupt path ~kind:"k";
+  (* a bit flip in the first record, with a valid record after it: the
+     digest catches it, and no crash can explain it *)
   let flipped = Bytes.of_string full in
-  let last = Bytes.length flipped - 1 in
-  Bytes.set flipped last (Char.chr (Char.code (Bytes.get flipped last) lxor 1));
-  output_bytes oc flipped;
-  close_out oc;
-  (match (Checkpoint.load path ~kind:"k" : (string array, _) result) with
-   | Error (Checkpoint.Checkpoint_corrupt _) -> ()
-   | Error e ->
-     Alcotest.failf "want Checkpoint_corrupt, got %s"
-       (Checkpoint.error_to_string e)
-   | Ok _ -> Alcotest.fail "corrupt payload cannot load");
+  let at = String.length Checkpoint.magic + 2 + 24 + 10 in
+  Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 1));
+  store (Bytes.to_string flipped);
+  expect_error "corrupt payload" corrupt path ~kind:"k";
+  (* a cut inside the last record is a torn tail: dropped and counted *)
+  store (String.sub full 0 (String.length full - 3));
+  let log = read_ok path ~kind:"k" in
+  check_bool "complete records kept" true
+    (log.Checkpoint.records = [ String.make 64 'x' ]);
+  check_int "torn bytes" (24 + String.length "second" - 3) log.Checkpoint.torn;
   Sys.remove path
 
 let test_checkpoint_crash_before_rename () =
   (* A writer killed between write and rename leaves a truncated
-     [path.tmp] beside the previous good [path]: the old value must
-     still load, and the next save must still replace it. *)
+     [path.tmp] beside the previous good [path]: the old log must still
+     read, and the next write must still replace it. *)
   let path = tmp "kit_test_ckpt_crash" in
-  Checkpoint.save path ~kind:"k" 1;
-  Checkpoint.save (path ^ ".next") ~kind:"k" 2;
+  Checkpoint.write path ~kind:"k" [ "1" ];
+  Checkpoint.write (path ^ ".next") ~kind:"k" [ "2" ];
   let next = In_channel.with_open_bin (path ^ ".next") In_channel.input_all in
   Sys.remove (path ^ ".next");
   Out_channel.with_open_bin (path ^ ".tmp") (fun oc ->
       Out_channel.output_string oc
         (String.sub next 0 (String.length next / 2)));
-  (match (Checkpoint.load path ~kind:"k" : (int, _) result) with
-   | Ok v -> check_int "previous checkpoint survives" 1 v
-   | Error e -> Alcotest.failf "load: %s" (Checkpoint.error_to_string e));
-  Checkpoint.save path ~kind:"k" 3;
-  (match (Checkpoint.load path ~kind:"k" : (int, _) result) with
-   | Ok v -> check_int "next save lands" 3 v
-   | Error e -> Alcotest.failf "load: %s" (Checkpoint.error_to_string e));
+  check_bool "previous checkpoint survives" true
+    ((read_ok path ~kind:"k").Checkpoint.records = [ "1" ]);
+  Checkpoint.write path ~kind:"k" [ "3" ];
+  check_bool "next write lands" true
+    ((read_ok path ~kind:"k").Checkpoint.records = [ "3" ]);
   check_bool "temp file consumed" false (Sys.file_exists (path ^ ".tmp"));
   Sys.remove path
 
@@ -578,10 +571,15 @@ let funnel_fp (f : Filter.funnel) =
   ( f.Filter.executed, f.Filter.initial, f.Filter.after_nondet,
     f.Filter.after_resource )
 
-let pool_fps (o : Pool.outcome) =
-  let reports = List.filter_map (fun r -> r.Campaign.cr_report) o.Pool.results in
+type outcome = {
+  results : Campaign.case_result list;   (* in case order *)
+  stats : Pool.stats;
+}
+
+let pool_fps (o : outcome) =
+  let reports = List.filter_map (fun r -> r.Campaign.cr_report) o.results in
   let quarantined =
-    List.concat_map (fun r -> r.Campaign.cr_crashes) o.Pool.results
+    List.concat_map (fun r -> r.Campaign.cr_crashes) o.results
   in
   let funnel =
     List.fold_left
@@ -589,42 +587,56 @@ let pool_fps (o : Pool.outcome) =
         let f = cr.Campaign.cr_funnel in
         ( e + f.Filter.executed, i + f.Filter.initial,
           n + f.Filter.after_nondet, r + f.Filter.after_resource ))
-      (0, 0, 0, 0) o.Pool.results
+      (0, 0, 0, 0) o.results
   in
   (multiset reports, funnel, multiset quarantined)
 
-(* The sequential reference: the in-process [Campaign.run] baseline. *)
-let reference =
-  lazy
-    (let b = Lazy.force baseline in
-     (multiset b.Campaign.reports, funnel_fp b.Campaign.funnel,
-      multiset b.Campaign.quarantined))
+let campaign_fps (c : Campaign.t) =
+  (multiset c.Campaign.reports, funnel_fp c.Campaign.funnel,
+   multiset c.Campaign.quarantined)
 
-let run_pool ?(cfg = test_config) ?resume () =
+(* The sequential reference: the in-process [Campaign.run] baseline. *)
+let reference = lazy (campaign_fps (Lazy.force baseline))
+
+(* Every representative of the baseline on a fresh pool, which must
+   report each case exactly once. *)
+let run_pool ?(cfg = test_config) () =
   let b = Lazy.force baseline in
-  Pool.execute ?resume cfg small_options b.Campaign.corpus
-    b.Campaign.generation
+  let reps = b.Campaign.generation.Kit_gen.Cluster.reps in
+  let results = Array.make (List.length reps) None in
+  let stats =
+    Pool.execute cfg small_options b.Campaign.corpus
+      (List.mapi (fun i tc -> (i, tc)) reps)
+      ~on_done:(fun case r _ ->
+        if results.(case) <> None then
+          Alcotest.failf "case %d reported twice" case;
+        results.(case) <- Some r)
+  in
+  { results = Array.to_list (Array.map Option.get results); stats }
 
 let test_pool_matches_sequential () =
   let o = run_pool ~cfg:{ test_config with Pool.procs = 3 } () in
   check_bool "pool(3) = sequential campaign" true
     (pool_fps o = Lazy.force reference);
-  check_int "no deaths in a clean run" 0 o.Pool.stats.Pool.deaths
+  check_int "no deaths in a clean run" 0 o.stats.Pool.deaths
 
 let test_pool_survives_sigkill () =
-  (* Worker 0 SIGKILLs itself on its second job — death mid-case from
-     the parent's view. The run must finish with the shard resharded and
-     the merged fingerprint unchanged. *)
+  (* Worker 0 SIGKILLs itself on its first job — death mid-case from
+     the parent's view. The first dispatch always reaches slot 0 (idle
+     slots are served in slot order, and each claims its own shard
+     before stealing), so the death never hangs on whether slot 1 steals
+     slot 0's queue first. The run must finish with the shard resharded
+     and the merged fingerprint unchanged. *)
   let cfg =
     { test_config with
-      Pool.sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 1) ] } }
+      Pool.sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 0) ] } }
   in
   let o = run_pool ~cfg () in
   check_bool "fingerprint equals crash-free run" true
     (pool_fps o = Lazy.force reference);
-  check_bool "worker death observed" true (o.Pool.stats.Pool.deaths >= 1);
-  check_bool "shard resharded" true (o.Pool.stats.Pool.resharded > 0);
-  check_bool "worker respawned" true (o.Pool.stats.Pool.respawns >= 1)
+  check_bool "worker death observed" true (o.stats.Pool.deaths >= 1);
+  check_bool "shard resharded" true (o.stats.Pool.resharded > 0);
+  check_bool "worker respawned" true (o.stats.Pool.respawns >= 1)
 
 let prop_pool_equals_sequential =
   (* The acceptance invariant: for any procs count and any single-kill
@@ -656,8 +668,8 @@ let test_pool_poison_two_strikes () =
   in
   let o = run_pool ~cfg () in
   let clean = run_pool () in
-  check_int "one poisoned case" 1 o.Pool.stats.Pool.poisoned;
-  (match (o.Pool.results, clean.Pool.results) with
+  check_int "one poisoned case" 1 o.stats.Pool.poisoned;
+  (match (o.results, clean.results) with
    | poisoned :: rest, _ :: clean_rest ->
      (match poisoned.Campaign.cr_crashes with
       | [ { Supervisor.c_reason = Supervisor.Worker_lost _; c_attempts; _ } ] ->
@@ -679,38 +691,42 @@ let test_pool_heartbeat_timeout () =
   in
   let o = run_pool ~cfg () in
   check_bool "hang caught by heartbeat" true
-    (o.Pool.stats.Pool.heartbeat_timeouts >= 1);
-  check_int "no respawn budget" 0 o.Pool.stats.Pool.respawns;
+    (o.stats.Pool.heartbeat_timeouts >= 1);
+  check_int "no respawn budget" 0 o.stats.Pool.respawns;
   check_bool "fingerprint equals crash-free run" true
     (pool_fps o = Lazy.force reference)
 
+(* A pool campaign of [small_options] through the driver, logging to
+   [path] every completion: the replayed count and the campaign. *)
+let pool_campaign ?(cfg = test_config) ?kill path =
+  match
+    Resume.run_process ~executor:(Pool.executor cfg) ?kill ~every:1 path
+      small_options
+  with
+  | replayed, Some c -> (replayed, c)
+  | _, None -> Alcotest.fail "killed"
+
 let test_pool_abort_and_resume () =
   (* A single worker with no respawn budget dies mid-run: the pool must
-     abort with the typed exception, checkpointing completed shards —
-     and a fresh pool must resume without re-executing them. *)
-  let path = tmp "kit_test_pool_ckpt" in
-  if Sys.file_exists path then Sys.remove path;
-  let crash_cfg =
-    { test_config with
-      Pool.procs = 1;
-      max_respawns = 0;
-      checkpoint_path = Some path;
-      checkpoint_every = 1;
-      sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 2) ] } }
-  in
-  (match run_pool ~cfg:crash_cfg () with
-   | (_ : Pool.outcome) -> Alcotest.fail "a dead pool must abort"
-   | exception Pool.Aborted { unfinished; stats } ->
-     check_bool "unfinished queue reported" true (unfinished <> []);
-     check_int "one death" 1 stats.Pool.deaths);
-  let resume_cfg =
-    { test_config with Pool.checkpoint_path = Some path; checkpoint_every = 1 }
-  in
-  let o = run_pool ~cfg:resume_cfg ~resume:true () in
-  check_bool "completed shards restored" true (o.Pool.stats.Pool.resumed >= 2);
-  check_bool "resumed fingerprint equals crash-free run" true
-    (pool_fps o = Lazy.force reference);
-  Sys.remove path
+     abort with the typed exception, the driver saving every completed
+     case first — and a fresh pool must resume without re-executing
+     them. *)
+  Resume.with_path "kit_test_pool" (fun path ->
+      let crash_cfg =
+        { test_config with
+          Pool.procs = 1;
+          max_respawns = 0;
+          sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 2) ] } }
+      in
+      (match pool_campaign ~cfg:crash_cfg path with
+      | _ -> Alcotest.fail "a dead pool must abort"
+      | exception Pool.Aborted { unfinished; stats } ->
+        check_bool "unfinished queue reported" true (unfinished <> []);
+        check_int "one death" 1 stats.Pool.deaths);
+      let replayed, c = pool_campaign path in
+      check_bool "completed cases restored" true (replayed >= 2);
+      check_bool "resumed fingerprint equals crash-free run" true
+        (campaign_fps c = Lazy.force reference))
 
 (* --- the jobqueue/wire typed errors (serve satellites) ------------------ *)
 
@@ -746,10 +762,6 @@ let test_wire_oversized () =
         ((Wire.recv rx : int option) = None))
 
 (* --- the scheduler ------------------------------------------------------ *)
-
-let campaign_fps (c : Campaign.t) =
-  (multiset c.Campaign.reports, funnel_fp c.Campaign.funnel,
-   multiset c.Campaign.quarantined)
 
 (* Solo references per (seed, corpus_size): what a standalone sequential
    campaign of the tenant's spec produces. *)
@@ -929,51 +941,53 @@ let test_sched_admission () =
       | Proto.Rejected _ -> ()
       | _ -> Alcotest.fail "unknown tenant must be rejected")
 
-(* --- pool resume stats (satellite regression) --------------------------- *)
+(* --- pool resume through the log ------------------------------------------ *)
+
+(* The whole campaign in the log: a process killed on its last
+   completion, after which nothing is left to execute. *)
+let full_log path =
+  let total =
+    List.length (Lazy.force baseline).Campaign.generation.Kit_gen.Cluster.reps
+  in
+  (match
+     Resume.run_process ~executor:(Pool.executor test_config) ~kill:total
+       ~every:1 path small_options
+   with
+  | _, None -> ()
+  | _, Some _ -> Alcotest.fail "the kill must fire on the last case");
+  total
 
 let test_pool_resume_all_restored () =
-  (* A resume where EVERY shard restores must still report a nonzero
-     resumed count — this is what `kit campaign --procs --resume` prints
-     via Pool.executor's on_stats, and what the CI pool smoke greps. *)
-  let path = tmp "kit_test_pool_full_ckpt" in
-  if Sys.file_exists path then Sys.remove path;
-  let cfg =
-    { test_config with
-      Pool.checkpoint_path = Some path;
-      checkpoint_every = 1 }
-  in
-  let o1 = run_pool ~cfg () in
-  check_int "fresh run restores nothing" 0 o1.Pool.stats.Pool.resumed;
-  let o2 = run_pool ~cfg ~resume:true () in
-  check_int "all shards restored and counted"
-    (List.length o1.Pool.results)
-    o2.Pool.stats.Pool.resumed;
-  check_bool "restored outcome equals the original" true
-    (pool_fps o2 = pool_fps o1);
-  Sys.remove path
+  (* A resume where every case restores replays them all and runs no
+     pool at all. *)
+  Resume.with_path "kit_test_pool_full" (fun path ->
+      let total = full_log path in
+      let replayed, c = pool_campaign path in
+      check_int "all cases restored and counted" total replayed;
+      check_bool "restored outcome equals the original" true
+        (campaign_fps c = Lazy.force reference);
+      check_bool "the log is deleted once the result is built" false
+        (Sys.file_exists path))
 
 let test_pool_resume_torn_tail () =
-  (* A kill mid-append leaves a torn tail on the pool log: resume drops
-     it, restores every complete record and re-executes the rest. *)
-  let path = tmp "kit_test_pool_torn_ckpt" in
-  if Sys.file_exists path then Sys.remove path;
-  let cfg =
-    { test_config with Pool.checkpoint_path = Some path; checkpoint_every = 1 }
-  in
-  let total = List.length (run_pool ~cfg ()).Pool.results in
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  let resume_from contents =
-    Out_channel.with_open_bin path (fun oc ->
-        Out_channel.output_string oc contents);
-    let o = run_pool ~cfg ~resume:true () in
-    check_bool "resumed outcome equals the crash-free run" true
-      (pool_fps o = Lazy.force reference);
-    o.Pool.stats.Pool.resumed
-  in
-  check_int "a garbage tail loses nothing" total (resume_from (full ^ "torn"));
-  let cut = resume_from (String.sub full 0 (String.length full / 2)) in
-  check_bool "a cut log restores a strict prefix" true (cut > 0 && cut < total);
-  Sys.remove path
+  (* A kill mid-append leaves a torn tail on the log: resume drops it,
+     restores every complete record and re-executes the rest. *)
+  Resume.with_path "kit_test_pool_torn" (fun path ->
+      let total = full_log path in
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      let resume_from contents =
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc contents);
+        let replayed, c = pool_campaign path in
+        check_bool "resumed outcome equals the crash-free run" true
+          (campaign_fps c = Lazy.force reference);
+        replayed
+      in
+      check_int "a garbage tail loses nothing" total
+        (resume_from (full ^ "torn"));
+      let cut = resume_from (String.sub full 0 (String.length full / 2)) in
+      check_bool "a cut log restores a strict prefix" true
+        (cut > 0 && cut < total))
 
 let suite =
   [
