@@ -21,15 +21,20 @@
                      critical path, Chrome/flamegraph output
 
    All commands are deterministic for a given --seed, including the
-   injected fault schedules. campaign, grow, serve and run accept
-   --metrics FILE / --trace FILE to export campaign telemetry
-   (observability plane, lib/obs); kit stats renders such a file.
+   injected fault schedules. campaign, grow and coverage share one
+   campaign flag set; campaign and coverage share the execution flags
+   (--procs, --checkpoint, --checkpoint-every, --resume); campaign,
+   grow, serve and run accept --metrics FILE / --trace FILE to export
+   campaign telemetry (observability plane, lib/obs); kit stats renders
+   such a file.
 
    Exit codes (for CI gating):
-     0  clean run, no interference reports
-     1  interference reports found
-     2  quarantined crashers (test cases that kept killing the kernel)
-     3  internal error *)
+     0    clean run, no interference reports
+     1    interference reports found
+     2    quarantined crashers (test cases that kept killing the kernel)
+     3    internal error
+     124  usage error: an unknown flag or an out-of-range value, refused
+          before any work *)
 
 module Campaign = Kit_core.Campaign
 module Caselog = Kit_core.Caselog
@@ -94,12 +99,26 @@ let guarded f =
     Fmt.epr "kit: internal error: %s@." (Printexc.to_string e);
     exit_internal
 
+(* Integer flags have a floor. A value below it is a usage error (exit
+   124, before any work), never a silent clamp. *)
+let int_from lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got '%s'" lo s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let positive = int_from 1
+let non_negative = int_from 0
+
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed.")
 
 let corpus_size_arg =
   Arg.(
-    value & opt int 320
+    value & opt positive 320
     & info [ "corpus-size" ] ~doc:"Number of corpus test programs.")
 
 let strategy_arg =
@@ -136,7 +155,7 @@ let faults_arg =
 
 let fault_intensity_arg =
   Arg.(
-    value & opt int 0
+    value & opt non_negative 0
     & info [ "fault-intensity" ]
         ~doc:
           "Arm N additional transient faults drawn deterministically from \
@@ -152,13 +171,13 @@ let fuel_arg =
 let max_retries_arg =
   Arg.(
     value
-    & opt int Campaign.default_options.Campaign.max_retries
+    & opt non_negative Campaign.default_options.Campaign.max_retries
     & info [ "max-retries" ]
         ~doc:"Supervisor retries per test case before quarantining it.")
 
 let procs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "procs" ]
         ~doc:
           "Run the execute phase on N crash-isolated worker processes \
@@ -169,7 +188,7 @@ let procs_arg =
 
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "domains" ]
         ~doc:
           "Run the execute phase on N OCaml domains (true multicore). \
@@ -178,7 +197,7 @@ let domains_arg =
 
 let schedules_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "schedules" ]
         ~doc:
           "Search N interleaved schedule seeds per completed test case \
@@ -197,15 +216,6 @@ let race_bugs_arg =
            race-window bugs, which only interleaved schedules \
            ($(b,--schedules) > 1) can expose.")
 
-let no_baseline_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-baseline-cache" ]
-        ~doc:
-          "Disable the per-receiver baseline-trace cache (every test case \
-           re-executes the receiver solo). Never changes results; useful \
-           for benchmarking the memoization win.")
-
 let checkpoint_arg =
   Arg.(
     value
@@ -218,7 +228,7 @@ let checkpoint_arg =
 
 let checkpoint_every_arg =
   Arg.(
-    value & opt int 64
+    value & opt positive 64
     & info [ "checkpoint-every" ]
         ~doc:"Cluster representatives between checkpoints.")
 
@@ -250,12 +260,18 @@ let trace_arg =
         ~doc:"Export trace events (phase and execution spans) to $(docv) as \
               JSONL.")
 
+type telemetry = { metrics_file : string option; trace_file : string option }
+
+let telemetry_term =
+  Term.(
+    const (fun metrics_file trace_file -> { metrics_file; trace_file })
+    $ metrics_arg $ trace_arg)
+
 (* Observability is off unless requested: --metrics/--trace build a
    recording bundle and enable the global default registry, so the
    kernel's per-sysno dispatch counters are collected too. *)
-let obs_of_flags ~metrics_file ~trace_file =
-  match (metrics_file, trace_file) with
-  | None, None -> None
+let obs_of_telemetry = function
+  | { metrics_file = None; trace_file = None } -> None
   | _ ->
     Metrics.set_enabled Metrics.default true;
     Some (Obs.create ())
@@ -263,7 +279,7 @@ let obs_of_flags ~metrics_file ~trace_file =
 (* CLI exports carry wall-clock timings (volatile metrics, per-event
    timestamps): the deterministic subset is what the test suite golden-
    tests; a user reading `kit stats` wants real durations. *)
-let export_obs obs ~meta ~metrics_file ~trace_file =
+let export_obs obs ~meta { metrics_file; trace_file } =
   match obs with
   | None -> ()
   | Some (obs : Obs.t) ->
@@ -287,17 +303,43 @@ let export_obs obs ~meta ~metrics_file ~trace_file =
         (Export.lines ~wall:true ~meta ~events ~dropped []);
       Fmt.pr "trace: %s@." path)
 
-let options ?(schedules = 1) ?(race_bugs = false) ~seed ~corpus_size ~strategy
-    ~faults ~fault_intensity ~fuel ~max_retries ~domains ~baseline_cache ~obs
-    () =
-  let faults = faults @ Fault.schedule_of_seed ~seed ~intensity:fault_intensity in
-  let config =
-    if race_bugs then Kit_kernel.Config.v5_13_rw ()
-    else Campaign.default_options.Campaign.config
+(* -- the shared campaign terms -------------------------------------------- *)
+
+(* The campaign flag set of campaign, grow and coverage. *)
+let options_term =
+  let make seed corpus_size strategy faults fault_intensity fuel max_retries
+      domains schedules race_bugs =
+    { Campaign.default_options with
+      Campaign.config =
+        (if race_bugs then Config.v5_13_rw ()
+         else Campaign.default_options.Campaign.config);
+      seed; corpus_size; strategy; fuel; max_retries; domains; schedules;
+      faults = faults @ Fault.schedule_of_seed ~seed ~intensity:fault_intensity }
   in
-  { Campaign.default_options with
-    Campaign.config; seed; corpus_size; strategy; faults; fuel; max_retries;
-    domains = max 1 domains; schedules = max 1 schedules; baseline_cache; obs }
+  Term.(
+    const make $ seed_arg $ corpus_size_arg $ strategy_arg $ faults_arg
+    $ fault_intensity_arg $ fuel_arg $ max_retries_arg $ domains_arg
+    $ schedules_arg $ race_bugs_arg)
+
+(* Where campaign and coverage run the execute phase, and its log. *)
+type execution = {
+  procs : int;
+  checkpoint_file : string option;
+  checkpoint_every : int;
+  resume : bool;
+}
+
+let execution_term =
+  Term.(
+    const (fun procs checkpoint_file checkpoint_every resume ->
+        { procs; checkpoint_file; checkpoint_every; resume })
+    $ procs_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
+
+(* The meta line of a campaign's telemetry export. *)
+let campaign_meta cmd (o : Campaign.options) =
+  [ ("cmd", Jsonl.Str cmd); ("seed", Jsonl.Int o.Campaign.seed);
+    ("corpus_size", Jsonl.Int o.Campaign.corpus_size);
+    ("strategy", Jsonl.Str (Cluster.strategy_name o.Campaign.strategy)) ]
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Render the AGG-RS groups.")
@@ -352,8 +394,8 @@ let print_robustness (c : Campaign.t) =
 (* The execute phase of kit campaign and kit coverage: in process
    (sequential or --domains) or on --procs worker processes, with
    --checkpoint logging each result as it completes. *)
-let execute_campaign ?obs ?on_stats opts ~procs ~checkpoint_file
-    ~checkpoint_every ~resume =
+let execute_campaign ?obs ?on_stats
+    { procs; checkpoint_file; checkpoint_every; resume } opts =
   let executor =
     if procs > 1 then
       Some (Pool.executor ?obs ?on_stats { Pool.default_config with Pool.procs })
@@ -383,28 +425,17 @@ let execute_campaign ?obs ?on_stats opts ~procs ~checkpoint_file
   Campaign.execute ?executor ?log:(Option.map snd log) prepared generation
 
 let cmd_campaign =
-  let run seed corpus_size strategy verbose faults fault_intensity fuel
-      max_retries domains schedules race_bugs procs no_baseline_cache
-      checkpoint_file checkpoint_every resume summary_file metrics_file
-      trace_file =
+  let run (opts : Campaign.options) x verbose summary_file tel =
     guarded (fun () ->
-        let obs = obs_of_flags ~metrics_file ~trace_file in
-        let opts =
-          options ~schedules ~race_bugs ~seed ~corpus_size ~strategy ~faults
-            ~fault_intensity ~fuel ~max_retries ~domains
-            ~baseline_cache:(not no_baseline_cache) ~obs ()
-        in
+        let obs = obs_of_telemetry tel in
+        let opts = { opts with Campaign.obs } in
         let pool_stats = ref None in
         let c =
           execute_campaign ?obs
             ~on_stats:(fun s -> pool_stats := Some s)
-            opts ~procs ~checkpoint_file ~checkpoint_every ~resume
+            x opts
         in
-        export_obs obs ~metrics_file ~trace_file
-          ~meta:
-            [ ("cmd", Jsonl.Str "campaign"); ("seed", Jsonl.Int seed);
-              ("corpus_size", Jsonl.Int corpus_size);
-              ("strategy", Jsonl.Str (Cluster.strategy_name strategy)) ];
+        export_obs obs tel ~meta:(campaign_meta "campaign" opts);
         let found = Oracle.new_bugs_found c.Campaign.keyed in
         Fmt.pr "strategy %s: %d clusters, %d reports after filtering@."
           (Cluster.strategy_name c.Campaign.generation.Cluster.strategy)
@@ -435,7 +466,7 @@ let cmd_campaign =
             c.Campaign.concurrent
         end;
         Fmt.pr "%s@." (Tables.performance c);
-        print_pool_stats ~procs !pool_stats;
+        print_pool_stats ~procs:x.procs !pool_stats;
         print_robustness c;
         if verbose then Fmt.pr "@.%s@." (Kit_report.Render.groups c.Campaign.agg_rs);
         write_summary c summary_file;
@@ -443,29 +474,21 @@ let cmd_campaign =
   in
   Cmd.v (Cmd.info "campaign" ~doc:"Run a full testing campaign")
     Term.(
-      const run $ seed_arg $ corpus_size_arg $ strategy_arg $ verbose_arg
-      $ faults_arg $ fault_intensity_arg $ fuel_arg $ max_retries_arg
-      $ domains_arg $ schedules_arg $ race_bugs_arg $ procs_arg
-      $ no_baseline_cache_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg $ summary_arg $ metrics_arg $ trace_arg)
+      const run $ options_term $ execution_term $ verbose_arg $ summary_arg
+      $ telemetry_term)
 
 let cmd_grow =
   let add_arg =
     Arg.(
-      value & opt int 64
+      value & opt non_negative 64
       & info [ "add" ]
           ~doc:"Programs to append to the corpus for the delta campaign.")
   in
-  let run seed corpus_size strategy add verbose faults fault_intensity fuel
-      max_retries domains schedules race_bugs no_baseline_cache metrics_file
-      trace_file =
+  let run (opts : Campaign.options) add verbose tel =
     guarded (fun () ->
-        let obs = obs_of_flags ~metrics_file ~trace_file in
-        let opts =
-          options ~schedules ~race_bugs ~seed ~corpus_size ~strategy ~faults
-            ~fault_intensity ~fuel ~max_retries ~domains
-            ~baseline_cache:(not no_baseline_cache) ~obs ()
-        in
+        let obs = obs_of_telemetry tel in
+        let opts = { opts with Campaign.obs } in
+        let corpus_size = opts.Campaign.corpus_size in
         (* Streaming base campaign: execute-while-generate, so the first
            report lands before the corpus is fully profiled. *)
         let s = Campaign.stream opts in
@@ -486,12 +509,8 @@ let cmd_grow =
         let stats = Campaign.stream_stats s in
         let delta = stats.Campaign.executed_cases - base_stats.Campaign.executed_cases in
         let total = List.length c.Campaign.generation.Cluster.reps in
-        export_obs obs ~metrics_file ~trace_file
-          ~meta:
-            [ ("cmd", Jsonl.Str "grow"); ("seed", Jsonl.Int seed);
-              ("corpus_size", Jsonl.Int corpus_size);
-              ("add", Jsonl.Int add);
-              ("strategy", Jsonl.Str (Cluster.strategy_name strategy)) ];
+        export_obs obs tel
+          ~meta:(campaign_meta "grow" opts @ [ ("add", Jsonl.Int add) ]);
         Fmt.pr
           "grown corpus %d: %d clusters, %d reports after filtering@."
           (corpus_size + add) c.Campaign.generation.Cluster.clusters
@@ -524,11 +543,7 @@ let cmd_grow =
        ~doc:
          "Run a streaming campaign, then grow the corpus and re-execute \
           only changed clusters")
-    Term.(
-      const run $ seed_arg $ corpus_size_arg $ strategy_arg $ add_arg
-      $ verbose_arg $ faults_arg $ fault_intensity_arg $ fuel_arg
-      $ max_retries_arg $ domains_arg $ schedules_arg $ race_bugs_arg
-      $ no_baseline_cache_arg $ metrics_arg $ trace_arg)
+    Term.(const run $ options_term $ add_arg $ verbose_arg $ telemetry_term)
 
 (* kit coverage: the campaign as a measurement instrument. Runs the
    pipeline (diagnosis off — the ledger needs reports, not culprit
@@ -556,19 +571,9 @@ let cmd_coverage =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Also write the JSONL ledger to $(docv).")
   in
-  let run seed corpus_size strategy domains procs checkpoint_file
-      checkpoint_every resume json out =
+  let run opts x json out =
     guarded (fun () ->
-        let opts =
-          { Campaign.default_options with
-            Campaign.seed; corpus_size; strategy;
-            domains = max 1 domains;
-            diagnose = false }
-        in
-        let c =
-          execute_campaign opts ~procs ~checkpoint_file ~checkpoint_every
-            ~resume
-        in
+        let c = execute_campaign x { opts with Campaign.diagnose = false } in
         let a = c.Campaign.attrition in
         let funnel_line =
           Jsonl.to_string
@@ -592,10 +597,7 @@ let cmd_coverage =
         let meta_line =
           Jsonl.to_string
             (Jsonl.Obj
-               [ ("k", Jsonl.Str "meta"); ("cmd", Jsonl.Str "coverage");
-                 ("seed", Jsonl.Int seed);
-                 ("corpus_size", Jsonl.Int corpus_size);
-                 ("strategy", Jsonl.Str (Cluster.strategy_name strategy)) ])
+               (("k", Jsonl.Str "meta") :: campaign_meta "coverage" opts))
         in
         let jsonl =
           (meta_line :: Coverage.jsonl_lines c.Campaign.coverage)
@@ -626,10 +628,7 @@ let cmd_coverage =
           written, read, observed with an overlapping write/read pair, or \
           attributed to a report — plus the funnel attrition accounting \
           that charges every generated case to one terminal stage.")
-    Term.(
-      const run $ seed_arg $ corpus_size_arg $ strategy_arg $ domains_arg
-      $ procs_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ json_arg $ out_arg)
+    Term.(const run $ options_term $ execution_term $ json_arg $ out_arg)
 
 let cmd_tables =
   let run seed corpus_size =
@@ -712,7 +711,7 @@ let cmd_run =
              ~doc:"Use the bounds-based detector instead of trace masking.")
   in
   let run sender_file receiver_file version bounds faults fault_intensity fuel
-      max_retries seed metrics_file trace_file =
+      max_retries seed tel =
     guarded (fun () ->
         match (parse_program_file sender_file, parse_program_file receiver_file)
         with
@@ -725,13 +724,13 @@ let cmd_run =
           let cfg =
             { Supervisor.default_config with Supervisor.fuel; max_retries }
           in
-          let obs = obs_of_flags ~metrics_file ~trace_file in
+          let obs = obs_of_telemetry tel in
           let sup =
             Supervisor.create ~cfg ~fault:(Fault.of_schedule faults)
               ?obs config
           in
           let finish code =
-            export_obs obs ~metrics_file ~trace_file
+            export_obs obs tel
               ~meta:[ ("cmd", Jsonl.Str "run"); ("seed", Jsonl.Int seed) ];
             code
           in
@@ -782,7 +781,7 @@ let cmd_run =
     Term.(
       const run $ sender_arg $ receiver_arg $ version_arg $ bounds_arg
       $ faults_arg $ fault_intensity_arg $ fuel_arg $ max_retries_arg
-      $ seed_arg $ metrics_arg $ trace_arg)
+      $ seed_arg $ telemetry_term)
 
 let cmd_profile =
   let program_arg =
@@ -1082,9 +1081,9 @@ let cmd_serve =
           ~doc:"Admission bound: submissions waiting for activation.")
   in
   let run socket state_dir procs heartbeat_s max_respawns max_active
-      max_pending checkpoint_every resume metrics_file trace_file =
+      max_pending checkpoint_every resume tel =
     guarded (fun () ->
-        let obs = obs_of_flags ~metrics_file ~trace_file in
+        let obs = obs_of_telemetry tel in
         let cfg =
           { Sched.sc_pool =
               { Pool.default_config with
@@ -1094,7 +1093,7 @@ let cmd_serve =
             sc_max_active = max 1 max_active;
             sc_max_pending = max 0 max_pending;
             sc_state_dir = state_dir;
-            sc_checkpoint_every = max 1 checkpoint_every }
+            sc_checkpoint_every = checkpoint_every }
         in
         let s = Sched.create ?obs cfg in
         Fun.protect
@@ -1106,7 +1105,7 @@ let cmd_serve =
                   Fmt.pr "kit-serve: resumed tenant %s (%s)@." name state)
                 (Sched.resume s);
             Sched.serve ~log:(fun m -> Fmt.pr "kit-serve: %s@." m) s ~socket);
-        export_obs obs ~metrics_file ~trace_file
+        export_obs obs tel
           ~meta:[ ("cmd", Jsonl.Str "serve"); ("procs", Jsonl.Int procs) ];
         exit_clean)
   in
@@ -1122,8 +1121,7 @@ let cmd_serve =
     Term.(
       const run $ socket_arg $ state_dir_arg $ serve_procs_arg
       $ serve_heartbeat_arg $ serve_max_respawns_arg $ max_active_arg
-      $ max_pending_arg $ checkpoint_every_arg $ resume_arg $ metrics_arg
-      $ trace_arg)
+      $ max_pending_arg $ checkpoint_every_arg $ resume_arg $ telemetry_term)
 
 let name_arg =
   Arg.(
@@ -1175,7 +1173,7 @@ let cmd_submit =
             sp_weight = max 1 weight;
             sp_max_inflight = max 0 max_inflight;
             sp_diagnose = not no_diagnose;
-            sp_schedules = max 1 schedules }
+            sp_schedules = schedules }
         in
         client socket (Proto.Submit spec) ~on_reply:(function
           | Proto.Accepted { a_name; a_id } ->

@@ -9,22 +9,26 @@
    case-result log ([log], kept on disk by Caselog) an interrupted
    campaign resumes without re-executing completed clusters.
 
-   The pipeline comes in two shapes built from the same Pipeline stages
-   and the same per-case executor:
+   The pipeline has two front ends built from the same Pipeline stages
+   and the same per-case executor, and one back end:
 
-   - the batch path ([execute]): profile everything, cluster in one
-     shot, replay what the log holds, then hand every other
+   - the batch front end ([run]/[execute]): profile everything and
+     cluster in one shot;
+   - the streaming front end ([stream]/[extend]): profile one program
+     at a time, fold it into the online cluster table, and execute
+     newly-sealed representatives immediately, recording each result in
+     a memo; [extend] grows the corpus of a live stream and executes
+     only clusters whose representative is new;
+   - the back end, the execute driver ([drive]): replay what a log (a
+     checkpoint, or a stream's memo) holds, hand every other
      representative to an executor — in process (sequential or over
-     domains) or the process pool;
-   - the streaming path ([stream]/[extend]): profile one program at a
-     time, fold it into the online cluster table, and execute
-     newly-sealed representatives immediately; [extend] grows the corpus
-     of a finished streaming campaign and re-executes only clusters
-     whose representative changed.
+     domains) or the process pool — and fold every result.
 
-   The two paths produce structurally identical reports, funnel,
-   quarantine and df_total (property-tested); only wall-clock shape and
-   execution counts differ. *)
+   Each front end wins on peak memory for the workload that uses it:
+   the batch pass holds every profile and the access map, the stream
+   every executed result. Both build their result in the one driver, so
+   both produce the same result (property-tested); only wall-clock
+   shape differs. *)
 
 module Program = Kit_abi.Program
 module Corpus = Kit_abi.Corpus
@@ -526,13 +530,15 @@ let run_chunk ~attrs ~emit options corpus sup chunk =
     |> List.iter (fun (case, r, execs) -> emit case r execs)
   end
 
-(* The execute phase boots one supervised environment; [run] executes
-   on it, and it goes on to run diagnosis. *)
+(* The execute phase boots one supervised environment ([boot]; a stream
+   hands over its own); [run] executes on it, and it goes on to run
+   diagnosis. *)
 let execute_stage =
   Pipeline.v ~consumes:"clusters" ~produces:"case-results" "execute"
-    (fun obs (options, run) ->
-      let sup = make_supervisor ~obs options in
-      (run sup, sup))
+    (fun _obs (boot, run) ->
+      let sup = boot () in
+      run sup;
+      sup)
 
 (* Algorithm 2 on one report, re-testing through [sup]. *)
 let diagnose_report spec sup (r : Report.t) =
@@ -593,29 +599,24 @@ let read_timings obs =
     diagnose_s = Metrics.gauge_value (time_gauge obs "diagnose_s") }
 
 (* The one place a campaign result is built. Closes the attrition
-   balance, diagnoses the reports — [diagnose], by default Algorithm 2
-   on [sup] as the "phase.diagnose" stage — and mirrors the final
-   accounting into the always-on "campaign.*" counters. [executions]
-   counts executions [sup]'s bundle never saw (replayed results, pool
-   worker processes). *)
-let finish ?diagnose ~options ~corpus ~obs ~cov ~sup ~executions generation
-    acc =
-  let options = { options with strategy = generation.Cluster.strategy } in
+   balance, diagnoses the reports — Algorithm 2 on [sup], as the
+   "phase.diagnose" stage — and mirrors the final accounting into the
+   always-on "campaign.*" counters. [executions] is what the folded
+   cases cost; the diagnosis re-tests are counted here. *)
+let finish ~options ~corpus ~obs ~cov ~sup ~executions generation acc =
   let reports = List.rev acc.a_rev_reports in
   let concurrent = List.rev acc.a_rev_concurrent in
   let quarantined = List.rev acc.a_rev_quarantined in
+  let e0 = Supervisor.executions sup in
   let keyed =
-    if not options.diagnose then begin
+    if options.diagnose then
+      Pipeline.run obs diagnose_stage (options, sup, reports)
+    else begin
       Metrics.set_gauge (time_gauge obs "diagnose_s") 0.0;
       []
     end
-    else
-      match diagnose with
-      | Some f -> f reports
-      | None -> Pipeline.run obs diagnose_stage (options, sup, reports)
   in
-  (* diagnosis re-executed through [sup], so read the counter last *)
-  let executions = executions + Supervisor.executions sup in
+  let executions = executions + Supervisor.executions sup - e0 in
   let funnel = acc.a_funnel and sched = acc.a_sched in
   let attrition = acc.a_attrition in
   (* Generation totals close the attrition balance: every generated
@@ -674,20 +675,22 @@ let supervisor = make_supervisor
 
 (* -- the execute driver ---------------------------------------------------
 
-   Every batch campaign runs its execute phase here. The driver replays
-   the results the log already holds, hands the other representatives —
-   with their global case indices, so case [i] is the same
-   representative whichever process runs it — to an executor, records
-   each completion as it arrives and saves the log every [log.every]
-   completions, then folds every result in representative order through
-   [absorb] and [finish]. Without a log nothing is replayed or recorded,
-   and the in-process executor runs every representative as one chunk
-   on the execute-phase supervisor. *)
+   Every campaign result is built here. The driver replays the results
+   the log already holds, hands the other representatives — with their
+   global case indices, so case [i] is the same representative whichever
+   process runs it — to an executor, records each completion as it
+   arrives and saves the log every [log.every] completions, then folds
+   every result in representative order through [absorb] and [finish].
+   A result's [executions] is the sum of the per-case costs the driver
+   receives, replayed or executed, plus the diagnosis re-tests. Without
+   a log nothing is replayed or recorded, and the in-process executor
+   runs every representative as one chunk on the execute-phase
+   supervisor. *)
 
 type executor =
   options -> Program.t array -> Supervisor.t -> batch:int ->
   (int * Testcase.t) list -> on_done:(int -> case_result -> int -> unit) ->
-  int
+  unit
 
 type log = {
   replay : int -> Testcase.t -> (case_result * int) option;
@@ -707,8 +710,7 @@ let split_at n l =
   if List.compare_length_with l n <= 0 then (l, []) else go n [] l
 
 (* [run_chunk] on [sup], [batch] cases at a time, so a log is saved
-   while the campaign runs even when the chunks fan out over domains.
-   Every execution reaches [sup]'s registry, so none is external. *)
+   while the campaign runs even when the chunks fan out over domains. *)
 let in_process options corpus sup ~batch cases ~on_done =
   let attrs case = [ ("case", string_of_int case) ] in
   let rec go cases =
@@ -718,22 +720,24 @@ let in_process options corpus sup ~batch cases ~on_done =
       go later
     end
   in
-  go cases;
-  0
+  go cases
 
-let execute ?(executor = in_process) ?log prepared generation =
-  let options =
-    { prepared.p_options with strategy = generation.Cluster.strategy }
-  in
+(* The driver takes only what it uses: the prepared profiles and access
+   map are garbage once the clusters exist. [boot] supplies the
+   execute-phase supervisor; [elapsed_base] seeds the execute-phase
+   gauge with execution time spent before the driver ran. *)
+let drive ?(executor = in_process) ?log ?elapsed_base ~boot ~options ~corpus
+    ~obs ~cov generation =
+  let options = { options with strategy = generation.Cluster.strategy } in
   let reps = Array.of_list generation.Cluster.reps in
   (* Results are folded in representative order as they arrive; one
      that arrives early waits in [early] for the cases before it. *)
   let acc = acc_create () in
-  let next = ref 0 and early = Hashtbl.create 16 in
+  let next = ref 0 and early = Hashtbl.create 16 and executions = ref 0 in
   let rec arrive case r =
     if case <> !next then Hashtbl.replace early case r
     else begin
-      absorb ~cov:prepared.p_cov acc r;
+      absorb ~cov acc r;
       incr next;
       match Hashtbl.find_opt early !next with
       | Some r ->
@@ -742,13 +746,13 @@ let execute ?(executor = in_process) ?log prepared generation =
       | None -> ()
     end
   in
-  let replayed_execs = ref 0 and todo = ref [] in
+  let todo = ref [] in
   Array.iteri
     (fun i tc ->
       match Option.bind log (fun l -> l.replay i tc) with
       | Some (r, execs) ->
-        arrive i r;
-        replayed_execs := !replayed_execs + execs
+        executions := !executions + execs;
+        arrive i r
       | None -> todo := (i, tc) :: !todo)
     reps;
   let todo = List.rev !todo in
@@ -761,6 +765,7 @@ let execute ?(executor = in_process) ?log prepared generation =
     | Some _ | None -> ()
   in
   let on_done case r execs =
+    executions := !executions + execs;
     arrive case r;
     match log with
     | None -> ()
@@ -770,25 +775,24 @@ let execute ?(executor = in_process) ?log prepared generation =
       if !unsaved >= l.every then save ()
   in
   let run sup =
-    if todo = [] then 0
-    else
-      executor options prepared.p_corpus sup
+    if todo <> [] then
+      executor options corpus sup
         ~batch:(match log with Some l -> l.every | None -> max_int)
         todo ~on_done
   in
   (* An executor that dies (a pool with every worker gone) still leaves
      its completions in the log for the next run to replay. *)
-  let external_execs, sup =
+  let sup =
     match
-      Pipeline.run prepared.p_obs execute_stage
+      Pipeline.run_timed ?elapsed_base obs execute_stage
         ~attrs:
           [ ("cases", string_of_int (List.length todo));
             ("domains", string_of_int (max 1 options.domains)) ]
-        (options, run)
+        (boot, run)
     with
-    | v ->
+    | sup, _ ->
       save ();
-      v
+      sup
     | exception e ->
       save ();
       raise e
@@ -796,13 +800,19 @@ let execute ?(executor = in_process) ?log prepared generation =
   if !next < Array.length reps then
     Fmt.invalid_arg "Campaign.execute: case %d has no result" !next;
   let t =
-    finish ~options ~corpus:prepared.p_corpus ~obs:prepared.p_obs
-      ~cov:prepared.p_cov ~sup
-      ~executions:(!replayed_execs + external_execs)
-      generation acc
+    finish ~options ~corpus ~obs ~cov ~sup ~executions:!executions generation
+      acc
   in
   Option.iter (fun l -> l.close ()) log;
   t
+
+let execute ?executor ?log prepared generation =
+  let { p_options = options; p_corpus = corpus; p_obs = obs; p_cov = cov; _ } =
+    prepared
+  in
+  drive ?executor ?log
+    ~boot:(fun () -> make_supervisor ~obs options)
+    ~options ~corpus ~obs ~cov generation
 
 let execute_prepared ?strategy prepared =
   execute prepared (generate_prepared ?strategy prepared)
@@ -831,12 +841,14 @@ let assemble prepared generation results =
    cluster is executed immediately — no global clustering barrier, so the
    first report lands while most of the corpus is still unprofiled.
 
-   Per-cluster results are cached by cluster id; the final assembly
-   orders them by the batch representative order, which makes the
-   streaming result structurally identical to the batch path
-   (property-tested). [extend] reuses the same machinery: feeding M more
-   programs emits events only for clusters whose membership created a
-   new cluster or changed a representative, so only those re-execute. *)
+   Every executed representative joins an in-memory memo keyed by
+   testcase fingerprint. The result is the execute driver over the
+   finalized clusters, with the memo as its log and the stream's own
+   supervisor: streamed representatives replay, and any others (RAND
+   draws, which exist only over the final corpus) execute there and
+   join the memo. [extend] feeds M more programs, which executes only
+   clusters that are new or whose representative changed, then builds
+   the result the same way. *)
 
 type stream = {
   s_options : options;
@@ -844,10 +856,10 @@ type stream = {
   s_profiler : Dataflow.profiler;
   s_cov : Coverage.t;                   (* coverage ledger, fed per program *)
   s_cstate : Cluster.state;
-  s_sup : Supervisor.t;                 (* sequential executor + diagnosis *)
+  s_sup : Supervisor.t;                 (* runs the stream and its results *)
   mutable s_corpus : Program.t array;
-  s_results : (Testcase.t, case_result) Jobqueue.t; (* keyed by cluster id *)
-  s_keyed : (int, Aggregate.keyed) Hashtbl.t;  (* diagnosis cache *)
+  s_memo : (string, case_result * int) Hashtbl.t;
+      (* testcase fingerprint -> (result, executions) *)
   s_t0 : float;
   mutable s_first_report_s : float option;
   mutable s_exec_cases : int;           (* rep executions incl. re-runs *)
@@ -855,13 +867,11 @@ type stream = {
   mutable s_profile_s : float;
   mutable s_generate_s : float;
   mutable s_execute_s : float;
-  mutable s_diagnose_s : float;
   mutable s_stream_s : float;           (* cumulative fold wall time *)
 }
 
 type stream_stats = {
   fed : int;                            (* programs folded *)
-  live_clusters : int;
   executed_cases : int;
   reexecuted : int;
   first_report_s : float option;
@@ -870,7 +880,6 @@ type stream_stats = {
 
 let stream_stats s =
   { fed = Cluster.fed s.s_cstate;
-    live_clusters = List.length (Cluster.live s.s_cstate);
     executed_cases = s.s_exec_cases;
     reexecuted = s.s_reexecuted;
     first_report_s = s.s_first_report_s;
@@ -878,29 +887,22 @@ let stream_stats s =
 
 let s_counter s name n = Metrics.set_counter (c_counter s.s_obs name) n
 
-(* Execute the clusters an event batch sealed or re-sealed, caching the
-   per-case results by cluster id. *)
+(* One executed representative, eagerly or by the driver. *)
+let memo_record s r execs =
+  Hashtbl.replace s.s_memo (Testcase.fingerprint r.cr_tc) (r, execs);
+  s.s_exec_cases <- s.s_exec_cases + 1;
+  if Option.is_some r.cr_report && s.s_first_report_s = None then
+    s.s_first_report_s <- Some (Unix.gettimeofday () -. s.s_t0)
+
+(* Execute the clusters an event batch sealed or re-sealed. *)
 let stream_execute s (events : Cluster.event list) =
-  (* The per-cluster result cache is a Jobqueue keyed by cluster id:
-     sealing submits the representative, a representative change reopens
-     the job (stale result discarded by [submit_as]), dropping forgets
-     it, and completed executions are recorded with [complete]. *)
   let cases =
-    List.filter_map
+    List.map
       (function
-        | Cluster.Dropped id ->
-          Jobqueue.drop s.s_results id;
-          Hashtbl.remove s.s_keyed id;
-          None
-        | Cluster.Sealed (id, tc) ->
-          Jobqueue.submit_as s.s_results ~id tc;
-          Some (id, tc)
+        | Cluster.Sealed (id, tc) -> (id, tc)
         | Cluster.Rep_changed (id, tc) ->
-          (* Cached execution and diagnosis are for the old rep: stale. *)
-          Jobqueue.submit_as s.s_results ~id tc;
-          Hashtbl.remove s.s_keyed id;
           s.s_reexecuted <- s.s_reexecuted + 1;
-          Some (id, tc))
+          (id, tc))
       events
   in
   if cases <> [] then begin
@@ -913,17 +915,12 @@ let stream_execute s (events : Cluster.event list) =
         ("cluster", string_of_int ids.(case - base)) ]
     in
     let indexed = List.mapi (fun i (_, tc) -> (base + i, tc)) cases in
-    let emit case r _ =
-      Jobqueue.complete s.s_results ids.(case - base) r;
-      if Option.is_some r.cr_report && s.s_first_report_s = None then
-        s.s_first_report_s <- Some (Unix.gettimeofday () -. s.s_t0)
-    in
+    let emit _ r execs = memo_record s r execs in
     let (), dt =
       timed (fun () ->
           run_chunk ~attrs ~emit s.s_options s.s_corpus s.s_sup indexed)
     in
-    s.s_execute_s <- s.s_execute_s +. dt;
-    s.s_exec_cases <- s.s_exec_cases + List.length cases
+    s.s_execute_s <- s.s_execute_s +. dt
   end
 
 (* Profile programs [from, to_size) one at a time and fold each into the
@@ -984,8 +981,7 @@ let stream (options : options) =
       s_cstate = Cluster.start ~seed:options.seed options.strategy;
       s_sup = make_supervisor ~obs options;
       s_corpus = [||];
-      s_results = Jobqueue.create ();
-      s_keyed = Hashtbl.create 256;
+      s_memo = Hashtbl.create 256;
       s_t0 = Unix.gettimeofday ();
       s_first_report_s = None;
       s_exec_cases = 0;
@@ -993,75 +989,34 @@ let stream (options : options) =
       s_profile_s = 0.0;
       s_generate_s = 0.0;
       s_execute_s = 0.0;
-      s_diagnose_s = 0.0;
       s_stream_s = 0.0 }
   in
   stream_grow s ~to_size:options.corpus_size;
   s
 
-(* Assemble the campaign result from the per-cluster caches. Ordering:
-   the batch path executes [generation.reps] in order (sorted for keyed
-   strategies, draw order for RAND), so the assembly replays exactly
-   that order over the cached results — reports, funnel and quarantine
-   come out structurally identical to [run]. *)
+(* The execute driver over the finalized clusters, with the memo as its
+   log: the execute-phase gauge adds the eager executions, and the
+   diagnosis re-runs on every call. *)
 let stream_result s =
-  let options = s.s_options in
   let obs = s.s_obs in
-  stream_execute s (Cluster.drain s.s_cstate);
-  let generation = Cluster.finalize s.s_cstate in
-  let live = Cluster.live s.s_cstate in
-  let ordered =
-    match options.strategy with
-    | Cluster.Rand _ -> live            (* draw order, like the batch path *)
-    | Cluster.Df | Cluster.Df_ia | Cluster.Df_st _ ->
-      List.sort (fun (_, a) (_, b) -> Testcase.compare a b) live
-  in
-  let cases =
-    List.map
-      (fun (id, rep) ->
-        match Jobqueue.result s.s_results id with
-        | Some r -> (id, r)
-        | None ->
-          Fmt.invalid_arg "Campaign.stream_result: cluster %d (%a) never ran"
-            id Testcase.pp rep)
-      ordered
-  in
-  (* Attribution and attrition fold over the *final* per-cluster cache —
-     never over superseded executions of replaced representatives — so
-     the streaming ledger and funnel match the batch path exactly. *)
-  let acc = acc_create () in
-  List.iter (fun (_, r) -> absorb ~cov:s.s_cov acc r) cases;
   Metrics.set_gauge (time_gauge obs "profile_s") s.s_profile_s;
   Metrics.set_gauge (time_gauge obs "generate_s") s.s_generate_s;
-  Metrics.set_gauge (time_gauge obs "execute_s") s.s_execute_s;
-  (* Diagnose newly-reported clusters; unchanged clusters reuse the
-     cached keyed report from a previous assembly. Walking [cases] yields
-     the reports [finish] hands over, in the same order, with the
-     cluster id each cache entry is keyed by. *)
-  let diagnose _reports =
-    let keyed, dt =
-      timed (fun () ->
-          List.filter_map
-            (fun (id, r) ->
-              Option.map
-                (fun rep ->
-                  match Hashtbl.find_opt s.s_keyed id with
-                  | Some k -> k
-                  | None ->
-                    let k = diagnose_report options.spec s.s_sup rep in
-                    Hashtbl.replace s.s_keyed id k;
-                    k)
-                r.cr_report)
-            cases)
-    in
-    s.s_diagnose_s <- s.s_diagnose_s +. dt;
-    Metrics.set_gauge (time_gauge obs "diagnose_s") s.s_diagnose_s;
-    keyed
+  let log =
+    { replay =
+        (fun _ tc -> Hashtbl.find_opt s.s_memo (Testcase.fingerprint tc));
+      record = (fun _ r execs -> memo_record s r execs);
+      every = max_int;
+      save = ignore;
+      close = ignore }
   in
-  finish ~diagnose
-    ~options:{ options with corpus_size = Array.length s.s_corpus }
-    ~corpus:s.s_corpus ~obs ~cov:s.s_cov ~sup:s.s_sup
-    ~executions:0 generation acc
+  let t =
+    drive ~log ~elapsed_base:s.s_execute_s
+      ~boot:(fun () -> s.s_sup)
+      ~options:{ s.s_options with corpus_size = Array.length s.s_corpus }
+      ~corpus:s.s_corpus ~obs ~cov:s.s_cov (Cluster.finalize s.s_cstate)
+  in
+  s.s_execute_s <- t.timings.execute_s;
+  t
 
 let extend s ~add =
   if add < 0 then invalid_arg "Campaign.extend: add must be non-negative";

@@ -8,13 +8,15 @@
     case-result {!log} ({!Caselog} keeps one on disk) an interrupted
     campaign resumes without re-executing completed representatives.
 
-    The pipeline comes in two shapes built from the same {!Pipeline}
-    stages and the same per-case executor: the batch path ({!execute},
-    {!run}) and the streaming path ({!stream}/{!extend}), which profiles
+    The pipeline has two front ends and one back end. The batch front
+    end ({!run}, {!execute}) profiles the whole corpus and clusters it
+    in one pass; the streaming front end ({!stream}/{!extend}) profiles
     one program at a time, folds it into the online cluster table and
-    executes newly-sealed representatives immediately. Both produce
-    structurally identical reports, funnel, quarantine and [df_total]
-    (property-tested). *)
+    executes newly-sealed representatives immediately. Either way the
+    result comes from the one execute driver, which folds every
+    per-case result into the campaign, so both produce the same result
+    — summary and coverage included, and the execution count too
+    without faults on one domain (property-tested). *)
 
 type options = {
   config : Kit_kernel.Config.t;
@@ -176,10 +178,9 @@ val generate_prepared :
 
     Every path — sequential, domain-parallel, the process pool,
     streaming — runs each cluster representative through the same
-    {!exec_case}, and folds the resulting {!case_result}s in
-    representative order through one per-case fold into one result
-    builder, which is what makes alternative schedules
-    outcome-equivalent. *)
+    {!exec_case}, and the execute driver folds the resulting
+    {!case_result}s in representative order into one result builder,
+    which is what makes alternative schedules outcome-equivalent. *)
 
 (** One executed cluster representative, self-contained: classification
     is order-free, so results can be produced under any schedule and
@@ -220,28 +221,29 @@ val lost_case_result :
 
 (** {2 The execute driver}
 
-    {!execute} is the execute phase of every batch campaign. It replays
+    Every campaign result is built by one driver: {!execute} for the
+    batch front end, {!stream_result} for the streaming one. It replays
     the results a {!log} already holds, hands the remaining
     representatives, with their global case indices, to an {!executor}
     — {!in_process} or the process pool ([Kit_serve.Pool.executor]) —
     records each completion in the log as it arrives, saves the log
     every [log.every] completions, and folds every result through the
     one per-case fold. Every campaign count (funnel, attrition,
-    coverage attribution, quarantine, schedule totals) is a fold of
+    coverage attribution, quarantine, schedule totals, and
+    {!t.executions} with the diagnosis re-tests added) is a fold of
     per-case results, so the results are all a log needs to hold. *)
 
 type executor =
   options -> Kit_abi.Program.t array -> Kit_exec.Supervisor.t ->
   batch:int -> (int * Kit_gen.Testcase.t) list ->
-  on_done:(int -> case_result -> int -> unit) -> int
+  on_done:(int -> case_result -> int -> unit) -> unit
 (** [executor options corpus sup ~batch cases ~on_done] runs every
     [(case, representative)] of [cases] and calls
     [on_done case result executions] once per case as it completes, in
     any order; [executions] is what the case cost. [sup] is the
     execute-phase supervisor, which goes on to run diagnosis; [batch]
     is the most completions an executor should hold back before
-    reporting them. Returns the executions it ran outside [sup]'s
-    registry (worker processes), which {!t.executions} adds. *)
+    reporting them. *)
 
 val in_process : executor
 (** Sequential on [sup], or dealt over [options.domains] domains, in
@@ -266,7 +268,10 @@ val execute :
     {!in_process}). If the executor raises, the completions recorded so
     far are saved before the exception propagates. Without a log no
     result is encoded, and {!in_process} runs every representative as
-    one chunk on the supervisor that then runs diagnosis. *)
+    one chunk on the supervisor that then runs diagnosis. The driver
+    keeps only [prepared]'s options, corpus, bundle and ledger, so a
+    caller that drops [prepared] ({!run} does) frees the profiles and
+    the access map before anything executes. *)
 
 val execute_prepared : ?strategy:Kit_gen.Cluster.strategy -> prepared -> t
 (** {!execute} of {!generate_prepared} (Table 4 runs each strategy on
@@ -286,28 +291,32 @@ val assemble :
 
     Execute-while-generate: {!stream} profiles one program at a time,
     folds it into the online cluster table
-    ({!Kit_gen.Cluster.start}/[feed]) and executes newly-sealed cluster
-    representatives immediately — no global clustering barrier, so the
-    first report lands while most of the corpus is still unprofiled.
-    {!stream_result} assembles a campaign result structurally identical
-    to the batch {!run} of the same options (property-tested; execution
-    counts and wall-clock shape differ).
+    ({!Kit_gen.Cluster.start}/[feed]) and executes newly-sealed and
+    representative-changed cluster representatives immediately — no
+    global clustering barrier, so the first report lands while most of
+    the corpus is still unprofiled. Every executed representative joins
+    an in-memory memo keyed by {!Kit_gen.Testcase.fingerprint}.
 
-    {!extend} grows the corpus of a live stream by [add] programs and
-    re-executes only clusters that are new or whose representative
-    changed — a delta campaign. Corpus generation is prefix-stable, so
-    the grown corpus extends the original and cached per-cluster
-    execution and diagnosis results stay valid for untouched clusters. *)
+    {!stream_result} is the execute driver over the finalized clusters
+    with that memo as its log, on the stream's own supervisor: streamed
+    representatives replay, and any others (RAND draws, which exist only
+    over the final corpus) execute there and join the memo.
+
+    {!extend} grows the corpus of a live stream by [add] programs — a
+    delta campaign. Corpus generation is prefix-stable, so the grown
+    corpus extends the original and only clusters that are new or whose
+    representative changed execute; every other representative replays
+    from the memo. Diagnosis re-runs on every result. *)
 
 type stream
 
 type stream_stats = {
   fed : int;                       (** programs folded so far *)
-  live_clusters : int;
   executed_cases : int;            (** rep executions incl. re-runs *)
   reexecuted : int;                (** representative-change re-runs *)
   first_report_s : float option;
-  (** wall-clock seconds from stream creation to the first report *)
+  (** wall-clock seconds from stream creation to the first executed
+      case that reported *)
   peak_feed_pairs : int;
   (** largest per-feed working set
       ({!Kit_gen.Cluster.peak_feed_pairs}) — the streaming counterpart
@@ -322,14 +331,15 @@ val stream : options -> stream
 val stream_stats : stream -> stream_stats
 
 val stream_result : stream -> t
-(** Assemble the campaign result from the per-cluster caches: drains the
-    cluster state, orders cached case results in batch representative
-    order and diagnoses any reported cluster not already in the keyed
-    cache. Idempotent; the stream stays live for {!extend}. *)
+(** The campaign result over the corpus fed so far: the execute driver
+    over {!Kit_gen.Cluster.finalize}, replaying the memo. Its
+    [timings.execute_s] includes the eager executions. Calling it again
+    executes nothing new; the stream stays live for {!extend}. *)
 
 val extend : stream -> add:int -> t
-(** [extend s ~add] grows the corpus by [add] programs, re-executes only
-    new and representative-changed clusters, and returns the assembled
-    result for the grown corpus — identical to a from-scratch campaign
-    of the final corpus size, with strictly fewer delta executions
-    (property-tested). *)
+(** [extend s ~add] grows the corpus by [add] programs, executes only
+    new and representative-changed clusters (and RAND draws not in the
+    memo), and returns {!stream_result} for the grown corpus — the
+    result of a from-scratch campaign of the final corpus size, with
+    strictly fewer delta executions (property-tested).
+    @raise Invalid_argument if [add] is negative. *)

@@ -9,32 +9,10 @@
 module Jsonl = Kit_obs.Jsonl
 module Testcase = Kit_gen.Testcase
 module Cluster = Kit_gen.Cluster
-module Fnv = Kit_compact.Fnv
 module Config = Kit_kernel.Config
 module Fault = Kit_kernel.Fault
 module Bugs = Kit_kernel.Bugs
 module Spec = Kit_spec.Spec
-
-(* Streaming FNV over the testcase fields: no serialised copy, no MD5,
-   and process-stable (ints only — no pointers, no hash randomisation).
-   Stacks are length-prefixed so adjacent lists cannot alias. *)
-let fingerprint (tc : Testcase.t) =
-  let ints h l = List.fold_left Fnv.int (Fnv.int h (List.length l)) l in
-  let h = Fnv.int Fnv.init tc.Testcase.sender in
-  let h = Fnv.int h tc.Testcase.receiver in
-  let h =
-    match tc.Testcase.flow with
-    | None -> Fnv.int h 0
-    | Some f ->
-      let h = Fnv.int h 1 in
-      let h = Fnv.int h f.Testcase.addr in
-      let h = Fnv.int h f.Testcase.w_ip in
-      let h = Fnv.int h f.Testcase.r_ip in
-      let h = Fnv.int h f.Testcase.r_sys_index in
-      let h = ints h f.Testcase.w_stack in
-      ints h f.Testcase.r_stack
-  in
-  Fnv.to_hex h
 
 type entry = string * (Campaign.case_result * int)
 
@@ -180,10 +158,11 @@ let campaign ?(resume = false) ~every path options =
       List.iter (fun (fp, e) -> Hashtbl.replace table fp e) entries;
       let w = writer ~kind:campaign_kind in
       let header = [ ("campaign", Jsonl.Obj fields) ] in
-      { Campaign.replay = (fun _ tc -> Hashtbl.find_opt table (fingerprint tc));
+      { Campaign.replay =
+          (fun _ tc -> Hashtbl.find_opt table (Testcase.fingerprint tc));
         record =
           (fun tc r execs ->
-            let fp = fingerprint tc in
+            let fp = Testcase.fingerprint tc in
             Hashtbl.replace table fp (r, execs);
             add w (fp, (r, execs)));
         every = max 1 every;

@@ -3,8 +3,8 @@
 
     A log is a KITCKPT1 log ({!Checkpoint}) of JSON records. Every
     record holds a header its caller supplies and a list of entries,
-    each one representative's testcase {!fingerprint}, its execution
-    count and its case result ({!Codec}):
+    each one representative's {!Kit_gen.Testcase.fingerprint}, its
+    execution count and its case result ({!Codec}):
 
     {v {<header fields>, "entries": [{"fp", "execs", "result"}, ...]} v}
 
@@ -17,12 +17,6 @@
     - [kit serve] tenant checkpoints ([Serve.Tenant], kind
       ["serve-tenant-v4"]), whose header is the spec, the finished flag
       and the summary. *)
-
-val fingerprint : Kit_gen.Testcase.t -> string
-(** The key of a representative's result: a streaming FNV hash of the
-    testcase fields, 16 hex digits, identical across processes. Corpus
-    generation is prefix-stable, so a representative hashes to the same
-    key in a resumed or grown campaign. *)
 
 type entry = string * (Campaign.case_result * int)
 (** [(fingerprint, (result, executions))]. *)

@@ -24,8 +24,8 @@ type ('a, 'b) status =
 
 type ('a, 'b) job = {
   j_id : int;
-  j_seq : int;                         (* submit order, stable on reopen *)
-  mutable j_payload : 'a;
+  j_seq : int;                         (* submit order *)
+  j_payload : 'a;
   mutable j_status : ('a, 'b) status;
 }
 
@@ -86,17 +86,15 @@ let job t id =
   | None -> raise Not_found
 
 let submit_as t ~id payload =
-  match Hashtbl.find_opt t.jobs id with
-  | Some j ->
-    j.j_payload <- payload;
-    set t j Queued
-  | None ->
-    let j = { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued } in
-    Hashtbl.replace t.jobs id j;
-    t.by_seq <- Imap.add j.j_seq j t.by_seq;
-    account t j ~add:true;
-    t.seq <- t.seq + 1;
-    if id >= t.next_id then t.next_id <- id + 1
+  if Hashtbl.mem t.jobs id then invalid_arg "Jobqueue.submit_as: id taken";
+  let j =
+    { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued }
+  in
+  Hashtbl.replace t.jobs id j;
+  t.by_seq <- Imap.add j.j_seq j t.by_seq;
+  account t j ~add:true;
+  t.seq <- t.seq + 1;
+  if id >= t.next_id then t.next_id <- id + 1
 
 let submit t payload =
   let id = t.next_id in
@@ -194,14 +192,6 @@ let complete t id r =
   | Queued | Assigned _ | Running _ | Completed _ -> set t j (Completed r)
 
 let quarantine t id = set t (job t id) Quarantined
-
-let drop t id =
-  match Hashtbl.find_opt t.jobs id with
-  | None -> ()
-  | Some j ->
-    account t j ~add:false;
-    Hashtbl.remove t.jobs id;
-    t.by_seq <- Imap.remove j.j_seq t.by_seq
 
 let result t id =
   match Hashtbl.find_opt t.jobs id with

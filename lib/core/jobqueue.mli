@@ -1,12 +1,12 @@
 (** The generic campaign job queue: submit / claim / complete / reassign
     with a deterministic merge order.
 
-    One queue abstraction backs the execution drivers: the streaming
-    per-cluster result cache ({!Campaign.stream}), the forked-process
-    pool ([Kit_serve.Pool]) and the multi-tenant scheduler
-    ([Kit_serve.Tenant]) are all thin drivers over it. Jobs carry a stable integer id —
-    either allocated in submit order ({!submit}) or caller-chosen
-    ({!submit_as}, e.g. cluster ids) — and every ordered read
+    One queue abstraction backs the process-level execution drivers:
+    the forked-process pool ([Kit_serve.Pool]) and the multi-tenant
+    scheduler ([Kit_serve.Tenant]) are thin drivers over it. Jobs carry
+    a stable integer id — either allocated in submit order ({!submit})
+    or caller-chosen ({!submit_as}, e.g. global case indices) — and
+    every ordered read
     ({!results}, {!unfinished}, {!release}) walks jobs in submit order,
     so merged outcomes are deterministic no matter which worker ran
     what, in which interleaving.
@@ -38,16 +38,13 @@ val submit : ('a, 'b) t -> 'a -> int
     order when ids are never chosen explicitly). O(log n). *)
 
 val submit_as : ('a, 'b) t -> id:int -> 'a -> unit
-(** Enqueue under a caller-chosen id (e.g. a cluster id). If the id
-    already exists the job {e reopens}: payload replaced, any previous
-    result discarded, state back to queued — the streaming pipeline's
-    representative-changed invalidation. The job keeps its original
-    submit-order position. O(log n). *)
+(** Enqueue under a caller-chosen id (e.g. a global case index).
+    O(log n).
+    @raise Invalid_argument if the id was already submitted. *)
 
 val mem : ('a, 'b) t -> int -> bool
 val payload : ('a, 'b) t -> int -> 'a
-(** @raise Not_found if the id was never submitted (or was dropped).
-    O(1), like {!mem}. *)
+(** @raise Not_found if the id was never submitted. O(1), like {!mem}. *)
 
 (** {2 Assignment and claiming} *)
 
@@ -96,10 +93,6 @@ val complete : ('a, 'b) t -> int -> 'b -> unit
 val quarantine : ('a, 'b) t -> int -> unit
 (** Retire a poisoned job: it will never be claimed, dealt or listed
     as unfinished again, and produces no result. O(log n). *)
-
-val drop : ('a, 'b) t -> int -> unit
-(** Forget a job entirely (streaming cluster [Dropped] events).
-    O(log n). *)
 
 (** {2 Reads — all in submit order (deterministic merge order)} *)
 

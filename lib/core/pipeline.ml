@@ -39,8 +39,9 @@ let runs_counter obs name =
   Metrics.counter ~always:true obs.Obs.metrics ("pipeline." ^ name ^ "_runs")
 
 (* Run a stage: span + cumulative time gauge + run counter. [elapsed_base]
-   seeds the gauge for stages resumed from a checkpoint, whose earlier
-   chunks ran in another process.
+   seeds the gauge for a stage whose work did not all run in this call:
+   a stream's fold, which runs once per growth step, and its execute
+   phase, whose eager executions ran during the fold.
 
    Wall-clock timing (stages include supervisor backoff and, in a real
    deployment, I/O waits, which CPU time would hide). The span is

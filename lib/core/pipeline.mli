@@ -26,9 +26,9 @@ val run_timed :
   ?attrs:(string * string) list -> ?elapsed_base:float -> Kit_obs.Obs.t ->
   ('a, 'b) stage -> 'a -> 'b * float
 (** Like {!run}, also returning this call's wall-clock seconds.
-    [elapsed_base] (default 0) seeds the time gauge, for stages resumed
-    from a checkpoint whose earlier chunks ran in another process: the
-    gauge reads [elapsed_base +. dt]. *)
+    [elapsed_base] (default 0) seeds the time gauge, for a stage whose
+    work did not all run in this call (a stream's growth steps, or its
+    eager executions): the gauge reads [elapsed_base +. dt]. *)
 
 val ( >>> ) : ('a, 'b) stage -> ('b, 'c) stage -> ('a, 'c) stage
 (** Sequential composition. The composite runs each constituent under

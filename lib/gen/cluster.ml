@@ -18,9 +18,11 @@
    the same cluster table, maintaining the generated/df_total counts
    incrementally and emitting newly-sealed or representative-changed
    clusters as it goes — the streaming campaign executes those
-   immediately instead of waiting behind a clustering barrier. The two
-   modes produce identical results (property-tested); the equivalence
-   argument lives with the online code below. *)
+   immediately instead of waiting behind a clustering barrier. RAND
+   pairs are drawn over the final corpus size, so they exist only in
+   [finalize]. The two modes produce identical results
+   (property-tested); the equivalence argument lives with the online
+   code below. *)
 
 module Accessmap = Kit_profile.Accessmap
 module Stackrec = Kit_profile.Stackrec
@@ -296,7 +298,6 @@ let run strategy ?(seed = 0) ~corpus_size map =
 type event =
   | Sealed of int * Testcase.t       (* new cluster: id, representative *)
   | Rep_changed of int * Testcase.t  (* better representative found *)
-  | Dropped of int                   (* cluster retired (RAND re-draw) *)
 
 type group = { g_best : Accessmap.entry; mutable g_n : int }
 
@@ -320,16 +321,13 @@ type state = {
   mutable st_next_id : int;
   mutable st_df_total : int;
   mutable st_peak_pairs : int;          (* max group pairs in one feed *)
-  mutable st_rand : (int * Testcase.t) list;  (* sealed RAND reps *)
-  mutable st_rand_drained_at : int;     (* corpus size of last RAND draw *)
 }
 
 let start ?(seed = 0) strategy =
   { st_strategy = strategy; st_seed = seed;
     st_keys = keys_of_strategy strategy; st_fed = 0;
     st_addrs = Hashtbl.create 256; st_clusters = Hashtbl.create 256;
-    st_next_id = 0; st_df_total = 0; st_peak_pairs = 0; st_rand = [];
-    st_rand_drained_at = -1 }
+    st_next_id = 0; st_df_total = 0; st_peak_pairs = 0 }
 
 let fed st = st.st_fed
 let peak_feed_pairs st = st.st_peak_pairs
@@ -504,40 +502,6 @@ let feed st ~prog (accesses : Stackrec.access list) =
   if !pairs > st.st_peak_pairs then st.st_peak_pairs <- !pairs;
   List.rev !events
 
-(* Seal representatives that only materialize once the corpus is
-   complete: RAND draws pairs over the final corpus size, so feeding
-   more programs invalidates every previous draw (Dropped) and re-seals
-   a fresh set. Keyed strategies seal eagerly in [feed]. *)
-let drain st =
-  match st.st_strategy with
-  | Df | Df_ia | Df_st _ -> []
-  | Rand budget ->
-    if st.st_rand_drained_at = st.st_fed then []
-    else begin
-      let dropped = List.rev_map (fun (id, _) -> Dropped id) st.st_rand in
-      let reps, _ = run_rand ~seed:st.st_seed ~budget ~corpus_size:st.st_fed in
-      let sealed =
-        List.map
-          (fun tc ->
-            let id = st.st_next_id in
-            st.st_next_id <- id + 1;
-            (id, tc))
-          reps
-      in
-      st.st_rand <- sealed;
-      st.st_rand_drained_at <- st.st_fed;
-      List.rev dropped @ List.map (fun (id, tc) -> Sealed (id, tc)) sealed
-    end
-
-(* Current clusters as (id, representative), in id (creation) order. *)
-let live st =
-  match st.st_strategy with
-  | Rand _ -> st.st_rand
-  | Df -> []
-  | Df_ia | Df_st _ ->
-    Hashtbl.fold (fun _ cl acc -> (cl.cl_id, cl.cl_rep) :: acc) st.st_clusters []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 let finalize st =
   let strategy = st.st_strategy in
   match strategy with
@@ -560,10 +524,9 @@ let finalize st =
     { strategy; generated = clusters; clusters; reps; df_total = st.st_df_total;
       sizes; requested = clusters; delivered = clusters }
   | Rand budget ->
+    (* RAND draws over the corpus size, so its pairs exist only once the
+       corpus is complete: they are drawn here, never sealed by [feed]. *)
     let reps, delivered =
-      if st.st_rand_drained_at = st.st_fed then
-        let reps = List.map snd st.st_rand in
-        (reps, List.length reps)
-      else run_rand ~seed:st.st_seed ~budget ~corpus_size:st.st_fed
+      run_rand ~seed:st.st_seed ~budget ~corpus_size:st.st_fed
     in
     rand_result strategy ~budget ~df_total:st.st_df_total reps delivered

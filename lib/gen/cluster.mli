@@ -17,7 +17,9 @@
     fully built access map, and the online {!start}/{!feed}/{!finalize}
     mode that folds one profiled program at a time into the cluster
     table, emitting newly-sealed and representative-changed clusters as
-    it goes. Both modes produce identical {!result}s (property-tested). *)
+    it goes. Both modes produce identical {!result}s (property-tested).
+    Whatever a caller executed as it went, {!finalize} names the
+    representatives a campaign result is folded over. *)
 
 type strategy =
   | Df
@@ -66,16 +68,15 @@ val run :
 
 type state
 
-(** Incremental cluster-table changes emitted by {!feed} and {!drain}.
-    Cluster ids are stable for the lifetime of the state. *)
+(** Incremental cluster-table changes emitted by {!feed}. Cluster ids
+    are stable for the lifetime of the state. RAND and DF emit none:
+    RAND pairs are drawn over the final corpus size, in {!finalize}. *)
 type event =
   | Sealed of int * Testcase.t
       (** a new cluster appeared, with its representative *)
   | Rep_changed of int * Testcase.t
-      (** a later program produced a smaller representative; cached
-          execution results for this cluster are stale *)
-  | Dropped of int
-      (** the cluster was retired (RAND re-draws on corpus growth) *)
+      (** a later program produced a smaller representative; a result
+          executed for the old one is stale *)
 
 val start : ?seed:int -> strategy -> state
 
@@ -85,20 +86,10 @@ val feed : state -> prog:int -> Kit_profile.Stackrec.access list -> event list
     be fed in corpus order — the equivalence with {!run} depends on it —
     or the call raises [Invalid_argument]. *)
 
-val drain : state -> event list
-(** Seal representatives that only materialize once the corpus is
-    complete: RAND draws pairs over the final corpus size, so a drain
-    after corpus growth retires every previous draw ([Dropped]) and
-    seals a fresh set. Keyed strategies seal eagerly in {!feed} and
-    drain to []. Idempotent until the next {!feed}. *)
-
 val finalize : state -> result
 (** The clustering result over everything fed so far — structurally
     identical to {!run} on a batch-built map of the same programs
     (property-tested). Non-destructive: the state can keep feeding. *)
-
-val live : state -> (int * Testcase.t) list
-(** Current clusters as [(id, representative)], in creation order. *)
 
 val fed : state -> int
 (** Programs folded so far. *)

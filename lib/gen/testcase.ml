@@ -2,6 +2,8 @@
    (by corpus index), plus — for data-flow-generated cases — the witness
    inter-container data flow that motivated the pairing. *)
 
+module Fnv = Kit_compact.Fnv
+
 type flow = {
   addr : int;
   w_ip : int;
@@ -47,6 +49,27 @@ let compare a b =
     let c = Int.compare a.receiver b.receiver in
     if c <> 0 then c
     else Option.compare compare_flow a.flow b.flow
+
+(* Streaming FNV over the testcase fields: no serialised copy, no MD5,
+   and process-stable (ints only — no pointers, no hash randomisation).
+   Stacks are length-prefixed so adjacent lists cannot alias. *)
+let fingerprint t =
+  let ints h l = List.fold_left Fnv.int (Fnv.int h (List.length l)) l in
+  let h = Fnv.int Fnv.init t.sender in
+  let h = Fnv.int h t.receiver in
+  let h =
+    match t.flow with
+    | None -> Fnv.int h 0
+    | Some f ->
+      let h = Fnv.int h 1 in
+      let h = Fnv.int h f.addr in
+      let h = Fnv.int h f.w_ip in
+      let h = Fnv.int h f.r_ip in
+      let h = Fnv.int h f.r_sys_index in
+      let h = ints h f.w_stack in
+      ints h f.r_stack
+  in
+  Fnv.to_hex h
 
 let pp ppf t =
   match t.flow with

@@ -23,4 +23,11 @@ val compare : t -> t -> int
     over candidates discovered in hash-table order, and only a total
     order makes batch and streaming clustering agree on ties. *)
 
+val fingerprint : t -> string
+(** The key of a representative's result in a case-result log or a
+    stream's memo: a streaming FNV hash of the fields, 16 hex digits,
+    identical across processes. Corpus generation is prefix-stable, so
+    a representative hashes to the same key in a resumed or grown
+    campaign. *)
+
 val pp : Format.formatter -> t -> unit

@@ -669,11 +669,5 @@ let execute ?obs cfg options corpus cases ~on_done =
 
 let executor ?obs ?on_stats cfg : Campaign.executor =
  fun options corpus _sup ~batch:_ cases ~on_done ->
-  let execs = ref 0 in
-  let stats =
-    execute ?obs cfg options corpus cases ~on_done:(fun case r d ->
-        execs := !execs + d;
-        on_done case r d)
-  in
-  Option.iter (fun f -> f stats) on_stats;
-  !execs
+  let stats = execute ?obs cfg options corpus cases ~on_done in
+  Option.iter (fun f -> f stats) on_stats

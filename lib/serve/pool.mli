@@ -195,7 +195,7 @@ val executor :
   ?obs:Kit_obs.Obs.t -> ?on_stats:(stats -> unit) -> config ->
   Campaign.executor
 (** {!execute} as a campaign executor for {!Kit_core.Campaign.execute}
-    — the engine behind [kit campaign --procs N]. It returns the summed
-    worker executions. [on_stats] receives the pool statistics when the
-    pool drains, so callers that only see the assembled campaign (the
-    CLI) can still report spawns, deaths and reshards. *)
+    — the engine behind [kit campaign --procs N]. [on_stats] receives
+    the pool statistics when the pool drains, so callers that only see
+    the assembled campaign (the CLI) can still report spawns, deaths
+    and reshards. *)

@@ -126,7 +126,7 @@ let activate t ~procs =
       assert (id = i);
       (* one fingerprint per representative per activation: the cache
          lookup here and the store in [record_done] share it *)
-      let fp = Caselog.fingerprint tc in
+      let fp = Testcase.fingerprint tc in
       Hashtbl.replace t.t_fps id fp;
       match Hashtbl.find_opt t.t_cache fp with
       | Some ((_, execs) as cached) ->
@@ -169,7 +169,7 @@ let record_done t ~id result execs =
     let fp =
       match Hashtbl.find_opt t.t_fps id with
       | Some fp -> fp
-      | None -> Caselog.fingerprint (Jobqueue.payload t.t_q id)
+      | None -> Testcase.fingerprint (Jobqueue.payload t.t_q id)
     in
     Jobqueue.complete t.t_q id (result, execs);
     Hashtbl.replace t.t_cache fp (result, execs);

@@ -11,7 +11,7 @@
     produces — the cross-check behind the serve CI gate.
 
     The result cache is keyed by testcase fingerprint
-    ({!Kit_core.Caselog.fingerprint}). Corpus generation is
+    ({!Kit_gen.Testcase.fingerprint}). Corpus generation is
     prefix-stable, so both daemon resume and {!extend} replay unchanged
     representatives from cache instead of re-executing them. *)
 

@@ -102,9 +102,9 @@ let all_det t = t.ndet = 0
 
 (* -- the pre-packing representation ---------------------------------------
 
-   Checkpoints written before the packed representation marshalled this
-   exact layout. Loading them decodes into [Legacy.ast] (same field
-   order and types as the old record) and rebuilds packed nodes. *)
+   The plain record trace nodes had before packing. The reference
+   algorithms of the compact-representation tests run on it, and the
+   packed diff, mark and mask must agree with them. *)
 
 module Legacy = struct
   type ast = {

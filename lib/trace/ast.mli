@@ -55,8 +55,8 @@ val count_nondet : t -> int
 val all_det : t -> bool
 (** No non-deterministic node anywhere in the subtree. O(1). *)
 
-(** The exact record layout trace nodes marshalled before the packed
-    representation — the decode target for pre-change checkpoints. *)
+(** The plain record layout trace nodes had before packing — the
+    representation the reference algorithms in the tests run on. *)
 module Legacy : sig
   type ast = {
     l_label : string;

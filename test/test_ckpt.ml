@@ -7,6 +7,7 @@ module Checkpoint = Kit_core.Checkpoint
 module Codec = Kit_core.Codec
 module Caselog = Kit_core.Caselog
 module Campaign = Kit_core.Campaign
+module Testcase = Kit_gen.Testcase
 module Jsonl = Kit_obs.Jsonl
 module Obs = Kit_obs.Obs
 module Tracer = Kit_obs.Tracer
@@ -404,7 +405,7 @@ let build_campaign_log dir =
     { log with
       Campaign.record =
         (fun tc r execs ->
-          added := Caselog.fingerprint tc :: !added;
+          added := Testcase.fingerprint tc :: !added;
           log.Campaign.record tc r execs);
       save =
         (fun () ->
@@ -426,7 +427,7 @@ let build_campaign_log dir =
 let replayable records reps cut =
   let fps = entries_within records cut in
   List.length
-    (List.filter (fun tc -> List.mem (Caselog.fingerprint tc) fps) reps)
+    (List.filter (fun tc -> List.mem (Testcase.fingerprint tc) fps) reps)
 
 let campaign_log_crash_every_byte () =
   with_dir "kit-campaign-log" (fun dir ->

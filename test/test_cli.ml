@@ -1,8 +1,9 @@
-(* The checkpoint contract of kit campaign, driven through the built
-   binary: one log for every executor, deleted once the result is built,
-   refused (exit 3, file untouched) when taken under other options. A
-   run killed midway is a run whose log write hits the file-size limit:
-   SIGXFSZ lands at a byte the test chooses, not at a time. *)
+(* The contract of kit's campaign commands, driven through the built
+   binary. The checkpoint: one log for every executor, deleted once the
+   result is built, refused (exit 3, file untouched) when taken under
+   other options. A run killed midway is a run whose log write hits the
+   file-size limit: SIGXFSZ lands at a byte the test chooses, not at a
+   time. The flags: a value out of range is a usage error. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -117,10 +118,43 @@ let test_finished_run_deletes_its_log () =
         (read_file (Filename.concat dir "straight.txt"))
         (read_file (Filename.concat dir "resumed.txt")))
 
+(* Every campaign flag with a floor refuses a value below it as a usage
+   error: exit 124 with the flag named, before any output — never an
+   empty campaign, a late internal error or a silent clamp. *)
+let test_out_of_range_flags_refused () =
+  with_dir (fun dir ->
+      List.iter
+        (fun (flag, args) ->
+          let code, out, err = kit_in dir args in
+          let cmd = String.concat " " args in
+          check_int (cmd ^ ": usage error") 124 code;
+          check_string (cmd ^ ": no work") "" out;
+          check_bool (cmd ^ ": names the flag") true
+            (contains ~sub:("'" ^ flag ^ "'") err))
+        [ ("--corpus-size", [ "campaign"; "--corpus-size"; "0" ]);
+          ("--corpus-size", [ "coverage"; "--corpus-size"; "0"; "--json" ]);
+          ("--add", [ "grow"; "--corpus-size"; "16"; "--add=-1" ]);
+          ( "--domains",
+            [ "campaign"; "--corpus-size"; "16"; "--domains"; "0" ] );
+          ("--domains", [ "grow"; "--corpus-size"; "16"; "--domains"; "0" ]);
+          ( "--domains",
+            [ "coverage"; "--corpus-size"; "16"; "--domains"; "0" ] );
+          ( "--schedules",
+            [ "campaign"; "--corpus-size"; "16"; "--schedules"; "0" ] );
+          ("--procs", [ "campaign"; "--corpus-size"; "16"; "--procs"; "0" ]);
+          ( "--checkpoint-every",
+            [ "campaign"; "--corpus-size"; "16"; "--checkpoint-every"; "0" ] );
+          ( "--max-retries",
+            [ "campaign"; "--corpus-size"; "16"; "--max-retries=-1" ] );
+          ( "--fault-intensity",
+            [ "campaign"; "--corpus-size"; "16"; "--fault-intensity=-1" ] ) ])
+
 let suite =
   [
     Alcotest.test_case "resume refuses a log taken under other options"
       `Quick test_resume_refuses_other_options;
     Alcotest.test_case "a finished run deletes its log, any executor" `Quick
       test_finished_run_deletes_its_log;
+    Alcotest.test_case "out-of-range campaign flags exit 124 before any work"
+      `Quick test_out_of_range_flags_refused;
   ]

@@ -261,12 +261,11 @@ let online_result strategy =
       let accs = Dataflow.profile_program profiler p in
       events := List.rev_append (Cluster.feed st ~prog accs) !events)
     corpus;
-  events := List.rev_append (Cluster.drain st) !events;
-  (st, Cluster.finalize st, List.rev !events)
+  (Cluster.finalize st, List.rev !events)
 
 let check_online_equals_batch strategy =
   let batch = run_strategy strategy in
-  let _, online, _ = online_result strategy in
+  let online, _ = online_result strategy in
   let name = Cluster.strategy_name strategy in
   check_int (name ^ ": generated") batch.Cluster.generated
     online.Cluster.generated;
@@ -286,10 +285,10 @@ let test_online_equals_batch () =
     [ Cluster.Df; Cluster.Df_ia; Cluster.Df_st 1; Cluster.Df_st 2;
       Cluster.Rand 40 ]
 
-let test_online_events_track_live () =
-  (* Replaying the event stream reconstructs exactly the live cluster
-     table: every seal/rep-change/drop is reported, none is spurious. *)
-  let st, _, events = online_result Cluster.Df_ia in
+(* Replay an event stream into a table of cluster id -> representative,
+   checking that every seal is fresh and every change hits a sealed
+   cluster; returns the representatives in Testcase order. *)
+let replay_events events =
   let replay = Hashtbl.create 64 in
   List.iter
     (function
@@ -297,22 +296,68 @@ let test_online_events_track_live () =
         check_bool "sealed ids are fresh" false (Hashtbl.mem replay id);
         Hashtbl.replace replay id tc
       | Cluster.Rep_changed (id, tc) ->
-        check_bool "rep changes hit live clusters" true (Hashtbl.mem replay id);
-        Hashtbl.replace replay id tc
-      | Cluster.Dropped id ->
-        check_bool "drops hit live clusters" true (Hashtbl.mem replay id);
-        Hashtbl.remove replay id)
+        check_bool "rep changes hit sealed clusters" true
+          (Hashtbl.mem replay id);
+        Hashtbl.replace replay id tc)
     events;
-  let live = Cluster.live st in
-  check_int "replayed table size" (List.length live) (Hashtbl.length replay);
-  List.iter
-    (fun (id, rep) ->
-      match Hashtbl.find_opt replay id with
-      | None -> Alcotest.failf "cluster %d missing from replay" id
-      | Some tc ->
-        check_bool "replayed representative matches" true
-          (Testcase.compare tc rep = 0))
-    live
+  Hashtbl.fold (fun _ tc acc -> tc :: acc) replay []
+  |> List.sort Testcase.compare
+
+let same_reps a b = List.equal (fun x y -> Testcase.compare x y = 0) a b
+
+let test_online_events_track_live () =
+  (* Replaying the event stream reconstructs exactly the final cluster
+     table: every seal and rep change is reported, none is spurious. *)
+  let online, events = online_result Cluster.Df_ia in
+  check_bool "replayed representatives = finalized" true
+    (same_reps (replay_events events) online.Cluster.reps)
+
+(* One instruction pair touching two addresses: the pair's first
+   candidate (program 5 writes 100, program 3 read it) is sealed, and a
+   later program (7 reads 200, which program 2 wrote) lowers the
+   representative. Campaign corpora never do this, since the kernel
+   hashes the address into the instruction address. *)
+let test_online_rep_changed () =
+  let access ~addr ~rw ~ip =
+    { Kit_profile.Stackrec.addr; width = 8; rw; ip; stack = [];
+      stack_hash = 0; sys_index = 0 }
+  in
+  let accesses = function
+    | 2 -> [ access ~addr:200 ~rw:K.Kevent.Write ~ip:7 ]
+    | 3 -> [ access ~addr:100 ~rw:K.Kevent.Read ~ip:9 ]
+    | 5 -> [ access ~addr:100 ~rw:K.Kevent.Write ~ip:7 ]
+    | 7 -> [ access ~addr:200 ~rw:K.Kevent.Read ~ip:9 ]
+    | _ -> []
+  in
+  let st = Cluster.start Cluster.Df_ia in
+  let map = Kit_profile.Accessmap.create () in
+  let events =
+    List.concat_map
+      (fun prog ->
+        Kit_profile.Accessmap.add map ~prog (accesses prog);
+        Cluster.feed st ~prog (accesses prog))
+      (List.init 8 Fun.id)
+  in
+  let pair event =
+    let kind, tc =
+      match event with
+      | Cluster.Sealed (_, tc) -> ("sealed", tc)
+      | Cluster.Rep_changed (_, tc) -> ("rep_changed", tc)
+    in
+    (kind, tc.Testcase.sender, tc.Testcase.receiver)
+  in
+  check
+    Alcotest.(list (triple string int int))
+    "events" [ ("sealed", 5, 3); ("rep_changed", 2, 7) ] (List.map pair events);
+  let online = Cluster.finalize st in
+  let batch = Cluster.run Cluster.Df_ia ~corpus_size:8 map in
+  check_bool "finalize = batch run" true
+    (same_reps online.Cluster.reps batch.Cluster.reps
+    && online.Cluster.sizes = batch.Cluster.sizes
+    && online.Cluster.df_total = batch.Cluster.df_total
+    && online.Cluster.clusters = batch.Cluster.clusters);
+  check_bool "the changed representative is final" true
+    (same_reps (replay_events events) online.Cluster.reps)
 
 let test_online_feed_order_enforced () =
   let st = Cluster.start Cluster.Df_ia in
@@ -370,6 +415,8 @@ let suite =
       test_online_equals_batch;
     Alcotest.test_case "online: events track live table" `Quick
       test_online_events_track_live;
+    Alcotest.test_case "online: a lower candidate fires Rep_changed" `Quick
+      test_online_rep_changed;
     Alcotest.test_case "online: feed order enforced" `Quick
       test_online_feed_order_enforced;
     Alcotest.test_case "cluster: strategy names" `Quick test_strategy_names;

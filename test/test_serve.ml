@@ -38,22 +38,6 @@ let test_jobqueue_submit_order () =
     (Jobqueue.results q);
   check_bool "drained" true (Jobqueue.is_drained q)
 
-let test_jobqueue_reopen () =
-  let q : (string, int) Jobqueue.t = Jobqueue.create () in
-  Jobqueue.submit_as q ~id:7 "old";
-  Jobqueue.complete q 7 1;
-  Jobqueue.submit_as q ~id:3 "later";
-  (* reopening id 7 discards its result but keeps its queue position *)
-  Jobqueue.submit_as q ~id:7 "new";
-  check_bool "result discarded" true (Jobqueue.result q 7 = None);
-  Alcotest.(check string) "payload replaced" "new" (Jobqueue.payload q 7);
-  Jobqueue.complete q 7 2;
-  Jobqueue.complete q 3 9;
-  Alcotest.(check (list (pair int int)))
-    "submit-order position survives reopen"
-    [ (7, 2); (3, 9) ]
-    (Jobqueue.results q)
-
 let test_jobqueue_reshard () =
   let q : (int, unit) Jobqueue.t = Jobqueue.create () in
   List.iter (fun i -> ignore (Jobqueue.submit q i)) [ 0; 1; 2; 3; 4; 5 ];
@@ -109,7 +93,7 @@ module Model = struct
   type ('a, 'b) job = {
     j_id : int;
     j_seq : int;
-    mutable j_payload : 'a;
+    j_payload : 'a;
     mutable j_status : ('a, 'b) status;
   }
 
@@ -130,15 +114,11 @@ module Model = struct
     | None -> raise Not_found
 
   let submit_as t ~id payload =
-    match Hashtbl.find_opt t.jobs id with
-    | Some j ->
-      j.j_payload <- payload;
-      j.j_status <- Queued
-    | None ->
-      Hashtbl.replace t.jobs id
-        { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued };
-      t.seq <- t.seq + 1;
-      if id >= t.next_id then t.next_id <- id + 1
+    if Hashtbl.mem t.jobs id then invalid_arg "taken";
+    Hashtbl.replace t.jobs id
+      { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued };
+    t.seq <- t.seq + 1;
+    if id >= t.next_id then t.next_id <- id + 1
 
   let submit t payload =
     let id = t.next_id in
@@ -249,7 +229,6 @@ module Model = struct
     | Queued | Assigned _ | Running _ | Completed _ -> j.j_status <- Completed r
 
   let quarantine t id = (job t id).j_status <- Quarantined
-  let drop t id = Hashtbl.remove t.jobs id
 
   let results t =
     List.filter_map
@@ -280,8 +259,8 @@ module Model = struct
       t.jobs true
 end
 
-(* One queue operation; ids range over a small space so reopening,
-   completing, quarantining and dropping hit every state, and some ids
+(* One queue operation; ids range over a small space so submitting a
+   taken id, completing and quarantining hit every state, and some ids
    are never submitted (the Not_found paths). *)
 type jq_op =
   | Submit
@@ -293,7 +272,6 @@ type jq_op =
   | Release of int
   | Complete of int * int
   | Quarantine of int
-  | Drop of int
 
 let show_op = function
   | Submit -> "submit"
@@ -307,7 +285,6 @@ let show_op = function
   | Release w -> Printf.sprintf "release %d" w
   | Complete (id, r) -> Printf.sprintf "complete %d %d" id r
   | Quarantine id -> Printf.sprintf "quarantine %d" id
-  | Drop id -> Printf.sprintf "drop %d" id
 
 (* The worker ids a run uses: 0..workers-1, plus 9 — a thief (or a
    claimer) with no shard of its own. *)
@@ -330,8 +307,7 @@ let gen_jq_case =
         (3, map (fun w -> Steal w) worker);
         (1, map (fun w -> Release w) worker);
         (3, map2 (fun i r -> Complete (i, r)) id (int_range 0 99));
-        (1, map (fun i -> Quarantine i) id);
-        (1, map (fun i -> Drop i) id) ]
+        (1, map (fun i -> Quarantine i) id) ]
   in
   pair (return workers) (list_size (int_range 0 60) op)
 
@@ -348,6 +324,7 @@ let outcome f =
   match f () with
   | v -> Ok v
   | exception Not_found -> Error "Not_found"
+  | exception Invalid_argument _ -> Error "Invalid_argument"
   | exception (Jobqueue.No_survivors | Model.No_survivors) ->
     Error "No_survivors"
 
@@ -394,10 +371,7 @@ let prop_jobqueue_matches_model =
               (fun () -> Model.complete m id r)
           | Quarantine id ->
             same "unit" (fun () -> Jobqueue.quarantine q id)
-              (fun () -> Model.quarantine m id)
-          | Drop id ->
-            same "unit" (fun () -> Jobqueue.drop q id)
-              (fun () -> Model.drop m id));
+              (fun () -> Model.quarantine m id));
           agree step "results" (Jobqueue.results q) (Model.results m);
           agree step "unfinished" (Jobqueue.unfinished q) (Model.unfinished m);
           agree step "quarantined_ids" (Jobqueue.quarantined_ids q)
@@ -993,8 +967,6 @@ let suite =
   [
     Alcotest.test_case "jobqueue merge order is submit order" `Quick
       test_jobqueue_submit_order;
-    Alcotest.test_case "jobqueue reopen keeps position, drops result" `Quick
-      test_jobqueue_reopen;
     Alcotest.test_case "jobqueue release/deal reshards deterministically"
       `Quick test_jobqueue_reshard;
     Alcotest.test_case "jobqueue quarantine retires a job for good" `Quick
