@@ -113,6 +113,15 @@ let int_from lo =
 let positive = int_from 1
 let non_negative = int_from 0
 
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 && Float.is_finite x -> Ok x
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a number > 0, got '%s'" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed.")
 
@@ -636,8 +645,7 @@ let cmd_tables =
         let options =
           { Campaign.default_options with Campaign.seed; corpus_size }
         in
-        let prepared = Campaign.prepare options in
-        let _, t4, (df_ia, _, _, _) = Tables.table4 prepared in
+        let _, t4, (df_ia, _, _, _) = Tables.table4 options in
         let _, t2 = Tables.table2 df_ia in
         Fmt.pr "== Table 2: bugs found ==@.%s@." t2;
         let _, t3 = Tables.table3 () in
@@ -1056,29 +1064,38 @@ let cmd_serve =
              it without re-executing checkpointed work.")
   in
   let serve_procs_arg =
-    Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Shared worker processes.")
+    Arg.(
+      value & opt positive 4 & info [ "procs" ] ~doc:"Shared worker processes.")
   in
   let serve_heartbeat_arg =
     Arg.(
-      value & opt float 30.0
+      value & opt positive_float 30.0
       & info [ "heartbeat" ] ~docv:"SECONDS"
           ~doc:"Per-job wall-clock deadline for pool workers.")
   in
   let serve_max_respawns_arg =
     Arg.(
-      value & opt int 3
+      value & opt non_negative 3
       & info [ "max-respawns" ] ~doc:"Respawn budget per worker slot.")
   in
   let max_active_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "max-active" ] ~doc:"Tenants executing concurrently.")
   in
   let max_pending_arg =
     Arg.(
-      value & opt int 16
+      value & opt non_negative 16
       & info [ "max-pending" ]
           ~doc:"Admission bound: submissions waiting for activation.")
+  in
+  let serve_resume_arg =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            "Restore every tenant checkpointed under $(b,--state-dir): \
+             checkpointed results are replayed, not re-executed.")
   in
   let run socket state_dir procs heartbeat_s max_respawns max_active
       max_pending checkpoint_every resume tel =
@@ -1087,11 +1104,11 @@ let cmd_serve =
         let cfg =
           { Sched.sc_pool =
               { Pool.default_config with
-                Pool.procs = max 1 procs;
+                Pool.procs;
                 heartbeat_s;
-                max_respawns = max 0 max_respawns };
-            sc_max_active = max 1 max_active;
-            sc_max_pending = max 0 max_pending;
+                max_respawns };
+            sc_max_active = max_active;
+            sc_max_pending = max_pending;
             sc_state_dir = state_dir;
             sc_checkpoint_every = checkpoint_every }
         in
@@ -1121,7 +1138,8 @@ let cmd_serve =
     Term.(
       const run $ socket_arg $ state_dir_arg $ serve_procs_arg
       $ serve_heartbeat_arg $ serve_max_respawns_arg $ max_active_arg
-      $ max_pending_arg $ checkpoint_every_arg $ resume_arg $ telemetry_term)
+      $ max_pending_arg $ checkpoint_every_arg $ serve_resume_arg
+      $ telemetry_term)
 
 let name_arg =
   Arg.(
@@ -1145,7 +1163,7 @@ let cmd_submit =
   in
   let weight_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "weight" ]
           ~doc:
             "Fair-share weight: under contention the tenant's executed-case \
@@ -1153,7 +1171,7 @@ let cmd_submit =
   in
   let max_inflight_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "max-inflight" ]
           ~doc:"Cap on the tenant's concurrently executing cases (0 = none).")
   in
@@ -1170,8 +1188,8 @@ let cmd_submit =
             sp_seed = seed;
             sp_corpus_size = corpus_size;
             sp_strategy = strategy;
-            sp_weight = max 1 weight;
-            sp_max_inflight = max 0 max_inflight;
+            sp_weight = weight;
+            sp_max_inflight = max_inflight;
             sp_diagnose = not no_diagnose;
             sp_schedules = schedules }
         in
@@ -1268,15 +1286,15 @@ let cmd_cancel =
 let cmd_extend =
   let add_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive 64
       & info [ "add" ] ~doc:"Programs to append to the tenant's corpus.")
   in
   let run socket name add wait =
     guarded (fun () ->
-        client socket (Proto.Extend { x_name = name; x_add = max 1 add })
+        client socket (Proto.Extend { x_name = name; x_add = add })
           ~on_reply:(function
           | Proto.Accepted { a_name; a_id } ->
-            Fmt.pr "extending %s (tenant %d) by %d@." a_name a_id (max 1 add);
+            Fmt.pr "extending %s (tenant %d) by %d@." a_name a_id add;
             if wait then wait_results socket name else exit_clean
           | reply -> unexpected_reply reply))
   in

@@ -36,8 +36,6 @@ let intern_hashed s =
 
 let intern s = fst (intern_hashed s)
 
-let pool_size () = Hashtbl.length (Domain.DLS.get key)
-
 (* Canonical decimal strings for small ints — syscall returns, errnos,
    stat fields and line indices are almost always tiny, and this skips
    both the [string_of_int] allocation and the pool lookup. The table is

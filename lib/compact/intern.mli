@@ -13,8 +13,5 @@ val intern_hashed : string -> string * int
 (** The canonical copy and its {!Fnv.hash_string} content hash,
     computed once per distinct string per domain. *)
 
-val pool_size : unit -> int
-(** Distinct strings interned by the calling domain. *)
-
 val string_of_small_int : int -> string
 (** [string_of_int] through a preallocated table for small values. *)

@@ -32,4 +32,3 @@ let field_kb name =
         scan ())
 
 let peak_kb () = field_kb "VmHWM"
-let current_kb () = field_kb "VmRSS"

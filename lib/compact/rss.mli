@@ -3,6 +3,3 @@
 
 val peak_kb : unit -> int
 (** VmHWM — the process's peak resident set, in kB. *)
-
-val current_kb : unit -> int
-(** VmRSS — the current resident set, in kB. *)

@@ -9,26 +9,26 @@
    case-result log ([log], kept on disk by Caselog) an interrupted
    campaign resumes without re-executing completed clusters.
 
-   The pipeline has two front ends built from the same Pipeline stages
-   and the same per-case executor, and one back end:
+   The pipeline has one front end and one back end:
 
-   - the batch front end ([run]/[execute]): profile everything and
-     cluster in one shot;
-   - the streaming front end ([stream]/[extend]): profile one program
-     at a time, fold it into the online cluster table, and execute
-     newly-sealed representatives immediately, recording each result in
-     a memo; [extend] grows the corpus of a live stream and executes
-     only clusters whose representative is new;
+   - the front end ([front_stage]): profile one program at a time, mark
+     the coverage ledger and fold the program into online cluster
+     tables. [prepare] runs it over the whole corpus for every batch
+     caller ([run], the CLI, Table 4, serve tenants); a stream
+     ([stream]/[extend]) runs it too and executes newly-sealed
+     representatives immediately, recording each result in a memo, and
+     [extend] grows the corpus of a live stream, executing only
+     clusters whose representative is new;
    - the back end, the execute driver ([drive]): replay what a log (a
      checkpoint, or a stream's memo) holds, hand every other
      representative to an executor — in process (sequential or over
      domains) or the process pool — and fold every result.
 
-   Each front end wins on peak memory for the workload that uses it:
-   the batch pass holds every profile and the access map, the stream
-   every executed result. Both build their result in the one driver, so
-   both produce the same result (property-tested); only wall-clock
-   shape differs. *)
+   No campaign holds every profile or an access map: the front end
+   keeps only the cluster tables, and a stream additionally every
+   executed result. Batch and streaming campaigns build their result
+   in the one driver, so both produce the same result
+   (property-tested); only wall-clock shape differs. *)
 
 module Program = Kit_abi.Program
 module Corpus = Kit_abi.Corpus
@@ -51,7 +51,6 @@ module Coverage = Kit_obs.Coverage
 module Heap = Kit_kernel.Heap
 module Kevent = Kit_kernel.Kevent
 module Stackrec = Kit_profile.Stackrec
-module Accessmap = Kit_profile.Accessmap
 
 type options = {
   config : Config.t;
@@ -192,15 +191,14 @@ let time_gauge obs name =
 let c_counter obs name =
   Metrics.counter ~always:true obs.Obs.metrics ("campaign." ^ name)
 
-(* Prepared inputs shared by several strategies (Table 4 runs the same
-   corpus and profiles through each strategy). The unclustered data-flow
-   total now rides along in Cluster.result, so prepare no longer scans
-   the map a second time. *)
+(* A campaign's inputs once the front end has run: the corpus and one
+   clustering result per strategy the caller named (Table 4 and the
+   jump-label ablation run several strategies over one profiling pass).
+   No profile outlives the program it came from. *)
 type prepared = {
   p_options : options;
   p_corpus : Program.t array;
-  p_profiles : Dataflow.profiles;
-  p_map : Kit_profile.Accessmap.t;
+  p_tables : Cluster.result list;       (* one per named strategy *)
   p_obs : Obs.t;                        (* resolved bundle *)
   p_cov : Coverage.t;                   (* campaign coverage ledger *)
 }
@@ -219,20 +217,19 @@ let coverage_universe spec (vars : Heap.varinfo list) =
 
 (* Profiling-time rungs. "Touched" counts raw accesses — including
    reader accesses the spec filter drops, which is exactly the
-   visibility the ledger adds over the access map. "Written"/"read"
-   mirror the access map's writer/reader universes (the filter keeps
-   every write and every protected read, so the batch and streaming
-   paths mark identically). *)
-let mark_touched_accesses cov accs =
+   visibility the ledger adds over the cluster tables. "Written"/"read"
+   come from the filtered accesses, which keep every write and every
+   protected read: the writer and reader universes the tables see. *)
+let mark_profiled cov ~raw ~filtered =
   List.iter
     (fun (a : Stackrec.access) -> Coverage.mark_touched cov ~addr:a.Stackrec.addr)
-    accs
-
-let mark_map_rungs cov map =
-  List.iter (fun addr -> Coverage.mark_written cov ~addr)
-    (Accessmap.writer_addresses map);
-  List.iter (fun addr -> Coverage.mark_read cov ~addr)
-    (Accessmap.reader_addresses map)
+    raw;
+  List.iter
+    (fun (a : Stackrec.access) ->
+      match a.Stackrec.rw with
+      | Kevent.Write -> Coverage.mark_written cov ~addr:a.Stackrec.addr
+      | Kevent.Read -> Coverage.mark_read cov ~addr:a.Stackrec.addr)
+    filtered
 
 (* Attribution: a report's data flow names the shared address the
    divergence was pinned to; randomly generated cases carry no flow. *)
@@ -241,34 +238,107 @@ let mark_report_attributed cov (r : Report.t) =
   | Some f -> Coverage.mark_attributed cov ~addr:f.Testcase.addr
   | None -> ()
 
-(* -- pipeline stages ------------------------------------------------------
+(* -- the front end --------------------------------------------------------
 
-   The typed stages the campaign driver composes. Each [Pipeline.run]
-   wraps the stage in a "phase.<name>" span, a volatile "time.<name>_s"
-   gauge and an always-on "pipeline.<name>_runs" counter. *)
+   Every campaign, batch or streaming, profiles its corpus one program at
+   a time, marks the coverage ledger and folds the program into online
+   cluster tables: one per keyed strategy, or one count-only table when
+   only DF and RAND are wanted, since they need just the flow universe
+   and the corpus size. *)
 
-let profile_stage =
-  Pipeline.v ~consumes:"corpus" ~produces:"profiles+accessmap" "profile"
-    (fun _obs (config, spec, corpus) ->
-      let profiles = Dataflow.profile_corpus config spec corpus in
-      (profiles, Dataflow.build_map profiles))
+type front = {
+  f_profiler : Dataflow.profiler;
+  f_cov : Coverage.t;
+  f_tables : Cluster.state list;
+  mutable f_profile_s : float;          (* sub-phase accumulators *)
+  mutable f_generate_s : float;
+}
 
-let generate_stage =
-  Pipeline.v ~consumes:"accessmap" ~produces:"clusters" "generate"
-    (fun _obs (strategy, seed, corpus_size, map) ->
-      Cluster.run strategy ~seed ~corpus_size map)
+let front (options : options) strategies =
+  let profiler = Dataflow.profiler options.config options.spec in
+  { f_profiler = profiler;
+    f_cov = coverage_universe options.spec (Dataflow.profiler_vars profiler);
+    f_tables = List.map (Cluster.start ~seed:options.seed) strategies;
+    f_profile_s = 0.0; f_generate_s = 0.0 }
 
-let prepare (options : options) =
-  let obs = match options.obs with Some o -> o | None -> Obs.create () in
-  let corpus = Corpus.generate ~seed:options.seed ~size:options.corpus_size in
-  let profiles, map =
-    Pipeline.run obs profile_stage (options.config, options.spec, corpus)
+(* A named strategy's result among [tables]: keyed strategies have their
+   own, DF and RAND come from any table's flow universe. *)
+let pick ~seed ~corpus_size (tables : Cluster.result list) strategy =
+  match List.find_opt (fun g -> g.Cluster.strategy = strategy) tables with
+  | Some g -> g
+  | None when Cluster.keyed strategy ->
+    Fmt.invalid_arg "Campaign: %s was not prepared"
+      (Cluster.strategy_name strategy)
+  | None ->
+    Cluster.unclustered ~seed ~corpus_size
+      ~df_total:(List.hd tables).Cluster.df_total strategy
+
+(* Fold programs [from ..] of [corpus] into [f], handing each program's
+   events, one list per table, to [on_events]; then [finish] the tables
+   — a stream finishes nothing here, and finalizes when it builds a
+   result. Profiling and feeding accumulate into the profile and
+   generate sub-phases (finishing counts as generating), which the
+   caller publishes as the "time.profile_s"/"time.generate_s" gauges.
+   Both sub-phases run inside the stage's "phase.front" span. *)
+let front_stage =
+  Pipeline.v ~consumes:"corpus" ~produces:"clusters" "front"
+    (fun _obs (f, corpus, from, on_events, finish) ->
+      for prog = from to Array.length corpus - 1 do
+        let (raw, filtered), dt =
+          timed (fun () ->
+              Dataflow.profile_program_full f.f_profiler corpus.(prog))
+        in
+        f.f_profile_s <- f.f_profile_s +. dt;
+        mark_profiled f.f_cov ~raw ~filtered;
+        let events, dt =
+          timed (fun () ->
+              List.map (fun st -> Cluster.feed st ~prog filtered) f.f_tables)
+        in
+        f.f_generate_s <- f.f_generate_s +. dt;
+        on_events events
+      done;
+      let tables, dt = timed (fun () -> finish f.f_tables) in
+      f.f_generate_s <- f.f_generate_s +. dt;
+      tables)
+
+let set_front_gauges obs f =
+  Metrics.set_gauge (time_gauge obs "profile_s") f.f_profile_s;
+  Metrics.set_gauge (time_gauge obs "generate_s") f.f_generate_s
+
+let front_attrs ~from ~to_size =
+  [ ("from", string_of_int from); ("to", string_of_int to_size) ]
+
+let prepare ?strategies (options : options) =
+  let named =
+    match strategies with
+    | None -> [ options.strategy ]
+    | Some (_ :: _ as named) -> named
+    | Some [] -> invalid_arg "Campaign.prepare: no strategy named"
   in
-  let cov = coverage_universe options.spec profiles.Dataflow.vars in
-  Array.iter (mark_touched_accesses cov) profiles.Dataflow.accesses;
-  mark_map_rungs cov map;
-  { p_options = options; p_corpus = Array.of_list corpus;
-    p_profiles = profiles; p_map = map; p_obs = obs; p_cov = cov }
+  let obs = match options.obs with Some o -> o | None -> Obs.create () in
+  let corpus =
+    Array.of_list (Corpus.generate ~seed:options.seed ~size:options.corpus_size)
+  in
+  let f =
+    front options
+      (match List.filter Cluster.keyed named with
+      | [] -> [ Cluster.Df ]
+      | keyed -> keyed)
+  in
+  let finish states =
+    List.map
+      (pick ~seed:options.seed ~corpus_size:(Array.length corpus)
+         (List.map Cluster.finalize states))
+      named
+  in
+  let tables =
+    Pipeline.run obs front_stage
+      ~attrs:(front_attrs ~from:0 ~to_size:(Array.length corpus))
+      (f, corpus, 0, ignore, finish)
+  in
+  set_front_gauges obs f;
+  { p_options = options; p_corpus = corpus; p_tables = tables; p_obs = obs;
+    p_cov = f.f_cov }
 
 let prepared_corpus prepared = prepared.p_corpus
 
@@ -659,15 +729,15 @@ let finish ~options ~corpus ~obs ~cov ~sup ~executions generation acc =
     attrition;
   }
 
-(* The generate phase alone, on already-prepared inputs. Asynchronous
-   drivers (the serve scheduler) call it to materialise a tenant's
-   cluster representatives up front, execute them over any schedule,
-   and only later fold the results back with {!assemble}. *)
+(* The clusters of one prepared strategy (default: the options'). The
+   serve scheduler materialises a tenant's representatives this way,
+   executes them over any schedule, and only later folds the results
+   back with {!assemble}. *)
 let generate_prepared ?strategy prepared =
   let options = prepared.p_options in
-  let strategy = Option.value strategy ~default:options.strategy in
-  Pipeline.run prepared.p_obs generate_stage
-    (strategy, options.seed, Array.length prepared.p_corpus, prepared.p_map)
+  pick ~seed:options.seed ~corpus_size:(Array.length prepared.p_corpus)
+    prepared.p_tables
+    (Option.value strategy ~default:options.strategy)
 
 (* Public alias: pool workers boot the exact environment the built-in
    paths use. *)
@@ -722,10 +792,10 @@ let in_process options corpus sup ~batch cases ~on_done =
   in
   go cases
 
-(* The driver takes only what it uses: the prepared profiles and access
-   map are garbage once the clusters exist. [boot] supplies the
-   execute-phase supervisor; [elapsed_base] seeds the execute-phase
-   gauge with execution time spent before the driver ran. *)
+(* The driver takes only what it uses: options, corpus, bundle and
+   ledger. [boot] supplies the execute-phase supervisor; [elapsed_base]
+   seeds the execute-phase gauge with execution time spent before the
+   driver ran. *)
 let drive ?(executor = in_process) ?log ?elapsed_base ~boot ~options ~corpus
     ~obs ~cov generation =
   let options = { options with strategy = generation.Cluster.strategy } in
@@ -836,10 +906,10 @@ let assemble prepared generation results =
 
 (* -- streaming pipeline --------------------------------------------------
 
-   Execute-while-generate: each program is profiled, folded into the
-   online cluster table, and any newly-sealed (or representative-changed)
-   cluster is executed immediately — no global clustering barrier, so the
-   first report lands while most of the corpus is still unprofiled.
+   Execute-while-generate: the front end runs over one table, and any
+   cluster a program seals (or re-seals with a smaller representative)
+   executes immediately — no global clustering barrier, so the first
+   report lands while most of the corpus is still unprofiled.
 
    Every executed representative joins an in-memory memo keyed by
    testcase fingerprint. The result is the execute driver over the
@@ -853,8 +923,7 @@ let assemble prepared generation results =
 type stream = {
   s_options : options;
   s_obs : Obs.t;
-  s_profiler : Dataflow.profiler;
-  s_cov : Coverage.t;                   (* coverage ledger, fed per program *)
+  s_front : front;                      (* one table: [s_cstate] *)
   s_cstate : Cluster.state;
   s_sup : Supervisor.t;                 (* runs the stream and its results *)
   mutable s_corpus : Program.t array;
@@ -864,10 +933,8 @@ type stream = {
   mutable s_first_report_s : float option;
   mutable s_exec_cases : int;           (* rep executions incl. re-runs *)
   mutable s_reexecuted : int;           (* rep-change invalidations *)
-  mutable s_profile_s : float;
-  mutable s_generate_s : float;
   mutable s_execute_s : float;
-  mutable s_stream_s : float;           (* cumulative fold wall time *)
+  mutable s_front_s : float;            (* cumulative front-end wall time *)
 }
 
 type stream_stats = {
@@ -923,34 +990,8 @@ let stream_execute s (events : Cluster.event list) =
     s.s_execute_s <- s.s_execute_s +. dt
   end
 
-(* Profile programs [from, to_size) one at a time and fold each into the
-   online cluster table, executing sealed representatives as they
-   appear. One Pipeline stage run per growth step keeps the span count
-   bounded while the per-phase gauges still accumulate. *)
-let stream_fold_stage =
-  Pipeline.v ~consumes:"corpus-suffix" ~produces:"case-results" "stream"
-    (fun _obs (s, from, to_size) ->
-      for prog = from to to_size - 1 do
-        let (raw, accs), dt =
-          timed (fun () ->
-              Dataflow.profile_program_full s.s_profiler s.s_corpus.(prog))
-        in
-        s.s_profile_s <- s.s_profile_s +. dt;
-        (* The filtered list keeps every write and every protected read,
-           so marking per filtered access reaches exactly the rungs the
-           batch path derives from the finished access map. *)
-        mark_touched_accesses s.s_cov raw;
-        List.iter
-          (fun (a : Stackrec.access) ->
-            match a.Stackrec.rw with
-            | Kevent.Write -> Coverage.mark_written s.s_cov ~addr:a.Stackrec.addr
-            | Kevent.Read -> Coverage.mark_read s.s_cov ~addr:a.Stackrec.addr)
-          accs;
-        let events, dt = timed (fun () -> Cluster.feed s.s_cstate ~prog accs) in
-        s.s_generate_s <- s.s_generate_s +. dt;
-        stream_execute s events
-      done)
-
+(* Grow the stream's corpus to [to_size] programs through the front end,
+   one stage run per growth step. *)
 let stream_grow s ~to_size =
   let from = Array.length s.s_corpus in
   if to_size < from then invalid_arg "Campaign.extend: corpus cannot shrink";
@@ -958,12 +999,12 @@ let stream_grow s ~to_size =
      the same seed extends the smaller one, so only the suffix is new. *)
   s.s_corpus <-
     Array.of_list (Corpus.generate ~seed:s.s_options.seed ~size:to_size);
-  let (), dt =
-    Pipeline.run_timed s.s_obs stream_fold_stage ~elapsed_base:s.s_stream_s
-      ~attrs:[ ("from", string_of_int from); ("to", string_of_int to_size) ]
-      (s, from, to_size)
+  let _, dt =
+    Pipeline.run_timed s.s_obs front_stage ~elapsed_base:s.s_front_s
+      ~attrs:(front_attrs ~from ~to_size)
+      (s.s_front, s.s_corpus, from, List.iter (stream_execute s), fun _ -> [])
   in
-  s.s_stream_s <- s.s_stream_s +. dt;
+  s.s_front_s <- s.s_front_s +. dt;
   s_counter s "stream_fed" (Cluster.fed s.s_cstate);
   s_counter s "stream_executed" s.s_exec_cases;
   s_counter s "stream_reexecuted" s.s_reexecuted
@@ -971,14 +1012,12 @@ let stream_grow s ~to_size =
 let stream (options : options) =
   let obs = match options.obs with Some o -> o | None -> Obs.create () in
   let options = { options with obs = Some obs } in
-  let profiler = Dataflow.profiler options.config options.spec in
+  let front = front options [ options.strategy ] in
   let s =
     { s_options = options;
       s_obs = obs;
-      s_profiler = profiler;
-      s_cov =
-        coverage_universe options.spec (Dataflow.profiler_vars profiler);
-      s_cstate = Cluster.start ~seed:options.seed options.strategy;
+      s_front = front;
+      s_cstate = List.hd front.f_tables;
       s_sup = make_supervisor ~obs options;
       s_corpus = [||];
       s_memo = Hashtbl.create 256;
@@ -986,10 +1025,8 @@ let stream (options : options) =
       s_first_report_s = None;
       s_exec_cases = 0;
       s_reexecuted = 0;
-      s_profile_s = 0.0;
-      s_generate_s = 0.0;
       s_execute_s = 0.0;
-      s_stream_s = 0.0 }
+      s_front_s = 0.0 }
   in
   stream_grow s ~to_size:options.corpus_size;
   s
@@ -999,8 +1036,7 @@ let stream (options : options) =
    diagnosis re-runs on every call. *)
 let stream_result s =
   let obs = s.s_obs in
-  Metrics.set_gauge (time_gauge obs "profile_s") s.s_profile_s;
-  Metrics.set_gauge (time_gauge obs "generate_s") s.s_generate_s;
+  set_front_gauges obs s.s_front;
   let log =
     { replay =
         (fun _ tc -> Hashtbl.find_opt s.s_memo (Testcase.fingerprint tc));
@@ -1013,7 +1049,7 @@ let stream_result s =
     drive ~log ~elapsed_base:s.s_execute_s
       ~boot:(fun () -> s.s_sup)
       ~options:{ s.s_options with corpus_size = Array.length s.s_corpus }
-      ~corpus:s.s_corpus ~obs ~cov:s.s_cov (Cluster.finalize s.s_cstate)
+      ~corpus:s.s_corpus ~obs ~cov:s.s_front.f_cov (Cluster.finalize s.s_cstate)
   in
   s.s_execute_s <- t.timings.execute_s;
   t

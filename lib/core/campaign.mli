@@ -8,14 +8,14 @@
     case-result {!log} ({!Caselog} keeps one on disk) an interrupted
     campaign resumes without re-executing completed representatives.
 
-    The pipeline has two front ends and one back end. The batch front
-    end ({!run}, {!execute}) profiles the whole corpus and clusters it
-    in one pass; the streaming front end ({!stream}/{!extend}) profiles
-    one program at a time, folds it into the online cluster table and
-    executes newly-sealed representatives immediately. Either way the
-    result comes from the one execute driver, which folds every
-    per-case result into the campaign, so both produce the same result
-    — summary and coverage included, and the execution count too
+    The pipeline has one front end and one back end. The front end
+    profiles one program at a time, marks the coverage ledger and folds
+    the program into online cluster tables ({!Kit_gen.Cluster.feed}):
+    {!prepare} for every batch caller, and {!stream}/{!extend}, which
+    also execute newly-sealed representatives as they appear. The back
+    end is the one execute driver, which folds every per-case result
+    into the campaign, so batch and streaming campaigns produce the same
+    result — summary and coverage included, and the execution count too
     without faults on one domain (property-tested). *)
 
 type options = {
@@ -157,10 +157,19 @@ type t = {
 }
 
 type prepared
-(** Corpus + profiles + access map, shareable across strategies
-    (Table 4 runs the same inputs through each strategy). *)
+(** A campaign's corpus, one clustering result per strategy named to
+    {!prepare}, its bundle and its coverage ledger. No profile and no
+    access map outlives the front end. *)
 
-val prepare : options -> prepared
+val prepare : ?strategies:Kit_gen.Cluster.strategy list -> options -> prepared
+(** Run the front end over [options]' corpus in one profiling pass,
+    feeding one cluster table per keyed strategy in [strategies]
+    (default [[options.strategy]]; Table 4 names DF-IA, DF-ST-1 and
+    DF-ST-2). DF and RAND results come from any table's flow universe
+    and the corpus size, so any of them can be generated later too.
+    Profiling and feeding time go to the ["time.profile_s"] and
+    ["time.generate_s"] gauges, inside the ["phase.front"] span.
+    @raise Invalid_argument if [strategies] is empty. *)
 
 val prepared_corpus : prepared -> Kit_abi.Program.t array
 (** The generated corpus, for external execution drivers that need the
@@ -169,10 +178,12 @@ val prepared_corpus : prepared -> Kit_abi.Program.t array
 
 val generate_prepared :
   ?strategy:Kit_gen.Cluster.strategy -> prepared -> Kit_gen.Cluster.result
-(** The generate phase alone (clusters + representatives from the
-    prepared access map, with the usual phase span and counters).
-    Asynchronous drivers like the serve scheduler call it up front so
-    many tenants' representatives can interleave on one shared pool. *)
+(** The clusters and representatives of [strategy] (default
+    [options.strategy]). Asynchronous drivers like the serve scheduler
+    call it up front so many tenants' representatives can interleave on
+    one shared pool.
+    @raise Invalid_argument for a keyed strategy {!prepare} was not
+    given. *)
 
 (** {2 Per-case execution}
 
@@ -221,8 +232,8 @@ val lost_case_result :
 
 (** {2 The execute driver}
 
-    Every campaign result is built by one driver: {!execute} for the
-    batch front end, {!stream_result} for the streaming one. It replays
+    Every campaign result is built by one driver: {!execute} for a
+    prepared campaign, {!stream_result} for a stream. It replays
     the results a {!log} already holds, hands the remaining
     representatives, with their global case indices, to an {!executor}
     — {!in_process} or the process pool ([Kit_serve.Pool.executor]) —
@@ -269,9 +280,7 @@ val execute :
     far are saved before the exception propagates. Without a log no
     result is encoded, and {!in_process} runs every representative as
     one chunk on the supervisor that then runs diagnosis. The driver
-    keeps only [prepared]'s options, corpus, bundle and ledger, so a
-    caller that drops [prepared] ({!run} does) frees the profiles and
-    the access map before anything executes. *)
+    keeps only [prepared]'s options, corpus, bundle and ledger. *)
 
 val execute_prepared : ?strategy:Kit_gen.Cluster.strategy -> prepared -> t
 (** {!execute} of {!generate_prepared} (Table 4 runs each strategy on
@@ -289,13 +298,12 @@ val assemble :
 
 (** {2 Streaming campaigns}
 
-    Execute-while-generate: {!stream} profiles one program at a time,
-    folds it into the online cluster table
-    ({!Kit_gen.Cluster.start}/[feed]) and executes newly-sealed and
-    representative-changed cluster representatives immediately — no
-    global clustering barrier, so the first report lands while most of
-    the corpus is still unprofiled. Every executed representative joins
-    an in-memory memo keyed by {!Kit_gen.Testcase.fingerprint}.
+    Execute-while-generate: {!stream} runs the front end over one
+    cluster table and executes newly-sealed and representative-changed
+    cluster representatives immediately — no global clustering barrier,
+    so the first report lands while most of the corpus is still
+    unprofiled. Every executed representative joins an in-memory memo
+    keyed by {!Kit_gen.Testcase.fingerprint}.
 
     {!stream_result} is the execute driver over the finalized clusters
     with that memo as its log, on the stream's own supervisor: streamed
@@ -319,8 +327,8 @@ type stream_stats = {
       case that reported *)
   peak_feed_pairs : int;
   (** largest per-feed working set
-      ({!Kit_gen.Cluster.peak_feed_pairs}) — the streaming counterpart
-      of the batch pass's [df_total]-sized sweep *)
+      ({!Kit_gen.Cluster.peak_feed_pairs}): the candidate group pairs
+      one program's feed visited *)
 }
 
 val stream : options -> stream

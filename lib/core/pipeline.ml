@@ -2,9 +2,9 @@
    artifact to another; running it through a bundle instruments the call
    with a "phase.<name>" span (annotated with the artifact labels), a
    volatile "time.<name>_s" wall-clock gauge and an always-on
-   "pipeline.<name>_runs" counter. Campaign drives both its batch phases
-   and the streaming pipeline through these stages, so the two paths
-   share one observability vocabulary. *)
+   "pipeline.<name>_runs" counter. Campaign drives its front end,
+   execute and diagnose phases through these stages, so batch and
+   streaming campaigns share one observability vocabulary. *)
 
 module Obs = Kit_obs.Obs
 module Metrics = Kit_obs.Metrics

@@ -4,9 +4,9 @@
     Running a stage through an observability bundle wraps the call in a
     ["phase.<name>"] span (annotated with the declared artifact labels),
     sets the volatile ["time.<name>_s"] wall-clock gauge and bumps the
-    always-on ["pipeline.<name>_runs"] counter — {!Campaign} drives both
-    the batch phases and the streaming pipeline through stages, so the
-    two paths share one observability vocabulary. *)
+    always-on ["pipeline.<name>_runs"] counter — {!Campaign} drives its
+    front end, execute and diagnose phases through stages, so batch and
+    streaming campaigns share one observability vocabulary. *)
 
 type ('a, 'b) stage
 
@@ -14,7 +14,7 @@ val v :
   ?consumes:string -> ?produces:string -> string -> (Kit_obs.Obs.t -> 'a -> 'b) ->
   ('a, 'b) stage
 (** [v name f] declares a stage. [consumes]/[produces] label the input
-    and output artifacts (e.g. ["corpus"] → ["accessmap"]); they appear
+    and output artifacts (e.g. ["corpus"] → ["clusters"]); they appear
     as span attributes. *)
 
 val name : ('a, 'b) stage -> string

@@ -34,11 +34,12 @@ type strategy_row = {
 }
 
 val table4 :
-  Campaign.prepared ->
+  Campaign.options ->
   strategy_row list * string * (Campaign.t * Campaign.t * Campaign.t * Campaign.t)
 (** Runs DF-IA, DF-ST-1, DF-ST-2 and RAND (budget 1.3x DF-ST-2, the
-    paper's proportion) over shared profiles; also returns the four
-    campaign results for reuse by the other tables. *)
+    paper's proportion) over one profiling pass of [options]' corpus;
+    also returns the four campaign results for reuse by the other
+    tables. *)
 
 val table5 : Campaign.t -> string
 

@@ -12,15 +12,15 @@
    are chosen deterministically as the minimum candidate under the total
    Testcase order (corpus order first), so runs are reproducible.
 
-   Two equivalent construction modes exist. The batch mode ([run]) takes
-   a fully built access map and clusters it in one pass. The online mode
-   ([start]/[feed]/[finalize]) folds one profiled program at a time into
-   the same cluster table, maintaining the generated/df_total counts
-   incrementally and emitting newly-sealed or representative-changed
-   clusters as it goes — the streaming campaign executes those
-   immediately instead of waiting behind a clustering barrier. RAND
-   pairs are drawn over the final corpus size, so they exist only in
-   [finalize]. The two modes produce identical results
+   Every campaign clusters online ([start]/[feed]/[finalize]): one
+   profiled program at a time is folded into the cluster table, which
+   emits newly-sealed or representative-changed clusters as it goes —
+   the streaming campaign executes those immediately instead of waiting
+   behind a clustering barrier. RAND pairs are drawn over the final
+   corpus size, so they exist only in [finalize]. The batch [run] takes
+   a fully built access map and clusters it in one pass; it is the
+   reference model the online table is checked against, in tests and in
+   the benchmark's replay. The two produce identical results
    (property-tested); the equivalence argument lives with the online
    code below. *)
 
@@ -68,19 +68,26 @@ let entry_order (a : Accessmap.entry) (b : Accessmap.entry) =
   let c = Int.compare a.Accessmap.prog b.Accessmap.prog in
   if c <> 0 then c else Int.compare a.Accessmap.sys_index b.Accessmap.sys_index
 
-(* Group entries by [key]; each group keeps its earliest entry and size. *)
+let compare_key (a1, a2) (b1, b2) =
+  let c = Int.compare a1 b1 in
+  if c <> 0 then c else Int.compare a2 b2
+
+(* Group one program's entries at one address by [key]; each group keeps
+   its earliest entry and size. A program has a handful of accesses per
+   address, so an association list beats a table. *)
 let group_entries key entries =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
+  List.fold_left
+    (fun groups e ->
       let k = key e in
-      match Hashtbl.find_opt table k with
-      | None -> Hashtbl.replace table k (e, 1)
-      | Some (best, n) ->
-        let best = if entry_order e best < 0 then e else best in
-        Hashtbl.replace table k (best, n + 1))
-    entries;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
+      let rec bump = function
+        | [] -> [ (k, (e, 1)) ]
+        | ((k', (best, n)) as g) :: rest ->
+          if compare_key k k' = 0 then
+            (k, ((if entry_order e best < 0 then e else best), n + 1)) :: rest
+          else g :: bump rest
+      in
+      bump groups)
+    [] entries
 
 let flow_of ~addr (w : Accessmap.entry) (r : Accessmap.entry) =
   { Testcase.addr; w_ip = w.Accessmap.ip; r_ip = r.Accessmap.ip;
@@ -231,39 +238,42 @@ let run_rand ~seed ~budget ~corpus_size =
     let r = Random.State.int rng corpus_size in
     if not (mem s r) then take s r
   done;
-  for s = 0 to corpus_size - 1 do
-    for r = 0 to corpus_size - 1 do
-      if !nseen < effective && not (mem s r) then take s r
-    done
-  done;
+  (* A filled budget skips the sweep, which would otherwise walk all
+     corpus_size² pairs for nothing. *)
+  if !nseen < effective then
+    for s = 0 to corpus_size - 1 do
+      for r = 0 to corpus_size - 1 do
+        if !nseen < effective && not (mem s r) then take s r
+      done
+    done;
   (List.rev !reps, effective)
 
-let rand_result strategy ~budget ~df_total reps delivered =
-  { strategy; generated = delivered; clusters = delivered; reps; df_total;
-    sizes = (if delivered = 0 then [] else [ (1, delivered) ]);
-    requested = budget; delivered }
-
-let run strategy ?(seed = 0) ~corpus_size map =
+let unclustered ?(seed = 0) ~corpus_size ~df_total strategy =
   match strategy with
   | Df ->
-    let total = Dataflow.total_flows map in
-    { strategy; generated = total; clusters = total; reps = [];
-      df_total = total;
-      sizes = (if total = 0 then [] else [ (1, total) ]);
+    { strategy; generated = df_total; clusters = df_total; reps = [];
+      df_total;
+      sizes = (if df_total = 0 then [] else [ (1, df_total) ]);
       requested = 0; delivered = 0 }
+  | Rand budget ->
+    let reps, delivered = run_rand ~seed ~budget ~corpus_size in
+    { strategy; generated = delivered; clusters = delivered; reps; df_total;
+      sizes = (if delivered = 0 then [] else [ (1, delivered) ]);
+      requested = budget; delivered }
   | Df_ia | Df_st _ ->
-    let key_kind =
-      match key_kind_of_strategy strategy with
-      | Some k -> k
-      | None -> assert false
-    in
+    invalid_arg "Cluster.unclustered: a keyed strategy needs a cluster table"
+
+let keyed = function Df_ia | Df_st _ -> true | Df | Rand _ -> false
+
+let run strategy ?seed ~corpus_size map =
+  match key_kind_of_strategy strategy with
+  | Some key_kind ->
     let flows, clusters, reps, sizes = cluster_map map ~key_kind in
     { strategy; generated = clusters; clusters; reps; df_total = flows;
       sizes; requested = clusters; delivered = clusters }
-  | Rand budget ->
-    let reps, delivered = run_rand ~seed ~budget ~corpus_size in
-    rand_result strategy ~budget ~df_total:(Dataflow.total_flows map) reps
-      delivered
+  | None ->
+    unclustered ?seed ~corpus_size ~df_total:(Dataflow.total_flows map)
+      strategy
 
 (* -- online clustering ----------------------------------------------------
 
@@ -289,11 +299,12 @@ let run strategy ?(seed = 0) ~corpus_size map =
       current representative fires a [Rep_changed] event; the streaming
       campaign re-executes that cluster.
 
-   Cluster sizes and the DF universe update by delta: with per-address
-   old counts w, r and program deltas Δw, Δr,
-       Δ(w·r) = Δw·(r + Δr) + w·Δr
-   which the two count loops below implement per group pair (and per
-   entry total for df_total). *)
+   So a feed visits only the group pairs a new group creates. Cluster
+   sizes are not kept by delta: [finalize] folds them once over every
+   address's group pairs, as the batch pass does, which costs a feed
+   nothing when no group is new. The DF universe does update by delta,
+   one multiply per touched address: with old entry counts w, r and
+   program deltas Δw, Δr, Δ(w·r) = Δw·(r + Δr) + w·Δr. *)
 
 type event =
   | Sealed of int * Testcase.t       (* new cluster: id, representative *)
@@ -303,6 +314,8 @@ type group = { g_best : Accessmap.entry; mutable g_n : int }
 
 type side = {
   s_groups : (int * int, group) Hashtbl.t;
+  mutable s_sorted : ((int * int) * group) list;
+      (* [s_groups] in key order, rebuilt only when a group is added *)
   mutable s_entries : int;
 }
 
@@ -320,7 +333,7 @@ type state = {
   st_clusters : ((int * int) * (int * int), cluster) Hashtbl.t;
   mutable st_next_id : int;
   mutable st_df_total : int;
-  mutable st_peak_pairs : int;          (* max group pairs in one feed *)
+  mutable st_peak_pairs : int;          (* max candidates visited in one feed *)
 }
 
 let start ?(seed = 0) strategy =
@@ -332,7 +345,7 @@ let start ?(seed = 0) strategy =
 let fed st = st.st_fed
 let peak_feed_pairs st = st.st_peak_pairs
 
-let fresh_side () = { s_groups = Hashtbl.create 8; s_entries = 0 }
+let fresh_side () = { s_groups = Hashtbl.create 8; s_sorted = []; s_entries = 0 }
 
 let addr_state st addr =
   match Hashtbl.find_opt st.st_addrs addr with
@@ -342,24 +355,26 @@ let addr_state st addr =
     Hashtbl.add st.st_addrs addr a;
     a
 
-let sorted_groups side =
-  Hashtbl.fold (fun k g acc -> (k, g) :: acc) side.s_groups []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+let by_key (a, _) (b, _) = compare_key a b
 
-(* Merge a program's per-key contributions into a side. Returns, sorted
-   by key, each touched key with its delta count and whether the group
-   is new at this address. *)
+(* Merge a program's per-key contributions into a side, and return the
+   groups that are new at this address, in key order. *)
 let merge_side side news =
-  List.map
-    (fun (k, (best, n)) ->
-      match Hashtbl.find_opt side.s_groups k with
-      | None ->
-        Hashtbl.replace side.s_groups k { g_best = best; g_n = n };
-        (k, n, true)
-      | Some g ->
-        g.g_n <- g.g_n + n;
-        (k, n, false))
-    (List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) news)
+  let fresh =
+    List.filter_map
+      (fun (k, (best, n)) ->
+        match Hashtbl.find_opt side.s_groups k with
+        | None ->
+          let g = { g_best = best; g_n = n } in
+          Hashtbl.replace side.s_groups k g;
+          Some (k, g)
+        | Some g ->
+          g.g_n <- g.g_n + n;
+          None)
+      (List.sort by_key news)
+  in
+  if fresh <> [] then side.s_sorted <- List.merge by_key side.s_sorted fresh;
+  fresh
 
 (* Visit a candidate representative for cluster (wk, rk): create the
    cluster (Sealed) or lower its representative (Rep_changed). *)
@@ -381,11 +396,12 @@ let candidate st events ~addr (wk, (wg : group)) (rk, (rg : group)) =
       events := Rep_changed (cl.cl_id, tc) :: !events
     end
 
-let feed_addr st events ~addr ~wnews ~rnews =
+(* Fold one program's writes [ws] and reads [rs] at [addr], each newest
+   first, into the table. *)
+let feed_addr st events ~prog ~addr ~ws ~rs =
   let a = addr_state st addr in
   (* DF universe delta from raw entry counts (both sides must exist). *)
-  let wadd = List.fold_left (fun acc (_, (_, n)) -> acc + n) 0 wnews in
-  let radd = List.fold_left (fun acc (_, (_, n)) -> acc + n) 0 rnews in
+  let wadd = List.length ws and radd = List.length rs in
   st.st_df_total <-
     st.st_df_total + (wadd * (a.ar.s_entries + radd))
     + (a.aw.s_entries * radd);
@@ -393,125 +409,92 @@ let feed_addr st events ~addr ~wnews ~rnews =
   a.ar.s_entries <- a.ar.s_entries + radd;
   match st.st_keys with
   | None -> 0
-  | Some _ ->
-    let wtouched = merge_side a.aw wnews in
-    let rtouched = merge_side a.ar rnews in
-    let wall = sorted_groups a.aw in
-    let rall = sorted_groups a.ar in
+  | Some (wkey, rkey) ->
+    let entry (acc : Stackrec.access) =
+      { Accessmap.prog; sys_index = acc.Stackrec.sys_index;
+        ip = acc.Stackrec.ip; stack = acc.Stackrec.stack;
+        stack_hash = acc.Stackrec.stack_hash }
+    in
+    let wfresh = merge_side a.aw (group_entries wkey (List.map entry ws)) in
+    let rfresh = merge_side a.ar (group_entries rkey (List.map entry rs)) in
     (* Candidates: a (wk, rk) pair first coexists at this address when
        either side's group is new here; both bests are final, so the
        candidate is immutable (new×new pairs are visited once, by the
        writer loop). *)
-    List.iter
-      (fun (wk, _, wnew) ->
-        if wnew then
-          let wg = Hashtbl.find a.aw.s_groups wk in
-          List.iter (fun (rk, rg) -> candidate st events ~addr (wk, wg) (rk, rg))
-            rall)
-      wtouched;
-    let wnew_keys =
-      List.filter_map (fun (k, _, n) -> if n then Some k else None) wtouched
-    in
-    List.iter
-      (fun (rk, _, rnew) ->
-        if rnew then
-          let rg = Hashtbl.find a.ar.s_groups rk in
-          List.iter
-            (fun (wk, wg) ->
-              if not (List.mem wk wnew_keys) then
-                candidate st events ~addr (wk, wg) (rk, rg))
-            wall)
-      rtouched;
-    (* Count deltas: Δ(w·r) = Δw·r_new + w_old·Δr per group pair. *)
     let pairs = ref 0 in
-    let wdelta wk =
-      List.fold_left
-        (fun acc (k, d, _) -> if k = wk then acc + d else acc)
-        0 wtouched
+    let visit w r =
+      incr pairs;
+      candidate st events ~addr w r
     in
+    List.iter (fun w -> List.iter (visit w) a.ar.s_sorted) wfresh;
     List.iter
-      (fun (wk, dw, _) ->
+      (fun r ->
         List.iter
-          (fun (rk, (rg : group)) ->
-            incr pairs;
-            let cl = Hashtbl.find st.st_clusters (wk, rk) in
-            cl.cl_n <- cl.cl_n + (dw * rg.g_n))
-          rall)
-      wtouched;
-    List.iter
-      (fun (rk, dr, _) ->
-        List.iter
-          (fun (wk, (wg : group)) ->
-            incr pairs;
-            let w_old = wg.g_n - wdelta wk in
-            if w_old > 0 then
-              let cl = Hashtbl.find st.st_clusters (wk, rk) in
-              cl.cl_n <- cl.cl_n + (w_old * dr))
-          wall)
-      rtouched;
+          (fun ((wk, _) as w) -> if not (List.mem_assoc wk wfresh) then visit w r)
+          a.aw.s_sorted)
+      rfresh;
     !pairs
 
 let feed st ~prog (accesses : Stackrec.access list) =
   if prog <> st.st_fed then
     invalid_arg "Cluster.feed: programs must be fed in corpus order";
   st.st_fed <- prog + 1;
-  (* Split into per-address, per-side entry lists. Prepending mirrors
-     Accessmap.add, so per-program group bests (including ties on
-     (prog, sys_index)) match the batch pass exactly. *)
-  let waccs = Hashtbl.create 16 and raccs = Hashtbl.create 16 in
-  List.iter
-    (fun (acc : Stackrec.access) ->
-      let entry =
-        { Accessmap.prog; sys_index = acc.Stackrec.sys_index;
-          ip = acc.Stackrec.ip; stack = acc.Stackrec.stack;
-          stack_hash = acc.Stackrec.stack_hash }
-      in
-      let table =
-        match acc.Stackrec.rw with
-        | Kevent.Write -> waccs
-        | Kevent.Read -> raccs
-      in
-      let prev =
-        Option.value ~default:[] (Hashtbl.find_opt table acc.Stackrec.addr)
-      in
-      Hashtbl.replace table acc.Stackrec.addr (entry :: prev))
-    accesses;
-  let addrs =
-    Hashtbl.fold (fun addr _ acc -> addr :: acc) waccs []
-    |> Hashtbl.fold (fun addr _ acc -> addr :: acc) raccs
-    |> List.sort_uniq Int.compare
+  (* Address order, program order within an address; splitting a run
+     by side then prepends, giving each side newest first — the order of
+     Accessmap.add's chains, so per-program group bests (including ties
+     on (prog, sys_index)) match the batch pass exactly. *)
+  let by_addr =
+    List.stable_sort
+      (fun (a : Stackrec.access) (b : Stackrec.access) ->
+        Int.compare a.Stackrec.addr b.Stackrec.addr)
+      accesses
   in
   let events = ref [] in
   let pairs = ref 0 in
-  List.iter
-    (fun addr ->
-      let group key table =
-        match Hashtbl.find_opt table addr with
-        | None -> []
-        | Some entries -> (
-          match key with
-          | Some key -> group_entries key entries
-          | None ->
-            (* Count-only strategies still need entry totals. *)
-            [ ((0, 0), (List.hd entries, List.length entries)) ])
+  let rec walk = function
+    | [] -> ()
+    | (first : Stackrec.access) :: _ as run ->
+      let addr = first.Stackrec.addr in
+      let rec split ws rs = function
+        | (acc : Stackrec.access) :: rest when acc.Stackrec.addr = addr -> (
+          match acc.Stackrec.rw with
+          | Kevent.Write -> split (acc :: ws) rs rest
+          | Kevent.Read -> split ws (acc :: rs) rest)
+        | rest ->
+          pairs := !pairs + feed_addr st events ~prog ~addr ~ws ~rs;
+          walk rest
       in
-      let wnews = group (Option.map fst st.st_keys) waccs in
-      let rnews = group (Option.map snd st.st_keys) raccs in
-      pairs := !pairs + feed_addr st events ~addr ~wnews ~rnews)
-    addrs;
+      split [] [] run
+  in
+  walk by_addr;
   if !pairs > st.st_peak_pairs then st.st_peak_pairs <- !pairs;
   List.rev !events
 
+(* Cluster sizes, folded afresh over every address's group pairs: every
+   pair that coexists has a cluster, sealed when it first did. *)
+let fold_sizes st =
+  Hashtbl.iter (fun _ cl -> cl.cl_n <- 0) st.st_clusters;
+  Hashtbl.iter
+    (fun _ a ->
+      List.iter
+        (fun (wk, wg) ->
+          List.iter
+            (fun (rk, rg) ->
+              let cl = Hashtbl.find st.st_clusters (wk, rk) in
+              cl.cl_n <- cl.cl_n + (wg.g_n * rg.g_n))
+            a.ar.s_sorted)
+        a.aw.s_sorted)
+    st.st_addrs
+
 let finalize st =
   let strategy = st.st_strategy in
-  match strategy with
-  | Df ->
-    let total = st.st_df_total in
-    { strategy; generated = total; clusters = total; reps = [];
-      df_total = total;
-      sizes = (if total = 0 then [] else [ (1, total) ]);
-      requested = 0; delivered = 0 }
-  | Df_ia | Df_st _ ->
+  if not (keyed strategy) then
+    (* RAND draws over the corpus size, so its pairs exist only once the
+       corpus is complete: they are drawn here, never sealed by [feed]. *)
+    unclustered ~seed:st.st_seed ~corpus_size:st.st_fed
+      ~df_total:st.st_df_total strategy
+  else begin
+    fold_sizes st;
     let reps =
       Hashtbl.fold (fun _ cl acc -> cl.cl_rep :: acc) st.st_clusters []
       |> List.sort Testcase.compare
@@ -523,10 +506,4 @@ let finalize st =
     let clusters = Hashtbl.length st.st_clusters in
     { strategy; generated = clusters; clusters; reps; df_total = st.st_df_total;
       sizes; requested = clusters; delivered = clusters }
-  | Rand budget ->
-    (* RAND draws over the corpus size, so its pairs exist only once the
-       corpus is complete: they are drawn here, never sealed by [feed]. *)
-    let reps, delivered =
-      run_rand ~seed:st.st_seed ~budget ~corpus_size:st.st_fed
-    in
-    rand_result strategy ~budget ~df_total:st.st_df_total reps delivered
+  end

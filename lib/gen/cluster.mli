@@ -13,13 +13,13 @@
     representative is the minimum candidate under the total
     {!Testcase.compare} order, so runs are reproducible.
 
-    Clustering comes in two equivalent modes: the batch {!run} over a
-    fully built access map, and the online {!start}/{!feed}/{!finalize}
-    mode that folds one profiled program at a time into the cluster
-    table, emitting newly-sealed and representative-changed clusters as
-    it goes. Both modes produce identical {!result}s (property-tested).
-    Whatever a caller executed as it went, {!finalize} names the
-    representatives a campaign result is folded over. *)
+    Campaigns cluster online: {!start}/{!feed}/{!finalize} fold one
+    profiled program at a time into the cluster table, emitting
+    newly-sealed and representative-changed clusters as they go.
+    {!finalize} names the representatives a campaign result is folded
+    over. The batch {!run} over a fully built access map is the
+    reference model that tests and the benchmark's replay compare
+    {!finalize} against (property-tested equal). *)
 
 type strategy =
   | Df
@@ -36,9 +36,7 @@ type result = {
   reps : Testcase.t list; (** executed representatives, in order *)
   df_total : int;
   (** the unclustered flow universe (the DF row): one per (write entry,
-      read entry) pair on a shared address — campaigns read it from here
-      instead of re-scanning the map with
-      {!Kit_gen.Dataflow.total_flows} *)
+      read entry) pair on a shared address *)
   sizes : (int * int) list;
   (** cluster-size distribution as [(size, count)] pairs, ascending *)
   requested : int;        (** representatives asked for (RAND budget) *)
@@ -53,18 +51,29 @@ val context : int -> int list -> int list
     frame and its caller are already folded into the instruction
     address). *)
 
+val keyed : strategy -> bool
+(** [Df_ia] and [Df_st _] cluster by per-side keys and need a cluster
+    table; [Df] and [Rand _] do not. *)
+
+val unclustered : ?seed:int -> corpus_size:int -> df_total:int -> strategy -> result
+(** The result of a strategy that needs no cluster table, from the flow
+    universe and the corpus size alone: [Df] counts [df_total] flows,
+    [Rand n] draws [n] pairs over [corpus_size] programs with [seed].
+    @raise Invalid_argument on a keyed strategy. *)
+
 val run :
   strategy -> ?seed:int -> corpus_size:int -> Kit_profile.Accessmap.t ->
   result
-(** Batch clustering over a fully built access map. *)
+(** Batch clustering over a fully built access map: the reference model
+    {!finalize} is checked against. No campaign calls it. *)
 
 (** {2 Online clustering}
 
-    The streaming pipeline folds one profiled program at a time into the
-    cluster table with {!feed}, maintaining [generated]/[df_total]
-    incrementally instead of materializing per-address writer×reader
-    cross products behind a barrier. Events report clusters the caller
-    can execute immediately. *)
+    Every campaign folds one profiled program at a time into the cluster
+    table with {!feed}, maintaining [df_total] incrementally instead of
+    materializing per-address writer×reader cross products behind a
+    barrier. Events report clusters the caller can execute
+    immediately. *)
 
 type state
 
@@ -89,12 +98,15 @@ val feed : state -> prog:int -> Kit_profile.Stackrec.access list -> event list
 val finalize : state -> result
 (** The clustering result over everything fed so far — structurally
     identical to {!run} on a batch-built map of the same programs
-    (property-tested). Non-destructive: the state can keep feeding. *)
+    (property-tested). Cluster sizes are folded here, once over every
+    address's group pairs, rather than kept by delta on every feed.
+    Non-destructive: the state can keep feeding. *)
 
 val fed : state -> int
 (** Programs folded so far. *)
 
 val peak_feed_pairs : state -> int
-(** The largest per-feed working set: the maximum number of group pairs
-    examined while folding a single program — the streaming counterpart
-    of the batch pass's [df_total]-sized sweep. *)
+(** The largest per-feed working set: the most candidate group pairs
+    one program's feed visited. A feed visits only the pairs a new group
+    creates, so this stays far below the batch pass's [df_total]-sized
+    sweep. *)

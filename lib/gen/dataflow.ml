@@ -66,9 +66,9 @@ let build_map profiles =
 
 (* -- streaming profiler --------------------------------------------------
 
-   The batch path profiles the whole corpus behind one barrier; the
-   streaming pipeline profiles one program at a time and feeds its
-   contribution straight into the online cluster state. Both paths share
+   Campaigns profile one program at a time and feed its contribution
+   straight into the online cluster tables; the batch reference model
+   above profiles the whole corpus behind one barrier. Both share
    [filter_accesses], so a program's contribution is identical either
    way (the profiler reloads the same snapshot per program). *)
 

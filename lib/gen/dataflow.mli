@@ -1,8 +1,14 @@
 (** Corpus profiling and the inter-container data-flow analysis (paper,
     section 4.1.1): profile every test program from an identical
-    snapshot, fold the memory accesses into the access map, and keep —
-    on the reader side — only accesses performed by syscalls that the
-    specification marks as touching namespace-protected resources. *)
+    snapshot and keep — on the reader side — only accesses performed by
+    syscalls that the specification marks as touching
+    namespace-protected resources.
+
+    Campaigns use the streaming {!profiler}, one program at a time. The
+    batch {!profile_corpus}, {!build_map} and {!total_flows} build the
+    whole access map behind one barrier; they are the reference model
+    that tests and the benchmark's replay compare the online cluster
+    tables against, and no campaign calls them. *)
 
 type profiles = {
   programs : Kit_abi.Program.t array;
@@ -26,7 +32,7 @@ val total_flows : Kit_profile.Accessmap.t -> int
 
 (** {2 Streaming profiler}
 
-    One program at a time, for the online pipeline. A program's filtered
+    One program at a time, for every campaign's front end. A program's filtered
     access list is identical to its contribution to {!build_map} — the
     profiler reloads the same snapshot per program, and both paths apply
     the same reader-protection filter. *)

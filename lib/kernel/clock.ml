@@ -30,8 +30,6 @@ let init heap =
    through vDSO paths the paper does not instrument). *)
 let now t = Var.peek t.base + (Var.peek t.ticks * tick_quantum)
 
-let uptime_ticks t = Var.peek t.ticks
-
 (* Advance time by one syscall quantum; the timer interrupt touches
    jiffies from irq context. *)
 let tick ctx t =

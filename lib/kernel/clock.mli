@@ -16,8 +16,6 @@ val init : Heap.t -> t
 val now : t -> int
 (** Current kernel time (base + elapsed ticks). *)
 
-val uptime_ticks : t -> int
-
 val tick : Ctx.t -> t -> unit
 (** Advance by one syscall quantum and run the timer interrupt. *)
 

@@ -30,11 +30,6 @@ let yield t =
   | None -> ()
   | Some f -> if not t.in_irq then f ()
 
-let with_yield t hook f =
-  let saved = t.yield in
-  t.yield <- Some hook;
-  Fun.protect ~finally:(fun () -> t.yield <- saved) f
-
 let with_irq t f =
   let saved = t.in_irq in
   t.in_irq <- true;

@@ -37,10 +37,6 @@ val yield : t -> unit
     profiling (uninstrumented or in irq) is also not a scheduling
     point, so schedule search over solo profiles matches reality. *)
 
-val with_yield : t -> (unit -> unit) -> (unit -> 'a) -> 'a
-(** Run a computation with a preemption hook installed; the previous
-    hook is restored afterwards, exceptions included. *)
-
 val innermost : t -> int
 (** The currently executing kernel function (0 at top level). *)
 

@@ -113,8 +113,6 @@ let schedule t =
       else Some { fault = e.e_fault; persistence = persistence_of_entry e })
     t.entries
 
-let is_inert t = t.entries = [] && t.fuel_limit = None
-
 (* An entry is active while it has firings left; firing consumes one. *)
 let active e = e.left <> 0
 
@@ -322,11 +320,6 @@ let counters t =
     snapshot_corruptions = t.c_restores;
     executions = t.c_execs;
   }
-
-let total_fired c =
-  c.panics + c.fuel_exhaustions + c.boot_failures + c.snapshot_corruptions
-
-let pp_arming ppf a = Fmt.string ppf (arming_to_string a)
 
 let pp_panic_info ppf p =
   Fmt.pf ppf "panic in sys_%s: %s" (Sysno.to_string p.panic_sysno) p.message

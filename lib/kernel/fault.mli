@@ -53,8 +53,6 @@ val schedule : t -> schedule
 (** The remaining schedule: armed faults with their current residual
     persistence (transient counts decrease as occurrences fire). *)
 
-val is_inert : t -> bool
-
 (* -- deterministic schedule generation ---------------------------------- *)
 
 val schedule_of_seed : seed:int -> intensity:int -> schedule
@@ -118,8 +116,5 @@ type counters = {
 }
 
 val counters : t -> counters
-val total_fired : counters -> int
-
-val pp_arming : Format.formatter -> arming -> unit
 val pp_panic_info : Format.formatter -> panic_info -> unit
 val pp_counters : Format.formatter -> counters -> unit

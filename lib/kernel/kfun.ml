@@ -26,8 +26,6 @@ let name id =
   | Some n -> n
   | None -> Printf.sprintf "f%d" id
 
-let id_of_name n = Hashtbl.find_opt ids n
-
 (* Events are built only when a sink will receive them. The stack is
    popped on return and on exceptions, which are re-raised with their
    backtrace — including the [Sched.Aborted] that unwinds a suspended

@@ -11,6 +11,5 @@ val register : string -> int
 (** Idempotent: registering the same name twice yields the same id. *)
 
 val name : int -> string
-val id_of_name : string -> int option
 
 val call : Ctx.t -> int -> (unit -> 'a) -> 'a

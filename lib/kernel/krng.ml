@@ -21,5 +21,3 @@ let next t =
   let s = s land max_int in
   Var.poke t.state s;
   s
-
-let next_in t bound = 1 + (next t mod bound)

@@ -8,5 +8,3 @@ type t
 val init : Heap.t -> t
 val reseed : t -> seed:int -> salt:int -> unit
 val next : t -> int
-val next_in : t -> int -> int
-(** [next_in t bound] is a value in [1..bound]. *)

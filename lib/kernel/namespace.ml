@@ -15,8 +15,6 @@ let kind_to_string = function
   | Cgroup -> "cgroup"
   | Time -> "time"
 
-let pp_kind ppf k = Fmt.string ppf (kind_to_string k)
-
 let kind_flag k =
   let open Kit_abi.Consts in
   match k with

@@ -6,7 +6,6 @@ type kind = Pid | Mount | Uts | Ipc | Net | User | Cgroup | Time
 
 val all_kinds : kind list
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 val kind_flag : kind -> int
 (** The unshare/clone flag bit selecting this kind. *)

@@ -87,8 +87,6 @@ let state t i =
   else if Bitset.mem t.touched i then Touched
   else Untouched
 
-let var_name t i = t.names.(i)
-
 type summary = {
   sum_vars : int;
   sum_touched : int;
@@ -108,15 +106,6 @@ let summary t =
     sum_paired = paired;
     sum_attributed = Bitset.cardinal t.attributed;
     sum_gaps = size t - paired }
-
-let sub_summary cur prev =
-  { sum_vars = cur.sum_vars;
-    sum_touched = cur.sum_touched - prev.sum_touched;
-    sum_written = cur.sum_written - prev.sum_written;
-    sum_read = cur.sum_read - prev.sum_read;
-    sum_paired = cur.sum_paired - prev.sum_paired;
-    sum_attributed = cur.sum_attributed - prev.sum_attributed;
-    sum_gaps = cur.sum_gaps - prev.sum_gaps }
 
 let gaps t =
   let out = ref [] in

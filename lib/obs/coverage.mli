@@ -53,8 +53,6 @@ val mark_attributed : t -> addr:int -> unit
 val state : t -> int -> state
 (** By universe index ([0 .. size-1]). *)
 
-val var_name : t -> int -> string
-
 (** {2 Summaries and gaps} *)
 
 type summary = {
@@ -68,10 +66,6 @@ type summary = {
 }
 
 val summary : t -> summary
-
-val sub_summary : summary -> summary -> summary
-(** [sub_summary cur prev] — the per-generation coverage delta a grown
-    campaign reports. *)
 
 val gaps : t -> string list
 (** Variables with no overlapping (write, read) pair, in universe order

@@ -220,8 +220,3 @@ let pp_value ppf = function
       (Fmt.list ~sep:(Fmt.any " ") Fmt.int)
       h.counts
 
-let pp_snapshot ppf s =
-  Fmt.pf ppf "@[<v>%a@]"
-    (Fmt.list ~sep:Fmt.cut (fun ppf (name, v) ->
-         Fmt.pf ppf "%-40s %a" name pp_value v))
-    s

@@ -98,4 +98,3 @@ val absorb : registry -> snapshot -> unit
     increments under contention are acceptable telemetry noise). *)
 
 val pp_value : Format.formatter -> value -> unit
-val pp_snapshot : Format.formatter -> snapshot -> unit

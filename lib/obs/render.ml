@@ -129,10 +129,6 @@ let stats (p : Export.parsed) =
       p.Export.p_dropped;
   Buffer.contents buf
 
-let snapshot_table snapshot =
-  stats
-    { Export.p_meta = []; p_snapshot = snapshot; p_events = []; p_dropped = 0 }
-
 (* -- funnel attrition ---------------------------------------------------- *)
 
 let counter_value snapshot name =

@@ -7,9 +7,6 @@ val stats : Export.parsed -> string
     trace event count and ring-drop count — the numbers that say
     whether the telemetry itself is trustworthy. *)
 
-val snapshot_table : Metrics.snapshot -> string
-(** {!stats} over a bare metrics snapshot (no meta, no events). *)
-
 val funnel : Export.parsed -> string
 (** The attrition funnel ([kit stats --funnel]), rendered from the
     always-on ["campaign.attr_*"] counters: every generated data-flow

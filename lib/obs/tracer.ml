@@ -134,8 +134,3 @@ let kind_of_string = function
   | "end" -> Some End
   | "instant" -> Some Instant
   | _ -> None
-
-let pp_event ppf e =
-  Fmt.pf ppf "#%d t=%d %s %s%a" e.seq e.time (kind_to_string e.kind) e.name
-    (Fmt.list ~sep:Fmt.nop (fun ppf (k, v) -> Fmt.pf ppf " %s=%s" k v))
-    e.attrs

@@ -78,4 +78,3 @@ val merge : t -> event list list -> unit
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
-val pp_event : Format.formatter -> event -> unit

@@ -8,7 +8,12 @@
     are intrusive (newest first) and the address universes are packed
     bitsets. Hot callers walk chains by integer handle through the
     [e_*] accessors; {!iter_overlaps} materialises {!entry} records for
-    convenience. *)
+    convenience.
+
+    Campaigns never build one: they fold each program into online
+    cluster tables ([Kit_gen.Cluster.feed]), which keep {!entry} records
+    for group bests. The map is the batch reference model that tests and
+    the benchmark's replay compare those tables against. *)
 
 (** A materialised entry view. *)
 type entry = {

@@ -13,9 +13,6 @@ type pair = {
   receiver_index : int;
 }
 
-let pp_pair ppf p =
-  Fmt.pf ppf "(s#%d, r#%d)" p.sender_index p.receiver_index
-
 module Int_set = Set.Make (Int)
 
 (* [test ~sender ~receiver] must return the interfered receiver indices

@@ -12,8 +12,6 @@ type pair = {
   receiver_index : int;
 }
 
-val pp_pair : Format.formatter -> pair -> unit
-
 val culprits :
   test:
     (sender:Kit_abi.Program.t -> receiver:Kit_abi.Program.t -> int list) ->

@@ -241,7 +241,7 @@ let finish t =
     t.t_result <- Some c;
     t.t_summary <- Some (Proto.summary c);
     t.t_phase <- Finished;
-    (* the corpus and profiles are only needed while executing *)
+    (* the corpus is only needed while executing *)
     t.t_prepared <- None;
     c
   | _ -> invalid_arg "Tenant.finish: tenant was never activated"

@@ -80,14 +80,6 @@ let rec pp ppf t =
 
 let to_string t = Fmt.str "%a" pp t
 
-(* Shallow agreement: same label, value and child count — what
-   Algorithm 1 checks at each node. The child-count compare is an int
-   compare, and the string compares normally hit the interner's
-   pointer-equality fast path. *)
-let shallow_equal a b =
-  a.nkids = b.nkids && String.equal a.value b.value
-  && String.equal a.label b.label
-
 let rec equal a b =
   a == b
   || a.hash = b.hash && Bool.equal a.det b.det && a.ndet = b.ndet

@@ -39,10 +39,6 @@ val with_flags : t -> det:bool -> t list -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val shallow_equal : t -> t -> bool
-(** Same label, value and child count — what Algorithm 1 checks at each
-    node. *)
-
 val equal : t -> t -> bool
 (** Deep structural equality, det flags included. *)
 

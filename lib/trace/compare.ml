@@ -42,8 +42,6 @@ let diff_trees ta tb =
   in
   List.rev (cmp [] ta tb [])
 
-let equal_modulo_nondet ta tb = diff_trees ta tb = []
-
 (* A schedule-independent identity for a diff list (FNV-1a). Two
    executions exposing the same root cause — the same nodes disagreeing
    in the same way — fingerprint equal regardless of which schedule

@@ -16,8 +16,6 @@ val pp_diff : Format.formatter -> diff -> unit
 val diff_trees : Ast.t -> Ast.t -> diff list
 (** SyscallTraceCmp — the differing node pairs, in traversal order. *)
 
-val equal_modulo_nondet : Ast.t -> Ast.t -> bool
-
 val fingerprint_diffs : diff list -> int
 (** A schedule-independent identity for a diff list: folds each diff's
     path, values and child counts through FNV-1a. Structurally equal

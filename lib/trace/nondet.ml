@@ -61,9 +61,3 @@ let rec apply_mask mask tree =
       | m :: ms, c :: cs -> apply_mask m c :: walk ms cs
     in
     Ast.with_flags tree ~det (walk mask.Ast.children tree.Ast.children)
-
-(* Summary statistics used by the evaluation tables. *)
-let nondet_fraction tree =
-  let total = Ast.size tree in
-  if total = 0 then 0.0
-  else float_of_int (Ast.count_nondet tree) /. float_of_int total

@@ -15,5 +15,3 @@ val apply_mask : Ast.t -> Ast.t -> Ast.t
     wherever [mask] has them cleared. Children beyond the mask's shape
     keep their own flags: a deterministic extra line added by a sender
     must stay visible to the comparison. *)
-
-val nondet_fraction : Ast.t -> float

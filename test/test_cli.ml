@@ -3,7 +3,8 @@
    result is built, refused (exit 3, file untouched) when taken under
    other options. A run killed midway is a run whose log write hits the
    file-size limit: SIGXFSZ lands at a byte the test chooses, not at a
-   time. The flags: a value out of range is a usage error. *)
+   time. The flags, the campaign's and the daemon's: a value out of range
+   is a usage error. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -149,6 +150,32 @@ let test_out_of_range_flags_refused () =
           ( "--fault-intensity",
             [ "campaign"; "--corpus-size"; "16"; "--fault-intensity=-1" ] ) ])
 
+(* The daemon and its clients refuse the same way. The socket lies in a
+   directory that does not exist, so a value that slipped through would
+   fail on bind or connect (exit 3) instead of serving or waiting. *)
+let test_out_of_range_serve_flags_refused () =
+  with_dir (fun dir ->
+      let socket = [ "--socket"; "missing/kit.sock" ] in
+      List.iter
+        (fun (flag, args) ->
+          let code, out, err = kit_in dir args in
+          let cmd = String.concat " " args in
+          check_int (cmd ^ ": usage error") 124 code;
+          check_string (cmd ^ ": no work") "" out;
+          check_bool (cmd ^ ": names the flag") true
+            (contains ~sub:("'" ^ flag ^ "'") err))
+        [ ("--procs", ("serve" :: socket) @ [ "--procs"; "0" ]);
+          ("--heartbeat", ("serve" :: socket) @ [ "--heartbeat"; "0" ]);
+          ("--heartbeat", ("serve" :: socket) @ [ "--heartbeat=-1.5" ]);
+          ("--max-respawns", ("serve" :: socket) @ [ "--max-respawns=-1" ]);
+          ("--max-active", ("serve" :: socket) @ [ "--max-active"; "0" ]);
+          ("--max-pending", ("serve" :: socket) @ [ "--max-pending=-1" ]);
+          ( "--weight",
+            ("submit" :: socket) @ [ "--name"; "t"; "--weight"; "0" ] );
+          ( "--max-inflight",
+            ("submit" :: socket) @ [ "--name"; "t"; "--max-inflight=-1" ] );
+          ("--add", ("extend" :: socket) @ [ "t"; "--add"; "0" ]) ])
+
 let suite =
   [
     Alcotest.test_case "resume refuses a log taken under other options"
@@ -157,4 +184,6 @@ let suite =
       test_finished_run_deletes_its_log;
     Alcotest.test_case "out-of-range campaign flags exit 124 before any work"
       `Quick test_out_of_range_flags_refused;
+    Alcotest.test_case "out-of-range serve, submit and extend flags exit 124"
+      `Quick test_out_of_range_serve_flags_refused;
   ]

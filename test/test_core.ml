@@ -303,7 +303,7 @@ let per_seed f = List.map (fun seed -> (seed, lazy (f seed))) shape_seeds
 
 let table4_by_seed =
   per_seed (fun seed ->
-      let rows, _, _ = Tables.table4 (Campaign.prepare (shape_options seed)) in
+      let rows, _, _ = Tables.table4 (shape_options seed) in
       rows)
 
 let jump_label_by_seed =

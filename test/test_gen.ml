@@ -8,6 +8,7 @@ module Testcase = Kit_gen.Testcase
 module Spec = Kit_spec.Spec
 module Corpus = Kit_abi.Corpus
 module Syzlang = Kit_abi.Syzlang
+module Campaign = Kit_core.Campaign
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -359,6 +360,94 @@ let test_online_rep_changed () =
   check_bool "the changed representative is final" true
     (same_reps (replay_events events) online.Cluster.reps)
 
+(* The first field in which two results differ, if any. *)
+let result_diff (a : Cluster.result) (b : Cluster.result) =
+  List.find_opt
+    (fun (_, differs) -> differs)
+    [ ("reps", not (same_reps a.Cluster.reps b.Cluster.reps));
+      ("sizes", a.Cluster.sizes <> b.Cluster.sizes);
+      ("df_total", a.Cluster.df_total <> b.Cluster.df_total);
+      ("clusters", a.Cluster.clusters <> b.Cluster.clusters);
+      ("generated", a.Cluster.generated <> b.Cluster.generated);
+      ("delivered", a.Cluster.delivered <> b.Cluster.delivered) ]
+  |> Option.map fst
+
+(* The reference model: the batch profile, access map and [Cluster.run]
+   over the first [n] programs of [corpus]. *)
+let reference ~seed corpus n strategy =
+  let programs = List.filteri (fun i _ -> i < n) corpus in
+  Cluster.run strategy ~seed ~corpus_size:n
+    (Dataflow.build_map (Dataflow.profile_corpus config Spec.default programs))
+
+(* Online = reference over many corpora: every strategy's table is fed
+   from the streaming profiler, finalized once at a random midpoint
+   (sizes are folded there, so it must not disturb later feeds), fed to
+   the end and finalized again; both results must equal the reference
+   over the same programs. *)
+let prop_online_equals_reference =
+  QCheck.Test.make ~name:"online: finalize = Cluster.run, midpoint included"
+    ~count:30
+    QCheck.(
+      quad (int_bound 100_000) (int_range 1 200) (int_bound 200)
+        (int_range 1 400))
+    (fun (seed, size, mid, budget) ->
+      let mid = mid mod (size + 1) in
+      let corpus = Corpus.generate ~seed ~size in
+      let strategies =
+        [ Cluster.Df; Cluster.Df_ia; Cluster.Df_st 0; Cluster.Df_st 1;
+          Cluster.Df_st 2; Cluster.Df_st 3; Cluster.Rand budget ]
+      in
+      let tables = List.map (Cluster.start ~seed) strategies in
+      let profiler = Dataflow.profiler config Spec.default in
+      let at_mid = ref [] in
+      List.iteri
+        (fun prog p ->
+          if prog = mid then at_mid := List.map Cluster.finalize tables;
+          let accs = Dataflow.profile_program profiler p in
+          List.iter (fun st -> ignore (Cluster.feed st ~prog accs)) tables)
+        corpus;
+      if mid = size then at_mid := List.map Cluster.finalize tables;
+      let check n results =
+        List.iter2
+          (fun strategy online ->
+            match result_diff online (reference ~seed corpus n strategy) with
+            | None -> ()
+            | Some field ->
+              QCheck.Test.fail_reportf "%s over %d of %d programs: %s differs"
+                (Cluster.strategy_name strategy) n size field)
+          strategies results
+      in
+      check mid !at_mid;
+      check size (List.map Cluster.finalize tables);
+      true)
+
+(* One profiling pass for several strategies: each named strategy, and
+   DF and RAND generated later from the flow universe, gets the
+   generation a single-strategy [prepare] gives it. *)
+let prop_prepare_many_equals_one =
+  QCheck.Test.make ~name:"prepare: several strategies = one at a time"
+    ~count:8
+    QCheck.(pair (int_bound 100_000) (int_range 1 120))
+    (fun (seed, corpus_size) ->
+      let options =
+        { Campaign.default_options with Campaign.seed; corpus_size }
+      in
+      let keyed = [ Cluster.Df_ia; Cluster.Df_st 1; Cluster.Df_st 2 ] in
+      let many = Campaign.prepare ~strategies:keyed options in
+      List.for_all
+        (fun strategy ->
+          let one = Campaign.prepare { options with Campaign.strategy } in
+          match
+            result_diff
+              (Campaign.generate_prepared ~strategy many)
+              (Campaign.generate_prepared one)
+          with
+          | None -> true
+          | Some field ->
+            QCheck.Test.fail_reportf "%s: %s differs"
+              (Cluster.strategy_name strategy) field)
+        (keyed @ [ Cluster.Df; Cluster.Rand 60 ]))
+
 let test_online_feed_order_enforced () =
   let st = Cluster.start Cluster.Df_ia in
   let _ = Cluster.feed st ~prog:0 [] in
@@ -419,5 +508,7 @@ let suite =
       test_online_rep_changed;
     Alcotest.test_case "online: feed order enforced" `Quick
       test_online_feed_order_enforced;
+    QCheck_alcotest.to_alcotest prop_online_equals_reference;
+    QCheck_alcotest.to_alcotest prop_prepare_many_equals_one;
     Alcotest.test_case "cluster: strategy names" `Quick test_strategy_names;
   ]

@@ -223,7 +223,9 @@ let small_options = { Campaign.default_options with Campaign.corpus_size = 48 }
    totals in the reconstructed tree equal the time.<stage>_s gauges,
    exactly — Pipeline stamps the span with the same gettimeofday
    readings the gauge is computed from, and Jsonl.float_repr guarantees
-   exact float round-trips through the export. *)
+   exact float round-trips through the export. Profiling and generation
+   are sub-phases of the front end with gauges but no span of their
+   own: together they fit inside it. *)
 let test_phase_span_totals_equal_time_gauges () =
   let obs = Obs.create () in
   let c =
@@ -250,7 +252,9 @@ let test_phase_span_totals_equal_time_gauges () =
             ("phase." ^ stage ^ " wall total = time." ^ stage ^ "_s")
             (gauge stage) r.Profile.r_wall_total
         | None -> Alcotest.failf "missing phase.%s row" stage)
-      [ "profile"; "generate"; "execute"; "diagnose" ]
+      [ "front"; "execute"; "diagnose" ];
+    check Alcotest.bool "profile_s + generate_s <= the front-end span" true
+      (gauge "profile" +. gauge "generate" <= gauge "front")
 
 (* The acceptance qcheck: the reconstructed span tree and profile are
    invariant in the execute phase's domain count. Lanes keyed by the
