@@ -63,7 +63,8 @@ type options = {
   faults : Fault.schedule;              (* injected fault schedule *)
   fuel : int;                           (* per-execution step budget *)
   max_retries : int;                    (* supervisor retry budget *)
-  baseline_cache : bool;                (* memoize receiver-solo traces *)
+  baseline_cache : bool;                (* memoize per-program baselines
+                                           and per-pair searches *)
   domains : int;                        (* execute-phase parallelism *)
   schedules : int;                      (* interleaved schedule seeds per
                                            case; 1 = sequential only *)
@@ -95,8 +96,9 @@ let default_options =
 type sched_stats = {
   mutable sched_candidates : int;       (* completed cases searched *)
   mutable sched_classes : int;          (* POR equivalence classes *)
-  mutable sched_executed : int;         (* class representatives run *)
-  mutable sched_pruned : int;           (* seeds never executed *)
+  mutable sched_executed : int;         (* class representatives whose
+                                           outcome the cases carry *)
+  mutable sched_pruned : int;           (* candidates - sched_executed *)
   mutable sched_skipped : int;          (* searches/reps lost to crashes *)
 }
 
@@ -533,31 +535,70 @@ let exec_cases_absorbing ~attrs ~emit options corpus sup cases =
   in
   go cases
 
+(* Deal a chunk's [(case, tc)] pairs over [domains] slices by receiver
+   program, so the per-domain runner memos (baseline, mask, search) hit
+   as they do sequentially: each receiver group goes whole, largest
+   first, to the least-loaded slice (ties to the lowest index), and a
+   slice keeps its cases in chunk order. Groups are keyed by
+   [Program.hash]: a collision merges two groups, which only costs
+   balance. *)
+let deal ~domains corpus chunk =
+  let hashes = Hashtbl.create 64 in     (* receiver index -> hash *)
+  let groups = Hashtbl.create 64 in     (* hash -> cases, newest first *)
+  let order = ref [] in                 (* hashes, newest first *)
+  List.iter
+    (fun ((_, (tc : Testcase.t)) as case) ->
+      let r = tc.Testcase.receiver in
+      let h =
+        match Hashtbl.find_opt hashes r with
+        | Some h -> h
+        | None ->
+          let h = Program.hash corpus.(r) in
+          Hashtbl.add hashes r h;
+          h
+      in
+      match Hashtbl.find_opt groups h with
+      | Some cases -> Hashtbl.replace groups h (case :: cases)
+      | None ->
+        order := h :: !order;
+        Hashtbl.add groups h [ case ])
+    chunk;
+  let slices = Array.make domains [] and load = Array.make domains 0 in
+  List.rev_map
+    (fun h ->
+      let cases = Hashtbl.find groups h in
+      (List.length cases, cases))
+    !order
+  |> List.stable_sort (fun (m, _) (n, _) -> Int.compare n m)
+  |> List.iter (fun (n, cases) ->
+         let d = ref 0 in
+         Array.iteri (fun i l -> if l < load.(!d) then d := i) load;
+         slices.(!d) <- List.rev_append cases slices.(!d);
+         load.(!d) <- load.(!d) + n);
+  Array.map (List.sort (fun (i, _) (j, _) -> Int.compare i j)) slices
+
 (* The one chunk runner behind every in-process path. The chunk's
    representatives arrive as [(case, tc)] pairs ([case] a globally
    increasing index; [attrs case] its correlation attributes, built as
    the case runs) and run sequentially on [sup] unless [options.domains]
-   exceeds 1; then they are dealt round-robin over that many slices.
-   Each domain boots its own isolated supervised environment and
-   observability registry and produces per-case results, stamping its
-   executions with a ["domain"] attr on top of the case attrs. The merge
-   sorts by case index, so reports, funnel and quarantine come out
+   exceeds 1; then they are dealt over that many slices by receiver
+   ([deal]). Each domain boots its own isolated supervised environment
+   and observability registry and produces per-case results, stamping
+   its executions with a ["domain"] attr on top of the case attrs. The
+   merge sorts by case index, so reports, funnel and quarantine come out
    structurally identical to the sequential schedule — only wall-clock
-   changes. Per-domain registries are folded into [sup]'s bundle with
-   [Metrics.absorb] and the per-domain trace rings with [Tracer.merge];
-   the absorbed ["exec.executions"] counts are how domain executions
-   reach [Supervisor.executions sup]. Emits like [exec_cases_absorbing],
-   in chunk order: sequentially as each case finishes, over domains once
-   every domain is joined. *)
+   and the execution count change. Per-domain registries are folded
+   into [sup]'s bundle with [Metrics.absorb] and the per-domain trace
+   rings with [Tracer.merge]; the absorbed ["exec.executions"] counts
+   are how domain executions reach [Supervisor.executions sup]. Emits
+   like [exec_cases_absorbing], in chunk order: sequentially as each
+   case finishes, over domains once every domain is joined. *)
 let run_chunk ~attrs ~emit options corpus sup chunk =
   let domains = options.domains in
   if domains <= 1 then exec_cases_absorbing ~attrs ~emit options corpus sup chunk
   else begin
     let obs = sup.Supervisor.obs in
-    let slices = Array.make domains [] in
-    List.iteri
-      (fun i case -> slices.(i mod domains) <- case :: slices.(i mod domains))
-      chunk;
+    let slices = deal ~domains corpus chunk in
     let worker d slice () =
       let wobs = Obs.create () in
       let wsup = make_supervisor ~obs:wobs options in
@@ -572,7 +613,6 @@ let run_chunk ~attrs ~emit options corpus sup chunk =
     let handles =
       Array.mapi
         (fun d slice ->
-          let slice = List.rev slice in
           if slice = [] then None else Some (Domain.spawn (worker d slice)))
         slices
     in

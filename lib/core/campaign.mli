@@ -30,16 +30,23 @@ type options = {
   fuel : int;                      (** per-execution step budget *)
   max_retries : int;               (** supervisor retry budget per case *)
   baseline_cache : bool;
-  (** memoize receiver-solo baseline traces per receiver program
-      (default [true]); never changes reports, funnel or quarantine
-      (property-tested), only the execution count *)
+  (** memoize per-program baselines and per-pair schedule searches
+      (default [true]): the receiver-solo baseline trace per receiver
+      program and, with [schedules > 1], the schedule search per
+      (sender, receiver) pair. Never changes reports, funnel,
+      quarantine, concurrent findings or search totals
+      (property-tested), only the execution count; [false] is the
+      reference run. *)
   domains : int;
   (** execute-phase parallelism (default 1 = sequential). Each chunk is
-      dealt round-robin over this many OCaml domains, one isolated
-      supervised environment per domain, and merged back in
+      dealt over this many OCaml domains by receiver program — whole
+      receiver groups, largest first, to the least-loaded domain — one
+      isolated supervised environment per domain, and merged back in
       representative order: reports, funnel and quarantine are
       structurally identical to the sequential schedule
-      (property-tested). With [domains > 1], {!t.sup_stats} and
+      (property-tested), and since a receiver's cases share a domain,
+      its baseline, mask and pair searches are computed there once, as
+      sequentially. With [domains > 1], {!t.sup_stats} and
       {!t.fault_counters} describe only the diagnosis environment — the
       per-domain supervision counters live in the bundle's metrics,
       folded in with {!Kit_obs.Metrics.absorb}. *)
@@ -49,9 +56,11 @@ type options = {
       case additionally runs {!Kit_exec.Supervisor.search_schedules}:
       seeds [0..schedules-1] are partitioned into POR equivalence
       classes over the pair's conflicting accesses and one
-      representative per non-sequential class executes interleaved.
-      Divergences that survive masking and the resource specification
-      become {!t.concurrent} reports, deduplicated by
+      representative per non-sequential class executes interleaved —
+      once per (sender, receiver) pair while [baseline_cache] is on and
+      no fault is armed: later cases of the pair take the memoized
+      search. Divergences that survive masking and the resource
+      specification become {!t.concurrent} reports, deduplicated by
       schedule-independent diff fingerprint; the sequential funnel,
       reports and diagnosis are untouched. *)
   obs : Kit_obs.Obs.t option;
@@ -68,8 +77,12 @@ val default_options : options
 type sched_stats = {
   mutable sched_candidates : int;  (** completed cases searched *)
   mutable sched_classes : int;     (** POR equivalence classes *)
-  mutable sched_executed : int;    (** class representatives run *)
-  mutable sched_pruned : int;      (** seeds never executed *)
+  mutable sched_executed : int;
+  (** class representatives whose outcome the cases carry — executed
+      for the case, or by the earlier case of the same pair whose
+      search the memo returned; kernel work is [executions] *)
+  mutable sched_pruned : int;
+  (** candidate seeds minus [sched_executed] *)
   mutable sched_skipped : int;     (** searches/reps lost to crashes *)
 }
 

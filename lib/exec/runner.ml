@@ -29,13 +29,16 @@
    driver, so it orders accesses exactly as execution does whenever
    interference does not change a program's access count.
 
-   Three memo caches cut the execution count, all size-capped with LRU
+   Four memo caches cut the execution count, all size-capped with LRU
    eviction (lookups refresh recency, so hot entries survive large
    campaigns — this replaced an earlier FIFO ring that evicted the
-   hottest receivers precisely because they were old):
+   hottest receivers precisely because they were old). Every cache is
+   keyed by the programs themselves, bucketed by [Program.hash]: that
+   hash is 30 bits and collides across large corpora, so a hit needs
+   equal programs, never an equal hash alone.
 
-   - the non-determinism mask cache, keyed on the receiver program
-     hash, as the paper saves masks to disk between campaigns;
+   - the non-determinism mask cache, keyed on the receiver program, as
+     the paper saves masks to disk between campaigns;
    - the baseline cache, same key: execution B and the mask's
      reference run are the receiver solo from the pristine snapshot at
      the reference clock base — a function of the receiver program
@@ -46,26 +49,33 @@
      that a real execution would have consumed. (A receiver whose solo
      run crashes or hangs never completes its first execution, so it
      can never be cached.)
-   - the solo access-sequence cache, keyed on (container pid, program
-     hash): schedule search needs each program's solo instrumented
-     access sequence, which depends on which container runs it (the
-     namespace ids differ), hence the wider key. Note what is *not*
-     keyed by schedule: solo artifacts (baseline, mask, accesses) are
-     schedule-independent because a solo run has exactly one task, and
-     per-(receiver, schedule) traces are never cached across cases
-     because each schedule class representative executes exactly once
-     per case. Within one case's search, the judgement of each distinct
-     receiver result is computed once (see [search_schedules]).
+   - the solo access-sequence cache, keyed on (container pid, program):
+     schedule search needs each program's solo instrumented access
+     sequence, which depends on which container runs it (the namespace
+     ids differ), hence the wider key. Solo artifacts (baseline, mask,
+     accesses) are schedule-independent because a solo run has exactly
+     one task, so none of these three is keyed by schedule.
+   - the search memo, keyed on (sender, receiver, schedule count):
+     with no fault armed a schedule search is a pure function of the
+     pair — its classes, its interleaved executions and their judgement
+     against the receiver's baseline and mask — so test cases sharing a
+     pair share the search. An entry also records the fingerprint of
+     the sequential masked diffs the search dropped findings against,
+     and a hit needs that to match too. Bypassed exactly when the
+     baseline cache is. Within one search, the judgement of each
+     distinct receiver result is computed once (see
+     [search_schedules]).
 
    Execution and cache counters live in the observability plane's
    metrics registry ("exec.executions", "exec.mask_hits",
    "exec.mask_misses", "exec.mask_evictions", "exec.baseline_hits",
-   "exec.baseline_misses") as always-on counters: they are campaign
-   accounting, so they keep counting even through a disabled bundle.
-   Registry counters are monotone and may be shared across runner
-   incarnations (the supervisor reboots runners into the same bundle),
-   so each runner captures the counter values at creation and reports
-   per-instance deltas. *)
+   "exec.baseline_misses", "exec.search_hits", "exec.search_misses") as
+   always-on counters: they are campaign accounting, so they keep
+   counting even through a disabled bundle. Registry counters are
+   monotone and may be shared across runner incarnations (the
+   supervisor reboots runners into the same bundle), so each runner
+   captures the counter values at creation and reports per-instance
+   deltas. *)
 
 module Program = Kit_abi.Program
 module Interp = Kit_kernel.Interp
@@ -83,62 +93,104 @@ module Metrics = Kit_obs.Metrics
 module Fnv = Kit_compact.Fnv
 module Keytab = Kit_compact.Keytab
 
+(* A divergence only an interleaved schedule exposes: the masked diffs
+   of one schedule class representative against the receiver's solo
+   trace, fingerprinted schedule-independently so the same root cause
+   found by several classes collapses into one finding carrying every
+   reproducing seed. *)
+type concurrent = {
+  cc_seeds : int list;              (* reproducing schedule seeds, ascending *)
+  cc_fingerprint : int;             (* Compare.fingerprint_diffs of cc_diffs *)
+  cc_diffs : Compare.diff list;     (* masked diffs vs the solo trace *)
+  cc_interfered : int list;         (* receiver call indices, after masking *)
+  cc_trace : Ast.t;                 (* the interleaved receiver trace *)
+}
+
+type search = {
+  sr_schedules : int;               (* candidate seeds examined *)
+  sr_classes : int;                 (* POR equivalence classes among them *)
+  sr_executed : int;                (* class representatives whose outcome
+                                       the search carries *)
+  sr_pruned : int;                  (* sr_schedules - sr_executed *)
+  sr_skipped : int;                 (* representatives lost to crash/hang *)
+  sr_findings : concurrent list;
+}
+
+let empty_search =
+  { sr_schedules = 0; sr_classes = 0; sr_executed = 0; sr_pruned = 0;
+    sr_skipped = 0; sr_findings = [] }
+
+(* A cache key: the program, bucketed by its hash. Structural equality
+   on programs is [Program.equal], so a lookup hits only an equal
+   program, whatever its hash collides with. *)
+type pkey = int * Program.t
+
+let pkey p : pkey = (Program.hash p, p)
+
 type t = {
   env : Env.t;
   obs : Obs.t;
   reruns : int;
   rerun_delta : int;
-  mask_cache : (int, Ast.t) Lru.t;       (* receiver program hash -> mask *)
-  baseline : bool;                       (* baseline cache enabled? *)
-  baseline_cache : (int, Ast.t) Lru.t;   (* receiver hash -> solo trace at base0 *)
-  access_cache : (int * int, (int * bool) array) Lru.t;
-                                         (* (pid, program hash) -> solo
+  mask_cache : (pkey, Ast.t) Lru.t;      (* receiver -> mask *)
+  baseline : bool;                       (* baseline and search memos on? *)
+  baseline_cache : (pkey, Ast.t) Lru.t;  (* receiver -> solo trace at base0 *)
+  access_cache : (int * pkey, (int * bool) array) Lru.t;
+                                         (* (pid, program) -> solo
                                             (addr, is_write) sequence *)
+  search_cache : (pkey * pkey * int, int * search) Lru.t;
+                                         (* (sender, receiver, schedules)
+                                            -> (sequential fingerprint,
+                                            search) *)
   c_execs : Metrics.counter;             (* single source of truth... *)
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
   c_evictions : Metrics.counter;
   c_bhits : Metrics.counter;
   c_bmisses : Metrics.counter;
+  c_shits : Metrics.counter;
+  c_smisses : Metrics.counter;
   execs0 : int;                          (* ...read as deltas from here *)
   hits0 : int;
   misses0 : int;
   evictions0 : int;
   bhits0 : int;
   bmisses0 : int;
+  shits0 : int;
+  smisses0 : int;
 }
 
 let create ?(reruns = 3) ?(rerun_delta = 7_777) ?(mask_cache_cap = 4096)
     ?(baseline_cache = true) ?(baseline_cache_cap = 4096)
     ?(obs = Obs.nop) env =
-  let c_execs = Metrics.counter ~always:true obs.Obs.metrics "exec.executions" in
-  let c_hits = Metrics.counter ~always:true obs.Obs.metrics "exec.mask_hits" in
-  let c_misses =
-    Metrics.counter ~always:true obs.Obs.metrics "exec.mask_misses"
-  in
-  let c_evictions =
-    Metrics.counter ~always:true obs.Obs.metrics "exec.mask_evictions"
-  in
-  let c_bhits =
-    Metrics.counter ~always:true obs.Obs.metrics "exec.baseline_hits"
-  in
-  let c_bmisses =
-    Metrics.counter ~always:true obs.Obs.metrics "exec.baseline_misses"
-  in
+  let counter name = Metrics.counter ~always:true obs.Obs.metrics name in
+  let c_execs = counter "exec.executions" in
+  let c_hits = counter "exec.mask_hits" in
+  let c_misses = counter "exec.mask_misses" in
+  let c_evictions = counter "exec.mask_evictions" in
+  let c_bhits = counter "exec.baseline_hits" in
+  let c_bmisses = counter "exec.baseline_misses" in
+  let c_shits = counter "exec.search_hits" in
+  let c_smisses = counter "exec.search_misses" in
+  let cap = max 1 baseline_cache_cap in
   { env; obs; reruns; rerun_delta;
     mask_cache =
       Lru.create (max 1 mask_cache_cap)
         ~on_evict:(fun _ _ -> Metrics.inc c_evictions);
     baseline = baseline_cache;
-    baseline_cache = Lru.create (max 1 baseline_cache_cap);
-    access_cache = Lru.create (max 1 baseline_cache_cap);
-    c_execs; c_hits; c_misses; c_evictions; c_bhits; c_bmisses;
+    baseline_cache = Lru.create cap;
+    access_cache = Lru.create cap;
+    search_cache = Lru.create cap;
+    c_execs; c_hits; c_misses; c_evictions; c_bhits; c_bmisses; c_shits;
+    c_smisses;
     execs0 = Metrics.counter_value c_execs;
     hits0 = Metrics.counter_value c_hits;
     misses0 = Metrics.counter_value c_misses;
     evictions0 = Metrics.counter_value c_evictions;
     bhits0 = Metrics.counter_value c_bhits;
-    bmisses0 = Metrics.counter_value c_bmisses }
+    bmisses0 = Metrics.counter_value c_bmisses;
+    shits0 = Metrics.counter_value c_shits;
+    smisses0 = Metrics.counter_value c_smisses }
 
 let executions t = Metrics.counter_value t.c_execs - t.execs0
 
@@ -190,12 +242,12 @@ let run_interleaved t ~schedule ~base sender receiver =
    profiling sink, whose in_irq/instrumented filters coincide exactly
    with the scheduler's yield points, so access k of this sequence is
    what resume segment k+1 of an interleaved task performs. Memoized on
-   (pid, program hash): the same program accesses different namespace
-   ids in different containers. Not cached while faults are armed, for
+   (pid, program): the same program accesses different namespace ids
+   in different containers. Not cached while faults are armed, for
    the same reasons as the baseline cache. *)
 let solo_accesses t ~pid prog =
   let armed = Fault.schedule (Env.fault t.env) <> [] in
-  let key = (pid, Program.hash prog) in
+  let key = (pid, pkey prog) in
   match if armed then None else Lru.find t.access_cache key with
   | Some accesses -> accesses
   | None ->
@@ -289,14 +341,17 @@ let schedule_classes t ~schedules ~sender ~receiver =
   List.init (Keytab.length keys) (fun id ->
       { cls_seeds = List.rev members.(id); cls_sequential = seq_id = Some id })
 
+(* Whether the baseline cache and the search memo are in use: they are
+   bypassed when disabled and while the fault plane is armed. *)
+let memoizing t = t.baseline && Fault.schedule (Env.fault t.env) = []
+
 (* The receiver's solo trace from the pristine snapshot at the reference
    clock base — execution B, and the mask's reference run. Memoized per
    receiver program unless disabled or the fault plane is armed. *)
 let baseline_trace t receiver =
-  if not (t.baseline && Fault.schedule (Env.fault t.env) = []) then
-    run_receiver t ~base:t.env.Env.base0 receiver
+  if not (memoizing t) then run_receiver t ~base:t.env.Env.base0 receiver
   else begin
-    let key = Program.hash receiver in
+    let key = pkey receiver in
     match Lru.find t.baseline_cache key with
     | Some trace ->
       Metrics.inc t.c_bhits;
@@ -311,7 +366,7 @@ let baseline_trace t receiver =
 (* The non-determinism mask of [receiver]: its solo trace with det flags
    cleared wherever re-executions with shifted clock bases disagree. *)
 let nondet_mask t receiver =
-  let key = Program.hash receiver in
+  let key = pkey receiver in
   match Lru.find t.mask_cache key with
   | Some mask ->
     Metrics.inc t.c_hits;
@@ -341,6 +396,11 @@ let baseline_cache_stats t =
     Metrics.counter_value t.c_bmisses - t.bmisses0,
     Lru.length t.baseline_cache )
 
+let search_cache_stats t =
+  ( Metrics.counter_value t.c_shits - t.shits0,
+    Metrics.counter_value t.c_smisses - t.smisses0,
+    Lru.length t.search_cache )
+
 type outcome = {
   trace_a : Ast.t;                  (* receiver trace, sender ran first *)
   trace_b : Ast.t;                  (* receiver trace, solo *)
@@ -366,41 +426,15 @@ let execute t ~sender ~receiver =
     { trace_a; trace_b; raw_diffs; masked_diffs; interfered }
   end
 
-(* A divergence only an interleaved schedule exposes: the masked diffs
-   of one schedule class representative against the receiver's solo
-   trace, fingerprinted schedule-independently so the same root cause
-   found by several classes collapses into one finding carrying every
-   reproducing seed. *)
-type concurrent = {
-  cc_seeds : int list;              (* reproducing schedule seeds, ascending *)
-  cc_fingerprint : int;             (* Compare.fingerprint_diffs of cc_diffs *)
-  cc_diffs : Compare.diff list;     (* masked diffs vs the solo trace *)
-  cc_interfered : int list;         (* receiver call indices, after masking *)
-  cc_trace : Ast.t;                 (* the interleaved receiver trace *)
-}
-
-type search = {
-  sr_schedules : int;               (* candidate seeds examined *)
-  sr_classes : int;                 (* POR equivalence classes among them *)
-  sr_executed : int;                (* class representatives actually run *)
-  sr_pruned : int;                  (* candidates that never executed *)
-  sr_skipped : int;                 (* representatives lost to crash/hang *)
-  sr_findings : concurrent list;
-}
-
-let empty_search =
-  { sr_schedules = 0; sr_classes = 0; sr_executed = 0; sr_pruned = 0;
-    sr_skipped = 0; sr_findings = [] }
-
-(* Schedule search for one test case, given its sequential outcome.
-   Every non-sequential class representative executes once; divergences
-   whose fingerprint equals the sequential outcome's are the same root
-   cause the sequential phase already reported and are dropped, so the
-   findings are precisely the concurrent-only interference. A
-   representative that panics or hangs is counted and skipped — a
-   schedule-dependent crash is interesting but is not a functional
-   interference report, and must not quarantine a test case that runs
-   fine sequentially.
+(* Schedule search for one test case, given its sequential outcome and
+   that outcome's masked-diff fingerprint [seq_fp]. Every
+   non-sequential class representative executes once; divergences
+   whose fingerprint equals [seq_fp] are the same root cause the
+   sequential phase already reported and are dropped, so the findings
+   are precisely the concurrent-only interference. A representative
+   that panics or hangs is counted and skipped — a schedule-dependent
+   crash is interesting but is not a functional interference report,
+   and must not quarantine a test case that runs fine sequentially.
 
    Representatives mostly reproduce a handful of receiver results, and
    everything after execution is a pure function of those results and
@@ -408,86 +442,106 @@ let empty_search =
    (structural equality, never a hash) once per case. The first trace
    with a fingerprint stays the finding's trace, since a result's first
    occurrence is the first class that can produce its fingerprint. *)
+let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
+  match schedule_classes t ~schedules ~sender ~receiver with
+  | exception (Fault.Kernel_panic _ | Fault.Fuel_exhausted) ->
+    (* solo access capture died under an armed fault plane *)
+    { empty_search with sr_schedules = schedules; sr_skipped = 1 }
+  | classes ->
+    let masked_b =
+      lazy
+        (let mask = nondet_mask t receiver in
+         (mask, Nondet.apply_mask mask seq.trace_b))
+    in
+    (* Some (fingerprint, masked diffs, trace) for a concurrent-only
+       divergence, None otherwise *)
+    let judged = Hashtbl.create 8 in
+    let judge results =
+      match Hashtbl.find_opt judged results with
+      | Some verdict -> verdict
+      | None ->
+        let trace = Decode.decode_trace results in
+        let verdict =
+          if Compare.diff_trees trace seq.trace_b = [] then None
+          else
+            let mask, masked_b = Lazy.force masked_b in
+            let masked = Nondet.apply_mask mask trace in
+            match Compare.diff_trees masked masked_b with
+            | [] -> None
+            | diffs ->
+              let fp = Compare.fingerprint_diffs diffs in
+              if fp = seq_fp then None else Some (fp, diffs, trace)
+        in
+        Hashtbl.replace judged results verdict;
+        verdict
+    in
+    let executed = ref 0 and skipped = ref 0 in
+    let findings = ref [] in      (* (fingerprint, concurrent), first-seen *)
+    List.iter
+      (fun cls ->
+        if not cls.cls_sequential then begin
+          incr executed;
+          match
+            interleave t
+              ~schedule:(Sched.Seeded (List.hd cls.cls_seeds))
+              ~base:t.env.Env.base0 sender receiver
+          with
+          | exception (Fault.Kernel_panic _ | Fault.Fuel_exhausted) ->
+            incr skipped
+          | results -> (
+            match judge results with
+            | None -> ()
+            | Some (fp, diffs, trace) -> (
+              match List.assoc_opt fp !findings with
+              | Some c ->
+                findings :=
+                  (fp, { c with cc_seeds = c.cc_seeds @ cls.cls_seeds })
+                  :: List.remove_assoc fp !findings
+              | None ->
+                findings :=
+                  ( fp,
+                    { cc_seeds = cls.cls_seeds; cc_fingerprint = fp;
+                      cc_diffs = diffs;
+                      cc_interfered = Compare.interfered_of_diffs diffs;
+                      cc_trace = trace } )
+                  :: !findings))
+        end)
+      classes;
+    let sr_findings =
+      List.rev_map
+        (fun (_, c) ->
+          { c with cc_seeds = List.sort_uniq Int.compare c.cc_seeds })
+        !findings
+    in
+    { sr_schedules = schedules;
+      sr_classes = List.length classes;
+      sr_executed = !executed;
+      sr_pruned = schedules - !executed;
+      sr_skipped = !skipped;
+      sr_findings }
+
+(* [search] behind the search memo. A hit hands the case the search an
+   earlier case of the same pair ran: the same classes, counts and
+   findings, at no execution. *)
 let search_schedules t ~schedules ~sender ~receiver (seq : outcome) =
   if schedules <= 1 then empty_search
-  else
-    match schedule_classes t ~schedules ~sender ~receiver with
-    | exception (Fault.Kernel_panic _ | Fault.Fuel_exhausted) ->
-      (* solo access capture died under an armed fault plane *)
-      { empty_search with sr_schedules = schedules; sr_skipped = 1 }
-    | classes ->
-      let seq_fp = Compare.fingerprint_diffs seq.masked_diffs in
-      let masked_b =
-        lazy
-          (let mask = nondet_mask t receiver in
-           (mask, Nondet.apply_mask mask seq.trace_b))
-      in
-      (* Some (fingerprint, masked diffs, trace) for a concurrent-only
-         divergence, None otherwise *)
-      let judged = Hashtbl.create 8 in
-      let judge results =
-        match Hashtbl.find_opt judged results with
-        | Some verdict -> verdict
-        | None ->
-          let trace = Decode.decode_trace results in
-          let verdict =
-            if Compare.diff_trees trace seq.trace_b = [] then None
-            else
-              let mask, masked_b = Lazy.force masked_b in
-              let masked = Nondet.apply_mask mask trace in
-              match Compare.diff_trees masked masked_b with
-              | [] -> None
-              | diffs ->
-                let fp = Compare.fingerprint_diffs diffs in
-                if fp = seq_fp then None else Some (fp, diffs, trace)
-          in
-          Hashtbl.replace judged results verdict;
-          verdict
-      in
-      let executed = ref 0 and skipped = ref 0 in
-      let findings = ref [] in      (* (fingerprint, concurrent), first-seen *)
-      List.iter
-        (fun cls ->
-          if not cls.cls_sequential then begin
-            incr executed;
-            match
-              interleave t
-                ~schedule:(Sched.Seeded (List.hd cls.cls_seeds))
-                ~base:t.env.Env.base0 sender receiver
-            with
-            | exception (Fault.Kernel_panic _ | Fault.Fuel_exhausted) ->
-              incr skipped
-            | results -> (
-              match judge results with
-              | None -> ()
-              | Some (fp, diffs, trace) -> (
-                match List.assoc_opt fp !findings with
-                | Some c ->
-                  findings :=
-                    (fp, { c with cc_seeds = c.cc_seeds @ cls.cls_seeds })
-                    :: List.remove_assoc fp !findings
-                | None ->
-                  findings :=
-                    ( fp,
-                      { cc_seeds = cls.cls_seeds; cc_fingerprint = fp;
-                        cc_diffs = diffs;
-                        cc_interfered = Compare.interfered_of_diffs diffs;
-                        cc_trace = trace } )
-                    :: !findings))
-          end)
-        classes;
-      let sr_findings =
-        List.rev_map
-          (fun (_, c) ->
-            { c with cc_seeds = List.sort_uniq Int.compare c.cc_seeds })
-          !findings
-      in
-      { sr_schedules = schedules;
-        sr_classes = List.length classes;
-        sr_executed = !executed;
-        sr_pruned = schedules - !executed;
-        sr_skipped = !skipped;
-        sr_findings }
+  else begin
+    let seq_fp = Compare.fingerprint_diffs seq.masked_diffs in
+    if not (memoizing t) then
+      search t ~schedules ~sender ~receiver ~seq_fp seq
+    else begin
+      let key = (pkey sender, pkey receiver, schedules) in
+      match Lru.find t.search_cache key with
+      | Some (fp, found) when fp = seq_fp ->
+        Metrics.inc t.c_shits;
+        found
+      | Some _ | None ->
+        Metrics.inc t.c_smisses;
+        let found = search t ~schedules ~sender ~receiver ~seq_fp seq in
+        Lru.add t.search_cache key (seq_fp, found);
+        found
+    end
+  end
 
 (* Failure-aware execution: a crashed or hung kernel no longer takes the
    whole campaign down; the caller (normally Exec.Supervisor) decides

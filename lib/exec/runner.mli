@@ -17,45 +17,86 @@
     access sequences, execute one representative per class and report
     the divergences no sequential order exposes.
 
-    Three size-capped LRU memo caches cut the execution count: the
-    non-determinism mask cache and the baseline cache, keyed on the
-    receiver program hash (execution B and the mask's reference run
-    depend only on the receiver, so test cases sharing a receiver share
-    the solo trace), and the solo access-sequence cache, keyed on
-    (container pid, program hash) since namespace ids differ per
-    container. Solo artifacts are schedule-independent — a solo run has
-    one task — so none of the caches is keyed by schedule. The baseline
-    and access caches are bypassed while the fault plane has armed
-    faults — a poisoned VM must not populate them, and a cached trace
-    must not swallow a fault a real execution would have consumed.
+    Four size-capped LRU memo caches cut the execution count, each
+    keyed by the programs themselves and bucketed by [Program.hash]
+    (30 bits, which collides across large corpora), so a hit needs
+    equal programs, never an equal hash alone. The non-determinism
+    mask cache and the baseline cache are keyed on the receiver
+    (execution B and the mask's reference run depend only on the
+    receiver, so test cases sharing a receiver share the solo trace);
+    the solo access-sequence cache on (container pid, program), since
+    namespace ids differ per container; the search memo on (sender,
+    receiver, schedule count), since with no fault armed a schedule
+    search is a pure function of the pair. Solo artifacts are
+    schedule-independent — a solo run has one task — so only the search
+    memo is keyed by schedule. The baseline cache and the search memo
+    are bypassed when [baseline_cache] is off and while the fault plane
+    has armed faults, the access cache while faults are armed — a
+    poisoned VM must not populate them, and a cached result must not
+    swallow a fault a real execution would have consumed.
 
     Execution and cache counters live in the observability plane
     ([Kit_obs]) as always-on registry counters — the single source of
-    truth; {!executions}, {!mask_cache_stats}, {!mask_evictions} and
-    {!baseline_cache_stats} are thin per-instance reads over them. *)
+    truth; {!executions}, {!mask_cache_stats}, {!mask_evictions},
+    {!baseline_cache_stats} and {!search_cache_stats} are thin
+    per-instance reads over them. *)
+
+(** A divergence only an interleaved schedule exposes, deduplicated by
+    the schedule-independent fingerprint of its masked diffs. *)
+type concurrent = {
+  cc_seeds : int list;     (** reproducing schedule seeds, ascending *)
+  cc_fingerprint : int;    (** [Compare.fingerprint_diffs] of [cc_diffs] *)
+  cc_diffs : Kit_trace.Compare.diff list;  (** masked diffs vs solo trace *)
+  cc_interfered : int list;  (** receiver call indices, after masking *)
+  cc_trace : Kit_trace.Ast.t;  (** the interleaved receiver trace *)
+}
+
+type search = {
+  sr_schedules : int;      (** candidate seeds examined *)
+  sr_classes : int;        (** POR equivalence classes among them *)
+  sr_executed : int;
+  (** class representatives whose outcome the search carries: run by
+      this search, or by the earlier one a search-memo hit returns *)
+  sr_pruned : int;         (** [sr_schedules - sr_executed] *)
+  sr_skipped : int;        (** representatives lost to crash/hang *)
+  sr_findings : concurrent list;
+}
+
+val empty_search : search
+
+type pkey = int * Kit_abi.Program.t
+(** A cache key: [(Program.hash p, p)]. Structural equality on programs
+    is [Program.equal], so the hash only picks a bucket. *)
 
 type t = {
   env : Env.t;
   obs : Kit_obs.Obs.t;
   reruns : int;
   rerun_delta : int;
-  mask_cache : (int, Kit_trace.Ast.t) Lru.t;
-  baseline : bool;                (** baseline cache enabled? *)
-  baseline_cache : (int, Kit_trace.Ast.t) Lru.t;
-  access_cache : (int * int, (int * bool) array) Lru.t;
-      (** (pid, program hash) -> solo (addr, is_write) sequence *)
+  mask_cache : (pkey, Kit_trace.Ast.t) Lru.t;
+  baseline : bool;                (** baseline cache and search memo on? *)
+  baseline_cache : (pkey, Kit_trace.Ast.t) Lru.t;
+  access_cache : (int * pkey, (int * bool) array) Lru.t;
+      (** (pid, program) -> solo (addr, is_write) sequence *)
+  search_cache : (pkey * pkey * int, int * search) Lru.t;
+      (** (sender, receiver, schedules) -> (fingerprint of the sequential
+          masked diffs, search) *)
   c_execs : Kit_obs.Metrics.counter;  (** "exec.executions" *)
   c_hits : Kit_obs.Metrics.counter;   (** "exec.mask_hits" *)
   c_misses : Kit_obs.Metrics.counter; (** "exec.mask_misses" *)
   c_evictions : Kit_obs.Metrics.counter; (** "exec.mask_evictions" *)
   c_bhits : Kit_obs.Metrics.counter;     (** "exec.baseline_hits" *)
   c_bmisses : Kit_obs.Metrics.counter;   (** "exec.baseline_misses" *)
+  c_shits : Kit_obs.Metrics.counter;     (** "exec.search_hits" *)
+  c_smisses : Kit_obs.Metrics.counter;   (** "exec.search_misses" *)
   execs0 : int;                   (** counter values at creation: the *)
   hits0 : int;                    (** registry is shared across runner *)
   misses0 : int;                  (** incarnations, reads are deltas *)
   evictions0 : int;
   bhits0 : int;
   bmisses0 : int;
+  shits0 : int;
+  smisses0 : int;
 }
 
 val create :
@@ -63,10 +104,11 @@ val create :
   ?baseline_cache:bool -> ?baseline_cache_cap:int ->
   ?obs:Kit_obs.Obs.t -> Env.t -> t
 (** [mask_cache_cap] (default 4096) bounds the non-determinism mask
-    cache and [baseline_cache_cap] (default 4096) the baseline cache;
-    both evict least-recently-used. [baseline_cache] (default [true])
-    turns baseline memoization off entirely — useful as the reference
-    side of equivalence properties. [obs] (default {!Kit_obs.Obs.nop})
+    cache and [baseline_cache_cap] (default 4096) each of the baseline,
+    access and search caches; all evict least-recently-used.
+    [baseline_cache] (default [true]) turns baseline and search
+    memoization off entirely — the reference side of equivalence
+    properties. [obs] (default {!Kit_obs.Obs.nop})
     receives the runner's counters; the accounting counters above record
     even through a disabled bundle. *)
 
@@ -122,6 +164,9 @@ val mask_evictions : t -> int
 val baseline_cache_stats : t -> int * int * int
 (** [(hits, misses, live_entries)] of the baseline cache. *)
 
+val search_cache_stats : t -> int * int * int
+(** [(hits, misses, live_entries)] of the search memo. *)
+
 type outcome = {
   trace_a : Kit_trace.Ast.t;       (** receiver trace, sender ran first *)
   trace_b : Kit_trace.Ast.t;       (** receiver trace, solo *)
@@ -136,27 +181,6 @@ val execute :
     plane this can raise [Fault.Kernel_panic] / [Fault.Fuel_exhausted];
     use {!try_execute} (or [Supervisor.execute]) when faults matter. *)
 
-(** A divergence only an interleaved schedule exposes, deduplicated by
-    the schedule-independent fingerprint of its masked diffs. *)
-type concurrent = {
-  cc_seeds : int list;     (** reproducing schedule seeds, ascending *)
-  cc_fingerprint : int;    (** [Compare.fingerprint_diffs] of [cc_diffs] *)
-  cc_diffs : Kit_trace.Compare.diff list;  (** masked diffs vs solo trace *)
-  cc_interfered : int list;  (** receiver call indices, after masking *)
-  cc_trace : Kit_trace.Ast.t;  (** the interleaved receiver trace *)
-}
-
-type search = {
-  sr_schedules : int;      (** candidate seeds examined *)
-  sr_classes : int;        (** POR equivalence classes among them *)
-  sr_executed : int;       (** class representatives actually run *)
-  sr_pruned : int;         (** candidates that never executed *)
-  sr_skipped : int;        (** representatives lost to crash/hang *)
-  sr_findings : concurrent list;
-}
-
-val empty_search : search
-
 val search_schedules :
   t -> schedules:int ->
   sender:Kit_abi.Program.t -> receiver:Kit_abi.Program.t -> outcome -> search
@@ -167,9 +191,12 @@ val search_schedules :
     Each distinct raw receiver result (structural equality) is decoded,
     diffed and masked once per case; the first trace with a fingerprint
     is the finding's trace. Representatives that panic or hang are
-    counted in [sr_skipped], not quarantined. Never raises on
-    panic/fuel; [Fault.Snapshot_corrupt] still escapes (the
-    supervisor's job). *)
+    counted in [sr_skipped], not quarantined. Memoized per (sender,
+    receiver, schedules) unless [baseline_cache] is off or faults are
+    armed: a hit, which also needs the sequential outcome's
+    fingerprint to match, returns the earlier search and executes
+    nothing. Never raises on panic/fuel; [Fault.Snapshot_corrupt] still
+    escapes (the supervisor's job). *)
 
 (** Failure-aware execution result: executors die in the real system
     (kernel panics, runaway programs killed by the fuel deadline), so an

@@ -87,7 +87,7 @@ val create :
   ?fault:Kit_kernel.Fault.t -> ?obs:Kit_obs.Obs.t -> Kit_kernel.Config.t -> t
 (** Boot a supervised environment (retrying transient boot failures).
     [baseline_cache] (default [true]) enables the runner's baseline-trace
-    memoization — see {!Runner.create}. [obs] (default
+    and schedule-search memoization — see {!Runner.create}. [obs] (default
     {!Kit_obs.Obs.nop}) receives ["sup.*"] counters mirroring {!stats},
     per-execution ["sup.execute"] spans and retry/reboot/quarantine
     instants timestamped with the virtual kernel clock.

@@ -1,9 +1,11 @@
 (* Tests for the execution engine: the snapshot environment, two-phase
-   execution, non-determinism masking and the mask cache. *)
+   execution, non-determinism masking and the runner's caches. *)
 
 module K = Kit_kernel
 module Env = Kit_exec.Env
 module Runner = Kit_exec.Runner
+module Lru = Kit_exec.Lru
+module Program = Kit_abi.Program
 module Syzlang = Kit_abi.Syzlang
 module Ast = Kit_trace.Ast
 
@@ -117,6 +119,81 @@ let test_baseline_cached_per_receiver () =
     (o1.Runner.interfered = o2.Runner.interfered
     && o1.Runner.masked_diffs = o2.Runner.masked_diffs)
 
+type lru_op = Find of int | Add of int * int
+
+let prop_lru_matches_model =
+  (* The stamp-queue LRU against a recency-ordered association list:
+     same lookups, same live size, and the same entries evicted, in
+     the same order. *)
+  QCheck.Test.make ~name:"lru = recency-list model" ~count:300
+    QCheck.(
+      pair (int_range 1 4)
+        (list_of_size Gen.(int_range 0 60)
+           (make
+              ~print:(function
+                | Find k -> Printf.sprintf "find %d" k
+                | Add (k, v) -> Printf.sprintf "add %d %d" k v)
+              Gen.(
+                oneof
+                  [ map (fun k -> Find k) (int_bound 5);
+                    map2 (fun k v -> Add (k, v)) (int_bound 5) small_nat ]))))
+    (fun (cap, ops) ->
+      let evicted = ref [] and model_evicted = ref [] in
+      let lru = Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) cap in
+      let model = ref [] in                 (* most recent first *)
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Find k ->
+              let found = List.assoc_opt k !model in
+              Option.iter
+                (fun v -> model := (k, v) :: List.remove_assoc k !model)
+                found;
+              Lru.find lru k = found
+            | Add (k, v) ->
+              if List.mem_assoc k !model then
+                model := List.remove_assoc k !model
+              else if List.length !model >= cap then begin
+                let ((k_old, _) as oldest) = List.nth !model (cap - 1) in
+                model_evicted := oldest :: !model_evicted;
+                model := List.remove_assoc k_old !model
+              end;
+              model := (k, v) :: !model;
+              Lru.add lru k v;
+              true
+          in
+          agrees
+          && Lru.length lru = List.length !model
+          && !evicted = !model_evicted)
+        ops)
+
+(* Two programs of seed 14's 12,000-program corpus that share a
+   [Program.hash]. *)
+let colliding =
+  ( p "r0 = sysctl_write(\"net/somaxconn\", 7)\nr1 = socket(3)\nr2 = creat(\"/tmp/kit0\")",
+    p "r0 = open(\"/proc/uptime\")\nr1 = read(r0)\nr2 = msgsnd(2, \"n0\")" )
+
+let test_caches_key_on_programs () =
+  (* A cache filled by one program never answers for another whose hash
+     collides with it: every lookup of the second program, made after
+     the first filled the caches, equals a fresh runner's. *)
+  let a, b = colliding in
+  check_int "the programs share a hash" (Program.hash a) (Program.hash b);
+  check_bool "the programs differ" false (Program.equal a b);
+  let runner () = Runner.create (Env.create (K.Config.v5_13 ())) in
+  let warm = runner () and fresh = runner () in
+  let pid = warm.Runner.env.Env.receiver_pid in
+  ignore (Runner.baseline_trace warm a : Ast.t);
+  ignore (Runner.nondet_mask warm a : Ast.t);
+  ignore (Runner.solo_accesses warm ~pid a : (int * bool) array);
+  check_bool "baseline trace" true
+    (Ast.equal (Runner.baseline_trace warm b) (Runner.baseline_trace fresh b));
+  check_bool "nondet mask" true
+    (Ast.equal (Runner.nondet_mask warm b) (Runner.nondet_mask fresh b));
+  check_bool "solo accesses" true
+    (Runner.solo_accesses warm ~pid b = Runner.solo_accesses fresh ~pid b)
+
 let test_no_divergence_skips_masking () =
   let env = Env.create (K.Config.v5_13 ()) in
   let runner = Runner.create ~reruns:3 env in
@@ -195,6 +272,9 @@ let suite =
       test_mask_cached_per_receiver;
     Alcotest.test_case "runner: baseline cached per receiver" `Quick
       test_baseline_cached_per_receiver;
+    QCheck_alcotest.to_alcotest prop_lru_matches_model;
+    Alcotest.test_case "runner: caches key on programs, not hashes" `Quick
+      test_caches_key_on_programs;
     Alcotest.test_case "runner: no divergence skips masking" `Quick
       test_no_divergence_skips_masking;
     Alcotest.test_case "runner: mask structure" `Quick test_nondet_mask_structure;

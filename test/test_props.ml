@@ -168,6 +168,37 @@ let prop_baseline_cache_invisible =
       = campaign_fp
           (Campaign.run { options with Campaign.baseline_cache = false }))
 
+let prop_search_memo_invisible =
+  (* With no fault armed a schedule search is a pure function of its
+     pair, so the search memo (off with the baseline cache) can change
+     execution counts but never the campaign: reports, funnel,
+     quarantine, concurrent findings, search totals and summary — with
+     or without transient faults armed (fault-armed runs bypass the
+     memo). The corpus runs past the 52 curated programs, so the seed
+     matters. *)
+  QCheck.Test.make ~name:"search memo never changes campaign results"
+    ~count:4
+    QCheck.(triple (int_range 0 1000) bool (int_range 0 2))
+    (fun (seed, wide, intensity) ->
+      let options =
+        { Campaign.default_options with
+          Campaign.seed;
+          config = K.Config.v5_13_rw ();
+          corpus_size = 60;
+          schedules = (if wide then 64 else 16);
+          faults = Fault.schedule_of_seed ~seed ~intensity }
+      in
+      let result (c : Campaign.t) =
+        ( campaign_fp c,
+          Digest.string
+            (Marshal.to_string
+               (c.Campaign.concurrent, c.Campaign.sched)
+               [ Marshal.No_sharing ]),
+          Kit_serve.Proto.summary c )
+      in
+      result (Campaign.run options)
+      = result (Campaign.run { options with Campaign.baseline_cache = false }))
+
 let prop_parallel_campaign_equals_sequential =
   QCheck.Test.make ~name:"campaign domains=N = domains=1" ~count:4
     QCheck.(pair (int_range 0 1000) (int_range 2 4))
@@ -290,6 +321,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bounds_cover_learning_inputs;
     QCheck_alcotest.to_alcotest prop_incremental_restore_equals_full;
     QCheck_alcotest.to_alcotest prop_baseline_cache_invisible;
+    QCheck_alcotest.to_alcotest prop_search_memo_invisible;
     QCheck_alcotest.to_alcotest prop_parallel_campaign_equals_sequential;
     QCheck_alcotest.to_alcotest prop_streaming_equals_batch;
     QCheck_alcotest.to_alcotest prop_extend_delta_is_cheaper;

@@ -254,6 +254,51 @@ let prop_search_deterministic_across_runners =
       in
       search_fp (search_with ()) = search_fp (search_with ()))
 
+let test_search_memo () =
+  (* A repeated search of a pair executes nothing and returns the first
+     search. Another sequential fingerprint searches again, and finds
+     what a fresh runner finds; with the baseline cache off nothing is
+     memoized. *)
+  let sender, receiver = rw1_pair in
+  let runner_of ?baseline_cache () =
+    Runner.create ?baseline_cache ~obs:(Kit_obs.Obs.create ())
+      (Env.create (K.Config.v5_13_rw ()))
+  in
+  let search runner seq =
+    let e0 = Runner.executions runner in
+    let s =
+      Runner.search_schedules runner ~schedules:search_budget ~sender ~receiver
+        seq
+    in
+    (s, Runner.executions runner - e0)
+  in
+  let stats = Alcotest.(triple int int int) in
+  let runner = runner_of () in
+  let seq = Runner.execute runner ~sender ~receiver in
+  let first, ran = search runner seq in
+  let again, ran' = search runner seq in
+  check_bool "the first search executes" true (ran > 0);
+  check_int "a repeat executes nothing" 0 ran';
+  check_bool "a repeat returns the first search" true (again == first);
+  check stats "one miss, one hit" (1, 1, 1) (Runner.search_cache_stats runner);
+  check_bool "the pair diverges sequentially" true
+    (seq.Runner.masked_diffs <> []);
+  let other = { seq with Runner.masked_diffs = [] } in
+  let s, ran = search runner other in
+  check_bool "another fingerprint searches again" true (ran > 0);
+  let fresh = runner_of () in
+  ignore (Runner.execute fresh ~sender ~receiver : Runner.outcome);
+  check_bool "and finds what a fresh runner finds" true
+    (search_fp s = search_fp (fst (search fresh other)));
+  let off = runner_of ~baseline_cache:false () in
+  let seq = Runner.execute off ~sender ~receiver in
+  let a, _ = search off seq in
+  let b, ran = search off seq in
+  check_bool "memo off: a repeat executes" true (ran > 0);
+  check_bool "memo off: the same search" true (search_fp a = search_fp b);
+  check stats "memo off: nothing counted" (0, 0, 0)
+    (Runner.search_cache_stats off)
+
 let prop_por_soundness =
   (* On these 8-program corpora, every member of a POR class executes
      byte-identically to the class representative, and members of the
@@ -896,28 +941,46 @@ let sample ~stride ~offset reps =
   List.filteri (fun i _ -> i mod stride = offset) reps
 
 let test_search_matches_model () =
-  (* Separate runners, so each side's execution count is its own. *)
-  let runner = Runner.create (Env.create (K.Config.v5_13_rw ())) in
-  let model = Runner.create (Env.create (K.Config.v5_13_rw ())) in
-  let findings = ref 0 in
+  (* Separate runners with their own registries, so each side's
+     execution count is its own, read right after its own search. The
+     model has no search memo: on a pair's first search the runner
+     executes what the model does, and on a repeat it executes nothing
+     and returns what the model recomputes. *)
+  let runner_of () =
+    Runner.create ~obs:(Kit_obs.Obs.create ()) (Env.create (K.Config.v5_13_rw ()))
+  in
+  let runner = runner_of () and model = runner_of () in
+  let searched = Hashtbl.create 64 in
+  let findings = ref 0 and repeats = ref 0 and first_runs = ref 0 in
   List.iteri
     (fun i (sender, receiver) ->
       let seq = Runner.execute runner ~sender ~receiver in
       let seq' = Runner.execute model ~sender ~receiver in
-      let e0 = Runner.executions runner and e0' = Runner.executions model in
+      let e0 = Runner.executions runner in
       let s =
         Runner.search_schedules runner ~schedules:race_schedules ~sender
           ~receiver seq
       in
+      let ran = Runner.executions runner - e0 in
+      let e0' = Runner.executions model in
       let m =
         Model.search_schedules model ~schedules:race_schedules ~sender
           ~receiver seq'
       in
+      let ran' = Runner.executions model - e0' in
       let name = Printf.sprintf "representative %d" i in
       check_bool (name ^ ": counts, seeds, fingerprints, interference") true
         (search_fp s = search_fp m);
-      check_int (name ^ ": executions") (Runner.executions model - e0')
-        (Runner.executions runner - e0);
+      let pair = (Program.hash sender, sender, Program.hash receiver, receiver) in
+      if Hashtbl.mem searched pair then begin
+        incr repeats;
+        check_int (name ^ ": a repeated pair executes nothing") 0 ran
+      end
+      else begin
+        Hashtbl.add searched pair ();
+        first_runs := !first_runs + ran;
+        check_int (name ^ ": executions") ran' ran
+      end;
       List.iter2
         (fun c c' ->
           incr findings;
@@ -927,7 +990,9 @@ let test_search_matches_model () =
             (Ast.equal c.Runner.cc_trace c'.Runner.cc_trace))
         s.Runner.sr_findings m.Runner.sr_findings)
     (sample ~stride:3 ~offset:0 (Lazy.force race_reps));
-  check_bool "the sample has findings" true (!findings > 0)
+  check_bool "the sample has findings" true (!findings > 0);
+  check_bool "first searches execute" true (!first_runs > 0);
+  check_bool "the sample repeats pairs" true (!repeats > 0)
 
 (* --- the POR contract on campaign representatives -------------------------- *)
 
@@ -1053,16 +1118,18 @@ let test_por_exhaustive_oracle () =
 
 (* --- the search's output, pinned ------------------------------------------- *)
 
+(* kit campaign --corpus-size 96 --seed 3 --race-bugs --schedules 128 *)
+let golden_options =
+  { Campaign.default_options with
+    Campaign.config = K.Config.v5_13_rw ();
+    corpus_size = 96;
+    seed = 3;
+    schedules = 128 }
+
+let golden_campaign = lazy (Campaign.run golden_options)
+
 let test_golden_race_summary () =
-  (* kit campaign --corpus-size 96 --seed 3 --race-bugs --schedules 128
-     --summary, byte for byte. *)
-  let opts =
-    { Campaign.default_options with
-      Campaign.config = K.Config.v5_13_rw ();
-      corpus_size = 96;
-      seed = 3;
-      schedules = 128 }
-  in
+  (* The golden campaign's --summary, byte for byte. *)
   (* [dune runtest] runs in the test directory, [dune exec] in the root *)
   let expected =
     match
@@ -1072,7 +1139,34 @@ let test_golden_race_summary () =
     | Some path -> In_channel.with_open_bin path In_channel.input_all
     | None -> Alcotest.fail "golden/race-s3-c96-s128.txt not found"
   in
-  check Alcotest.string "summary" expected (Proto.summary (Campaign.run opts))
+  check Alcotest.string "summary" expected
+    (Proto.summary (Lazy.force golden_campaign))
+
+let test_golden_search_work () =
+  (* The golden campaign's 451 representatives are 185 distinct pairs:
+     the search memo runs each pair's search once, so the campaign
+     needs under 40% of the executions of a memo-off run (baseline
+     cache off), and dealing domains by receiver keeps the saving
+     within 2% at --domains 2. Results never move. *)
+  let memo = Lazy.force golden_campaign in
+  let off =
+    Campaign.run { golden_options with Campaign.baseline_cache = false }
+  in
+  let d2 = Campaign.run { golden_options with Campaign.domains = 2 } in
+  let execs (c : Campaign.t) = c.Campaign.executions in
+  check_bool
+    (Printf.sprintf "memo %d < 40%% of memo-off %d" (execs memo) (execs off))
+    true
+    (100 * execs memo < 40 * execs off);
+  check_bool
+    (Printf.sprintf "--domains 2 %d within 2%% of sequential %d" (execs d2)
+       (execs memo))
+    true
+    (50 * abs (execs d2 - execs memo) <= execs memo);
+  check Alcotest.string "memo-off summary" (Proto.summary memo)
+    (Proto.summary off);
+  check Alcotest.string "--domains 2 summary" (Proto.summary memo)
+    (Proto.summary d2)
 
 let suite =
   [
@@ -1089,6 +1183,8 @@ let suite =
       test_search_finds_each_race_bug;
     Alcotest.test_case "findings deduplicated by fingerprint" `Quick
       test_findings_deduplicated;
+    Alcotest.test_case "search memo: repeats are free, misses recompute"
+      `Quick test_search_memo;
     QCheck_alcotest.to_alcotest prop_sequential_schedule_equals_run_pair;
     QCheck_alcotest.to_alcotest prop_search_deterministic_across_runners;
     QCheck_alcotest.to_alcotest prop_por_soundness;
@@ -1116,4 +1212,6 @@ let suite =
       test_por_exhaustive_oracle;
     Alcotest.test_case "golden: race-window campaign summary" `Quick
       test_golden_race_summary;
+    Alcotest.test_case "golden: the search memo's saving, any domain count"
+      `Quick test_golden_search_work;
   ]
