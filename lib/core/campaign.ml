@@ -19,10 +19,11 @@
      representatives immediately, recording each result in a memo, and
      [extend] grows the corpus of a live stream, executing only
      clusters whose representative is new;
-   - the back end, the execute driver ([drive]): replay what a log (a
-     checkpoint, or a stream's memo) holds, hand every other
-     representative to an executor — in process (sequential or over
-     domains) or the process pool — and fold every result.
+   - the back end, the execute driver ([start]/[todo]/[complete]/
+     [finish]): replay what a log (a checkpoint, or a stream's memo)
+     holds, hand every other representative to an executor — in process
+     (sequential or over domains), the process pool, or a serve tenant's
+     share of the shared pool — and fold every result.
 
    No campaign holds every profile or an access map: the front end
    keeps only the cluster tables, and a stream additionally every
@@ -708,12 +709,149 @@ let read_timings obs =
     execute_s = Metrics.gauge_value (time_gauge obs "execute_s");
     diagnose_s = Metrics.gauge_value (time_gauge obs "diagnose_s") }
 
+(* The clusters of one prepared strategy (default: the options'). The
+   serve scheduler materialises a tenant's representatives this way and
+   executes them on the shared pool through the driver below. *)
+let generate_prepared ?strategy prepared =
+  let options = prepared.p_options in
+  pick ~seed:options.seed ~corpus_size:(Array.length prepared.p_corpus)
+    prepared.p_tables
+    (Option.value strategy ~default:options.strategy)
+
+(* Public alias: pool workers boot the exact environment the built-in
+   paths use. *)
+let supervisor = make_supervisor
+
+(* -- the execute driver ---------------------------------------------------
+
+   Every campaign result is built here, in four calls on one [run]:
+   [start] replays the results the log already holds; [todo] lists the
+   other representatives with their global case indices, so case [i] is
+   the same representative whichever process runs it; [complete] folds
+   each completion as it arrives, records it in the log and saves the
+   log every [log.every] completions; [finish] diagnoses and builds the
+   result. Results are folded in representative order through [absorb];
+   one that arrives early waits for the cases before it. A result's
+   [executions] is the sum of the per-case costs the driver receives,
+   replayed or executed, plus the diagnosis re-tests. [execute] and
+   [stream_result] make the four calls around an executor; a serve
+   tenant makes them itself, with the shared pool as its executor. *)
+
+type executor =
+  options -> Program.t array -> Supervisor.t -> batch:int ->
+  (int * Testcase.t) list -> on_done:(int -> case_result -> int -> unit) ->
+  unit
+
+type log = {
+  replay : int -> Testcase.t -> (case_result * int) option;
+  record : Testcase.t -> case_result -> int -> unit;
+  every : int;
+  save : unit -> unit;
+  close : unit -> unit;
+}
+
+(* The driver keeps only what it uses: options, corpus, bundle and
+   ledger, never its todo list. *)
+type run = {
+  r_options : options;
+  r_corpus : Program.t array;
+  r_obs : Obs.t;
+  r_cov : Coverage.t;
+  r_generation : Cluster.result;
+  r_cases : int;
+  r_log : log option;
+  r_acc : acc;
+  r_early : (int, case_result) Hashtbl.t;  (* arrived ahead of [r_next] *)
+  mutable r_next : int;                    (* results folded *)
+  mutable r_replayed : int;
+  mutable r_executions : int;
+  mutable r_unsaved : int;                 (* completions since a save *)
+}
+
+let rec arrive r case res =
+  if case <> r.r_next then Hashtbl.replace r.r_early case res
+  else begin
+    absorb ~cov:r.r_cov r.r_acc res;
+    r.r_next <- case + 1;
+    match Hashtbl.find_opt r.r_early r.r_next with
+    | Some res ->
+      Hashtbl.remove r.r_early r.r_next;
+      arrive r r.r_next res
+    | None -> ()
+  end
+
+let fold r case res execs =
+  r.r_executions <- r.r_executions + execs;
+  arrive r case res
+
+let start ?log prepared generation =
+  let r =
+    { r_options =
+        { prepared.p_options with strategy = generation.Cluster.strategy };
+      r_corpus = prepared.p_corpus; r_obs = prepared.p_obs;
+      r_cov = prepared.p_cov; r_generation = generation;
+      r_cases = List.length generation.Cluster.reps; r_log = log;
+      r_acc = acc_create (); r_early = Hashtbl.create 16; r_next = 0;
+      r_replayed = 0; r_executions = 0; r_unsaved = 0 }
+  in
+  Option.iter
+    (fun l ->
+      List.iteri
+        (fun i tc ->
+          match l.replay i tc with
+          | Some (res, execs) ->
+            r.r_replayed <- r.r_replayed + 1;
+            fold r i res execs
+          | None -> ())
+        generation.Cluster.reps)
+    log;
+  r
+
+(* Accumulated in reverse, then reversed: built in order by
+   tail-mod-cons, the list left OCaml 5.1's major heap fragmented, and
+   kitbench rand-cold's peak RSS read 84.0 MB against 75.3 MB. *)
+let todo r =
+  let rev = ref [] in
+  List.iteri
+    (fun i tc ->
+      if i >= r.r_next && not (Hashtbl.mem r.r_early i) then
+        rev := (i, tc) :: !rev)
+    r.r_generation.Cluster.reps;
+  List.rev !rev
+
+let save r =
+  match r.r_log with
+  | Some l when r.r_unsaved > 0 ->
+    r.r_unsaved <- 0;
+    l.save ()
+  | Some _ | None -> ()
+
+let complete r case res execs =
+  fold r case res execs;
+  match r.r_log with
+  | None -> ()
+  | Some l ->
+    l.record res.cr_tc res execs;
+    r.r_unsaved <- r.r_unsaved + 1;
+    if r.r_unsaved >= l.every then save r
+
+let run_cases r = r.r_cases
+let run_completed r = r.r_next + Hashtbl.length r.r_early
+let run_replayed r = r.r_replayed
+let run_executions r = r.r_executions
+
 (* The one place a campaign result is built. Closes the attrition
    balance, diagnoses the reports — Algorithm 2 on [sup], as the
-   "phase.diagnose" stage — and mirrors the final accounting into the
-   always-on "campaign.*" counters. [executions] is what the folded
-   cases cost; the diagnosis re-tests are counted here. *)
-let finish ~options ~corpus ~obs ~cov ~sup ~executions generation acc =
+   "phase.diagnose" stage — mirrors the final accounting into the
+   always-on "campaign.*" counters, then closes the log. *)
+let finish ?sup r =
+  if r.r_next < r.r_cases then
+    Fmt.invalid_arg "Campaign.finish: case %d has no result" r.r_next;
+  let { r_options = options; r_obs = obs; r_generation = generation; _ } = r in
+  let sup =
+    match sup with Some sup -> sup | None -> make_supervisor ~obs options
+  in
+  let acc = r.r_acc in
   let reports = List.rev acc.a_rev_reports in
   let concurrent = List.rev acc.a_rev_concurrent in
   let quarantined = List.rev acc.a_rev_quarantined in
@@ -726,7 +864,7 @@ let finish ~options ~corpus ~obs ~cov ~sup ~executions generation acc =
       []
     end
   in
-  let executions = executions + Supervisor.executions sup - e0 in
+  let executions = r.r_executions + Supervisor.executions sup - e0 in
   let funnel = acc.a_funnel and sched = acc.a_sched in
   let attrition = acc.a_attrition in
   (* Generation totals close the attrition balance: every generated
@@ -746,69 +884,32 @@ let finish ~options ~corpus ~obs ~cov ~sup ~executions generation acc =
   set "reports" (List.length reports);
   set "quarantined" (List.length quarantined);
   set_sched_counters obs ~concurrent sched;
-  set_coverage_counters obs cov attrition;
-  {
-    options;
-    corpus;
-    generation;
-    df_total = generation.Cluster.df_total;
-    funnel;
-    reports;
-    concurrent;
-    sched;
-    quarantined;
-    keyed;
-    agg_r = Aggregate.agg_r keyed;
-    agg_rs = Aggregate.agg_rs keyed;
-    executions;
-    sup_stats = sup.Supervisor.stats;
-    fault_counters = Fault.counters sup.Supervisor.fault;
-    timings = read_timings obs;
-    obs;
-    coverage = cov;
-    attrition;
-  }
-
-(* The clusters of one prepared strategy (default: the options'). The
-   serve scheduler materialises a tenant's representatives this way,
-   executes them over any schedule, and only later folds the results
-   back with {!assemble}. *)
-let generate_prepared ?strategy prepared =
-  let options = prepared.p_options in
-  pick ~seed:options.seed ~corpus_size:(Array.length prepared.p_corpus)
-    prepared.p_tables
-    (Option.value strategy ~default:options.strategy)
-
-(* Public alias: pool workers boot the exact environment the built-in
-   paths use. *)
-let supervisor = make_supervisor
-
-(* -- the execute driver ---------------------------------------------------
-
-   Every campaign result is built here. The driver replays the results
-   the log already holds, hands the other representatives — with their
-   global case indices, so case [i] is the same representative whichever
-   process runs it — to an executor, records each completion as it
-   arrives and saves the log every [log.every] completions, then folds
-   every result in representative order through [absorb] and [finish].
-   A result's [executions] is the sum of the per-case costs the driver
-   receives, replayed or executed, plus the diagnosis re-tests. Without
-   a log nothing is replayed or recorded, and the in-process executor
-   runs every representative as one chunk on the execute-phase
-   supervisor. *)
-
-type executor =
-  options -> Program.t array -> Supervisor.t -> batch:int ->
-  (int * Testcase.t) list -> on_done:(int -> case_result -> int -> unit) ->
-  unit
-
-type log = {
-  replay : int -> Testcase.t -> (case_result * int) option;
-  record : Testcase.t -> case_result -> int -> unit;
-  every : int;
-  save : unit -> unit;
-  close : unit -> unit;
-}
+  set_coverage_counters obs r.r_cov attrition;
+  let t =
+    {
+      options;
+      corpus = r.r_corpus;
+      generation;
+      df_total = generation.Cluster.df_total;
+      funnel;
+      reports;
+      concurrent;
+      sched;
+      quarantined;
+      keyed;
+      agg_r = Aggregate.agg_r keyed;
+      agg_rs = Aggregate.agg_rs keyed;
+      executions;
+      sup_stats = sup.Supervisor.stats;
+      fault_counters = Fault.counters sup.Supervisor.fault;
+      timings = read_timings obs;
+      obs;
+      coverage = r.r_cov;
+      attrition;
+    }
+  in
+  Option.iter (fun l -> l.close ()) r.r_log;
+  t
 
 (* The first [n] elements of [l] and the rest; [l] itself, uncopied,
    when it has no more than [n]. *)
@@ -832,117 +933,47 @@ let in_process options corpus sup ~batch cases ~on_done =
   in
   go cases
 
-(* The driver takes only what it uses: options, corpus, bundle and
-   ledger. [boot] supplies the execute-phase supervisor; [elapsed_base]
-   seeds the execute-phase gauge with execution time spent before the
-   driver ran. *)
-let drive ?(executor = in_process) ?log ?elapsed_base ~boot ~options ~corpus
-    ~obs ~cov generation =
-  let options = { options with strategy = generation.Cluster.strategy } in
-  let reps = Array.of_list generation.Cluster.reps in
-  (* Results are folded in representative order as they arrive; one
-     that arrives early waits in [early] for the cases before it. *)
-  let acc = acc_create () in
-  let next = ref 0 and early = Hashtbl.create 16 and executions = ref 0 in
-  let rec arrive case r =
-    if case <> !next then Hashtbl.replace early case r
-    else begin
-      absorb ~cov acc r;
-      incr next;
-      match Hashtbl.find_opt early !next with
-      | Some r ->
-        Hashtbl.remove early !next;
-        arrive !next r
-      | None -> ()
-    end
-  in
-  let todo = ref [] in
-  Array.iteri
-    (fun i tc ->
-      match Option.bind log (fun l -> l.replay i tc) with
-      | Some (r, execs) ->
-        executions := !executions + execs;
-        arrive i r
-      | None -> todo := (i, tc) :: !todo)
-    reps;
-  let todo = List.rev !todo in
-  let unsaved = ref 0 in
-  let save () =
-    match log with
-    | Some l when !unsaved > 0 ->
-      unsaved := 0;
-      l.save ()
-    | Some _ | None -> ()
-  in
-  let on_done case r execs =
-    executions := !executions + execs;
-    arrive case r;
-    match log with
-    | None -> ()
-    | Some l ->
-      l.record reps.(case) r execs;
-      incr unsaved;
-      if !unsaved >= l.every then save ()
-  in
-  let run sup =
+(* [run]'s todo list on [executor], inside the execute stage; [boot]
+   supplies the execute-phase supervisor, which goes on to run
+   diagnosis, and [elapsed_base] seeds the execute-phase gauge with
+   execution time spent before the driver ran. *)
+let drive ?(executor = in_process) ?elapsed_base ~boot r =
+  let todo = todo r in
+  let exec sup =
     if todo <> [] then
-      executor options corpus sup
-        ~batch:(match log with Some l -> l.every | None -> max_int)
-        todo ~on_done
+      executor r.r_options r.r_corpus sup
+        ~batch:(match r.r_log with Some l -> l.every | None -> max_int)
+        todo ~on_done:(complete r)
   in
   (* An executor that dies (a pool with every worker gone) still leaves
      its completions in the log for the next run to replay. *)
   let sup =
     match
-      Pipeline.run_timed ?elapsed_base obs execute_stage
+      Pipeline.run_timed ?elapsed_base r.r_obs execute_stage
         ~attrs:
           [ ("cases", string_of_int (List.length todo));
-            ("domains", string_of_int (max 1 options.domains)) ]
-        (boot, run)
+            ("domains", string_of_int (max 1 r.r_options.domains)) ]
+        (boot, exec)
     with
     | sup, _ ->
-      save ();
+      save r;
       sup
     | exception e ->
-      save ();
+      save r;
       raise e
   in
-  if !next < Array.length reps then
-    Fmt.invalid_arg "Campaign.execute: case %d has no result" !next;
-  let t =
-    finish ~options ~corpus ~obs ~cov ~sup ~executions:!executions generation
-      acc
-  in
-  Option.iter (fun l -> l.close ()) log;
-  t
+  finish ~sup r
 
 let execute ?executor ?log prepared generation =
-  let { p_options = options; p_corpus = corpus; p_obs = obs; p_cov = cov; _ } =
-    prepared
-  in
-  drive ?executor ?log
-    ~boot:(fun () -> make_supervisor ~obs options)
-    ~options ~corpus ~obs ~cov generation
+  drive ?executor
+    ~boot:(fun () -> make_supervisor ~obs:prepared.p_obs prepared.p_options)
+    (start ?log prepared generation)
 
 let execute_prepared ?strategy prepared =
   execute prepared (generate_prepared ?strategy prepared)
 
 (* Run a complete campaign with [options]. *)
 let run options = execute_prepared (prepare options)
-
-(* Every result already known — a serve tenant's, executed on the
-   shared pool: the driver replays them all, executes nothing, and
-   diagnoses on a fresh sequential environment. *)
-let assemble prepared generation results =
-  let results = Array.of_list results in
-  execute
-    ~log:
-      { replay = (fun i _ -> Some results.(i));
-        record = (fun _ _ _ -> ());
-        every = max_int;
-        save = ignore;
-        close = ignore }
-    prepared generation
 
 (* -- streaming pipeline --------------------------------------------------
 
@@ -1085,11 +1116,15 @@ let stream_result s =
       save = ignore;
       close = ignore }
   in
+  let prepared =
+    { p_options = { s.s_options with corpus_size = Array.length s.s_corpus };
+      p_corpus = s.s_corpus; p_tables = []; p_obs = obs;
+      p_cov = s.s_front.f_cov }
+  in
   let t =
-    drive ~log ~elapsed_base:s.s_execute_s
+    drive ~elapsed_base:s.s_execute_s
       ~boot:(fun () -> s.s_sup)
-      ~options:{ s.s_options with corpus_size = Array.length s.s_corpus }
-      ~corpus:s.s_corpus ~obs ~cov:s.s_front.f_cov (Cluster.finalize s.s_cstate)
+      (start ~log prepared (Cluster.finalize s.s_cstate))
   in
   s.s_execute_s <- t.timings.execute_s;
   t

@@ -13,10 +13,11 @@
     the program into online cluster tables ({!Kit_gen.Cluster.feed}):
     {!prepare} for every batch caller, and {!stream}/{!extend}, which
     also execute newly-sealed representatives as they appear. The back
-    end is the one execute driver, which folds every per-case result
-    into the campaign, so batch and streaming campaigns produce the same
-    result — summary and coverage included, and the execution count too
-    without faults on one domain (property-tested). *)
+    end is the one execute driver ({!start} … {!finish}), which folds
+    every per-case result into the campaign — a [kit serve] tenant's
+    too — so batch and streaming campaigns produce the same result —
+    summary and coverage included, and the execution count too without
+    faults on one domain (property-tested). *)
 
 type options = {
   config : Kit_kernel.Config.t;
@@ -245,14 +246,16 @@ val lost_case_result :
 
 (** {2 The execute driver}
 
-    Every campaign result is built by one driver: {!execute} for a
-    prepared campaign, {!stream_result} for a stream. It replays
-    the results a {!log} already holds, hands the remaining
-    representatives, with their global case indices, to an {!executor}
-    — {!in_process} or the process pool ([Kit_serve.Pool.executor]) —
-    records each completion in the log as it arrives, saves the log
-    every [log.every] completions, and folds every result through the
-    one per-case fold. Every campaign count (funnel, attrition,
+    Every campaign result is built by one driver, in four calls on a
+    {!run}: {!start} replays the results a {!log} already holds,
+    {!todo} lists the remaining representatives with their global case
+    indices for an executor, {!complete} takes each completion as it
+    arrives — folding it, recording it in the log and saving the log
+    every [log.every] completions — and {!finish} diagnoses and builds
+    the result. {!execute} and {!stream_result} make the four calls
+    around an {!executor} ({!in_process} or the process pool,
+    [Kit_serve.Pool.executor]); a [kit serve] tenant makes them itself
+    on the shared pool. Every campaign count (funnel, attrition,
     coverage attribution, quarantine, schedule totals, and
     {!t.executions} with the diagnosis re-tests added) is a fold of
     per-case results, so the results are all a log needs to hold. *)
@@ -283,17 +286,46 @@ type log = {
   every : int;                    (** completions between saves *)
   save : unit -> unit;            (** make the recorded completions durable *)
   close : unit -> unit;
-      (** called once the result is built; a file log deletes itself *)
+      (** called once the result is built; a campaign log deletes its
+          file *)
 }
+
+type run
+(** One campaign on the driver. It keeps [prepared]'s options, corpus,
+    bundle and ledger and the folded results, never the todo list. *)
+
+val start : ?log:log -> prepared -> Kit_gen.Cluster.result -> run
+(** Replay and fold every result [log] holds for [generation]'s
+    representatives. *)
+
+val todo : run -> (int * Kit_gen.Testcase.t) list
+(** The cases with no result yet, in case order. *)
+
+val complete : run -> int -> case_result -> int -> unit
+(** [complete run case result executions]: an executor's [on_done].
+    Call it once per case. *)
+
+val finish : ?sup:Kit_exec.Supervisor.t -> run -> t
+(** Diagnose on [sup] (default a fresh supervisor), build the result,
+    then close the log. Does not save the log.
+    @raise Invalid_argument if a case has no result. *)
+
+val run_cases : run -> int
+val run_completed : run -> int
+(** Cases with a result, replayed or completed. *)
+
+val run_replayed : run -> int
+val run_executions : run -> int
+(** The folded cases' executions, without diagnosis. *)
 
 val execute :
   ?executor:executor -> ?log:log -> prepared -> Kit_gen.Cluster.result -> t
-(** Execute, diagnose and aggregate [generation] (default executor
-    {!in_process}). If the executor raises, the completions recorded so
-    far are saved before the exception propagates. Without a log no
-    result is encoded, and {!in_process} runs every representative as
-    one chunk on the supervisor that then runs diagnosis. The driver
-    keeps only [prepared]'s options, corpus, bundle and ledger. *)
+(** The driver around [executor] (default {!in_process}), which runs
+    {!todo} in the execute stage on the supervisor that then runs
+    diagnosis. The log is saved when the executor returns, and before
+    an exception it raises propagates. Without a log no result is
+    encoded, and {!in_process} runs every representative as one
+    chunk. *)
 
 val execute_prepared : ?strategy:Kit_gen.Cluster.strategy -> prepared -> t
 (** {!execute} of {!generate_prepared} (Table 4 runs each strategy on
@@ -301,13 +333,6 @@ val execute_prepared : ?strategy:Kit_gen.Cluster.strategy -> prepared -> t
 
 val run : options -> t
 (** [run options] = [execute_prepared (prepare options)]. *)
-
-val assemble :
-  prepared -> Kit_gen.Cluster.result -> (case_result * int) list -> t
-(** {!execute} with every result already known — one
-    [(result, executions)] per representative, in representative order;
-    nothing executes, and diagnosis runs on a fresh sequential
-    environment. How a serve tenant finishes. *)
 
 (** {2 Streaming campaigns}
 

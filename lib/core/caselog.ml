@@ -35,29 +35,6 @@ let record ~header entries =
 
 (* -- reading and writing -------------------------------------------------- *)
 
-type writer = {
-  kind : string;
-  mutable written : string option;      (* the file this writer wrote in
-                                           full: later saves append *)
-  mutable unsaved : entry list;         (* newest first *)
-}
-
-let writer ~kind = { kind; written = None; unsaved = [] }
-
-let add w e = w.unsaved <- e :: w.unsaved
-
-(* The full write on a writer's first save also compacts the file and
-   drops any torn tail it was loaded with, so no append ever lands
-   behind a partial record. *)
-let save w path ~header ~all =
-  (match w.written with
-  | Some p when p = path && Sys.file_exists path ->
-    Checkpoint.append path (record ~header (List.rev w.unsaved))
-  | Some _ | None ->
-    Checkpoint.write path ~kind:w.kind [ record ~header (all ()) ];
-    w.written <- Some path);
-  w.unsaved <- []
-
 let read path ~kind header =
   let record j =
     let open Codec in
@@ -79,6 +56,40 @@ let read path ~kind header =
   | Error _ as e -> e
   | Ok { Checkpoint.records; torn } ->
     Result.map (fun rs -> (rs, torn)) (decode 0 [] records)
+
+(* The log's first save writes every entry, which also compacts the
+   file and drops any torn tail it was loaded with, so no append ever
+   lands behind a partial record; later saves append the entries
+   recorded since. *)
+let log ~kind ~header ~delete ~every path entries =
+  let table = Hashtbl.create 64 in
+  List.iter (fun (fp, e) -> Hashtbl.replace table fp e) entries;
+  let written = ref false and unsaved = ref [] in
+  let save path =
+    if !written && Sys.file_exists path then
+      Checkpoint.append path (record ~header:(header ()) (List.rev !unsaved))
+    else begin
+      Checkpoint.write path ~kind
+        [ record ~header:(header ())
+            (Hashtbl.fold (fun fp e acc -> (fp, e) :: acc) table []) ];
+      written := true
+    end;
+    unsaved := []
+  in
+  { Campaign.replay =
+      (fun _ tc -> Hashtbl.find_opt table (Testcase.fingerprint tc));
+    record =
+      (fun tc r execs ->
+        let fp = Testcase.fingerprint tc in
+        Hashtbl.replace table fp (r, execs);
+        if path <> None then unsaved := (fp, (r, execs)) :: !unsaved);
+    every = max 1 every;
+    save = (fun () -> Option.iter save path);
+    close =
+      (fun () ->
+        match path with
+        | Some p when delete && Sys.file_exists p -> Sys.remove p
+        | Some _ | None -> ()) }
 
 (* -- campaign logs -------------------------------------------------------- *)
 
@@ -153,22 +164,7 @@ let campaign ?(resume = false) ~every path options =
     if resume && Sys.file_exists path then load path fields else Ok []
   in
   Result.map
-    (fun entries ->
-      let table = Hashtbl.create 64 in
-      List.iter (fun (fp, e) -> Hashtbl.replace table fp e) entries;
-      let w = writer ~kind:campaign_kind in
-      let header = [ ("campaign", Jsonl.Obj fields) ] in
-      { Campaign.replay =
-          (fun _ tc -> Hashtbl.find_opt table (Testcase.fingerprint tc));
-        record =
-          (fun tc r execs ->
-            let fp = Testcase.fingerprint tc in
-            Hashtbl.replace table fp (r, execs);
-            add w (fp, (r, execs)));
-        every = max 1 every;
-        save =
-          (fun () ->
-            save w path ~header ~all:(fun () ->
-                Hashtbl.fold (fun fp e acc -> (fp, e) :: acc) table []));
-        close = (fun () -> if Sys.file_exists path then Sys.remove path) })
+    (log ~kind:campaign_kind
+       ~header:(fun () -> [ ("campaign", Jsonl.Obj fields) ])
+       ~delete:true ~every (Some path))
     loaded

@@ -8,36 +8,30 @@
 
     {v {<header fields>, "entries": [{"fp", "execs", "result"}, ...]} v}
 
-    The first save of a process writes the whole log atomically; every
-    later save appends one record with only the entries completed
-    since, so a save costs O(new completions) and one fsync. Two
-    callers:
+    One constructor ({!log}) serves two callers, which differ only in
+    kind, header and whether closing deletes the file:
     - [kit campaign] and [kit coverage --checkpoint] ({!campaign}),
       whatever the executor — sequential, [--domains] or [--procs];
-    - [kit serve] tenant checkpoints ([Serve.Tenant], kind
-      ["serve-tenant-v4"]), whose header is the spec, the finished flag
-      and the summary. *)
+    - [kit serve] tenants ([Serve.Tenant], kind ["serve-tenant-v4"]),
+      whose header is the spec, the finished flag and the summary, and
+      whose log outlives the campaign. *)
 
 type entry = string * (Campaign.case_result * int)
 (** [(fingerprint, (result, executions))]. *)
 
 (** {2 Reading and writing} *)
 
-type writer
-(** One process's view of a log file: whether it has written the file
-    in full yet, and the entries added since its last save. *)
-
-val writer : kind:string -> writer
-
-val add : writer -> entry -> unit
-
-val save :
-  writer -> string -> header:(string * Kit_obs.Jsonl.t) list ->
-  all:(unit -> entry list) -> unit
-(** [save w path ~header ~all]: on the writer's first save to [path]
-    (or if the file has gone), replace [path] with one record holding
-    [all ()]; later, append one record with the entries {!add}ed since
-    the previous save. Ends with an fsync either way. *)
+val log :
+  kind:string -> header:(unit -> (string * Kit_obs.Jsonl.t) list) ->
+  delete:bool -> every:int -> string option -> entry list -> Campaign.log
+(** [log ~kind ~header ~delete ~every path entries]: a log that replays
+    [entries] (the last entry of a fingerprint wins) and every
+    completion recorded since, saved every [every] completions. Its
+    first save replaces [path] (or the file that has gone) with one
+    record holding every entry; later saves append one record with the
+    entries recorded since. Each record carries [header ()] at the time
+    of the save and ends with an fsync. Without a path nothing is
+    written. [close] deletes the file when [delete]. *)
 
 val read :
   string -> kind:string -> 'h Codec.decoder ->

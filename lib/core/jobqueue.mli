@@ -1,9 +1,9 @@
 (** The generic campaign job queue: submit / claim / complete / reassign
     with a deterministic merge order.
 
-    One queue abstraction backs the process-level execution drivers:
-    the forked-process pool ([Kit_serve.Pool]) and the multi-tenant
-    scheduler ([Kit_serve.Tenant]) are thin drivers over it. Jobs carry
+    One queue abstraction backs the process pool's one job policy
+    ([Kit_serve.Pool.jobs]), which both the single-campaign pool
+    executor and the multi-tenant scheduler drive. Jobs carry
     a stable integer id — either allocated in submit order ({!submit})
     or caller-chosen ({!submit_as}, e.g. global case indices) — and
     every ordered read

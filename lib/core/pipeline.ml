@@ -20,8 +20,6 @@ type ('a, 'b) stage = {
 let v ?(consumes = "") ?(produces = "") name f =
   { name; consumes; produces; f }
 
-let name s = s.name
-
 let stage_attrs s attrs =
   let artifact label value acc =
     if String.equal value "" then acc else (label, value) :: acc
@@ -69,11 +67,3 @@ let run_timed ?(attrs = []) ?(elapsed_base = 0.0) obs stage x =
     raise e
 
 let run ?attrs obs stage x = fst (run_timed ?attrs obs stage x)
-
-(* Sequential composition; each constituent stage keeps its own span,
-   gauge and counter when the composite runs. *)
-let ( >>> ) a b =
-  { name = a.name ^ ">" ^ b.name;
-    consumes = a.consumes;
-    produces = b.produces;
-    f = (fun obs x -> run obs b (run obs a x)) }

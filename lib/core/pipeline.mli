@@ -17,8 +17,6 @@ val v :
     and output artifacts (e.g. ["corpus"] → ["clusters"]); they appear
     as span attributes. *)
 
-val name : ('a, 'b) stage -> string
-
 val run : ?attrs:(string * string) list -> Kit_obs.Obs.t -> ('a, 'b) stage -> 'a -> 'b
 (** Run the stage under its span, timing gauge and run counter. *)
 
@@ -29,7 +27,3 @@ val run_timed :
     [elapsed_base] (default 0) seeds the time gauge, for a stage whose
     work did not all run in this call (a stream's growth steps, or its
     eager executions): the gauge reads [elapsed_base +. dt]. *)
-
-val ( >>> ) : ('a, 'b) stage -> ('b, 'c) stage -> ('a, 'c) stage
-(** Sequential composition. The composite runs each constituent under
-    its own span/gauge/counter. *)

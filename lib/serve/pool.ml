@@ -13,13 +13,13 @@
    memory, so campaign inputs travel the wire ([Marshal.Closures],
    sound across the identical image).
 
-   The pool itself is tenant-agnostic plumbing: it spawns, feeds,
-   reaps, heartbeat-kills and respawns workers, and reports what
-   happened as {!event}s. Policy — which job runs next, strikes,
-   quarantine, resharding — lives in the drivers:
-   {!execute} (the single-campaign executor behind
-   [kit campaign --procs]) and the multi-tenant scheduler
-   ({!Kit_serve.Sched}), both claiming work from {!Kit_core.Jobqueue}s.
+   The pool core is tenant-agnostic plumbing: it spawns, feeds, reaps,
+   heartbeat-kills and respawns workers, and reports what happened as
+   {!event}s. Policy — which job runs next, strikes, quarantine,
+   resharding — lives once, in the job policy ([jobs]) over a
+   {!Kit_core.Jobqueue}, which both drivers call: {!execute} (the
+   single-campaign executor behind [kit campaign --procs]) and the
+   multi-tenant scheduler ({!Kit_serve.Sched}).
 
    Fd hygiene is what makes death detection sound: the parent-side pipe
    ends are close-on-exec, and the child-side ends — advertised to the
@@ -362,12 +362,6 @@ let create ?obs cfg =
   Array.iter (fun w -> spawn t w) workers;
   t
 
-let register t ~tenant ~label options corpus =
-  Hashtbl.replace t.contexts tenant (label, options, corpus);
-  Array.iter
-    (fun w -> if w.alive then send_context w ~tenant ~label ~options ~corpus)
-    t.workers
-
 let retire t ~tenant =
   Hashtbl.remove t.contexts tenant;
   Array.iter
@@ -388,13 +382,6 @@ let idle_slots t =
 
 let live_count t =
   Array.fold_left (fun acc w -> if w.alive then acc + 1 else acc) 0 t.workers
-
-let in_flight t =
-  Array.to_list t.workers
-  |> List.filter_map (fun w ->
-         match w.job with
-         | Some (tenant, id, _) when w.alive -> Some (w.slot, (tenant, id))
-         | _ -> None)
 
 let dispatch_job t ~slot ~tenant ~id tc =
   let w = t.workers.(slot) in
@@ -469,76 +456,89 @@ let reap t (w : worker) =
     | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
       handle_death t w ~why:"worker vanished (no child to reap)"
 
+let overdue now (w : worker) =
+  match w.job with Some (_, _, dl) -> w.alive && now > dl | None -> false
+
 let kill_overdue t now (w : worker) =
-  match w.job with
-  | Some (_, _, deadline) when w.alive && now > deadline ->
+  if overdue now w then begin
     t.hb_timeouts <- t.hb_timeouts + 1;
     Metrics.inc (pc "heartbeat_timeouts" t);
     (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
     (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
     handle_death t w
       ~why:(Printf.sprintf "heartbeat timeout after %.1fs" t.cfg.heartbeat_s)
-  | Some _ | None -> ()
+  end
+
+(* Read one frame from a worker whose result pipe is readable: a result,
+   or the EOF of its death. *)
+let read_frame t (w : worker) =
+  match (Wire.recv w.rx : res_msg option) with
+  | Some d -> record_done t w d
+  | None ->
+    let why =
+      match Unix.waitpid [] w.pid with
+      | _, status -> status_to_string status
+      | exception Unix.Unix_error _ -> "worker closed its pipe"
+    in
+    handle_death t w ~why
+  | exception Wire.Oversized _ ->
+    (* The stream cannot be re-synchronised past a bogus length
+       announcement; treat it as worker death. *)
+    (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+    (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
+    handle_death t w ~why:"oversized frame from worker"
+
+(* Select on [fds] and read a frame from every readable worker; returns
+   the readable descriptors that are no worker's. *)
+let read_ready t fds timeout =
+  match Unix.select fds [] [] timeout with
+  | readable, _, _ ->
+    List.filter
+      (fun fd ->
+        match
+          Array.find_opt (fun (w : worker) -> w.alive && w.rx == fd) t.workers
+        with
+        | Some w -> read_frame t w; false
+        | None -> true)
+      readable
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
 let poll ?(extra = []) t ~timeout =
   let now = Unix.gettimeofday () in
+  (* A result that reached its pipe while the coordinator was away
+     clears its job before the deadline is judged. *)
+  (match List.filter (overdue now) (Array.to_list t.workers) with
+   | [] -> ()
+   | late ->
+     ignore
+       (read_ready t (List.map (fun (w : worker) -> w.rx) late) 0.0
+         : Unix.file_descr list));
   Array.iter (kill_overdue t now) t.workers;
   Array.iter (reap t) t.workers;
   let alive =
     Array.to_list t.workers |> List.filter (fun (w : worker) -> w.alive)
   in
   let fds = List.map (fun (w : worker) -> w.rx) alive @ extra in
-  let ready_extra = ref [] in
-  if fds <> [] then begin
-    (* Wake at the earliest heartbeat deadline; cap the idle tick so
-       exits with no pipe traffic (pure SIGKILL) are still reaped
-       promptly via waitpid. *)
-    let timeout =
-      if t.pending <> [] then 0.0
-      else
-        List.fold_left
-          (fun acc (w : worker) ->
-            match w.job with
-            | Some (_, _, dl) -> Float.min acc (dl -. now)
-            | None -> acc)
-          timeout alive
-        |> Float.max 0.01
-    in
-    match Unix.select fds [] [] timeout with
-    | readable, _, _ ->
-      List.iter
-        (fun fd ->
-          if List.exists (fun e -> e == fd) extra then
-            ready_extra := fd :: !ready_extra
-          else
-            match
-              List.find_opt (fun (w : worker) -> w.alive && w.rx == fd) alive
-            with
-            | None -> ()
-            | Some w -> (
-              match (Wire.recv w.rx : res_msg option) with
-              | Some d -> record_done t w d
-              | None ->
-                let why =
-                  match Unix.waitpid [] w.pid with
-                  | _, status -> status_to_string status
-                  | exception Unix.Unix_error _ -> "worker closed its pipe"
-                in
-                handle_death t w ~why
-              | exception Wire.Oversized _ ->
-                (* The stream cannot be re-synchronised past a bogus
-                   length announcement; treat it as worker death. *)
-                (try Unix.kill w.pid Sys.sigkill
-                 with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] w.pid)
-                 with Unix.Unix_error _ -> ());
-                handle_death t w ~why:"oversized frame from worker"))
-        readable
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  end;
+  let ready_extra =
+    if fds = [] then []
+    else
+      (* Wake at the earliest heartbeat deadline; cap the idle tick so
+         exits with no pipe traffic (pure SIGKILL) are still reaped
+         promptly via waitpid. *)
+      read_ready t fds
+        (if t.pending <> [] then 0.0
+         else
+           List.fold_left
+             (fun acc (w : worker) ->
+               match w.job with
+               | Some (_, _, dl) -> Float.min acc (dl -. now)
+               | None -> acc)
+             timeout alive
+           |> Float.max 0.01)
+  in
   let events = List.rev t.pending in
   t.pending <- [];
-  (events, List.rev !ready_extra)
+  (events, ready_extra)
 
 let shutdown t =
   Array.iter
@@ -567,85 +567,108 @@ let core_stats t =
   { c_spawns = t.spawns; c_deaths = t.deaths; c_respawns = t.respawns;
     c_heartbeat_timeouts = t.hb_timeouts }
 
+(* -- the job policy ---------------------------------------------------------
+
+   One campaign's cases on the pool, whichever driver feeds it: the
+   queue (job id = the campaign's case index), the strike counts of the
+   two-strike rule and the running count. A case is reported once, by
+   its first completion or by its quarantine, which completes its job
+   too; a completion resets the case's strikes. *)
+
+type jobs = {
+  j_tenant : int;
+  j_corpus : Program.t array;
+  j_q : (Testcase.t, unit) Jobqueue.t;
+  j_strikes : (int, int) Hashtbl.t;      (* consecutive kills per case *)
+  j_on_done : int -> Campaign.case_result -> int -> unit;
+  mutable j_running : int;
+  mutable j_poisoned : int;
+}
+
+let jobs t ~tenant ~label options corpus cases ~on_done =
+  Hashtbl.replace t.contexts tenant (label, options, corpus);
+  Array.iter
+    (fun w -> if w.alive then send_context w ~tenant ~label ~options ~corpus)
+    t.workers;
+  let q = Jobqueue.create () in
+  List.iter (fun (case, tc) -> Jobqueue.submit_as q ~id:case tc) cases;
+  ignore (Jobqueue.assign_round_robin q ~workers:(Array.length t.workers)
+          : (int * _) list array);
+  { j_tenant = tenant; j_corpus = corpus; j_q = q; j_strikes = Hashtbl.create 16;
+    j_on_done = on_done; j_running = 0; j_poisoned = 0 }
+
+let running j = j.j_running
+let drained j = Jobqueue.is_drained j.j_q
+
+(* Work a slot could start now: queued jobs beyond the running ones. *)
+let claimable j = Jobqueue.unfinished_count j.j_q > j.j_running
+
+let dispatch t j ~slot =
+  let next =
+    match Jobqueue.claim_next j.j_q ~worker:slot with
+    | Some _ as job -> job
+    | None ->
+      let job = Jobqueue.steal j.j_q ~thief:slot in
+      if job <> None then Metrics.inc (pc "stolen" t);
+      job
+  in
+  match next with
+  | None -> false
+  | Some (id, tc) ->
+    j.j_running <- j.j_running + 1;
+    dispatch_job t ~slot ~tenant:j.j_tenant ~id tc;
+    true
+
+let unreported j id = Jobqueue.mem j.j_q id && Jobqueue.result j.j_q id = None
+
+let report j id r execs =
+  Jobqueue.complete j.j_q id ();
+  Hashtbl.remove j.j_strikes id;
+  j.j_on_done id r execs
+
+let handle t j = function
+  | Job_done { ev_tenant; ev_id; ev_result; ev_execs; _ } ->
+    if ev_tenant = j.j_tenant && unreported j ev_id then begin
+      j.j_running <- j.j_running - 1;
+      report j ev_id ev_result ev_execs
+    end
+  | Worker_lost { ev_slot; ev_why; ev_in_flight; _ } ->
+    (* Two strikes: a case that killed two workers in a row is poison —
+       quarantine it as a first-class crash report instead of feeding it
+       to a third worker. *)
+    (match ev_in_flight with
+     | Some (tenant, id) when tenant = j.j_tenant && unreported j id ->
+       j.j_running <- j.j_running - 1;
+       let strikes =
+         1 + Option.value ~default:0 (Hashtbl.find_opt j.j_strikes id)
+       in
+       if strikes < 2 then Hashtbl.replace j.j_strikes id strikes
+       else begin
+         j.j_poisoned <- j.j_poisoned + 1;
+         Metrics.inc (pc "poisoned" t);
+         report j id
+           (Campaign.lost_case_result ~attempts:strikes j.j_corpus
+              ~why:
+                (Printf.sprintf "case killed %d workers in a row; last: %s"
+                   strikes ev_why)
+              (Jobqueue.payload j.j_q id))
+           0
+       end
+     | Some _ | None -> ());
+    (* Reshard the dead slot's queue; with no survivors the jobs stay
+       queued for the driver's all-dead check. *)
+    match (Jobqueue.release j.j_q ~worker:ev_slot, alive_slots t) with
+    | [], _ -> ()
+    | orphans, survivors ->
+      Metrics.add (pc "resharded" t) (List.length orphans);
+      if survivors <> [] then Jobqueue.deal j.j_q orphans ~to_:survivors
+
 (* -- the single-campaign executor ----------------------------------------- *)
 
-(* The pool core knows nothing of campaigns; this driver keeps the
-   campaign's queue (job id = global case index), the strike counts of
-   the twice-lethal rule, and the set of cases already reported, so
-   [on_done] fires once per case whichever of a completion or a
-   quarantine came first. *)
 let execute ?obs cfg options corpus cases ~on_done =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let procs = max 1 cfg.procs in
-  let q : (Testcase.t, unit) Jobqueue.t = Jobqueue.create () in
-  List.iter (fun (case, tc) -> Jobqueue.submit_as q ~id:case tc) cases;
-  ignore (Jobqueue.assign_round_robin q ~workers:procs : (int * _) list array);
-  let lethal = Hashtbl.create 16 in          (* consecutive kills per case *)
-  let reported = Hashtbl.create 64 in
-  let poisoned = ref 0 in
-  let report id r execs =
-    if not (Hashtbl.mem reported id) then begin
-      Hashtbl.replace reported id ();
-      on_done id r execs
-    end
-  in
   let t = create ~obs { cfg with procs } in
-  let pm name = Metrics.counter ~always:true obs.Obs.metrics ("pool." ^ name) in
-  let stats_of () =
-    let c = core_stats t in
-    { spawns = c.c_spawns; deaths = c.c_deaths; respawns = c.c_respawns;
-      resharded = Jobqueue.resharded q;
-      heartbeat_timeouts = c.c_heartbeat_timeouts; poisoned = !poisoned;
-      stolen = Jobqueue.stolen q }
-  in
-  let dispatch_idle () =
-    List.iter
-      (fun slot ->
-        let next =
-          match Jobqueue.claim_next q ~worker:slot with
-          | Some j -> Some j
-          | None -> Jobqueue.steal q ~thief:slot
-        in
-        match next with
-        | None -> ()
-        | Some (id, tc) -> dispatch_job t ~slot ~tenant:0 ~id tc)
-      (idle_slots t)
-  in
-  let handle = function
-    | Job_done { ev_id = id; ev_result = r; ev_execs = d; _ } ->
-      Jobqueue.complete q id ();         (* no-op if already quarantined *)
-      Hashtbl.remove lethal id;          (* a success resets the strikes *)
-      report id r d
-    | Worker_lost { ev_slot = slot; ev_why = why; ev_in_flight; _ } ->
-      (* Two strikes: a case that killed two workers in a row is poison
-         — quarantine it as a first-class crash report instead of
-         feeding it to a third worker. *)
-      (match ev_in_flight with
-       | Some (_, id) when Jobqueue.result q id = None ->
-         let strikes =
-           1 + Option.value ~default:0 (Hashtbl.find_opt lethal id)
-         in
-         Hashtbl.replace lethal id strikes;
-         if strikes >= 2 then begin
-           Jobqueue.quarantine q id;
-           incr poisoned;
-           Metrics.inc (pm "poisoned");
-           report id
-             (Campaign.lost_case_result ~attempts:strikes corpus
-                ~why:
-                  (Printf.sprintf
-                     "case killed %d workers in a row; last: %s" strikes why)
-                (Jobqueue.payload q id))
-             0
-         end
-       | Some _ | None -> ());
-      let orphans = Jobqueue.release q ~worker:slot in
-      Metrics.set_counter (pm "resharded") (Jobqueue.resharded q);
-      (match (orphans, alive_slots t) with
-       | [], _ -> ()
-       | _ :: _, [] -> ()                (* the all-dead check below aborts *)
-       | _ :: _, survivors -> Jobqueue.deal q orphans ~to_:survivors)
-  in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->
@@ -653,19 +676,25 @@ let execute ?obs cfg options corpus cases ~on_done =
         ~attrs:[ ("procs", string_of_int procs) ]
         "pool.execute"
         (fun () ->
-          register t ~tenant:0 ~label:"" options corpus;
-          while not (Jobqueue.is_drained q) do
+          let j = jobs t ~tenant:0 ~label:"" options corpus cases ~on_done in
+          let stats () =
+            let c = core_stats t in
+            { spawns = c.c_spawns; deaths = c.c_deaths;
+              respawns = c.c_respawns; resharded = Jobqueue.resharded j.j_q;
+              heartbeat_timeouts = c.c_heartbeat_timeouts;
+              poisoned = j.j_poisoned; stolen = Jobqueue.stolen j.j_q }
+          in
+          while not (drained j) do
             if live_count t = 0 then
               raise
                 (Aborted
-                   { unfinished = Jobqueue.unfinished q; stats = stats_of () });
-            dispatch_idle ();
+                   { unfinished = Jobqueue.unfinished j.j_q; stats = stats () });
+            List.iter (fun slot -> ignore (dispatch t j ~slot : bool))
+              (idle_slots t);
             let events, _ = poll t ~timeout:0.2 in
-            List.iter handle events
+            List.iter (handle t j) events
           done;
-          Metrics.set_counter (pm "resharded") (Jobqueue.resharded q);
-          Metrics.set_counter (pm "stolen") (Jobqueue.stolen q);
-          stats_of ()))
+          stats ()))
 
 let executor ?obs ?on_stats cfg : Campaign.executor =
  fun options corpus _sup ~batch:_ cases ~on_done ->

@@ -1,31 +1,27 @@
 (** The crash-isolated process pool: the paper's server/client mode
     (§5.2) with real Unix processes.
 
-    The pool is split in two layers. The {e core} ({!create} /
-    {!register} / {!dispatch_job} / {!poll} / {!shutdown}) is persistent
-    and tenant-agnostic: it spawns [procs] worker processes —
-    re-executions of the current binary (OCaml 5 forbids [Unix.fork] in
-    any process that has ever spawned a domain), bootstrapped over the
-    job pipe and entered through {!worker_entry} — keeps one supervised
-    execution environment per registered campaign context inside each
-    worker, detects worker death via [waitpid] (exit code or signal) and
-    pipe EOF, detects hangs via per-job wall-clock heartbeat deadlines
-    (an expired worker is [SIGKILL]ed), respawns crashed workers with
-    bounded retries and exponential backoff (re-sending every registered
-    context), and reports everything as {!event}s. Scheduling policy —
-    claim order, strikes, quarantine, resharding — lives in the
-    drivers: {!execute}, the single-campaign executor behind
-    [kit campaign --procs], and the multi-tenant
-    scheduler ([Kit_serve.Sched] behind [kit serve]), both feeding the
-    pool from {!Kit_core.Jobqueue}s.
+    The pool is split in three layers. The {e core} ({!create} /
+    {!poll} / {!retire} / {!shutdown}) is persistent and
+    tenant-agnostic: it spawns [procs] worker processes — re-executions
+    of the current binary (OCaml 5 forbids [Unix.fork] in any process
+    that has ever spawned a domain), bootstrapped over the job pipe and
+    entered through {!worker_entry} — keeps one supervised execution
+    environment per campaign context inside each worker, detects worker
+    death via [waitpid] (exit code or signal) and pipe EOF, detects
+    hangs via per-job wall-clock heartbeat deadlines (an expired worker
+    is [SIGKILL]ed), respawns crashed workers with bounded retries and
+    exponential backoff (re-sending every context), and reports
+    everything as {!event}s.
 
-    {!execute} only executes: a dead worker's unfinished queue is
-    resharded over the survivors, a case that kills two workers in a
-    row is quarantined as a first-class [Worker_lost] crash report
-    instead of looping respawns, every completion or quarantine is
-    reported as it arrives, and {!Aborted} is raised when every worker
-    is gone. Checkpointing is the campaign driver's
-    ({!Kit_core.Campaign.execute}), the same for every executor.
+    The {e job policy} ({!jobs}) is the one home of the rules both
+    drivers share: claim-or-steal, report-once, the two-strike
+    [Worker_lost] quarantine and reshard-on-death, over a
+    {!Kit_core.Jobqueue}. Its drivers are {!execute}, the
+    single-campaign executor behind [kit campaign --procs], and the
+    multi-tenant scheduler ([Kit_serve.Sched] behind [kit serve]).
+    Checkpointing is the campaign driver's ({!Kit_core.Campaign}), the
+    same for every executor.
 
     Per-case results are schedule-independent, so the merged
     funnel/report/quarantine fingerprint equals the sequential
@@ -104,15 +100,6 @@ val create : ?obs:Kit_obs.Obs.t -> config -> t
     restored by {!shutdown}). [obs] receives [pool.*] counters and
     per-worker spans (default: a private bundle). *)
 
-val register :
-  t -> tenant:int -> label:string -> Campaign.options ->
-  Kit_abi.Program.t array -> unit
-(** Install (or replace) a campaign context under [tenant] in every
-    worker: each boots a supervised environment for it. Respawned
-    workers automatically receive every registered context. [label] is
-    stamped as a ["tenant"] trace attr on the worker's executions when
-    non-empty. *)
-
 val retire : t -> tenant:int -> unit
 (** Drop a tenant's context (and its workers' environments). In-flight
     jobs of the tenant still produce {!event.Job_done}. *)
@@ -120,22 +107,13 @@ val retire : t -> tenant:int -> unit
 val idle_slots : t -> int list
 (** Alive workers with no job in flight, in slot order. *)
 
-val alive_slots : t -> int list
-
 val live_count : t -> int
-
-val in_flight : t -> (int * (int * int)) list
-(** [(slot, (tenant, id))] for every job currently on a worker. *)
-
-val dispatch_job : t -> slot:int -> tenant:int -> id:int ->
-  Kit_gen.Testcase.t -> unit
-(** Send one job to an idle worker and start its heartbeat deadline.
-    @raise Invalid_argument if the slot is dead or busy. *)
 
 val poll : ?extra:Unix.file_descr list -> t -> timeout:float ->
   event list * Unix.file_descr list
-(** One event-loop turn: heartbeat-kill overdue workers, reap exits,
-    select on worker result pipes plus [extra] descriptors (capped at
+(** One event-loop turn: read the results already waiting from
+    overdue workers, heartbeat-kill those still overdue, reap exits, select
+    on worker result pipes plus [extra] descriptors (capped at
     [timeout] seconds, shortened to the earliest heartbeat deadline),
     and return the events in arrival order plus whichever [extra]
     descriptors are readable. Buffered events make the select
@@ -152,6 +130,37 @@ type core_stats = {
 }
 
 val core_stats : t -> core_stats
+
+(** {2 The job policy} *)
+
+type jobs
+(** One campaign's cases on the pool. *)
+
+val jobs :
+  t -> tenant:int -> label:string -> Campaign.options ->
+  Kit_abi.Program.t array -> (int * Kit_gen.Testcase.t) list ->
+  on_done:(int -> Campaign.case_result -> int -> unit) -> jobs
+(** Install the campaign's context under [tenant] in every worker
+    ([label] is stamped as a ["tenant"] trace attr on its executions
+    when non-empty) and queue [(case, representative)] pairs, sharded
+    round-robin over the slots. [on_done case result executions] fires
+    once per case, for its first completion or for its quarantine (0
+    executions) after it killed two workers in a row. *)
+
+val claimable : jobs -> bool
+(** Queued cases beyond the running ones. *)
+
+val running : jobs -> int
+val drained : jobs -> bool
+
+val dispatch : t -> jobs -> slot:int -> bool
+(** Send an idle slot its own next case, or one stolen from the longest
+    queue; [false] when there is none. *)
+
+val handle : t -> jobs -> event -> unit
+(** Apply one {!poll} event: a completion of one of these cases, or a
+    worker death — a strike on the case it held, and its queue
+    resharded over the survivors. *)
 
 (** {2 The single-campaign executor} *)
 

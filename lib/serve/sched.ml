@@ -91,24 +91,7 @@ let end_span t tn =
 
 (* -- checkpointing -------------------------------------------------------- *)
 
-let checkpoint_tenant t tn =
-  match t.cfg.sc_state_dir with
-  | Some dir -> Tenant.save_checkpoint dir tn
-  | None -> ()
-
-let checkpoint_all t =
-  List.iter
-    (fun tn ->
-      match Tenant.phase tn with
-      | Tenant.Cancelled -> ()
-      | _ -> checkpoint_tenant t tn)
-    (tenants t)
-
-let drop_checkpoint t tn =
-  Option.iter
-    (fun dir ->
-      try Sys.remove (Tenant.ckpt_path dir tn) with Sys_error _ -> ())
-    t.cfg.sc_state_dir
+let checkpoint_all t = List.iter Tenant.save_checkpoint (tenants t)
 
 let resume t =
   match t.cfg.sc_state_dir with
@@ -125,7 +108,10 @@ let resume t =
     List.filter_map
       (fun file ->
         let path = Filename.concat dir file in
-        match Tenant.of_checkpoint ~id:t.next_id path with
+        match
+          Tenant.of_checkpoint ~every:t.cfg.sc_checkpoint_every ~id:t.next_id
+            path
+        with
         | Ok tn ->
           t.next_id <- t.next_id + 1;
           add_tenant t tn;
@@ -155,7 +141,10 @@ let submit t spec =
       (Printf.sprintf "pending queue full (%d submissions waiting)"
          (count_phase t Tenant.Pending))
   else begin
-    let tn = Tenant.create ~id:t.next_id spec in
+    let tn =
+      Tenant.create ?state_dir:t.cfg.sc_state_dir
+        ~every:t.cfg.sc_checkpoint_every ~id:t.next_id spec
+    in
     t.next_id <- t.next_id + 1;
     add_tenant t tn;
     begin_span t tn;
@@ -172,10 +161,8 @@ let activate_pending t =
         Tenant.phase tn = Tenant.Pending
         && count_phase t Tenant.Active < t.cfg.sc_max_active
       then
-        match Tenant.activate tn ~procs:t.cfg.sc_pool.Pool.procs with
-        | options, corpus ->
-          Pool.register t.pool ~tenant:(Tenant.id tn)
-            ~label:(Tenant.name tn) options corpus;
+        match Tenant.activate tn t.pool with
+        | () ->
           Metrics.inc (sm "activated" t);
           Metrics.add (sm "resumed_cases" t) (Tenant.resumed tn)
         | exception e ->
@@ -231,56 +218,40 @@ let dispatch_idle t =
       let active = actives t in
       match pick_tenant active with
       | None -> ()
-      | Some (tn, stolen) -> (
+      | Some (tn, stolen) ->
         let contended =
           List.length (List.filter Tenant.claimable active) >= 2
         in
-        match Tenant.claim tn ~slot with
-        | None -> ()
-        | Some (id, tc) ->
+        if Pool.dispatch t.pool (Option.get (Tenant.jobs tn)) ~slot then begin
           Tenant.set_deficit tn (Tenant.deficit tn -. 1.0);
           Tenant.note_dispatch tn ~contended ~stolen;
           Metrics.inc (sm "dispatched" t);
-          if stolen then Metrics.inc (sm "steals" t);
-          Pool.dispatch_job t.pool ~slot ~tenant:(Tenant.id tn) ~id tc))
+          if stolen then Metrics.inc (sm "steals" t)
+        end)
     (Pool.idle_slots t.pool)
 
 (* -- events --------------------------------------------------------------- *)
 
-let handle_event t = function
-  | Pool.Job_done { ev_slot; ev_tenant; ev_id; ev_result; ev_execs } -> (
+(* Events go through the pool's job policy: a completion to its own
+   tenant, if that tenant is still active — a cancelled or finished one
+   takes no more — and a worker death to every active tenant, whose
+   queues it reshards. *)
+let handle_event t ev =
+  let handle tn =
+    Option.iter (fun j -> Pool.handle t.pool j ev) (Tenant.jobs tn)
+  in
+  match ev with
+  | Pool.Job_done { ev_slot; ev_tenant; ev_id; _ } -> (
     match Hashtbl.find_opt t.tenants ev_tenant with
     | Some tn when Tenant.phase tn = Tenant.Active ->
-      Tenant.record_done tn ~id:ev_id ev_result ev_execs;
+      handle tn;
       Metrics.inc (sm "completed_cases" t);
       Tracer.instant t.obs.Obs.tracer "serve.case.done"
         ~attrs:
           [ ("tenant", Tenant.name tn); ("case", string_of_int ev_id);
-            ("slot", string_of_int ev_slot) ];
-      if
-        t.cfg.sc_state_dir <> None
-        && Tenant.checkpoint_due tn ~every:t.cfg.sc_checkpoint_every
-      then checkpoint_tenant t tn
-    | _ -> () (* tenant cancelled or already retired: drop the result *))
-  | Pool.Worker_lost { ev_slot; ev_why; ev_in_flight; ev_respawned = _ } ->
-    (match ev_in_flight with
-    | Some (tid, id) -> (
-      match Hashtbl.find_opt t.tenants tid with
-      | Some tn when Tenant.phase tn = Tenant.Active ->
-        if Tenant.struck tn ~id ~why:ev_why then
-          Metrics.inc (sm "poisoned" t)
-      | _ -> ())
-    | None -> ());
-    (* reshard the dead slot's assigned-but-unclaimed jobs, every
-       active tenant; with no survivors the jobs stay queued and [step]
-       raises Dead_pool right after *)
-    let survivors = Pool.alive_slots t.pool in
-    List.iter
-      (fun tn ->
-        match Tenant.release tn ~slot:ev_slot with
-        | [] -> ()
-        | jobs -> if survivors <> [] then Tenant.redeal tn jobs ~to_:survivors)
-      (actives t)
+            ("slot", string_of_int ev_slot) ]
+    | _ -> ())
+  | Pool.Worker_lost _ -> List.iter handle (actives t)
 
 (* -- finishing ------------------------------------------------------------ *)
 
@@ -294,7 +265,7 @@ let finish_drained t =
           Tenant.fail tn (Printexc.to_string e);
           Metrics.inc (sm "failed" t));
         Pool.retire t.pool ~tenant:(Tenant.id tn);
-        checkpoint_tenant t tn;
+        Tenant.save_checkpoint tn;
         end_span t tn
       end)
     (tenants t)
@@ -336,7 +307,6 @@ let cancel t name =
       let was_active = Tenant.phase tn = Tenant.Active in
       Tenant.cancel tn;
       if was_active then Pool.retire t.pool ~tenant:(Tenant.id tn);
-      drop_checkpoint t tn;
       Metrics.inc (sm "cancelled" t);
       end_span t tn
     | Tenant.Finished | Tenant.Cancelled | Tenant.Failed _ -> ());

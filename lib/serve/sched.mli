@@ -4,8 +4,8 @@
     A single-threaded event loop owns the pool and every {!Tenant}.
     Each {!step}: activate pending tenants (up to [sc_max_active]),
     dispatch idle worker slots by deficit round robin, poll the pool,
-    apply its events (completions, worker deaths with two-strike
-    quarantine and resharding), finish drained tenants (diagnosis +
+    pass its events through the pool's job policy ({!Pool.handle}) of
+    every active tenant, finish drained tenants (diagnosis +
     aggregation + checkpoint) and refresh the [serve.*] gauges.
 
     {b Fair sharing.} Deficit round robin: every refill grants each
@@ -17,12 +17,11 @@
     executed-case shares converge to the weight vector
     (property-tested); without contention the pool never idles.
 
-    {b Crash safety.} Tenants checkpoint their fingerprint-keyed result
-    caches every [sc_checkpoint_every] completions (kind
-    ["serve-tenant-v4"], an append-only KITCKPT1 log: see
-    {!Tenant.save_checkpoint}). A SIGKILLed daemon restarted with
-    {!resume} rebuilds every tenant from [sc_state_dir] and replays
-    cached results at activation — no checkpointed representative is
+    {b Crash safety.} Each tenant's campaign driver saves its
+    case-result log every [sc_checkpoint_every] completions (kind
+    ["serve-tenant-v4"]: see {!Tenant}). A SIGKILLed daemon restarted
+    with {!resume} rebuilds every tenant from [sc_state_dir] and
+    replays logged results at activation — no logged representative is
     re-executed, and finished tenants keep serving their summaries.
 
     {b Equivalence.} Per-case results are schedule-independent and

@@ -206,8 +206,9 @@ let test_assembled_from_decoded () =
       results
   in
   let summary rs =
-    Proto.summary
-      (Campaign.assemble prepared generation (List.map (fun r -> (r, 0)) rs))
+    let run = Campaign.start prepared generation in
+    List.iteri (fun i r -> Campaign.complete run i r 0) rs;
+    Proto.summary (Campaign.finish run)
   in
   check_string "summary of decoded results" (summary results)
     (summary decoded)
@@ -313,57 +314,70 @@ let crash_spec =
     Proto.sp_name = "crash"; sp_seed = 11; sp_corpus_size = 48;
     sp_strategy = Cluster.Rand 16; sp_diagnose = true; sp_schedules = 4 }
 
-(* Execute up to [n] claimable representatives in this process. *)
-let run_cases tn options corpus sup n =
-  let rec go k =
-    if k < n then
-      match Tenant.claim tn ~slot:0 with
-      | Some (id, tc) ->
-        let before = Supervisor.executions sup in
-        let cr = Campaign.exec_case options corpus sup tc in
-        Tenant.record_done tn ~id cr (Supervisor.executions sup - before);
-        go (k + 1)
-      | None -> ()
-  in
-  go 0
+let campaign_options = Proto.options_of_spec crash_spec
+let straight = lazy (Proto.summary (Campaign.run campaign_options))
 
-let boot tn =
-  let options, corpus = Tenant.activate tn ~procs:1 in
-  let obs = Obs.create ~tracer:Tracer.nop () in
-  let sup = Campaign.supervisor ~obs options in
-  (options, corpus, sup)
+let crash_reps =
+  lazy
+    (Campaign.generate_prepared (Campaign.prepare campaign_options))
+        .Cluster.reps
 
-(* Activate, execute everything left and finish: the summary. *)
-let drain tn =
-  let options, corpus, sup = boot tn in
-  run_cases tn options corpus sup max_int;
+let with_pool f =
+  let pool = Pool.create { Pool.default_config with Pool.procs = 1 } in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* Run [tn]'s cases on a one-worker pool, activating it first if it is
+   pending, until [stop ()] or it drains. One case runs at a time, so a
+   stop after a completion leaves nothing in flight. *)
+let run_cases ?(stop = fun () -> false) pool tn =
+  if Tenant.phase tn = Tenant.Pending then Tenant.activate tn pool;
+  let j = Option.get (Tenant.jobs tn) in
+  while not (stop () || Pool.drained j) do
+    List.iter
+      (fun slot -> ignore (Pool.dispatch pool j ~slot : bool))
+      (Pool.idle_slots pool);
+    List.iter (Pool.handle pool j) (fst (Pool.poll pool ~timeout:0.2))
+  done
+
+(* Execute everything left and finish: the summary. *)
+let drain pool tn =
+  run_cases pool tn;
   check_bool "drained" true (Tenant.is_drained tn);
   ignore (Tenant.finish tn : Campaign.t);
+  Pool.retire pool ~tenant:(Tenant.id tn);
   Option.get (Tenant.summary tn)
 
-let straight = lazy (drain (Tenant.create ~id:0 crash_spec))
+(* The fingerprints of the representatives [log] replays, sorted. *)
+let logged (log : Campaign.log) =
+  List.filteri (fun i tc -> log.Campaign.replay i tc <> None)
+    (Lazy.force crash_reps)
+  |> List.map Testcase.fingerprint
+  |> List.sort_uniq String.compare
 
 (* A first save after 3 completions, then 4 appends of 2 each. Returns
    the file contents and, per record, its end offset and the
    fingerprints it added. *)
 let build_log dir =
-  let tn = Tenant.create ~id:0 crash_spec in
-  let options, corpus, sup = boot tn in
-  let path = Tenant.ckpt_path dir tn in
-  let records = ref [] and seen = ref [] in
-  let save n =
-    run_cases tn options corpus sup n;
-    Tenant.save_checkpoint dir tn;
-    let now = Tenant.cached tn in
-    let added = List.filter (fun fp -> not (List.mem fp !seen)) now in
-    seen := now;
-    records := ((Unix.stat path).Unix.st_size, added) :: !records
-  in
-  save 3;
-  for _ = 1 to 4 do save 2 done;
-  check_bool "cases left after the last save" true
-    (Tenant.completed tn < Tenant.total tn);
-  (read_file path, List.rev !records)
+  with_pool (fun pool ->
+      let tn =
+        Tenant.create ~state_dir:dir ~every:max_int ~id:0 crash_spec
+      in
+      let path = Filename.concat dir "tenant-crash.ckpt" in
+      let records = ref [] and seen = ref [] in
+      let save n =
+        let target = Tenant.completed tn + n in
+        run_cases ~stop:(fun () -> Tenant.completed tn >= target) pool tn;
+        Tenant.save_checkpoint tn;
+        let now = logged (Tenant.log tn) in
+        let added = List.filter (fun fp -> not (List.mem fp !seen)) now in
+        seen := now;
+        records := ((Unix.stat path).Unix.st_size, added) :: !records
+      in
+      save 3;
+      for _ = 1 to 4 do save 2 done;
+      check_bool "cases left after the last save" true
+        (Tenant.completed tn < Tenant.total tn);
+      (read_file path, List.rev !records))
 
 let entries_within records cut =
   List.sort String.compare
@@ -393,8 +407,6 @@ let check_prefix ~kind records path cut =
    completions and killed after 9 — the same shape as [build_log]: the
    file, per record its end offset and the fingerprints it added, and
    the representatives. *)
-let campaign_options = Proto.options_of_spec crash_spec
-
 let build_campaign_log dir =
   let path = Filename.concat dir "campaign.ckpt" in
   let prepared = Campaign.prepare campaign_options in
@@ -467,9 +479,9 @@ let campaign_log_crash_every_byte () =
    tenant resumed from a prefix finishes as if it had never stopped.
    The campaign log of the same campaign gets the same treatment. *)
 let test_tenant_log_crash_every_byte () =
-  check_string "the in-process drain = a solo campaign"
-    (Proto.summary (Campaign.run (Proto.options_of_spec crash_spec)))
-    (Lazy.force straight);
+  with_pool (fun pool ->
+      check_string "a tenant on the pool = a solo campaign" (Lazy.force straight)
+        (drain pool (Tenant.create ~every:max_int ~id:0 crash_spec)));
   with_dir "kit-tenant-log" (fun dir ->
       let log, records = build_log dir in
       let hl = header_len Tenant.ckpt_kind in
@@ -481,12 +493,13 @@ let test_tenant_log_crash_every_byte () =
       in
       with_dir "kit-tenant-cut" (fun cut_dir ->
           let path = Filename.concat cut_dir "tenant-crash.ckpt" in
+          let load id = Tenant.of_checkpoint ~every:max_int ~id path in
           for cut = 0 to String.length log do
             write_file path (String.sub log 0 cut);
             check_prefix ~kind:Tenant.ckpt_kind records path cut;
-            match Tenant.of_checkpoint ~id:1 path with
+            match load 1 with
             | Ok t when cut >= first_end ->
-              if Tenant.cached t <> entries_within records cut then
+              if logged (Tenant.log t) <> entries_within records cut then
                 Alcotest.failf "prefix %d: wrong entries" cut;
               check_int "torn" (cut - last_boundary cut) (Tenant.torn t)
             | Error _ when cut < first_end ->
@@ -501,37 +514,38 @@ let test_tenant_log_crash_every_byte () =
             |> List.filter (fun c -> c <= String.length log)
           in
           let reload what =
-            match Tenant.of_checkpoint ~id:3 path with
+            match load 3 with
             | Ok t' ->
               check_int (what ^ ": no torn tail") 0 (Tenant.torn t');
               t'
             | Error e -> Alcotest.failf "%s: %s" what e
           in
-          List.iter
-            (fun cut ->
-              write_file path (String.sub log 0 cut);
-              match Tenant.of_checkpoint ~id:2 path with
-              | Error e -> Alcotest.failf "prefix %d: %s" cut e
-              | Ok t ->
-                (* the first save after a resume rewrites the file
-                   without the torn tail *)
-                Tenant.save_checkpoint cut_dir t;
-                ignore (reload "compacted" : Tenant.t);
-                let summary = drain t in
-                check_int "resumed = entries in complete records"
-                  (List.length (entries_within records cut))
-                  (Tenant.resumed t);
-                check_string "summary = straight-through run"
-                  (Lazy.force straight) summary;
-                (* the finish is appended; the last record's flag and
-                   summary win *)
-                Tenant.save_checkpoint cut_dir t;
-                let t' = reload "finished" in
-                check_bool "finished state survives" true
-                  (Tenant.phase t' = Tenant.Finished
-                  && Tenant.summary t' = Some summary
-                  && Tenant.cached t' = Tenant.cached t))
-            cuts));
+          with_pool (fun pool ->
+              List.iter
+                (fun cut ->
+                  write_file path (String.sub log 0 cut);
+                  match load 2 with
+                  | Error e -> Alcotest.failf "prefix %d: %s" cut e
+                  | Ok t ->
+                    (* the first save after a resume rewrites the file
+                       without the torn tail *)
+                    Tenant.save_checkpoint t;
+                    ignore (reload "compacted" : Tenant.t);
+                    let summary = drain pool t in
+                    check_int "resumed = entries in complete records"
+                      (List.length (entries_within records cut))
+                      (Tenant.resumed t);
+                    check_string "summary = straight-through run"
+                      (Lazy.force straight) summary;
+                    (* the finish is appended; the last record's flag and
+                       summary win *)
+                    Tenant.save_checkpoint t;
+                    let t' = reload "finished" in
+                    check_bool "finished state survives" true
+                      (Tenant.phase t' = Tenant.Finished
+                      && Tenant.summary t' = Some summary
+                      && logged (Tenant.log t') = logged (Tenant.log t)))
+                cuts)));
   campaign_log_crash_every_byte ()
 
 (* A bit flipped anywhere in a record that has a valid record after it
@@ -547,7 +561,7 @@ let test_tenant_log_bit_flips () =
       in
       for bit = 8 * second_start to (8 * second_end) - 1 do
         write_file path (flip_bit log bit);
-        match Tenant.of_checkpoint ~id:1 path with
+        match Tenant.of_checkpoint ~every:1 ~id:1 path with
         | Error _ -> ()
         | Ok _ -> Alcotest.failf "bit %d flipped in record 1 loaded" bit
       done;
@@ -559,7 +573,7 @@ let test_tenant_log_bit_flips () =
         Checkpoint.append path
           (String.init (Random.State.int st 300) (fun _ ->
                Char.chr (Random.State.int st 256)));
-        match Tenant.of_checkpoint ~id:1 path with
+        match Tenant.of_checkpoint ~every:1 ~id:1 path with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "a random record decoded"
       done)
@@ -577,7 +591,7 @@ let test_resume_old_kinds_and_torn_tail () =
           let path = Filename.concat dir ("tenant-" ^ kind ^ ".ckpt") in
           Checkpoint.write path ~kind [ {|{"old layout":[1,2,3]}|} ];
           check_bool (kind ^ " is an Error") true
-            (is_error (Tenant.of_checkpoint ~id:0 path));
+            (is_error (Tenant.of_checkpoint ~every:1 ~id:0 path));
           check_bool (kind ^ " is no campaign log") true
             (match
                Caselog.campaign ~resume:true ~every:1 path campaign_options

@@ -670,6 +670,31 @@ let test_pool_heartbeat_timeout () =
   check_bool "fingerprint equals crash-free run" true
     (pool_fps o = Lazy.force reference)
 
+let test_pool_reads_before_judging () =
+  (* The coordinator is away past the heartbeat while the job completes:
+     poll reads the result already in the pipe instead of killing the
+     worker as hung. *)
+  let b = Lazy.force baseline in
+  let pool =
+    Pool.create { test_config with Pool.procs = 1; heartbeat_s = 0.5 }
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let j =
+        Pool.jobs pool ~tenant:0 ~label:"" small_options b.Campaign.corpus
+          [ (0, List.hd b.Campaign.generation.Kit_gen.Cluster.reps) ]
+          ~on_done:(fun _ _ _ -> ())
+      in
+      check_bool "dispatched" true (Pool.dispatch pool j ~slot:0);
+      Unix.sleepf 1.5;
+      let events, _ = Pool.poll pool ~timeout:0.2 in
+      let c = Pool.core_stats pool in
+      check_int "no deaths" 0 c.Pool.c_deaths;
+      check_int "no heartbeat timeouts" 0 c.Pool.c_heartbeat_timeouts;
+      check_bool "one completion" true
+        (match events with [ Pool.Job_done _ ] -> true | _ -> false))
+
 (* A pool campaign of [small_options] through the driver, logging to
    [path] every completion: the replayed count and the campaign. *)
 let pool_campaign ?(cfg = test_config) ?kill path =
@@ -915,6 +940,94 @@ let test_sched_admission () =
       | Proto.Rejected _ -> ()
       | _ -> Alcotest.fail "unknown tenant must be rejected")
 
+let poisoned_cfg = { Pool.no_sabotage with Pool.poison = [ 0 ] }
+
+let deaths s =
+  match Sched.request s Proto.Status with
+  | Proto.Status_is { st_pool; _ } -> st_pool.Proto.ps_deaths
+  | _ -> Alcotest.fail "no status"
+
+let test_sched_two_strikes () =
+  (* Case 0 kills every worker that takes it: the tenant quarantines it
+     once, as the pool executor does, and logs the quarantine, so a
+     resumed tenant replays it instead of feeding it to more workers. *)
+  let sp = spec "poison" 11 in
+  let straight =
+    let prepared = Campaign.prepare (Proto.options_of_spec sp) in
+    Campaign.execute
+      ~executor:(Pool.executor { test_config with Pool.sabotage = poisoned_cfg })
+      prepared
+      (Campaign.generate_prepared prepared)
+  in
+  with_sched (sched_cfg ~sabotage:poisoned_cfg ()) (fun s ->
+      submit_ok s sp;
+      Sched.drain s;
+      let c = Option.get (Tenant.result (tenant_of s "poison")) in
+      check_int "one Worker_lost quarantine" 1
+        (List.length
+           (List.filter
+              (fun cr ->
+                match cr.Supervisor.c_reason with
+                | Supervisor.Worker_lost _ -> true
+                | _ -> false)
+              c.Campaign.quarantined));
+      check_bool "summary = the pool executor's" true
+        (Tenant.summary (tenant_of s "poison")
+        = Some (Proto.summary straight)));
+  (* One worker runs case 0 twice in a row before anything else; the
+     scheduler stops one completion later, with the rest to do. *)
+  let dir = tmp "kit_test_serve_poison" in
+  rm_rf_dir dir;
+  let cfg = sched_cfg ~procs:1 ~sabotage:poisoned_cfg ~state_dir:dir () in
+  with_sched cfg (fun s ->
+      submit_ok s sp;
+      while deaths s < 2 || Tenant.completed (tenant_of s "poison") < 2 do
+        if Tenant.phase (tenant_of s "poison") = Tenant.Finished then
+          Alcotest.fail "finished before the quarantine";
+        ignore (Sched.step s ~timeout:0.2)
+      done;
+      check_bool "stopped mid-run" true
+        (Tenant.phase (tenant_of s "poison") = Tenant.Active));
+  with_sched cfg (fun s ->
+      ignore (Sched.resume s);
+      Sched.drain s;
+      check_int "the quarantine replays: no worker dies" 0 (deaths s);
+      check_bool "resumed summary = straight-through" true
+        (Tenant.summary (tenant_of s "poison")
+        = Some (Proto.summary straight)));
+  rm_rf_dir dir
+
+let test_sched_cancel () =
+  (* A tenant cancelled with a job in flight takes no late completion:
+     its log stays deleted, and the other tenant is unaffected. *)
+  let dir = tmp "kit_test_serve_cancel" in
+  rm_rf_dir dir;
+  with_sched (sched_cfg ~procs:2 ~state_dir:dir ~ckpt_every:1 ()) (fun s ->
+      submit_ok s { (spec "gone" 11) with Proto.sp_corpus_size = 96 };
+      submit_ok s (spec "kept" 7);
+      let in_flight () =
+        let st = Tenant.status (tenant_of s "gone") in
+        st.Proto.ts_done >= 1
+        && st.Proto.ts_dispatched > st.Proto.ts_done - st.Proto.ts_resumed
+      in
+      while not (in_flight ()) do
+        if Tenant.phase (tenant_of s "gone") = Tenant.Finished then
+          Alcotest.fail "gone finished before a cancel could land";
+        ignore (Sched.step s ~timeout:0.2)
+      done;
+      (match Sched.request s (Proto.Cancel "gone") with
+      | Proto.Acked -> ()
+      | _ -> Alcotest.fail "cancel must be acked");
+      Sched.drain s;
+      check_bool "the log stays deleted" false
+        (Sys.file_exists (Filename.concat dir "tenant-gone.ckpt"));
+      check_bool "cancelled" true
+        (Tenant.phase (tenant_of s "gone") = Tenant.Cancelled);
+      check_bool "the other tenant = its solo run" true
+        (Tenant.summary (tenant_of s "kept")
+        = Some (Proto.summary (solo ~seed:7 ~corpus_size:24))));
+  rm_rf_dir dir
+
 (* --- pool resume through the log ------------------------------------------ *)
 
 (* The whole campaign in the log: a process killed on its last
@@ -991,6 +1104,8 @@ let suite =
       test_pool_heartbeat_timeout;
     Alcotest.test_case "dead pool aborts with checkpoint; resume skips done"
       `Quick test_pool_abort_and_resume;
+    Alcotest.test_case "poll reads a finished job before judging deadlines"
+      `Quick test_pool_reads_before_judging;
     Alcotest.test_case "deal with no survivors raises the typed error" `Quick
       test_jobqueue_deal_no_survivors;
     Alcotest.test_case "oversized wire frame raises the typed error" `Quick
@@ -1004,6 +1119,10 @@ let suite =
       test_sched_extend;
     Alcotest.test_case "admission control rejects bad submissions" `Quick
       test_sched_admission;
+    Alcotest.test_case "sched quarantines a twice-lethal case and logs it"
+      `Quick test_sched_two_strikes;
+    Alcotest.test_case "cancel drops a tenant's late results and its log"
+      `Quick test_sched_cancel;
     Alcotest.test_case "fully-restored pool resume reports its count" `Quick
       test_pool_resume_all_restored;
     Alcotest.test_case "pool resume drops a torn tail, re-runs the rest"
