@@ -6,18 +6,12 @@
     discovered interesting syscall idioms) with random composition and
     mutation. Fully deterministic for a given seed. *)
 
-val seed_texts : string list
-(** The curated seed programs, in syzlang-style text. *)
-
 val max_program_len : int
 (** Upper bound on generated program length. *)
 
 val mutate : Random.State.t -> Program.t -> Program.t
 (** One mutation step: append a random call, tweak an integer argument,
     or drop the last call. *)
-
-val random_program : Random.State.t -> Program.t
-(** A fully random program of bounded length. *)
 
 val generate : seed:int -> size:int -> Program.t list
 (** [generate ~seed ~size] returns [size] programs: the seeds verbatim

@@ -37,7 +37,6 @@ let to_string = function
 
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
-let pp ppf t = Fmt.string ppf (to_string t)
 
 let of_socket_domain d =
   if d = Consts.dom_tcp then Some Sock_tcp

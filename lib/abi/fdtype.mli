@@ -24,7 +24,6 @@ type t =
 val to_string : t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val of_socket_domain : int -> t option
 (** The fd type produced by [socket(domain)], if [domain] is valid. *)

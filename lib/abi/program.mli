@@ -18,7 +18,6 @@ val call_equal : call -> call -> bool
 val equal : t -> t -> bool
 
 val pp_call : Format.formatter -> call -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val hash : t -> int

@@ -12,8 +12,6 @@ let create capacity =
   let nwords = max 1 ((max 0 capacity + word_bits - 1) / word_bits) in
   { words = Array.make nwords 0 }
 
-let capacity t = Array.length t.words * word_bits
-
 let ensure t bit =
   let need = (bit / word_bits) + 1 in
   let have = Array.length t.words in
@@ -40,8 +38,6 @@ let remove t bit =
   let w = bit / word_bits in
   if w < Array.length t.words then
     t.words.(w) <- t.words.(w) land lnot (1 lsl (bit mod word_bits))
-
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 (* Byte-table popcount: safe on 63-bit words, no 64-bit mask literals. *)
 let pop_table =

@@ -10,11 +10,9 @@ val create : int -> t
 (** [create capacity] — an empty set sized for members [0..capacity-1];
     {!add} grows it beyond that if needed. *)
 
-val capacity : t -> int
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit
-val clear : t -> unit
 val cardinal : t -> int
 val is_empty : t -> bool
 val inter_count : t -> t -> int
@@ -22,9 +20,6 @@ val inter : t -> t -> t
 val union : t -> t -> t
 
 val iter : (int -> unit) -> t -> unit
-(** Ascending member order. *)
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Ascending member order. *)
 
 val elements : t -> int list

@@ -10,10 +10,7 @@
 type state = int
 
 val init : state
-val byte : state -> int -> state
 val int : state -> int -> state
-val string : state -> string -> state
-(** Length-prefixed, so ["ab","c"] and ["a","bc"] hash differently. *)
 
 val to_int : state -> int
 (** The state folded to a non-negative int. *)

@@ -34,8 +34,6 @@ let intern_hashed s =
     if Hashtbl.length pool < max_pool then Hashtbl.add pool s entry;
     entry
 
-let intern s = fst (intern_hashed s)
-
 (* Canonical decimal strings for small ints — syscall returns, errnos,
    stat fields and line indices are almost always tiny, and this skips
    both the [string_of_int] allocation and the pool lookup. The table is

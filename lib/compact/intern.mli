@@ -7,8 +7,6 @@
     only the O(1) shortcut is per-domain. The pool is capped; past the
     cap, strings pass through uninterned. *)
 
-val intern : string -> string
-
 val intern_hashed : string -> string * int
 (** The canonical copy and its {!Fnv.hash_string} content hash,
     computed once per distinct string per domain. *)

@@ -486,7 +486,7 @@ let exec_case ?(attrs = []) options corpus sup (tc : Testcase.t) =
           sched.sched_skipped <- sched.sched_skipped + search.Runner.sr_skipped;
           List.filter_map
             (Filter.classify_concurrent options.spec ~testcase:tc ~sender
-               ~receiver ~trace_b:outcome.Runner.trace_b)
+               ~receiver)
             search.Runner.sr_findings
         end
       in

@@ -112,8 +112,6 @@ type attrition = {
   mutable at_reported : int;        (** survived the whole funnel *)
 }
 
-val attrition_create : unit -> attrition
-
 val attrition_balanced : attrition -> bool
 (** [at_generated = at_absorbed + Σ terminal stages] — holds for every
     finished campaign by construction (property-tested). *)

@@ -1,10 +1,15 @@
 (* Case-result logs. See caselog.mli.
 
    A record is one JSON object: the caller's header fields, then
-   "entries". Tenant records ({"spec", "finished", "summary"?,
-   "entries"}) are the serve-tenant-v4 bytes and must stay so; a
-   campaign log's header is one "campaign" object naming every
-   result-changing option. *)
+   "entries". Tenant records ({"spec", "finished", "progress"?,
+   "summary"?, "entries"}) keep kind serve-tenant-v4 across format
+   growth, because decoders ignore unknown fields and default absent
+   optional ones: a log written while reports carried both traces, or
+   before headers carried progress, still loads. The reverse does not
+   hold: a binary that still requires report traces reads a newer
+   record holding a report as Checkpoint_corrupt. A campaign log's
+   header is one "campaign" object naming every result-changing
+   option, byte for byte as older logs wrote it, so they still match. *)
 
 module Jsonl = Kit_obs.Jsonl
 module Testcase = Kit_gen.Testcase
@@ -106,9 +111,9 @@ let error_to_string = function
 
 let strs l = Jsonl.List (List.map (fun s -> Jsonl.Str s) l)
 
-(* Every option that changes a case result, by name. Checkers and seed
-   selectors are closures: the spec is named by its checker ids and
-   counted selectors. *)
+(* Every option that changes a case result, by name. The spec is named
+   by its checker ids and its counted seed selectors — the header bytes
+   logs have always carried, so older logs still match. *)
 let options_fields (o : Campaign.options) =
   let c = o.Campaign.config and s = o.Campaign.spec in
   [ ( "config",
@@ -122,7 +127,7 @@ let options_fields (o : Campaign.options) =
         [ ( "fd_types",
             strs (List.map Kit_abi.Fdtype.to_string s.Spec.protected_fd_types) );
           ( "checkers",
-            strs (List.map (fun ch -> ch.Kit_spec.Checker.id) s.Spec.checkers) );
+            strs (List.map Kit_spec.Checker.id s.Spec.checkers) );
           ("seed_selectors", Jsonl.Int (List.length s.Spec.seed_selectors));
           ("var_prefixes", strs s.Spec.protected_var_prefixes) ] );
     ( "strategy",

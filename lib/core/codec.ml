@@ -133,7 +133,7 @@ let program_of_json j =
   in
   Result.map Program.make (list call j)
 
-(* -- traces ---------------------------------------------------------------
+(* -- diff subtrees ---------------------------------------------------------
 
    A node is its label, its value (leaves only), its det flag and its
    children; the packed fields (size, counts, hash) are derived again by
@@ -172,17 +172,25 @@ let diff_of_json j =
 
 (* -- reports -------------------------------------------------------------- *)
 
+let diffs_to_json l = Jsonl.List (List.map diff_to_json l)
+
 let origin_to_json = function
   | Report.Sequential -> Jsonl.Str "sequential"
-  | Report.Concurrent { seeds; fingerprint } ->
-    Jsonl.Obj [ ("seeds", ints seeds); ("fingerprint", Jsonl.Int fingerprint) ]
+  | Report.Concurrent { seeds; fingerprint; raw_diffs } ->
+    Jsonl.Obj
+      [ ("seeds", ints seeds); ("fingerprint", Jsonl.Int fingerprint);
+        ("raw_diffs", diffs_to_json raw_diffs) ]
 
-let origin_of_json = function
+(* A log written before concurrent reports carried their raw diffs
+   gives the masked ones, a subset: attribution reads them the same
+   way. *)
+let origin_of_json ~diffs = function
   | Jsonl.Str "sequential" -> Ok Report.Sequential
   | j ->
     let* seeds = field "seeds" (list int) j in
     let* fingerprint = field "fingerprint" int j in
-    Ok (Report.Concurrent { seeds; fingerprint })
+    let* raw_diffs = field_or "raw_diffs" ~default:diffs (list diff_of_json) j in
+    Ok (Report.Concurrent { seeds; fingerprint; raw_diffs })
 
 let report_to_json (r : Report.t) =
   Jsonl.Obj
@@ -190,9 +198,7 @@ let report_to_json (r : Report.t) =
        ("sender", program_to_json r.Report.sender);
        ("receiver", program_to_json r.Report.receiver);
        ("interfered", ints r.Report.interfered);
-       ("diffs", Jsonl.List (List.map diff_to_json r.Report.diffs));
-       ("trace_a", ast_to_json r.Report.trace_a);
-       ("trace_b", ast_to_json r.Report.trace_b) ]
+       ("diffs", diffs_to_json r.Report.diffs) ]
     @ opt "origin" origin_to_json ~default:Report.Sequential r.Report.origin)
 
 let report_of_json j =
@@ -201,14 +207,10 @@ let report_of_json j =
   let* receiver = field "receiver" program_of_json j in
   let* interfered = field "interfered" (list int) j in
   let* diffs = field "diffs" (list diff_of_json) j in
-  let* trace_a = field "trace_a" ast_of_json j in
-  let* trace_b = field "trace_b" ast_of_json j in
   let* origin =
-    field_or "origin" ~default:Report.Sequential origin_of_json j
+    field_or "origin" ~default:Report.Sequential (origin_of_json ~diffs) j
   in
-  Ok
-    { Report.testcase; sender; receiver; interfered; diffs; trace_a; trace_b;
-      origin }
+  Ok { Report.testcase; sender; receiver; interfered; diffs; origin }
 
 (* -- crash reports -------------------------------------------------------- *)
 

@@ -9,10 +9,13 @@
 
     {!case_result_to_json} covers the whole {!Campaign.case_result}:
     the testcase, its funnel increments, the report (both programs,
-    both traces, the diffs and the origin with its reproducing seeds),
-    the concurrent findings, the schedule-search accounting and the
-    crash reports. A decoded result is structurally equal to the
-    encoded one (property-tested; traces are {!Kit_trace.Ast.equal}). *)
+    the diffs with both subtrees, and the origin with its reproducing
+    seeds), the concurrent findings, the schedule-search accounting
+    and the crash reports. A decoded result is structurally equal to
+    the encoded one (property-tested; diff subtrees are
+    {!Kit_trace.Ast.equal}). Reports carry no traces: the two trace
+    fields of logs written while they did are ignored like any unknown
+    field, so those logs still resume. *)
 
 (** {2 Decoding combinators} *)
 

@@ -24,7 +24,6 @@ type outcome = {
   as_expected : bool;
 }
 
-val reproduce : ?spec:Kit_spec.Spec.t -> ?reruns:int -> case -> outcome
 val reproduce_all : ?spec:Kit_spec.Spec.t -> ?reruns:int -> unit -> outcome list
 
 val detected_count : outcome list -> int

@@ -134,15 +134,24 @@ let diff_mentions (r : Report.t) needle =
     r.Report.diffs
 
 (* A child-count diff reports only the parent node, so a leaf the
-   interleaved trace *gained* never shows up in the diff values — scan
-   the trace itself for those markers. *)
-let rec trace_mentions (t : Kit_trace.Ast.t) needle =
+   interleaved trace *gained* never shows up in the diff values — but
+   the diff holds both parents' subtrees: the marker is in the left
+   (interleaved) one and not in the right (solo) one. The unmasked
+   diffs are read: the gained leaf can sit below a node the mask makes
+   non-deterministic, where the masked comparison stops. *)
+let rec subtree_mentions (t : Kit_trace.Ast.t) needle =
   contains t.Kit_trace.Ast.value needle
-  || List.exists (fun c -> trace_mentions c needle) t.Kit_trace.Ast.children
+  || List.exists (fun c -> subtree_mentions c needle) t.Kit_trace.Ast.children
 
 let gained (r : Report.t) needle =
-  trace_mentions r.Report.trace_a needle
-  && not (trace_mentions r.Report.trace_b needle)
+  match r.Report.origin with
+  | Report.Sequential -> false
+  | Report.Concurrent { raw_diffs; _ } ->
+    List.exists
+      (fun (d : Compare.diff) ->
+        subtree_mentions d.Compare.left needle
+        && not (subtree_mentions d.Compare.right needle))
+      raw_diffs
 
 let opens_path prog path =
   List.exists

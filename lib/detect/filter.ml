@@ -49,9 +49,7 @@ let classify spec ~testcase ~sender ~receiver (outcome : Runner.outcome) funnel 
         funnel.after_resource <- funnel.after_resource + 1;
         Reported
           { Report.testcase; sender; receiver; interfered = surviving;
-            diffs = outcome.Runner.masked_diffs;
-            trace_a = outcome.Runner.trace_a; trace_b = outcome.Runner.trace_b;
-            origin = Report.Sequential }
+            diffs = outcome.Runner.masked_diffs; origin = Report.Sequential }
       end
     end
   end
@@ -62,17 +60,18 @@ let classify spec ~testcase ~sender ~receiver (outcome : Runner.outcome) funnel 
    counters are deliberately left untouched — Table 5 accounts the
    paper's sequential pipeline, and concurrent totals are reported
    separately by the campaign. *)
-let classify_concurrent spec ~testcase ~sender ~receiver ~trace_b
+let classify_concurrent spec ~testcase ~sender ~receiver
     (c : Runner.concurrent) =
   let surviving = protected_interfered spec receiver c.Runner.cc_interfered in
   if surviving = [] then None
   else
     Some
       { Report.testcase; sender; receiver; interfered = surviving;
-        diffs = c.Runner.cc_diffs; trace_a = c.Runner.cc_trace; trace_b;
+        diffs = c.Runner.cc_diffs;
         origin =
           Report.Concurrent
-            { seeds = c.Runner.cc_seeds; fingerprint = c.Runner.cc_fingerprint } }
+            { seeds = c.Runner.cc_seeds; fingerprint = c.Runner.cc_fingerprint;
+              raw_diffs = c.Runner.cc_raw_diffs } }
 
 let pp_funnel ppf f =
   let pct n =

@@ -36,7 +36,6 @@ val classify_concurrent :
   testcase:Kit_gen.Testcase.t ->
   sender:Kit_abi.Program.t ->
   receiver:Kit_abi.Program.t ->
-  trace_b:Kit_trace.Ast.t ->
   Kit_exec.Runner.concurrent -> Report.t option
 (** Classify one schedule-search finding: non-determinism masking
     already happened inside the search, so only the resource stage

@@ -27,7 +27,6 @@ let create ?(on_evict = fun _ _ -> ()) cap =
     order = Queue.create (); clock = 0 }
 
 let length t = Hashtbl.length t.tbl
-let mem t k = Hashtbl.mem t.tbl k
 
 let is_current (e, stamp) = e.stamp = stamp
 

@@ -14,5 +14,4 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite; evicts the LRU entry first when full. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
 val length : ('k, 'v) t -> int

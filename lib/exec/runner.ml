@@ -102,8 +102,8 @@ type concurrent = {
   cc_seeds : int list;              (* reproducing schedule seeds, ascending *)
   cc_fingerprint : int;             (* Compare.fingerprint_diffs of cc_diffs *)
   cc_diffs : Compare.diff list;     (* masked diffs vs the solo trace *)
+  cc_raw_diffs : Compare.diff list; (* the same comparison before masking *)
   cc_interfered : int list;         (* receiver call indices, after masking *)
-  cc_trace : Ast.t;                 (* the interleaved receiver trace *)
 }
 
 type search = {
@@ -439,9 +439,11 @@ let execute t ~sender ~receiver =
    Representatives mostly reproduce a handful of receiver results, and
    everything after execution is a pure function of those results and
    the case: [judge] decodes, diffs and masks each distinct result
-   (structural equality, never a hash) once per case. The first trace
-   with a fingerprint stays the finding's trace, since a result's first
-   occurrence is the first class that can produce its fingerprint. *)
+   (structural equality, never a hash) once per case. The first diffs
+   with a fingerprint, masked and raw, stay the finding's diffs, since a
+   result's first occurrence is the first class that can produce its
+   fingerprint. The trace itself is dropped once judged: the finding's
+   first seed re-derives it. *)
 let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
   match schedule_classes t ~schedules ~sender ~receiver with
   | exception (Fault.Kernel_panic _ | Fault.Fuel_exhausted) ->
@@ -453,8 +455,8 @@ let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
         (let mask = nondet_mask t receiver in
          (mask, Nondet.apply_mask mask seq.trace_b))
     in
-    (* Some (fingerprint, masked diffs, trace) for a concurrent-only
-       divergence, None otherwise *)
+    (* Some (fingerprint, masked diffs, raw diffs) for a
+       concurrent-only divergence, None otherwise *)
     let judged = Hashtbl.create 8 in
     let judge results =
       match Hashtbl.find_opt judged results with
@@ -462,15 +464,16 @@ let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
       | None ->
         let trace = Decode.decode_trace results in
         let verdict =
-          if Compare.diff_trees trace seq.trace_b = [] then None
-          else
+          match Compare.diff_trees trace seq.trace_b with
+          | [] -> None
+          | raw -> (
             let mask, masked_b = Lazy.force masked_b in
             let masked = Nondet.apply_mask mask trace in
             match Compare.diff_trees masked masked_b with
             | [] -> None
             | diffs ->
               let fp = Compare.fingerprint_diffs diffs in
-              if fp = seq_fp then None else Some (fp, diffs, trace)
+              if fp = seq_fp then None else Some (fp, diffs, raw))
         in
         Hashtbl.replace judged results verdict;
         verdict
@@ -491,7 +494,7 @@ let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
           | results -> (
             match judge results with
             | None -> ()
-            | Some (fp, diffs, trace) -> (
+            | Some (fp, diffs, raw) -> (
               match List.assoc_opt fp !findings with
               | Some c ->
                 findings :=
@@ -501,9 +504,8 @@ let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
                 findings :=
                   ( fp,
                     { cc_seeds = cls.cls_seeds; cc_fingerprint = fp;
-                      cc_diffs = diffs;
-                      cc_interfered = Compare.interfered_of_diffs diffs;
-                      cc_trace = trace } )
+                      cc_diffs = diffs; cc_raw_diffs = raw;
+                      cc_interfered = Compare.interfered_of_diffs diffs } )
                   :: !findings))
         end)
       classes;

@@ -47,8 +47,9 @@ type concurrent = {
   cc_seeds : int list;     (** reproducing schedule seeds, ascending *)
   cc_fingerprint : int;    (** [Compare.fingerprint_diffs] of [cc_diffs] *)
   cc_diffs : Kit_trace.Compare.diff list;  (** masked diffs vs solo trace *)
+  cc_raw_diffs : Kit_trace.Compare.diff list;
+      (** the same comparison before masking *)
   cc_interfered : int list;  (** receiver call indices, after masking *)
-  cc_trace : Kit_trace.Ast.t;  (** the interleaved receiver trace *)
 }
 
 type search = {
@@ -189,8 +190,10 @@ val search_schedules :
     fingerprinted and deduplicated, findings matching the sequential
     outcome's fingerprint dropped (same root cause, already reported).
     Each distinct raw receiver result (structural equality) is decoded,
-    diffed and masked once per case; the first trace with a fingerprint
-    is the finding's trace. Representatives that panic or hang are
+    diffed and masked once per case; the first diffs with a fingerprint
+    are the finding's diffs, masked and raw, and the finding keeps no
+    trace ([Seeded] on its first seed re-derives it with
+    {!run_interleaved}). Representatives that panic or hang are
     counted in [sr_skipped], not quarantined. Memoized per (sender,
     receiver, schedules) unless [baseline_cache] is off or faults are
     armed: a hit, which also needs the sequential outcome's

@@ -43,20 +43,12 @@ type id =
 val new_bugs : id list
 (** The nine Table 2 bugs, in table order. *)
 
-val known_bugs : id list
-(** The seven Table 3 bugs (A-G). *)
-
-val extension_bugs : id list
-(** Bugs modelled beyond the paper's tables (future-work targets). *)
-
 val race_bugs : id list
 (** Race-window bugs: the buggy syscall restores steady state before
     returning, so no sequential schedule observes them — only an
     interleaved schedule landing inside the window can. They live in
     pseudo release "5.13-rw", keeping the default 5.13 population (and
     every sequential golden output) unchanged. *)
-
-val all : id list
 
 val to_string : id -> string
 val compare : id -> id -> int

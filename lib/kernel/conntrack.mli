@@ -11,8 +11,6 @@
 
 type t
 
-val default_max : int
-
 val init : Heap.t -> Config.t -> t
 
 val max_read : Ctx.t -> t -> netns:int -> int

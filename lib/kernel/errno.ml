@@ -37,5 +37,4 @@ let to_string = function
   | EOPNOTSUPP -> "EOPNOTSUPP"
   | EACCES -> "EACCES"
 
-let equal a b = Stdlib.compare a b = 0
 let pp ppf t = Fmt.string ppf (to_string t)

@@ -15,5 +15,4 @@ type t =
 
 val to_int : t -> int
 val to_string : t -> string
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

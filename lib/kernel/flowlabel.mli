@@ -12,16 +12,10 @@ type t
 
 val init : Heap.t -> Config.t -> t
 
-val registered : Ctx.t -> t -> netns:int -> label:int -> bool
-
 val create :
   Ctx.t -> t -> netns:int -> label:int -> exclusive:bool ->
   (unit, Errno.t) result
 (** Register a flow label; [EEXIST] if already registered in [netns]. *)
-
-val strict_mode : Ctx.t -> t -> bug:Bugs.id -> netns:int -> bool
-(** Is strict management active for [netns]? The buggy kernel consults
-    the global switch, the fixed kernel the per-namespace count. *)
 
 val check_send : Ctx.t -> t -> netns:int -> label:int -> (unit, Errno.t) result
 (** Validate a label on the send path (bug #2). Label 0 means no flow

@@ -22,14 +22,6 @@ type t =
   | Sys_exit of int
   | Mem of mem
 
-let pp ppf = function
-  | Fn_enter f -> Fmt.pf ppf "enter f%d" f
-  | Fn_exit f -> Fmt.pf ppf "exit f%d" f
-  | Sys_enter i -> Fmt.pf ppf "sys_enter %d" i
-  | Sys_exit i -> Fmt.pf ppf "sys_exit %d" i
-  | Mem m ->
-    Fmt.pf ppf "%s a%d w%d ip%d" (rw_to_string m.rw) m.addr m.width m.ip
-
 (* Synthetic instruction address: a deterministic mix of the innermost
    function id, its immediate caller, the variable address and the access
    direction. Including the caller models how helper functions are

@@ -20,8 +20,6 @@ type t =
   | Sys_exit of int
   | Mem of mem
 
-val pp : Format.formatter -> t -> unit
-
 val ip_of : fn:int -> caller:int -> addr:int -> rw:rw -> int
 (** Synthetic instruction address: a deterministic mix of the innermost
     function, its immediate caller (modelling helper inlining), the

@@ -5,16 +5,6 @@ type kind = Pid | Mount | Uts | Ipc | Net | User | Cgroup | Time
 
 let all_kinds = [ Pid; Mount; Uts; Ipc; Net; User; Cgroup; Time ]
 
-let kind_to_string = function
-  | Pid -> "pid"
-  | Mount -> "mnt"
-  | Uts -> "uts"
-  | Ipc -> "ipc"
-  | Net -> "net"
-  | User -> "user"
-  | Cgroup -> "cgroup"
-  | Time -> "time"
-
 let kind_flag k =
   let open Kit_abi.Consts in
   match k with
@@ -63,6 +53,3 @@ let put set kind inst =
   | Cgroup -> { set with cgroup = inst }
   | Time -> { set with time = inst }
 
-let pp ppf set =
-  let field k = Fmt.str "%s:%d" (kind_to_string k) (get set k) in
-  Fmt.pf ppf "{%s}" (String.concat " " (List.map field all_kinds))

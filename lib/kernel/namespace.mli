@@ -5,7 +5,6 @@
 type kind = Pid | Mount | Uts | Ipc | Net | User | Cgroup | Time
 
 val all_kinds : kind list
-val kind_to_string : kind -> string
 
 val kind_flag : kind -> int
 (** The unshare/clone flag bit selecting this kind. *)
@@ -24,4 +23,3 @@ type set = {
 val initial : set
 val get : set -> kind -> int
 val put : set -> kind -> int -> set
-val pp : Format.formatter -> set -> unit

@@ -25,13 +25,10 @@ type t
 val init : Heap.t -> t
 
 val spawn : Ctx.t -> t -> uid:int -> ns:Namespace.set -> proc
-val find : Ctx.t -> t -> int -> proc option
 
 val find_exn : Ctx.t -> t -> int -> proc
 (** @raise Invalid_argument on unknown pids — a harness bug, not a
     kernel condition. *)
-
-val update : Ctx.t -> t -> proc -> unit
 
 val fd_install : Ctx.t -> t -> pid:int -> fd_obj -> int
 (** Install an fd object in [pid]'s table; returns the fd number. *)

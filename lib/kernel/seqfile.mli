@@ -11,13 +11,8 @@ type t
 
 val init : Heap.t -> Config.t -> t
 
-val puts : Ctx.t -> t -> string -> unit
-(** Append a line to the seq buffer (renderer side). *)
-
-val read_out : Ctx.t -> t -> string list -> string
-(** Drain the buffer into the reader's address space (read(2) side). *)
-
 val render : Ctx.t -> t -> netns:int -> string list -> string
-(** Emit every line through {!puts}, then hand the contents to the
-    reader. [netns] is the rendering namespace; under race bug #3 a
-    render racing a foreign render appends a truncation notice. *)
+(** Append every line to the seq buffer, then drain it into the
+    reader's address space. [netns] is the rendering namespace; under
+    race bug #3 a render racing a foreign render appends a truncation
+    notice. *)

@@ -57,4 +57,3 @@ let update ctx t sock =
 
 let remove ctx t id = Var.write ctx t.socks (Int_map.remove id (Var.read ctx t.socks))
 
-let fold ctx t f acc = Int_map.fold (fun _ s acc -> f s acc) (Var.read ctx t.socks) acc

@@ -30,4 +30,3 @@ val create :
 val find : Ctx.t -> t -> int -> sock option
 val update : Ctx.t -> t -> sock -> unit
 val remove : Ctx.t -> t -> int -> unit
-val fold : Ctx.t -> t -> (sock -> 'a -> 'a) -> 'a -> 'a

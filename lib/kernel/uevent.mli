@@ -7,8 +7,6 @@ type t
 
 val init : Heap.t -> Config.t -> t
 
-val emit : Ctx.t -> t -> netns:int -> string -> unit
-
 val netdev_create : Ctx.t -> t -> netns:int -> name:string ->
   (unit, Errno.t) result
 (** Register a network device and emit its rx/tx queue uevents;

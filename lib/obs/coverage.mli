@@ -26,8 +26,6 @@ val create : (string * int) list -> t
 (** [create vars] — the universe, as [(name, base_addr)] pairs in a
     deterministic (registration) order. Everything starts untouched. *)
 
-val size : t -> int
-
 (** {2 Marking}
 
     All marks are idempotent and ignore addresses outside the universe

@@ -11,8 +11,6 @@
     timestamps are only emitted with [~wall:true] — so the export of a
     fixed-seed campaign is byte-stable across runs (golden-tested). *)
 
-val version : int
-
 val lines :
   ?wall:bool -> ?meta:(string * Jsonl.t) list ->
   ?events:Tracer.event list -> ?dropped:int -> Metrics.snapshot ->
@@ -41,9 +39,6 @@ type line =
   | Event of Tracer.event
   | Dropped of int
       (** One parsed export line (blank lines yield nothing). *)
-
-val parse_line : line_no:int -> string -> (line option, string) result
-(** [line_no] only labels error messages. *)
 
 val fold_file : string -> init:'a -> f:('a -> line -> 'a) -> ('a, string) result
 (** Fold [f] over an export file one parsed line at a time, without

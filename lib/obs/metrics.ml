@@ -212,11 +212,3 @@ let absorb r snap =
         h.hc.n <- h.hc.n + n)
     snap
 
-let pp_value ppf = function
-  | Counter_v n -> Fmt.int ppf n
-  | Gauge_v v -> Fmt.pf ppf "%.6g" v
-  | Hist_v h ->
-    Fmt.pf ppf "count=%d sum=%.6g buckets=[%a]" h.n h.sum
-      (Fmt.list ~sep:(Fmt.any " ") Fmt.int)
-      h.counts
-

@@ -51,8 +51,6 @@ val gauge_value : gauge -> float
 
 (** {2 Histograms} *)
 
-val default_buckets : float array
-
 val histogram :
   ?volatile:bool -> ?always:bool -> ?buckets:float array -> registry ->
   string -> histogram
@@ -96,5 +94,3 @@ val absorb : registry -> snapshot -> unit
     {!snapshot} and [absorb] are serialised on a process-wide mutex;
     recording through an interned handle stays unsynchronised (lost
     increments under contention are acceptable telemetry noise). *)
-
-val pp_value : Format.formatter -> value -> unit

@@ -22,8 +22,6 @@ let create ?registry ?tracer () =
 
 let nop = { metrics = Metrics.create ~enabled:false (); tracer = Tracer.nop }
 
-let enabled t = Metrics.enabled t.metrics || Tracer.enabled t.tracer
-
 let snapshot ?volatile t = Metrics.snapshot ?volatile t.metrics
 
 let export_lines ?(wall = false) ?meta t =

@@ -19,8 +19,6 @@ val nop : t
 (** The shared disabled bundle: recording costs a bool check; always-on
     accounting counters (see {!Metrics.counter}) still count. *)
 
-val enabled : t -> bool
-
 val snapshot : ?volatile:bool -> t -> Metrics.snapshot
 
 val export_lines : ?wall:bool -> ?meta:(string * Jsonl.t) list -> t -> string list

@@ -22,9 +22,6 @@ type t = {
 val of_tree : Spantree.t -> t
 (** Instants contribute nothing; self time is clamped non-negative. *)
 
-val top : ?k:int -> t -> row list
-(** First [k] (default 10) rows. *)
-
 val find : t -> string -> row option
 
 val fingerprint : t -> string

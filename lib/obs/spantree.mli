@@ -52,14 +52,11 @@ val wall_duration : node -> float
 val det_duration : node -> int
 (** Deterministic duration [n_end - n_begin], clamped non-negative. *)
 
-val default_ignore_attrs : string list
-(** [["domain"; "worker"; "domains"]] — placement attrs excluded from
-    {!fingerprint} by default. *)
-
 val fingerprint : ?ignore:string list -> t -> string
 (** A hex digest of the causal structure: span names, non-ignored attrs
-    and nesting, with timestamps, sequence numbers and lane placement
-    excluded. Traces of the same campaign sharded over different domain
+    (by default all but the placement attrs ["domain"], ["worker"] and
+    ["domains"]) and nesting, with timestamps, sequence numbers and lane
+    placement excluded. Traces of the same campaign sharded over different domain
     counts digest identically. *)
 
 val render : ?max_depth:int -> t -> string

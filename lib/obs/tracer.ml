@@ -38,9 +38,6 @@ let create ?(cap = 4096) ?(enabled = true) () =
 let nop = create ~cap:1 ~enabled:false ()
 let dead_span = { sp_live = false; sp_name = ""; sp_attrs = [] }
 
-let enabled t = t.on
-let set_enabled t b = t.on <- b
-
 let record t kind ?time ?wall ~attrs name =
   let time = match time with Some v -> v | None -> t.next in
   let wall = match wall with Some w -> w | None -> Unix.gettimeofday () in
@@ -75,10 +72,6 @@ let events t =
       match t.buf.((first + i) mod t.cap) with
       | Some e -> e
       | None -> assert false)
-
-let clear t =
-  Array.fill t.buf 0 t.cap None;
-  t.next <- 0
 
 (* Interleave per-domain event rings into one deterministic stream: a
    k-way merge that repeatedly takes the ring whose HEAD event has the

@@ -29,9 +29,6 @@ val create : ?cap:int -> ?enabled:bool -> unit -> t
 val nop : t
 (** A shared inert tracer: recording is a single bool check. *)
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
 val span :
   t -> ?attrs:(string * string) list -> ?time:int -> ?wall:float -> string ->
   span
@@ -60,7 +57,6 @@ val recorded : t -> int
 (** Events ever recorded, including dropped ones. *)
 
 val dropped : t -> int
-val clear : t -> unit
 
 val interleave : event list list -> event list
 (** Interleave per-domain rings into one deterministic stream: a k-way

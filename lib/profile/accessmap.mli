@@ -48,9 +48,6 @@ val iter_chain : t -> int -> (int -> unit) -> unit
 val e_prog : t -> int -> int
 val e_sys_index : t -> int -> int
 val e_ip : t -> int -> int
-val e_stack_hash : t -> int -> int
-val e_next : t -> int -> int
-val e_stack : t -> int -> int list
 
 val e_context : t -> int -> k:int -> int list
 (** The [k] call-stack frames starting two above the instrumentation

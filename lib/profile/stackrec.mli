@@ -13,8 +13,6 @@ type access = {
   sys_index : int;         (** index of the syscall within the program *)
 }
 
-val hash_stack : int list -> int
-
 val replay : Kit_kernel.Kevent.t list -> access list
 (** Events must be in chronological order. *)
 

@@ -3,10 +3,4 @@
 
 val report : Kit_detect.Report.t -> string
 
-val keyed : Aggregate.keyed -> string
-(** A diagnosed report: culprit pair first, then the detail. *)
-
-val group : Aggregate.group -> string
-(** An aggregation group: its key, size and one representative member. *)
-
 val groups : Aggregate.group list -> string

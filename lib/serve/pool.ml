@@ -10,8 +10,8 @@
    carrying length-prefixed Marshal frames (Wire); the first job-pipe
    frame is a [Hello] with the worker's slot and sabotage, followed by
    one [Context] frame per registered tenant — spawned workers share no
-   memory, so campaign inputs travel the wire ([Marshal.Closures],
-   sound across the identical image).
+   memory, so campaign inputs travel the wire (plain data: the options
+   hold no closure).
 
    The pool core is tenant-agnostic plumbing: it spawns, feeds, reaps,
    heartbeat-kills and respawns workers, and reports what happened as
@@ -266,11 +266,10 @@ let status_to_string = function
 
 let send_context w ~tenant ~label ~options ~corpus =
   (* The context frame replaces the address space a fork would have
-     copied. [Marshal.Closures] carries the spec's checker closures;
-     the obs bundle is unmarshalable and private anyway — the worker
-     builds its own. *)
+     copied. The options are plain data once the obs bundle is dropped —
+     it is unmarshalable and private anyway; the worker builds its own. *)
   try
-    Wire.send ~flags:[ Marshal.Closures ] w.tx
+    Wire.send w.tx
       (Context
          { c_tenant = tenant; c_label = label;
            c_options = { options with Campaign.obs = None };

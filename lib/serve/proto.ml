@@ -1,12 +1,13 @@
 (* The kit-serve client/server protocol. See proto.mli.
 
    One request per connection over a Unix-domain SOCK_STREAM socket,
-   both directions framed by Wire (8-byte length + Marshal). Requests
-   and replies are closure-free plain data, so the default No_sharing
-   marshalling is enough — and an over-[Wire.max_frame] announcement
-   from a client surfaces as the typed [Wire.Oversized], which the
-   daemon answers with a clean [Rejected] reply instead of hanging up
-   (the connection is one-shot, so no re-synchronisation is needed). *)
+   both directions one Wire string frame (8-byte length + JSON). The
+   peer is any local process, so its bytes are parsed and validated by
+   the codecs below, never unmarshalled: a garbage request earns a
+   [Rejected] reply, not a crashed daemon. An over-[Wire.max_frame]
+   announcement surfaces as the typed [Wire.Oversized], which the
+   daemon also answers with a clean [Rejected] (the connection is
+   one-shot, so no re-synchronisation is needed). *)
 
 module Campaign = Kit_core.Campaign
 module Codec = Kit_core.Codec
@@ -149,6 +150,128 @@ type reply =
   | Acked
   | Bye
 
+(* -- request and reply codecs ----------------------------------------------
+
+   A constructor is its tag as a string when it has no payload, or a
+   one-field object {tag: payload}. Decoders are total, like Codec's. *)
+
+let tagged tag payload = Jsonl.Obj [ (tag, payload) ]
+
+let constructor = function
+  | Jsonl.Str tag -> Ok (tag, None)
+  | Jsonl.Obj [ (tag, payload) ] -> Ok (tag, Some payload)
+  | _ -> Error "expected a constructor"
+
+let request_to_json = function
+  | Submit spec -> tagged "submit" (spec_to_json spec)
+  | Extend { x_name; x_add } ->
+    tagged "extend"
+      (Jsonl.Obj [ ("name", Jsonl.Str x_name); ("add", Jsonl.Int x_add) ])
+  | Status -> Jsonl.Str "status"
+  | Results name -> tagged "results" (Jsonl.Str name)
+  | Cancel name -> tagged "cancel" (Jsonl.Str name)
+  | Shutdown -> Jsonl.Str "shutdown"
+
+let request_of_json j =
+  let open Codec in
+  let* tag, payload = constructor j in
+  match tag, payload with
+  | "submit", Some p -> Result.map (fun s -> Submit s) (spec_of_json p)
+  | "extend", Some p ->
+    let* x_name = field "name" string p in
+    let* x_add = field "add" int p in
+    Ok (Extend { x_name; x_add })
+  | "status", None -> Ok Status
+  | "results", Some p -> Result.map (fun n -> Results n) (string p)
+  | "cancel", Some p -> Result.map (fun n -> Cancel n) (string p)
+  | "shutdown", None -> Ok Shutdown
+  | _ -> Error ("unknown request " ^ tag)
+
+let pool_status_to_json p =
+  Jsonl.Obj
+    [ ("procs", Jsonl.Int p.ps_procs); ("live", Jsonl.Int p.ps_live);
+      ("spawns", Jsonl.Int p.ps_spawns); ("deaths", Jsonl.Int p.ps_deaths);
+      ("respawns", Jsonl.Int p.ps_respawns) ]
+
+let pool_status_of_json j =
+  let open Codec in
+  let* ps_procs = field "procs" int j in
+  let* ps_live = field "live" int j in
+  let* ps_spawns = field "spawns" int j in
+  let* ps_deaths = field "deaths" int j in
+  let* ps_respawns = field "respawns" int j in
+  Ok { ps_procs; ps_live; ps_spawns; ps_deaths; ps_respawns }
+
+let tenant_status_to_json s =
+  let i n = Jsonl.Int n in
+  Jsonl.Obj
+    [ ("name", Jsonl.Str s.ts_name); ("id", i s.ts_id);
+      ("state", Jsonl.Str s.ts_state); ("weight", i s.ts_weight);
+      ("done", i s.ts_done); ("total", i s.ts_total);
+      ("executions", i s.ts_executions); ("reports", i s.ts_reports);
+      ("resumed", i s.ts_resumed); ("dispatched", i s.ts_dispatched);
+      ("contended", i s.ts_contended); ("steals", i s.ts_steals);
+      ("cov_vars", i s.ts_cov_vars); ("cov_paired", i s.ts_cov_paired);
+      ("cov_attributed", i s.ts_cov_attributed);
+      ("cov_gaps", i s.ts_cov_gaps) ]
+
+let tenant_status_of_json j =
+  let open Codec in
+  let* ts_name = field "name" string j in
+  let* ts_id = field "id" int j in
+  let* ts_state = field "state" string j in
+  let* ts_weight = field "weight" int j in
+  let* ts_done = field "done" int j in
+  let* ts_total = field "total" int j in
+  let* ts_executions = field "executions" int j in
+  let* ts_reports = field "reports" int j in
+  let* ts_resumed = field "resumed" int j in
+  let* ts_dispatched = field "dispatched" int j in
+  let* ts_contended = field "contended" int j in
+  let* ts_steals = field "steals" int j in
+  let* ts_cov_vars = field "cov_vars" int j in
+  let* ts_cov_paired = field "cov_paired" int j in
+  let* ts_cov_attributed = field "cov_attributed" int j in
+  let* ts_cov_gaps = field "cov_gaps" int j in
+  Ok
+    { ts_name; ts_id; ts_state; ts_weight; ts_done; ts_total; ts_executions;
+      ts_reports; ts_resumed; ts_dispatched; ts_contended; ts_steals;
+      ts_cov_vars; ts_cov_paired; ts_cov_attributed; ts_cov_gaps }
+
+let reply_to_json = function
+  | Accepted { a_name; a_id } ->
+    tagged "accepted"
+      (Jsonl.Obj [ ("name", Jsonl.Str a_name); ("id", Jsonl.Int a_id) ])
+  | Rejected why -> tagged "rejected" (Jsonl.Str why)
+  | Status_is { st_pool; st_tenants } ->
+    tagged "status"
+      (Jsonl.Obj
+         [ ("pool", pool_status_to_json st_pool);
+           ("tenants", Jsonl.List (List.map tenant_status_to_json st_tenants)) ])
+  | Summary s -> tagged "summary" (Jsonl.Str s)
+  | Not_ready state -> tagged "not_ready" (Jsonl.Str state)
+  | Acked -> Jsonl.Str "acked"
+  | Bye -> Jsonl.Str "bye"
+
+let reply_of_json j =
+  let open Codec in
+  let* tag, payload = constructor j in
+  match tag, payload with
+  | "accepted", Some p ->
+    let* a_name = field "name" string p in
+    let* a_id = field "id" int p in
+    Ok (Accepted { a_name; a_id })
+  | "rejected", Some p -> Result.map (fun s -> Rejected s) (string p)
+  | "status", Some p ->
+    let* st_pool = field "pool" pool_status_of_json p in
+    let* st_tenants = field "tenants" (list tenant_status_of_json) p in
+    Ok (Status_is { st_pool; st_tenants })
+  | "summary", Some p -> Result.map (fun s -> Summary s) (string p)
+  | "not_ready", Some p -> Result.map (fun s -> Not_ready s) (string p)
+  | "acked", None -> Ok Acked
+  | "bye", None -> Ok Bye
+  | _ -> Error ("unknown reply " ^ tag)
+
 (* -- the deterministic results summary ------------------------------------ *)
 
 (* Byte-identical between a tenant's [kit results] and a solo
@@ -226,12 +349,15 @@ let request socket (req : request) : (reply, string) result =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        match Wire.send fd req with
+        match Wire.send_string fd (Jsonl.to_string (request_to_json req)) with
         | exception (Unix.Unix_error _ | Sys_error _) ->
           Error "the daemon hung up before reading the request"
         | () -> (
-          match (Wire.recv fd : reply option) with
-          | Some reply -> Ok reply
+          match Wire.recv_string fd with
+          | Some payload ->
+            Result.map_error
+              (fun e -> "undecodable reply: " ^ e)
+              (Codec.parse reply_of_json payload)
           | None -> Error "the daemon hung up without replying"
           | exception Wire.Oversized { announced; limit } ->
             Error

@@ -5,10 +5,12 @@
     [kit cancel]).
 
     Transport: one request per connection over a [SOCK_STREAM]
-    Unix-domain socket, each direction a single {!Wire} frame. A client
-    announcing a frame beyond [Wire.max_frame] surfaces server-side as
-    the typed {!Wire.Oversized}, which the daemon answers with a clean
-    {!reply.Rejected} instead of dropping the connection. *)
+    Unix-domain socket, each direction a single {!Wire} string frame
+    holding JSON ({!request_to_json}, {!reply_to_json}). The daemon
+    parses and validates every request and never unmarshals a peer's
+    bytes: an undecodable request, or one announcing a frame beyond
+    [Wire.max_frame] (the typed {!Wire.Oversized}), is answered with a
+    clean {!reply.Rejected}. *)
 
 (** What a tenant asks the daemon to run: the same knobs as a solo
     [kit campaign], plus the scheduling contract ([sp_weight] for the
@@ -107,6 +109,19 @@ type reply =
   | Acked                              (** cancel acknowledged *)
   | Bye                                (** daemon is shutting down *)
 
+(** {2 Codecs}
+
+    A constructor without payload is its tag as a JSON string
+    (["status"]); one with a payload is a one-field object
+    ([{"results": "alpha"}]). Decoders are total: malformed input is an
+    [Error], never an exception. A [Submit] decodes through
+    {!spec_of_json}, so its name is validated. *)
+
+val request_to_json : request -> Kit_obs.Jsonl.t
+val request_of_json : request Kit_core.Codec.decoder
+val reply_to_json : reply -> Kit_obs.Jsonl.t
+val reply_of_json : reply Kit_core.Codec.decoder
+
 val summary : Kit_core.Campaign.t -> string
 (** The deterministic campaign summary: strategy + cluster/report
     counts, the filtering funnel (Table 5), the new-bug oracle line,
@@ -130,4 +145,5 @@ val connect : string -> Unix.file_descr
 val request : string -> request -> (reply, string) result
 (** One-shot client call: connect to the socket path, send the request,
     read the single reply, close. All transport failures (daemon absent,
-    hang-up, oversized reply) come back as [Error message]. *)
+    hang-up, oversized or undecodable reply) come back as
+    [Error message]. *)

@@ -12,6 +12,8 @@ module Jobqueue = Kit_core.Jobqueue
 module Obs = Kit_obs.Obs
 module Metrics = Kit_obs.Metrics
 module Tracer = Kit_obs.Tracer
+module Jsonl = Kit_obs.Jsonl
+module Codec = Kit_core.Codec
 
 type config = {
   sc_pool : Pool.config;
@@ -369,25 +371,27 @@ let handle_client t ~stop cfd =
   Fun.protect
     ~finally:(fun () -> try Unix.close cfd with Unix.Unix_error _ -> ())
     (fun () ->
+      let reject why = Metrics.inc (sm "rejected" t); Some (Proto.Rejected why) in
       let reply =
-        match (Wire.recv cfd : Proto.request option) with
-        | Some req ->
-          if req = Proto.Shutdown then stop := true;
-          Some (request t req)
+        match Wire.recv_string cfd with
+        | Some payload -> (
+          match Codec.parse Proto.request_of_json payload with
+          | Ok req ->
+            if req = Proto.Shutdown then stop := true;
+            Some (request t req)
+          | Error e -> reject ("undecodable request: " ^ e))
         | None -> None
         | exception Wire.Oversized { announced; limit } ->
-          (* satellite 2: a too-large submission gets a clean protocol
-             reply instead of a dropped connection *)
-          Metrics.inc (sm "rejected" t);
-          Some
-            (Proto.Rejected
-               (Printf.sprintf
-                  "request frame too large (%d bytes, limit %d)" announced
-                  limit))
+          (* a too-large request gets a clean protocol reply instead of
+             a dropped connection *)
+          reject
+            (Printf.sprintf "request frame too large (%d bytes, limit %d)"
+               announced limit)
       in
       match reply with
       | Some r -> (
-        try Wire.send cfd r with Unix.Unix_error _ | Sys_error _ -> ())
+        try Wire.send_string cfd (Jsonl.to_string (Proto.reply_to_json r))
+        with Unix.Unix_error _ | Sys_error _ -> ())
       | None -> ())
 
 let serve ?(log = fun (_ : string) -> ()) t ~socket =

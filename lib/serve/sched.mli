@@ -83,8 +83,6 @@ val drain : t -> unit
 (** Step until no tenant is pending or active — the in-process
     equivalent of letting the daemon idle. *)
 
-val busy : t -> bool
-
 val tenants : t -> Tenant.t list
 (** In submission order. *)
 

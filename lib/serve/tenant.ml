@@ -29,6 +29,18 @@ let phase_string = function
   | Cancelled -> "cancelled"
   | Failed why -> "failed: " ^ why
 
+(* What [status] shows of a run, and what each save records in the
+   log header, so a restored tenant — which has no run — shows the
+   numbers it had. [p_reports] is -1 until the tenant finishes. *)
+type progress = {
+  p_done : int;
+  p_total : int;
+  p_executions : int;
+  p_reports : int;
+}
+
+let no_progress = { p_done = 0; p_total = 0; p_executions = 0; p_reports = -1 }
+
 type t = {
   t_id : int;
   mutable t_spec : Proto.spec;
@@ -36,6 +48,7 @@ type t = {
   t_path : string option;               (* the log's file, with a state dir *)
   t_log : Campaign.log;                 (* outlives activations *)
   t_torn : int;                         (* torn-tail bytes dropped at load *)
+  mutable t_saved : progress;           (* the log's, at load *)
   mutable t_run : Campaign.run option;  (* the last activation's *)
   mutable t_jobs : Pool.jobs option;    (* while Active *)
   (* scheduling state, owned by Sched *)
@@ -52,9 +65,36 @@ let ckpt_kind = "serve-tenant-v4"
 
 let name t = t.t_spec.Proto.sp_name
 
+let progress t =
+  match t.t_run with
+  | None -> t.t_saved
+  | Some r ->
+    { p_done = Campaign.run_completed r;
+      p_total = Campaign.run_cases r;
+      p_executions = Campaign.run_executions r;
+      p_reports =
+        (match t.t_result with
+        | Some c -> List.length c.Campaign.reports
+        | None -> -1) }
+
+let progress_to_json p =
+  Jsonl.Obj
+    [ ("done", Jsonl.Int p.p_done); ("total", Jsonl.Int p.p_total);
+      ("executions", Jsonl.Int p.p_executions);
+      ("reports", Jsonl.Int p.p_reports) ]
+
+let progress_of_json j =
+  let open Codec in
+  let* p_done = field "done" int j in
+  let* p_total = field "total" int j in
+  let* p_executions = field "executions" int j in
+  let* p_reports = field "reports" int j in
+  Ok { p_done; p_total; p_executions; p_reports }
+
 let header t =
   [ ("spec", Proto.spec_to_json t.t_spec);
-    ("finished", Jsonl.Bool (t.t_phase = Finished)) ]
+    ("finished", Jsonl.Bool (t.t_phase = Finished));
+    ("progress", progress_to_json (progress t)) ]
   @ match t.t_summary with Some s -> [ ("summary", Jsonl.Str s) ] | None -> []
 
 (* The log's header reads the tenant at each save: the spec grows with
@@ -67,7 +107,8 @@ let make ~id ~path ~every ~torn spec entries =
         Caselog.log ~kind:ckpt_kind
           ~header:(fun () -> Option.fold ~none:[] ~some:header !self)
           ~delete:false ~every path entries;
-      t_torn = torn; t_run = None; t_jobs = None; t_deficit = 0.0;
+      t_torn = torn; t_saved = no_progress; t_run = None; t_jobs = None;
+      t_deficit = 0.0;
       t_dispatched = 0; t_contended = 0; t_steals = 0; t_result = None;
       t_summary = None }
   in
@@ -87,10 +128,9 @@ let torn t = t.t_torn
 let log t = t.t_log
 let jobs t = t.t_jobs
 
-let progress f t = match t.t_run with Some r -> f r | None -> 0
-let total = progress Campaign.run_cases
-let completed = progress Campaign.run_completed
-let resumed = progress Campaign.run_replayed
+let total t = (progress t).p_total
+let completed t = (progress t).p_done
+let resumed t = match t.t_run with Some r -> Campaign.run_replayed r | None -> 0
 
 (* -- lifecycle ------------------------------------------------------------ *)
 
@@ -179,17 +219,15 @@ let cov_summary field t =
   | None -> -1
 
 let status t =
+  let p = progress t in
   { Proto.ts_name = name t;
     ts_id = t.t_id;
     ts_state = phase_string t.t_phase;
     ts_weight = weight t;
-    ts_done = completed t;
-    ts_total = total t;
-    ts_executions = progress Campaign.run_executions t;
-    ts_reports =
-      (match t.t_result with
-      | Some c -> List.length c.Campaign.reports
-      | None -> -1);
+    ts_done = p.p_done;
+    ts_total = p.p_total;
+    ts_executions = p.p_executions;
+    ts_reports = p.p_reports;
     ts_resumed = resumed t;
     ts_dispatched = t.t_dispatched;
     ts_contended = t.t_contended;
@@ -210,10 +248,11 @@ let header_of_json j =
       (fun s -> Result.map Option.some (string s))
       j
   in
-  Ok (spec, finished, summary)
+  let* progress = field_or "progress" ~default:no_progress progress_of_json j in
+  Ok (spec, finished, summary, progress)
 
-(* Entries accumulate across records; the last record's spec, flag and
-   summary win. *)
+(* Entries accumulate across records; the last record's spec, flag,
+   summary and progress win. *)
 let of_checkpoint ~every ~id path =
   match Caselog.read path ~kind:ckpt_kind header_of_json with
   | Error e -> Error (Checkpoint.error_to_string e)
@@ -222,10 +261,13 @@ let of_checkpoint ~every ~id path =
       (Checkpoint.error_to_string
          (Checkpoint.Checkpoint_corrupt (path ^ ": no complete record")))
   | Ok (rs, torn) ->
-    let (spec, finished, summary), _ = List.nth rs (List.length rs - 1) in
+    let (spec, finished, summary, progress), _ =
+      List.nth rs (List.length rs - 1)
+    in
     let t =
       make ~id ~path:(Some path) ~every ~torn spec (List.concat_map snd rs)
     in
+    t.t_saved <- progress;
     if finished then begin
       t.t_phase <- Finished;
       t.t_summary <- summary

@@ -36,10 +36,13 @@ val weight : t -> int
 (** At least 1, whatever the spec says. *)
 
 val total : t -> int
-(** Representative count of the last activation; 0 before one. *)
+(** Representative count of the last activation; 0 before one. A
+    restored tenant reports what its log recorded until it is
+    activated again. *)
 
 val completed : t -> int
-(** Representatives with a result, replayed or completed. *)
+(** Representatives with a result, replayed or completed (restored
+    like {!total}). *)
 
 val resumed : t -> int
 (** Representatives replayed from the log at the last activation. *)
@@ -98,13 +101,15 @@ val note_dispatch : t -> contended:bool -> stolen:bool -> unit
 (** {2 Checkpoints}
 
     Kind ["serve-tenant-v4"]: a case-result log ({!Kit_core.Caselog})
-    whose header is the spec ({!Proto.spec_to_json}), the finished flag
-    and the summary once finished. Its entries are every completion,
+    whose header is the spec ({!Proto.spec_to_json}), the finished flag,
+    the progress {!status} shows (done, total, executions, reports) and
+    the summary once finished. Its entries are every completion,
     a twice-lethal quarantine included, so a resumed or extended tenant
     replays the quarantine instead of feeding the case to more
     workers. On load, entries accumulate over the records and the last
-    record's spec, flag and summary win. Files of other kinds load as
-    an [Error]. *)
+    record's spec, flag, progress and summary win; a log written before
+    headers carried progress loads with zeros. Files of other kinds
+    load as an [Error]. *)
 
 val ckpt_kind : string
 

@@ -1,4 +1,5 @@
-(* Length-prefixed Marshal frames over pipes. See wire.mli. *)
+(* Length-prefixed frames: raw strings, and Marshal values on top of
+   them. See wire.mli. *)
 
 let max_frame = 16 * 1024 * 1024
 
@@ -10,12 +11,11 @@ let rec write_all fd buf ofs len =
     write_all fd buf (ofs + n) (len - n)
   end
 
-let send ?(flags = [ Marshal.No_sharing ]) fd v =
-  let payload = Marshal.to_bytes v flags in
-  let len = Bytes.length payload in
+let send_string fd payload =
+  let len = String.length payload in
   let frame = Bytes.create (8 + len) in
   Bytes.set_int64_be frame 0 (Int64.of_int len);
-  Bytes.blit payload 0 frame 8 len;
+  Bytes.blit_string payload 0 frame 8 len;
   (* One write_all for header+payload: a frame is either fully queued or
      the exception surfaces before any payload byte is torn off. *)
   write_all fd frame 0 (8 + len)
@@ -33,20 +33,24 @@ let read_exactly fd len =
   in
   go 0
 
-let recv fd =
+let recv_string fd =
   match read_exactly fd 8 with
   | None -> None
-  | Some header -> (
+  | Some header ->
     let len = Int64.to_int (Bytes.get_int64_be header 0) in
     (* A negative length is stream garbage; a well-formed but huge
        announcement is a distinct, recoverable condition — the serve
        protocol rejects it with a clean reply instead of hanging up. *)
     if len > max_frame then raise (Oversized { announced = len; limit = max_frame })
     else if len < 0 then None
-    else
-      match read_exactly fd len with
-      | None -> None
-      | Some payload -> (
-        match Marshal.from_bytes payload 0 with
-        | v -> Some v
-        | exception Failure _ -> None))
+    else Option.map Bytes.unsafe_to_string (read_exactly fd len)
+
+let send fd v = send_string fd (Marshal.to_string v [ Marshal.No_sharing ])
+
+let recv fd =
+  match recv_string fd with
+  | None -> None
+  | Some payload -> (
+    match Marshal.from_string payload 0 with
+    | v -> Some v
+    | exception Failure _ -> None)

@@ -1,14 +1,18 @@
-(** Length-prefixed [Marshal] framing over pipe file descriptors — the
-    parent/worker wire protocol of the process pool.
+(** Length-prefixed frames over file descriptors. Each frame is an
+    8-byte big-endian payload length followed by the payload; reads are
+    exact, so a closed or half-written stream surfaces as [None], never
+    as a crash inside a decoder.
 
-    Each frame is an 8-byte big-endian payload length followed by the
-    Marshal bytes. Reads are exact: a closed or half-written pipe
-    surfaces as [None] from {!recv}, never as a crash inside the
-    deserialiser — the pool treats it as worker (or parent) death.
-
-    Both ends of every pipe live in the same executable image (the
-    workers are forks), so Marshal's type-unsafety is confined to the
-    usual rule: send and receive sites must agree on the frame type. *)
+    Two payload encodings share the framing:
+    - {!send}/{!recv} carry [Marshal] bytes — the process pool's pipes,
+      whose two ends run the identical executable image (the workers
+      re-execute it), so send and receive sites agree on the frame type
+      and every value sent is plain data (no closure, no sharing);
+    - {!send_string}/{!recv_string} carry raw strings — the [kit serve]
+      socket, where the peer is any local process, so payloads are JSON
+      and the receiver validates them ({!Proto.request_of_json}).
+      Unmarshalling bytes from an untrusted peer can crash the process;
+      parsing a string cannot. *)
 
 val max_frame : int
 (** Sanity bound on a single frame (16 MiB). *)
@@ -19,16 +23,19 @@ exception Oversized of { announced : int; limit : int }
     reject a too-large message with a clean reply; the pool treats it
     like peer death (the stream cannot be re-synchronised). *)
 
-val send : ?flags:Marshal.extern_flags list -> Unix.file_descr -> 'a -> unit
-(** Write one frame. Loops over partial writes. [flags] defaults to
-    [[Marshal.No_sharing]]; the pool's bootstrap frame passes
-    [[Marshal.Closures]] instead — sound because both ends run the
-    identical executable image, which Marshal checks via the code
-    fragment digest.
+val send_string : Unix.file_descr -> string -> unit
+(** Write one frame. Loops over partial writes.
     @raise Unix.Unix_error e.g. [EPIPE] when the peer is gone — callers
     treat it as peer death. *)
 
-val recv : Unix.file_descr -> 'a option
-(** Read one frame. [None] on EOF, truncation mid-frame, a negative
-    length prefix, or undecodable payload bytes.
+val recv_string : Unix.file_descr -> string option
+(** Read one frame. [None] on EOF, truncation mid-frame or a negative
+    length prefix.
     @raise Oversized on an over-{!max_frame} length announcement. *)
+
+val send : Unix.file_descr -> 'a -> unit
+(** {!send_string} of the value's [Marshal] bytes ([No_sharing]). *)
+
+val recv : Unix.file_descr -> 'a option
+(** {!recv_string}, unmarshalled; [None] also on undecodable payload
+    bytes. *)

@@ -1,18 +1,30 @@
-(* Callback checker functions (paper, section 4.3.1, first encoding
-   format): user-written predicates that select system calls accessing
-   namespace-protected resources by inspecting the call signature. *)
+(* Checker functions (paper, section 4.3.1, first encoding format):
+   predicates that select system calls accessing namespace-protected
+   resources by inspecting the call signature. A closed variant rather
+   than closures, so a specification stays plain data. *)
 
 module Program = Kit_abi.Program
 module Sysno = Kit_abi.Sysno
 module Value = Kit_abi.Value
 module Consts = Kit_abi.Consts
 
-type t = {
-  id : string;
-  matches : Program.call -> bool;
-}
+type t =
+  | Hostname
+  | Prio_user
+  | Conntrack_sysctl
+  | Mount_paths
+  | Netdev
+  | Ipvs
+  | Conntrack_entries
 
-let make id matches = { id; matches }
+let id = function
+  | Hostname -> "uts-hostname"
+  | Prio_user -> "prio-user"
+  | Conntrack_sysctl -> "conntrack-sysctl"
+  | Mount_paths -> "mount-paths"
+  | Netdev -> "netdev"
+  | Ipvs -> "ipvs"
+  | Conntrack_entries -> "conntrack-entries"
 
 let int_arg (call : Program.call) i =
   match List.nth_opt call.Program.args i with
@@ -26,47 +38,31 @@ let str_arg (call : Program.call) i =
 
 let is_sys s (call : Program.call) = Sysno.equal call.Program.sysno s
 
-(* --- the checkers of the default specification ------------------------ *)
+let matches t c =
+  match t with
+  | Hostname ->
+    (* UTS namespace: hostname reads and writes. *)
+    is_sys Sysno.Gethostname c || is_sys Sysno.Sethostname c
+  | Prio_user ->
+    (* PID/user namespaces: per-user priorities (PRIO_USER only). *)
+    (is_sys Sysno.Getpriority c || is_sys Sysno.Setpriority c)
+    && int_arg c 0 = Some Consts.prio_user
+  | Conntrack_sysctl ->
+    (* net namespace: the conntrack sysctls are namespaced state. *)
+    (is_sys Sysno.Sysctl_read c || is_sys Sysno.Sysctl_write c)
+    && str_arg c 0 = Some Consts.sysctl_conntrack_max
+  | Mount_paths -> (
+    (* mount namespace: path resolution of non-proc paths. *)
+    (is_sys Sysno.Io_uring_read c || is_sys Sysno.Creat c || is_sys Sysno.Open c)
+    &&
+    match str_arg c 0 with
+    | Some path ->
+      String.length path >= 5 && String.equal (String.sub path 0 5) "/tmp/"
+    | None -> false)
+  | Netdev -> is_sys Sysno.Netdev_create c
+  | Ipvs -> is_sys Sysno.Ipvs_add_service c
+  | Conntrack_entries -> is_sys Sysno.Conntrack_add c
 
-(* UTS namespace: hostname reads and writes. *)
-let hostname =
-  make "uts-hostname" (fun c ->
-      is_sys Sysno.Gethostname c || is_sys Sysno.Sethostname c)
-
-(* PID/user namespaces: per-user priorities (PRIO_USER only). *)
-let prio_user =
-  make "prio-user" (fun c ->
-      (is_sys Sysno.Getpriority c || is_sys Sysno.Setpriority c)
-      && int_arg c 0 = Some Consts.prio_user)
-
-(* net namespace: the conntrack sysctls are namespaced state. *)
-let conntrack_sysctl =
-  make "conntrack-sysctl" (fun c ->
-      (is_sys Sysno.Sysctl_read c || is_sys Sysno.Sysctl_write c)
-      && str_arg c 0 = Some Consts.sysctl_conntrack_max)
-
-(* mount namespace: path resolution of non-proc paths. *)
-let mount_paths =
-  make "mount-paths" (fun c ->
-      (is_sys Sysno.Io_uring_read c || is_sys Sysno.Creat c
-      || is_sys Sysno.Open c)
-      &&
-      match str_arg c 0 with
-      | Some path ->
-        String.length path >= 5 && String.equal (String.sub path 0 5) "/tmp/"
-      | None -> false)
-
-(* net namespace: network device registration. *)
-let netdev =
-  make "netdev" (fun c -> is_sys Sysno.Netdev_create c)
-
-(* net namespace: IPVS service configuration. *)
-let ipvs = make "ipvs" (fun c -> is_sys Sysno.Ipvs_add_service c)
-
-(* net namespace: conntrack entries. *)
-let conntrack_entries =
-  make "conntrack-entries" (fun c -> is_sys Sysno.Conntrack_add c)
-
-let defaults =
-  [ hostname; prio_user; conntrack_sysctl; mount_paths; netdev; ipvs;
-    conntrack_entries ]
+let all =
+  [ Hostname; Prio_user; Conntrack_sysctl; Mount_paths; Netdev; Ipvs;
+    Conntrack_entries ]

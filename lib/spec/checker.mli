@@ -1,22 +1,25 @@
-(** Callback checker functions (paper, section 4.3.1, first encoding
-    format): predicates selecting system calls that access
-    namespace-protected resources by inspecting the call signature. *)
+(** Checker functions (paper, section 4.3.1, first encoding format):
+    predicates selecting system calls that access namespace-protected
+    resources by inspecting the call signature.
 
-type t = {
-  id : string;
-  matches : Kit_abi.Program.call -> bool;
-}
+    The checkers are a closed set of plain values, so a specification
+    is data: it compares with [=], marshals without closures and is
+    named in a checkpoint header by its checkers' {!id}s. *)
 
-val make : string -> (Kit_abi.Program.call -> bool) -> t
+type t =
+  | Hostname           (** UTS: gethostname / sethostname *)
+  | Prio_user          (** PID/user: get/setpriority on PRIO_USER *)
+  | Conntrack_sysctl   (** net: the conntrack_max sysctl *)
+  | Mount_paths        (** mount: /tmp/ path resolution *)
+  | Netdev             (** net: network device registration *)
+  | Ipvs               (** net: IPVS service configuration *)
+  | Conntrack_entries  (** net: conntrack entries *)
 
-(** {1 The checkers of the default specification} *)
+val id : t -> string
+(** A stable name ("uts-hostname", "prio-user", ...): the spec's
+    identity in a campaign log header. *)
 
-val hostname : t
-val prio_user : t
-val conntrack_sysctl : t
-val mount_paths : t
-val netdev : t
-val ipvs : t
-val conntrack_entries : t
+val matches : t -> Kit_abi.Program.call -> bool
 
-val defaults : t list
+val all : t list
+(** Every checker — the default specification's. *)

@@ -5,15 +5,17 @@
    *partial* and incrementally refined: the default over-approximates
    /proc files outside /proc/net as protected, which is exactly what lets
    the minor-device-number and /proc/crypto false positives through — as
-   observed in the paper's section 6.4. *)
+   observed in the paper's section 6.4. A specification is plain data:
+   checkers are a closed variant and seed calls are named by syscall. *)
 
 module Program = Kit_abi.Program
 module Fdtype = Kit_abi.Fdtype
+module Sysno = Kit_abi.Sysno
 
 type t = {
   protected_fd_types : Fdtype.t list;
   checkers : Checker.t list;
-  seed_selectors : (Program.call -> bool) list;
+  seed_selectors : Sysno.t list;
   protected_var_prefixes : string list;
 }
 
@@ -28,11 +30,6 @@ let default_var_prefixes =
     "crypto."; "devid."; "ipvs."; "uevent."; "sched."; "uts."; "ipc.";
     "mnt."; "timens." ]
 
-let make ?(seed_selectors = [])
-    ?(protected_var_prefixes = default_var_prefixes) ~protected_fd_types
-    ~checkers () =
-  { protected_fd_types; checkers; seed_selectors; protected_var_prefixes }
-
 let default =
   {
     protected_fd_types =
@@ -45,7 +42,7 @@ let default =
            filtering the paper reports (61 FP reports, section 6.4). *)
         Fdtype.Procfs_misc ]
       (* Fdtype.Token deliberately unprotected: its ids are unreachable. *);
-    checkers = Checker.defaults;
+    checkers = Checker.all;
     seed_selectors = [];
     protected_var_prefixes = default_var_prefixes;
   }
@@ -91,11 +88,13 @@ let call_protected t prog types i =
     in
     let seed_dependent =
       List.exists
-        (fun seed -> Seed_dep.is_dependent prog ~seed i)
+        (fun sysno ->
+          Seed_dep.is_dependent prog i ~seed:(fun (c : Program.call) ->
+              Sysno.equal c.Program.sysno sysno))
         t.seed_selectors
     in
     returns_protected || uses_protected || seed_dependent
-    || List.exists (fun c -> c.Checker.matches call) t.checkers
+    || List.exists (fun c -> Checker.matches c call) t.checkers
 
 (* The protected call indices of a whole program. *)
 let protected_indices t prog =
@@ -108,10 +107,10 @@ let protected_indices t prog =
   collect 0 []
 
 (* Highlight seed calls (paper, section 5.3): every call with an
-   explicit data dependency on a call matching [seed] becomes selected,
-   in addition to the existing rules. *)
-let with_seed_selector t seed =
-  { t with seed_selectors = seed :: t.seed_selectors }
+   explicit data dependency on a call to [sysno] becomes selected, in
+   addition to the existing rules. *)
+let with_seed_selector t sysno =
+  { t with seed_selectors = sysno :: t.seed_selectors }
 
 (* Summary used in documentation/tests: how many rules the spec holds. *)
 let rule_counts t =

@@ -7,30 +7,27 @@
     refined: {!default} over-approximates /proc files outside /proc/net
     as protected, which is exactly what lets the minor-device-number and
     /proc/crypto false positives through — as the paper observes in
-    section 6.4. {!refined} is the spec after that triage. *)
+    section 6.4. {!refined} is the spec after that triage.
+
+    A specification is plain data — fd types, {!Checker.t} values,
+    syscall numbers and strings, no closure — so it compares with [=]
+    and crosses the pool's pipes in an ordinary [Marshal] frame. *)
 
 type t = {
   protected_fd_types : Kit_abi.Fdtype.t list;
   checkers : Checker.t list;
-  seed_selectors : (Kit_abi.Program.call -> bool) list;
-    (** user-highlighted seed calls; every call with an explicit data
-        dependency on one is selected (paper, section 5.3) *)
+  seed_selectors : Kit_abi.Sysno.t list;
+    (** user-highlighted seed calls, by syscall; every call with an
+        explicit data dependency on one is selected (paper, section
+        5.3) *)
   protected_var_prefixes : string list;
     (** subsystem prefixes of kernel shared variables that hold
         namespace-protected state ("net.", "ipc.", …) — the coverage
         ledger's universe *)
 }
 
-val make :
-  ?seed_selectors:(Kit_abi.Program.call -> bool) list ->
-  ?protected_var_prefixes:string list ->
-  protected_fd_types:Kit_abi.Fdtype.t list ->
-  checkers:Checker.t list -> unit -> t
-
 val default : t
 val refined : t
-
-val fd_type_protected : t -> Kit_abi.Fdtype.t -> bool
 
 val var_protected : t -> string -> bool
 (** Is a kernel shared variable (by registration name, e.g.
@@ -45,9 +42,9 @@ val call_protected :
 
 val protected_indices : t -> Kit_abi.Program.t -> int list
 
-val with_seed_selector : t -> (Kit_abi.Program.call -> bool) -> t
+val with_seed_selector : t -> Kit_abi.Sysno.t -> t
 (** Highlight seed calls: every call with an explicit data dependency on
-    a call matching the selector becomes selected, in addition to the
+    a call to the given syscall becomes selected, in addition to the
     existing rules. *)
 
 val rule_counts : t -> int * int

@@ -36,7 +36,6 @@ val with_flags : t -> det:bool -> t list -> t
     structurally identical to [t.children] (only det flags may differ):
     hash, size and child count are carried over unchanged. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val equal : t -> t -> bool

@@ -16,7 +16,6 @@ and kind =
   | Interior
 
 val min_slack : int
-val spread_factor : int
 
 val learn : Ast.t -> Ast.t list -> t
 (** [learn reference alternatives] builds a bounds tree from

@@ -176,6 +176,113 @@ let test_out_of_range_serve_flags_refused () =
             ("submit" :: socket) @ [ "--name"; "t"; "--max-inflight=-1" ] );
           ("--add", ("extend" :: socket) @ [ "t"; "--add"; "0" ]) ])
 
+(* The daemon's socket, driven through the built binary. A peer is any
+   local process, so frames that are not a request — the Marshal bytes
+   of some other value, random bytes, unknown JSON — are answered with
+   [Rejected] and counted in serve.rejected; a frame cut short gets no
+   reply. The daemon must come out of all of them serving: a Status is
+   answered, and a tenant's summary equals its solo campaign. *)
+module Proto = Kit_serve.Proto
+module Wire = Kit_serve.Wire
+
+let frame payload =
+  let header = Bytes.create 8 in
+  Bytes.set_int64_be header 0 (Int64.of_int (String.length payload));
+  Bytes.to_string header ^ payload
+
+(* Connect, write [bytes], close the sending side and read the reply:
+   [Some reply], or [None] when the daemon hangs up without one. *)
+let raw_exchange socket bytes =
+  let fd = Proto.connect socket in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      match Wire.recv_string fd with
+      | Some payload ->
+        Some (Kit_core.Codec.parse Proto.reply_of_json payload)
+      | None -> None)
+
+let test_daemon_survives_bad_frames () =
+  with_dir (fun dir ->
+      let socket = Filename.concat dir "kit.sock" in
+      let log = Filename.concat dir "daemon.log" in
+      let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+      let pid =
+        Unix.create_process (Lazy.force kit)
+          [| "kit"; "serve"; "--socket"; socket; "--procs"; "1"; "--metrics";
+             Filename.concat dir "m.jsonl" |]
+          Unix.stdin fd fd
+      in
+      Unix.close fd;
+      let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      let reaped = ref false in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.set_signal Sys.sigpipe prev_sigpipe;
+          if not !reaped then begin
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (Unix.waitpid [] pid)
+          end;
+          if Sys.file_exists socket then Sys.remove socket)
+        (fun () ->
+          let rec await n =
+            if Sys.file_exists socket then ()
+            else if n = 0 then Alcotest.fail "the daemon never listened"
+            else (Unix.sleepf 0.05; await (n - 1))
+          in
+          await 200;
+          let rejected bytes =
+            match raw_exchange socket bytes with
+            | Some (Ok (Proto.Rejected _)) -> true
+            | Some _ | None -> false
+          in
+          let marshalled =
+            frame (Marshal.to_string (1, "x", [| 3.0 |]) [ Marshal.No_sharing ])
+          in
+          check_int "the Marshal frame is 42 bytes" 42 (String.length marshalled);
+          check_bool "Marshal bytes are rejected" true (rejected marshalled);
+          let st = Random.State.make [| 26 |] in
+          check_bool "random bytes are rejected" true
+            (rejected (frame (String.init 64 (fun _ -> Char.chr (Random.State.int st 256)))));
+          check_bool "an unknown request is rejected" true
+            (rejected (frame "\"reboot\""));
+          check_bool "a truncated frame gets no reply" true
+            (raw_exchange socket (String.sub (frame "\"status\"") 0 12) = None);
+          (match Proto.request socket Proto.Status with
+          | Ok (Proto.Status_is _) -> ()
+          | Ok _ -> Alcotest.fail "Status: unexpected reply"
+          | Error e -> Alcotest.failf "Status after bad frames: %s" e);
+          let sp =
+            { Proto.default_spec with
+              Proto.sp_name = "alpha"; sp_seed = 11; sp_corpus_size = 24 }
+          in
+          (match Proto.request socket (Proto.Submit sp) with
+          | Ok (Proto.Accepted _) -> ()
+          | Ok _ | Error _ -> Alcotest.fail "the submission was not accepted");
+          let rec results n =
+            match Proto.request socket (Proto.Results "alpha") with
+            | Ok (Proto.Summary s) -> s
+            | Ok (Proto.Not_ready _) when n > 0 ->
+              Unix.sleepf 0.1;
+              results (n - 1)
+            | Ok _ | Error _ -> Alcotest.fail "no summary for the tenant"
+          in
+          check_string "the tenant's summary = its solo campaign"
+            (Proto.summary
+               (Kit_core.Campaign.run (Proto.options_of_spec sp)))
+            (results 600);
+          check_bool "Shutdown says Bye" true
+            (Proto.request socket Proto.Shutdown = Ok Proto.Bye);
+          let _, status = Unix.waitpid [] pid in
+          reaped := true;
+          check_bool "the daemon exits cleanly" true (status = Unix.WEXITED 0);
+          check_bool "serve.rejected counts the three rejections" true
+            (contains
+               ~sub:"{\"k\":\"counter\",\"name\":\"serve.rejected\",\"value\":3}"
+               (read_file (Filename.concat dir "m.jsonl")))))
+
 let suite =
   [
     Alcotest.test_case "resume refuses a log taken under other options"
@@ -186,4 +293,6 @@ let suite =
       `Quick test_out_of_range_flags_refused;
     Alcotest.test_case "out-of-range serve, submit and extend flags exit 124"
       `Quick test_out_of_range_serve_flags_refused;
+    Alcotest.test_case "the daemon rejects frames that are not requests"
+      `Quick test_daemon_survives_bad_frames;
   ]

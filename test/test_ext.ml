@@ -58,10 +58,7 @@ let test_seed_dep_transitive_only_via_refs () =
 let test_spec_with_seed_selector () =
   (* The base spec does not protect token calls; a seed selector on
      token_create pulls token_stat(ref) in through the dependency. *)
-  let seed (call : Program.call) =
-    Sysno.equal call.Program.sysno Sysno.Token_create
-  in
-  let spec = Spec.with_seed_selector Spec.refined seed in
+  let spec = Spec.with_seed_selector Spec.refined Sysno.Token_create in
   let prog = p "r0 = token_create()\nr1 = token_stat(r0)" in
   check (Alcotest.list Alcotest.int) "seeded selection" [ 0; 1 ]
     (Spec.protected_indices spec prog);
@@ -71,12 +68,10 @@ let test_spec_with_seed_selector () =
 (* --- render ------------------------------------------------------------------ *)
 
 let sample_report () =
-  let tree = Ast.node "trace" [] in
   { Report.testcase = { Testcase.sender = 0; receiver = 1; flow = None };
     sender = p "r0 = socket(3)";
     receiver = p "r0 = open(\"/proc/net/ptype\")\nr1 = read(r0)";
-    interfered = [ 1 ]; diffs = []; trace_a = tree; trace_b = tree;
-    origin = Report.Sequential }
+    interfered = [ 1 ]; diffs = []; origin = Report.Sequential }
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in

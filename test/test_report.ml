@@ -154,10 +154,8 @@ let test_diagnose_empty_interference () =
 let dummy_report sender_text receiver_text interfered =
   let sender = p sender_text in
   let receiver = p receiver_text in
-  let tree = Kit_trace.Ast.node "trace" [] in
   { Report.testcase = { Testcase.sender = 0; receiver = 0; flow = None };
-    sender; receiver; interfered; diffs = []; trace_a = tree; trace_b = tree;
-    origin = Report.Sequential }
+    sender; receiver; interfered; diffs = []; origin = Report.Sequential }
 
 let keyed sender_text receiver_text (s, r) =
   Aggregate.key_report

@@ -143,8 +143,8 @@ let test_race_bugs_sequentially_invisible () =
         (List.length outcome.Runner.masked_diffs))
     rw_pairs
 
-let classify testcase ~sender ~receiver ~trace_b c =
-  Filter.classify_concurrent Spec.default ~testcase ~sender ~receiver ~trace_b c
+let classify testcase ~sender ~receiver c =
+  Filter.classify_concurrent Spec.default ~testcase ~sender ~receiver c
 
 let test_search_finds_each_race_bug () =
   let runner = Runner.create (Env.create (race_only_config ())) in
@@ -166,7 +166,7 @@ let test_search_finds_each_race_bug () =
       let tc = { Testcase.sender = 0; receiver = 1; flow = None } in
       let reports =
         List.filter_map
-          (classify tc ~sender ~receiver ~trace_b:outcome.Runner.trace_b)
+          (classify tc ~sender ~receiver)
           search.Runner.sr_findings
       in
       check_bool (name ^ ": report survives the resource filter") true
@@ -706,8 +706,8 @@ module Model = struct
                           ( fp,
                             { Runner.cc_seeds = cls.Runner.cls_seeds;
                               cc_fingerprint = fp; cc_diffs = diffs;
-                              cc_interfered = Compare.interfered_of_diffs diffs;
-                              cc_trace = trace_i } )
+                              cc_raw_diffs = raw;
+                              cc_interfered = Compare.interfered_of_diffs diffs } )
                           :: !findings
                   end
                 end
@@ -897,7 +897,7 @@ let prop_search_matches_model =
       && List.for_all2
            (fun c c' ->
              c.Runner.cc_diffs = c'.Runner.cc_diffs
-             && Ast.equal c.Runner.cc_trace c'.Runner.cc_trace)
+             && c.Runner.cc_raw_diffs = c'.Runner.cc_raw_diffs)
            s.Runner.sr_findings m.Runner.sr_findings)
 
 (* The seed-7 race-sched campaign's inputs (kernel 5.13-rw, corpus 320,
@@ -986,8 +986,8 @@ let test_search_matches_model () =
           incr findings;
           check_bool (name ^ ": diffs") true
             (c.Runner.cc_diffs = c'.Runner.cc_diffs);
-          check_bool (name ^ ": finding trace") true
-            (Ast.equal c.Runner.cc_trace c'.Runner.cc_trace))
+          check_bool (name ^ ": raw diffs") true
+            (c.Runner.cc_raw_diffs = c'.Runner.cc_raw_diffs))
         s.Runner.sr_findings m.Runner.sr_findings)
     (sample ~stride:3 ~offset:0 (Lazy.force race_reps));
   check_bool "the sample has findings" true (!findings > 0);
@@ -1128,6 +1128,103 @@ let golden_options =
 
 let golden_campaign = lazy (Campaign.run golden_options)
 
+(* --- attribution from diffs = attribution from whole traces --------------- *)
+
+(* Concurrent attribution as it was while reports kept both traces: the
+   gained marker is scanned for over the whole interleaved trace and the
+   whole solo trace. *)
+module Whole_trace_oracle = struct
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+    at 0
+
+  let rec mentions (t : Ast.t) needle =
+    contains t.Ast.value needle
+    || List.exists (fun c -> mentions c needle) t.Ast.children
+
+  let has_call prog sysno =
+    List.exists
+      (fun (c : Program.call) -> Kit_abi.Sysno.equal c.Program.sysno sysno)
+      (Program.calls prog)
+
+  let opens_path prog path =
+    List.exists
+      (fun (c : Program.call) ->
+        Kit_abi.Sysno.equal c.Program.sysno Kit_abi.Sysno.Open
+        && List.mem (Kit_abi.Value.Str path) c.Program.args)
+      (Program.calls prog)
+
+  let diff_mentions (r : Report.t) needle =
+    List.exists
+      (fun (d : Compare.diff) ->
+        contains d.Compare.left.Ast.value needle
+        || contains d.Compare.right.Ast.value needle
+        || List.exists (fun p -> contains p needle) d.Compare.path)
+      r.Report.diffs
+
+  let attribute ~trace_a ~trace_b (r : Report.t) =
+    let sender = r.Report.sender and receiver = r.Report.receiver in
+    let marker = "seq_file: truncated" in
+    if mentions trace_a marker && not (mentions trace_b marker) then
+      Oracle.Bug Bugs.RW3_seqfile_busy
+    else if
+      has_call sender Kit_abi.Sysno.Get_cookie
+      && has_call receiver Kit_abi.Sysno.Get_cookie
+    then Oracle.Bug Bugs.RW2_cookie_window
+    else if
+      has_call sender Kit_abi.Sysno.Alloc_protomem
+      && opens_path receiver Consts.proc_net_sockstat
+      && diff_mentions r "mem"
+    then Oracle.Bug Bugs.RW1_protomem_inflight
+    else Oracle.Under_investigation
+end
+
+(* Every concurrent report of a campaign: re-derive its traces — the
+   interleaved run under the finding's first seed, which must reproduce
+   the report's diffs, and the receiver's solo baseline — and check the
+   diff-reading oracle agrees with the whole-trace one. *)
+let check_attribution_from_diffs label (c : Campaign.t) =
+  let o = c.Campaign.options in
+  let runner =
+    Runner.create ~reruns:o.Campaign.reruns (Env.create o.Campaign.config)
+  in
+  let gained = ref 0 in
+  List.iteri
+    (fun i (r : Report.t) ->
+      let name = Printf.sprintf "%s: concurrent report %d" label i in
+      match r.Report.origin with
+      | Report.Sequential -> Alcotest.failf "%s is sequential" name
+      | Report.Concurrent { seeds; raw_diffs; _ } ->
+        let sender = r.Report.sender and receiver = r.Report.receiver in
+        let trace_a =
+          Runner.run_interleaved runner ~schedule:(Sched.Seeded (List.hd seeds))
+            ~base:runner.Runner.env.Env.base0 sender receiver
+        in
+        let trace_b = Runner.baseline_trace runner receiver in
+        let mask = Runner.nondet_mask runner receiver in
+        if
+          Compare.diff_trees (Nondet.apply_mask mask trace_a)
+            (Nondet.apply_mask mask trace_b)
+          <> r.Report.diffs
+          || Compare.diff_trees trace_a trace_b <> raw_diffs
+        then Alcotest.failf "%s: the first seed does not reproduce its diffs" name;
+        let reference = Whole_trace_oracle.attribute ~trace_a ~trace_b r in
+        if reference = Oracle.Bug Bugs.RW3_seqfile_busy then incr gained;
+        if not (Oracle.equal_attribution (Oracle.attribute_concurrent r) reference)
+        then
+          Alcotest.failf "%s: attributed %s, whole traces say %s" name
+            (Oracle.attribution_to_string (Oracle.attribute_concurrent r))
+            (Oracle.attribution_to_string reference))
+    c.Campaign.concurrent;
+  check_bool (label ^ ": some reports gained the seq_file marker") true
+    (!gained > 0)
+
+let test_attribution_from_diffs () =
+  check_attribution_from_diffs "golden" (Lazy.force golden_campaign);
+  check_attribution_from_diffs "race-sched seed 7"
+    (Campaign.run { golden_options with Campaign.corpus_size = 320; seed = 7 })
+
 let test_golden_race_summary () =
   (* The golden campaign's --summary, byte for byte. *)
   (* [dune runtest] runs in the test directory, [dune exec] in the root *)
@@ -1214,4 +1311,6 @@ let suite =
       test_golden_race_summary;
     Alcotest.test_case "golden: the search memo's saving, any domain count"
       `Quick test_golden_search_work;
+    Alcotest.test_case "concurrent attribution from diffs = from whole traces"
+      `Quick test_attribution_from_diffs;
   ]

@@ -760,6 +760,165 @@ let test_wire_oversized () =
       check_bool "negative length is None" true
         ((Wire.recv rx : int option) = None))
 
+(* --- the socket protocol's codecs ---------------------------------------- *)
+
+let gen_name =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; '-'; '_'; 'q' ]) (int_range 1 12))
+
+let gen_spec =
+  QCheck.Gen.(
+    map
+      (fun ((sp_name, sp_seed, sp_corpus_size), (strategy, k),
+            (sp_weight, sp_max_inflight, sp_diagnose, sp_schedules)) ->
+        { Proto.sp_name; sp_seed; sp_corpus_size;
+          sp_strategy =
+            (match strategy with
+            | 0 -> Kit_gen.Cluster.Df
+            | 1 -> Kit_gen.Cluster.Df_ia
+            | 2 -> Kit_gen.Cluster.Df_st k
+            | _ -> Kit_gen.Cluster.Rand k);
+          sp_weight; sp_max_inflight; sp_diagnose; sp_schedules })
+      (triple (triple gen_name int nat) (pair (int_bound 3) nat)
+         (quad int int bool int)))
+
+let gen_request =
+  QCheck.Gen.(
+    oneof
+      [ map (fun s -> Proto.Submit s) gen_spec;
+        map2 (fun x_name x_add -> Proto.Extend { x_name; x_add }) string int;
+        return Proto.Status;
+        map (fun n -> Proto.Results n) string;
+        map (fun n -> Proto.Cancel n) string;
+        return Proto.Shutdown ])
+
+let gen_tenant_status =
+  QCheck.Gen.(
+    map
+      (fun ((ts_name, ts_id, ts_state, ts_weight),
+            (ts_done, ts_total, ts_executions, ts_reports),
+            (ts_resumed, ts_dispatched, ts_contended, ts_steals),
+            (ts_cov_vars, ts_cov_paired, ts_cov_attributed, ts_cov_gaps)) ->
+        { Proto.ts_name; ts_id; ts_state; ts_weight; ts_done; ts_total;
+          ts_executions; ts_reports; ts_resumed; ts_dispatched; ts_contended;
+          ts_steals; ts_cov_vars; ts_cov_paired; ts_cov_attributed;
+          ts_cov_gaps })
+      (quad (quad string int string int) (quad int int int int)
+         (quad int int int int) (quad int int int int)))
+
+let gen_reply =
+  QCheck.Gen.(
+    oneof
+      [ map2 (fun a_name a_id -> Proto.Accepted { a_name; a_id }) string int;
+        map (fun s -> Proto.Rejected s) string;
+        map2
+          (fun (ps_procs, ps_live, ps_spawns) (ps_deaths, ps_respawns, st_tenants) ->
+            Proto.Status_is
+              { st_pool = { Proto.ps_procs; ps_live; ps_spawns; ps_deaths; ps_respawns };
+                st_tenants })
+          (triple int int int)
+          (triple int int (list_size (int_bound 4) gen_tenant_status));
+        map (fun s -> Proto.Summary s) string;
+        map (fun s -> Proto.Not_ready s) string;
+        return Proto.Acked;
+        return Proto.Bye ])
+
+let round_trips to_json of_json v =
+  Kit_core.Codec.parse of_json (Kit_obs.Jsonl.to_string (to_json v)) = Ok v
+
+let prop_request_roundtrip =
+  QCheck.Test.make ~name:"proto: requests round-trip through JSON" ~count:400
+    (QCheck.make gen_request)
+    (round_trips Proto.request_to_json Proto.request_of_json)
+
+let prop_reply_roundtrip =
+  QCheck.Test.make ~name:"proto: replies round-trip through JSON" ~count:400
+    (QCheck.make gen_reply)
+    (round_trips Proto.reply_to_json Proto.reply_of_json)
+
+(* One value per constructor, so a constructor the generators stopped
+   producing still round-trips here. *)
+let test_every_constructor_roundtrips () =
+  let sp = { Proto.default_spec with Proto.sp_name = "alpha" } in
+  let ts =
+    { Proto.ts_name = "alpha"; ts_id = 0; ts_state = "finished"; ts_weight = 3;
+      ts_done = 96; ts_total = 96; ts_executions = 120; ts_reports = -1;
+      ts_resumed = 4; ts_dispatched = 92; ts_contended = 40; ts_steals = 2;
+      ts_cov_vars = -1; ts_cov_paired = 0; ts_cov_attributed = 0;
+      ts_cov_gaps = 0 }
+  in
+  List.iter
+    (fun req ->
+      check_bool "request round-trips" true
+        (round_trips Proto.request_to_json Proto.request_of_json req))
+    [ Proto.Submit sp; Proto.Extend { x_name = "alpha"; x_add = 8 };
+      Proto.Status; Proto.Results "alpha"; Proto.Cancel "alpha";
+      Proto.Shutdown ];
+  List.iter
+    (fun reply ->
+      check_bool "reply round-trips" true
+        (round_trips Proto.reply_to_json Proto.reply_of_json reply))
+    [ Proto.Accepted { a_name = "alpha"; a_id = 1 }; Proto.Rejected "why";
+      Proto.Status_is
+        { st_pool =
+            { Proto.ps_procs = 2; ps_live = 2; ps_spawns = 2; ps_deaths = 0;
+              ps_respawns = 0 };
+          st_tenants = [ ts ] };
+      Proto.Summary "strategy DF-IA\n"; Proto.Not_ready "active";
+      Proto.Acked; Proto.Bye ];
+  (* a submission decodes through the spec codec, which validates names *)
+  check_bool "an invalid tenant name is an Error" true
+    (Result.is_error
+       (Kit_core.Codec.parse Proto.request_of_json
+          (Kit_obs.Jsonl.to_string
+             (Proto.request_to_json
+                (Proto.Submit { sp with Proto.sp_name = "bad name!" })))))
+
+(* The client frame that used to kill the daemon: Marshal bytes where it
+   expects a request. *)
+let marshal_payload = Marshal.to_string (1, "x", [| 3.0 |]) [ Marshal.No_sharing ]
+
+let decodes_totally s =
+  (match Kit_core.Codec.parse Proto.request_of_json s with
+  | Ok _ | Error _ -> true)
+  && match Kit_core.Codec.parse Proto.reply_of_json s with Ok _ | Error _ -> true
+
+let prop_decoders_total =
+  (* Random bytes, random printable text, and 33 prefixes of a valid
+     encoding, cut at evenly spaced points: each decoder returns Ok or
+     Error, and never raises. *)
+  let prefixes s =
+    let n = String.length s in
+    List.init 33 (fun i -> String.sub s 0 (n * i / 32))
+  in
+  QCheck.Test.make ~name:"proto: decoders never raise" ~count:200
+    QCheck.(
+      triple string (string_of Gen.printable)
+        (pair (make gen_request) (make gen_reply)))
+    (fun (bytes, text, (req, reply)) ->
+      List.for_all decodes_totally
+        ([ bytes; text; marshal_payload ]
+        @ prefixes (Kit_obs.Jsonl.to_string (Proto.request_to_json req))
+        @ prefixes (Kit_obs.Jsonl.to_string (Proto.reply_to_json reply))))
+
+let test_wire_string_frames () =
+  (* The socket's framing: a string round-trips, and a frame cut short
+     by the peer is [None], never a partial payload. *)
+  let rx, tx = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close rx)
+    (fun () ->
+      Wire.send_string tx marshal_payload;
+      check_bool "a frame round-trips" true
+        (Wire.recv_string rx = Some marshal_payload);
+      let header = Bytes.create 8 in
+      Bytes.set_int64_be header 0 100L;
+      ignore (Unix.write tx header 0 8);
+      let part = "{\"submit\":" in
+      ignore (Unix.write_substring tx part 0 (String.length part));
+      Unix.close tx;
+      check_bool "a truncated frame is None" true (Wire.recv_string rx = None))
+
 (* --- the scheduler ------------------------------------------------------ *)
 
 (* Solo references per (seed, corpus_size): what a standalone sequential
@@ -896,6 +1055,87 @@ let test_sched_resume () =
         (Tenant.resumed tn > 0);
       check_bool "resumed report equals solo campaign" true
         (Tenant.summary tn = Some (Proto.summary (solo ~seed:11 ~corpus_size:24))));
+  rm_rf_dir dir
+
+let test_sched_restored_status () =
+  (* A drained tenant's status survives a daemon restart: the log
+     header records its progress, which the restored tenant — with no
+     run of its own — reports. *)
+  let dir = tmp "kit_test_serve_status" in
+  rm_rf_dir dir;
+  let cfg = sched_cfg ~procs:1 ~state_dir:dir ~ckpt_every:4 () in
+  let shown (st : Proto.tenant_status) =
+    ( st.Proto.ts_state,
+      (st.Proto.ts_done, st.Proto.ts_total),
+      (st.Proto.ts_executions, st.Proto.ts_reports) )
+  in
+  let before =
+    with_sched cfg (fun s ->
+        submit_ok s (spec "st" 11);
+        Sched.drain s;
+        shown (Tenant.status (tenant_of s "st")))
+  in
+  let _, (finished, _), (executions, reports) = before in
+  check_bool "the tenant did work" true
+    (finished > 0 && executions > 0 && reports >= 0);
+  with_sched cfg (fun s ->
+      ignore (Sched.resume s);
+      check_bool "restored status = status before the restart" true
+        (shown (Tenant.status (tenant_of s "st")) = before));
+  rm_rf_dir dir
+
+(* A tenant log written while reports still carried both receiver
+   traces: spec "fixture", seed 7, corpus 48, DF-IA, no diagnosis,
+   finished. Its decoders ignore the trace fields, so it restores with
+   the solo summary, and extended by 8 it replays every logged
+   representative and equals a solo run at corpus 56. *)
+let test_log_with_traces_restores () =
+  let fixture =
+    match
+      List.find_opt Sys.file_exists
+        [ "golden/tenant-traces-c48.ckpt"; "test/golden/tenant-traces-c48.ckpt" ]
+    with
+    | Some path -> path
+    | None -> Alcotest.fail "golden/tenant-traces-c48.ckpt not found"
+  in
+  let dir = tmp "kit_test_serve_fixture" in
+  rm_rf_dir dir;
+  Unix.mkdir dir 0o700;
+  Out_channel.with_open_bin (Filename.concat dir "tenant-fixture.ckpt")
+    (fun oc ->
+      Out_channel.output_string oc
+        (In_channel.with_open_bin fixture In_channel.input_all));
+  let logged =
+    match
+      Kit_core.Caselog.read fixture ~kind:Tenant.ckpt_kind (fun _ -> Ok ())
+    with
+    | Ok (records, 0) ->
+      List.length
+        (List.sort_uniq compare (List.concat_map (fun (_, es) -> List.map fst es) records))
+    | Ok (_, torn) -> Alcotest.failf "the fixture has a %d-byte torn tail" torn
+    | Error e -> Alcotest.failf "the fixture: %s" (Checkpoint.error_to_string e)
+  in
+  let solo corpus_size =
+    Proto.summary
+      (Campaign.run
+         (Proto.options_of_spec
+            { Proto.default_spec with
+              Proto.sp_name = "fixture"; sp_corpus_size = corpus_size;
+              sp_diagnose = false }))
+  in
+  with_sched (sched_cfg ~procs:1 ~state_dir:dir ()) (fun s ->
+      check_bool "restored finished" true
+        (Sched.resume s = [ ("fixture", "finished") ]);
+      let tn = tenant_of s "fixture" in
+      check_bool "restored summary = solo at corpus 48" true
+        (Tenant.summary tn = Some (solo 48));
+      (match Sched.request s (Proto.Extend { x_name = "fixture"; x_add = 8 }) with
+      | Proto.Accepted _ -> ()
+      | _ -> Alcotest.fail "extend of the restored tenant must be accepted");
+      Sched.drain s;
+      check_int "every logged representative replayed" logged (Tenant.resumed tn);
+      check_bool "extended summary = solo at corpus 56" true
+        (Tenant.summary tn = Some (solo 56)));
   rm_rf_dir dir
 
 let test_sched_extend () =
@@ -1110,13 +1350,24 @@ let suite =
       test_jobqueue_deal_no_survivors;
     Alcotest.test_case "oversized wire frame raises the typed error" `Quick
       test_wire_oversized;
+    QCheck_alcotest.to_alcotest prop_request_roundtrip;
+    QCheck_alcotest.to_alcotest prop_reply_roundtrip;
+    Alcotest.test_case "every request and reply constructor round-trips"
+      `Quick test_every_constructor_roundtrips;
+    QCheck_alcotest.to_alcotest prop_decoders_total;
+    Alcotest.test_case "string frames round-trip; a cut frame is None" `Quick
+      test_wire_string_frames;
     QCheck_alcotest.to_alcotest prop_sched_equals_solo;
     Alcotest.test_case "sched holds 3:1 quotas under contention" `Quick
       test_sched_fairness;
     Alcotest.test_case "killed daemon resumes tenants from checkpoints"
       `Quick test_sched_resume;
+    Alcotest.test_case "a restored tenant shows its saved progress" `Quick
+      test_sched_restored_status;
     Alcotest.test_case "extend replays cached clusters" `Quick
       test_sched_extend;
+    Alcotest.test_case "a tenant log with report traces restores and extends"
+      `Quick test_log_with_traces_restores;
     Alcotest.test_case "admission control rejects bad submissions" `Quick
       test_sched_admission;
     Alcotest.test_case "sched quarantines a twice-lethal case and logs it"

@@ -80,10 +80,10 @@ let test_uses_protected_via_ref () =
 let test_rule_counts () =
   let fd_rules, checkers = Spec.rule_counts Spec.default in
   check_bool "several fd-type rules" true (fd_rules >= 10);
-  check_int "checker functions" (List.length Checker.defaults) checkers
+  check_int "checker functions" (List.length Checker.all) checkers
 
 let test_checker_ids_unique () =
-  let ids = List.map (fun c -> c.Checker.id) Checker.defaults in
+  let ids = List.map Checker.id Checker.all in
   check_int "unique ids" (List.length ids)
     (List.length (List.sort_uniq String.compare ids))
 
