@@ -419,19 +419,19 @@ let execute_campaign ?obs ?on_stats
       checkpoint_file
   in
   let prepared = Campaign.prepare opts in
-  let generation = Campaign.generate_prepared prepared in
+  let run =
+    Campaign.start ?log:(Option.map snd log) prepared
+      (Campaign.generate_prepared prepared)
+  in
+  (* What the driver replayed, not what the file holds: a logged report
+     without culprits runs again. *)
   Option.iter
-    (fun (path, log) ->
-      let reps = generation.Cluster.reps in
-      let replayed =
-        List.length
-          (List.filteri (fun i tc -> log.Campaign.replay i tc <> None) reps)
-      in
-      if replayed > 0 then
-        Fmt.pr "resuming from %s: %d/%d representatives done@." path replayed
-          (List.length reps))
+    (fun (path, _) ->
+      if Campaign.run_replayed run > 0 then
+        Fmt.pr "resuming from %s: %d/%d representatives done@." path
+          (Campaign.run_replayed run) (Campaign.run_cases run))
     log;
-  Campaign.execute ?executor ?log:(Option.map snd log) prepared generation
+  Campaign.drive ?executor run
 
 let cmd_campaign =
   let run (opts : Campaign.options) x verbose summary_file tel =

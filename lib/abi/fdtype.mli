@@ -22,7 +22,6 @@ type t =
   | Token        (** abstract runtime-id resources (known bug G) *)
 
 val to_string : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val of_socket_domain : int -> t option

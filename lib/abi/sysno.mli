@@ -53,6 +53,5 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string}; [None] for unknown names. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

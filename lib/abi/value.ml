@@ -17,8 +17,6 @@ let equal a b =
   | Int _, (Str _ | Ref _) | Str _, (Int _ | Ref _) | Ref _, (Int _ | Str _)
     -> false
 
-let compare = Stdlib.compare
-
 let pp ppf = function
   | Int n -> Fmt.int ppf n
   | Str s -> Fmt.pf ppf "%S" s

@@ -11,7 +11,6 @@ type t =
   | Ref of int
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

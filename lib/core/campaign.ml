@@ -11,7 +11,7 @@
 
    The pipeline has one front end and one back end:
 
-   - the front end ([front_stage]): profile one program at a time, mark
+   - the front end ([front_fold]): profile one program at a time, mark
      the coverage ledger and fold the program into online cluster
      tables. [prepare] runs it over the whole corpus for every batch
      caller ([run], the CLI, Table 4, serve tenants); a stream
@@ -23,7 +23,9 @@
      [finish]): replay what a log (a checkpoint, or a stream's memo)
      holds, hand every other representative to an executor — in process
      (sequential or over domains), the process pool, or a serve tenant's
-     share of the shared pool — and fold every result.
+     share of the shared pool — and fold every result. A case that
+     reports is diagnosed (Algorithm 2) where it ran, so its culprits
+     are part of the result and [finish] only folds.
 
    No campaign holds every profile or an access map: the front end
    keeps only the cluster tables, and a stream additionally every
@@ -183,11 +185,32 @@ let timed f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-(* Phase wall times are written by the Pipeline stage runner as volatile
-   always-on "time.<stage>_s" gauges; this helper resolves the same
-   handles for thin reads (and for the streaming accumulators). *)
+(* Phase wall times live in the registry as volatile (excluded from
+   deterministic snapshots) and always-on "time.<name>" gauges: they are
+   campaign accounting, so readers stay populated through a disabled
+   bundle. *)
 let time_gauge obs name =
   Metrics.gauge ~volatile:true ~always:true obs.Obs.metrics ("time." ^ name)
+
+(* Run [f] as the campaign phase [name] ("front" or "execute"): a
+   "phase.<name>" span and the "time.<name>_s" gauge, stamped from the
+   same gettimeofday readings, so a profile over the trace reports
+   exactly the exported gauge. [base] seeds the gauge for a phase whose
+   work did not all run in this call: a stream's growth steps, or its
+   eager executions. Returns [f]'s result and this call's seconds. *)
+let phase ?(base = 0.0) obs name ~attrs f =
+  let tracer = obs.Obs.tracer in
+  let t0 = Unix.gettimeofday () in
+  let sp = Tracer.span tracer ~attrs ~wall:t0 ("phase." ^ name) in
+  match f () with
+  | v ->
+    let t1 = Unix.gettimeofday () in
+    Tracer.finish tracer ~wall:t1 sp;
+    Metrics.set_gauge (time_gauge obs (name ^ "_s")) (base +. (t1 -. t0));
+    (v, t1 -. t0)
+  | exception e ->
+    Tracer.finish tracer ~wall:(Unix.gettimeofday ()) sp;
+    raise e
 
 (* Deterministic campaign accounting (funnel stages, cluster sizes,
    report counts) mirrors into always-on "campaign.*" counters. *)
@@ -282,27 +305,25 @@ let pick ~seed ~corpus_size (tables : Cluster.result list) strategy =
    result. Profiling and feeding accumulate into the profile and
    generate sub-phases (finishing counts as generating), which the
    caller publishes as the "time.profile_s"/"time.generate_s" gauges.
-   Both sub-phases run inside the stage's "phase.front" span. *)
-let front_stage =
-  Pipeline.v ~consumes:"corpus" ~produces:"clusters" "front"
-    (fun _obs (f, corpus, from, on_events, finish) ->
-      for prog = from to Array.length corpus - 1 do
-        let (raw, filtered), dt =
-          timed (fun () ->
-              Dataflow.profile_program_full f.f_profiler corpus.(prog))
-        in
-        f.f_profile_s <- f.f_profile_s +. dt;
-        mark_profiled f.f_cov ~raw ~filtered;
-        let events, dt =
-          timed (fun () ->
-              List.map (fun st -> Cluster.feed st ~prog filtered) f.f_tables)
-        in
-        f.f_generate_s <- f.f_generate_s +. dt;
-        on_events events
-      done;
-      let tables, dt = timed (fun () -> finish f.f_tables) in
-      f.f_generate_s <- f.f_generate_s +. dt;
-      tables)
+   Callers run it as the "front" phase, so both sub-phases fit inside
+   its span. *)
+let front_fold f corpus ~from ~on_events ~finish =
+  for prog = from to Array.length corpus - 1 do
+    let (raw, filtered), dt =
+      timed (fun () -> Dataflow.profile_program_full f.f_profiler corpus.(prog))
+    in
+    f.f_profile_s <- f.f_profile_s +. dt;
+    mark_profiled f.f_cov ~raw ~filtered;
+    let events, dt =
+      timed (fun () ->
+          List.map (fun st -> Cluster.feed st ~prog filtered) f.f_tables)
+    in
+    f.f_generate_s <- f.f_generate_s +. dt;
+    on_events events
+  done;
+  let tables, dt = timed (fun () -> finish f.f_tables) in
+  f.f_generate_s <- f.f_generate_s +. dt;
+  tables
 
 let set_front_gauges obs f =
   Metrics.set_gauge (time_gauge obs "profile_s") f.f_profile_s;
@@ -334,10 +355,9 @@ let prepare ?strategies (options : options) =
          (List.map Cluster.finalize states))
       named
   in
-  let tables =
-    Pipeline.run obs front_stage
-      ~attrs:(front_attrs ~from:0 ~to_size:(Array.length corpus))
-      (f, corpus, 0, ignore, finish)
+  let tables, _ =
+    phase obs "front" ~attrs:(front_attrs ~from:0 ~to_size:(Array.length corpus))
+      (fun () -> front_fold f corpus ~from:0 ~on_events:ignore ~finish)
   in
   set_front_gauges obs f;
   { p_options = options; p_corpus = corpus; p_tables = tables; p_obs = obs;
@@ -345,13 +365,26 @@ let prepare ?strategies (options : options) =
 
 let prepared_corpus prepared = prepared.p_corpus
 
-(* Interference test used both for detection-time classification and for
-   Algorithm 2 re-testing: masked divergence restricted to receiver calls
-   that access protected resources. The supervised variant survives
-   modified senders that crash the kernel. *)
-let protected_interference spec sup ~sender ~receiver =
-  let interfered = Supervisor.test_interference sup ~sender ~receiver in
-  Filter.protected_interfered spec receiver interfered
+(* Algorithm 2 on one report, re-testing on [sup]: masked divergence
+   restricted to receiver calls that access protected resources, the
+   supervised test surviving modified senders that crash the kernel.
+   [sup] is the supervisor that just executed the case, so the
+   receiver's baseline and mask are cached. The wall time accumulates
+   into the "time.diagnose_s" gauge of [sup]'s bundle, a sub-phase of
+   execute; volatile gauges of a domain's or a pool worker's bundle are
+   never folded back, so it counts only the campaign's own supervisor. *)
+let diagnose spec sup (r : Report.t) =
+  let test ~sender ~receiver =
+    Filter.protected_interfered spec receiver
+      (Supervisor.test_interference sup ~sender ~receiver)
+  in
+  let pairs, dt =
+    timed (fun () ->
+        Diagnose.culprits ~test ~sender:r.Report.sender
+          ~receiver:r.Report.receiver ~interfered:r.Report.interfered)
+  in
+  Metrics.add_gauge (time_gauge sup.Supervisor.obs "diagnose_s") dt;
+  pairs
 
 (* -- supervised execution ------------------------------------------------ *)
 
@@ -377,6 +410,7 @@ type case_result = {
   cr_concurrent : Report.t list;        (* schedule-search findings *)
   cr_sched : sched_stats;               (* this case's search accounting *)
   cr_crashes : Supervisor.crash list;   (* quarantined by this case *)
+  cr_culprits : Diagnose.pair list option;  (* the report's, if diagnosed *)
 }
 
 let add_funnel (into : Filter.funnel) (f : Filter.funnel) =
@@ -418,18 +452,19 @@ type acc = {
   a_attrition : attrition;              (* terminal stages; generated and
                                            absorbed are set by [finish] *)
   mutable a_rev_reports : Report.t list;
+  mutable a_rev_keyed : Aggregate.keyed list;   (* diagnosed reports *)
   mutable a_rev_concurrent : Report.t list;
   mutable a_rev_quarantined : Supervisor.crash list;
 }
 
 let acc_create () =
   { a_funnel = Filter.funnel_create (); a_sched = sched_create ();
-    a_attrition = attrition_create (); a_rev_reports = [];
+    a_attrition = attrition_create (); a_rev_reports = []; a_rev_keyed = [];
     a_rev_concurrent = []; a_rev_quarantined = [] }
 
-(* The one per-case fold. Both paths — the execute driver and streaming
-   assembly — feed their results, in representative order, through
-   here. *)
+(* The one per-case fold: the execute driver feeds every result, in
+   representative order, through here. A diagnosed report is keyed
+   here too, so the keyed list comes out in representative order. *)
 let absorb ~cov acc (r : case_result) =
   add_funnel acc.a_funnel r.cr_funnel;
   add_sched acc.a_sched r.cr_sched;
@@ -438,15 +473,20 @@ let absorb ~cov acc (r : case_result) =
   List.iter (mark_report_attributed cov) r.cr_concurrent;
   Option.iter (fun rep -> acc.a_rev_reports <- rep :: acc.a_rev_reports)
     r.cr_report;
+  (match (r.cr_report, r.cr_culprits) with
+  | Some rep, Some pairs ->
+    acc.a_rev_keyed <- Aggregate.key_report rep pairs :: acc.a_rev_keyed
+  | _ -> ());
   acc.a_rev_concurrent <- List.rev_append r.cr_concurrent acc.a_rev_concurrent;
   acc.a_rev_quarantined <- List.rev_append r.cr_crashes acc.a_rev_quarantined
 
 (* Execute one cluster representative under supervision; quarantined
    crashers are captured by quarantine-count delta and produce no
-   report. [attrs] are correlation attributes ([case], [cluster],
-   [domain]) stamped on the execution's trace events, so the
-   reconstructed span tree can join each execution to its test case no
-   matter which schedule ran it. *)
+   report, and a report is diagnosed on the same supervisor when
+   [options.diagnose] is set. [attrs] are correlation attributes
+   ([case], [cluster], [domain]) stamped on the execution's trace
+   events, so the reconstructed span tree can join each execution to
+   its test case no matter which schedule ran it. *)
 let exec_case ?(attrs = []) options corpus sup (tc : Testcase.t) =
   let sender = corpus.(tc.Testcase.sender) in
   let receiver = corpus.(tc.Testcase.receiver) in
@@ -493,8 +533,13 @@ let exec_case ?(attrs = []) options corpus sup (tc : Testcase.t) =
       (report, concurrent)
   in
   let crashes = Supervisor.quarantined_since sup q0 in
+  let culprits =
+    if options.diagnose then Option.map (diagnose options.spec sup) report
+    else None
+  in
   { cr_tc = tc; cr_funnel = funnel; cr_report = report;
-    cr_concurrent = concurrent; cr_sched = sched; cr_crashes = crashes }
+    cr_concurrent = concurrent; cr_sched = sched; cr_crashes = crashes;
+    cr_culprits = culprits }
 
 (* A case that never produced an outcome because the execution
    environment itself died under it (permanent boot fault, lost worker
@@ -508,7 +553,8 @@ let lost_case_result ?(attempts = 0) corpus ~why (tc : Testcase.t) =
       c_attempts = attempts }
   in
   { cr_tc = tc; cr_funnel = Filter.funnel_create (); cr_report = None;
-    cr_concurrent = []; cr_sched = sched_create (); cr_crashes = [ crash ] }
+    cr_concurrent = []; cr_sched = sched_create (); cr_crashes = [ crash ];
+    cr_culprits = None }
 
 (* Run a chunk of [(case, tc)] pairs sequentially, absorbing
    [Supervisor.Gave_up] at the chunk boundary: a permanent
@@ -641,29 +687,6 @@ let run_chunk ~attrs ~emit options corpus sup chunk =
     |> List.iter (fun (case, r, execs) -> emit case r execs)
   end
 
-(* The execute phase boots one supervised environment ([boot]; a stream
-   hands over its own); [run] executes on it, and it goes on to run
-   diagnosis. *)
-let execute_stage =
-  Pipeline.v ~consumes:"clusters" ~produces:"case-results" "execute"
-    (fun _obs (boot, run) ->
-      let sup = boot () in
-      run sup;
-      sup)
-
-(* Algorithm 2 on one report, re-testing through [sup]. *)
-let diagnose_report spec sup (r : Report.t) =
-  Aggregate.key_report r
-    (Diagnose.culprits
-       ~test:(protected_interference spec sup)
-       ~sender:r.Report.sender ~receiver:r.Report.receiver
-       ~interfered:r.Report.interfered)
-
-let diagnose_stage =
-  Pipeline.v ~consumes:"reports" ~produces:"keyed-reports" "diagnose"
-    (fun _obs (options, sup, reports) ->
-      List.map (diagnose_report options.spec sup) reports)
-
 (* Schedule-search counters exist only when the search actually ran:
    interning them unconditionally would perturb the golden obs export of
    sequential-only campaigns. *)
@@ -729,11 +752,11 @@ let supervisor = make_supervisor
    other representatives with their global case indices, so case [i] is
    the same representative whichever process runs it; [complete] folds
    each completion as it arrives, records it in the log and saves the
-   log every [log.every] completions; [finish] diagnoses and builds the
-   result. Results are folded in representative order through [absorb];
-   one that arrives early waits for the cases before it. A result's
+   log every [log.every] completions; [finish] builds the result.
+   Results are folded in representative order through [absorb]; one
+   that arrives early waits for the cases before it. A result's
    [executions] is the sum of the per-case costs the driver receives,
-   replayed or executed, plus the diagnosis re-tests. [execute] and
+   replayed or executed, diagnosis re-tests included. [drive] and
    [stream_result] make the four calls around an executor; a serve
    tenant makes them itself, with the shared pool as its executor. *)
 
@@ -784,6 +807,13 @@ let fold r case res execs =
   r.r_executions <- r.r_executions + execs;
   arrive r case res
 
+(* Whether a logged result can be folded as it stands: with diagnosis
+   on, a report needs its culprits. A log written before results
+   carried them holds none, and that case runs again. *)
+let replayable (options : options) res =
+  not (options.diagnose && Option.is_some res.cr_report
+       && Option.is_none res.cr_culprits)
+
 let start ?log prepared generation =
   let r =
     { r_options =
@@ -799,10 +829,10 @@ let start ?log prepared generation =
       List.iteri
         (fun i tc ->
           match l.replay i tc with
-          | Some (res, execs) ->
+          | Some (res, execs) when replayable r.r_options res ->
             r.r_replayed <- r.r_replayed + 1;
             fold r i res execs
-          | None -> ())
+          | Some _ | None -> ())
         generation.Cluster.reps)
     log;
   r
@@ -840,31 +870,28 @@ let run_completed r = r.r_next + Hashtbl.length r.r_early
 let run_replayed r = r.r_replayed
 let run_executions r = r.r_executions
 
-(* The one place a campaign result is built. Closes the attrition
-   balance, diagnoses the reports — Algorithm 2 on [sup], as the
-   "phase.diagnose" stage — mirrors the final accounting into the
-   always-on "campaign.*" counters, then closes the log. *)
+(* The one place a campaign result is built, as a pure fold: it closes
+   the attrition balance, mirrors the final accounting into the
+   always-on "campaign.*" counters, then closes the log. No kernel
+   runs here; [sup] is read for its supervision counters only. *)
 let finish ?sup r =
   if r.r_next < r.r_cases then
     Fmt.invalid_arg "Campaign.finish: case %d has no result" r.r_next;
   let { r_options = options; r_obs = obs; r_generation = generation; _ } = r in
-  let sup =
-    match sup with Some sup -> sup | None -> make_supervisor ~obs options
-  in
   let acc = r.r_acc in
   let reports = List.rev acc.a_rev_reports in
   let concurrent = List.rev acc.a_rev_concurrent in
   let quarantined = List.rev acc.a_rev_quarantined in
-  let e0 = Supervisor.executions sup in
-  let keyed =
-    if options.diagnose then
-      Pipeline.run obs diagnose_stage (options, sup, reports)
-    else begin
-      Metrics.set_gauge (time_gauge obs "diagnose_s") 0.0;
-      []
-    end
+  let keyed = if options.diagnose then List.rev acc.a_rev_keyed else [] in
+  let executions = r.r_executions in
+  let sup_stats, fault_counters =
+    match sup with
+    | Some sup -> (sup.Supervisor.stats, Fault.counters sup.Supervisor.fault)
+    | None ->
+      ( { Supervisor.attempts = 0; retries = 0; reboots = 0; boot_failures = 0;
+          corruptions = 0; backoff_ms = 0.0 },
+        Fault.counters (Fault.none ()) )
   in
-  let executions = r.r_executions + Supervisor.executions sup - e0 in
   let funnel = acc.a_funnel and sched = acc.a_sched in
   let attrition = acc.a_attrition in
   (* Generation totals close the attrition balance: every generated
@@ -900,8 +927,8 @@ let finish ?sup r =
       agg_r = Aggregate.agg_r keyed;
       agg_rs = Aggregate.agg_rs keyed;
       executions;
-      sup_stats = sup.Supervisor.stats;
-      fault_counters = Fault.counters sup.Supervisor.fault;
+      sup_stats;
+      fault_counters;
       timings = read_timings obs;
       obs;
       coverage = r.r_cov;
@@ -933,27 +960,26 @@ let in_process options corpus sup ~batch cases ~on_done =
   in
   go cases
 
-(* [run]'s todo list on [executor], inside the execute stage; [boot]
-   supplies the execute-phase supervisor, which goes on to run
-   diagnosis, and [elapsed_base] seeds the execute-phase gauge with
-   execution time spent before the driver ran. *)
-let drive ?(executor = in_process) ?elapsed_base ~boot r =
+(* [run]'s todo list on [executor], in the execute phase on the
+   supervisor [boot] supplies, then [finish]. [elapsed_base] seeds the
+   execute gauge with execution time spent before the driver ran. *)
+let drive_on ?(executor = in_process) ?elapsed_base ~boot r =
   let todo = todo r in
-  let exec sup =
-    if todo <> [] then
-      executor r.r_options r.r_corpus sup
-        ~batch:(match r.r_log with Some l -> l.every | None -> max_int)
-        todo ~on_done:(complete r)
-  in
   (* An executor that dies (a pool with every worker gone) still leaves
      its completions in the log for the next run to replay. *)
   let sup =
     match
-      Pipeline.run_timed ?elapsed_base r.r_obs execute_stage
+      phase r.r_obs "execute" ?base:elapsed_base
         ~attrs:
           [ ("cases", string_of_int (List.length todo));
             ("domains", string_of_int (max 1 r.r_options.domains)) ]
-        (boot, exec)
+        (fun () ->
+          let sup = boot () in
+          if todo <> [] then
+            executor r.r_options r.r_corpus sup
+              ~batch:(match r.r_log with Some l -> l.every | None -> max_int)
+              todo ~on_done:(complete r);
+          sup)
     with
     | sup, _ ->
       save r;
@@ -964,10 +990,16 @@ let drive ?(executor = in_process) ?elapsed_base ~boot r =
   in
   finish ~sup r
 
+(* A batch execute phase starts the diagnosis sub-phase from zero, so
+   strategies sharing one bundle (Table 4) do not accumulate it. *)
+let drive ?executor r =
+  Metrics.set_gauge (time_gauge r.r_obs "diagnose_s") 0.0;
+  drive_on ?executor
+    ~boot:(fun () -> make_supervisor ~obs:r.r_obs r.r_options)
+    r
+
 let execute ?executor ?log prepared generation =
-  drive ?executor
-    ~boot:(fun () -> make_supervisor ~obs:prepared.p_obs prepared.p_options)
-    (start ?log prepared generation)
+  drive ?executor (start ?log prepared generation)
 
 let execute_prepared ?strategy prepared =
   execute prepared (generate_prepared ?strategy prepared)
@@ -1062,7 +1094,7 @@ let stream_execute s (events : Cluster.event list) =
   end
 
 (* Grow the stream's corpus to [to_size] programs through the front end,
-   one stage run per growth step. *)
+   one front phase per growth step. *)
 let stream_grow s ~to_size =
   let from = Array.length s.s_corpus in
   if to_size < from then invalid_arg "Campaign.extend: corpus cannot shrink";
@@ -1071,9 +1103,10 @@ let stream_grow s ~to_size =
   s.s_corpus <-
     Array.of_list (Corpus.generate ~seed:s.s_options.seed ~size:to_size);
   let _, dt =
-    Pipeline.run_timed s.s_obs front_stage ~elapsed_base:s.s_front_s
-      ~attrs:(front_attrs ~from ~to_size)
-      (s.s_front, s.s_corpus, from, List.iter (stream_execute s), fun _ -> [])
+    phase s.s_obs "front" ~base:s.s_front_s ~attrs:(front_attrs ~from ~to_size)
+      (fun () ->
+        front_fold s.s_front s.s_corpus ~from
+          ~on_events:(List.iter (stream_execute s)) ~finish:(fun _ -> []))
   in
   s.s_front_s <- s.s_front_s +. dt;
   s_counter s "stream_fed" (Cluster.fed s.s_cstate);
@@ -1099,12 +1132,15 @@ let stream (options : options) =
       s_execute_s = 0.0;
       s_front_s = 0.0 }
   in
+  (* The stream's diagnosis sub-phase is every eager diagnosis on
+     [s_sup], so it starts from zero here, not per result. *)
+  Metrics.set_gauge (time_gauge obs "diagnose_s") 0.0;
   stream_grow s ~to_size:options.corpus_size;
   s
 
 (* The execute driver over the finalized clusters, with the memo as its
-   log: the execute-phase gauge adds the eager executions, and the
-   diagnosis re-runs on every call. *)
+   log: the execute-phase gauge adds the eager executions, and a
+   replayed report keeps the culprits it was diagnosed with. *)
 let stream_result s =
   let obs = s.s_obs in
   set_front_gauges obs s.s_front;
@@ -1122,7 +1158,7 @@ let stream_result s =
       p_cov = s.s_front.f_cov }
   in
   let t =
-    drive ~elapsed_base:s.s_execute_s
+    drive_on ~elapsed_base:s.s_execute_s
       ~boot:(fun () -> s.s_sup)
       (start ~log prepared (Cluster.finalize s.s_cstate))
   in

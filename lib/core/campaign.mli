@@ -17,7 +17,9 @@
     every per-case result into the campaign — a [kit serve] tenant's
     too — so batch and streaming campaigns produce the same result —
     summary and coverage included, and the execution count too without
-    faults on one domain (property-tested). *)
+    faults on one domain (property-tested). A case that reports is
+    diagnosed (Algorithm 2) where it ran, so its culprits are part of
+    its result and {!finish} runs no kernel. *)
 
 type options = {
   config : Kit_kernel.Config.t;
@@ -26,7 +28,9 @@ type options = {
   seed : int;
   strategy : Kit_gen.Cluster.strategy;
   reruns : int;                    (** non-determinism re-executions *)
-  diagnose : bool;                 (** run Algorithm 2 + aggregation *)
+  diagnose : bool;
+  (** run Algorithm 2 on each case that reports, on the supervisor that
+      executed it, and aggregate *)
   faults : Kit_kernel.Fault.schedule;  (** injected fault schedule *)
   fuel : int;                      (** per-execution step budget *)
   max_retries : int;               (** supervisor retry budget per case *)
@@ -43,14 +47,15 @@ type options = {
       dealt over this many OCaml domains by receiver program — whole
       receiver groups, largest first, to the least-loaded domain — one
       isolated supervised environment per domain, and merged back in
-      representative order: reports, funnel and quarantine are
-      structurally identical to the sequential schedule
-      (property-tested), and since a receiver's cases share a domain,
-      its baseline, mask and pair searches are computed there once, as
-      sequentially. With [domains > 1], {!t.sup_stats} and
-      {!t.fault_counters} describe only the diagnosis environment — the
-      per-domain supervision counters live in the bundle's metrics,
-      folded in with {!Kit_obs.Metrics.absorb}. *)
+      representative order: reports, funnel, quarantine, keyed reports
+      and, without faults, the execution count are identical to the
+      sequential schedule (property-tested). A receiver's cases share a
+      domain, so its baseline, mask and pair searches are computed
+      there once, as sequentially, and its reports are diagnosed there
+      on warm caches. With [domains > 1], {!t.sup_stats} and
+      {!t.fault_counters} describe the campaign's own supervisor, which
+      ran nothing — the per-domain supervision counters live in the
+      bundle's metrics, folded in with {!Kit_obs.Metrics.absorb}. *)
   schedules : int;
   (** interleaved schedule seeds searched per completed test case
       (default 1 = sequential only). With [schedules > 1] each completed
@@ -119,10 +124,13 @@ val attrition_balanced : attrition -> bool
 (** Phase wall-clock timings. Thin reads over the bundle's volatile
     ["time.*"] gauges — the registry is the source of truth. *)
 type timings = {
-  profile_s : float;
-  generate_s : float;
+  profile_s : float;               (** sub-phase of the front end *)
+  generate_s : float;              (** sub-phase of the front end *)
   execute_s : float;
   diagnose_s : float;
+  (** sub-phase of execute: Algorithm 2 on the campaign's own
+      supervisor, reset per execute phase (a stream's covers its
+      life). 0 when cases run on domains or pool workers. *)
 }
 
 type t = {
@@ -219,6 +227,10 @@ type case_result = {
       (** this case's schedule-search accounting *)
   cr_crashes : Kit_exec.Supervisor.crash list;
       (** quarantined by this case *)
+  cr_culprits : Kit_report.Diagnose.pair list option;
+      (** Algorithm 2's culprit pairs for [cr_report], found on the
+          supervisor that executed the case; [None] when the case has no
+          report or diagnosis is off *)
 }
 
 val supervisor : obs:Kit_obs.Obs.t -> options -> Kit_exec.Supervisor.t
@@ -230,10 +242,13 @@ val exec_case :
   ?attrs:(string * string) list ->
   options -> Kit_abi.Program.t array -> Kit_exec.Supervisor.t ->
   Kit_gen.Testcase.t -> case_result
-(** Execute one cluster representative under supervision. [attrs] are
-    correlation attributes stamped on the execution's trace events.
+(** Execute one cluster representative under supervision and, when
+    [options.diagnose] is set and it reports, diagnose the report on
+    the same supervisor. [attrs] are correlation attributes stamped on
+    the execution's trace events.
     @raise Kit_exec.Supervisor.Gave_up on permanent infrastructure
-    faults — drivers absorb it at their chunk boundary. *)
+    faults, in the case or in a re-test — drivers absorb it at their
+    chunk boundary. *)
 
 val lost_case_result :
   ?attempts:int ->
@@ -249,13 +264,13 @@ val lost_case_result :
     {!todo} lists the remaining representatives with their global case
     indices for an executor, {!complete} takes each completion as it
     arrives — folding it, recording it in the log and saving the log
-    every [log.every] completions — and {!finish} diagnoses and builds
-    the result. {!execute} and {!stream_result} make the four calls
-    around an {!executor} ({!in_process} or the process pool,
+    every [log.every] completions — and {!finish} builds the result.
+    {!drive} and {!stream_result} make the four calls around an
+    {!executor} ({!in_process} or the process pool,
     [Kit_serve.Pool.executor]); a [kit serve] tenant makes them itself
     on the shared pool. Every campaign count (funnel, attrition,
-    coverage attribution, quarantine, schedule totals, and
-    {!t.executions} with the diagnosis re-tests added) is a fold of
+    coverage attribution, quarantine, schedule totals, keyed reports,
+    and {!t.executions} with the diagnosis re-tests) is a fold of
     per-case results, so the results are all a log needs to hold. *)
 
 type executor =
@@ -265,8 +280,8 @@ type executor =
 (** [executor options corpus sup ~batch cases ~on_done] runs every
     [(case, representative)] of [cases] and calls
     [on_done case result executions] once per case as it completes, in
-    any order; [executions] is what the case cost. [sup] is the
-    execute-phase supervisor, which goes on to run diagnosis; [batch]
+    any order; [executions] is what the case cost, diagnosis re-tests
+    included. [sup] is the campaign's execute-phase supervisor; [batch]
     is the most completions an executor should hold back before
     reporting them. *)
 
@@ -294,18 +309,22 @@ type run
 
 val start : ?log:log -> prepared -> Kit_gen.Cluster.result -> run
 (** Replay and fold every result [log] holds for [generation]'s
-    representatives. *)
+    representatives. With diagnosis on, a logged result with a report
+    but no culprits (a log written before results carried them) is not
+    replayed: its case runs again. *)
 
 val todo : run -> (int * Kit_gen.Testcase.t) list
 (** The cases with no result yet, in case order. *)
 
 val complete : run -> int -> case_result -> int -> unit
 (** [complete run case result executions]: an executor's [on_done].
-    Call it once per case. *)
+    Call it once per case. With diagnosis on, a result with a report
+    carries its culprits, as {!exec_case} gives it. *)
 
 val finish : ?sup:Kit_exec.Supervisor.t -> run -> t
-(** Diagnose on [sup] (default a fresh supervisor), build the result,
-    then close the log. Does not save the log.
+(** Build the result from the fold, then close the log: a pure fold
+    that runs no kernel. [sup] (default none: zero counters) supplies
+    {!t.sup_stats} and {!t.fault_counters} only. Does not save the log.
     @raise Invalid_argument if a case has no result. *)
 
 val run_cases : run -> int
@@ -314,16 +333,19 @@ val run_completed : run -> int
 
 val run_replayed : run -> int
 val run_executions : run -> int
-(** The folded cases' executions, without diagnosis. *)
+(** The folded cases' executions, diagnosis re-tests included. *)
+
+val drive : ?executor:executor -> run -> t
+(** Run {!todo} on [executor] (default {!in_process}) in the execute
+    phase, on a supervisor booted for it, then {!finish}. The
+    ["time.diagnose_s"] gauge starts the phase at 0. The log is saved
+    when the executor returns, and before an exception it raises
+    propagates. Without a log no result is encoded, and {!in_process}
+    runs every representative as one chunk. *)
 
 val execute :
   ?executor:executor -> ?log:log -> prepared -> Kit_gen.Cluster.result -> t
-(** The driver around [executor] (default {!in_process}), which runs
-    {!todo} in the execute stage on the supervisor that then runs
-    diagnosis. The log is saved when the executor returns, and before
-    an exception it raises propagates. Without a log no result is
-    encoded, and {!in_process} runs every representative as one
-    chunk. *)
+(** [drive ?executor (start ?log prepared generation)]. *)
 
 val execute_prepared : ?strategy:Kit_gen.Cluster.strategy -> prepared -> t
 (** {!execute} of {!generate_prepared} (Table 4 runs each strategy on
@@ -350,7 +372,7 @@ val run : options -> t
     delta campaign. Corpus generation is prefix-stable, so the grown
     corpus extends the original and only clusters that are new or whose
     representative changed execute; every other representative replays
-    from the memo. Diagnosis re-runs on every result. *)
+    from the memo with the culprits it was diagnosed with. *)
 
 type stream
 

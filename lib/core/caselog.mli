@@ -62,7 +62,9 @@ val campaign :
     a case result: the kernel config, the spec, the strategy, seed,
     corpus size, reruns, fuel, retry budget, the expanded fault
     schedule and the schedule count — not domains, baseline caching or
-    diagnosis, and the executor is no option at all. With [resume] and
+    diagnosis, and the executor is no option at all (a log taken
+    without diagnosis resumes with it: {!Campaign.start} runs its
+    reported cases again). With [resume] and
     an existing file, its records must all carry this header, and their
     entries are replayed; otherwise the log starts empty and its first
     save replaces whatever [path] held. A log deletes its file when

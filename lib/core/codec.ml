@@ -19,6 +19,7 @@ module Report = Kit_detect.Report
 module Filter = Kit_detect.Filter
 module Supervisor = Kit_exec.Supervisor
 module Fault = Kit_kernel.Fault
+module Diagnose = Kit_report.Diagnose
 
 (* -- decoding combinators ------------------------------------------------- *)
 
@@ -290,6 +291,20 @@ let sched_of_json j =
     { Campaign.sched_candidates; sched_classes; sched_executed; sched_pruned;
       sched_skipped }
 
+(* A culprit pair is [sender_index, receiver_index]. *)
+let pair_to_json (p : Diagnose.pair) =
+  ints [ p.Diagnose.sender_index; p.Diagnose.receiver_index ]
+
+let pair_of_json j =
+  match list int j with
+  | Ok [ sender_index; receiver_index ] ->
+    Ok { Diagnose.sender_index; receiver_index }
+  | Ok _ -> Error "expected a [sender, receiver] pair"
+  | Error _ as e -> e
+
+(* [culprits] is written whenever the case was diagnosed, even with no
+   pair found ([]); a log written before results carried it decodes to
+   [None], which the driver re-executes if the case reported. *)
 let case_result_to_json (cr : Campaign.case_result) =
   Jsonl.Obj
     ([ ("testcase", testcase_to_json cr.Campaign.cr_tc);
@@ -302,7 +317,11 @@ let case_result_to_json (cr : Campaign.case_result) =
     @ opt "sched" sched_to_json ~default:(Campaign.sched_create ())
         cr.Campaign.cr_sched
     @ opt "crashes" (fun l -> Jsonl.List (List.map crash_to_json l))
-        ~default:[] cr.Campaign.cr_crashes)
+        ~default:[] cr.Campaign.cr_crashes
+    @
+    match cr.Campaign.cr_culprits with
+    | None -> []
+    | Some l -> [ ("culprits", Jsonl.List (List.map pair_to_json l)) ])
 
 let case_result_of_json j =
   let* cr_tc = field "testcase" testcase_of_json j in
@@ -318,6 +337,10 @@ let case_result_of_json j =
     field_or "sched" ~default:(Campaign.sched_create ()) sched_of_json j
   in
   let* cr_crashes = field_or "crashes" ~default:[] (list crash_of_json) j in
+  let* cr_culprits =
+    field_or "culprits" ~default:None
+      (fun l -> Result.map Option.some (list pair_of_json l)) j
+  in
   Ok
     { Campaign.cr_tc; cr_funnel; cr_report; cr_concurrent; cr_sched;
-      cr_crashes }
+      cr_crashes; cr_culprits }

@@ -10,8 +10,10 @@
     {!case_result_to_json} covers the whole {!Campaign.case_result}:
     the testcase, its funnel increments, the report (both programs,
     the diffs with both subtrees, and the origin with its reproducing
-    seeds), the concurrent findings, the schedule-search accounting
-    and the crash reports. A decoded result is structurally equal to
+    seeds), the concurrent findings, the schedule-search accounting,
+    the crash reports and the report's culprit pairs, as
+    [[[sender_index, receiver_index], …]]. A log written before results
+    carried culprits decodes them as [None]. A decoded result is structurally equal to
     the encoded one (property-tested; diff subtrees are
     {!Kit_trace.Ast.equal}). Reports carry no traces: the two trace
     fields of logs written while they did are ignored like any unknown

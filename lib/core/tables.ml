@@ -255,7 +255,7 @@ let performance (campaign : Campaign.t) =
   let execs = campaign.Campaign.executions in
   let exec_rate =
     if t.Campaign.execute_s > 0.0 then
-      float_of_int execs /. (t.Campaign.execute_s +. t.Campaign.diagnose_s)
+      float_of_int execs /. t.Campaign.execute_s
     else 0.0
   in
   let prof_rate =
@@ -269,9 +269,7 @@ let performance (campaign : Campaign.t) =
      %d program executions in %.2fs (%.0f executions/s)"
     n_corpus t.Campaign.profile_s prof_rate
     campaign.Campaign.generation.Cluster.clusters campaign.Campaign.df_total
-    t.Campaign.generate_s execs
-    (t.Campaign.execute_s +. t.Campaign.diagnose_s)
-    exec_rate
+    t.Campaign.generate_s execs t.Campaign.execute_s exec_rate
 
 (* --- Section 6.1 ablation: CONFIG_JUMP_LABEL ----------------------------- *)
 

@@ -5,8 +5,9 @@
     Each {!step}: activate pending tenants (up to [sc_max_active]),
     dispatch idle worker slots by deficit round robin, poll the pool,
     pass its events through the pool's job policy ({!Pool.handle}) of
-    every active tenant, finish drained tenants (diagnosis +
-    aggregation + checkpoint) and refresh the [serve.*] gauges.
+    every active tenant, finish drained tenants (fold, summary and
+    checkpoint; no kernel runs in the loop, as the workers diagnose
+    each report with its case) and refresh the [serve.*] gauges.
 
     {b Fair sharing.} Deficit round robin: every refill grants each
     active tenant [weight] credits (capped at 8x weight), a dispatch

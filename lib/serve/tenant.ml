@@ -150,8 +150,8 @@ let activate t pool =
          ~on_done:(Campaign.complete run));
   t.t_phase <- Active
 
-(* Diagnosis and aggregation run here, in the daemon, exactly as a solo
-   campaign would run them. *)
+(* The driver's fold: pool workers diagnosed each report with its case,
+   so no kernel runs here, in the scheduler loop. *)
 let finish t =
   match t.t_run with
   | Some run when t.t_phase = Active ->

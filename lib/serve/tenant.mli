@@ -62,8 +62,9 @@ val activate : t -> Pool.t -> unit
     completions go to the driver. *)
 
 val finish : t -> Kit_core.Campaign.t
-(** Diagnose and aggregate on a fresh supervisor
-    ({!Kit_core.Campaign.finish}) and move to [Finished]. Call when
+(** Fold the results into the campaign ({!Kit_core.Campaign.finish}),
+    render the summary and move to [Finished]. Runs no kernel: the pool
+    workers diagnosed each report with its case. Call when
     {!is_drained}. *)
 
 val cancel : t -> unit

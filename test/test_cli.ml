@@ -4,7 +4,8 @@
    other options. A run killed midway is a run whose log write hits the
    file-size limit: SIGXFSZ lands at a byte the test chooses, not at a
    time. The flags, the campaign's and the daemon's: a value out of range
-   is a usage error. *)
+   is a usage error. And the repository's own export check
+   (tools/unused_exports.sh), run on a planted tree. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -283,6 +284,72 @@ let test_daemon_survives_bad_frames () =
                ~sub:"{\"k\":\"counter\",\"name\":\"serve.rejected\",\"value\":3}"
                (read_file (Filename.concat dir "m.jsonl")))))
 
+(* -- the unused-export check ------------------------------------------ *)
+
+let unused_exports =
+  lazy
+    (match
+       List.find_opt Sys.file_exists
+         [ "../tools/unused_exports.sh"; "tools/unused_exports.sh" ]
+     with
+    | Some path -> Filename.concat (Sys.getcwd ()) path
+    | None -> Alcotest.fail "tools/unused_exports.sh not found")
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* The check over a one-library tree in [dir]: module Foo exports
+   [planted] and [used], [caller] is bin/main.ml and [allow] the
+   allowlist. Returns the exit code and the output. *)
+let check_exports dir ~allow caller =
+  List.iter
+    (fun d ->
+      let d = Filename.concat dir d in
+      if not (Sys.file_exists d) then Unix.mkdir d 0o700)
+    [ "lib"; "lib/foo"; "bin"; "tools" ];
+  write_file (Filename.concat dir "lib/foo/foo.mli")
+    "val planted : int -> int\nval used : int -> int\n";
+  write_file (Filename.concat dir "lib/foo/foo.ml")
+    "let planted x = x\nlet used x = x\n";
+  write_file (Filename.concat dir "bin/main.ml") caller;
+  write_file (Filename.concat dir "tools/unused_exports.allow") allow;
+  let out = Filename.concat dir "out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "sh %s %s > %s 2>&1"
+         (Filename.quote (Lazy.force unused_exports))
+         (Filename.quote dir) (Filename.quote out))
+  in
+  (code, read_file out)
+
+(* An export named only in a comment has no caller; one called as
+   [Foo.planted], qualified or not, or by its bare name where Foo is
+   opened, has; so does one on the allowlist. *)
+let test_unused_exports_check () =
+  let dir = Filename.temp_file "kit-exports" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int))
+    (fun () ->
+      let comment = "(* planted, in a comment *)\nlet () = ignore (Foo.used 1)\n" in
+      let code, out = check_exports dir ~allow:"" comment in
+      check_int "a name in a comment is no caller" 1 code;
+      check_bool "the planted export is named" true
+        (contains ~sub:"Foo.planted has no caller" out);
+      check_bool "the called export is not" false (contains ~sub:"Foo.used" out);
+      List.iter
+        (fun caller ->
+          let code, out = check_exports dir ~allow:"" caller in
+          check_int ("a caller: " ^ String.escaped caller) 0 code;
+          check_string "nothing reported" "" out)
+        [ "let () = ignore (Foo.used (Lib.Foo.planted 1))\n";
+          "open Foo\nlet () = ignore (used (planted 1))\n";
+          "let () = ignore Foo.(used (planted 1))\n" ];
+      let code, _ = check_exports dir ~allow:"Foo.planted\n" comment in
+      check_int "an allowlisted export passes" 0 code)
+
 let suite =
   [
     Alcotest.test_case "resume refuses a log taken under other options"
@@ -295,4 +362,6 @@ let suite =
       `Quick test_out_of_range_serve_flags_refused;
     Alcotest.test_case "the daemon rejects frames that are not requests"
       `Quick test_daemon_survives_bad_frames;
+    Alcotest.test_case "the export check: a comment is no caller" `Quick
+      test_unused_exports_check;
   ]

@@ -11,6 +11,8 @@ module Aggregate = Kit_report.Aggregate
 module Signature = Kit_report.Signature
 module Spec = Kit_spec.Spec
 module Filter = Kit_detect.Filter
+module Obs = Kit_obs.Obs
+module Metrics = Kit_obs.Metrics
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -209,14 +211,23 @@ let test_stream_stats_shape () =
         (stats.Campaign.peak_feed_pairs <= t.Campaign.df_total))
     [ Cluster.Df_ia; Cluster.Rand 40 ]
 
+(* A counter of [obs]'s registry, 0 when it was never interned. *)
+let counter obs name =
+  match List.assoc_opt name (Obs.snapshot obs) with
+  | Some (Metrics.Counter_v v) -> v
+  | _ -> 0
+
 let test_stream_result_idempotent () =
   let opts = { Campaign.default_options with Campaign.corpus_size = 32 } in
   let s = Campaign.stream opts in
   let a = Campaign.stream_result s in
   let execs = (Campaign.stream_stats s).Campaign.executed_cases in
+  let kernel = counter a.Campaign.obs "exec.executions" in
   let b = Campaign.stream_result s in
   check_int "no re-execution on re-assembly" execs
     (Campaign.stream_stats s).Campaign.executed_cases;
+  check_int "no kernel execution on re-assembly, diagnosis included" kernel
+    (counter a.Campaign.obs "exec.executions");
   check_int "same reports" (List.length a.Campaign.reports)
     (List.length b.Campaign.reports);
   check_int "same df_total" a.Campaign.df_total b.Campaign.df_total
@@ -250,6 +261,87 @@ let test_log_changes_nothing () =
         check_int "same executions" plain.Campaign.executions
           logged.Campaign.executions;
         check_bool "log deleted" false (Sys.file_exists path))
+
+(* A log written before case results carried culprits: a diagnosed
+   campaign's log with every entry's culprits stripped. Resumed, exactly
+   the entries holding reports run again — the rest replay — and the
+   summary is the straight run's. *)
+let test_resume_without_culprits () =
+  let options =
+    { Campaign.default_options with Campaign.corpus_size = 48; seed = 11 }
+  in
+  Resume.with_path "kit-culprits" (fun path ->
+      let prepared = Campaign.prepare options in
+      let generation = Campaign.generate_prepared prepared in
+      let reps = generation.Cluster.reps in
+      let log = Resume.open_log ~every:1 path options in
+      let stripped =
+        { log with
+          Campaign.record =
+            (fun tc r execs ->
+              log.Campaign.record tc
+                { r with Campaign.cr_culprits = None } execs) }
+      in
+      (match
+         Campaign.execute
+           ~executor:(Resume.killed_after (List.length reps))
+           ~log:stripped prepared generation
+       with
+      | _ -> Alcotest.fail "the campaign must be killed"
+      | exception Resume.Killed -> ());
+      let log = Resume.open_log ~every:1 path options in
+      let reported =
+        List.concat
+          (List.mapi
+             (fun i tc ->
+               match log.Campaign.replay i tc with
+               | Some (r, _) when r.Campaign.cr_report <> None -> [ i ]
+               | Some _ -> []
+               | None -> Alcotest.failf "case %d was not logged" i)
+             reps)
+      in
+      check_bool "the log holds reports" true (reported <> []);
+      let prepared = Campaign.prepare options in
+      let run =
+        Campaign.start ~log prepared (Campaign.generate_prepared prepared)
+      in
+      check_int "every other entry replays"
+        (List.length reps - List.length reported)
+        (Campaign.run_replayed run);
+      check (Alcotest.list Alcotest.int) "the reported cases run again"
+        reported
+        (List.map fst (Campaign.todo run));
+      check Alcotest.string "summary = straight run"
+        (Kit_serve.Proto.summary (Campaign.run options))
+        (Kit_serve.Proto.summary (Campaign.drive run)))
+
+(* [finish] is a fold: on a run whose cases all completed, it executes
+   nothing and boots nothing, with or without a supervisor. *)
+let test_finish_runs_no_kernel () =
+  let obs = Obs.create () in
+  let options =
+    { Campaign.default_options with
+      Campaign.corpus_size = 48; seed = 11; obs = Some obs }
+  in
+  let prepared = Campaign.prepare options in
+  let corpus = Campaign.prepared_corpus prepared in
+  let sup = Campaign.supervisor ~obs options in
+  List.iter
+    (fun finish ->
+      let run = Campaign.start prepared (Campaign.generate_prepared prepared) in
+      List.iter
+        (fun (i, tc) ->
+          Campaign.complete run i (Campaign.exec_case options corpus sup tc) 0)
+        (Campaign.todo run);
+      let executions = counter obs "exec.executions"
+      and attempts = counter obs "sup.attempts" in
+      let c = finish run in
+      check_bool "reports to diagnose" true (c.Campaign.reports <> []);
+      check_int "every report keyed" (List.length c.Campaign.reports)
+        (List.length c.Campaign.keyed);
+      check_int "no execution" executions (counter obs "exec.executions");
+      check_int "no supervised attempt" attempts (counter obs "sup.attempts"))
+    [ Campaign.finish ~sup; Campaign.finish ?sup:None ]
 
 (* --- Tables ----------------------------------------------------------------------- *)
 
@@ -478,4 +570,8 @@ let suite =
       test_spec_refinement_ablation;
     Alcotest.test_case "ablation: bounds detector row" `Quick
       test_bounds_ablation;
+    Alcotest.test_case "campaign: a log without culprits re-runs its reports"
+      `Quick test_resume_without_culprits;
+    Alcotest.test_case "campaign: finish runs no kernel" `Quick
+      test_finish_runs_no_kernel;
   ]

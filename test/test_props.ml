@@ -14,6 +14,8 @@ module Bounds = Kit_trace.Bounds
 module Known_bugs = Kit_core.Known_bugs
 module Campaign = Kit_core.Campaign
 module Fault = Kit_kernel.Fault
+module Report = Kit_detect.Report
+module Aggregate = Kit_report.Aggregate
 
 (* Random programs drawn from the corpus generator, so they are
    well-formed in the same way campaign inputs are. *)
@@ -200,14 +202,21 @@ let prop_search_memo_invisible =
       = result (Campaign.run { options with Campaign.baseline_cache = false }))
 
 let prop_parallel_campaign_equals_sequential =
+  (* Reports, funnel, quarantine and summary agree, and with no fault
+     armed so does the execution count: each receiver group runs whole
+     on one domain, and its reports are diagnosed there, on the caches
+     its cases warmed. *)
   QCheck.Test.make ~name:"campaign domains=N = domains=1" ~count:4
     QCheck.(pair (int_range 0 1000) (int_range 2 4))
     (fun (seed, domains) ->
       let options =
         { Campaign.default_options with Campaign.seed; corpus_size = 24 }
       in
-      campaign_fp (Campaign.run { options with Campaign.domains })
-      = campaign_fp (Campaign.run options))
+      let parallel = Campaign.run { options with Campaign.domains } in
+      let sequential = Campaign.run options in
+      campaign_fp parallel = campaign_fp sequential
+      && Kit_serve.Proto.summary parallel = Kit_serve.Proto.summary sequential
+      && parallel.Campaign.executions = sequential.Campaign.executions)
 
 (* --- streaming pipeline equivalences ------------------------------------ *)
 
@@ -294,6 +303,87 @@ let prop_extend_delta_is_cheaper =
       in
       stream_fp grown = stream_fp scratch && delta < scratch_reps)
 
+(* --- diagnosis in the case job ------------------------------------------ *)
+
+(* The model of diagnosis before it ran in the case job: Algorithm 2
+   over the finished campaign's reports, in order, on one fresh
+   supervisor. *)
+let reference_keyed (c : Campaign.t) =
+  let o = c.Campaign.options in
+  let sup = Campaign.supervisor ~obs:(Kit_obs.Obs.create ()) o in
+  let test ~sender ~receiver =
+    Kit_detect.Filter.protected_interfered o.Campaign.spec receiver
+      (Kit_exec.Supervisor.test_interference sup ~sender ~receiver)
+  in
+  List.map
+    (fun (r : Report.t) ->
+      Aggregate.key_report r
+        (Kit_report.Diagnose.culprits ~test ~sender:r.Report.sender
+           ~receiver:r.Report.receiver ~interfered:r.Report.interfered))
+    c.Campaign.reports
+
+let keyed_view keyed =
+  List.map
+    (fun (k : Aggregate.keyed) ->
+      ( k.Aggregate.report.Report.testcase, k.Aggregate.pairs,
+        k.Aggregate.sender_sig, k.Aggregate.receiver_sig ))
+    keyed
+
+let keyed_is_reference (c : Campaign.t) =
+  List.length c.Campaign.keyed = List.length c.Campaign.reports
+  && keyed_view c.Campaign.keyed = keyed_view (reference_keyed c)
+
+let prop_keyed_equals_reference =
+  (* Diagnosing each report on the supervisor that executed its case
+     keys it as re-testing it afterwards on a fresh supervisor does,
+     for any strategy, domain count and transient-fault schedule, and
+     for a stream grown by [extend], whose unchanged reports replay
+     the culprits they were diagnosed with. *)
+  QCheck.Test.make ~name:"keyed reports = Algorithm 2 on a fresh supervisor"
+    ~count:8
+    QCheck.(
+      pair (int_range 0 1000)
+        (pair (int_range 0 2) (triple (int_range 1 4) (int_range 0 2) bool)))
+    (fun (seed, (strat, (domains, intensity, grown))) ->
+      let strategy =
+        match strat with
+        | 0 -> Kit_gen.Cluster.Df_ia
+        | 1 -> Kit_gen.Cluster.Df_st 1
+        | _ -> Kit_gen.Cluster.Rand 30
+      in
+      let options =
+        { Campaign.default_options with
+          Campaign.seed;
+          corpus_size = 24;
+          strategy;
+          domains;
+          faults = Fault.schedule_of_seed ~seed ~intensity }
+      in
+      keyed_is_reference
+        (if grown then
+           Campaign.extend
+             (Campaign.stream { options with Campaign.corpus_size = 16 })
+             ~add:8
+         else Campaign.run options))
+
+let test_keyed_on_pool () =
+  let options =
+    { Campaign.default_options with Campaign.seed = 11; corpus_size = 48 }
+  in
+  let prepared = Campaign.prepare options in
+  let c =
+    Campaign.execute
+      ~executor:
+        (Kit_serve.Pool.executor
+           { Kit_serve.Pool.default_config with Kit_serve.Pool.procs = 2 })
+      prepared
+      (Campaign.generate_prepared prepared)
+  in
+  Alcotest.check Alcotest.bool "reports to diagnose" true
+    (c.Campaign.reports <> []);
+  Alcotest.check Alcotest.bool "keyed on 2 worker processes = reference" true
+    (keyed_is_reference c)
+
 let test_fixed_kernel_silences_reproducers () =
   (* Every curated Table 3 reproducer is silent on the fixed kernel. *)
   List.iter
@@ -325,6 +415,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parallel_campaign_equals_sequential;
     QCheck_alcotest.to_alcotest prop_streaming_equals_batch;
     QCheck_alcotest.to_alcotest prop_extend_delta_is_cheaper;
+    QCheck_alcotest.to_alcotest prop_keyed_equals_reference;
+    Alcotest.test_case "keyed reports on the process pool = reference" `Quick
+      test_keyed_on_pool;
     Alcotest.test_case "fixed kernel silences every reproducer" `Quick
       test_fixed_kernel_silences_reproducers;
   ]
