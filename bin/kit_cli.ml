@@ -385,12 +385,22 @@ let campaign_exit (c : Campaign.t) =
   else if c.Campaign.reports <> [] then exit_reports
   else exit_clean
 
-let print_robustness (c : Campaign.t) =
+(* The fault and supervision counters of a --procs run stay in its
+   worker processes: the campaign's own supervisor runs nothing. *)
+let print_robustness ?(procs = 1) (c : Campaign.t) =
   if c.Campaign.options.Campaign.faults <> [] then begin
     Fmt.pr "fault schedule: %s@."
       (Fault.schedule_to_string c.Campaign.options.Campaign.faults);
-    Fmt.pr "faults fired: %a@." Fault.pp_counters c.Campaign.fault_counters;
-    Fmt.pr "supervisor: %a@." Supervisor.pp_stats c.Campaign.sup_stats
+    if procs > 1 then begin
+      Fmt.pr "faults fired: counted in the %d worker processes, not collected@."
+        procs;
+      Fmt.pr "supervisor: counted in the %d worker processes, not collected@."
+        procs
+    end
+    else begin
+      Fmt.pr "faults fired: %a@." Fault.pp_counters c.Campaign.fault_counters;
+      Fmt.pr "supervisor: %a@." Supervisor.pp_stats c.Campaign.sup_stats
+    end
   end;
   if c.Campaign.quarantined <> [] then begin
     Fmt.pr "%d quarantined crasher(s):@."
@@ -476,7 +486,7 @@ let cmd_campaign =
         end;
         Fmt.pr "%s@." (Tables.performance c);
         print_pool_stats ~procs:x.procs !pool_stats;
-        print_robustness c;
+        print_robustness ~procs:x.procs c;
         if verbose then Fmt.pr "@.%s@." (Kit_report.Render.groups c.Campaign.agg_rs);
         write_summary c summary_file;
         campaign_exit c)

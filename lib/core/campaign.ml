@@ -635,9 +635,11 @@ let deal ~domains corpus chunk =
    merge sorts by case index, so reports, funnel and quarantine come out
    structurally identical to the sequential schedule — only wall-clock
    and the execution count change. Per-domain registries are folded
-   into [sup]'s bundle with [Metrics.absorb] and the per-domain trace
-   rings with [Tracer.merge]; the absorbed ["exec.executions"] counts
-   are how domain executions reach [Supervisor.executions sup]. Emits
+   into [sup]'s bundle with [Metrics.absorb], the per-domain trace
+   rings with [Tracer.merge], and each domain supervisor's stats and
+   fault counters into [sup]'s with [Supervisor.absorb]; the absorbed
+   ["exec.executions"] counts are how domain executions reach
+   [Supervisor.executions sup]. Emits
    like [exec_cases_absorbing], in chunk order: sequentially as each
    case finishes, over domains once every domain is joined. *)
 let run_chunk ~attrs ~emit options corpus sup chunk =
@@ -655,7 +657,10 @@ let run_chunk ~attrs ~emit options corpus sup chunk =
         ~attrs:(fun case -> dom :: attrs case)
         ~emit:(fun case r execs -> out := (case, r, execs) :: !out)
         options corpus wsup slice;
-      (!out, Obs.snapshot wobs, Tracer.events wobs.Obs.tracer)
+      ( !out,
+        Obs.snapshot wobs,
+        Tracer.events wobs.Obs.tracer,
+        (wsup.Supervisor.stats, Fault.counters wsup.Supervisor.fault) )
     in
     let handles =
       Array.mapi
@@ -680,9 +685,14 @@ let run_chunk ~attrs ~emit options corpus sup chunk =
            | Some (Ok r) -> Some r
            | Some (Error _) | None -> None)
     in
-    List.iter (fun (_, snap, _) -> Metrics.absorb obs.Obs.metrics snap) results;
-    Tracer.merge obs.Obs.tracer (List.map (fun (_, _, events) -> events) results);
-    List.concat_map (fun (out, _, _) -> out) results
+    List.iter
+      (fun (_, snap, _, (stats, faults)) ->
+        Metrics.absorb obs.Obs.metrics snap;
+        Supervisor.absorb sup stats faults)
+      results;
+    Tracer.merge obs.Obs.tracer
+      (List.map (fun (_, _, events, _) -> events) results);
+    List.concat_map (fun (out, _, _, _) -> out) results
     |> List.sort (fun (i, _, _) (j, _, _) -> compare i j)
     |> List.iter (fun (case, r, execs) -> emit case r execs)
   end

@@ -53,9 +53,8 @@ type options = {
       domain, so its baseline, mask and pair searches are computed
       there once, as sequentially, and its reports are diagnosed there
       on warm caches. With [domains > 1], {!t.sup_stats} and
-      {!t.fault_counters} describe the campaign's own supervisor, which
-      ran nothing — the per-domain supervision counters live in the
-      bundle's metrics, folded in with {!Kit_obs.Metrics.absorb}. *)
+      {!t.fault_counters} add every domain's supervisor to the
+      campaign's own, as the bundle's metrics do. *)
   schedules : int;
   (** interleaved schedule seeds searched per completed test case
       (default 1 = sequential only). With [schedules > 1] each completed

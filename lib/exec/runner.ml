@@ -42,13 +42,18 @@
    - the baseline cache, same key: execution B and the mask's
      reference run are the receiver solo from the pristine snapshot at
      the reference clock base — a function of the receiver program
-     only, so test cases sharing a receiver share the trace. Decoded
-     ASTs are immutable, so sharing is safe. The cache is bypassed
-     entirely while the fault plane has armed faults: a poisoned VM
-     must not populate it, and a cached trace must not swallow a fault
-     that a real execution would have consumed. (A receiver whose solo
-     run crashes or hangs never completes its first execution, so it
-     can never be cached.)
+     only, so test cases sharing a receiver share the trace. An entry
+     is a [Decode.baseline]: the solo run's per-call return values
+     beside its decoded trace. Every other run of the receiver —
+     execution A and the mask's re-runs — is decoded against it, so
+     only the calls whose return values differ are decoded, and the
+     rest are the baseline's own nodes. Decoded ASTs are immutable, so
+     sharing is safe. The cache is bypassed entirely while the fault
+     plane has armed faults: a poisoned VM must not populate it, and a
+     cached trace must not swallow a fault that a real execution would
+     have consumed; the runs are then decoded against a fresh solo run.
+     (A receiver whose solo run crashes or hangs never completes its
+     first execution, so it can never be cached.)
    - the solo access-sequence cache, keyed on (container pid, program):
      schedule search needs each program's solo instrumented access
      sequence, which depends on which container runs it (the namespace
@@ -134,7 +139,8 @@ type t = {
   rerun_delta : int;
   mask_cache : (pkey, Ast.t) Lru.t;      (* receiver -> mask *)
   baseline : bool;                       (* baseline and search memos on? *)
-  baseline_cache : (pkey, Ast.t) Lru.t;  (* receiver -> solo trace at base0 *)
+  baseline_cache : (pkey, Decode.baseline) Lru.t;
+                                         (* receiver -> solo run at base0 *)
   access_cache : (int * pkey, (int * bool) array) Lru.t;
                                          (* (pid, program) -> solo
                                             (addr, is_write) sequence *)
@@ -194,20 +200,27 @@ let create ?(reruns = 3) ?(rerun_delta = 7_777) ?(mask_cache_cap = 4096)
 
 let executions t = Metrics.counter_value t.c_execs - t.execs0
 
-let run_receiver t ~base receiver =
+(* The receiver's raw results, solo ([receiver_results]) or after the
+   sender ([pair_results]); [run_receiver] and [run_pair] decode them
+   in full. *)
+let receiver_results t ~base receiver =
   Env.reset t.env ~base;
   Metrics.inc t.c_execs;
-  let results = Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver in
-  Decode.decode_trace results
+  Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver
 
-let run_pair t ~base sender receiver =
+let pair_results t ~base sender receiver =
   Env.reset t.env ~base;
   Metrics.inc t.c_execs;
   let _ : Interp.result list =
     Interp.run t.env.Env.kernel ~pid:t.env.Env.sender_pid sender
   in
-  let results = Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver in
-  Decode.decode_trace results
+  Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver
+
+let run_receiver t ~base receiver =
+  Decode.decode_trace (receiver_results t ~base receiver)
+
+let run_pair t ~base sender receiver =
+  Decode.decode_trace (pair_results t ~base sender receiver)
 
 (* Interleaved execution A: sender and receiver run as two schedulable
    tasks; [Kernel.Sched] takes a decision at every instrumented memory
@@ -345,23 +358,38 @@ let schedule_classes t ~schedules ~sender ~receiver =
    bypassed when disabled and while the fault plane is armed. *)
 let memoizing t = t.baseline && Fault.schedule (Env.fault t.env) = []
 
-(* The receiver's solo trace from the pristine snapshot at the reference
-   clock base — execution B, and the mask's reference run. Memoized per
-   receiver program unless disabled or the fault plane is armed. *)
-let baseline_trace t receiver =
-  if not (memoizing t) then run_receiver t ~base:t.env.Env.base0 receiver
+(* The receiver's solo run from the pristine snapshot at the reference
+   clock base — execution B, and the mask's reference run — as the
+   baseline its other runs decode against. Memoized per receiver
+   program unless disabled or the fault plane is armed. *)
+let baseline t receiver =
+  let solo () =
+    Decode.baseline (receiver_results t ~base:t.env.Env.base0 receiver)
+  in
+  if not (memoizing t) then solo ()
   else begin
     let key = pkey receiver in
     match Lru.find t.baseline_cache key with
-    | Some trace ->
+    | Some b ->
       Metrics.inc t.c_bhits;
-      trace
+      b
     | None ->
       Metrics.inc t.c_bmisses;
-      let trace = run_receiver t ~base:t.env.Env.base0 receiver in
-      Lru.add t.baseline_cache key trace;
-      trace
+      let b = solo () in
+      Lru.add t.baseline_cache key b;
+      b
   end
+
+let baseline_trace t receiver = Decode.baseline_trace (baseline t receiver)
+
+(* The receiver re-run with shifted clock bases, decoded against its
+   baseline [b]. *)
+let rerun_traces t receiver b =
+  List.init t.reruns (fun k ->
+      Decode.decode_against b
+        (receiver_results t
+           ~base:(t.env.Env.base0 + ((k + 1) * t.rerun_delta))
+           receiver))
 
 (* The non-determinism mask of [receiver]: its solo trace with det flags
    cleared wherever re-executions with shifted clock bases disagree. *)
@@ -373,13 +401,10 @@ let nondet_mask t receiver =
     mask
   | None ->
     Metrics.inc t.c_misses;
-    let base = t.env.Env.base0 in
-    let reference = baseline_trace t receiver in
-    let alternatives =
-      List.init t.reruns (fun k ->
-          run_receiver t ~base:(base + ((k + 1) * t.rerun_delta)) receiver)
+    let b = baseline t receiver in
+    let mask =
+      Nondet.mark (Decode.baseline_trace b) (rerun_traces t receiver b)
     in
-    let mask = Nondet.mark reference alternatives in
     Lru.add t.mask_cache key mask;
     mask
 
@@ -409,11 +434,16 @@ type outcome = {
   interfered : int list;            (* receiver call indices, after masking *)
 }
 
-(* Execute one test case. *)
+(* Execute one test case: execution A, then execution B (the baseline,
+   usually cached), then A decoded against B. A runs first, as in the
+   composition of [run_pair] and [baseline_trace]: an armed fault plane
+   fires by occurrence, so the order of executions is part of the
+   outcome. *)
 let execute t ~sender ~receiver =
-  let base = t.env.Env.base0 in
-  let trace_a = run_pair t ~base sender receiver in
-  let trace_b = baseline_trace t receiver in
+  let results = pair_results t ~base:t.env.Env.base0 sender receiver in
+  let b = baseline t receiver in
+  let trace_a = Decode.decode_against b results in
+  let trace_b = Decode.baseline_trace b in
   let raw_diffs = Compare.diff_trees trace_a trace_b in
   if raw_diffs = [] then
     { trace_a; trace_b; raw_diffs; masked_diffs = []; interfered = [] }
@@ -571,13 +601,8 @@ let test_interference t ~sender ~receiver =
    that fall outside them. Detects interference on resources that are
    non-deterministic by nature, which the masking pipeline must skip. *)
 let bounds_of t receiver =
-  let base = t.env.Env.base0 in
-  let reference = baseline_trace t receiver in
-  let alternatives =
-    List.init t.reruns (fun k ->
-        run_receiver t ~base:(base + ((k + 1) * t.rerun_delta)) receiver)
-  in
-  Kit_trace.Bounds.learn reference alternatives
+  let b = baseline t receiver in
+  Kit_trace.Bounds.learn (Decode.baseline_trace b) (rerun_traces t receiver b)
 
 let execute_bounds t ~sender ~receiver =
   let bounds = bounds_of t receiver in

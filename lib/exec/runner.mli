@@ -23,7 +23,10 @@
     equal programs, never an equal hash alone. The non-determinism
     mask cache and the baseline cache are keyed on the receiver
     (execution B and the mask's reference run depend only on the
-    receiver, so test cases sharing a receiver share the solo trace);
+    receiver, so test cases sharing a receiver share the solo trace; an
+    entry keeps the solo run's per-call return values beside its trace,
+    and the receiver's other runs — execution A, the mask's re-runs —
+    are decoded against it, so only the calls that differ are decoded);
     the solo access-sequence cache on (container pid, program), since
     namespace ids differ per container; the search memo on (sender,
     receiver, schedule count), since with no fault armed a schedule
@@ -76,7 +79,9 @@ type t = {
   rerun_delta : int;
   mask_cache : (pkey, Kit_trace.Ast.t) Lru.t;
   baseline : bool;                (** baseline cache and search memo on? *)
-  baseline_cache : (pkey, Kit_trace.Ast.t) Lru.t;
+  baseline_cache : (pkey, Kit_trace.Decode.baseline) Lru.t;
+      (** receiver -> its solo run's return values and decoded trace;
+          the receiver's other runs decode against it *)
   access_cache : (int * pkey, (int * bool) array) Lru.t;
       (** (pid, program) -> solo (addr, is_write) sequence *)
   search_cache : (pkey * pkey * int, int * search) Lru.t;
@@ -178,7 +183,10 @@ type outcome = {
 
 val execute :
   t -> sender:Kit_abi.Program.t -> receiver:Kit_abi.Program.t -> outcome
-(** Raw execution: assumes the kernel survives. Under an armed fault
+(** Execution A decoded against execution B ([Decode.decode_against]):
+    structurally the outcome of {!run_pair}, {!baseline_trace},
+    {!nondet_mask} and the comparisons, at the same executions. Raw
+    execution: assumes the kernel survives. Under an armed fault
     plane this can raise [Fault.Kernel_panic] / [Fault.Fuel_exhausted];
     use {!try_execute} (or [Supervisor.execute]) when faults matter. *)
 

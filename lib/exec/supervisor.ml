@@ -286,6 +286,17 @@ let pp_crash ppf c =
     (Program.to_string c.c_sender)
     (Program.to_string c.c_receiver)
 
+(* The registry mirror is left alone: a domain's bundle reaches the
+   campaign's through [Metrics.absorb]. *)
+let absorb t (s : stats) counters =
+  t.stats.attempts <- t.stats.attempts + s.attempts;
+  t.stats.retries <- t.stats.retries + s.retries;
+  t.stats.reboots <- t.stats.reboots + s.reboots;
+  t.stats.boot_failures <- t.stats.boot_failures + s.boot_failures;
+  t.stats.corruptions <- t.stats.corruptions + s.corruptions;
+  t.stats.backoff_ms <- t.stats.backoff_ms +. s.backoff_ms;
+  Fault.absorb t.fault counters
+
 let pp_stats ppf s =
   Fmt.pf ppf
     "%d attempts, %d retries, %d reboots (%d boot failures, %d corruptions), %.1f ms backoff"

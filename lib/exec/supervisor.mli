@@ -142,5 +142,11 @@ val quarantined_since : t -> int -> crash list
     first [n], oldest first — the delta between two
     {!quarantine_count} readings, allocating only the delta. *)
 
+val absorb : t -> stats -> Kit_kernel.Fault.counters -> unit
+(** [absorb t stats counters] adds another supervisor's [stats] and
+    fault counters into [t]'s records, as a campaign does with the
+    supervisors of its domains. The registry is left alone: the other
+    supervisor's bundle is folded in with {!Kit_obs.Metrics.absorb}. *)
+
 val pp_crash : Format.formatter -> crash -> unit
 val pp_stats : Format.formatter -> stats -> unit

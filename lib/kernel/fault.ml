@@ -321,6 +321,16 @@ let counters t =
     executions = t.c_execs;
   }
 
+(* Accounting only: the armed faults and their remaining firings stay
+   as they are. *)
+let absorb t c =
+  t.c_panics <- t.c_panics + c.panics;
+  t.c_hangs <- t.c_hangs + c.hangs;
+  t.c_fuel <- t.c_fuel + c.fuel_exhaustions;
+  t.c_boots <- t.c_boots + c.boot_failures;
+  t.c_restores <- t.c_restores + c.snapshot_corruptions;
+  t.c_execs <- t.c_execs + c.executions
+
 let pp_panic_info ppf p =
   Fmt.pf ppf "panic in sys_%s: %s" (Sysno.to_string p.panic_sysno) p.message
 

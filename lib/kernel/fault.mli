@@ -116,5 +116,10 @@ type counters = {
 }
 
 val counters : t -> counters
+
+val absorb : t -> counters -> unit
+(** [absorb t c] adds counters counted on another fault plane into
+    [t]'s. No armed fault changes. *)
+
 val pp_panic_info : Format.formatter -> panic_info -> unit
 val pp_counters : Format.formatter -> counters -> unit

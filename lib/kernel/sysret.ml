@@ -26,6 +26,22 @@ let error err = { ret = -Errno.to_int err; err = Some err; out = P_none }
 
 let is_error t = Option.is_some t.err
 
+let equal_payload a b =
+  match (a, b) with
+  | P_none, P_none -> true
+  | P_str x, P_str y -> String.equal x y
+  | P_lines x, P_lines y -> List.equal String.equal x y
+  | P_stat x, P_stat y ->
+    x.inode = y.inode && x.dev_minor = y.dev_minor && x.size = y.size
+    && x.mtime = y.mtime
+  | (P_none | P_str _ | P_lines _ | P_stat _), _ -> false
+
+let equal a b =
+  a == b
+  || a.ret = b.ret
+     && Option.equal ( = ) a.err b.err
+     && equal_payload a.out b.out
+
 let pp_payload ppf = function
   | P_none -> ()
   | P_str s -> Fmt.pf ppf " out=%S" s

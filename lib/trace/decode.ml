@@ -7,7 +7,18 @@
    Decoding feeds the packed AST constructors directly: labels and
    values are hash-consed as the nodes are built, and the recurring
    labels ("callN:sysno", "lineN", "argN") and small numeric values
-   come from preallocated tables instead of a fresh Printf per node. *)
+   come from preallocated tables instead of a fresh Printf per node.
+
+   One decoder serves two cases. Without a baseline every call is
+   decoded. With one — a receiver's solo run, kept as its per-call
+   return values beside its decoded trace — a call whose return value
+   equals the baseline's at the same index reuses the baseline's node,
+   and a result list equal everywhere is the baseline's trace itself.
+   Only the calls a sender changed are decoded. Reused nodes are the
+   baseline's own, so the comparison meets them physically equal and
+   skips them at once. The baseline must come from the same program:
+   its calls, and so each node's label and arguments, are then the
+   same at every index, and only return values need comparing. *)
 
 module Program = Kit_abi.Program
 module Value = Kit_abi.Value
@@ -84,5 +95,43 @@ let decode_result (r : Interp.result) =
   Ast.node (call_label r.Interp.index call.Program.sysno)
     (decode_args call.Program.args @ base @ decode_payload ret.Sysret.out)
 
-(* A whole receiver execution as a single trace tree. *)
-let decode_trace results = Ast.node "trace" (List.map decode_result results)
+type baseline = {
+  rets : Sysret.t array;   (* per-call return values, by call index *)
+  trace : Ast.t;           (* their decoded trace, one child per call *)
+}
+
+(* Whether [results] return what the baseline's calls returned, call
+   for call and no more or fewer. Allocates nothing. *)
+let rec same_rets rets i = function
+  | [] -> i = Array.length rets
+  | (r : Interp.result) :: rest ->
+    i < Array.length rets
+    && Sysret.equal r.Interp.ret (Array.unsafe_get rets i)
+    && same_rets rets (i + 1) rest
+
+(* Each result's node: the baseline's call node [kid] where the return
+   values agree, a fresh decode elsewhere and past the baseline's end. *)
+let rec reuse rets i kids = function
+  | [] -> []
+  | (r : Interp.result) :: rest -> (
+    match kids with
+    | kid :: kids ->
+      (if Sysret.equal r.Interp.ret rets.(i) then kid else decode_result r)
+      :: reuse rets (i + 1) kids rest
+    | [] -> decode_result r :: reuse rets (i + 1) [] rest)
+
+(* A whole receiver execution as a single trace tree, decoded against
+   baseline [b]; with [no_baseline], every call is decoded. *)
+let decode_against b results =
+  if same_rets b.rets 0 results then b.trace
+  else Ast.node "trace" (reuse b.rets 0 b.trace.Ast.children results)
+
+let no_baseline = { rets = [||]; trace = Ast.node "trace" [] }
+
+let decode_trace results = decode_against no_baseline results
+
+let baseline results =
+  let ret (r : Interp.result) = r.Interp.ret in
+  { rets = Array.of_list (List.map ret results); trace = decode_trace results }
+
+let baseline_trace b = b.trace

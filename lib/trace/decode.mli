@@ -8,5 +8,23 @@ val call_label : int -> Kit_abi.Sysno.t -> string
 (** [call_label index sysno] is ["call<index>:<name>"], from a table
     built once for indices below 64. *)
 
+type baseline
+(** A receiver's solo run as a decode baseline: its per-call return
+    values beside its decoded trace. *)
+
+val baseline : Kit_kernel.Interp.result list -> baseline
+(** Decode a run in full and keep its return values. *)
+
+val baseline_trace : baseline -> Ast.t
+(** The decoded trace of a baseline. *)
+
+val decode_against : baseline -> Kit_kernel.Interp.result list -> Ast.t
+(** A whole receiver execution as a single ["trace"] tree, decoded
+    against a baseline run of the same program: a call whose return
+    value equals the baseline's at its index ({!Kit_kernel.Sysret.equal})
+    reuses the baseline's node, and a result list equal everywhere is
+    {!baseline_trace} itself, at no allocation. The tree is structurally
+    equal to {!decode_trace}'s. *)
+
 val decode_trace : Kit_kernel.Interp.result list -> Ast.t
-(** A whole receiver execution as a single ["trace"] tree. *)
+(** {!decode_against} with no baseline: every call decoded. *)

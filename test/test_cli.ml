@@ -120,6 +120,75 @@ let test_finished_run_deletes_its_log () =
         (read_file (Filename.concat dir "straight.txt"))
         (read_file (Filename.concat dir "resumed.txt")))
 
+(* The robustness lines of a faulted campaign. On --domains the
+   campaign's own supervisor runs nothing: the lines add every domain's
+   supervisor, so they agree with the run's --metrics export and count
+   the run's executions, as a sequential run's do. On --procs the
+   counters stay in the worker processes, and the lines say so. *)
+let faulted =
+  [ "campaign"; "--corpus-size"; "120"; "--seed"; "7"; "--faults";
+    "panic:socket:2,hang:read:1,boot:1,snap:1"; "--fault-intensity"; "4" ]
+
+let line_of out prefix =
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out)
+  with
+  | Some l -> l
+  | None -> Alcotest.failf "no %S line" prefix
+
+let test_robustness_counters_cover_every_executor () =
+  with_dir (fun dir ->
+      let code, out, _ =
+        kit_in dir (faulted @ [ "--domains"; "3"; "--metrics"; "m.jsonl" ])
+      in
+      check_int "recovered, reports found" 1 code;
+      let lines = String.split_on_char '\n' out in
+      let line = line_of out in
+      let executions =
+        Scanf.sscanf
+          (List.find (contains ~sub:" program executions in ") lines)
+          "%d program executions" Fun.id
+      in
+      let fired_executions =
+        match String.split_on_char ' ' (line "faults fired: ") |> List.rev with
+        | "executions" :: n :: "over" :: _ -> int_of_string n
+        | _ -> Alcotest.fail "faults fired: no execution count"
+      in
+      check_bool "domains ran" true (executions > 0);
+      check_int "faults fired over the run's executions" executions
+        fired_executions;
+      let printed =
+        Scanf.sscanf (line "supervisor: ")
+          "supervisor: %d attempts, %d retries, %d reboots (%d boot failures, \
+           %d corruptions)"
+          (fun a r b f c -> [ a; r; b; f; c ])
+      in
+      let metrics =
+        String.split_on_char '\n' (read_file (Filename.concat dir "m.jsonl"))
+      in
+      let counter name =
+        let prefix =
+          Printf.sprintf {|{"k":"counter","name":"sup.%s","value":|} name
+        in
+        match List.find_opt (String.starts_with ~prefix) metrics with
+        | Some l ->
+          let n = String.length prefix in
+          Scanf.sscanf (String.sub l n (String.length l - n)) "%d" Fun.id
+        | None -> Alcotest.failf "no sup.%s counter" name
+      in
+      Alcotest.(check (list int)) "supervisor line = sup.* counters"
+        (List.map counter
+           [ "attempts"; "retries"; "reboots"; "boot_failures"; "corruptions" ])
+        printed;
+      check_bool "attempts counted" true (List.hd printed > 0);
+      let _, out, _ = kit_in dir (faulted @ [ "--procs"; "2" ]) in
+      List.iter
+        (fun prefix ->
+          check_bool (prefix ^ " says where the counters are") true
+            (contains ~sub:"counted in the 2 worker processes"
+               (line_of out prefix)))
+        [ "faults fired: "; "supervisor: " ])
+
 (* Every campaign flag with a floor refuses a value below it as a usage
    error: exit 124 with the flag named, before any output — never an
    empty campaign, a late internal error or a silent clamp. *)
@@ -364,4 +433,6 @@ let suite =
       `Quick test_daemon_survives_bad_frames;
     Alcotest.test_case "the export check: a comment is no caller" `Quick
       test_unused_exports_check;
+    Alcotest.test_case "robustness counters cover every executor" `Quick
+      test_robustness_counters_cover_every_executor;
   ]

@@ -255,6 +255,110 @@ let test_outcome_deterministic () =
     (Ast.equal a.Runner.trace_a b.Runner.trace_a
     && Ast.equal a.Runner.trace_b b.Runner.trace_b)
 
+(* --- execute = the reference composition ---------------------------------
+
+   [Runner.execute] decodes execution A against the receiver's baseline
+   run. The reference composition is the one kitbench replays: run_pair
+   decodes A in full, then baseline_trace -> diff_trees -> nondet_mask
+   -> apply_mask on both traces -> diff_trees -> interfered_of_diffs.
+   Over every case of a RAND campaign, two runners on twin environments
+   must give structurally equal outcomes (det flags included) at equal
+   execution counts, or fail the same way under an armed fault plane. *)
+
+module Campaign = Kit_core.Campaign
+module Cluster = Kit_gen.Cluster
+module Testcase = Kit_gen.Testcase
+module Compare = Kit_trace.Compare
+module Nondet = Kit_trace.Nondet
+
+let rand48 =
+  { Campaign.default_options with
+    Campaign.seed = 7; corpus_size = 48; strategy = Cluster.Rand 2000 }
+
+let rand48_cases =
+  lazy
+    (let prepared = Campaign.prepare rand48 in
+     let corpus = Campaign.prepared_corpus prepared in
+     List.map
+       (fun (tc : Testcase.t) ->
+         (corpus.(tc.Testcase.sender), corpus.(tc.Testcase.receiver)))
+       (Campaign.generate_prepared prepared).Cluster.reps)
+
+let reference_execute r ~sender ~receiver =
+  let trace_a = Runner.run_pair r ~base:r.Runner.env.Env.base0 sender receiver in
+  let trace_b = Runner.baseline_trace r receiver in
+  let raw_diffs = Compare.diff_trees trace_a trace_b in
+  if raw_diffs = [] then
+    { Runner.trace_a; trace_b; raw_diffs; masked_diffs = []; interfered = [] }
+  else begin
+    let mask = Runner.nondet_mask r receiver in
+    let masked_diffs =
+      Compare.diff_trees (Nondet.apply_mask mask trace_a)
+        (Nondet.apply_mask mask trace_b)
+    in
+    { Runner.trace_a; trace_b; raw_diffs; masked_diffs;
+      interfered = Compare.interfered_of_diffs masked_diffs }
+  end
+
+(* An outcome as plain data: legacy trees compare by [=] on every
+   label, value, det flag and child. *)
+let outcome_view (o : Runner.outcome) =
+  let diff (d : Compare.diff) =
+    (d.Compare.path, Ast.to_legacy d.Compare.left, Ast.to_legacy d.Compare.right)
+  in
+  ( Ast.to_legacy o.Runner.trace_a,
+    Ast.to_legacy o.Runner.trace_b,
+    List.map diff o.Runner.raw_diffs,
+    List.map diff o.Runner.masked_diffs,
+    o.Runner.interfered )
+
+let check_execute_is_reference ?(baseline_cache = true) ?faults () =
+  let runner () =
+    let fault = Option.map K.Fault.of_schedule faults in
+    Runner.create ~reruns:rand48.Campaign.reruns ~baseline_cache
+      (Env.create ?fault rand48.Campaign.config)
+  in
+  let fast = runner () and reference = runner () in
+  let attempt f =
+    match f () with
+    | o -> Ok (outcome_view o)
+    | exception K.Fault.Kernel_panic info -> Error info.K.Fault.message
+    | exception K.Fault.Fuel_exhausted -> Error "fuel exhausted"
+  in
+  let failed = ref 0 and diverged = ref 0 in
+  List.iteri
+    (fun i (sender, receiver) ->
+      let got = attempt (fun () -> Runner.execute fast ~sender ~receiver) in
+      let want =
+        attempt (fun () -> reference_execute reference ~sender ~receiver)
+      in
+      if not (got = want) then Alcotest.failf "case %d: outcomes differ" i;
+      check_int
+        (Printf.sprintf "case %d: executions" i)
+        (Runner.executions reference) (Runner.executions fast);
+      match got with
+      | Error _ -> incr failed
+      | Ok (_, _, raw, _, _) -> if raw <> [] then incr diverged)
+    (Lazy.force rand48_cases);
+  check_bool "some cases diverge" true (!diverged > 0);
+  !failed
+
+let test_execute_is_reference_composition () =
+  check_int "nothing fails with no fault armed" 0
+    (check_execute_is_reference ());
+  check_int "nothing fails, baseline cache off" 0
+    (check_execute_is_reference ~baseline_cache:false ());
+  let faults =
+    match
+      K.Fault.parse_schedule
+        "panic:socket:2,hang:read:1,hang:token_stat:3,panic:sethostname:2"
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  check_bool "the armed faults fire, the same way on both sides" true
+    (check_execute_is_reference ~faults () > 0)
+
 let suite =
   [
     Alcotest.test_case "env: reset restores state" `Quick
@@ -284,4 +388,6 @@ let suite =
       test_sender_host_env;
     Alcotest.test_case "runner: outcome deterministic" `Quick
       test_outcome_deterministic;
+    Alcotest.test_case "runner: execute = the reference composition" `Quick
+      test_execute_is_reference_composition;
   ]

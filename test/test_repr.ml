@@ -1,7 +1,8 @@
 (* Equivalence gates for the compact hot-path representations: the
    packed trace comparison against a reference Algorithm 1 on the legacy
-   node layout, the packed bitsets against a Set.Make(Int) model, and
-   fingerprint stability across processes. *)
+   node layout, the packed bitsets against a Set.Make(Int) model,
+   fingerprint stability across processes, and decoding against a
+   baseline run against the full decode. *)
 
 module Ast = Kit_trace.Ast
 module L = Kit_trace.Ast.Legacy
@@ -10,6 +11,14 @@ module Nondet = Kit_trace.Nondet
 module Bitset = Kit_compact.Bitset
 module Testcase = Kit_gen.Testcase
 module Caselog = Kit_core.Caselog
+module Decode = Kit_trace.Decode
+module K = Kit_kernel
+module Env = Kit_exec.Env
+module Runner = Kit_exec.Runner
+module Campaign = Kit_core.Campaign
+module Cluster = Kit_gen.Cluster
+module Filter = Kit_detect.Filter
+module Diagnose = Kit_report.Diagnose
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -308,6 +317,176 @@ let test_fingerprint_cross_process () =
       check_string "child sees identical fingerprints" parent_view
         child_view)
 
+(* --- decoding against a baseline -------------------------------------------
+
+   A receiver's runs decode against its baseline run (execution B): a
+   call whose return value equals the baseline's reuses the baseline's
+   node. The result must be the full decode, structurally: legacy trees
+   compare by [=] on every label, value, det flag and child. The
+   sources are the runs a campaign decodes — every case's execution A
+   and B, the mask's re-runs and Algorithm 2's re-tests of a seed-7
+   RAND campaign at corpus 48 — run on the campaign's kernel the way
+   the runner runs them, plus mutations of each baseline run. *)
+
+let rand48 =
+  { Campaign.default_options with
+    Campaign.seed = 7; corpus_size = 48; strategy = Cluster.Rand 2000 }
+
+(* [(baseline run, run)] pairs of one receiver each. *)
+let campaign_runs =
+  lazy
+    (let o = rand48 in
+     let prepared = Campaign.prepare o in
+     let corpus = Campaign.prepared_corpus prepared in
+     let env = Env.create o.Campaign.config in
+     let run ?sender ~base receiver =
+       Env.reset env ~base;
+       Option.iter
+         (fun s ->
+           ignore (K.Interp.run env.Env.kernel ~pid:env.Env.sender_pid s))
+         sender;
+       K.Interp.run env.Env.kernel ~pid:env.Env.receiver_pid receiver
+     in
+     let base0 = env.Env.base0 in
+     let runner =
+       Runner.create ~reruns:o.Campaign.reruns (Env.create o.Campaign.config)
+     in
+     let runs = ref [] in
+     List.iter
+       (fun (tc : Testcase.t) ->
+         let sender = corpus.(tc.Testcase.sender)
+         and receiver = corpus.(tc.Testcase.receiver) in
+         let b = run ~base:base0 receiver in
+         let add r = runs := (b, r) :: !runs in
+         add b;
+         add (run ~sender ~base:base0 receiver);
+         for k = 1 to o.Campaign.reruns do
+           add (run ~base:(base0 + (k * runner.Runner.rerun_delta)) receiver)
+         done;
+         let outcome = Runner.execute runner ~sender ~receiver in
+         match
+           Filter.classify o.Campaign.spec ~testcase:tc ~sender ~receiver
+             outcome (Filter.funnel_create ())
+         with
+         | Filter.Reported r ->
+           let test ~sender ~receiver =
+             add (run ~sender ~base:base0 receiver);
+             Filter.protected_interfered o.Campaign.spec receiver
+               (Runner.test_interference runner ~sender ~receiver)
+           in
+           ignore
+             (Diagnose.culprits ~test ~sender ~receiver
+                ~interfered:r.Kit_detect.Report.interfered)
+         | Filter.No_divergence | Filter.Filtered_nondet
+         | Filter.Filtered_resource ->
+           ())
+       (Campaign.generate_prepared prepared).Cluster.reps;
+     List.rev !runs)
+
+let decodes_like_full b results =
+  Ast.to_legacy (Decode.decode_against b results)
+  = Ast.to_legacy (Decode.decode_trace results)
+
+let test_decode_against_real_runs () =
+  let runs = Lazy.force campaign_runs in
+  let same = ref 0 and differ = ref 0 in
+  List.iteri
+    (fun i (b_results, results) ->
+      let b = Decode.baseline b_results in
+      if not (decodes_like_full b results) then
+        Alcotest.failf "run %d decodes unlike its full decode" i;
+      if Decode.decode_against b results == Decode.baseline_trace b then
+        incr same
+      else incr differ)
+    runs;
+  check_bool "runs equal to their baseline are its trace" true (!same > 0);
+  check_bool "runs that differ from their baseline" true (!differ > 0)
+
+(* [results] with one call's return value, errno or payload changed,
+   for every call; every prefix; and one and two calls more. *)
+let mutations (results : K.Interp.result list) =
+  let module S = K.Sysret in
+  let change i f =
+    List.map
+      (fun (r : K.Interp.result) ->
+        if r.K.Interp.index = i then { r with K.Interp.ret = f r.K.Interp.ret }
+        else r)
+      results
+  in
+  let line s = if s = "" then "x" else String.sub s 1 (String.length s - 1) in
+  let payload = function
+    | S.P_none -> S.P_str "x"
+    | S.P_str s -> S.P_str (line s)
+    | S.P_lines [] -> S.P_lines [ "x" ]
+    | S.P_lines (l :: ls) -> S.P_lines (ls @ [ line l ])
+    | S.P_stat st -> S.P_stat { st with S.mtime = st.S.mtime + 1 }
+  in
+  let n = List.length results in
+  let changed =
+    List.concat_map
+      (fun i ->
+        [ change i (fun r -> { r with S.ret = r.S.ret + 1 });
+          change i (fun r ->
+              let err =
+                match r.S.err with None -> Some K.Errno.EPERM | Some _ -> None
+              in
+              { r with S.err });
+          change i (fun r -> { r with S.out = payload r.S.out }) ])
+      (List.init n Fun.id)
+  in
+  let shorter = List.init n (fun k -> List.filteri (fun j _ -> j < k) results) in
+  let longer =
+    match List.rev results with
+    | [] -> []
+    | last :: _ ->
+      [ results @ [ { last with K.Interp.index = n } ];
+        results
+        @ [ { last with K.Interp.index = n };
+            { last with
+              K.Interp.index = n + 1;
+              ret = K.Sysret.error K.Errno.EINVAL } ] ]
+  in
+  changed @ shorter @ longer
+
+(* A run with every payload kind, whatever the campaign's receivers
+   happen to return. *)
+let every_payload =
+  let module S = K.Sysret in
+  let prog =
+    Kit_abi.Syzlang.parse
+      "r0 = uevent_recv(3)\nr1 = fstat(3)\nr2 = read(3)\nr3 = read(4)\n\
+       r4 = getpid()\nr5 = read(5)"
+  in
+  List.mapi
+    (fun index (call, ret) -> { K.Interp.index; call; ret })
+    (List.combine (Kit_abi.Program.calls prog)
+       [ S.ok 2 ~out:(S.P_lines [ "add@/n0"; "remove@/n0" ]);
+         S.ok 0
+           ~out:(S.P_stat { S.inode = 5; dev_minor = 1; size = 10; mtime = 99 });
+         S.ok 5 ~out:(S.P_str "a\nb\nc");
+         S.ok 3 ~out:(S.P_str "one");
+         S.ok 77;
+         S.error K.Errno.EBADF ])
+
+let test_decode_against_mutated_runs () =
+  let seen = Hashtbl.create 64 and checked = ref 0 in
+  List.iter
+    (fun (b_results, _) ->
+      if not (Hashtbl.mem seen b_results) then begin
+        Hashtbl.add seen b_results ();
+        let b = Decode.baseline b_results in
+        List.iter
+          (fun results ->
+            incr checked;
+            if not (decodes_like_full b results) then
+              Alcotest.failf
+                "a mutated run of %d calls decodes unlike its full decode"
+                (List.length results))
+          (mutations b_results)
+      end)
+    ((every_payload, every_payload) :: Lazy.force campaign_runs);
+  check_bool "mutations checked" true (!checked > 100)
+
 (* --- counted work ---------------------------------------------------------
 
    The packed paths must do O(1) (compare) or O(words) (intersection)
@@ -341,6 +520,45 @@ let test_compare_equal_traces_no_alloc () =
   check_bool "no allocation per compare" true
     (words_per_call 100 (fun () -> Compare.diff_trees ta tb) < 1.0)
 
+(* Decoding a run equal to its baseline allocates nothing, not even the
+   list it would rebuild; a run with one differing call decodes that
+   call only, which allocates less than the full decode. *)
+let test_decode_against_baseline_counted () =
+  let env = Env.create (K.Config.v5_13 ()) in
+  let receiver =
+    Kit_abi.Syzlang.parse
+      "r0 = open(\"/proc/net/ptype\")\nr1 = read(r0)\n\
+       r2 = open(\"/proc/net/sockstat\")\nr3 = read(r2)\n\
+       r4 = fstat(r2)\nr5 = gethostname()\nr6 = getpid()\n\
+       r7 = clock_gettime()"
+  in
+  let run () =
+    Env.reset env ~base:env.Env.base0;
+    K.Interp.run env.Env.kernel ~pid:env.Env.receiver_pid receiver
+  in
+  let b = Decode.baseline (run ()) and same = run () in
+  check_int "eight calls" 8 (List.length same);
+  check_bool "an equal run is the baseline's trace" true
+    (Decode.decode_against b same == Decode.baseline_trace b);
+  check_bool "no allocation per equal decode" true
+    (words_per_call 100 (fun () -> Decode.decode_against b same) < 1.0);
+  let one_differs =
+    List.map
+      (fun (r : K.Interp.result) ->
+        if r.K.Interp.index = 3 then
+          { r with K.Interp.ret = { r.K.Interp.ret with K.Sysret.ret = 1 } }
+        else r)
+      same
+  in
+  let partial =
+    words_per_call 100 (fun () -> Decode.decode_against b one_differs)
+  and full = words_per_call 100 (fun () -> Decode.decode_trace one_differs) in
+  check_bool
+    (Printf.sprintf "one differing call: %.0f words, full decode %.0f"
+       partial full)
+    true
+    (partial < full /. 2.0)
+
 let test_bitset_inter_count_no_alloc () =
   let of_step step =
     let b = Bitset.create 0x8000 in
@@ -371,4 +589,10 @@ let suite =
       test_compare_equal_traces_no_alloc;
     Alcotest.test_case "bitset: inter_count allocates nothing" `Quick
       test_bitset_inter_count_no_alloc;
+    Alcotest.test_case "decode: against a baseline = full, on campaign runs"
+      `Quick test_decode_against_real_runs;
+    Alcotest.test_case "decode: against a baseline = full, on mutated runs"
+      `Quick test_decode_against_mutated_runs;
+    Alcotest.test_case "decode: an equal run allocates nothing" `Quick
+      test_decode_against_baseline_counted;
   ]
