@@ -860,13 +860,6 @@ let cmd_stats =
           ~doc:"Telemetry JSONL file written by $(b,--metrics) or \
                 $(b,--trace).")
   in
-  let tree_arg =
-    Arg.(
-      value & flag
-      & info [ "tree" ]
-          ~doc:"Also print the reconstructed span tree (see $(b,kit trace) \
-                for the full analysis).")
-  in
   let funnel_arg =
     Arg.(
       value & flag
@@ -887,7 +880,7 @@ let cmd_stats =
              name, wall-clock timestamps stripped — byte-stable, so two \
              canonicalised exports of the same campaign diff clean.")
   in
-  let run file tree funnel json =
+  let run file funnel json =
     guarded (fun () ->
         match Export.read_file file with
         | Error e ->
@@ -909,17 +902,12 @@ let cmd_stats =
           else begin
             Fmt.pr "%s@." (Render.stats parsed);
             if funnel then Fmt.pr "%s@." (Render.funnel parsed);
-            if tree then
-              Fmt.pr "%s@."
-                (Spantree.render
-                   (Spantree.build ~dropped:parsed.Export.p_dropped
-                      parsed.Export.p_events));
             exit_clean
           end)
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Summarise a telemetry JSONL file")
-    Term.(const run $ file_arg $ tree_arg $ funnel_arg $ json_arg)
+    Term.(const run $ file_arg $ funnel_arg $ json_arg)
 
 (* kit trace: the trace-analysis toolchain over a --trace/--metrics
    export. Streams the file (Export.fold_file) so a long campaign's
@@ -1179,19 +1167,13 @@ let cmd_submit =
             "Fair-share weight: under contention the tenant's executed-case \
              share converges to weight / sum-of-weights.")
   in
-  let max_inflight_arg =
-    Arg.(
-      value & opt non_negative 0
-      & info [ "max-inflight" ]
-          ~doc:"Cap on the tenant's concurrently executing cases (0 = none).")
-  in
   let no_diagnose_arg =
     Arg.(
       value & flag
       & info [ "no-diagnose" ] ~doc:"Skip diagnosis and aggregation.")
   in
-  let run socket name seed corpus_size strategy weight max_inflight
-      no_diagnose schedules wait =
+  let run socket name seed corpus_size strategy weight no_diagnose schedules
+      wait =
     guarded (fun () ->
         let spec =
           { Proto.sp_name = name;
@@ -1199,7 +1181,6 @@ let cmd_submit =
             sp_corpus_size = corpus_size;
             sp_strategy = strategy;
             sp_weight = weight;
-            sp_max_inflight = max_inflight;
             sp_diagnose = not no_diagnose;
             sp_schedules = schedules }
         in
@@ -1218,8 +1199,8 @@ let cmd_submit =
           corpus size and strategy.")
     Term.(
       const run $ socket_arg $ submit_name_arg $ seed_arg $ corpus_size_arg
-      $ strategy_arg $ weight_arg $ max_inflight_arg $ no_diagnose_arg
-      $ schedules_arg $ wait_arg)
+      $ strategy_arg $ weight_arg $ no_diagnose_arg $ schedules_arg
+      $ wait_arg)
 
 let cmd_status =
   let run socket =

@@ -86,8 +86,6 @@ let describe sysno =
   in
   { sysno; args }
 
-let all = List.map describe Sysno.all
-
 (* Generate a random concrete value for an argument kind. [resolve_fd]
    picks a [Value.Ref] to a previous call producing one of the wanted fd
    types, when available. *)

@@ -24,7 +24,6 @@ type t = {
 }
 
 val describe : Sysno.t -> t
-val all : t list
 
 val random_arg :
   Random.State.t -> resolve_fd:(Fdtype.t list -> int option) -> arg_kind ->

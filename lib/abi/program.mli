@@ -14,7 +14,6 @@ val calls : t -> call list
 val length : t -> int
 val nth : t -> int -> call option
 
-val call_equal : call -> call -> bool
 val equal : t -> t -> bool
 
 val pp_call : Format.formatter -> call -> unit

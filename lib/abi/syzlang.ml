@@ -5,9 +5,8 @@
      r1 = open("/proc/net/ptype")
      r2 = read(r1)
 
-   Programs survive a print/parse round trip (property-tested). *)
-
-let print = Program.to_string
+   [Program.to_string] prints it; programs survive a print/parse round
+   trip (property-tested). *)
 
 exception Parse_error of string
 
@@ -111,8 +110,3 @@ let parse text =
       lines
   in
   Program.make calls
-
-let parse_opt text =
-  match parse text with
-  | p -> Some p
-  | exception Parse_error _ -> None

@@ -8,15 +8,11 @@ r2 = read(r1)
     v}
 
     Lines starting with [#] are comments; blank lines are ignored; the
-    ["rN = "] prefix is optional. Programs survive a print/parse round
-    trip (property-tested). *)
+    ["rN = "] prefix is optional. A program prints in this format with
+    [Program.to_string], and survives a print/parse round trip
+    (property-tested). *)
 
 exception Parse_error of string
 
-val print : Program.t -> string
-
 val parse : string -> Program.t
 (** @raise Parse_error on malformed input or unknown syscall names. *)
-
-val parse_opt : string -> Program.t option
-(** Like {!parse}, returning [None] instead of raising. *)

@@ -33,12 +33,6 @@ let add t bit =
   let w = bit / word_bits in
   t.words.(w) <- t.words.(w) lor (1 lsl (bit mod word_bits))
 
-let remove t bit =
-  if bit < 0 then invalid_arg "Bitset.remove: negative bit";
-  let w = bit / word_bits in
-  if w < Array.length t.words then
-    t.words.(w) <- t.words.(w) land lnot (1 lsl (bit mod word_bits))
-
 (* Byte-table popcount: safe on 63-bit words, no 64-bit mask literals. *)
 let pop_table =
   Bytes.init 256 (fun i ->
@@ -55,8 +49,6 @@ let popcount x =
 let cardinal t =
   Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
-
 let inter_count a b =
   let n = min (Array.length a.words) (Array.length b.words) in
   let acc = ref 0 in
@@ -64,21 +56,6 @@ let inter_count a b =
     acc := !acc + popcount (a.words.(i) land b.words.(i))
   done;
   !acc
-
-let inter a b =
-  let n = min (Array.length a.words) (Array.length b.words) in
-  let words = Array.init n (fun i -> a.words.(i) land b.words.(i)) in
-  { words = (if n = 0 then [| 0 |] else words) }
-
-let union a b =
-  let la = Array.length a.words and lb = Array.length b.words in
-  let n = max la lb in
-  let words =
-    Array.init n (fun i ->
-        (if i < la then a.words.(i) else 0)
-        lor (if i < lb then b.words.(i) else 0))
-  in
-  { words = (if n = 0 then [| 0 |] else words) }
 
 let iter f t =
   Array.iteri
@@ -88,10 +65,3 @@ let iter f t =
           if w land (1 lsl b) <> 0 then f ((wi * word_bits) + b)
         done)
     t.words
-
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun bit -> acc := f bit !acc) t;
-  !acc
-
-let elements t = List.rev (fold (fun bit acc -> bit :: acc) t [])

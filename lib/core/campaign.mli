@@ -93,10 +93,6 @@ type sched_stats = {
 
 val sched_create : unit -> sched_stats
 
-val add_sched : sched_stats -> sched_stats -> unit
-(** [add_sched acc s] folds [s] into [acc] — how per-case and
-    per-worker schedule-search totals aggregate. *)
-
 (** Funnel attrition accounting: every generated data-flow case is
     charged to exactly one terminal stage (see {!attrition_balanced}),
     so a case that disappears anywhere in the pipeline is visible here
@@ -265,7 +261,7 @@ val lost_case_result :
     arrives — folding it, recording it in the log and saving the log
     every [log.every] completions — and {!finish} builds the result.
     {!drive} and {!stream_result} make the four calls around an
-    {!executor} ({!in_process} or the process pool,
+    {!executor} (in process by default, or the process pool,
     [Kit_serve.Pool.executor]); a [kit serve] tenant makes them itself
     on the shared pool. Every campaign count (funnel, attrition,
     coverage attribution, quarantine, schedule totals, keyed reports,
@@ -283,10 +279,6 @@ type executor =
     included. [sup] is the campaign's execute-phase supervisor; [batch]
     is the most completions an executor should hold back before
     reporting them. *)
-
-val in_process : executor
-(** Sequential on [sup], or dealt over [options.domains] domains, in
-    chunks of [batch] cases. *)
 
 (** A case-result log, as the driver sees it. *)
 type log = {
@@ -335,12 +327,14 @@ val run_executions : run -> int
 (** The folded cases' executions, diagnosis re-tests included. *)
 
 val drive : ?executor:executor -> run -> t
-(** Run {!todo} on [executor] (default {!in_process}) in the execute
-    phase, on a supervisor booted for it, then {!finish}. The
-    ["time.diagnose_s"] gauge starts the phase at 0. The log is saved
-    when the executor returns, and before an exception it raises
-    propagates. Without a log no result is encoded, and {!in_process}
-    runs every representative as one chunk. *)
+(** Run {!todo} on [executor] in the execute phase, on a supervisor
+    booted for it, then {!finish}. The default executor runs on that
+    supervisor, or deals the cases over [options.domains] domains, in
+    chunks of [log.every] cases. The ["time.diagnose_s"] gauge starts
+    the phase at 0. The log is saved when the executor returns, and
+    before an exception it raises propagates. Without a log no result
+    is encoded, and the default executor runs every representative as
+    one chunk. *)
 
 val execute :
   ?executor:executor -> ?log:log -> prepared -> Kit_gen.Cluster.result -> t

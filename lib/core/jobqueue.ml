@@ -5,9 +5,9 @@
    order is a function of the submissions alone — never of worker
    scheduling. Two more indexes make the per-dispatch operations cheap:
    per worker, the assigned-but-unclaimed jobs in submit order with
-   their count, and counts of live (queued, assigned, running) and
-   completed jobs. Every status write goes through [set], which moves
-   the job between the indexes, so they never drift from the statuses.
+   their count, and the count of live (queued, assigned, running) jobs.
+   Every status write goes through [set], which moves the job between
+   the indexes, so they never drift from the statuses.
    A claim, completion or drain check costs O(log n) or less, a steal
    adds one pass over the workers; only the bulk operations
    ([assign_round_robin], [release]) and the list-returning reads walk
@@ -20,7 +20,6 @@ type ('a, 'b) status =
   | Assigned of int                    (* in worker's queue, not started *)
   | Running of int                     (* claimed by worker *)
   | Completed of 'b
-  | Quarantined
 
 type ('a, 'b) job = {
   j_id : int;
@@ -40,7 +39,6 @@ type ('a, 'b) t = {
   mutable by_seq : ('a, 'b) job Imap.t;
   shards : (int, ('a, 'b) shard) Hashtbl.t;  (* by worker id *)
   mutable live : int;                  (* queued, assigned or running *)
-  mutable completed : int;
   mutable seq : int;
   mutable next_id : int;
   mutable resharded : int;
@@ -49,7 +47,7 @@ type ('a, 'b) t = {
 
 let create () =
   { jobs = Hashtbl.create 64; by_seq = Imap.empty; shards = Hashtbl.create 8;
-    live = 0; completed = 0; seq = 0; next_id = 0; resharded = 0; stolen = 0 }
+    live = 0; seq = 0; next_id = 0; resharded = 0; stolen = 0 }
 
 let shard t w =
   match Hashtbl.find_opt t.shards w with
@@ -71,8 +69,7 @@ let account t j ~add =
     s.s_len <- s.s_len + d;
     t.live <- t.live + d
   | Queued | Running _ -> t.live <- t.live + d
-  | Completed _ -> t.completed <- t.completed + d
-  | Quarantined -> ()
+  | Completed _ -> ()
 
 (* The one status write. *)
 let set t j status =
@@ -123,7 +120,7 @@ let assign_round_robin t ~workers =
         set t j (Assigned w);
         buckets.(w) <- (j.j_id, j.j_payload) :: buckets.(w);
         incr i
-      | Assigned _ | Running _ | Completed _ | Quarantined -> ())
+      | Assigned _ | Running _ | Completed _ -> ())
     t.by_seq;
   Array.map List.rev buckets
 
@@ -148,9 +145,6 @@ let claim_next t ~worker =
   | Some s when s.s_len > 0 ->
     Some (start t (snd (Imap.min_binding s.s_jobs)) ~worker)
   | Some _ | None -> None
-
-let assigned_count t ~worker =
-  match Hashtbl.find_opt t.shards worker with Some s -> s.s_len | None -> 0
 
 let steal t ~thief =
   (* Victim: the longest assigned queue that is not the thief's own;
@@ -179,41 +173,26 @@ let release t ~worker =
     collect t (fun j ->
         match j.j_status with
         | (Assigned w | Running w) when w = worker -> Some j
-        | Queued | Assigned _ | Running _ | Completed _ | Quarantined -> None)
+        | Queued | Assigned _ | Running _ | Completed _ -> None)
   in
   List.iter (fun j -> set t j Queued) orphans;
   t.resharded <- t.resharded + List.length orphans;
   List.map (fun j -> (j.j_id, j.j_payload)) orphans
 
-let complete t id r =
-  let j = job t id in
-  match j.j_status with
-  | Quarantined -> ()                  (* a late result for a retired job *)
-  | Queued | Assigned _ | Running _ | Completed _ -> set t j (Completed r)
-
-let quarantine t id = set t (job t id) Quarantined
+let complete t id r = set t (job t id) (Completed r)
 
 let result t id =
   match Hashtbl.find_opt t.jobs id with
   | Some { j_status = Completed r; _ } -> Some r
   | Some _ | None -> None
 
-let results t =
-  collect t (fun j ->
-      match j.j_status with Completed r -> Some (j.j_id, r) | _ -> None)
-
 let unfinished t =
   collect t (fun j ->
       match j.j_status with
       | Queued | Assigned _ | Running _ -> Some (j.j_id, j.j_payload)
-      | Completed _ | Quarantined -> None)
-
-let quarantined_ids t =
-  collect t (fun j ->
-      match j.j_status with Quarantined -> Some j.j_id | _ -> None)
+      | Completed _ -> None)
 
 let unfinished_count t = t.live
-let completed_count t = t.completed
 let is_drained t = t.live = 0
 let resharded t = t.resharded
 let stolen t = t.stolen

@@ -5,11 +5,11 @@
     ([Kit_serve.Pool.jobs]), which both the single-campaign pool
     executor and the multi-tenant scheduler drive. Jobs carry
     a stable integer id — either allocated in submit order ({!submit})
-    or caller-chosen ({!submit_as}, e.g. global case indices) — and
-    every ordered read
-    ({!results}, {!unfinished}, {!release}) walks jobs in submit order,
-    so merged outcomes are deterministic no matter which worker ran
-    what, in which interleaving.
+    or caller-chosen ({!submit_as}, e.g. global case indices). The
+    list reads ({!unfinished}, {!release}) walk jobs in submit order.
+    Merged outcomes do not depend on that order: the campaign driver
+    ([Campaign.complete]) folds results in case order, whatever order
+    they complete in.
 
     Assignment is two-level, mirroring the paper's server mode: a job is
     {e assigned} to a worker's queue (round-robin sharding, resharding
@@ -19,10 +19,9 @@
 
     Costs below are for a queue of [n] jobs over [w] distinct worker
     ids. The queue keeps every job in a map keyed by submit order, each
-    worker's assigned-but-unclaimed jobs in a second ordered map, and
-    running counts of live and completed jobs, so the operations a
-    driver calls once per dispatch or per event never walk the whole
-    table. *)
+    worker's assigned-but-unclaimed jobs in a second ordered map, and a
+    running count of live jobs, so the operations a driver calls once
+    per dispatch or per event never walk the whole table. *)
 
 type ('a, 'b) t
 (** A queue of jobs with payload ['a] and result ['b]. Not
@@ -85,41 +84,25 @@ val release : ('a, 'b) t -> worker:int -> (int * 'a) list
 (** {2 Completion} *)
 
 val complete : ('a, 'b) t -> int -> 'b -> unit
-(** Record a job's result. Permitted from any live state (queued,
-    assigned or running — drivers that execute whole shards complete
-    jobs post-hoc); a no-op on a quarantined job. O(log n).
+(** Record a job's result. Permitted from any state (queued, assigned,
+    running or completed — drivers that execute whole shards complete
+    jobs post-hoc). O(log n).
     @raise Not_found on an unknown id. *)
 
-val quarantine : ('a, 'b) t -> int -> unit
-(** Retire a poisoned job: it will never be claimed, dealt or listed
-    as unfinished again, and produces no result. O(log n). *)
-
-(** {2 Reads — all in submit order (deterministic merge order)} *)
+(** {2 Reads} *)
 
 val result : ('a, 'b) t -> int -> 'b option
 (** O(1). *)
 
-val results : ('a, 'b) t -> (int * 'b) list
-(** O(n). *)
-
 val unfinished : ('a, 'b) t -> (int * 'a) list
-(** Jobs not yet completed or quarantined. O(n). *)
-
-val quarantined_ids : ('a, 'b) t -> int list
-(** O(n). *)
+(** Jobs not yet completed, in submit order. O(n). *)
 
 val unfinished_count : ('a, 'b) t -> int
 (** [List.length (unfinished t)] — queued, assigned and running jobs —
     in O(1). *)
 
-val completed_count : ('a, 'b) t -> int
-(** [List.length (results t)] in O(1). *)
-
 val is_drained : ('a, 'b) t -> bool
 (** No queued, assigned or running jobs remain. O(1). *)
-
-val assigned_count : ('a, 'b) t -> worker:int -> int
-(** Assigned-but-unclaimed jobs in the worker's queue. O(1). *)
 
 val resharded : ('a, 'b) t -> int
 (** Total jobs ever {!release}d from dead workers. *)

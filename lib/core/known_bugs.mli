@@ -16,8 +16,6 @@ type case = {
   expect_detected : bool;
 }
 
-val cases : case list
-
 type outcome = {
   case : case;
   detected : bool;
@@ -25,6 +23,7 @@ type outcome = {
 }
 
 val reproduce_all : ?spec:Kit_spec.Spec.t -> ?reruns:int -> unit -> outcome list
+(** Every case, bugs A-G in order, through the detection pipeline. *)
 
 val detected_count : outcome list -> int
 (** The headline number; the paper reproduces 5 of 7. *)

@@ -19,16 +19,6 @@ let attribution_to_string = function
   | False_positive cls -> "FP:" ^ cls
   | Under_investigation -> "UI"
 
-let equal_attribution a b =
-  match a, b with
-  | Bug x, Bug y -> Bugs.equal x y
-  | False_positive x, False_positive y -> String.equal x y
-  | Under_investigation, Under_investigation -> true
-  | Bug _, (False_positive _ | Under_investigation)
-  | False_positive _, (Bug _ | Under_investigation)
-  | Under_investigation, (Bug _ | False_positive _) ->
-    false
-
 let has_detail (s : Signature.t) d = List.exists (String.equal d) s.Signature.details
 let named (s : Signature.t) n = String.equal s.Signature.name n
 

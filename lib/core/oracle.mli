@@ -12,23 +12,16 @@ type attribution =
   | Under_investigation
 
 val attribution_to_string : attribution -> string
-val equal_attribution : attribution -> attribution -> bool
-
-val attribute :
-  sender:Kit_report.Signature.t -> receiver:Kit_report.Signature.t ->
-  attribution
 
 val attribute_keyed : Kit_report.Aggregate.keyed -> attribution
+(** Attribute one diagnosed report by its culprit pair's signatures. *)
 
 val new_bugs_found : Kit_report.Aggregate.keyed list -> Kit_kernel.Bugs.id list
 (** The set of Table 2 bugs witnessed by a report list, sorted. *)
 
-val attribute_concurrent : Kit_detect.Report.t -> attribution
-(** Attribute one concurrent (schedule-search) report. Concurrent
-    reports skip Algorithm 2 diagnosis, so there is no culprit signature
-    pair: attribution reads the pair's syscall composition and the diff
-    content directly. *)
-
 val race_bugs_found : Kit_detect.Report.t list -> Kit_kernel.Bugs.id list
 (** The set of seeded race-window bugs witnessed by a concurrent report
-    list, sorted — what the CI e2e gate asserts completeness of. *)
+    list, sorted — what the CI e2e gate asserts completeness of.
+    Concurrent (schedule-search) reports skip Algorithm 2 diagnosis, so
+    there is no culprit signature pair: attribution reads each pair's
+    syscall composition and the diff content directly. *)

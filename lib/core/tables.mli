@@ -6,21 +6,10 @@
     structured rows (consumed by tests) and a rendered table (printed by
     [kit tables] and recorded in EXPERIMENTS.md). *)
 
-type bug_row = {
-  bug : Kit_kernel.Bugs.id;
-  number : int;
-  sender_action : string;
-  receiver_action : string;
-  trace_diff : string;
-  resource : string;
-  paper_status : string;
-}
-
-val table2_rows : bug_row list
-(** The static Table 2 rows (actions, trace diff, resource, status). *)
-
 val table2 : Campaign.t -> Kit_kernel.Bugs.id list * string
-(** Bugs found by the campaign, plus the rendered table. *)
+(** Bugs found by the campaign, plus the rendered table: one row per
+    Table 2 bug, numbered 1-9, with its actions, trace diff, resource
+    and paper status. *)
 
 val table3 :
   ?spec:Kit_spec.Spec.t -> ?reruns:int -> unit ->

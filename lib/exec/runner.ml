@@ -159,11 +159,8 @@ type t = {
   execs0 : int;                          (* ...read as deltas from here *)
   hits0 : int;
   misses0 : int;
-  evictions0 : int;
   bhits0 : int;
   bmisses0 : int;
-  shits0 : int;
-  smisses0 : int;
 }
 
 let create ?(reruns = 3) ?(rerun_delta = 7_777) ?(mask_cache_cap = 4096)
@@ -192,17 +189,13 @@ let create ?(reruns = 3) ?(rerun_delta = 7_777) ?(mask_cache_cap = 4096)
     execs0 = Metrics.counter_value c_execs;
     hits0 = Metrics.counter_value c_hits;
     misses0 = Metrics.counter_value c_misses;
-    evictions0 = Metrics.counter_value c_evictions;
     bhits0 = Metrics.counter_value c_bhits;
-    bmisses0 = Metrics.counter_value c_bmisses;
-    shits0 = Metrics.counter_value c_shits;
-    smisses0 = Metrics.counter_value c_smisses }
+    bmisses0 = Metrics.counter_value c_bmisses }
 
 let executions t = Metrics.counter_value t.c_execs - t.execs0
 
 (* The receiver's raw results, solo ([receiver_results]) or after the
-   sender ([pair_results]); [run_receiver] and [run_pair] decode them
-   in full. *)
+   sender ([pair_results]); [run_pair] decodes the latter in full. *)
 let receiver_results t ~base receiver =
   Env.reset t.env ~base;
   Metrics.inc t.c_execs;
@@ -215,9 +208,6 @@ let pair_results t ~base sender receiver =
     Interp.run t.env.Env.kernel ~pid:t.env.Env.sender_pid sender
   in
   Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver
-
-let run_receiver t ~base receiver =
-  Decode.decode_trace (receiver_results t ~base receiver)
 
 let run_pair t ~base sender receiver =
   Decode.decode_trace (pair_results t ~base sender receiver)
@@ -414,17 +404,10 @@ let mask_cache_stats t =
     Metrics.counter_value t.c_misses - t.misses0,
     Lru.length t.mask_cache )
 
-let mask_evictions t = Metrics.counter_value t.c_evictions - t.evictions0
-
 let baseline_cache_stats t =
   ( Metrics.counter_value t.c_bhits - t.bhits0,
     Metrics.counter_value t.c_bmisses - t.bmisses0,
     Lru.length t.baseline_cache )
-
-let search_cache_stats t =
-  ( Metrics.counter_value t.c_shits - t.shits0,
-    Metrics.counter_value t.c_smisses - t.smisses0,
-    Lru.length t.search_cache )
 
 type outcome = {
   trace_a : Ast.t;                  (* receiver trace, sender ran first *)

@@ -98,11 +98,8 @@ type t = {
   execs0 : int;                   (** counter values at creation: the *)
   hits0 : int;                    (** registry is shared across runner *)
   misses0 : int;                  (** incarnations, reads are deltas *)
-  evictions0 : int;
   bhits0 : int;
   bmisses0 : int;
-  shits0 : int;
-  smisses0 : int;
 }
 
 val create :
@@ -121,7 +118,6 @@ val create :
 val executions : t -> int
 (** Program executions performed by this runner instance. *)
 
-val run_receiver : t -> base:int -> Kit_abi.Program.t -> Kit_trace.Ast.t
 val run_pair :
   t -> base:int -> Kit_abi.Program.t -> Kit_abi.Program.t -> Kit_trace.Ast.t
 
@@ -132,11 +128,6 @@ val run_interleaved :
     Deterministic in the schedule; [Sched.Sequential] reproduces
     {!run_pair} byte-for-byte. Raises like {!execute} on panic or fuel
     exhaustion (in either task). *)
-
-val solo_accesses : t -> pid:int -> Kit_abi.Program.t -> (int * bool) array
-(** The program's solo instrumented access sequence ((address,
-    is_write), in order) when run in container [pid] — cached; the raw
-    material of partial-order reduction. *)
 
 type sched_class = {
   cls_seeds : int list;    (** member seeds, ascending; head = representative *)
@@ -164,14 +155,8 @@ val nondet_mask : t -> Kit_abi.Program.t -> Kit_trace.Ast.t
 val mask_cache_stats : t -> int * int * int
 (** [(hits, misses, live_entries)] of the mask cache. *)
 
-val mask_evictions : t -> int
-(** Mask-cache capacity evictions by this runner instance. *)
-
 val baseline_cache_stats : t -> int * int * int
 (** [(hits, misses, live_entries)] of the baseline cache. *)
-
-val search_cache_stats : t -> int * int * int
-(** [(hits, misses, live_entries)] of the search memo. *)
 
 type outcome = {
   trace_a : Kit_trace.Ast.t;       (** receiver trace, sender ran first *)

@@ -140,8 +140,6 @@ let create ?(cfg = default_config) ?(reruns = 3) ?(baseline_cache = true)
 
 let executions t = t.prior_executions + Runner.executions t.runner
 
-let quarantined t = List.rev t.quarantine
-
 let quarantine_count t = List.length t.quarantine
 
 (* [quarantine] is newest-first: the delta past the first [n] reports is

@@ -130,17 +130,15 @@ val test_interference :
 val executions : t -> int
 (** Program executions across all runner incarnations. *)
 
-val quarantined : t -> crash list
-(** Quarantined crash reports, oldest first. *)
-
 val quarantine_count : t -> int
-(** [List.length (quarantined t)], O(n) but allocation-free — for
-    per-case delta accounting in parallel campaign chunks. *)
+(** How many crash reports are quarantined, O(n) but allocation-free —
+    for per-case delta accounting in parallel campaign chunks. *)
 
 val quarantined_since : t -> int -> crash list
 (** [quarantined_since t n] is every crash report quarantined after the
     first [n], oldest first — the delta between two
-    {!quarantine_count} readings, allocating only the delta. *)
+    {!quarantine_count} readings, allocating only the delta; all of
+    them from [0]. *)
 
 val absorb : t -> stats -> Kit_kernel.Fault.counters -> unit
 (** [absorb t stats counters] adds another supervisor's [stats] and

@@ -46,11 +46,6 @@ type result = {
       exactly, so [delivered = min n corpus_size²] *)
 }
 
-val context : int -> int list -> int list
-(** The [k] stack frames above the instrumentation site (the innermost
-    frame and its caller are already folded into the instruction
-    address). *)
-
 val keyed : strategy -> bool
 (** [Df_ia] and [Df_st _] cluster by per-side keys and need a cluster
     table; [Df] and [Rand _] do not. *)

@@ -117,7 +117,6 @@ let empty = Bug_set.empty
 let of_list = Bug_set.of_list
 let to_list = Bug_set.elements
 let present set id = Bug_set.mem id set
-let fix set id = Bug_set.remove id set
 let inject set id = Bug_set.add id set
 
 (* The bug population of a given kernel release: every bug whose home

@@ -64,7 +64,6 @@ val empty : set
 val of_list : id list -> set
 val to_list : set -> id list
 val present : set -> id -> bool
-val fix : set -> id -> set
 val inject : set -> id -> set
 
 val for_version : string -> set

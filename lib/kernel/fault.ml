@@ -224,17 +224,6 @@ let schedule_of_seed ~seed ~intensity =
       | _ -> arm Snapshot_corruption k)
   |> List.filter_map Fun.id
 
-let transient_only sched =
-  List.for_all
-    (fun a -> match a.persistence with Transient _ -> true | Permanent -> false)
-    sched
-
-let max_transient_k sched =
-  List.fold_left
-    (fun acc a ->
-      match a.persistence with Transient k -> max acc k | Permanent -> acc)
-    0 sched
-
 (* -- textual schedule format --------------------------------------------- *)
 
 let persistence_to_string = function

@@ -66,12 +66,6 @@ val schedule_of_seed : seed:int -> intensity:int -> schedule
     the cap is clamped, and a boot draw after it is dropped, so the
     schedule can hold fewer than [intensity] armings. *)
 
-val transient_only : schedule -> bool
-
-val max_transient_k : schedule -> int
-(** The largest transient occurrence count in the schedule — a lower
-    bound for the supervisor retry budget that guarantees recovery. *)
-
 (* -- textual schedule format (CLI) -------------------------------------- *)
 
 val parse_schedule : string -> (schedule, string) result

@@ -52,8 +52,6 @@ type t = {
   mutable rev_vars : varinfo list;  (* registration order, reversed *)
   mutable last_restored : int;      (* snap id the cells match, or -1 *)
   mutable next_snap : int;          (* per-heap snapshot id source *)
-  mutable restored : int;           (* cumulative cells replayed *)
-  mutable total : int;              (* cumulative full-restore cost *)
 }
 
 type snapshot = {
@@ -75,9 +73,7 @@ let create () =
     dirty_ids = [];
     rev_vars = [];
     last_restored = -1;
-    next_snap = 0;
-    restored = 0;
-    total = 0 }
+    next_snap = 0 }
 
 (* Reserve [width] bytes of synthetic address space and register the
    cell's capture function. Returns the base address and the cell id the
@@ -151,16 +147,7 @@ let restore ?(full = false) t snap =
   in
   clear_dirty t;
   t.last_restored <- snap.s_id;
-  t.restored <- t.restored + replayed;
-  t.total <- t.total + n;
   if Metrics.enabled Metrics.default then begin
     Metrics.add m_cells_restored replayed;
     Metrics.add m_cells_total n
   end
-
-let cell_count t = t.n_cells
-
-(* Cumulative (cells replayed, cells a full restore would have replayed)
-   over every restore of this heap — the incrementality win is
-   [1 - restored/total]. *)
-let restore_stats t = (t.restored, t.total)

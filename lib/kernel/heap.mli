@@ -51,14 +51,10 @@ val restore : ?full:bool -> t -> snapshot -> unit
 (** Write a snapshot's contents back into the cells it captured.
     Incremental (dirty cells only) when the heap already matches the
     snapshot from a prior capture/restore; full otherwise, or when
-    [~full:true] forces the naive path.
+    [~full:true] forces the naive path. With
+    {!Kit_obs.Metrics.default} enabled, counts the cells it replayed in
+    [heap.cells_restored] and those a full restore would have replayed
+    in [heap.cells_total].
     @raise Invalid_argument if the snapshot was captured from a
     different heap. *)
 
-val cell_count : t -> int
-
-val restore_stats : t -> int * int
-(** Cumulative [(cells_replayed, cells_a_full_restore_would_replay)]
-    over every restore of this heap; the incrementality win is
-    [1 - replayed/total]. Also exported as [heap.cells_restored] /
-    [heap.cells_total] on {!Kit_obs.Metrics.default} when enabled. *)

@@ -32,16 +32,6 @@ let initial =
   { pid = 0; mount = 0; uts = 0; ipc = 0; net = 0; user = 0; cgroup = 0;
     time = 0 }
 
-let get set = function
-  | Pid -> set.pid
-  | Mount -> set.mount
-  | Uts -> set.uts
-  | Ipc -> set.ipc
-  | Net -> set.net
-  | User -> set.user
-  | Cgroup -> set.cgroup
-  | Time -> set.time
-
 let put set kind inst =
   match kind with
   | Pid -> { set with pid = inst }

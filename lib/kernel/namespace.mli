@@ -21,5 +21,4 @@ type set = {
 }
 
 val initial : set
-val get : set -> kind -> int
 val put : set -> kind -> int -> set

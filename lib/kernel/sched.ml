@@ -28,13 +28,12 @@
 
    [walk] replays the same decision procedure abstractly over per-task
    access counts, visiting the merged access order a seed induces
-   without executing or allocating anything; [simulate] lists it. The
-   runner's partial-order reduction builds its class keys on [walk]:
-   two seeds whose merged orders agree on all conflicting accesses are
-   equivalent, so only one representative runs. Driver, walk and
-   [choose] share [pick] and the step discipline, so the abstraction
-   can only diverge from reality if interference itself changes a
-   task's access count. *)
+   without executing or allocating anything. The runner's partial-order
+   reduction builds its class keys on [walk]: two seeds whose merged
+   orders agree on all conflicting accesses are equivalent, so only one
+   representative runs. Driver and walk share [pick] and the step
+   discipline, so the abstraction can only diverge from reality if
+   interference itself changes a task's access count. *)
 
 open Effect
 open Effect.Deep
@@ -44,10 +43,6 @@ type _ Effect.t += Yield : unit Effect.t
 type schedule = Sequential | Seeded of int
 
 exception Aborted
-
-let pp_schedule ppf = function
-  | Sequential -> Fmt.string ppf "sequential"
-  | Seeded s -> Fmt.pf ppf "seed:%d" s
 
 (* splitmix-style integer mix; pure and 63-bit safe. *)
 let mix ~seed ~step =
@@ -65,11 +60,6 @@ let pick schedule ~step m =
     match schedule with
     | Sequential -> 0
     | Seeded seed -> mix ~seed ~step mod m
-
-let choose schedule ~step ~runnable =
-  match runnable with
-  | [] -> invalid_arg "Sched.choose: no runnable task"
-  | _ -> List.nth runnable (pick schedule ~step (List.length runnable))
 
 (* Runnable sets are the ascending prefix [live.(0 .. n-1)] of an array
    allocated once per run, so a decision never allocates. [drop] removes
@@ -175,8 +165,3 @@ let walk schedule counts f =
     picks.(i) <- k + 1;
     if k = counts.(i) then nlive := drop live !nlive i
   done
-
-let simulate schedule counts =
-  let order = ref [] in
-  walk schedule counts (fun i k -> order := (i, k) :: !order);
-  List.rev !order

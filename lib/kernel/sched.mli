@@ -19,23 +19,15 @@ exception Aborted
 (** Raised into suspended tasks when a sibling task crashes, so their
     [Kfun.call] handlers (ctx stack pops) run. Never escapes {!run}. *)
 
-val pp_schedule : Format.formatter -> schedule -> unit
-
-val mix : seed:int -> step:int -> int
-(** The pure decision hash: non-negative, stable across runs. *)
-
-val choose : schedule -> step:int -> runnable:int list -> int
-(** Pick the next task among [runnable] (sorted ascending, non-empty).
-    {!run}, {!walk} and [choose] apply one decision rule, so the
-    abstract replay matches the real driver decision for decision. *)
-
 val run : ?schedule:schedule -> Ctx.t -> (unit -> unit) list -> int
 (** [run ~schedule ctx thunks] executes the thunks to completion as
     cooperatively scheduled tasks, installing the yield hook on [ctx]
     for the duration. Returns the number of scheduling decisions taken:
     one per yield point, one at the start and one after each task but
-    the last finishes. The hook decides in place and suspends the
-    running task only when the decision picks another one; no decision
+    the last finishes. Each decision picks a task by a pure, stable
+    hash of [(seed, step)], or the lowest runnable one under
+    [Sequential]. The hook decides in place and suspends the running
+    task only when the decision picks another one; no decision
     allocates.
     If a task raises (kernel panic, fuel exhaustion), all other tasks
     are unwound via {!Aborted} and the original exception is re-raised
@@ -46,11 +38,8 @@ val walk : schedule -> int array -> (int -> int -> unit) -> unit
     abstractly: task [i] has [counts.(i)] accesses, hence
     [counts.(i) + 1] resume segments. It calls [f task access_index]
     for every access in the merged order the schedule induces, and
-    allocates nothing per step. This is exact whenever each task
-    performs the same accesses as in its solo profile; schedule search
-    builds its class keys on it to prune equivalent seeds before
-    executing anything. *)
-
-val simulate : schedule -> int array -> (int * int) list
-(** The merged access order of {!walk} as [(task, access_index)]
-    pairs. *)
+    allocates nothing per step. {!run} and [walk] apply one decision
+    rule, so the abstract replay matches the real driver decision for
+    decision. This is exact whenever each task performs the same
+    accesses as in its solo profile; schedule search builds its class
+    keys on it to prune equivalent seeds before executing anything. *)

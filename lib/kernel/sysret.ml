@@ -24,8 +24,6 @@ type t = {
 let ok ?(out = P_none) ret = { ret; err = None; out }
 let error err = { ret = -Errno.to_int err; err = Some err; out = P_none }
 
-let is_error t = Option.is_some t.err
-
 let equal_payload a b =
   match (a, b) with
   | P_none, P_none -> true

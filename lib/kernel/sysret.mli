@@ -23,7 +23,6 @@ type t = {
 
 val ok : ?out:payload -> int -> t
 val error : Errno.t -> t
-val is_error : t -> bool
 
 val equal : t -> t -> bool
 (** Exact structural equality: return value, errno and payload. *)

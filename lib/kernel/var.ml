@@ -29,11 +29,6 @@ let alloc heap ~name ?(width = 8) ?(instrumented = true) init =
   cell := Some var;
   var
 
-let addr t = t.addr
-let name t = t.name
-let width t = t.width
-let instrumented t = t.instrumented
-
 (* Instrumented accesses are also the scheduler's preemption points:
    [Ctx.yield] fires before the event is emitted, so a suspended task
    resumes exactly at the access it was about to perform. Keeping yield

@@ -12,12 +12,8 @@ type 'a t
 val alloc :
   Heap.t -> name:string -> ?width:int -> ?instrumented:bool -> 'a -> 'a t
 (** Allocate and register a variable. [width] defaults to 8 bytes;
-    [instrumented] to [true]. *)
-
-val addr : _ t -> int
-val name : _ t -> string
-val width : _ t -> int
-val instrumented : _ t -> bool
+    [instrumented] to [true]. Its address, name, width and
+    instrumentation are read back from {!Heap.vars}. *)
 
 val read : Ctx.t -> 'a t -> 'a
 (** Traced read. *)

@@ -15,13 +15,6 @@
 
 type t
 
-(** A variable's current rung, derived from its flag bits with
-    precedence [Attributed > Paired > Read > Written > Touched]. *)
-type state = Untouched | Touched | Written | Read | Paired | Attributed
-
-val state_name : state -> string
-(** Lowercase, for JSONL and tables. *)
-
 val create : (string * int) list -> t
 (** [create vars] — the universe, as [(name, base_addr)] pairs in a
     deterministic (registration) order. Everything starts untouched. *)
@@ -48,10 +41,7 @@ val mark_attributed : t -> addr:int -> unit
 (** An interference report's data flow was attributed to the
     variable. *)
 
-val state : t -> int -> state
-(** By universe index ([0 .. size-1]). *)
-
-(** {2 Summaries and gaps} *)
+(** {2 Summaries} *)
 
 type summary = {
   sum_vars : int;
@@ -65,17 +55,17 @@ type summary = {
 
 val summary : t -> summary
 
-val gaps : t -> string list
-(** Variables with no overlapping (write, read) pair, in universe order
-    — the seed list feedback-driven generation will consume. *)
-
 (** {2 Rendering} *)
 
 val jsonl_lines : t -> string list
 (** The deterministic JSONL export: one ["covsum"] summary line, then
-    one ["cov"] line per variable in universe order. Byte-stable for a
-    given ledger state — domain/proc/checkpoint schedules that mark the
-    same facts export identical bytes. *)
+    one ["cov"] line per variable in universe order, with its current
+    rung (["untouched"] … ["attributed"], the highest it reached, with
+    precedence attributed > paired > read > written > touched).
+    Byte-stable for a given ledger state — domain/proc/checkpoint
+    schedules that mark the same facts export identical bytes. *)
 
 val render : t -> string
-(** Human-readable: the summary, a per-state table and the gap list. *)
+(** Human-readable: the summary, a per-state table and the gap list —
+    the variables with no overlapping (write, read) pair, in universe
+    order, the seed list feedback-driven generation will consume. *)

@@ -168,18 +168,6 @@ let parse_line ~line_no raw =
       Ok (Some (Dropped n))
     | other -> Error (Printf.sprintf "line %d: unknown kind %S" line_no other)
 
-let fold_lines lines ~init ~f =
-  let line_no = ref 0 in
-  let rec go acc = function
-    | [] -> Ok acc
-    | raw :: rest ->
-      incr line_no;
-      let* parsed = parse_line ~line_no:!line_no raw in
-      let acc = match parsed with Some l -> f acc l | None -> acc in
-      go acc rest
-  in
-  go init lines
-
 let fold_file path ~init ~f =
   match open_in path with
   | exception Sys_error e -> Error e
@@ -212,9 +200,6 @@ let finish_parsed acc =
   { acc with
     p_snapshot = List.rev acc.p_snapshot;
     p_events = List.rev acc.p_events }
-
-let parse lines =
-  Result.map finish_parsed (fold_lines lines ~init:empty_parsed ~f:collect)
 
 let read_file path =
   Result.map finish_parsed (fold_file path ~init:empty_parsed ~f:collect)

@@ -28,7 +28,6 @@ type parsed = {
   p_dropped : int;
 }
 
-val parse : string list -> (parsed, string) result
 val read_file : string -> (parsed, string) result
 
 (** {2 Streaming} *)

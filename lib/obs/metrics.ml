@@ -164,7 +164,6 @@ let snapshot ?(volatile = false) r =
         r.tbl [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let equal_snapshot (a : snapshot) (b : snapshot) = a = b
 
 let merge snapshots =
   let tbl = Hashtbl.create 64 in

@@ -75,7 +75,6 @@ type value =
 type snapshot = (string * value) list
 
 val snapshot : ?volatile:bool -> registry -> snapshot
-val equal_snapshot : snapshot -> snapshot -> bool
 
 val merge : snapshot list -> snapshot
 (** Point-wise merge: counters and gauges sum, histograms with matching

@@ -84,17 +84,6 @@ let of_tree (tree : Spantree.t) =
 
 let top ?(k = 10) t = List.filteri (fun i _ -> i < k) t.rows
 
-let find t name = List.find_opt (fun r -> String.equal r.r_name name) t.rows
-
-(* The digest counterpart of Spantree.fingerprint: per-name span counts
-   only — times are placement- and clock-dependent, counts are not. *)
-let fingerprint t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun r -> Printf.bprintf buf "%s=%d;" r.r_name r.r_count)
-    (List.sort (fun a b -> compare a.r_name b.r_name) t.rows);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* -- critical path --------------------------------------------------------
 
    The chain of heaviest spans: start from the heaviest root, descend

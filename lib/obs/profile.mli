@@ -22,17 +22,6 @@ type t = {
 val of_tree : Spantree.t -> t
 (** Instants contribute nothing; self time is clamped non-negative. *)
 
-val find : t -> string -> row option
-
-val fingerprint : t -> string
-(** Hex digest of per-name counts only — the placement-invariant
-    counterpart of {!Spantree.fingerprint}. *)
-
-val critical_path : Spantree.t -> Spantree.node list
-(** The chain of heaviest spans, heaviest root down to a leaf. Weight is
-    inclusive wall time, falling back to deterministic time for
-    deterministic exports. Empty for an empty trace. *)
-
 val folded : Spantree.t -> string list
 (** Folded-stacks lines ("root;child;leaf weight"), weight = self time
     in wall microseconds (deterministic ticks when no wall times).
@@ -41,4 +30,7 @@ val folded : Spantree.t -> string list
 val render_table : ?k:int -> t -> string
 
 val render_critical_path : Spantree.t -> string
-(** Text rendering; always contains the words "critical path". *)
+(** The chain of heaviest spans, heaviest root down to a leaf, one
+    indented line each. Weight is inclusive wall time, falling back to
+    deterministic time for deterministic exports. Always contains the
+    words "critical path". *)

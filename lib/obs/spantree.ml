@@ -215,59 +215,6 @@ let build ?(lane_attrs = default_lane_attrs) ?(dropped = 0) events =
 
 let roots t = List.concat_map snd t.lanes
 
-(* -- fingerprint ----------------------------------------------------------
-
-   A canonical digest of the causal structure: span names, attributes and
-   nesting, with placement-dependent identity (which domain/worker lane a
-   span landed on, timestamps, sequence numbers) excluded. Two traces of
-   the same campaign at different --domains values digest identically —
-   the work is the same, only its placement moved (property-tested). *)
-
-let default_ignore_attrs = [ "domain"; "worker"; "domains" ]
-
-let rec node_digest ~ignore buf n =
-  Buffer.add_string buf (if n.n_instant then "i:" else "s:");
-  Buffer.add_string buf n.n_name;
-  List.iter
-    (fun (k, v) ->
-      if not (List.mem k ignore) then begin
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf k;
-        Buffer.add_char buf '=';
-        Buffer.add_string buf v
-      end)
-    (List.sort compare n.n_attrs);
-  Buffer.add_char buf '(';
-  List.iter (node_digest ~ignore buf) n.n_children;
-  Buffer.add_char buf ')'
-
-let fingerprint ?(ignore = default_ignore_attrs) t =
-  let buf = Buffer.create 1024 in
-  (* Lanes sorted by key so lane discovery order cannot leak in; keys
-     made of ignored attrs collapse into one sorted root sequence. *)
-  let keyed =
-    List.map
-      (fun (key, roots) ->
-        let b = Buffer.create 256 in
-        List.iter (node_digest ~ignore b) roots;
-        let lane_ignored =
-          List.exists
-            (fun a -> String.length key > String.length a
-                      && String.sub key 0 (String.length a + 1) = a ^ "=")
-            ignore
-        in
-        ((if lane_ignored then main_lane else key), Buffer.contents b))
-      t.lanes
-  in
-  List.iter
-    (fun (key, digest) ->
-      Buffer.add_char buf '[';
-      Buffer.add_string buf key;
-      Buffer.add_char buf ']';
-      Buffer.add_string buf digest)
-    (List.sort compare keyed);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* -- rendering ------------------------------------------------------------ *)
 
 let render ?(max_depth = max_int) t =

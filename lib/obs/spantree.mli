@@ -52,13 +52,6 @@ val wall_duration : node -> float
 val det_duration : node -> int
 (** Deterministic duration [n_end - n_begin], clamped non-negative. *)
 
-val fingerprint : ?ignore:string list -> t -> string
-(** A hex digest of the causal structure: span names, non-ignored attrs
-    (by default all but the placement attrs ["domain"], ["worker"] and
-    ["domains"]) and nesting, with timestamps, sequence numbers and lane
-    placement excluded. Traces of the same campaign sharded over different domain
-    counts digest identically. *)
-
 val render : ?max_depth:int -> t -> string
 (** Indented text rendering of all lanes; children beyond [max_depth]
     are elided with a count. *)

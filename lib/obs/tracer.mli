@@ -58,19 +58,17 @@ val recorded : t -> int
 
 val dropped : t -> int
 
-val interleave : event list list -> event list
-(** Interleave per-domain rings into one deterministic stream: a k-way
-    merge taking, at each step, the ring whose head event has the
-    smallest (deterministic time, ring index). Each ring's internal
-    order — and so its Begin/End nesting — is preserved unconditionally,
-    even when deterministic times rewind within a ring (virtual-clock
-    spans across snapshot restores). *)
-
 val merge : t -> event list list -> unit
 (** [merge t rings] folds per-domain rings into [t] — the tracer
-    counterpart of [Metrics.absorb]. Events are {!interleave}d and
-    re-recorded with fresh sequence numbers but their original
-    deterministic and wall timestamps. No-op on a disabled tracer. *)
+    counterpart of [Metrics.absorb]. The rings are interleaved into one
+    deterministic stream, a k-way merge taking, at each step, the ring
+    whose head event has the smallest (deterministic time, ring index).
+    Each ring's internal order — and so its Begin/End nesting — is
+    preserved unconditionally, even when deterministic times rewind
+    within a ring (virtual-clock spans across snapshot restores).
+    Events are re-recorded with fresh sequence numbers but their
+    original deterministic and wall timestamps. No-op on a disabled
+    tracer. *)
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option

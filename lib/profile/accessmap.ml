@@ -167,11 +167,6 @@ let iter_chain t head f =
     h := e_next t !h
   done
 
-let chain_views t head =
-  let acc = ref [] in
-  iter_chain t head (fun h -> acc := view t h :: !acc);
-  List.rev !acc
-
 (* -- traversal ------------------------------------------------------------- *)
 
 (* Visit every address on both sides, as chain handles: the overlap is
@@ -185,16 +180,6 @@ let iter_overlap_chains t f =
         let r = Hashtbl.find t.readers addr in
         f ~addr ~whead:w.head ~wcount:w.count ~rhead:r.head ~rcount:r.count)
     t.waddrs
-
-(* The materialising variant, for callers that want entry records; the
-   per-address lists come back newest-first, as they were stored. *)
-let iter_overlaps t f =
-  iter_overlap_chains t
-    (fun ~addr ~whead ~wcount:_ ~rhead ~rcount:_ ->
-      f ~addr ~writers:(chain_views t whead) ~readers:(chain_views t rhead))
-
-let writer_addresses t = Bitset.elements t.waddrs
-let reader_addresses t = Bitset.elements t.raddrs
 
 type stats = {
   write_addrs : int;

@@ -6,9 +6,8 @@
 
     Entries live in a flat int arena; per-address writer/reader chains
     are intrusive (newest first) and the address universes are packed
-    bitsets. Hot callers walk chains by integer handle through the
-    [e_*] accessors; {!iter_overlaps} materialises {!entry} records for
-    convenience.
+    bitsets. Callers walk chains by integer handle through the [e_*]
+    accessors; {!view} materialises an {!entry} record.
 
     Campaigns never build one: they fold each program into online
     cluster tables ([Kit_gen.Cluster.feed]), which keep {!entry} records
@@ -56,20 +55,6 @@ val e_context : t -> int -> k:int -> int list
 
 val view : t -> int -> entry
 (** Materialise a handle as an {!entry}. *)
-
-(** {2 Materialising traversal} *)
-
-val iter_overlaps :
-  t ->
-  (addr:int -> writers:entry list -> readers:entry list -> unit) ->
-  unit
-(** Visit every address accessed by both a writer and a reader; the
-    entry lists are newest-first. *)
-
-val writer_addresses : t -> int list
-(** Ascending; read straight off the address bitset. *)
-
-val reader_addresses : t -> int list
 
 (** Map shape summary: distinct addresses and total entries per side. *)
 type stats = {

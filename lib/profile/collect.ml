@@ -50,8 +50,3 @@ let profile t ~role prog =
   let accesses = Stackrec.dedup (Stackrec.replay (List.rev !events)) in
   { accesses; results }
 
-(* Run without instrumentation (the separate trace-collection run of
-   section 6.5). *)
-let run_untraced t ~role prog =
-  State.restore t.kernel t.snapshot;
-  Interp.run t.kernel ~pid:(pid_of_role t role) prog

@@ -24,8 +24,3 @@ val vars : t -> Kit_kernel.Heap.varinfo list
 (** The profiled kernel's shared-variable registry, in boot order —
     deterministic for a given config; the coverage ledger's raw
     universe. *)
-
-val run_untraced : t -> role:role -> Kit_abi.Program.t ->
-  Kit_kernel.Interp.result list
-(** Run without instrumentation (the separate trace-collection run of
-    section 6.5). *)

@@ -14,12 +14,6 @@ type t = {
   details : string list;
 }
 
-let compare a b =
-  let c = String.compare a.name b.name in
-  if c <> 0 then c else List.compare String.compare a.details b.details
-
-let equal a b = compare a b = 0
-
 let to_string t =
   match t.details with
   | [] -> t.name

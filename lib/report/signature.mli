@@ -9,8 +9,6 @@ type t = {
   details : string list;
 }
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

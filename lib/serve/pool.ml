@@ -55,8 +55,6 @@ type sabotage = {
   poison : int list;
 }
 
-let no_sabotage = { kill_after = []; hang_after = []; poison = [] }
-
 type config = {
   procs : int;
   heartbeat_s : float;
@@ -67,7 +65,7 @@ type config = {
 
 let default_config =
   { procs = 4; heartbeat_s = 30.0; max_respawns = 3; backoff_base_ms = 5.0;
-    sabotage = no_sabotage }
+    sabotage = { kill_after = []; hang_after = []; poison = [] } }
 
 type stats = {
   spawns : int;
@@ -596,7 +594,6 @@ let jobs t ~tenant ~label options corpus cases ~on_done =
   { j_tenant = tenant; j_corpus = corpus; j_q = q; j_strikes = Hashtbl.create 16;
     j_on_done = on_done; j_running = 0; j_poisoned = 0 }
 
-let running j = j.j_running
 let drained j = Jobqueue.is_drained j.j_q
 
 (* Work a slot could start now: queued jobs beyond the running ones. *)

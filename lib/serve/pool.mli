@@ -17,7 +17,7 @@
     The {e job policy} ({!jobs}) is the one home of the rules both
     drivers share: claim-or-steal, report-once, the two-strike
     [Worker_lost] quarantine and reshard-on-death, over a
-    {!Kit_core.Jobqueue}. Its drivers are {!execute}, the
+    {!Kit_core.Jobqueue}. Its drivers are {!executor}, the
     single-campaign executor behind [kit campaign --procs], and the
     multi-tenant scheduler ([Kit_serve.Sched] behind [kit serve]).
     Checkpointing is the campaign driver's ({!Kit_core.Campaign}), the
@@ -31,8 +31,8 @@
 module Campaign := Kit_core.Campaign
 
 val worker_entry : unit -> unit
-(** The worker trampoline. Every executable that calls {!execute} (or
-    runs {!executor}) MUST call this first thing in [main], before
+(** The worker trampoline. Every executable that runs {!executor} (or
+    creates a pool) MUST call this first thing in [main], before
     argument parsing: when the process was spawned as a pool worker
     (the [KIT_POOL_WORKER] environment variable is set), it runs the
     worker loop over the inherited pipe descriptors the variable names
@@ -54,8 +54,6 @@ type sabotage = {
       (** job ids whose receipt SIGKILLs {e any} worker — the
           twice-lethal quarantine path *)
 }
-
-val no_sabotage : sabotage
 
 type config = {
   procs : int;                       (** worker processes (at least 1) *)
@@ -150,7 +148,6 @@ val jobs :
 val claimable : jobs -> bool
 (** Queued cases beyond the running ones. *)
 
-val running : jobs -> int
 val drained : jobs -> bool
 
 val dispatch : t -> jobs -> slot:int -> bool
@@ -185,26 +182,17 @@ exception
     the campaign driver saves its log before the exception reaches the
     caller, so a rerun with the log resumes. *)
 
-val execute :
-  ?obs:Kit_obs.Obs.t ->
-  config ->
-  Campaign.options ->
-  Kit_abi.Program.t array ->
-  (int * Kit_gen.Testcase.t) list ->
-  on_done:(int -> Campaign.case_result -> int -> unit) ->
-  stats
-(** Run every [(case, representative)] on a fresh pool, calling
-    [on_done case result executions] exactly once per case as its
-    completion (or its twice-lethal quarantine, with 0 executions)
-    arrives. [case] is the job id on the wire: the ["case"] trace attr
-    and the key of [sabotage.poison].
-    @raise Aborted when no worker can absorb the remaining queue. *)
-
 val executor :
   ?obs:Kit_obs.Obs.t -> ?on_stats:(stats -> unit) -> config ->
   Campaign.executor
-(** {!execute} as a campaign executor for {!Kit_core.Campaign.execute}
-    — the engine behind [kit campaign --procs N]. [on_stats] receives
-    the pool statistics when the pool drains, so callers that only see
-    the assembled campaign (the CLI) can still report spawns, deaths
-    and reshards. *)
+(** The campaign executor for {!Kit_core.Campaign.execute} behind
+    [kit campaign --procs N]: every [(case, representative)] runs on a
+    fresh pool (the executor's supervisor argument is not used), and
+    [on_done case result executions] is called exactly once per case as
+    its completion (or its twice-lethal quarantine, with 0 executions)
+    arrives. [case] is the job id on the wire: the ["case"] trace attr
+    and the key of [sabotage.poison]. [on_stats] receives the pool
+    statistics when the pool drains, so callers that only see the
+    assembled campaign (the CLI) can still report spawns, deaths and
+    reshards.
+    @raise Aborted when no worker can absorb the remaining queue. *)

@@ -25,14 +25,13 @@ type spec = {
   sp_corpus_size : int;
   sp_strategy : Cluster.strategy;
   sp_weight : int;
-  sp_max_inflight : int;
   sp_diagnose : bool;
   sp_schedules : int;
 }
 
 let default_spec =
   { sp_name = ""; sp_seed = 7; sp_corpus_size = 320; sp_strategy = Cluster.Df_ia;
-    sp_weight = 1; sp_max_inflight = 0; sp_diagnose = true; sp_schedules = 1 }
+    sp_weight = 1; sp_diagnose = true; sp_schedules = 1 }
 
 let valid_name name =
   name <> ""
@@ -81,7 +80,6 @@ let spec_to_json s =
       ("corpus_size", Jsonl.Int s.sp_corpus_size);
       ("strategy", strategy_to_json s.sp_strategy);
       ("weight", Jsonl.Int s.sp_weight);
-      ("max_inflight", Jsonl.Int s.sp_max_inflight);
       ("diagnose", Jsonl.Bool s.sp_diagnose);
       ("schedules", Jsonl.Int s.sp_schedules) ]
 
@@ -93,16 +91,13 @@ let spec_of_json j =
   let* sp_corpus_size = field "corpus_size" int j in
   let* sp_strategy = field "strategy" strategy_of_json j in
   let* sp_weight = field_or "weight" ~default:d.sp_weight int j in
-  let* sp_max_inflight =
-    field_or "max_inflight" ~default:d.sp_max_inflight int j
-  in
   let* sp_diagnose = field_or "diagnose" ~default:d.sp_diagnose bool j in
   let* sp_schedules = field_or "schedules" ~default:d.sp_schedules int j in
   if not (valid_name sp_name) then Error ("invalid tenant name " ^ sp_name)
   else
     Ok
       { sp_name; sp_seed; sp_corpus_size; sp_strategy; sp_weight;
-        sp_max_inflight; sp_diagnose; sp_schedules }
+        sp_diagnose; sp_schedules }
 
 (* -- requests and replies ------------------------------------------------- *)
 

@@ -14,24 +14,21 @@
 
 (** What a tenant asks the daemon to run: the same knobs as a solo
     [kit campaign], plus the scheduling contract ([sp_weight] for the
-    deficit-round-robin quota, [sp_max_inflight] to cap the tenant's
-    concurrently-executing cases; [0] means unbounded). *)
+    deficit-round-robin quota). *)
 type spec = {
   sp_name : string;
   sp_seed : int;
   sp_corpus_size : int;
   sp_strategy : Kit_gen.Cluster.strategy;
   sp_weight : int;
-  sp_max_inflight : int;
   sp_diagnose : bool;
   sp_schedules : int;
       (** interleaved schedule seeds per case; 1 = sequential only *)
 }
 
 val default_spec : spec
-(** Seed 7, corpus 320, DF-IA, weight 1, unbounded in-flight,
-    diagnosis on, sequential-only schedules — and an empty (invalid)
-    name callers must fill in. *)
+(** Seed 7, corpus 320, DF-IA, weight 1, diagnosis on, sequential-only
+    schedules — and an empty (invalid) name callers must fill in. *)
 
 val valid_name : string -> bool
 (** Tenant names become checkpoint file names: 1–64 chars drawn from
@@ -48,8 +45,9 @@ val spec_to_json : spec -> Kit_obs.Jsonl.t
 val spec_of_json : spec Kit_core.Codec.decoder
 (** The spec's checkpoint codec. Name, seed, corpus size and strategy
     are required (and the name must be {!valid_name}); weight,
-    in-flight cap, diagnosis and schedules take {!default_spec}'s
-    values when absent. *)
+    diagnosis and schedules take {!default_spec}'s values when absent.
+    Unknown fields are ignored, so a log written while specs carried
+    an in-flight cap still loads. *)
 
 type request =
   | Submit of spec
@@ -138,9 +136,6 @@ val summary : Kit_core.Campaign.t -> string
 val listen : string -> Unix.file_descr
 (** Bind and listen on a Unix-domain socket path (unlinking any stale
     socket first). Close-on-exec, so pool workers never inherit it. *)
-
-val connect : string -> Unix.file_descr
-(** @raise Unix.Unix_error when the daemon is not there. *)
 
 val request : string -> request -> (reply, string) result
 (** One-shot client call: connect to the socket path, send the request,

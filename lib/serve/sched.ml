@@ -65,14 +65,6 @@ let find_name t name =
 let count_phase t p =
   List.length (List.filter (fun tn -> Tenant.phase tn = p) (tenants t))
 
-let busy t =
-  List.exists
-    (fun tn ->
-      match Tenant.phase tn with
-      | Tenant.Pending | Tenant.Active -> true
-      | Tenant.Finished | Tenant.Cancelled | Tenant.Failed _ -> false)
-    (tenants t)
-
 let add_tenant t tn =
   Hashtbl.replace t.tenants (Tenant.id tn) tn;
   t.ring <- t.ring @ [ Tenant.id tn ]
@@ -130,6 +122,12 @@ let resume t =
 
 (* -- admission ------------------------------------------------------------ *)
 
+(* The strategies [kit submit] accepts. *)
+let submittable = function
+  | Kit_gen.Cluster.Df_ia | Kit_gen.Cluster.Df_st (1 | 2) -> true
+  | Kit_gen.Cluster.Rand n -> n >= 1
+  | Kit_gen.Cluster.Df | Kit_gen.Cluster.Df_st _ -> false
+
 let submit t spec =
   let reject why = Metrics.inc (sm "rejected" t); Proto.Rejected why in
   if not (Proto.valid_name spec.Proto.sp_name) then
@@ -138,6 +136,13 @@ let submit t spec =
     reject ("tenant name already in use: " ^ spec.Proto.sp_name)
   else if spec.Proto.sp_corpus_size < 1 then
     reject "corpus size must be at least 1"
+  else if spec.Proto.sp_weight < 1 then reject "weight must be at least 1"
+  else if spec.Proto.sp_schedules < 1 then
+    reject "schedules must be at least 1"
+  else if not (submittable spec.Proto.sp_strategy) then
+    reject
+      ("strategy must be df-ia, df-st-1, df-st-2 or a RAND budget of at \
+        least 1, not " ^ Kit_gen.Cluster.strategy_name spec.Proto.sp_strategy)
   else if count_phase t Tenant.Pending >= t.cfg.sc_max_pending then
     reject
       (Printf.sprintf "pending queue full (%d submissions waiting)"
@@ -180,18 +185,16 @@ let refill_cap = 8.0
 let actives t =
   List.filter (fun tn -> Tenant.phase tn = Tenant.Active) (tenants t)
 
-let eligible tn = Tenant.claimable tn && Tenant.under_inflight_cap tn
-
 (* Pick the tenant the next idle slot should serve, in ring order:
-   first entitled eligible tenant (spend quota); if quota credit is
-   stranded on tenants that cannot run (capped, momentarily out of
-   claimable work), let the first eligible tenant steal it (its deficit
+   first entitled claimable tenant (spend quota); if quota credit is
+   stranded on tenants that cannot run (momentarily out of claimable
+   work), let the first claimable tenant steal it (its deficit
    goes negative — the debt repays on later refills); otherwise refill
    every active tenant by its weight (capped at [refill_cap] x weight)
    and try again. [active] is [actives t]: phases do not change while a
    slot is being served. *)
 let rec pick_tenant active =
-  let runnable = List.filter eligible active in
+  let runnable = List.filter Tenant.claimable active in
   match runnable with
   | [] -> None
   | first :: _ -> (
@@ -200,7 +203,7 @@ let rec pick_tenant active =
     | None ->
       let stranded =
         List.exists
-          (fun tn -> Tenant.deficit tn >= 1.0 && not (eligible tn))
+          (fun tn -> Tenant.deficit tn >= 1.0 && not (Tenant.claimable tn))
           active
       in
       if stranded then Some (first, true)
@@ -292,11 +295,6 @@ let step ?extra t ~timeout =
     raise Dead_pool
   end;
   readable
-
-let drain t =
-  while busy t do
-    ignore (step t ~timeout:0.2)
-  done
 
 (* -- requests ------------------------------------------------------------- *)
 

@@ -12,8 +12,8 @@
     {b Fair sharing.} Deficit round robin: every refill grants each
     active tenant [weight] credits (capped at 8x weight), a dispatch
     spends one, and when all credit is stranded on tenants that cannot
-    run (in-flight cap, momentarily no claimable work) the first
-    runnable tenant in submission order {e steals} — its deficit goes
+    run (momentarily no claimable work) the first runnable tenant in
+    submission order {e steals} — its deficit goes
     negative and repays over later refills. Under contention,
     executed-case shares converge to the weight vector
     (property-tested); without contention the pool never idles.
@@ -69,10 +69,13 @@ val resume : t -> (string * string) list
 val request : t -> Proto.request -> Proto.reply
 (** The daemon's request handler, exposed directly so in-process tests
     drive the full protocol without sockets. [Submit] admits (name
-    validity, uniqueness, pending bound), [Extend] grows a finished
-    tenant, [Cancel] retires, [Results] returns the deterministic
-    summary once finished ([Not_ready] before), [Shutdown] checkpoints
-    everything. *)
+    validity, uniqueness, pending bound, and the values [kit submit]
+    accepts: corpus size, weight and schedules at least 1, strategy
+    df-ia, df-st-1, df-st-2 or a RAND budget of at least 1; anything
+    else is [Rejected] and counted in [serve.rejected]), [Extend] grows
+    a finished tenant, [Cancel] retires, [Results] returns the
+    deterministic summary once finished ([Not_ready] before),
+    [Shutdown] checkpoints everything. *)
 
 val step : ?extra:Unix.file_descr list -> t -> timeout:float ->
   Unix.file_descr list
@@ -80,14 +83,8 @@ val step : ?extra:Unix.file_descr list -> t -> timeout:float ->
     readable (the daemon passes its listening socket).
     @raise Dead_pool as documented above. *)
 
-val drain : t -> unit
-(** Step until no tenant is pending or active — the in-process
-    equivalent of letting the daemon idle. *)
-
 val tenants : t -> Tenant.t list
 (** In submission order. *)
-
-val find_name : t -> string -> Tenant.t option
 
 val serve : ?log:(string -> unit) -> t -> socket:string -> unit
 (** The daemon: listen on the Unix-domain socket, one request per

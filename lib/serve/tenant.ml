@@ -125,11 +125,8 @@ let weight t = max 1 t.t_spec.Proto.sp_weight
 let summary t = t.t_summary
 let result t = t.t_result
 let torn t = t.t_torn
-let log t = t.t_log
 let jobs t = t.t_jobs
 
-let total t = (progress t).p_total
-let completed t = (progress t).p_done
 let resumed t = match t.t_run with Some r -> Campaign.run_replayed r | None -> 0
 
 (* -- lifecycle ------------------------------------------------------------ *)
@@ -192,11 +189,6 @@ let extend t ~add =
 
 let claimable t =
   match t.t_jobs with Some j -> Pool.claimable j | None -> false
-
-let under_inflight_cap t =
-  let cap = t.t_spec.Proto.sp_max_inflight in
-  cap <= 0
-  || match t.t_jobs with Some j -> Pool.running j < cap | None -> true
 
 let is_drained t =
   match t.t_jobs with Some j -> Pool.drained j | None -> false

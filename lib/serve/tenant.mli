@@ -35,15 +35,6 @@ val phase : t -> phase
 val weight : t -> int
 (** At least 1, whatever the spec says. *)
 
-val total : t -> int
-(** Representative count of the last activation; 0 before one. A
-    restored tenant reports what its log recorded until it is
-    activated again. *)
-
-val completed : t -> int
-(** Representatives with a result, replayed or completed (restored
-    like {!total}). *)
-
 val resumed : t -> int
 (** Representatives replayed from the log at the last activation. *)
 
@@ -86,8 +77,6 @@ val jobs : t -> Pool.jobs option
 val claimable : t -> bool
 (** Active, with work a slot could start now. *)
 
-val under_inflight_cap : t -> bool
-
 val is_drained : t -> bool
 (** Active with every representative reported — ready for {!finish}. *)
 
@@ -113,8 +102,6 @@ val note_dispatch : t -> contended:bool -> stolen:bool -> unit
     load as an [Error]. *)
 
 val ckpt_kind : string
-
-val log : t -> Kit_core.Campaign.log
 
 val save_checkpoint : t -> unit
 (** Save the log now, unless the tenant was cancelled. *)

@@ -2,10 +2,7 @@
     highlights a seed system call, KIT automatically selects every call
     with an explicit data dependency on it. *)
 
-val dependent_indices :
-  Kit_abi.Program.t -> seed:(Kit_abi.Program.call -> bool) -> int list
-(** Indices of the seed calls plus every call transitively consuming one
-    of their results through a resource reference, sorted. *)
-
 val is_dependent :
   Kit_abi.Program.t -> seed:(Kit_abi.Program.call -> bool) -> int -> bool
+(** Is call [i] a seed call, or does it transitively consume one of
+    their results through a resource reference? *)

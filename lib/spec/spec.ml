@@ -95,23 +95,3 @@ let call_protected t prog types i =
     in
     returns_protected || uses_protected || seed_dependent
     || List.exists (fun c -> Checker.matches c call) t.checkers
-
-(* The protected call indices of a whole program. *)
-let protected_indices t prog =
-  let types = Program.result_types prog in
-  let n = Program.length prog in
-  let rec collect i acc =
-    if i >= n then List.rev acc
-    else collect (i + 1) (if call_protected t prog types i then i :: acc else acc)
-  in
-  collect 0 []
-
-(* Highlight seed calls (paper, section 5.3): every call with an
-   explicit data dependency on a call to [sysno] becomes selected, in
-   addition to the existing rules. *)
-let with_seed_selector t sysno =
-  { t with seed_selectors = sysno :: t.seed_selectors }
-
-(* Summary used in documentation/tests: how many rules the spec holds. *)
-let rule_counts t =
-  (List.length t.protected_fd_types, List.length t.checkers)

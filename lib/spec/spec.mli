@@ -40,12 +40,3 @@ val call_protected :
     returns or consumes a protected fd type, or a checker selects it.
     The array is [Program.result_types] of the program. *)
 
-val protected_indices : t -> Kit_abi.Program.t -> int list
-
-val with_seed_selector : t -> Kit_abi.Sysno.t -> t
-(** Highlight seed calls: every call with an explicit data dependency on
-    a call to the given syscall becomes selected, in addition to the
-    existing rules. *)
-
-val rule_counts : t -> int * int
-(** (fd-type rules, checker functions). *)

@@ -70,16 +70,6 @@ let with_flags t ~det children =
   let kids_ndet = List.fold_left (fun acc c -> acc + c.ndet) 0 children in
   { t with det; ndet = (kids_ndet + if det then 0 else 1); children }
 
-let rec pp ppf t =
-  let flag = if t.det then "" else " [nondet]" in
-  if t.children = [] then Fmt.pf ppf "@[<h>%s=%s%s@]" t.label t.value flag
-  else
-    Fmt.pf ppf "@[<v 2>%s%s%a@]" t.label flag
-      (Fmt.list ~sep:(Fmt.any "") (fun ppf c -> Fmt.pf ppf "@,%a" pp c))
-      t.children
-
-let to_string t = Fmt.str "%a" pp t
-
 let rec equal a b =
   a == b
   || a.hash = b.hash && Bool.equal a.det b.det && a.ndet = b.ndet
@@ -88,29 +78,5 @@ let rec equal a b =
         either, so only mixed-flag trees need the recursive walk *)
      && ((a.ndet = 0 && b.ndet = 0) || List.equal equal a.children b.children)
 
-let size t = t.size
-let count_nondet t = t.ndet
 let all_det t = t.ndet = 0
 
-(* -- the pre-packing representation ---------------------------------------
-
-   The plain record trace nodes had before packing. The reference
-   algorithms of the compact-representation tests run on it, and the
-   packed diff, mark and mask must agree with them. *)
-
-module Legacy = struct
-  type ast = {
-    l_label : string;
-    l_value : string;
-    l_det : bool;
-    l_children : ast list;
-  }
-end
-
-let rec of_legacy (l : Legacy.ast) =
-  mk ~det:l.Legacy.l_det l.Legacy.l_label l.Legacy.l_value
-    (List.map of_legacy l.Legacy.l_children)
-
-let rec to_legacy t =
-  { Legacy.l_label = t.label; l_value = t.value; l_det = t.det;
-    l_children = List.map to_legacy t.children }

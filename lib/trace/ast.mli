@@ -36,30 +36,8 @@ val with_flags : t -> det:bool -> t list -> t
     structurally identical to [t.children] (only det flags may differ):
     hash, size and child count are carried over unchanged. *)
 
-val to_string : t -> string
-
 val equal : t -> t -> bool
 (** Deep structural equality, det flags included. *)
 
-val size : t -> int
-(** O(1). *)
-
-val count_nondet : t -> int
-(** O(1). *)
-
 val all_det : t -> bool
 (** No non-deterministic node anywhere in the subtree. O(1). *)
-
-(** The plain record layout trace nodes had before packing — the
-    representation the reference algorithms in the tests run on. *)
-module Legacy : sig
-  type ast = {
-    l_label : string;
-    l_value : string;
-    l_det : bool;
-    l_children : ast list;
-  }
-end
-
-val of_legacy : Legacy.ast -> t
-val to_legacy : t -> Legacy.ast

@@ -15,11 +15,11 @@ and kind =
   | Unchecked                (** varying non-numeric leaf, or varying shape *)
   | Interior
 
-val min_slack : int
-
 val learn : Ast.t -> Ast.t list -> t
 (** [learn reference alternatives] builds a bounds tree from
-    receiver-only runs at different clock bases. *)
+    receiver-only runs at different clock bases. A numeric leaf's
+    interval is the observed one widened on each side by three times
+    its spread, and by at least 64. *)
 
 type violation = {
   path : string list;

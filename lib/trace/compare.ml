@@ -97,5 +97,3 @@ let interfered_of_diffs diffs =
   in
   let indices = List.filter_map index_of diffs in
   List.sort_uniq Int.compare indices
-
-let interfered_indices ta tb = interfered_of_diffs (diff_trees ta tb)

@@ -22,13 +22,9 @@ val fingerprint_diffs : diff list -> int
     diff lists — the same root cause exposed by different schedule
     seeds — fingerprint equal; non-negative. *)
 
-val call_index_of_label : string -> int option
-(** ["call12:read"] -> [Some 12]. *)
-
 val interfered_of_diffs : diff list -> int list
 (** The receiver syscall indices named by an already-computed diff
-    list, sorted and deduplicated — avoids re-running the tree
-    comparison when the diffs are already in hand. *)
-
-val interfered_indices : Ast.t -> Ast.t -> int list
-(** [interfered_of_diffs (diff_trees ta tb)]. *)
+    list, sorted and deduplicated: the [N] of each diff's
+    ["callN:name"] call label, or 0 for a diff at the trace root (a
+    call count mismatch). Avoids re-running the tree comparison when
+    the diffs are already in hand. *)

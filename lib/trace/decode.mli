@@ -4,10 +4,6 @@
     buffers one child per field, so divergence is localised to the
     smallest result component. *)
 
-val call_label : int -> Kit_abi.Sysno.t -> string
-(** [call_label index sysno] is ["call<index>:<name>"], from a table
-    built once for indices below 64. *)
-
 type baseline
 (** A receiver's solo run as a decode baseline: its per-call return
     values beside its decoded trace. *)

@@ -8,16 +8,20 @@ module Cluster = Kit_gen.Cluster
 
 exception Killed
 
-(* [executor] killed after [n] completions. The driver saves what it
-   recorded before the exception leaves [Campaign.execute], as it does
-   when a pool loses every worker. *)
-let killed_after ?(executor = Campaign.in_process) n : Campaign.executor =
- fun options corpus sup ~batch cases ~on_done ->
+(* [log]'s process killed after [n] completions: it dies as the next
+   completion arrives or, with none left, as the result is built, before
+   the log is closed. The driver saves what it recorded before the
+   exception leaves [Campaign.execute], as it does when a pool loses
+   every worker. *)
+let killed_after n (log : Campaign.log) =
   let k = ref 0 in
-  executor options corpus sup ~batch cases ~on_done:(fun case r execs ->
-      on_done case r execs;
-      incr k;
-      if !k >= n then raise Killed)
+  { log with
+    Campaign.record =
+      (fun tc r execs ->
+        if !k >= n then raise Killed;
+        incr k;
+        log.Campaign.record tc r execs);
+    close = (fun () -> if !k >= n then raise Killed else log.Campaign.close ()) }
 
 (* A fresh path in the temp dir, removed after [f] whatever happens. *)
 let with_path prefix f =
@@ -44,11 +48,7 @@ let run_process ?executor ?kill ~every path options =
   let generation = Campaign.generate_prepared prepared in
   let log = open_log ~every path options in
   let n = replayed log generation.Cluster.reps in
-  let executor =
-    match kill with
-    | Some k -> Some (killed_after ?executor k)
-    | None -> executor
-  in
+  let log = match kill with Some k -> killed_after k log | None -> log in
   match Campaign.execute ?executor ~log prepared generation with
   | c -> (n, Some c)
   | exception Killed -> (n, None)

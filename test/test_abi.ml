@@ -209,18 +209,22 @@ let test_syzlang_string_with_comma () =
   | Some { Program.args = [ Value.Int 3; Value.Str "a,b" ]; _ } -> ()
   | Some _ | None -> Alcotest.fail "comma inside string mishandled"
 
+let rejected text =
+  match Syzlang.parse text with
+  | _ -> false
+  | exception Syzlang.Parse_error _ -> true
+
 let test_syzlang_rejects_unknown () =
-  check_bool "unknown call" true
-    (Option.is_none (Syzlang.parse_opt "r0 = frobnicate(1)"))
+  check_bool "unknown call" true (rejected "r0 = frobnicate(1)")
 
 let test_syzlang_rejects_garbage () =
-  check_bool "no parens" true (Option.is_none (Syzlang.parse_opt "socket 3"));
-  check_bool "bad int" true (Option.is_none (Syzlang.parse_opt "r0 = socket(x)"))
+  check_bool "no parens" true (rejected "socket 3");
+  check_bool "bad int" true (rejected "r0 = socket(x)")
 
 let test_syzlang_roundtrip_seeds () =
   List.iter
     (fun prog ->
-      let text = Syzlang.print prog in
+      let text = Program.to_string prog in
       let prog' = Syzlang.parse text in
       check_bool "roundtrip" true (Program.equal prog prog'))
     (Corpus.generate ~seed:3 ~size:64)
@@ -236,14 +240,14 @@ let arbitrary_program =
           | [] -> Kit_abi.Program.make [])
         (pair small_nat small_nat))
   in
-  QCheck.make ~print:Syzlang.print gen
+  QCheck.make ~print:Program.to_string gen
 
 let prop_syzlang_roundtrip =
   QCheck.Test.make ~name:"syzlang print/parse roundtrip" ~count:200
     arbitrary_program (fun p ->
-      match Syzlang.parse_opt (Syzlang.print p) with
-      | Some p' -> Program.equal p p'
-      | None -> false)
+      match Syzlang.parse (Program.to_string p) with
+      | p' -> Program.equal p p'
+      | exception Syzlang.Parse_error _ -> false)
 
 let prop_remove_call_length =
   QCheck.Test.make ~name:"remove_call shrinks length by one" ~count:200
@@ -261,8 +265,11 @@ let prop_result_types_length =
 (* --- Descriptor / Corpus ------------------------------------------------- *)
 
 let test_descriptor_all_syscalls () =
-  check_int "descriptor per syscall" (List.length Sysno.all)
-    (List.length Descriptor.all)
+  List.iter
+    (fun s ->
+      check_bool ("descriptor of " ^ Sysno.to_string s) true
+        (Sysno.equal s (Descriptor.describe s).Descriptor.sysno))
+    Sysno.all
 
 let test_descriptor_random_args_well_typed () =
   let rng = Random.State.make [| 1 |] in
@@ -277,7 +284,7 @@ let test_descriptor_random_args_well_typed () =
         (Sysno.to_string d.Descriptor.sysno)
         (List.length d.Descriptor.args)
         (List.length args))
-    Descriptor.all
+    (List.map Descriptor.describe Sysno.all)
 
 let test_corpus_deterministic () =
   let a = Corpus.generate ~seed:42 ~size:100 in
@@ -293,10 +300,12 @@ let test_corpus_size () =
   check_int "requested size" 150 (List.length (Corpus.generate ~seed:5 ~size:150));
   check_int "small size" 10 (List.length (Corpus.generate ~seed:5 ~size:10))
 
+(* The generator's bound on program length. *)
+let max_program_len = 8
+
 let test_corpus_length_bound () =
   List.iter
-    (fun p ->
-      check_bool "bounded" true (Program.length p <= Corpus.max_program_len))
+    (fun p -> check_bool "bounded" true (Program.length p <= max_program_len))
     (Corpus.generate ~seed:9 ~size:200)
 
 let test_corpus_covers_subsystems () =

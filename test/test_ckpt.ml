@@ -228,13 +228,13 @@ let arbitrary_spec =
     QCheck.Gen.(
       map
         (fun ((sp_name, sp_seed, sp_corpus_size), (sp_strategy, sp_weight),
-              (sp_max_inflight, sp_diagnose, sp_schedules)) ->
+              (sp_diagnose, sp_schedules)) ->
           { Proto.sp_name; sp_seed; sp_corpus_size; sp_strategy; sp_weight;
-            sp_max_inflight; sp_diagnose; sp_schedules })
+            sp_diagnose; sp_schedules })
         (triple
            (triple name int nat)
            (pair strategy small_nat)
-           (triple small_nat bool (int_range 1 256))))
+           (pair bool (int_range 1 256))))
 
 let prop_spec_roundtrip =
   QCheck.Test.make ~name:"codec: specs round-trip for every strategy"
@@ -346,11 +346,18 @@ let drain pool tn =
   Option.get (Tenant.summary tn)
 
 (* The fingerprints of the representatives [log] replays, sorted. *)
-let logged (log : Campaign.log) =
-  List.filteri (fun i tc -> log.Campaign.replay i tc <> None)
-    (Lazy.force crash_reps)
-  |> List.map Testcase.fingerprint
-  |> List.sort_uniq String.compare
+(* The representatives whose results the tenant log at [path] holds in
+   complete records — what [Tenant.of_checkpoint] replays. *)
+let logged path =
+  match Caselog.read path ~kind:Tenant.ckpt_kind (fun _ -> Ok ()) with
+  | Error e -> Alcotest.failf "%s: %s" path (Checkpoint.error_to_string e)
+  | Ok (records, _torn) ->
+    let fps = List.concat_map (fun (_, entries) -> List.map fst entries) records in
+    List.map Testcase.fingerprint (Lazy.force crash_reps)
+    |> List.filter (fun fp -> List.mem fp fps)
+    |> List.sort_uniq String.compare
+
+let completed = Test_serve.completed
 
 (* A first save after 3 completions, then 4 appends of 2 each. Returns
    the file contents and, per record, its end offset and the
@@ -363,10 +370,10 @@ let build_log dir =
       let path = Filename.concat dir "tenant-crash.ckpt" in
       let records = ref [] and seen = ref [] in
       let save n =
-        let target = Tenant.completed tn + n in
-        run_cases ~stop:(fun () -> Tenant.completed tn >= target) pool tn;
+        let target = completed tn + n in
+        run_cases ~stop:(fun () -> completed tn >= target) pool tn;
         Tenant.save_checkpoint tn;
-        let now = logged (Tenant.log tn) in
+        let now = logged path in
         let added = List.filter (fun fp -> not (List.mem fp !seen)) now in
         seen := now;
         records := ((Unix.stat path).Unix.st_size, added) :: !records
@@ -374,7 +381,7 @@ let build_log dir =
       save 3;
       for _ = 1 to 4 do save 2 done;
       check_bool "cases left after the last save" true
-        (Tenant.completed tn < Tenant.total tn);
+        (completed tn < (Tenant.status tn).Proto.ts_total);
       (read_file path, List.rev !records))
 
 let entries_within records cut =
@@ -426,8 +433,7 @@ let build_campaign_log dir =
           added := []) }
   in
   (match
-     Campaign.execute ~executor:(Resume.killed_after 9) ~log prepared
-       generation
+     Campaign.execute ~log:(Resume.killed_after 9 log) prepared generation
    with
   | _ -> Alcotest.fail "the campaign must be killed"
   | exception Resume.Killed -> ());
@@ -497,7 +503,7 @@ let test_tenant_log_crash_every_byte () =
             check_prefix ~kind:Tenant.ckpt_kind records path cut;
             match load 1 with
             | Ok t when cut >= first_end ->
-              if logged (Tenant.log t) <> entries_within records cut then
+              if logged path <> entries_within records cut then
                 Alcotest.failf "prefix %d: wrong entries" cut;
               check_int "torn" (cut - last_boundary cut) (Tenant.torn t)
             | Error _ when cut < first_end ->
@@ -542,7 +548,8 @@ let test_tenant_log_crash_every_byte () =
                     check_bool "finished state survives" true
                       (Tenant.phase t' = Tenant.Finished
                       && Tenant.summary t' = Some summary
-                      && logged (Tenant.log t') = logged (Tenant.log t)))
+                      && List.length (logged path)
+                         = List.length (Lazy.force crash_reps)))
                 cuts)));
   campaign_log_crash_every_byte ()
 
@@ -628,7 +635,7 @@ let test_resume_old_kinds_and_torn_tail () =
           (match Sched.request s (Proto.Submit spec) with
           | Proto.Accepted _ -> ()
           | _ -> Alcotest.fail "submission after bad files rejected");
-          Sched.drain s;
+          Test_serve.drain s;
           let results name =
             match Sched.request s (Proto.Results name) with
             | Proto.Summary got -> got

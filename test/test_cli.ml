@@ -242,8 +242,6 @@ let test_out_of_range_serve_flags_refused () =
           ("--max-pending", ("serve" :: socket) @ [ "--max-pending=-1" ]);
           ( "--weight",
             ("submit" :: socket) @ [ "--name"; "t"; "--weight"; "0" ] );
-          ( "--max-inflight",
-            ("submit" :: socket) @ [ "--name"; "t"; "--max-inflight=-1" ] );
           ("--add", ("extend" :: socket) @ [ "t"; "--add"; "0" ]) ])
 
 (* The daemon's socket, driven through the built binary. A peer is any
@@ -263,7 +261,8 @@ let frame payload =
 (* Connect, write [bytes], close the sending side and read the reply:
    [Some reply], or [None] when the daemon hangs up without one. *)
 let raw_exchange socket bytes =
-  let fd = Proto.connect socket in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
@@ -368,19 +367,21 @@ let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 (* The check over a one-library tree in [dir]: module Foo exports
-   [planted] and [used], [caller] is bin/main.ml and [allow] the
-   allowlist. Returns the exit code and the output. *)
-let check_exports dir ~allow caller =
+   [planted] and [used], [caller] is bin/main.ml, [test] is
+   test/main.ml and [allow] the allowlist. Returns the exit code and
+   the output. *)
+let check_exports dir ?(test = "") ~allow caller =
   List.iter
     (fun d ->
       let d = Filename.concat dir d in
       if not (Sys.file_exists d) then Unix.mkdir d 0o700)
-    [ "lib"; "lib/foo"; "bin"; "tools" ];
+    [ "lib"; "lib/foo"; "bin"; "test"; "tools" ];
   write_file (Filename.concat dir "lib/foo/foo.mli")
     "val planted : int -> int\nval used : int -> int\n";
   write_file (Filename.concat dir "lib/foo/foo.ml")
     "let planted x = x\nlet used x = x\n";
   write_file (Filename.concat dir "bin/main.ml") caller;
+  write_file (Filename.concat dir "test/main.ml") test;
   write_file (Filename.concat dir "tools/unused_exports.allow") allow;
   let out = Filename.concat dir "out" in
   let code =
@@ -391,9 +392,10 @@ let check_exports dir ~allow caller =
   in
   (code, read_file out)
 
-(* An export named only in a comment has no caller; one called as
-   [Foo.planted], qualified or not, or by its bare name where Foo is
-   opened, has; so does one on the allowlist. *)
+(* An export named only in a comment has no caller, nor has one called
+   only from test/; one called as [Foo.planted], qualified or not, or by
+   its bare name where Foo is opened, has; so does one on the allowlist
+   under a reason. *)
 let test_unused_exports_check () =
   let dir = Filename.temp_file "kit-exports" "" in
   Sys.remove dir;
@@ -416,8 +418,18 @@ let test_unused_exports_check () =
         [ "let () = ignore (Foo.used (Lib.Foo.planted 1))\n";
           "open Foo\nlet () = ignore (used (planted 1))\n";
           "let () = ignore Foo.(used (planted 1))\n" ];
-      let code, _ = check_exports dir ~allow:"Foo.planted\n" comment in
-      check_int "an allowlisted export passes" 0 code)
+      let test = "let () = ignore (Foo.planted 1)\n" in
+      let code, out = check_exports dir ~test ~allow:"" comment in
+      check_int "a caller in test/ is no caller" 1 code;
+      check_bool "the test-only export is named" true
+        (contains ~sub:"Foo.planted has no caller" out);
+      let reason = "# a seam only tests can drive\nFoo.planted\n" in
+      let code, _ = check_exports dir ~test ~allow:reason comment in
+      check_int "an allowlisted test-only export passes" 0 code;
+      let code, _ = check_exports dir ~allow:reason comment in
+      check_int "an allowlisted export passes" 0 code;
+      let code, _ = check_exports dir ~allow:"\nFoo.planted\n" comment in
+      check_int "an allowlisted export needs a reason" 1 code)
 
 let suite =
   [

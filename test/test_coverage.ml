@@ -8,7 +8,6 @@ module Coverage = Kit_obs.Coverage
 module Campaign = Kit_core.Campaign
 module Pool = Kit_serve.Pool
 module Dataflow = Kit_gen.Dataflow
-module Accessmap = Kit_profile.Accessmap
 module Heap = Kit_kernel.Heap
 module Stackrec = Kit_profile.Stackrec
 
@@ -22,7 +21,22 @@ let check_lines = check Alcotest.(list string)
 
 let mini () = Coverage.create [ ("a", 100); ("b", 200); ("c", 300) ]
 
-let state_at cov i = Coverage.state_name (Coverage.state cov i)
+(* Variable [i]'s state, as the JSONL export names it. *)
+let state_at cov i =
+  let line = List.nth (Coverage.jsonl_lines cov) (i + 1) in
+  match Result.map (Kit_obs.Jsonl.member "state") (Kit_obs.Jsonl.parse line) with
+  | Ok (Some s) -> Option.get (Kit_obs.Jsonl.to_str s)
+  | Ok None | Error _ -> Alcotest.failf "no state in %s" line
+
+(* The gap names the rendered ledger lists. *)
+let gaps cov =
+  let prefix = "  gap: " in
+  List.filter_map
+    (fun l ->
+      if String.starts_with ~prefix l then
+        Some (String.sub l (String.length prefix) (String.length l - String.length prefix))
+      else None)
+    (String.split_on_char '\n' (Coverage.render cov))
 
 let test_state_machine () =
   let cov = mini () in
@@ -51,7 +65,7 @@ let test_state_machine () =
   check_int "paired" 2 s.Coverage.sum_paired;
   check_int "attributed" 2 s.Coverage.sum_attributed;
   check_int "gaps" 1 s.Coverage.sum_gaps;
-  check_lines "gap names" [ "b" ] (Coverage.gaps cov)
+  check_lines "gap names" [ "b" ] (gaps cov)
 
 (* --- one log, any executor ------------------------------------------------
 
@@ -123,7 +137,7 @@ let test_campaign_ledger_nonempty () =
   check_bool "some gaps remain" true (s.Coverage.sum_gaps > 0);
   check_bool "some vars attributed" true (s.Coverage.sum_attributed > 0);
   check_bool "gap list matches summary" true
-    (List.length (Coverage.gaps c.Campaign.coverage) = s.Coverage.sum_gaps);
+    (List.length (gaps c.Campaign.coverage) = s.Coverage.sum_gaps);
   check_bool "attrition balanced" true
     (Campaign.attrition_balanced c.Campaign.attrition);
   check_int "every rep charged to a terminal stage"
@@ -203,11 +217,11 @@ let prop_attrition_balanced =
 let test_marking_cost () =
   let o = Campaign.default_options in
   let spec = o.Campaign.spec in
-  let profiles =
-    Dataflow.profile_corpus o.Campaign.config spec
+  let profiler = Dataflow.profiler o.Campaign.config spec in
+  let streams =
+    List.map (Dataflow.profile_program_full profiler)
       (Kit_abi.Corpus.generate ~seed:7 ~size:96)
   in
-  let map = Dataflow.build_map profiles in
   let universe =
     List.filter_map
       (fun (v : Heap.varinfo) ->
@@ -216,15 +230,20 @@ let test_marking_cost () =
           && Kit_spec.Spec.var_protected spec v.Heap.v_name
         then Some (v.Heap.v_name, v.Heap.v_addr)
         else None)
-      profiles.Dataflow.vars
+      (Dataflow.profiler_vars profiler)
   in
-  let touched =
+  (* touched from the raw accesses, written and read from the filtered
+     ones, as the campaign's front end marks them *)
+  let addrs keep accesses =
     Array.of_list
       (List.concat_map
-         (List.map (fun (a : Stackrec.access) -> a.Stackrec.addr))
-         (Array.to_list profiles.Dataflow.accesses))
-  and written = Array.of_list (Accessmap.writer_addresses map)
-  and read = Array.of_list (Accessmap.reader_addresses map) in
+         (List.filter_map (fun (a : Stackrec.access) ->
+              if keep a.Stackrec.rw then Some a.Stackrec.addr else None))
+         accesses)
+  in
+  let touched = addrs (fun _ -> true) (List.map fst streams)
+  and written = addrs (( = ) Kit_kernel.Kevent.Write) (List.map snd streams)
+  and read = addrs (( = ) Kit_kernel.Kevent.Read) (List.map snd streams) in
   let cov = Coverage.create universe in
   let w0 = Gc.minor_words () in
   for i = 0 to Array.length touched - 1 do

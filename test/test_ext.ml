@@ -25,6 +25,13 @@ let check_bool = check Alcotest.bool
 
 let p = Syzlang.parse
 
+(* The calls of [prog] that depend on a [seed] call. *)
+let dependent_indices prog ~seed =
+  List.filter (Seed_dep.is_dependent prog ~seed)
+    (List.init (Program.length prog) Fun.id)
+
+let protected_indices = Test_spec.protected_indices
+
 (* --- seed-call dependency selection ---------------------------------------- *)
 
 let seed_open_proc_net (call : Program.call) =
@@ -41,29 +48,32 @@ let test_seed_dep_closure () =
   in
   check (Alcotest.list Alcotest.int) "seed + dependents"
     [ 1; 2; 3 ]
-    (Seed_dep.dependent_indices prog ~seed:seed_open_proc_net)
+    (dependent_indices prog ~seed:seed_open_proc_net)
 
 let test_seed_dep_no_seed () =
   let prog = p "r0 = getpid()\nr1 = clock_gettime()" in
   check (Alcotest.list Alcotest.int) "empty closure" []
-    (Seed_dep.dependent_indices prog ~seed:seed_open_proc_net)
+    (dependent_indices prog ~seed:seed_open_proc_net)
 
 let test_seed_dep_transitive_only_via_refs () =
   let prog =
     p "r0 = open(\"/proc/net/ptype\")\nr1 = getpid()\nr2 = read(r0)"
   in
   check (Alcotest.list Alcotest.int) "unrelated call skipped" [ 0; 2 ]
-    (Seed_dep.dependent_indices prog ~seed:seed_open_proc_net)
+    (dependent_indices prog ~seed:seed_open_proc_net)
 
 let test_spec_with_seed_selector () =
   (* The base spec does not protect token calls; a seed selector on
      token_create pulls token_stat(ref) in through the dependency. *)
-  let spec = Spec.with_seed_selector Spec.refined Sysno.Token_create in
+  let spec =
+    { Spec.refined with
+      Spec.seed_selectors = Sysno.Token_create :: Spec.refined.Spec.seed_selectors }
+  in
   let prog = p "r0 = token_create()\nr1 = token_stat(r0)" in
   check (Alcotest.list Alcotest.int) "seeded selection" [ 0; 1 ]
-    (Spec.protected_indices spec prog);
+    (protected_indices spec prog);
   check (Alcotest.list Alcotest.int) "without the seed" []
-    (Spec.protected_indices Spec.refined prog)
+    (protected_indices Spec.refined prog)
 
 (* --- render ------------------------------------------------------------------ *)
 
@@ -79,7 +89,10 @@ let contains ~needle haystack =
   scan 0
 
 let test_render_report () =
-  let text = Render.report (sample_report ()) in
+  let text =
+    Render.groups
+      (Aggregate.agg_rs [ Aggregate.key_report (sample_report ()) [] ])
+  in
   check_bool "mentions programs" true (contains ~needle:"socket(3)" text);
   check_bool "mentions interfered calls" true (contains ~needle:"[1]" text)
 
@@ -161,13 +174,16 @@ let test_bounds_quiet_on_fixed_kernel () =
   in
   check_int "fixed kernel clean" 0 (List.length violations)
 
+(* The least an interval is widened by on each side. *)
+let min_slack = 64
+
 let test_bounds_learn_shapes () =
   let leaf v = Ast.node "trace" [ Ast.leaf "time" (string_of_int v) ] in
   let bounds = Bounds.learn (leaf 100) [ leaf 150; leaf 120 ] in
   match bounds.Bounds.children with
   | [ { Bounds.kind = Bounds.Interval (lo, hi); _ } ] ->
     check_bool "interval covers observations plus slack" true
-      (lo <= 100 - Bounds.min_slack && hi >= 150 + Bounds.min_slack)
+      (lo <= 100 - min_slack && hi >= 150 + min_slack)
   | _ -> Alcotest.fail "expected an interval leaf"
 
 let test_bounds_exact_leaves () =

@@ -128,9 +128,12 @@ let test_schedule_of_seed () =
   let b = Fault.schedule_of_seed ~seed:7 ~intensity:12 in
   check_bool "deterministic" true (a = b);
   check_int "intensity = length" 12 (List.length a);
-  check_bool "transient only" true (Fault.transient_only a);
-  check_bool "k in 1..3" true
-    (Fault.max_transient_k a >= 1 && Fault.max_transient_k a <= 3);
+  List.iter
+    (fun (arm : Fault.arming) ->
+      match arm.Fault.persistence with
+      | Fault.Transient k -> check_bool "transient, k in 1..3" true (k >= 1 && k <= 3)
+      | Fault.Permanent -> Alcotest.fail "a permanent fault")
+    a;
   check_bool "different seeds differ" true
     (a <> Fault.schedule_of_seed ~seed:8 ~intensity:12)
 
@@ -167,7 +170,8 @@ let test_try_execute_statuses () =
 
 let test_mask_cache_bounded () =
   let env = Env.create (K.Config.v5_13 ()) in
-  let r = Runner.create ~mask_cache_cap:2 env in
+  let r = Runner.create ~mask_cache_cap:2 ~obs:(Kit_obs.Obs.create ()) env in
+  let evictions () = Kit_obs.Metrics.counter_value r.Runner.c_evictions in
   let p1 = Syzlang.parse receiver_prog in
   let p2 = Syzlang.parse "r0 = read(\"/proc/net/sockstat\")" in
   let p3 = Syzlang.parse "r0 = gethostname()" in
@@ -182,7 +186,7 @@ let test_mask_cache_bounded () =
   mask p3;
   let _, _, live = Runner.mask_cache_stats r in
   check_int "capped at 2 entries" 2 live;
-  check_int "one eviction so far" 1 (Runner.mask_evictions r);
+  check_int "one eviction so far" 1 (evictions ());
   (* p1 is the least recently used after p2/p3, so it was the entry
      evicted and misses again (evicting p2 in turn) *)
   mask p1;
@@ -190,7 +194,7 @@ let test_mask_cache_bounded () =
   check_int "eviction causes re-miss" 4 misses;
   check_int "hits unchanged" 1 hits;
   check_int "still capped" 2 live;
-  check_int "two evictions" 2 (Runner.mask_evictions r);
+  check_int "two evictions" 2 (evictions ());
   (* re-inserting p1 evicted p2, not the more recently used p3 — under
      FIFO insertion order p3 would be the one gone *)
   mask p3;
@@ -224,7 +228,7 @@ let test_supervisor_recovers_transient () =
     (sup.Supervisor.stats.Supervisor.reboots >= 1);
   check_bool "recorded virtual backoff" true
     (sup.Supervisor.stats.Supervisor.backoff_ms > 0.0);
-  check_int "nothing quarantined" 0 (List.length (Supervisor.quarantined sup))
+  check_int "nothing quarantined" 0 (Supervisor.quarantine_count sup)
 
 let test_supervisor_quarantines_permanent () =
   let sender = Syzlang.parse sender_prog in
@@ -238,7 +242,7 @@ let test_supervisor_quarantines_permanent () =
   (match Supervisor.execute sup ~sender ~receiver with
   | Runner.Crashed _ -> ()
   | Runner.Completed _ | Runner.Hung -> Alcotest.fail "expected permanent crash");
-  match Supervisor.quarantined sup with
+  match Supervisor.quarantined_since sup 0 with
   | [ crash ] ->
     check_int "initial try + 3 retries" 4 crash.Supervisor.c_attempts;
     check_bool "reason is a panic" true
@@ -265,9 +269,9 @@ let test_supervisor_quarantined_since () =
   let q1 = Supervisor.quarantine_count sup in
   ignore (Supervisor.execute sup ~sender:receiver ~receiver:sender
            : Runner.status);
-  let all = Supervisor.quarantined sup in
-  check_int "since 0 = full list" (List.length all)
-    (List.length (Supervisor.quarantined_since sup 0));
+  let all = Supervisor.quarantined_since sup 0 in
+  check_int "since 0 = full list" (Supervisor.quarantine_count sup)
+    (List.length all);
   let delta = Supervisor.quarantined_since sup q1 in
   check_int "delta covers the remainder"
     (List.length all - q1) (List.length delta);

@@ -172,27 +172,42 @@ let test_rand_in_range () =
          && tc.Testcase.receiver >= 0 && tc.Testcase.receiver < n)
        rand.Cluster.reps)
 
+(* Whether DF-ST-[k] keys two writes of one instruction under these call
+   stacks (innermost first) alike: program 0 writes an address under
+   both, program 1 reads it, and the table holds one cluster exactly
+   when the two stack contexts agree. *)
+let same_context k s1 s2 =
+  let access rw stack =
+    { Kit_profile.Stackrec.addr = 64; width = 4; rw; ip = 1; stack;
+      stack_hash = Hashtbl.hash stack; sys_index = 0 }
+  in
+  let st = Cluster.start (Cluster.Df_st k) in
+  ignore (Cluster.feed st ~prog:0 [ access K.Kevent.Write s1; access K.Kevent.Write s2 ]);
+  ignore (Cluster.feed st ~prog:1 [ access K.Kevent.Read [] ]);
+  (Cluster.finalize st).Cluster.clusters = 1
+
 let test_context_truncation () =
-  check (Alcotest.list Alcotest.int) "drops site frames, takes k" [ 3; 4 ]
-    (Cluster.context 2 [ 1; 2; 3; 4; 5 ]);
-  check (Alcotest.list Alcotest.int) "short stack" [] (Cluster.context 2 [ 1 ]);
-  check (Alcotest.list Alcotest.int) "empty stack" [] (Cluster.context 3 [])
+  (* The innermost frame and its caller are folded into the instruction
+     address; the context is the k frames above them. *)
+  check_bool "drops site frames, takes k" true
+    (same_context 2 [ 1; 2; 3; 4; 5 ] [ 8; 9; 3; 4; 6 ]);
+  check_bool "a frame within k counts" false
+    (same_context 2 [ 1; 2; 3; 4; 5 ] [ 1; 2; 3; 9; 5 ]);
+  check_bool "short stack" true (same_context 2 [ 1 ] [ 7 ]);
+  check_bool "empty stack" true (same_context 3 [] [ 5; 6 ])
 
 let test_context_edges () =
   (* Exactly the two folded site frames: nothing above them. *)
-  check (Alcotest.list Alcotest.int) "two-frame stack" []
-    (Cluster.context 2 [ 1; 2 ]);
-  check (Alcotest.list Alcotest.int) "two-frame stack, k=1" []
-    (Cluster.context 1 [ 1; 2 ]);
+  check_bool "two-frame stack" true (same_context 2 [ 1; 2 ] []);
+  check_bool "two-frame stack, k=1" true (same_context 1 [ 1; 2 ] [ 7; 8 ]);
   (* k = 0 keeps no context regardless of depth — DF-ST-0 degenerates to
      DF-IA. *)
-  check (Alcotest.list Alcotest.int) "k=0 deep stack" []
-    (Cluster.context 0 [ 1; 2; 3; 4; 5 ]);
-  check (Alcotest.list Alcotest.int) "k=0 empty stack" []
-    (Cluster.context 0 []);
+  check_bool "k=0 deep stack" true (same_context 0 [ 1; 2; 3; 4; 5 ] [ 6; 7; 8 ]);
+  check_bool "k=0 empty stack" true (same_context 0 [] [ 1; 2; 3 ]);
   (* Three frames: one frame of context survives even for large k. *)
-  check (Alcotest.list Alcotest.int) "three-frame stack, large k" [ 3 ]
-    (Cluster.context 10 [ 1; 2; 3 ])
+  check_bool "three-frame stack, large k" true
+    (same_context 10 [ 1; 2; 3 ] [ 8; 9; 3 ]);
+  check_bool "its frame counts" false (same_context 10 [ 1; 2; 3 ] [ 1; 2 ])
 
 let test_rand_budget_clamped () =
   (* A 2-program corpus has only 2² = 4 distinct (sender, receiver)

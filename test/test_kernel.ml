@@ -69,9 +69,11 @@ let test_var_snapshot_roundtrip () =
 
 let test_var_addresses_unique () =
   let heap = K.Heap.create () in
-  let v1 = K.Var.alloc heap ~name:"a" 0 in
-  let v2 = K.Var.alloc heap ~name:"b" 0 in
-  check_bool "distinct" true (K.Var.addr v1 <> K.Var.addr v2)
+  ignore (K.Var.alloc heap ~name:"a" 0 : int K.Var.t);
+  ignore (K.Var.alloc heap ~name:"b" 0 : int K.Var.t);
+  match K.Heap.vars heap with
+  | [ v1; v2 ] -> check_bool "distinct" true (v1.K.Heap.v_addr <> v2.K.Heap.v_addr)
+  | vars -> Alcotest.failf "%d vars registered" (List.length vars)
 
 (* Regression: restore used to ignore its heap argument entirely, so a
    snapshot silently spliced another kernel's state into this one. *)
@@ -97,21 +99,38 @@ let test_restore_incremental_stats () =
   let v1 = K.Var.alloc heap ~name:"a" 1 in
   let v2 = K.Var.alloc heap ~name:"b" 2 in
   let v3 = K.Var.alloc heap ~name:"c" 3 in
+  (* the cells restores replayed, and those full restores would have, as
+     the heap counts them in the default registry *)
+  let count name =
+    Kit_obs.Metrics.counter_value
+      (Kit_obs.Metrics.counter Kit_obs.Metrics.default name)
+  in
+  let replayed0 = count "heap.cells_restored"
+  and total0 = count "heap.cells_total" in
+  let restore_stats () =
+    ( count "heap.cells_restored" - replayed0,
+      count "heap.cells_total" - total0 )
+  in
+  let enabled = Kit_obs.Metrics.enabled Kit_obs.Metrics.default in
+  Kit_obs.Metrics.set_enabled Kit_obs.Metrics.default true;
+  Fun.protect ~finally:(fun () ->
+      Kit_obs.Metrics.set_enabled Kit_obs.Metrics.default enabled)
+  @@ fun () ->
   let snap = K.Heap.snapshot heap in
   K.Var.write ctx v2 20;
   K.Heap.restore heap snap;
-  let replayed, total = K.Heap.restore_stats heap in
+  let replayed, total = restore_stats () in
   check_int "one dirty cell replayed" 1 replayed;
   check_int "a full restore would replay all three" 3 total;
   check_int "b restored" 2 (K.Var.peek v2);
   (* clean heap: re-restoring the same snapshot replays nothing *)
   K.Heap.restore heap snap;
-  let replayed, _ = K.Heap.restore_stats heap in
+  let replayed, _ = restore_stats () in
   check_int "clean re-restore replays nothing" 1 replayed;
   (* ~full:true replays everything regardless of the dirty set *)
   K.Var.write ctx v1 10;
   K.Heap.restore ~full:true heap snap;
-  let replayed, total = K.Heap.restore_stats heap in
+  let replayed, total = restore_stats () in
   check_int "full restore replays all cells" 4 replayed;
   check_int "running full-cost total" 9 total;
   check_int "a restored" 1 (K.Var.peek v1);
@@ -194,8 +213,8 @@ let test_clock_base_shift () =
 
 let test_namespace_put_get () =
   let ns = K.Namespace.put K.Namespace.initial K.Namespace.Net 5 in
-  check_int "net set" 5 (K.Namespace.get ns K.Namespace.Net);
-  check_int "pid untouched" 0 (K.Namespace.get ns K.Namespace.Pid)
+  check_int "net set" 5 ns.K.Namespace.net;
+  check_int "pid untouched" 0 ns.K.Namespace.pid
 
 let test_namespace_flags_distinct () =
   let flags = List.map K.Namespace.kind_flag K.Namespace.all_kinds in
@@ -710,9 +729,9 @@ let test_bugs_for_version () =
   check_bool "B1 absent in 4.4" false (K.Bugs.present b44 K.Bugs.B1_ptype_leak)
 
 let test_bugs_fix_inject () =
+  check_bool "fixed" false
+    (K.Config.has (K.Config.fixed ()) K.Bugs.B1_ptype_leak);
   let set = K.Bugs.for_version "5.13" in
-  let set = K.Bugs.fix set K.Bugs.B1_ptype_leak in
-  check_bool "fixed" false (K.Bugs.present set K.Bugs.B1_ptype_leak);
   let set = K.Bugs.inject set K.Bugs.KA_prio_user in
   check_bool "injected" true (K.Bugs.present set K.Bugs.KA_prio_user)
 

@@ -179,7 +179,9 @@ let test_interleave_preserves_ring_order_on_rewind () =
   let r2 = Tracer.create () in
   let sp = Tracer.span r2 ~time:50 "case2" in
   Tracer.finish r2 ~time:60 sp;
-  let merged = Tracer.interleave [ Tracer.events r1; Tracer.events r2 ] in
+  let into = Tracer.create () in
+  Tracer.merge into [ Tracer.events r1; Tracer.events r2 ];
+  let merged = Tracer.events into in
   let names = List.map (fun (e : Tracer.event) -> e.Tracer.name) merged in
   (* r1's internal order must survive: case0 begin, case0 end, case1 ... *)
   check (Alcotest.list Alcotest.string) "per-ring order preserved"
@@ -214,11 +216,11 @@ let test_export_round_trip () =
   let lines =
     Obs.export_lines ~meta:[ ("cmd", Jsonl.Str "test") ] obs
   in
-  match Export.parse lines with
+  match Test_traceana.parse lines with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok p ->
     check_bool "snapshot survives" true
-      (Metrics.equal_snapshot p.Export.p_snapshot (Obs.snapshot obs));
+      (p.Export.p_snapshot = Obs.snapshot obs);
     check_int "events survive" 2 (List.length p.Export.p_events);
     check_str "meta survives" "\"test\""
       (Jsonl.to_string (List.assoc "cmd" p.Export.p_meta));
@@ -236,7 +238,7 @@ let test_event_attrs_escaping_round_trip () =
   let obs = Obs.create () in
   Tracer.with_span obs.Obs.tracer ~attrs:nasty "phase.nasty" (fun () ->
       Tracer.instant obs.Obs.tracer ~attrs:nasty "mark");
-  match Export.parse (Obs.export_lines obs) with
+  match Test_traceana.parse (Obs.export_lines obs) with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok p ->
     check_int "all events survive" 3 (List.length p.Export.p_events);
@@ -279,8 +281,8 @@ let prop_merge_fingerprint_invariant_in_domains =
           Kit_obs.Spantree.build ~lane_attrs:[ "case" ]
             (Tracer.events merged)
         in
-        ( Kit_obs.Spantree.fingerprint tree,
-          Kit_obs.Profile.fingerprint (Kit_obs.Profile.of_tree tree) )
+        ( Test_traceana.fingerprint tree,
+          Test_traceana.counts (Kit_obs.Profile.of_tree tree) )
       in
       deal 1 = deal domains)
 

@@ -80,11 +80,12 @@ let test_accessmap_overlaps () =
     [ access ~rw:K.Kevent.Read ~addr:100 ~ip:2 ~sys_index:0;
       access ~rw:K.Kevent.Read ~addr:200 ~ip:3 ~sys_index:1 ];
   let overlaps = ref 0 in
-  Accessmap.iter_overlaps map (fun ~addr ~writers ~readers ->
+  Accessmap.iter_overlap_chains map
+    (fun ~addr ~whead:_ ~wcount ~rhead:_ ~rcount ->
       incr overlaps;
       check_int "overlap addr" 100 addr;
-      check_int "one writer" 1 (List.length writers);
-      check_int "one reader" 1 (List.length readers));
+      check_int "one writer" 1 wcount;
+      check_int "one reader" 1 rcount);
   check_int "exactly one overlapping address" 1 !overlaps
 
 let test_accessmap_stats () =
@@ -106,7 +107,8 @@ let test_accessmap_one_sided_addresses () =
   Accessmap.add map ~prog:1
     [ access ~rw:K.Kevent.Read ~addr:200 ~ip:2 ~sys_index:0 ];
   let visited = ref [] in
-  Accessmap.iter_overlaps map (fun ~addr ~writers:_ ~readers:_ ->
+  Accessmap.iter_overlap_chains map
+    (fun ~addr ~whead:_ ~wcount:_ ~rhead:_ ~rcount:_ ->
       visited := addr :: !visited);
   check (Alcotest.list Alcotest.int) "writer-only and reader-only skipped" []
     !visited;
@@ -155,14 +157,6 @@ let test_collect_roles_share_addresses () =
   check (Alcotest.list Alcotest.int) "same shared variables" (addrs ps)
     (addrs pr)
 
-let test_collect_untraced_run () =
-  let profiler = Collect.create (K.Config.v5_13 ()) in
-  let results =
-    Collect.run_untraced profiler ~role:Collect.Receiver
-      (Syzlang.parse "r0 = getpid()")
-  in
-  check_int "executes" 1 (List.length results)
-
 let test_collect_jump_label_blindness () =
   (* The flow-label static key must be invisible when CONFIG_JUMP_LABEL
      is enabled (paper, section 6.1). *)
@@ -201,7 +195,6 @@ let suite =
       test_collect_deterministic;
     Alcotest.test_case "collect: roles share variable addresses" `Quick
       test_collect_roles_share_addresses;
-    Alcotest.test_case "collect: untraced run" `Quick test_collect_untraced_run;
     Alcotest.test_case "collect: jump-label blindness" `Quick
       test_collect_jump_label_blindness;
   ]

@@ -27,7 +27,7 @@ let gen_program =
         List.nth corpus (idx mod List.length corpus))
       (pair small_nat small_nat))
 
-let arbitrary_program = QCheck.make ~print:Syzlang.print gen_program
+let arbitrary_program = QCheck.make ~print:Program.to_string gen_program
 
 let arbitrary_pair = QCheck.pair arbitrary_program arbitrary_program
 
@@ -80,8 +80,9 @@ let prop_bounds_cover_learning_inputs =
       let receiver = List.nth corpus (idx mod List.length corpus) in
       let runner = Lazy.force buggy_runner in
       let base = runner.Runner.env.Env.base0 in
-      let reference = Runner.run_receiver runner ~base receiver in
-      let alt = Runner.run_receiver runner ~base:(base + 7_777) receiver in
+      let solo base = Runner.run_pair runner ~base (Program.make []) receiver in
+      let reference = solo base in
+      let alt = solo (base + 7_777) in
       let bounds = Bounds.learn reference [ alt ] in
       Bounds.check bounds reference = [] && Bounds.check bounds alt = [])
 
@@ -401,7 +402,7 @@ let test_fixed_kernel_silences_reproducers () =
         (Printf.sprintf "case %s silent when fixed" case.Known_bugs.label)
         0
         (List.length outcome.Runner.masked_diffs))
-    Known_bugs.cases
+    (List.map (fun o -> o.Known_bugs.case) (Known_bugs.reproduce_all ()))
 
 let suite =
   [

@@ -52,12 +52,6 @@ let test_signature_out_of_range () =
   let prog = p "r0 = getpid()" in
   check_string "unknown" "?" (Signature.to_string (Signature.of_call prog 9))
 
-let test_signature_ordering () =
-  let a = { Signature.name = "a"; details = [ "x" ] } in
-  let b = { Signature.name = "a"; details = [ "y" ] } in
-  check_bool "details order" true (Signature.compare a b < 0);
-  check_bool "equality" true (Signature.equal a a)
-
 (* --- Diagnose (Algorithm 2) --------------------------------------------------- *)
 
 (* Synthetic interference: sender call [i] interferes with receiver call
@@ -71,7 +65,7 @@ let synthetic_test ~full_sender interference ~sender ~receiver:_ =
   List.concat_map
     (fun (i, r) ->
       match List.nth_opt full i with
-      | Some call when List.exists (Program.call_equal call) remaining -> [ r ]
+      | Some call when List.mem call remaining -> [ r ]
       | Some _ | None -> [])
     interference
   |> List.sort_uniq Int.compare
@@ -210,7 +204,6 @@ let suite =
       test_signature_bind_via_socket;
     Alcotest.test_case "signature: out of range" `Quick
       test_signature_out_of_range;
-    Alcotest.test_case "signature: ordering" `Quick test_signature_ordering;
     Alcotest.test_case "diagnose: single culprit" `Quick
       test_diagnose_single_culprit;
     Alcotest.test_case "diagnose: multiple culprits" `Quick

@@ -5,7 +5,7 @@
    baseline run against the full decode. *)
 
 module Ast = Kit_trace.Ast
-module L = Kit_trace.Ast.Legacy
+module L = Legacy
 module Compare = Kit_trace.Compare
 module Nondet = Kit_trace.Nondet
 module Bitset = Kit_compact.Bitset
@@ -101,13 +101,15 @@ let rec gen_legacy depth st =
       l_children = List.init n (fun _ -> gen_legacy (depth - 1) st) }
 
 (* Mutate a tree into a related one: most nodes survive untouched, some
-   change value or det flag, a few are replaced wholesale (changing the
-   shape), so diffs occur at realistic density. *)
+   change det flag or (leaves, the only nodes packed traces give a value)
+   value, a few are replaced wholesale (changing the shape), so diffs
+   occur at realistic density. *)
 let rec mutate (t : L.ast) st =
   if Random.State.int st 8 = 0 then gen_legacy 2 st
   else
     let l_value =
-      if Random.State.int st 6 = 0 then pick values st else t.L.l_value
+      if Random.State.int st 6 = 0 && t.L.l_children = [] then pick values st
+      else t.L.l_value
     in
     let l_det =
       if Random.State.int st 8 = 0 then not t.L.l_det else t.L.l_det
@@ -149,93 +151,96 @@ let arbitrary_marked =
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"of_legacy/to_legacy roundtrip" ~count:200
-    arbitrary_pair (fun (a, _) -> Ast.to_legacy (Ast.of_legacy a) = a)
+    arbitrary_pair (fun (a, _) -> L.to_legacy (L.of_legacy a) = a)
 
 let prop_packed_counters =
   QCheck.Test.make ~name:"packed size/nkids match a direct walk" ~count:200
     arbitrary_pair (fun (a, _) ->
-      let p = Ast.of_legacy a in
-      Ast.size p = ref_size a
+      let p = L.of_legacy a in
+      p.Ast.size = ref_size a
       && p.Ast.nkids = List.length a.L.l_children)
 
 let prop_diff_equals_reference =
   QCheck.Test.make ~name:"diff_trees = reference Algorithm 1" ~count:500
     arbitrary_pair (fun (a, b) ->
-      let packed = Compare.diff_trees (Ast.of_legacy a) (Ast.of_legacy b) in
+      let packed = Compare.diff_trees (L.of_legacy a) (L.of_legacy b) in
       let refd = ref_diff_trees a b in
       List.length packed = List.length refd
       && List.for_all2
            (fun (d : Compare.diff) (path, l, r) ->
              d.Compare.path = path
-             && Ast.to_legacy d.Compare.left = l
-             && Ast.to_legacy d.Compare.right = r)
+             && L.to_legacy d.Compare.left = l
+             && L.to_legacy d.Compare.right = r)
            packed refd)
+
+(* The receiver call indices the reference diffs name: the [N] of each
+   diff's "callN:name" label, 0 for a diff at the root. *)
+let ref_interfered a b =
+  let call_index label =
+    match String.split_on_char ':' label with
+    | name :: _ when String.length name > 4 && String.sub name 0 4 = "call" ->
+      int_of_string_opt (String.sub name 4 (String.length name - 4))
+    | _ -> None
+  in
+  List.filter_map
+    (fun (path, _, _) ->
+      match path with
+      | _root :: call :: _ -> call_index call
+      | [ root ] -> Some (Option.value ~default:0 (call_index root))
+      | [] -> Some 0)
+    (ref_diff_trees a b)
+  |> List.sort_uniq Int.compare
 
 let prop_interfered_equals_reference =
   QCheck.Test.make ~name:"interfered_indices = indices of reference diffs"
     ~count:500 arbitrary_pair (fun (a, b) ->
-      let pa = Ast.of_legacy a and pb = Ast.of_legacy b in
-      Compare.interfered_indices pa pb
-      = Compare.interfered_of_diffs (Compare.diff_trees pa pb))
+      let pa = L.of_legacy a and pb = L.of_legacy b in
+      Compare.interfered_of_diffs (Compare.diff_trees pa pb) = ref_interfered a b)
 
 let prop_mark_equals_reference =
   QCheck.Test.make ~name:"Nondet.mark = reference mark" ~count:500
     arbitrary_marked (fun (r, alts) ->
       let packed =
-        Nondet.mark (Ast.of_legacy r) (List.map Ast.of_legacy alts)
+        Nondet.mark (L.of_legacy r) (List.map L.of_legacy alts)
       in
-      Ast.to_legacy packed = ref_mark r alts)
+      L.to_legacy packed = ref_mark r alts)
 
 let prop_apply_mask_equals_reference =
   QCheck.Test.make ~name:"Nondet.apply_mask = reference apply" ~count:500
     arbitrary_pair (fun (mask, tree) ->
       let packed =
-        Nondet.apply_mask (Ast.of_legacy mask) (Ast.of_legacy tree)
+        Nondet.apply_mask (L.of_legacy mask) (L.of_legacy tree)
       in
-      Ast.to_legacy packed = ref_apply_mask mask tree)
+      L.to_legacy packed = ref_apply_mask mask tree)
 
 (* --- bitsets vs a Set.Make(Int) model ----------------------------------- *)
 
 module IntSet = Set.Make (Int)
 
-let gen_ops st =
-  List.init (Random.State.int st 120) (fun _ ->
-      (Random.State.int st 3, Random.State.int st 400))
+(* Up to 120 members below 400, added in order. *)
+let gen_members st =
+  List.init (Random.State.int st 120) (fun _ -> Random.State.int st 400)
 
-let apply_ops ops =
-  let bs = Bitset.create 64 and model = ref IntSet.empty in
-  List.iter
-    (fun (op, v) ->
-      match op with
-      | 0 -> Bitset.add bs v; model := IntSet.add v !model
-      | 1 -> Bitset.remove bs v; model := IntSet.remove v !model
-      | _ -> ())
-    ops;
-  (bs, !model)
+let of_members members =
+  let bs = Bitset.create 64 in
+  List.iter (Bitset.add bs) members;
+  (bs, IntSet.of_list members)
 
 let arbitrary_ops =
   QCheck.make
-    ~print:(fun (a, b) ->
-      Fmt.str "%a / %a"
-        Fmt.(list (pair int int))
-        a
-        Fmt.(list (pair int int))
-        b)
-    (fun st -> (gen_ops st, gen_ops st))
+    ~print:(fun (a, b) -> Fmt.str "%a / %a" Fmt.(Dump.list int) a Fmt.(Dump.list int) b)
+    (fun st -> (gen_members st, gen_members st))
 
 let prop_bitset_model =
   QCheck.Test.make ~name:"bitset ops = Set.Make(Int) model" ~count:500
     arbitrary_ops (fun (ops_a, ops_b) ->
-      let bs_a, m_a = apply_ops ops_a and bs_b, m_b = apply_ops ops_b in
-      Bitset.elements bs_a = IntSet.elements m_a
+      let bs_a, m_a = of_members ops_a and bs_b, m_b = of_members ops_b in
+      (let members = ref [] in
+       Bitset.iter (fun v -> members := v :: !members) bs_a;
+       List.rev !members = IntSet.elements m_a)
       && Bitset.cardinal bs_a = IntSet.cardinal m_a
-      && Bitset.is_empty bs_a = IntSet.is_empty m_a
       && Bitset.inter_count bs_a bs_b
          = IntSet.cardinal (IntSet.inter m_a m_b)
-      && Bitset.elements (Bitset.inter bs_a bs_b)
-         = IntSet.elements (IntSet.inter m_a m_b)
-      && Bitset.elements (Bitset.union bs_a bs_b)
-         = IntSet.elements (IntSet.union m_a m_b)
       && List.for_all (fun v -> Bitset.mem bs_a v = IntSet.mem v m_a)
            (List.init 400 Fun.id))
 
@@ -384,8 +389,8 @@ let campaign_runs =
      List.rev !runs)
 
 let decodes_like_full b results =
-  Ast.to_legacy (Decode.decode_against b results)
-  = Ast.to_legacy (Decode.decode_trace results)
+  L.to_legacy (Decode.decode_against b results)
+  = L.to_legacy (Decode.decode_trace results)
 
 let test_decode_against_real_runs () =
   let runs = Lazy.force campaign_runs in

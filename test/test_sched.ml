@@ -64,28 +64,14 @@ let rw_pairs =
 
 let search_budget = 64
 
-(* --- the decision function ------------------------------------------------ *)
+(* --- the merged access order ---------------------------------------------- *)
 
-let test_mix_pure () =
-  for seed = 0 to 8 do
-    for step = 0 to 32 do
-      let a = Sched.mix ~seed ~step in
-      check_bool "non-negative" true (a >= 0);
-      check_int "stable across calls" a (Sched.mix ~seed ~step)
-    done
-  done
-
-let test_choose_sequential () =
-  check_int "lowest runnable" 0
-    (Sched.choose Sched.Sequential ~step:5 ~runnable:[ 0; 1 ]);
-  check_int "singleton" 1 (Sched.choose Sched.Sequential ~step:0 ~runnable:[ 1 ]);
-  (* seeded choice is a member of the runnable set *)
-  for seed = 0 to 5 do
-    for step = 0 to 10 do
-      let c = Sched.choose (Sched.Seeded seed) ~step ~runnable:[ 0; 1 ] in
-      check_bool "member" true (c = 0 || c = 1)
-    done
-  done
+(* The merged access order of [Sched.walk] as (task, access index)
+   pairs. *)
+let simulate schedule counts =
+  let order = ref [] in
+  Sched.walk schedule counts (fun i k -> order := (i, k) :: !order);
+  List.rev !order
 
 let test_simulate_shape () =
   let counts = [| 3; 2 |] in
@@ -93,10 +79,10 @@ let test_simulate_shape () =
     Alcotest.(list (pair int int))
     "sequential merge is sender-then-receiver"
     [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1) ]
-    (Sched.simulate Sched.Sequential counts);
+    (simulate Sched.Sequential counts);
   (* every seeded merge is a per-task-order-preserving permutation *)
   for seed = 0 to 15 do
-    let merged = Sched.simulate (Sched.Seeded seed) counts in
+    let merged = simulate (Sched.Seeded seed) counts in
     check_int "length" 5 (List.length merged);
     let last = [| -1; -1 |] in
     List.iter
@@ -108,7 +94,7 @@ let test_simulate_shape () =
     check
       Alcotest.(list (pair int int))
       "deterministic" merged
-      (Sched.simulate (Sched.Seeded seed) counts)
+      (simulate (Sched.Seeded seed) counts)
   done
 
 (* --- sequential schedule ≡ plain runner ----------------------------------- *)
@@ -174,9 +160,7 @@ let test_search_finds_each_race_bug () =
       check_bool (name ^ ": attributed to the seeded bug") true
         (List.exists
            (fun r ->
-             match Oracle.attribute_concurrent r with
-             | Oracle.Bug b -> Bugs.equal b bug
-             | Oracle.False_positive _ | Oracle.Under_investigation -> false)
+             Oracle.race_bugs_found [ r ] = [ bug ])
            reports))
     rw_pairs
 
@@ -214,7 +198,7 @@ let gen_program =
         List.nth corpus (idx mod List.length corpus))
       (pair small_nat small_nat))
 
-let arbitrary_program = QCheck.make ~print:Syzlang.print gen_program
+let arbitrary_program = QCheck.make ~print:Program.to_string gen_program
 let arbitrary_pair = QCheck.pair arbitrary_program arbitrary_program
 
 let rw_exec =
@@ -273,6 +257,12 @@ let test_search_memo () =
     (s, Runner.executions runner - e0)
   in
   let stats = Alcotest.(triple int int int) in
+  (* hits, misses and live entries of the search memo *)
+  let search_cache_stats (r : Runner.t) =
+    ( Kit_obs.Metrics.counter_value r.Runner.c_shits,
+      Kit_obs.Metrics.counter_value r.Runner.c_smisses,
+      Kit_exec.Lru.length r.Runner.search_cache )
+  in
   let runner = runner_of () in
   let seq = Runner.execute runner ~sender ~receiver in
   let first, ran = search runner seq in
@@ -280,7 +270,7 @@ let test_search_memo () =
   check_bool "the first search executes" true (ran > 0);
   check_int "a repeat executes nothing" 0 ran';
   check_bool "a repeat returns the first search" true (again == first);
-  check stats "one miss, one hit" (1, 1, 1) (Runner.search_cache_stats runner);
+  check stats "one miss, one hit" (1, 1, 1) (search_cache_stats runner);
   check_bool "the pair diverges sequentially" true
     (seq.Runner.masked_diffs <> []);
   let other = { seq with Runner.masked_diffs = [] } in
@@ -297,7 +287,7 @@ let test_search_memo () =
   check_bool "memo off: a repeat executes" true (ran > 0);
   check_bool "memo off: the same search" true (search_fp a = search_fp b);
   check stats "memo off: nothing counted" (0, 0, 0)
-    (Runner.search_cache_stats off)
+    (search_cache_stats off)
 
 let prop_por_soundness =
   (* On these 8-program corpora, every member of a POR class executes
@@ -421,20 +411,15 @@ let test_campaign_deterministic_across_procs () =
   (* The pool path (separate worker processes) folds the same
      schedule-search results as the in-process campaign. *)
   let reference = Lazy.force rw_campaign in
-  let results = ref [] in
-  ignore
-    (Pool.execute
-       { Pool.default_config with Pool.procs = 2 }
-       rw_campaign_options reference.Campaign.corpus
-       (List.mapi (fun i tc -> (i, tc))
-          reference.Campaign.generation.Cluster.reps)
-       ~on_done:(fun _ r _ -> results := r :: !results)
-      : Pool.stats);
-  let concurrent =
-    List.concat_map (fun r -> r.Campaign.cr_concurrent) !results
+  let prepared = Campaign.prepare rw_campaign_options in
+  let pooled =
+    Campaign.execute
+      ~executor:(Pool.executor { Pool.default_config with Pool.procs = 2 })
+      prepared
+      (Campaign.generate_prepared prepared)
   in
-  let sched = Campaign.sched_create () in
-  List.iter (fun r -> Campaign.add_sched sched r.Campaign.cr_sched) !results;
+  let concurrent = pooled.Campaign.concurrent in
+  let sched = pooled.Campaign.sched in
   let fps_of list =
     List.sort compare
       (List.map
@@ -491,6 +476,14 @@ module Model = struct
 
   type _ Effect.t += Yield : unit Effect.t
 
+  (* The decision hash: splitmix-style, pure and 63-bit safe. *)
+  let mix ~seed ~step =
+    let z = (seed * 0x9E3779B9) + (step * 0x85EBCA6B) + 0x165667B1 in
+    let z = z lxor (z lsr 15) in
+    let z = z * 0xC2B2AE35 in
+    let z = z lxor (z lsr 13) in
+    z land max_int
+
   let choose schedule ~step ~runnable =
     match runnable with
     | [] -> invalid_arg "Model.choose: no runnable task"
@@ -500,7 +493,7 @@ module Model = struct
       | Sched.Sequential -> first
       | Sched.Seeded seed ->
         let m = List.length runnable in
-        List.nth runnable (Sched.mix ~seed ~step mod m))
+        List.nth runnable (mix ~seed ~step mod m))
 
   type task =
     | Not_started of (unit -> unit)
@@ -594,11 +587,33 @@ module Model = struct
     loop ();
     List.rev !order
 
+  (* A program's solo instrumented accesses, (address, is_write) in
+     order, when run in container [pid]: what a profiling sink sees,
+     kept in the runner's access cache as the runner keeps them, so
+     both sides execute alike. *)
+  let solo_accesses (t : Runner.t) ~pid prog =
+    let key = (pid, (Program.hash prog, prog)) in
+    match Kit_exec.Lru.find t.Runner.access_cache key with
+    | Some accesses -> accesses
+    | None ->
+      let env = t.Runner.env in
+      Env.reset env ~base:env.Env.base0;
+      Metrics.inc t.Runner.c_execs;
+      let k = env.Env.kernel in
+      let acc = ref [] in
+      K.Ctx.with_sink k.K.State.ctx
+        (function
+          | K.Kevent.Mem { addr; rw; _ } ->
+            acc := (addr, rw = K.Kevent.Write) :: !acc
+          | _ -> ())
+        (fun () -> ignore (K.Interp.run k ~pid prog : K.Interp.result list));
+      let accesses = Array.of_list (List.rev !acc) in
+      Kit_exec.Lru.add t.Runner.access_cache key accesses;
+      accesses
+
   let schedule_classes (t : Runner.t) ~schedules ~sender ~receiver =
-    let sa = Runner.solo_accesses t ~pid:t.Runner.env.Env.sender_pid sender in
-    let ra =
-      Runner.solo_accesses t ~pid:t.Runner.env.Env.receiver_pid receiver
-    in
+    let sa = solo_accesses t ~pid:t.Runner.env.Env.sender_pid sender in
+    let ra = solo_accesses t ~pid:t.Runner.env.Env.receiver_pid receiver in
     let conflict = Hashtbl.create 16 in
     let mark tbl (addr, w) =
       let r, wr =
@@ -728,6 +743,29 @@ module Model = struct
           sr_findings }
 end
 
+(* --- the decision function ------------------------------------------------ *)
+
+let test_mix_pure () =
+  for seed = 0 to 8 do
+    for step = 0 to 32 do
+      let a = Model.mix ~seed ~step in
+      check_bool "non-negative" true (a >= 0);
+      check_int "stable across calls" a (Model.mix ~seed ~step)
+    done
+  done
+
+let test_choose_sequential () =
+  check_int "lowest runnable" 0
+    (Model.choose Sched.Sequential ~step:5 ~runnable:[ 0; 1 ]);
+  check_int "singleton" 1 (Model.choose Sched.Sequential ~step:0 ~runnable:[ 1 ]);
+  (* seeded choice is a member of the runnable set *)
+  for seed = 0 to 5 do
+    for step = 0 to 10 do
+      let c = Model.choose (Sched.Seeded seed) ~step ~runnable:[ 0; 1 ] in
+      check_bool "member" true (c = 0 || c = 1)
+    done
+  done
+
 (* One interleaved execution through [run] (the driver or the model),
    from a fresh snapshot: its decision count and receiver trace, or the
    way it crashed. Either way the ctx stack must be empty afterwards —
@@ -818,7 +856,11 @@ let arbitrary_driver_case =
            | Hang_at i -> Printf.sprintf "hang@%d" i
            | Fuel n -> Printf.sprintf "fuel %d" n)
            (String.concat "; "
-              (List.map (Fmt.str "%a" Sched.pp_schedule) ss)))
+              (List.map
+                 (function
+                   | Sched.Sequential -> "sequential"
+                   | Sched.Seeded s -> Printf.sprintf "seed:%d" s)
+                 ss)))
        Gen.(pair arming schedules))
 
 let prop_driver_matches_model =
@@ -849,7 +891,7 @@ let prop_walk_matches_model =
     (fun (a, b, seed) ->
       List.for_all
         (fun schedule ->
-          Sched.simulate schedule [| a; b |] = Model.simulate schedule [| a; b |])
+          simulate schedule [| a; b |] = Model.simulate schedule [| a; b |])
         [ Sched.Sequential; Sched.Seeded seed ])
 
 let prop_classes_match_model =
@@ -1211,10 +1253,14 @@ let check_attribution_from_diffs label (c : Campaign.t) =
         then Alcotest.failf "%s: the first seed does not reproduce its diffs" name;
         let reference = Whole_trace_oracle.attribute ~trace_a ~trace_b r in
         if reference = Oracle.Bug Bugs.RW3_seqfile_busy then incr gained;
-        if not (Oracle.equal_attribution (Oracle.attribute_concurrent r) reference)
-        then
+        let got =
+          match Oracle.race_bugs_found [ r ] with
+          | [ b ] -> Oracle.Bug b
+          | _ -> Oracle.Under_investigation
+        in
+        if got <> reference then
           Alcotest.failf "%s: attributed %s, whole traces say %s" name
-            (Oracle.attribution_to_string (Oracle.attribute_concurrent r))
+            (Oracle.attribution_to_string got)
             (Oracle.attribution_to_string reference))
     c.Campaign.concurrent;
   check_bool (label ^ ": some reports gained the seq_file marker") true

@@ -27,15 +27,21 @@ let test_jobqueue_submit_order () =
   let a = Jobqueue.submit q "a" in
   let b = Jobqueue.submit q "b" in
   let c = Jobqueue.submit q "c" in
+  let d = Jobqueue.submit q "d" in
   check_int "consecutive ids" 1 b;
   (* complete out of order; reads come back in submit order *)
+  Jobqueue.complete q d 40;
+  Jobqueue.complete q b 20;
+  Alcotest.(check (list (pair int string)))
+    "unfinished in submit order"
+    [ (a, "a"); (c, "c") ]
+    (Jobqueue.unfinished q);
   Jobqueue.complete q c 30;
   Jobqueue.complete q a 10;
-  Jobqueue.complete q b 20;
-  Alcotest.(check (list (pair int int)))
-    "results in submit order"
-    [ (a, 10); (b, 20); (c, 30) ]
-    (Jobqueue.results q);
+  Alcotest.(check (list (option int)))
+    "each result under its id"
+    [ Some 10; Some 20; Some 30; Some 40 ]
+    (List.map (Jobqueue.result q) [ a; b; c; d ]);
   check_bool "drained" true (Jobqueue.is_drained q)
 
 let test_jobqueue_reshard () =
@@ -54,29 +60,19 @@ let test_jobqueue_reshard () =
     (List.map fst orphans);
   check_int "resharded counted" 2 (Jobqueue.resharded q);
   Jobqueue.deal q orphans ~to_:[ 0; 2 ];
-  (* each survivor keeps its own 2-job shard and inherits one orphan *)
-  check_int "dealt to 0" 3 (Jobqueue.assigned_count q ~worker:0);
-  check_int "dealt to 2" 3 (Jobqueue.assigned_count q ~worker:2);
-  (* a fresh worker with an empty shard steals from the longest queue *)
-  (match Jobqueue.steal q ~thief:9 with
-   | Some _ -> ()
-   | None -> Alcotest.fail "steal must find a victim");
-  check_int "steal counted" 1 (Jobqueue.stolen q)
-
-let test_jobqueue_quarantine () =
-  let q : (string, int) Jobqueue.t = Jobqueue.create () in
-  let a = Jobqueue.submit q "a" in
-  let b = Jobqueue.submit q "b" in
-  Jobqueue.quarantine q a;
-  (* a late result for a retired job must not resurrect it *)
-  Jobqueue.complete q a 1;
-  check_bool "still quarantined" true (Jobqueue.result q a = None);
-  Alcotest.(check (list int)) "quarantined ids" [ a ] (Jobqueue.quarantined_ids q);
-  Alcotest.(check (list int))
-    "unfinished excludes quarantined" [ b ]
-    (List.map fst (Jobqueue.unfinished q));
-  Jobqueue.complete q b 2;
-  check_bool "drained with quarantine" true (Jobqueue.is_drained q)
+  (* each survivor keeps its own 2-job shard and inherits one orphan; a
+     fresh worker with an empty shard steals the newest job of the
+     longest queue, the lowest worker's on a tie *)
+  Alcotest.(check (option (pair int int)))
+    "steal takes worker 0's newest" (Some (3, 3)) (Jobqueue.steal q ~thief:9);
+  check_int "steal counted" 1 (Jobqueue.stolen q);
+  let rec claims w =
+    match Jobqueue.claim_next q ~worker:w with
+    | Some (id, _) -> id :: claims w
+    | None -> []
+  in
+  Alcotest.(check (list int)) "dealt to 0" [ 0; 1 ] (claims 0);
+  Alcotest.(check (list int)) "dealt to 2" [ 2; 4; 5 ] (claims 2)
 
 (* The reference model: the queue as it was before it was indexed — one
    hashtable, and every ordered read sorts it by submit sequence. Slow,
@@ -88,7 +84,6 @@ module Model = struct
     | Assigned of int
     | Running of int
     | Completed of 'b
-    | Quarantined
 
   type ('a, 'b) job = {
     j_id : int;
@@ -141,7 +136,7 @@ module Model = struct
           j.j_status <- Assigned w;
           buckets.(w) <- (j.j_id, j.j_payload) :: buckets.(w);
           incr i
-        | Assigned _ | Running _ | Completed _ | Quarantined -> ())
+        | Assigned _ | Running _ | Completed _ -> ())
       (ordered t);
     Array.map List.rev buckets
 
@@ -168,12 +163,6 @@ module Model = struct
         | _ -> first rest)
     in
     first (ordered t)
-
-  let assigned_count t ~worker =
-    Hashtbl.fold
-      (fun _ j acc ->
-        match j.j_status with Assigned w when w = worker -> acc + 1 | _ -> acc)
-      t.jobs 0
 
   let steal t ~thief =
     let counts = Hashtbl.create 8 in
@@ -215,38 +204,26 @@ module Model = struct
         (fun j ->
           match j.j_status with
           | Assigned w | Running w -> w = worker
-          | Queued | Completed _ | Quarantined -> false)
+          | Queued | Completed _ -> false)
         (ordered t)
     in
     List.iter (fun j -> j.j_status <- Queued) orphans;
     t.resharded <- t.resharded + List.length orphans;
     List.map (fun j -> (j.j_id, j.j_payload)) orphans
 
-  let complete t id r =
-    let j = job t id in
-    match j.j_status with
-    | Quarantined -> ()
-    | Queued | Assigned _ | Running _ | Completed _ -> j.j_status <- Completed r
+  let complete t id r = (job t id).j_status <- Completed r
 
-  let quarantine t id = (job t id).j_status <- Quarantined
-
-  let results t =
-    List.filter_map
-      (fun j ->
-        match j.j_status with Completed r -> Some (j.j_id, r) | _ -> None)
-      (ordered t)
+  let result t id =
+    match Hashtbl.find_opt t.jobs id with
+    | Some { j_status = Completed r; _ } -> Some r
+    | Some _ | None -> None
 
   let unfinished t =
     List.filter_map
       (fun j ->
         match j.j_status with
         | Queued | Assigned _ | Running _ -> Some (j.j_id, j.j_payload)
-        | Completed _ | Quarantined -> None)
-      (ordered t)
-
-  let quarantined_ids t =
-    List.filter_map
-      (fun j -> match j.j_status with Quarantined -> Some j.j_id | _ -> None)
+        | Completed _ -> None)
       (ordered t)
 
   let is_drained t =
@@ -254,14 +231,14 @@ module Model = struct
       (fun _ j acc ->
         acc
         && match j.j_status with
-           | Completed _ | Quarantined -> true
+           | Completed _ -> true
            | Queued | Assigned _ | Running _ -> false)
       t.jobs true
 end
 
 (* One queue operation; ids range over a small space so submitting a
-   taken id, completing and quarantining hit every state, and some ids
-   are never submitted (the Not_found paths). *)
+   taken id and completing hit every state, and some ids are never
+   submitted (the Not_found paths). *)
 type jq_op =
   | Submit
   | Submit_as of int
@@ -271,7 +248,6 @@ type jq_op =
   | Steal of int
   | Release of int
   | Complete of int * int
-  | Quarantine of int
 
 let show_op = function
   | Submit -> "submit"
@@ -284,7 +260,6 @@ let show_op = function
   | Steal w -> Printf.sprintf "steal %d" w
   | Release w -> Printf.sprintf "release %d" w
   | Complete (id, r) -> Printf.sprintf "complete %d %d" id r
-  | Quarantine id -> Printf.sprintf "quarantine %d" id
 
 (* The worker ids a run uses: 0..workers-1, plus 9 — a thief (or a
    claimer) with no shard of its own. *)
@@ -306,8 +281,7 @@ let gen_jq_case =
         (4, map (fun w -> Claim w) worker);
         (3, map (fun w -> Steal w) worker);
         (1, map (fun w -> Release w) worker);
-        (3, map2 (fun i r -> Complete (i, r)) id (int_range 0 99));
-        (1, map (fun i -> Quarantine i) id) ]
+        (3, map2 (fun i r -> Complete (i, r)) id (int_range 0 99)) ]
   in
   pair (return workers) (list_size (int_range 0 60) op)
 
@@ -331,7 +305,7 @@ let outcome f =
 let prop_jobqueue_matches_model =
   QCheck.Test.make ~name:"jobqueue: indexed queue = sort-based model"
     ~count:500 arb_jq_case
-    (fun (workers, ops) ->
+    (fun (_, ops) ->
       let q : (int, int) Jobqueue.t = Jobqueue.create () in
       let m : (int, int) Model.t = Model.create () in
       let agree step what a b =
@@ -368,26 +342,17 @@ let prop_jobqueue_matches_model =
               (fun () -> Model.release m ~worker:w)
           | Complete (id, r) ->
             same "unit" (fun () -> Jobqueue.complete q id r)
-              (fun () -> Model.complete m id r)
-          | Quarantine id ->
-            same "unit" (fun () -> Jobqueue.quarantine q id)
-              (fun () -> Model.quarantine m id));
-          agree step "results" (Jobqueue.results q) (Model.results m);
+              (fun () -> Model.complete m id r));
+          List.iter
+            (fun id ->
+              agree step
+                (Printf.sprintf "result %d" id)
+                (Jobqueue.result q id) (Model.result m id))
+            (List.init 14 Fun.id);
           agree step "unfinished" (Jobqueue.unfinished q) (Model.unfinished m);
-          agree step "quarantined_ids" (Jobqueue.quarantined_ids q)
-            (Model.quarantined_ids m);
           agree step "unfinished_count" (Jobqueue.unfinished_count q)
             (List.length (Model.unfinished m));
-          agree step "completed_count" (Jobqueue.completed_count q)
-            (List.length (Model.results m));
           agree step "is_drained" (Jobqueue.is_drained q) (Model.is_drained m);
-          List.iter
-            (fun w ->
-              agree step
-                (Printf.sprintf "assigned_count %d" w)
-                (Jobqueue.assigned_count q ~worker:w)
-                (Model.assigned_count m ~worker:w))
-            (jq_workers workers);
           agree step "resharded" (Jobqueue.resharded q) m.Model.resharded;
           agree step "stolen" (Jobqueue.stolen q) m.Model.stolen)
         ops;
@@ -402,10 +367,11 @@ let test_jobqueue_scales () =
   let q : (int, int) Jobqueue.t = Jobqueue.create () in
   for i = 0 to n - 1 do ignore (Jobqueue.submit q i : int) done;
   ignore (Jobqueue.assign_round_robin q ~workers:4 : (int * int) list array);
-  let seen = Array.make n 0 in
+  let seen = Array.make n 0 and completed = ref 0 in
   let finish (id, payload) =
     check_int "payload rides with its id" id payload;
     seen.(id) <- seen.(id) + 1;
+    incr completed;
     Jobqueue.complete q id (2 * id)
   in
   let take w =
@@ -417,7 +383,7 @@ let test_jobqueue_scales () =
   while not (Jobqueue.is_drained q) do
     (* worker 3 works twice as fast, so it runs dry first and steals *)
     List.iter (fun w -> Option.iter finish (take w)) [ 0; 1; 2; 3; 3 ];
-    if (not !died) && Jobqueue.completed_count q >= n / 2 then begin
+    if (not !died) && !completed >= n / 2 then begin
       died := true;
       (* worker 1 dies holding a claimed job *)
       let in_flight = Jobqueue.claim_next q ~worker:1 in
@@ -426,20 +392,17 @@ let test_jobqueue_scales () =
       check_bool "in-flight job released" true
         (List.mem (Option.get in_flight) orphans);
       Jobqueue.deal q orphans ~to_:[ 0; 2; 3 ];
-      check_int "dead worker's shard emptied" 0
-        (Jobqueue.assigned_count q ~worker:1)
+      check_bool "dead worker's shard emptied" true
+        (Jobqueue.claim_next q ~worker:1 = None)
     end
   done;
   check_bool "a worker died mid-drain" true !died;
   check_bool "idle workers stole" true (Jobqueue.stolen q > 0);
   check_bool "every job completed exactly once" true
     (Array.for_all (fun c -> c = 1) seen);
-  check_int "completed count" n (Jobqueue.completed_count q);
-  let results = Jobqueue.results q in
-  check_int "one result per job" n (List.length results);
-  check_bool "results in submit order" true
-    (List.for_all2 (fun i (id, r) -> id = i && r = 2 * i)
-       (List.init n Fun.id) results)
+  check_bool "each result under its id" true
+    (List.for_all (fun i -> Jobqueue.result q i = Some (2 * i))
+       (List.init n Fun.id))
 
 (* --- Checkpoint --------------------------------------------------------- *)
 
@@ -572,21 +535,24 @@ let campaign_fps (c : Campaign.t) =
 (* The sequential reference: the in-process [Campaign.run] baseline. *)
 let reference = lazy (campaign_fps (Lazy.force baseline))
 
+(* The supervisor an executor is handed; the pool's runs none. *)
+let pool_sup = lazy (Campaign.supervisor ~obs:(Kit_obs.Obs.create ()) small_options)
+
 (* Every representative of the baseline on a fresh pool, which must
    report each case exactly once. *)
 let run_pool ?(cfg = test_config) () =
   let b = Lazy.force baseline in
   let reps = b.Campaign.generation.Kit_gen.Cluster.reps in
-  let results = Array.make (List.length reps) None in
-  let stats =
-    Pool.execute cfg small_options b.Campaign.corpus
-      (List.mapi (fun i tc -> (i, tc)) reps)
-      ~on_done:(fun case r _ ->
-        if results.(case) <> None then
-          Alcotest.failf "case %d reported twice" case;
-        results.(case) <- Some r)
-  in
-  { results = Array.to_list (Array.map Option.get results); stats }
+  let results = Array.make (List.length reps) None and stats = ref None in
+  Pool.executor ~on_stats:(fun s -> stats := Some s) cfg small_options
+    b.Campaign.corpus (Lazy.force pool_sup) ~batch:max_int
+    (List.mapi (fun i tc -> (i, tc)) reps)
+    ~on_done:(fun case r _ ->
+      if results.(case) <> None then
+        Alcotest.failf "case %d reported twice" case;
+      results.(case) <- Some r);
+  { results = Array.to_list (Array.map Option.get results);
+    stats = Option.get !stats }
 
 let test_pool_matches_sequential () =
   let o = run_pool ~cfg:{ test_config with Pool.procs = 3 } () in
@@ -603,7 +569,7 @@ let test_pool_survives_sigkill () =
      and the merged fingerprint unchanged. *)
   let cfg =
     { test_config with
-      Pool.sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 0) ] } }
+      Pool.sabotage = { Pool.default_config.Pool.sabotage with Pool.kill_after = [ (0, 0) ] } }
   in
   let o = run_pool ~cfg () in
   check_bool "fingerprint equals crash-free run" true
@@ -627,7 +593,7 @@ let prop_pool_equals_sequential =
         { test_config with
           Pool.procs;
           sabotage =
-            { Pool.no_sabotage with
+            { Pool.default_config.Pool.sabotage with
               Pool.kill_after = [ (slot mod procs, after) ] } }
       in
       pool_fps (run_pool ~cfg ()) = Lazy.force reference)
@@ -638,7 +604,7 @@ let test_pool_poison_two_strikes () =
      respawns forever — and every other case must match the clean run. *)
   let cfg =
     { test_config with
-      Pool.sabotage = { Pool.no_sabotage with Pool.poison = [ 0 ] } }
+      Pool.sabotage = { Pool.default_config.Pool.sabotage with Pool.poison = [ 0 ] } }
   in
   let o = run_pool ~cfg () in
   let clean = run_pool () in
@@ -661,7 +627,7 @@ let test_pool_heartbeat_timeout () =
     { test_config with
       Pool.heartbeat_s = 0.5;
       max_respawns = 0;
-      sabotage = { Pool.no_sabotage with Pool.hang_after = [ (0, 0) ] } }
+      sabotage = { Pool.default_config.Pool.sabotage with Pool.hang_after = [ (0, 0) ] } }
   in
   let o = run_pool ~cfg () in
   check_bool "hang caught by heartbeat" true
@@ -715,7 +681,7 @@ let test_pool_abort_and_resume () =
         { test_config with
           Pool.procs = 1;
           max_respawns = 0;
-          sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 2) ] } }
+          sabotage = { Pool.default_config.Pool.sabotage with Pool.kill_after = [ (0, 2) ] } }
       in
       (match pool_campaign ~cfg:crash_cfg path with
       | _ -> Alcotest.fail "a dead pool must abort"
@@ -770,7 +736,7 @@ let gen_spec =
   QCheck.Gen.(
     map
       (fun ((sp_name, sp_seed, sp_corpus_size), (strategy, k),
-            (sp_weight, sp_max_inflight, sp_diagnose, sp_schedules)) ->
+            (sp_weight, sp_diagnose, sp_schedules)) ->
         { Proto.sp_name; sp_seed; sp_corpus_size;
           sp_strategy =
             (match strategy with
@@ -778,9 +744,9 @@ let gen_spec =
             | 1 -> Kit_gen.Cluster.Df_ia
             | 2 -> Kit_gen.Cluster.Df_st k
             | _ -> Kit_gen.Cluster.Rand k);
-          sp_weight; sp_max_inflight; sp_diagnose; sp_schedules })
+          sp_weight; sp_diagnose; sp_schedules })
       (triple (triple gen_name int nat) (pair (int_bound 3) nat)
-         (quad int int bool int)))
+         (triple int bool int)))
 
 let gen_request =
   QCheck.Gen.(
@@ -935,7 +901,7 @@ let solo ~seed ~corpus_size =
     Hashtbl.replace solo_cache (seed, corpus_size) c;
     c
 
-let sched_cfg ?(procs = 2) ?(sabotage = Pool.no_sabotage) ?state_dir
+let sched_cfg ?(procs = 2) ?(sabotage = Pool.default_config.Pool.sabotage) ?state_dir
     ?(ckpt_every = 1) () =
   { Sched.sc_pool = { test_config with Pool.procs; sabotage };
     sc_max_active = 4; sc_max_pending = 16; sc_state_dir = state_dir;
@@ -956,9 +922,24 @@ let submit_ok s sp =
   | _ -> Alcotest.fail "unexpected submit reply"
 
 let tenant_of s name =
-  match Sched.find_name s name with
+  match List.find_opt (fun tn -> Tenant.name tn = name) (Sched.tenants s) with
   | Some tn -> tn
   | None -> Alcotest.failf "tenant %s disappeared" name
+
+(* Step until no tenant is pending or active — the in-process
+   equivalent of letting the daemon idle. *)
+let drain s =
+  let busy tn =
+    match Tenant.phase tn with
+    | Tenant.Pending | Tenant.Active -> true
+    | Tenant.Finished | Tenant.Cancelled | Tenant.Failed _ -> false
+  in
+  while List.exists busy (Sched.tenants s) do
+    ignore (Sched.step s ~timeout:0.2 : Unix.file_descr list)
+  done
+
+(* Representatives with a result, replayed or completed. *)
+let completed tn = (Tenant.status tn).Proto.ts_done
 
 let with_sched cfg f =
   let s = Sched.create cfg in
@@ -980,7 +961,7 @@ let prop_sched_equals_solo =
       let cfg =
         sched_cfg ~procs
           ~sabotage:
-            { Pool.no_sabotage with Pool.kill_after = [ (slot, after) ] }
+            { Pool.default_config.Pool.sabotage with Pool.kill_after = [ (slot, after) ] }
           ()
       in
       with_sched cfg (fun s ->
@@ -990,7 +971,7 @@ let prop_sched_equals_solo =
               let weight = if i = 0 then w1 else w2 in
               submit_ok s (spec ~weight (Printf.sprintf "t%d" i) seed))
             seeds;
-          Sched.drain s;
+          drain s;
           List.for_all
             (fun (i, seed) ->
               let tn = tenant_of s (Printf.sprintf "t%d" i) in
@@ -1008,7 +989,7 @@ let test_sched_fairness () =
   with_sched (sched_cfg ~procs:2 ()) (fun s ->
       submit_ok s (spec ~weight:3 "heavy" 11);
       submit_ok s (spec ~weight:1 "light" 7);
-      Sched.drain s;
+      drain s;
       let h = Tenant.status (tenant_of s "heavy") in
       let l = Tenant.status (tenant_of s "light") in
       let hc = float_of_int h.Proto.ts_contended in
@@ -1038,7 +1019,7 @@ let test_sched_resume () =
   (let s = Sched.create cfg in
    submit_ok s (spec "res" 11);
    let tn = tenant_of s "res" in
-   while Tenant.completed tn < 3 && Tenant.phase tn <> Tenant.Finished do
+   while completed tn < 3 && Tenant.phase tn <> Tenant.Finished do
      ignore (Sched.step s ~timeout:0.2)
    done;
    check_bool "killed mid-run" true (Tenant.phase tn = Tenant.Active);
@@ -1049,7 +1030,7 @@ let test_sched_resume () =
       check_bool "tenant restored" true (List.mem_assoc "res" restored);
       check_bool "restored unfinished" true
         (List.assoc "res" restored = "pending");
-      Sched.drain s2;
+      drain s2;
       let tn = tenant_of s2 "res" in
       check_bool "checkpointed cases replayed, not re-executed" true
         (Tenant.resumed tn > 0);
@@ -1072,7 +1053,7 @@ let test_sched_restored_status () =
   let before =
     with_sched cfg (fun s ->
         submit_ok s (spec "st" 11);
-        Sched.drain s;
+        drain s;
         shown (Tenant.status (tenant_of s "st")))
   in
   let _, (finished, _), (executions, reports) = before in
@@ -1132,7 +1113,7 @@ let test_log_with_traces_restores () =
       (match Sched.request s (Proto.Extend { x_name = "fixture"; x_add = 8 }) with
       | Proto.Accepted _ -> ()
       | _ -> Alcotest.fail "extend of the restored tenant must be accepted");
-      Sched.drain s;
+      drain s;
       check_int "every logged representative replayed" logged (Tenant.resumed tn);
       check_bool "extended summary = solo at corpus 56" true
         (Tenant.summary tn = Some (solo 56)));
@@ -1144,11 +1125,11 @@ let test_sched_extend () =
      campaign of the grown corpus while replaying cached clusters. *)
   with_sched (sched_cfg ~procs:2 ()) (fun s ->
       submit_ok s (spec "ext" 11);
-      Sched.drain s;
+      drain s;
       (match Sched.request s (Proto.Extend { x_name = "ext"; x_add = 8 }) with
       | Proto.Accepted _ -> ()
       | _ -> Alcotest.fail "extend of a finished tenant must be accepted");
-      Sched.drain s;
+      drain s;
       let tn = tenant_of s "ext" in
       check_bool "unchanged clusters replayed from cache" true
         (Tenant.resumed tn > 0);
@@ -1180,7 +1161,44 @@ let test_sched_admission () =
       | Proto.Rejected _ -> ()
       | _ -> Alcotest.fail "unknown tenant must be rejected")
 
-let poisoned_cfg = { Pool.no_sabotage with Pool.poison = [ 0 ] }
+(* The socket refuses what [kit submit] refuses: each out-of-range spec
+   sent through the request handler is [Rejected], counted in
+   serve.rejected, and creates no tenant; an in-range one is still
+   accepted. *)
+let test_sched_refuses_out_of_range_specs () =
+  let obs = Kit_obs.Obs.create () in
+  let s = Sched.create ~obs (sched_cfg ~procs:1 ()) in
+  Fun.protect ~finally:(fun () -> Sched.shutdown s) @@ fun () ->
+  let rejected () =
+    Kit_obs.Metrics.counter_value
+      (Kit_obs.Metrics.counter ~always:true obs.Kit_obs.Obs.metrics
+         "serve.rejected")
+  in
+  let bad =
+    [ ("weight 0", { (spec "t" 7) with Proto.sp_weight = 0 });
+      ("weight -3", { (spec "t" 7) with Proto.sp_weight = -3 });
+      ("schedules 0", { (spec "t" 7) with Proto.sp_schedules = 0 });
+      ("schedules -1", { (spec "t" 7) with Proto.sp_schedules = -1 });
+      ("rand 0", { (spec "t" 7) with Proto.sp_strategy = Kit_gen.Cluster.Rand 0 });
+      ("rand -5", { (spec "t" 7) with Proto.sp_strategy = Kit_gen.Cluster.Rand (-5) });
+      ("df-st -1", { (spec "t" 7) with Proto.sp_strategy = Kit_gen.Cluster.Df_st (-1) });
+      ("df-st 3", { (spec "t" 7) with Proto.sp_strategy = Kit_gen.Cluster.Df_st 3 });
+      ("df", { (spec "t" 7) with Proto.sp_strategy = Kit_gen.Cluster.Df }) ]
+  in
+  List.iteri
+    (fun i (what, sp) ->
+      (match Sched.request s (Proto.Submit sp) with
+      | Proto.Rejected _ -> ()
+      | _ -> Alcotest.failf "%s must be rejected" what);
+      check_int (what ^ ": counted in serve.rejected") (i + 1) (rejected ());
+      check_int (what ^ ": no tenant created") 0
+        (List.length (Sched.tenants s)))
+    bad;
+  submit_ok s { (spec "t" 7) with Proto.sp_strategy = Kit_gen.Cluster.Rand 1 };
+  check_int "an accepted spec is not counted" (List.length bad) (rejected ());
+  check_int "one tenant" 1 (List.length (Sched.tenants s))
+
+let poisoned_cfg = { Pool.default_config.Pool.sabotage with Pool.poison = [ 0 ] }
 
 let deaths s =
   match Sched.request s Proto.Status with
@@ -1201,7 +1219,7 @@ let test_sched_two_strikes () =
   in
   with_sched (sched_cfg ~sabotage:poisoned_cfg ()) (fun s ->
       submit_ok s sp;
-      Sched.drain s;
+      drain s;
       let c = Option.get (Tenant.result (tenant_of s "poison")) in
       check_int "one Worker_lost quarantine" 1
         (List.length
@@ -1221,7 +1239,7 @@ let test_sched_two_strikes () =
   let cfg = sched_cfg ~procs:1 ~sabotage:poisoned_cfg ~state_dir:dir () in
   with_sched cfg (fun s ->
       submit_ok s sp;
-      while deaths s < 2 || Tenant.completed (tenant_of s "poison") < 2 do
+      while deaths s < 2 || completed (tenant_of s "poison") < 2 do
         if Tenant.phase (tenant_of s "poison") = Tenant.Finished then
           Alcotest.fail "finished before the quarantine";
         ignore (Sched.step s ~timeout:0.2)
@@ -1230,7 +1248,7 @@ let test_sched_two_strikes () =
         (Tenant.phase (tenant_of s "poison") = Tenant.Active));
   with_sched cfg (fun s ->
       ignore (Sched.resume s);
-      Sched.drain s;
+      drain s;
       check_int "the quarantine replays: no worker dies" 0 (deaths s);
       check_bool "resumed summary = straight-through" true
         (Tenant.summary (tenant_of s "poison")
@@ -1258,7 +1276,7 @@ let test_sched_cancel () =
       (match Sched.request s (Proto.Cancel "gone") with
       | Proto.Acked -> ()
       | _ -> Alcotest.fail "cancel must be acked");
-      Sched.drain s;
+      drain s;
       check_bool "the log stays deleted" false
         (Sys.file_exists (Filename.concat dir "tenant-gone.ckpt"));
       check_bool "cancelled" true
@@ -1318,12 +1336,10 @@ let test_pool_resume_torn_tail () =
 
 let suite =
   [
-    Alcotest.test_case "jobqueue merge order is submit order" `Quick
+    Alcotest.test_case "jobqueue reads walk submit order" `Quick
       test_jobqueue_submit_order;
     Alcotest.test_case "jobqueue release/deal reshards deterministically"
       `Quick test_jobqueue_reshard;
-    Alcotest.test_case "jobqueue quarantine retires a job for good" `Quick
-      test_jobqueue_quarantine;
     QCheck_alcotest.to_alcotest prop_jobqueue_matches_model;
     Alcotest.test_case "jobqueue drains 100k jobs with claims, steals, a death"
       `Quick test_jobqueue_scales;
@@ -1378,4 +1394,6 @@ let suite =
       test_pool_resume_all_restored;
     Alcotest.test_case "pool resume drops a torn tail, re-runs the rest"
       `Quick test_pool_resume_torn_tail;
+    Alcotest.test_case "the socket refuses out-of-range specs" `Quick
+      test_sched_refuses_out_of_range_specs;
   ]

@@ -11,7 +11,13 @@ let check = Alcotest.check
 let check_bool = check Alcotest.bool
 let check_int = check Alcotest.int
 
-let protected_of text = Spec.protected_indices Spec.default (Syzlang.parse text)
+(* The calls of [prog] the spec marks as accessing protected resources. *)
+let protected_indices spec prog =
+  let types = Kit_abi.Program.result_types prog in
+  List.filter (Spec.call_protected spec prog types)
+    (List.init (Kit_abi.Program.length prog) Fun.id)
+
+let protected_of text = protected_indices Spec.default (Syzlang.parse text)
 
 let test_socket_calls_protected () =
   check (Alcotest.list Alcotest.int) "socket returns protected fd" [ 0; 1 ]
@@ -68,17 +74,18 @@ let test_default_overapproximates_proc_misc () =
 let test_refined_drops_proc_misc () =
   let p = Syzlang.parse "r0 = open(\"/proc/crypto\")\nr1 = read(r0)" in
   check (Alcotest.list Alcotest.int) "refined spec excludes crypto" []
-    (Spec.protected_indices Spec.refined p);
+    (protected_indices Spec.refined p);
   let net = Syzlang.parse "r0 = open(\"/proc/net/ptype\")\nr1 = read(r0)" in
   check (Alcotest.list Alcotest.int) "refined spec keeps /proc/net" [ 0; 1 ]
-    (Spec.protected_indices Spec.refined net)
+    (protected_indices Spec.refined net)
 
 let test_uses_protected_via_ref () =
   check (Alcotest.list Alcotest.int) "bind via rds fd" [ 0; 1 ]
     (protected_of "r0 = socket(4)\nr1 = bind(r0, 1000)")
 
 let test_rule_counts () =
-  let fd_rules, checkers = Spec.rule_counts Spec.default in
+  let fd_rules = List.length Spec.default.Spec.protected_fd_types
+  and checkers = List.length Spec.default.Spec.checkers in
   check_bool "several fd-type rules" true (fd_rules >= 10);
   check_int "checker functions" (List.length Checker.all) checkers
 

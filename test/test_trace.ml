@@ -18,8 +18,8 @@ let node = Ast.node
 
 let test_ast_size () =
   let t = node "a" [ leaf "b" "1"; node "c" [ leaf "d" "2" ] ] in
-  check_int "size" 4 (Ast.size t);
-  check_int "no nondet" 0 (Ast.count_nondet t)
+  check_int "size" 4 t.Ast.size;
+  check_int "no nondet" 0 t.Ast.ndet
 
 let test_ast_equal () =
   let t1 = node "a" [ leaf "b" "1" ] in
@@ -71,12 +71,16 @@ let test_interfered_indices () =
   let ta = node "trace" [ call 0 "1"; call 1 "2"; call 2 "3" ] in
   let tb = node "trace" [ call 0 "1"; call 1 "9"; call 2 "9" ] in
   check (Alcotest.list Alcotest.int) "indices" [ 1; 2 ]
-    (Compare.interfered_indices ta tb)
+    (Compare.interfered_of_diffs (Compare.diff_trees ta tb))
+
+(* The call indices a diff under [label] names. *)
+let indices_under label =
+  let t v = node "trace" [ node label [ leaf "ret" v ] ] in
+  Compare.interfered_of_diffs (Compare.diff_trees (t "1") (t "2"))
 
 let test_call_index_parsing () =
-  check_bool "call12:read" true
-    (Compare.call_index_of_label "call12:read" = Some 12);
-  check_bool "not a call" true (Compare.call_index_of_label "stat" = None)
+  check_bool "call12:read" true (indices_under "call12:read" = [ 12 ]);
+  check_bool "not a call" true (indices_under "stat" = [])
 
 (* --- Nondet --------------------------------------------------------------- *)
 
@@ -210,7 +214,16 @@ let gen_ast =
               (list_size (int_bound 3) (self (n - 1))))
         n)
 
-let arbitrary_ast = QCheck.make ~print:Ast.to_string gen_ast
+let rec pp_ast ppf (t : Ast.t) =
+  let flag = if t.Ast.det then "" else " [nondet]" in
+  if t.Ast.children = [] then
+    Fmt.pf ppf "@[<h>%s=%s%s@]" t.Ast.label t.Ast.value flag
+  else
+    Fmt.pf ppf "@[<v 2>%s%s%a@]" t.Ast.label flag
+      (Fmt.list ~sep:(Fmt.any "") (fun ppf c -> Fmt.pf ppf "@,%a" pp_ast c))
+      t.Ast.children
+
+let arbitrary_ast = QCheck.make ~print:(Fmt.str "%a" pp_ast) gen_ast
 
 let prop_compare_reflexive =
   QCheck.Test.make ~name:"diff_trees t t = []" ~count:200 arbitrary_ast
@@ -255,7 +268,17 @@ let test_call_labels () =
           let expected =
             Printf.sprintf "call%d:%s" i (Kit_abi.Sysno.to_string sysno)
           in
-          check Alcotest.string expected expected (Decode.call_label i sysno))
+          let result =
+            { K.Interp.index = i;
+              call = { Kit_abi.Program.sysno; args = [] };
+              ret = K.Sysret.ok 0 }
+          in
+          let label =
+            match (Decode.decode_trace [ result ]).Ast.children with
+            | [ call ] -> call.Ast.label
+            | _ -> Alcotest.fail "one call node per result"
+          in
+          check Alcotest.string expected expected label)
         [ 0; 63; 64; 200 ])
     Kit_abi.Sysno.all
 

@@ -19,6 +19,73 @@ let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let check_str = check Alcotest.string
 
+(* [lines] through an export file, read back as `kit stats` reads it. *)
+let parse lines =
+  let path = Filename.temp_file "kit-export" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Export.write_file path lines;
+      Export.read_file path)
+
+(* A canonical digest of a span tree's causal structure: span names,
+   attributes and nesting, with placement-dependent identity (which
+   domain/worker lane a span landed on, timestamps, sequence numbers)
+   excluded. Two traces of the same campaign at different --domains
+   values digest identically — the work is the same, only its placement
+   moved. *)
+let fingerprint (t : Spantree.t) =
+  let ignore = [ "domain"; "worker"; "domains" ] in
+  let rec node_digest buf (n : Spantree.node) =
+    Buffer.add_string buf (if n.Spantree.n_instant then "i:" else "s:");
+    Buffer.add_string buf n.Spantree.n_name;
+    List.iter
+      (fun (k, v) ->
+        if not (List.mem k ignore) then begin
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf k;
+          Buffer.add_char buf '=';
+          Buffer.add_string buf v
+        end)
+      (List.sort compare n.Spantree.n_attrs);
+    Buffer.add_char buf '(';
+    List.iter (node_digest buf) n.Spantree.n_children;
+    Buffer.add_char buf ')'
+  in
+  let buf = Buffer.create 1024 in
+  (* Lanes sorted by key so lane discovery order cannot leak in; keys
+     made of ignored attrs collapse into one sorted root sequence. *)
+  let keyed =
+    List.map
+      (fun (key, roots) ->
+        let b = Buffer.create 256 in
+        List.iter (node_digest b) roots;
+        let lane_ignored =
+          List.exists
+            (fun a -> String.length key > String.length a
+                      && String.sub key 0 (String.length a + 1) = a ^ "=")
+            ignore
+        in
+        ((if lane_ignored then Spantree.main_lane else key), Buffer.contents b))
+      t.Spantree.lanes
+  in
+  List.iter
+    (fun (key, digest) ->
+      Buffer.add_char buf '[';
+      Buffer.add_string buf key;
+      Buffer.add_char buf ']';
+      Buffer.add_string buf digest)
+    (List.sort compare keyed);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* A profile's row for a span name. *)
+let find (p : Profile.t) name =
+  List.find_opt (fun r -> String.equal r.Profile.r_name name) p.Profile.rows
+
+(* Per-name span counts, the placement-invariant part of a profile. *)
+let counts (p : Profile.t) =
+  List.sort compare (List.map (fun r -> (r.Profile.r_name, r.Profile.r_count)) p.Profile.rows)
+
 (* A hand-built trace: two top-level phases, the second containing two
    case spans on distinct worker lanes plus an instant. Wall times are
    explicit so duration arithmetic is exact. *)
@@ -96,14 +163,14 @@ let test_profile_totals_and_self () =
   let tree = Spantree.build ~lane_attrs:[] (sample_events ()) in
   let p = Profile.of_tree tree in
   check_int "span count" 4 p.Profile.total_spans;
-  (match Profile.find p "sup.execute" with
+  (match find p "sup.execute" with
   | Some r ->
     check_int "two case executions" 2 r.Profile.r_count;
     check_bool "case wall total" true (r.Profile.r_wall_total = 5.0);
     check_bool "leaf self = total" true (r.Profile.r_wall_self = 5.0);
     check_int "det total" 4 r.Profile.r_det_total
   | None -> Alcotest.fail "missing sup.execute row");
-  (match Profile.find p "phase.execute" with
+  (match find p "phase.execute" with
   | Some r ->
     check_bool "parent self excludes children" true
       (r.Profile.r_wall_self = 1.0)
@@ -115,11 +182,18 @@ let test_profile_totals_and_self () =
 
 let test_critical_path_descends_heaviest () =
   let tree = Spantree.build ~lane_attrs:[] (sample_events ()) in
-  let path = List.map (fun n -> n.Spantree.n_name) (Profile.critical_path tree) in
+  let rendered = Profile.render_critical_path tree in
+  let path =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' (String.trim l) with
+        | name :: _ :: _ -> Some name
+        | _ -> None)
+      (List.tl (String.split_on_char '\n' rendered))
+  in
   (* heaviest root phase.execute (6.0s), heaviest child case 1 (4.0s) *)
   check (Alcotest.list Alcotest.string) "path"
     [ "phase.execute"; "sup.execute" ] path;
-  let rendered = Profile.render_critical_path tree in
   check_bool "rendering names the critical path" true
     (String.length rendered >= 13 && String.sub rendered 0 13 = "critical path")
 
@@ -233,7 +307,7 @@ let test_phase_span_totals_equal_time_gauges () =
     Campaign.run { small_options with Campaign.obs = Some obs }
   in
   ignore c;
-  match Export.parse (Obs.export_lines ~wall:true obs) with
+  match parse (Obs.export_lines ~wall:true obs) with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok p ->
     let tree =
@@ -247,7 +321,7 @@ let test_phase_span_totals_equal_time_gauges () =
     in
     List.iter
       (fun stage ->
-        match Profile.find profile ("phase." ^ stage) with
+        match find profile ("phase." ^ stage) with
         | Some r ->
           check (Alcotest.float 0.0)
             ("phase." ^ stage ^ " wall total = time." ^ stage ^ "_s")
@@ -281,8 +355,8 @@ let prop_tree_invariant_in_domains =
             ~dropped:(Tracer.dropped obs.Obs.tracer)
             (Tracer.events obs.Obs.tracer)
         in
-        ( Spantree.fingerprint tree,
-          Profile.fingerprint (Profile.of_tree tree) )
+        ( fingerprint tree,
+          counts (Profile.of_tree tree) )
       in
       fingerprints 1 = fingerprints domains)
 
