@@ -1008,11 +1008,8 @@ let drive ?executor r =
     ~boot:(fun () -> make_supervisor ~obs:r.r_obs r.r_options)
     r
 
-let execute ?executor ?log prepared generation =
-  drive ?executor (start ?log prepared generation)
-
 let execute_prepared ?strategy prepared =
-  execute prepared (generate_prepared ?strategy prepared)
+  drive (start prepared (generate_prepared ?strategy prepared))
 
 (* Run a complete campaign with [options]. *)
 let run options = execute_prepared (prepare options)

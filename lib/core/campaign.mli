@@ -336,13 +336,9 @@ val drive : ?executor:executor -> run -> t
     is encoded, and the default executor runs every representative as
     one chunk. *)
 
-val execute :
-  ?executor:executor -> ?log:log -> prepared -> Kit_gen.Cluster.result -> t
-(** [drive ?executor (start ?log prepared generation)]. *)
-
 val execute_prepared : ?strategy:Kit_gen.Cluster.strategy -> prepared -> t
-(** {!execute} of {!generate_prepared} (Table 4 runs each strategy on
-    the same prepared inputs). *)
+(** {!drive} of {!start} on {!generate_prepared} (Table 4 runs each
+    strategy on the same prepared inputs). *)
 
 val run : options -> t
 (** [run options] = [execute_prepared (prepare options)]. *)

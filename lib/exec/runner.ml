@@ -29,16 +29,21 @@
    driver, so it orders accesses exactly as execution does whenever
    interference does not change a program's access count.
 
-   Four memo caches cut the execution count, all size-capped with LRU
-   eviction (lookups refresh recency, so hot entries survive large
-   campaigns — this replaced an earlier FIFO ring that evicted the
-   hottest receivers precisely because they were old). Every cache is
-   keyed by the programs themselves, bucketed by [Program.hash]: that
-   hash is 30 bits and collides across large corpora, so a hit needs
-   equal programs, never an equal hash alone.
+   Five memo tables cut the execution count. Every one is keyed by the
+   programs themselves, bucketed by [Program.hash]: that hash is 30 bits
+   and collides across large corpora, so a hit needs equal programs
+   (the same value, or [Program.equal]), never an equal hash alone. A
+   program's key ([pkey]) is computed once per [execute] and handed to
+   every lookup, and the tables hash it by reading its int. Four are
+   size-capped with LRU eviction (lookups refresh recency, so hot
+   entries survive large campaigns — this replaced an earlier FIFO ring
+   that evicted the hottest receivers precisely because they were old);
+   the sender-state table never evicts.
 
    - the non-determinism mask cache, keyed on the receiver program, as
-     the paper saves masks to disk between campaigns;
+     the paper saves masks to disk between campaigns. An entry keeps the
+     baseline trace masked beside the mask, so a case that differs masks
+     only its own trace;
    - the baseline cache, same key: execution B and the mask's
      reference run are the receiver solo from the pristine snapshot at
      the reference clock base — a function of the receiver program
@@ -69,18 +74,32 @@
      and a hit needs that to match too. Bypassed exactly when the
      baseline cache is. Within one search, the judgement of each
      distinct receiver result is computed once (see
-     [search_schedules]).
+     [search_schedules]);
+   - the sender-state table, keyed on the sender: every test case runs
+     from the same snapshot, so a sender's effect on the kernel is the
+     heap cells its run dirtied ([Heap.capture_dirty]) and the syscalls
+     its run charged to the fuel tank. Execution A (and with it every
+     Algorithm 2 re-test, whose sender is a prefix that recurs across
+     that sender's reports) restores the snapshot, applies the sender's
+     delta ([Heap.apply]), charges its fuel ([Fault.charge]) and runs
+     only the receiver. Only runs at the reference clock base use it,
+     as the delta holds the clock, and it is bypassed exactly when the
+     baseline cache is. It admits entries until it holds
+     [baseline_cache_cap] and never evicts: with uniformly random
+     pairs an LRU hits no more often than first-come admission, and its
+     churn costs memory (an evicting table measured 24% more peak RSS
+     on rand-cold).
 
    Execution and cache counters live in the observability plane's
    metrics registry ("exec.executions", "exec.mask_hits",
    "exec.mask_misses", "exec.mask_evictions", "exec.baseline_hits",
-   "exec.baseline_misses", "exec.search_hits", "exec.search_misses") as
-   always-on counters: they are campaign accounting, so they keep
-   counting even through a disabled bundle. Registry counters are
-   monotone and may be shared across runner incarnations (the
-   supervisor reboots runners into the same bundle), so each runner
-   captures the counter values at creation and reports per-instance
-   deltas. *)
+   "exec.baseline_misses", "exec.search_hits", "exec.search_misses",
+   "exec.delta_hits", "exec.delta_misses") as always-on counters: they
+   are campaign accounting, so they keep counting even through a
+   disabled bundle. Registry counters are monotone and may be shared
+   across runner incarnations (the supervisor reboots runners into the
+   same bundle), so each runner captures the counter values at creation
+   and reports per-instance deltas. *)
 
 module Program = Kit_abi.Program
 module Interp = Kit_kernel.Interp
@@ -89,6 +108,7 @@ module Sched = Kit_kernel.Sched
 module Kevent = Kit_kernel.Kevent
 module Ctx = Kit_kernel.Ctx
 module State = Kit_kernel.State
+module Heap = Kit_kernel.Heap
 module Ast = Kit_trace.Ast
 module Decode = Kit_trace.Decode
 module Compare = Kit_trace.Compare
@@ -125,29 +145,68 @@ let empty_search =
   { sr_schedules = 0; sr_classes = 0; sr_executed = 0; sr_pruned = 0;
     sr_skipped = 0; sr_findings = [] }
 
-(* A cache key: the program, bucketed by its hash. Structural equality
-   on programs is [Program.equal], so a lookup hits only an equal
-   program, whatever its hash collides with. *)
+(* A cache key: the program beside its hash, computed once per case and
+   handed to every lookup. A hit needs the same program value or an
+   equal one ([Program.equal]), whatever its hash collides with. *)
 type pkey = int * Program.t
 
 let pkey p : pkey = (Program.hash p, p)
+
+let same_program ((h, p) : pkey) ((h', p') : pkey) =
+  h = h' && (p == p' || Program.equal p p')
+
+module Prog_key = struct
+  type t = pkey
+
+  let hash ((h, _) : t) = h
+  let equal = same_program
+end
+
+module Prog_lru = Lru.Make (Prog_key)
+module Sender_tbl = Hashtbl.Make (Prog_key)
+
+module Access_lru = Lru.Make (struct
+  type t = int * pkey                  (* container pid, program *)
+
+  let hash ((pid, (h, _)) : t) = (h * 31) + pid
+  let equal (pid, k) (pid', k') = pid = pid' && same_program k k'
+end)
+
+module Search_lru = Lru.Make (struct
+  type t = pkey * pkey * int           (* sender, receiver, schedules *)
+
+  let hash (((hs, _), (hr, _), n) : t) = (((hs * 31) + hr) * 31) + n
+
+  let equal (s, r, n) (s', r', n') =
+    n = n' && same_program s s' && same_program r r'
+end)
+
+(* What running a sender from the snapshot at the reference base leaves
+   behind: the cells it dirtied and the syscalls it made. *)
+type sender_state = { ss_delta : Heap.delta; ss_steps : int }
 
 type t = {
   env : Env.t;
   obs : Obs.t;
   reruns : int;
   rerun_delta : int;
-  mask_cache : (pkey, Ast.t) Lru.t;      (* receiver -> mask *)
-  baseline : bool;                       (* baseline and search memos on? *)
-  baseline_cache : (pkey, Decode.baseline) Lru.t;
+  mask_cache : (Ast.t * Ast.t) Prog_lru.t;
+                                         (* receiver -> (mask, masked
+                                            baseline trace) *)
+  baseline : bool;                       (* baseline, search and sender
+                                            memos on? *)
+  baseline_cache : Decode.baseline Prog_lru.t;
                                          (* receiver -> solo run at base0 *)
-  access_cache : (int * pkey, (int * bool) array) Lru.t;
+  access_cache : (int * bool) array Access_lru.t;
                                          (* (pid, program) -> solo
                                             (addr, is_write) sequence *)
-  search_cache : (pkey * pkey * int, int * search) Lru.t;
+  search_cache : (int * search) Search_lru.t;
                                          (* (sender, receiver, schedules)
                                             -> (sequential fingerprint,
                                             search) *)
+  senders : sender_state Sender_tbl.t;   (* sender -> its state, never
+                                            evicted *)
+  senders_cap : int;
   c_execs : Metrics.counter;             (* single source of truth... *)
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
@@ -156,6 +215,8 @@ type t = {
   c_bmisses : Metrics.counter;
   c_shits : Metrics.counter;
   c_smisses : Metrics.counter;
+  c_dhits : Metrics.counter;
+  c_dmisses : Metrics.counter;
   execs0 : int;                          (* ...read as deltas from here *)
   hits0 : int;
   misses0 : int;
@@ -175,17 +236,21 @@ let create ?(reruns = 3) ?(rerun_delta = 7_777) ?(mask_cache_cap = 4096)
   let c_bmisses = counter "exec.baseline_misses" in
   let c_shits = counter "exec.search_hits" in
   let c_smisses = counter "exec.search_misses" in
+  let c_dhits = counter "exec.delta_hits" in
+  let c_dmisses = counter "exec.delta_misses" in
   let cap = max 1 baseline_cache_cap in
   { env; obs; reruns; rerun_delta;
     mask_cache =
-      Lru.create (max 1 mask_cache_cap)
+      Prog_lru.create (max 1 mask_cache_cap)
         ~on_evict:(fun _ _ -> Metrics.inc c_evictions);
     baseline = baseline_cache;
-    baseline_cache = Lru.create cap;
-    access_cache = Lru.create cap;
-    search_cache = Lru.create cap;
+    baseline_cache = Prog_lru.create cap;
+    access_cache = Access_lru.create cap;
+    search_cache = Search_lru.create cap;
+    senders = Sender_tbl.create (min cap 16);
+    senders_cap = cap;
     c_execs; c_hits; c_misses; c_evictions; c_bhits; c_bmisses; c_shits;
-    c_smisses;
+    c_smisses; c_dhits; c_dmisses;
     execs0 = Metrics.counter_value c_execs;
     hits0 = Metrics.counter_value c_hits;
     misses0 = Metrics.counter_value c_misses;
@@ -194,6 +259,11 @@ let create ?(reruns = 3) ?(rerun_delta = 7_777) ?(mask_cache_cap = 4096)
 
 let executions t = Metrics.counter_value t.c_execs - t.execs0
 
+(* Whether the baseline cache, the search memo and the sender-state
+   table are in use: they are bypassed when disabled and while the fault
+   plane is armed. *)
+let memoizing t = t.baseline && Fault.schedule (Env.fault t.env) = []
+
 (* The receiver's raw results, solo ([receiver_results]) or after the
    sender ([pair_results]); [run_pair] decodes the latter in full. *)
 let receiver_results t ~base receiver =
@@ -201,12 +271,37 @@ let receiver_results t ~base receiver =
   Metrics.inc t.c_execs;
   Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver
 
-let pair_results t ~base sender receiver =
-  Env.reset t.env ~base;
-  Metrics.inc t.c_execs;
+let run_sender t sender =
   let _ : Interp.result list =
     Interp.run t.env.Env.kernel ~pid:t.env.Env.sender_pid sender
   in
+  ()
+
+(* The sender's half of execution A from a fresh restore at the
+   reference base: its recorded state applied, or, the first time (and
+   when the fuel tank cannot pay for its syscalls), the sender run and
+   its state recorded while the table has room. *)
+let replay_sender t sender =
+  let key = pkey sender in
+  let heap = t.env.Env.kernel.State.heap and fault = Env.fault t.env in
+  let found = Sender_tbl.find_opt t.senders key in
+  match found with
+  | Some s when Fault.charge fault s.ss_steps ->
+    Metrics.inc t.c_dhits;
+    Heap.apply heap s.ss_delta
+  | Some _ | None ->
+    Metrics.inc t.c_dmisses;
+    run_sender t sender;
+    if Option.is_none found && Sender_tbl.length t.senders < t.senders_cap
+    then
+      Sender_tbl.add t.senders key
+        { ss_delta = Heap.capture_dirty heap; ss_steps = Fault.steps fault }
+
+let pair_results t ~base sender receiver =
+  Env.reset t.env ~base;
+  Metrics.inc t.c_execs;
+  if base = t.env.Env.base0 && memoizing t then replay_sender t sender
+  else run_sender t sender;
   Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver
 
 let run_pair t ~base sender receiver =
@@ -248,10 +343,10 @@ let run_interleaved t ~schedule ~base sender receiver =
    (pid, program): the same program accesses different namespace ids
    in different containers. Not cached while faults are armed, for
    the same reasons as the baseline cache. *)
-let solo_accesses t ~pid prog =
+let solo_accesses t ~pid ((_, prog) as pk) =
   let armed = Fault.schedule (Env.fault t.env) <> [] in
-  let key = (pid, pkey prog) in
-  match if armed then None else Lru.find t.access_cache key with
+  let key = (pid, pk) in
+  match if armed then None else Access_lru.find t.access_cache key with
   | Some accesses -> accesses
   | None ->
     Env.reset t.env ~base:t.env.Env.base0;
@@ -267,7 +362,7 @@ let solo_accesses t ~pid prog =
         let _ : Interp.result list = Interp.run k ~pid prog in
         ());
     let accesses = Array.of_list (List.rev !acc) in
-    if not armed then Lru.add t.access_cache key accesses;
+    if not armed then Access_lru.add t.access_cache key accesses;
     accesses
 
 (* Partial-order reduction over candidate seeds 0..schedules-1. A
@@ -309,9 +404,9 @@ let conflict_codes sa ra =
   in
   (codes 0 sa, codes 1 ra)
 
-let schedule_classes t ~schedules ~sender ~receiver =
-  let sa = solo_accesses t ~pid:t.env.Env.sender_pid sender in
-  let ra = solo_accesses t ~pid:t.env.Env.receiver_pid receiver in
+let classes t ~schedules sk rk =
+  let sa = solo_accesses t ~pid:t.env.Env.sender_pid sk in
+  let ra = solo_accesses t ~pid:t.env.Env.receiver_pid rk in
   let scodes, rcodes = conflict_codes sa ra in
   let counts = [| Array.length sa; Array.length ra |] in
   (* Every schedule visits every access once, so all keys have the same
@@ -344,33 +439,32 @@ let schedule_classes t ~schedules ~sender ~receiver =
   List.init (Keytab.length keys) (fun id ->
       { cls_seeds = List.rev members.(id); cls_sequential = seq_id = Some id })
 
-(* Whether the baseline cache and the search memo are in use: they are
-   bypassed when disabled and while the fault plane is armed. *)
-let memoizing t = t.baseline && Fault.schedule (Env.fault t.env) = []
+let schedule_classes t ~schedules ~sender ~receiver =
+  classes t ~schedules (pkey sender) (pkey receiver)
 
 (* The receiver's solo run from the pristine snapshot at the reference
    clock base — execution B, and the mask's reference run — as the
    baseline its other runs decode against. Memoized per receiver
    program unless disabled or the fault plane is armed. *)
-let baseline t receiver =
+let baseline t ((_, receiver) as rk) =
   let solo () =
     Decode.baseline (receiver_results t ~base:t.env.Env.base0 receiver)
   in
   if not (memoizing t) then solo ()
   else begin
-    let key = pkey receiver in
-    match Lru.find t.baseline_cache key with
+    match Prog_lru.find t.baseline_cache rk with
     | Some b ->
       Metrics.inc t.c_bhits;
       b
     | None ->
       Metrics.inc t.c_bmisses;
       let b = solo () in
-      Lru.add t.baseline_cache key b;
+      Prog_lru.add t.baseline_cache rk b;
       b
   end
 
-let baseline_trace t receiver = Decode.baseline_trace (baseline t receiver)
+let baseline_trace t receiver =
+  Decode.baseline_trace (baseline t (pkey receiver))
 
 (* The receiver re-run with shifted clock bases, decoded against its
    baseline [b]. *)
@@ -381,33 +475,36 @@ let rerun_traces t receiver b =
            ~base:(t.env.Env.base0 + ((k + 1) * t.rerun_delta))
            receiver))
 
-(* The non-determinism mask of [receiver]: its solo trace with det flags
-   cleared wherever re-executions with shifted clock bases disagree. *)
-let nondet_mask t receiver =
-  let key = pkey receiver in
-  match Lru.find t.mask_cache key with
-  | Some mask ->
+(* The non-determinism mask of a receiver — its solo trace with det
+   flags cleared wherever re-executions with shifted clock bases
+   disagree — beside that solo trace masked. Every completed solo run of
+   a receiver is the same, so the masked trace serves every case. *)
+let mask_entry t ((_, receiver) as rk) =
+  match Prog_lru.find t.mask_cache rk with
+  | Some m ->
     Metrics.inc t.c_hits;
-    mask
+    m
   | None ->
     Metrics.inc t.c_misses;
-    let b = baseline t receiver in
-    let mask =
-      Nondet.mark (Decode.baseline_trace b) (rerun_traces t receiver b)
-    in
-    Lru.add t.mask_cache key mask;
-    mask
+    let b = baseline t rk in
+    let trace_b = Decode.baseline_trace b in
+    let mask = Nondet.mark trace_b (rerun_traces t receiver b) in
+    let m = (mask, Nondet.apply_mask mask trace_b) in
+    Prog_lru.add t.mask_cache rk m;
+    m
+
+let nondet_mask t receiver = fst (mask_entry t (pkey receiver))
 
 (* Thin reads over the registry counters — per-instance deltas. *)
 let mask_cache_stats t =
   ( Metrics.counter_value t.c_hits - t.hits0,
     Metrics.counter_value t.c_misses - t.misses0,
-    Lru.length t.mask_cache )
+    Prog_lru.length t.mask_cache )
 
 let baseline_cache_stats t =
   ( Metrics.counter_value t.c_bhits - t.bhits0,
     Metrics.counter_value t.c_bmisses - t.bmisses0,
-    Lru.length t.baseline_cache )
+    Prog_lru.length t.baseline_cache )
 
 type outcome = {
   trace_a : Ast.t;                  (* receiver trace, sender ran first *)
@@ -423,17 +520,17 @@ type outcome = {
    fires by occurrence, so the order of executions is part of the
    outcome. *)
 let execute t ~sender ~receiver =
+  let rk = pkey receiver in
   let results = pair_results t ~base:t.env.Env.base0 sender receiver in
-  let b = baseline t receiver in
+  let b = baseline t rk in
   let trace_a = Decode.decode_against b results in
   let trace_b = Decode.baseline_trace b in
   let raw_diffs = Compare.diff_trees trace_a trace_b in
   if raw_diffs = [] then
     { trace_a; trace_b; raw_diffs; masked_diffs = []; interfered = [] }
   else begin
-    let mask = nondet_mask t receiver in
+    let mask, masked_b = mask_entry t rk in
     let masked_a = Nondet.apply_mask mask trace_a in
-    let masked_b = Nondet.apply_mask mask trace_b in
     let masked_diffs = Compare.diff_trees masked_a masked_b in
     let interfered = Compare.interfered_of_diffs masked_diffs in
     { trace_a; trace_b; raw_diffs; masked_diffs; interfered }
@@ -457,17 +554,14 @@ let execute t ~sender ~receiver =
    result's first occurrence is the first class that can produce its
    fingerprint. The trace itself is dropped once judged: the finding's
    first seed re-derives it. *)
-let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
-  match schedule_classes t ~schedules ~sender ~receiver with
+let search t ~schedules ~sk ~rk ~seq_fp (seq : outcome) =
+  let sender = snd sk and receiver = snd rk in
+  match classes t ~schedules sk rk with
   | exception (Fault.Kernel_panic _ | Fault.Fuel_exhausted) ->
     (* solo access capture died under an armed fault plane *)
     { empty_search with sr_schedules = schedules; sr_skipped = 1 }
   | classes ->
-    let masked_b =
-      lazy
-        (let mask = nondet_mask t receiver in
-         (mask, Nondet.apply_mask mask seq.trace_b))
-    in
+    let entry = lazy (mask_entry t rk) in
     (* Some (fingerprint, masked diffs, raw diffs) for a
        concurrent-only divergence, None otherwise *)
     let judged = Hashtbl.create 8 in
@@ -480,7 +574,7 @@ let search t ~schedules ~sender ~receiver ~seq_fp (seq : outcome) =
           match Compare.diff_trees trace seq.trace_b with
           | [] -> None
           | raw -> (
-            let mask, masked_b = Lazy.force masked_b in
+            let mask, masked_b = Lazy.force entry in
             let masked = Nondet.apply_mask mask trace in
             match Compare.diff_trees masked masked_b with
             | [] -> None
@@ -542,18 +636,18 @@ let search_schedules t ~schedules ~sender ~receiver (seq : outcome) =
   if schedules <= 1 then empty_search
   else begin
     let seq_fp = Compare.fingerprint_diffs seq.masked_diffs in
-    if not (memoizing t) then
-      search t ~schedules ~sender ~receiver ~seq_fp seq
+    let sk = pkey sender and rk = pkey receiver in
+    if not (memoizing t) then search t ~schedules ~sk ~rk ~seq_fp seq
     else begin
-      let key = (pkey sender, pkey receiver, schedules) in
-      match Lru.find t.search_cache key with
+      let key = (sk, rk, schedules) in
+      match Search_lru.find t.search_cache key with
       | Some (fp, found) when fp = seq_fp ->
         Metrics.inc t.c_shits;
         found
       | Some _ | None ->
         Metrics.inc t.c_smisses;
-        let found = search t ~schedules ~sender ~receiver ~seq_fp seq in
-        Lru.add t.search_cache key (seq_fp, found);
+        let found = search t ~schedules ~sk ~rk ~seq_fp seq in
+        Search_lru.add t.search_cache key (seq_fp, found);
         found
     end
   end
@@ -584,7 +678,7 @@ let test_interference t ~sender ~receiver =
    that fall outside them. Detects interference on resources that are
    non-deterministic by nature, which the masking pipeline must skip. *)
 let bounds_of t receiver =
-  let b = baseline t receiver in
+  let b = baseline t (pkey receiver) in
   Kit_trace.Bounds.learn (Decode.baseline_trace b) (rerun_traces t receiver b)
 
 let execute_bounds t ~sender ~receiver =

@@ -17,32 +17,39 @@
     access sequences, execute one representative per class and report
     the divergences no sequential order exposes.
 
-    Four size-capped LRU memo caches cut the execution count, each
-    keyed by the programs themselves and bucketed by [Program.hash]
-    (30 bits, which collides across large corpora), so a hit needs
-    equal programs, never an equal hash alone. The non-determinism
-    mask cache and the baseline cache are keyed on the receiver
-    (execution B and the mask's reference run depend only on the
-    receiver, so test cases sharing a receiver share the solo trace; an
-    entry keeps the solo run's per-call return values beside its trace,
-    and the receiver's other runs — execution A, the mask's re-runs —
-    are decoded against it, so only the calls that differ are decoded);
-    the solo access-sequence cache on (container pid, program), since
-    namespace ids differ per container; the search memo on (sender,
-    receiver, schedule count), since with no fault armed a schedule
-    search is a pure function of the pair. Solo artifacts are
+    Five memo tables cut the execution count, each keyed by the
+    programs themselves and bucketed by [Program.hash] (30 bits, which
+    collides across large corpora), so a hit needs equal programs,
+    never an equal hash alone; a program's {!pkey} is computed once per
+    {!execute} and handed to every lookup. Four are size-capped LRUs.
+    The non-determinism mask cache and the baseline cache are keyed on
+    the receiver (execution B and the mask's reference run depend only
+    on the receiver, so test cases sharing a receiver share the solo
+    trace; a baseline entry keeps the solo run's per-call return values
+    beside its trace, and the receiver's other runs — execution A, the
+    mask's re-runs — are decoded against it, so only the calls that
+    differ are decoded; a mask entry keeps the solo trace masked beside
+    the mask); the solo access-sequence cache on (container pid,
+    program), since namespace ids differ per container; the search memo
+    on (sender, receiver, schedule count), since with no fault armed a
+    schedule search is a pure function of the pair. Solo artifacts are
     schedule-independent — a solo run has one task — so only the search
-    memo is keyed by schedule. The baseline cache and the search memo
-    are bypassed when [baseline_cache] is off and while the fault plane
-    has armed faults, the access cache while faults are armed — a
-    poisoned VM must not populate them, and a cached result must not
-    swallow a fault a real execution would have consumed.
+    memo is keyed by schedule. The fifth, the sender-state table, is
+    keyed on the sender and never evicts: it holds the heap cells a
+    sender's run from the snapshot dirtied and the syscalls it made, so
+    execution A at the reference clock base (Algorithm 2's re-tests
+    included) applies them ([Kit_kernel.Heap.apply],
+    [Kit_kernel.Fault.charge]) and runs only the receiver. The baseline
+    cache, the search memo and the sender-state table are bypassed when
+    [baseline_cache] is off and while the fault plane has armed faults,
+    the access cache while faults are armed — a poisoned VM must not
+    populate them, and a cached result must not swallow a fault a real
+    execution would have consumed.
 
     Execution and cache counters live in the observability plane
     ([Kit_obs]) as always-on registry counters — the single source of
-    truth; {!executions}, {!mask_cache_stats}, {!mask_evictions},
-    {!baseline_cache_stats} and {!search_cache_stats} are thin
-    per-instance reads over them. *)
+    truth; {!executions}, {!mask_cache_stats} and
+    {!baseline_cache_stats} are thin per-instance reads over them. *)
 
 (** A divergence only an interleaved schedule exposes, deduplicated by
     the schedule-independent fingerprint of its masked diffs. *)
@@ -69,24 +76,39 @@ type search = {
 val empty_search : search
 
 type pkey = int * Kit_abi.Program.t
-(** A cache key: [(Program.hash p, p)]. Structural equality on programs
-    is [Program.equal], so the hash only picks a bucket. *)
+(** A cache key: [(Program.hash p, p)]. The caches hash it by reading
+    the int; a hit needs the same program or an equal one
+    ([Program.equal]), so the hash only picks a bucket. *)
+
+module Prog_lru : Lru.S with type key = pkey
+module Sender_tbl : Hashtbl.S with type key = pkey
+module Access_lru : Lru.S with type key = int * pkey
+module Search_lru : Lru.S with type key = pkey * pkey * int
+
+type sender_state
+(** What a sender's run from the snapshot left: the heap cells it
+    dirtied and the syscalls it made. *)
 
 type t = {
   env : Env.t;
   obs : Kit_obs.Obs.t;
   reruns : int;
   rerun_delta : int;
-  mask_cache : (pkey, Kit_trace.Ast.t) Lru.t;
-  baseline : bool;                (** baseline cache and search memo on? *)
-  baseline_cache : (pkey, Kit_trace.Decode.baseline) Lru.t;
+  mask_cache : (Kit_trace.Ast.t * Kit_trace.Ast.t) Prog_lru.t;
+      (** receiver -> (mask, its solo trace masked) *)
+  baseline : bool;
+      (** baseline cache, search memo and sender-state table on? *)
+  baseline_cache : Kit_trace.Decode.baseline Prog_lru.t;
       (** receiver -> its solo run's return values and decoded trace;
           the receiver's other runs decode against it *)
-  access_cache : (int * pkey, (int * bool) array) Lru.t;
+  access_cache : (int * bool) array Access_lru.t;
       (** (pid, program) -> solo (addr, is_write) sequence *)
-  search_cache : (pkey * pkey * int, int * search) Lru.t;
+  search_cache : (int * search) Search_lru.t;
       (** (sender, receiver, schedules) -> (fingerprint of the sequential
           masked diffs, search) *)
+  senders : sender_state Sender_tbl.t;
+      (** sender -> its state; admits up to [senders_cap], never evicts *)
+  senders_cap : int;
   c_execs : Kit_obs.Metrics.counter;  (** "exec.executions" *)
   c_hits : Kit_obs.Metrics.counter;   (** "exec.mask_hits" *)
   c_misses : Kit_obs.Metrics.counter; (** "exec.mask_misses" *)
@@ -95,6 +117,8 @@ type t = {
   c_bmisses : Kit_obs.Metrics.counter;   (** "exec.baseline_misses" *)
   c_shits : Kit_obs.Metrics.counter;     (** "exec.search_hits" *)
   c_smisses : Kit_obs.Metrics.counter;   (** "exec.search_misses" *)
+  c_dhits : Kit_obs.Metrics.counter;     (** "exec.delta_hits" *)
+  c_dmisses : Kit_obs.Metrics.counter;   (** "exec.delta_misses" *)
   execs0 : int;                   (** counter values at creation: the *)
   hits0 : int;                    (** registry is shared across runner *)
   misses0 : int;                  (** incarnations, reads are deltas *)
@@ -108,10 +132,11 @@ val create :
   ?obs:Kit_obs.Obs.t -> Env.t -> t
 (** [mask_cache_cap] (default 4096) bounds the non-determinism mask
     cache and [baseline_cache_cap] (default 4096) each of the baseline,
-    access and search caches; all evict least-recently-used.
-    [baseline_cache] (default [true]) turns baseline and search
+    access and search caches, which evict least-recently-used, and the
+    sender-state table, which stops admitting when full.
+    [baseline_cache] (default [true]) turns baseline, search and sender
     memoization off entirely — the reference side of equivalence
-    properties. [obs] (default {!Kit_obs.Obs.nop})
+    properties, where every sender runs. [obs] (default {!Kit_obs.Obs.nop})
     receives the runner's counters; the accounting counters above record
     even through a disabled bundle. *)
 

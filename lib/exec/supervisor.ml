@@ -80,7 +80,8 @@ type t = {
   mutable runner : Runner.t;
   mutable prior_executions : int;
   stats : stats;
-  mutable quarantine : crash list;
+  mutable quarantine : crash list;      (* newest first *)
+  mutable quarantined : int;            (* its length *)
 }
 
 exception Gave_up of string
@@ -136,11 +137,11 @@ let create ?(cfg = default_config) ?(reruns = 3) ?(baseline_cache = true)
   let env = boot_env ~cfg ~fault ~m ~stats kconfig in
   { cfg; kconfig; fault; reruns; baseline_cache; obs; m;
     runner = Runner.create ~reruns ~baseline_cache ~obs env;
-    prior_executions = 0; stats; quarantine = [] }
+    prior_executions = 0; stats; quarantine = []; quarantined = 0 }
 
 let executions t = t.prior_executions + Runner.executions t.runner
 
-let quarantine_count t = List.length t.quarantine
+let quarantine_count t = t.quarantined
 
 (* [quarantine] is newest-first: the delta past the first [n] reports is
    its prefix, re-reversed to oldest-first as it accumulates. *)
@@ -149,7 +150,11 @@ let quarantined_since t n =
     if k <= 0 then acc
     else match l with [] -> acc | x :: tl -> take (k - 1) tl (x :: acc)
   in
-  take (List.length t.quarantine - n) t.quarantine []
+  take (t.quarantined - n) t.quarantine []
+
+let quarantine t crash =
+  t.quarantine <- crash :: t.quarantine;
+  t.quarantined <- t.quarantined + 1
 
 (* Deterministic timestamp for trace events: the current runner's
    virtual kernel clock. *)
@@ -218,18 +223,16 @@ let execute ?(attrs = []) t ~sender ~receiver =
     Metrics.inc t.m.mc_quarantined;
     Tracer.instant t.obs.Obs.tracer ~time:(vnow t) "sup.quarantine"
       ~attrs:(("reason", "panic") :: attrs);
-    t.quarantine <-
+    quarantine t
       { c_sender = sender; c_receiver = receiver;
         c_reason = Panicked info; c_attempts = retries + 1 }
-      :: t.quarantine
   | Runner.Hung ->
     Metrics.inc t.m.mc_quarantined;
     Tracer.instant t.obs.Obs.tracer ~time:(vnow t) "sup.quarantine"
       ~attrs:(("reason", "hang") :: attrs);
-    t.quarantine <-
+    quarantine t
       { c_sender = sender; c_receiver = receiver;
-        c_reason = Hung_forever; c_attempts = retries + 1 }
-      :: t.quarantine);
+        c_reason = Hung_forever; c_attempts = retries + 1 });
   status
 
 (* Supervised schedule search. The runner's search already absorbs

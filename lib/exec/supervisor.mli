@@ -75,7 +75,8 @@ type t = {
   mutable runner : Runner.t;    (** replaced on VM reboot *)
   mutable prior_executions : int;  (** executions by runners since retired *)
   stats : stats;
-  mutable quarantine : crash list; (** oldest first *)
+  mutable quarantine : crash list; (** newest first *)
+  mutable quarantined : int;       (** the length of [quarantine] *)
 }
 
 exception Gave_up of string
@@ -131,14 +132,14 @@ val executions : t -> int
 (** Program executions across all runner incarnations. *)
 
 val quarantine_count : t -> int
-(** How many crash reports are quarantined, O(n) but allocation-free —
-    for per-case delta accounting in parallel campaign chunks. *)
+(** How many crash reports are quarantined, O(1) — for per-case delta
+    accounting in campaign chunks. *)
 
 val quarantined_since : t -> int -> crash list
 (** [quarantined_since t n] is every crash report quarantined after the
     first [n], oldest first — the delta between two
-    {!quarantine_count} readings, allocating only the delta; all of
-    them from [0]. *)
+    {!quarantine_count} readings, in time and allocation linear in the
+    delta alone; all of them from [0]. *)
 
 val absorb : t -> stats -> Kit_kernel.Fault.counters -> unit
 (** [absorb t stats counters] adds another supervisor's [stats] and

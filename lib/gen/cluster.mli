@@ -86,7 +86,7 @@ val start : ?seed:int -> strategy -> state
 
 val feed : state -> prog:int -> Kit_profile.Stackrec.access list -> event list
 (** Fold program [prog]'s filtered accesses (from
-    {!Kit_gen.Dataflow.profile_program}) into the table. Programs must
+    {!Kit_gen.Dataflow.profile_program_full}) into the table. Programs must
     be fed in corpus order — the equivalence with {!run} depends on it —
     or the call raises [Invalid_argument]. *)
 

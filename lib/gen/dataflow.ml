@@ -93,8 +93,6 @@ let profile_program_full t prog =
   in
   (accesses, filter_accesses ~protected_calls accesses)
 
-let profile_program t prog = snd (profile_program_full t prog)
-
 (* The total number of unclustered data-flow test cases — the DF row of
    Table 4: one per (write access site, read access site) pair on a
    shared address. *)

@@ -40,19 +40,16 @@ val total_flows : Kit_profile.Accessmap.t -> int
 type profiler
 
 val profiler : Kit_kernel.Config.t -> Kit_spec.Spec.t -> profiler
-(** Boot a profiling environment shared across [profile_program] calls. *)
-
-val profile_program :
-  profiler -> Kit_abi.Program.t -> Kit_profile.Stackrec.access list
-(** Profile one program and return its filtered accesses, ready for
-    {!Kit_profile.Accessmap.add} or online clustering. *)
+(** Boot a profiling environment shared across [profile_program_full]
+    calls. *)
 
 val profile_program_full :
   profiler -> Kit_abi.Program.t ->
   Kit_profile.Stackrec.access list * Kit_profile.Stackrec.access list
-(** [(raw, filtered)] accesses of one program. The raw list is what the
-    coverage ledger's "touched" rung counts — it includes reader
-    accesses the spec filter drops. *)
+(** [(raw, filtered)] accesses of one program. The filtered list is
+    ready for {!Kit_profile.Accessmap.add} or online clustering; the raw
+    list is what the coverage ledger's "touched" rung counts — it
+    includes reader accesses the spec filter drops. *)
 
 val profiler_vars : profiler -> Kit_kernel.Heap.varinfo list
 (** The streaming profiler's kernel variable registry (boot order). *)

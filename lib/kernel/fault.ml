@@ -60,6 +60,7 @@ type t = {
   has_sys_faults : bool;
   mutable fuel_limit : int option;
   mutable fuel : int;
+  mutable steps : int;              (* syscalls charged this execution *)
   mutable c_panics : int;
   mutable c_hangs : int;
   mutable c_fuel : int;
@@ -93,6 +94,7 @@ let of_schedule sched =
     has_sys_faults = Hashtbl.length sys_panics > 0 || Hashtbl.length sys_hangs > 0;
     fuel_limit = None;
     fuel = max_int;
+    steps = 0;
     c_panics = 0;
     c_hangs = 0;
     c_fuel = 0;
@@ -131,11 +133,27 @@ let set_fuel_limit t limit =
 
 let begin_execution t =
   t.c_execs <- t.c_execs + 1;
+  t.steps <- 0;
   t.fuel <- (match t.fuel_limit with Some n -> n | None -> max_int)
+
+let steps t = t.steps
+
+(* A run replayed instead of executed pays its syscalls' fuel in one
+   go, or runs for real when the tank cannot hold them: the syscall
+   that overflows it then raises exactly where it always did. Without a
+   limit the tank holds [max_int] and is only read once refilled. *)
+let charge t n =
+  t.fuel >= n
+  && begin
+    t.fuel <- t.fuel - n;
+    t.steps <- t.steps + n;
+    true
+  end
 
 (* -- hooks --------------------------------------------------------------- *)
 
 let on_syscall t sysno =
+  t.steps <- t.steps + 1;
   (match t.fuel_limit with
   | None -> ()
   | Some _ ->

@@ -83,8 +83,19 @@ val set_fuel_limit : t -> int option -> unit
     deadline. Armed by the supervisor, re-armed at every {!begin_execution}. *)
 
 val begin_execution : t -> unit
-(** Start a new execution attempt: refill the fuel tank. Called by
-    [Env.reset], i.e. once per snapshot reload. *)
+(** Start a new execution attempt: refill the fuel tank and zero
+    {!steps}. Called by [Env.reset], i.e. once per snapshot reload. *)
+
+val steps : t -> int
+(** Syscalls this execution has made or been {!charge}d for, with or
+    without a fuel limit: read after a run, what replaying it costs. *)
+
+val charge : t -> int -> bool
+(** [charge t n] consumes the fuel of [n] syscalls, as running them
+    would, when the tank holds it, and adds [n] to {!steps}. [false]
+    (nothing consumed) when it does not: the caller must then run the
+    syscalls, so that the one the tank cannot pay for raises
+    [Fuel_exhausted] where it always did. *)
 
 (* -- hooks wired into the model kernel ---------------------------------- *)
 

@@ -15,9 +15,14 @@
    single branch, which is what keeps the bookkeeping off the read path
    entirely.
 
-   Heaps and snapshots carry ids so that restoring a snapshot into a
-   different kernel's heap is an error instead of a silent cross-kernel
-   state splice. *)
+   A run's end state is its starting snapshot plus the cells it dirtied,
+   so [capture_dirty] after the run and [apply] after a later restore of
+   the same snapshot reproduce that state without the run: the runner
+   replays a sender this way instead of re-running it.
+
+   Heaps, snapshots and deltas carry ids so that restoring a snapshot
+   (or applying a delta) into a different kernel's heap is an error
+   instead of a silent cross-kernel state splice. *)
 
 module Metrics = Kit_obs.Metrics
 
@@ -58,6 +63,15 @@ type snapshot = {
   s_heap : int;                     (* owning heap's [id] *)
   s_id : int;
   thunks : (unit -> unit) array;
+}
+
+(* The cells dirtied since the heap last matched snapshot [d_snap], with
+   their contents when captured, in [dirty_ids] order. *)
+type delta = {
+  d_heap : int;                     (* owning heap's [id] *)
+  d_snap : int;
+  d_ids : int array;
+  d_thunks : (unit -> unit) array;  (* same indexing as [d_ids] *)
 }
 
 let next_heap_id = Atomic.make 0
@@ -151,3 +165,18 @@ let restore ?(full = false) t snap =
     Metrics.add m_cells_restored replayed;
     Metrics.add m_cells_total n
   end
+
+let capture_dirty t =
+  let d_ids = Array.of_list t.dirty_ids in
+  { d_heap = t.id; d_snap = t.last_restored; d_ids;
+    d_thunks = Array.map (fun id -> t.cells.(id).capture ()) d_ids }
+
+(* Oldest first, so the dirty list comes out as the captured run left
+   it and the next restore replays the same cells in the same order. *)
+let apply t d =
+  if d.d_heap <> t.id || d.d_snap <> t.last_restored then
+    invalid_arg "Heap.apply: delta belongs to another heap or snapshot";
+  for i = Array.length d.d_ids - 1 downto 0 do
+    d.d_thunks.(i) ();
+    mark_dirty t d.d_ids.(i)
+  done

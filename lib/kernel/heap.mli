@@ -13,6 +13,9 @@ type t
 
 type snapshot
 
+type delta
+(** The cells a run dirtied, with their contents after the run. *)
+
 (** Per-variable registration metadata, in boot order — the coverage
     universe the ledger ([Obs.Coverage]) is built from. *)
 type varinfo = {
@@ -58,3 +61,16 @@ val restore : ?full:bool -> t -> snapshot -> unit
     @raise Invalid_argument if the snapshot was captured from a
     different heap. *)
 
+val capture_dirty : t -> delta
+(** The cells written since the heap last matched a snapshot (its last
+    capture or restore), with their current contents: after a run from
+    a fresh restore, that run's effect on the heap. *)
+
+val apply : t -> delta -> unit
+(** Write a delta's contents back into its cells and mark them dirty, as
+    the captured run's writes did. Over a fresh restore of the snapshot
+    the run started from, the heap then holds the run's end state and
+    its dirty set, provided every cell written since the restore is one
+    the delta holds (as a clock base set before the captured run is).
+    @raise Invalid_argument if the delta was captured from another heap
+    or relative to another snapshot than the heap matches. *)

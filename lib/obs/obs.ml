@@ -23,9 +23,3 @@ let create ?registry ?tracer () =
 let nop = { metrics = Metrics.create ~enabled:false (); tracer = Tracer.nop }
 
 let snapshot ?volatile t = Metrics.snapshot ?volatile t.metrics
-
-let export_lines ?(wall = false) ?meta t =
-  Export.lines ~wall ?meta
-    ~events:(Tracer.events t.tracer)
-    ~dropped:(Tracer.dropped t.tracer)
-    (Metrics.snapshot ~volatile:wall t.metrics)

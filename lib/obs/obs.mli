@@ -20,7 +20,3 @@ val nop : t
     accounting counters (see {!Metrics.counter}) still count. *)
 
 val snapshot : ?volatile:bool -> t -> Metrics.snapshot
-
-val export_lines : ?wall:bool -> ?meta:(string * Jsonl.t) list -> t -> string list
-(** The bundle's full JSONL export (metrics + trace events).
-    Deterministic unless [~wall:true]. *)

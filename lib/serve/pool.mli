@@ -185,7 +185,7 @@ exception
 val executor :
   ?obs:Kit_obs.Obs.t -> ?on_stats:(stats -> unit) -> config ->
   Campaign.executor
-(** The campaign executor for {!Kit_core.Campaign.execute} behind
+(** The campaign executor for {!Kit_core.Campaign.drive} behind
     [kit campaign --procs N]: every [(case, representative)] runs on a
     fresh pool (the executor's supervisor argument is not used), and
     [on_done case result executions] is called exactly once per case as

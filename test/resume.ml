@@ -11,7 +11,7 @@ exception Killed
 (* [log]'s process killed after [n] completions: it dies as the next
    completion arrives or, with none left, as the result is built, before
    the log is closed. The driver saves what it recorded before the
-   exception leaves [Campaign.execute], as it does when a pool loses
+   exception leaves [Campaign.drive], as it does when a pool loses
    every worker. *)
 let killed_after n (log : Campaign.log) =
   let k = ref 0 in
@@ -49,7 +49,7 @@ let run_process ?executor ?kill ~every path options =
   let log = open_log ~every path options in
   let n = replayed log generation.Cluster.reps in
   let log = match kill with Some k -> killed_after k log | None -> log in
-  match Campaign.execute ?executor ~log prepared generation with
+  match Campaign.drive ?executor (Campaign.start ~log prepared generation) with
   | c -> (n, Some c)
   | exception Killed -> (n, None)
 

@@ -433,7 +433,8 @@ let build_campaign_log dir =
           added := []) }
   in
   (match
-     Campaign.execute ~log:(Resume.killed_after 9 log) prepared generation
+     Campaign.drive
+       (Campaign.start ~log:(Resume.killed_after 9 log) prepared generation)
    with
   | _ -> Alcotest.fail "the campaign must be killed"
   | exception Resume.Killed -> ());

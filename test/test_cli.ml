@@ -392,10 +392,13 @@ let check_exports dir ?(test = "") ~allow caller =
   in
   (code, read_file out)
 
-(* An export named only in a comment has no caller, nor has one called
-   only from test/; one called as [Foo.planted], qualified or not, or by
-   its bare name where Foo is opened, has; so does one on the allowlist
-   under a reason. *)
+(* An export named only in a comment — by its bare name or as
+   [Foo.planted], in a nested comment, or past a string that holds a
+   comment closer — has no caller, nor has one called only from test/;
+   one called as [Foo.planted], qualified or not, or by its bare name
+   where Foo is opened, has, even after a string that holds a comment
+   opener or a comment that holds a double-quote character; so does one
+   on the allowlist under a reason. *)
 let test_unused_exports_check () =
   let dir = Filename.temp_file "kit-exports" "" in
   Sys.remove dir;
@@ -405,11 +408,19 @@ let test_unused_exports_check () =
       ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int))
     (fun () ->
       let comment = "(* planted, in a comment *)\nlet () = ignore (Foo.used 1)\n" in
-      let code, out = check_exports dir ~allow:"" comment in
-      check_int "a name in a comment is no caller" 1 code;
-      check_bool "the planted export is named" true
-        (contains ~sub:"Foo.planted has no caller" out);
-      check_bool "the called export is not" false (contains ~sub:"Foo.used" out);
+      List.iter
+        (fun caller ->
+          let code, out = check_exports dir ~allow:"" caller in
+          check_int ("a name in a comment is no caller: " ^ String.escaped caller)
+            1 code;
+          check_bool "the planted export is named" true
+            (contains ~sub:"Foo.planted has no caller" out);
+          check_bool "the called export is not" false
+            (contains ~sub:"Foo.used" out))
+        [ comment;
+          "(* Foo.planted *)\nlet () = ignore (Foo.used 1)\n";
+          "(* (* nested *) Foo.planted\n   (* twice *) *)\nlet () = ignore (Foo.used 1)\n";
+          "(* \"*)\" Foo.planted *)\nlet () = ignore (Foo.used 1)\n" ];
       List.iter
         (fun caller ->
           let code, out = check_exports dir ~allow:"" caller in
@@ -417,7 +428,10 @@ let test_unused_exports_check () =
           check_string "nothing reported" "" out)
         [ "let () = ignore (Foo.used (Lib.Foo.planted 1))\n";
           "open Foo\nlet () = ignore (used (planted 1))\n";
-          "let () = ignore Foo.(used (planted 1))\n" ];
+          "let () = ignore Foo.(used (planted 1))\n";
+          "let s = \"(*\"\nlet () = ignore (Foo.used (Foo.planted (String.length s)))\n";
+          "let s = {|(*|}\nlet () = ignore (Foo.used (Foo.planted (String.length s)))\n";
+          "(* '\"' *)\nlet () = ignore (Foo.used (Foo.planted 1))\n" ];
       let test = "let () = ignore (Foo.planted 1)\n" in
       let code, out = check_exports dir ~test ~allow:"" comment in
       check_int "a caller in test/ is no caller" 1 code;

@@ -299,9 +299,10 @@ let test_resume_without_culprits () =
                 { r with Campaign.cr_culprits = None } execs) }
       in
       (match
-         Campaign.execute
-           ~log:(Resume.killed_after (List.length reps) stripped)
-           prepared generation
+         Campaign.drive
+           (Campaign.start
+              ~log:(Resume.killed_after (List.length reps) stripped)
+              prepared generation)
        with
       | _ -> Alcotest.fail "the campaign must be killed"
       | exception Resume.Killed -> ());

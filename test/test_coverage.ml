@@ -157,8 +157,8 @@ let test_ledger_identical_on_pool () =
   let cfg = { Pool.default_config with Pool.procs = 2 } in
   let prepared = Campaign.prepare small_options in
   let c2 =
-    Campaign.execute ~executor:(Pool.executor cfg) prepared
-      (Campaign.generate_prepared prepared)
+    Campaign.drive ~executor:(Pool.executor cfg)
+      (Campaign.start prepared (Campaign.generate_prepared prepared))
   in
   check_lines "sequential = procs 2" (ledger_lines c1) (ledger_lines c2);
   check_bool "attrition identical" true

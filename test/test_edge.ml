@@ -174,11 +174,10 @@ let test_more_workers_than_cases () =
   let domains = Campaign.run { options with Campaign.domains = n_cases + 2 } in
   let pool =
     let prepared = Campaign.prepare options in
-    Campaign.execute
+    Campaign.drive
       ~executor:
         (Pool.executor { Pool.default_config with Pool.procs = n_cases + 1 })
-      prepared
-      (Campaign.generate_prepared prepared)
+      (Campaign.start prepared (Campaign.generate_prepared prepared))
   in
   check_string "domains summary" (Proto.summary single) (Proto.summary domains);
   check_string "pool summary" (Proto.summary single) (Proto.summary pool)

@@ -5,15 +5,36 @@ module K = Kit_kernel
 module Env = Kit_exec.Env
 module Runner = Kit_exec.Runner
 module Lru = Kit_exec.Lru
+
+module Int_lru = Lru.Make (struct
+  type t = int
+
+  let hash = Hashtbl.hash
+  let equal = Int.equal
+end)
 module Program = Kit_abi.Program
 module Syzlang = Kit_abi.Syzlang
 module Ast = Kit_trace.Ast
+module Compare = Kit_trace.Compare
+module Metrics = Kit_obs.Metrics
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 
 let p = Syzlang.parse
+
+(* An outcome as plain data: legacy trees compare by [=] on every
+   label, value, det flag and child. *)
+let outcome_view (o : Runner.outcome) =
+  let diff (d : Compare.diff) =
+    (d.Compare.path, Legacy.to_legacy d.Compare.left, Legacy.to_legacy d.Compare.right)
+  in
+  ( Legacy.to_legacy o.Runner.trace_a,
+    Legacy.to_legacy o.Runner.trace_b,
+    List.map diff o.Runner.raw_diffs,
+    List.map diff o.Runner.masked_diffs,
+    o.Runner.interfered )
 
 let test_env_reset_restores_state () =
   let env = Env.create (K.Config.v5_13 ()) in
@@ -139,7 +160,9 @@ let prop_lru_matches_model =
                     map2 (fun k v -> Add (k, v)) (int_bound 5) small_nat ]))))
     (fun (cap, ops) ->
       let evicted = ref [] and model_evicted = ref [] in
-      let lru = Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) cap in
+      let lru =
+        Int_lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) cap
+      in
       let model = ref [] in                 (* most recent first *)
       List.for_all
         (fun op ->
@@ -150,7 +173,7 @@ let prop_lru_matches_model =
               Option.iter
                 (fun v -> model := (k, v) :: List.remove_assoc k !model)
                 found;
-              Lru.find lru k = found
+              Int_lru.find lru k = found
             | Add (k, v) ->
               if List.mem_assoc k !model then
                 model := List.remove_assoc k !model
@@ -160,11 +183,11 @@ let prop_lru_matches_model =
                 model := List.remove_assoc k_old !model
               end;
               model := (k, v) :: !model;
-              Lru.add lru k v;
+              Int_lru.add lru k v;
               true
           in
           agrees
-          && Lru.length lru = List.length !model
+          && Int_lru.length lru = List.length !model
           && !evicted = !model_evicted)
         ops)
 
@@ -177,7 +200,9 @@ let colliding =
 let test_caches_key_on_programs () =
   (* A cache filled by one program never answers for another whose hash
      collides with it: every lookup of the second program, made after
-     the first filled the caches, equals a fresh runner's. *)
+     the first filled the caches, equals a fresh runner's. As senders,
+     the programs key the sender-state table; as receivers, the mask
+     cache's masked baseline. *)
   let a, b = colliding in
   check_int "the programs share a hash" (Program.hash a) (Program.hash b);
   check_bool "the programs differ" false (Program.equal a b);
@@ -189,7 +214,7 @@ let test_caches_key_on_programs () =
     ignore
       (Runner.schedule_classes r ~schedules:2 ~sender:prog ~receiver:prog
         : Runner.sched_class list);
-    Lru.find r.Runner.access_cache (pid, (Program.hash prog, prog))
+    Runner.Access_lru.find r.Runner.access_cache (pid, (Program.hash prog, prog))
   in
   ignore (Runner.baseline_trace warm a : Ast.t);
   ignore (Runner.nondet_mask warm a : Ast.t);
@@ -198,7 +223,23 @@ let test_caches_key_on_programs () =
     (Ast.equal (Runner.baseline_trace warm b) (Runner.baseline_trace fresh b));
   check_bool "nondet mask" true
     (Ast.equal (Runner.nondet_mask warm b) (Runner.nondet_mask fresh b));
-  check_bool "solo accesses" true (accesses warm b = accesses fresh b)
+  check_bool "solo accesses" true (accesses warm b = accesses fresh b);
+  let ptype = p "r0 = open(\"/proc/net/ptype\")\nr1 = read(r0)" in
+  let outcome r ~sender ~receiver =
+    outcome_view (Runner.execute r ~sender ~receiver)
+  in
+  let warm_a = outcome warm ~sender:a ~receiver:ptype in
+  check_bool "the sender's state replays" true
+    (outcome warm ~sender:a ~receiver:ptype = warm_a);
+  check_bool "sender-state table" true
+    (outcome warm ~sender:b ~receiver:ptype
+    = outcome fresh ~sender:b ~receiver:ptype);
+  let sender = p "r0 = socket(3)" in
+  ignore (Runner.execute warm ~sender ~receiver:a : Runner.outcome);
+  let ((_, _, raw, _, _) as got) = outcome warm ~sender ~receiver:b in
+  check_bool "the case differs, so the masked baseline serves it" true
+    (raw <> []);
+  check_bool "masked baseline" true (got = outcome fresh ~sender ~receiver:b)
 
 let test_no_divergence_skips_masking () =
   let env = Env.create (K.Config.v5_13 ()) in
@@ -274,7 +315,6 @@ let test_outcome_deterministic () =
 module Campaign = Kit_core.Campaign
 module Cluster = Kit_gen.Cluster
 module Testcase = Kit_gen.Testcase
-module Compare = Kit_trace.Compare
 module Nondet = Kit_trace.Nondet
 
 let rand48 =
@@ -305,18 +345,6 @@ let reference_execute r ~sender ~receiver =
     { Runner.trace_a; trace_b; raw_diffs; masked_diffs;
       interfered = Compare.interfered_of_diffs masked_diffs }
   end
-
-(* An outcome as plain data: legacy trees compare by [=] on every
-   label, value, det flag and child. *)
-let outcome_view (o : Runner.outcome) =
-  let diff (d : Compare.diff) =
-    (d.Compare.path, Legacy.to_legacy d.Compare.left, Legacy.to_legacy d.Compare.right)
-  in
-  ( Legacy.to_legacy o.Runner.trace_a,
-    Legacy.to_legacy o.Runner.trace_b,
-    List.map diff o.Runner.raw_diffs,
-    List.map diff o.Runner.masked_diffs,
-    o.Runner.interfered )
 
 let check_execute_is_reference ?(baseline_cache = true) ?faults () =
   let runner () =
@@ -365,6 +393,134 @@ let test_execute_is_reference_composition () =
   check_bool "the armed faults fire, the same way on both sides" true
     (check_execute_is_reference ~faults () > 0)
 
+(* --- the sender-state table replays real sender runs ------------------
+
+   Every execution A and Algorithm 2 re-test of two campaigns — RAND
+   2000 over 48 programs, and DF-IA at seed 7 over 320 — on a runner
+   whose sender-state table replays each sender's recorded heap delta
+   and fuel, against a runner created with [~baseline_cache:false],
+   which runs every sender. Both see the same cases in campaign order,
+   each re-test right after the execution A that reported, twice over,
+   so the second pass finds the table warm. Outcomes must agree, failures
+   alike: with the fault schedule armed, and with a fuel limit that
+   hangs some cases. While a fault is armed, "exec.delta_hits" does not
+   move. *)
+
+module Filter = Kit_detect.Filter
+module Diagnose = Kit_report.Diagnose
+
+let campaign_cases options =
+  let prepared = Campaign.prepare options in
+  let corpus = Campaign.prepared_corpus prepared in
+  ( options,
+    List.map
+      (fun (tc : Testcase.t) ->
+        (tc, corpus.(tc.Testcase.sender), corpus.(tc.Testcase.receiver)))
+      (Campaign.generate_prepared prepared).Cluster.reps )
+
+let delta_campaigns =
+  lazy
+    [ campaign_cases rand48;
+      campaign_cases
+        { Campaign.default_options with Campaign.seed = 7; corpus_size = 320 } ]
+
+(* Failures (panics and hangs), hung cases and replayed senders, over
+   both campaigns. *)
+let check_senders_replayed ?faults ?fuel () =
+  let failed = ref 0 and hung = ref 0 and hits = ref 0 in
+  List.iter
+    (fun ((options : Campaign.options), cases) ->
+      let runner ~baseline_cache =
+        let fault = Option.map K.Fault.of_schedule faults in
+        let env = Env.create ?fault options.Campaign.config in
+        K.Fault.set_fuel_limit (Env.fault env) fuel;
+        let obs = Kit_obs.Obs.create () in
+        ( Runner.create ~reruns:options.Campaign.reruns ~baseline_cache ~obs env,
+          Metrics.counter obs.Kit_obs.Obs.metrics "exec.delta_hits" )
+      in
+      let (fast, delta_hits), (reference, _) =
+        (runner ~baseline_cache:true, runner ~baseline_cache:false)
+      in
+      let attempt r ~sender ~receiver =
+        match Runner.execute r ~sender ~receiver with
+        | o -> Ok o
+        | exception K.Fault.Kernel_panic info -> Error info.K.Fault.message
+        | exception K.Fault.Fuel_exhausted -> Error "fuel exhausted"
+      in
+      (* One execution on both runners: the reference's outcome. *)
+      let both ~what ~sender ~receiver =
+        let armed = K.Fault.schedule (Env.fault fast.Runner.env) <> [] in
+        let hits0 = Metrics.counter_value delta_hits in
+        let got = attempt fast ~sender ~receiver in
+        let want = attempt reference ~sender ~receiver in
+        if Result.map outcome_view got <> Result.map outcome_view want then
+          Alcotest.failf "%s: outcomes differ" what;
+        if armed && Metrics.counter_value delta_hits <> hits0 then
+          Alcotest.failf "%s: a sender replayed while a fault was armed" what;
+        (match want with
+        | Ok _ -> ()
+        | Error e ->
+          incr failed;
+          if e = "fuel exhausted" then incr hung);
+        want
+      in
+      for pass = 1 to 2 do
+        List.iteri
+          (fun i ((tc : Testcase.t), sender, receiver) ->
+            let what = Printf.sprintf "pass %d, case %d" pass i in
+            match both ~what ~sender ~receiver with
+            | Error _ -> ()
+            | Ok outcome -> (
+              let spec = options.Campaign.spec in
+              match
+                Filter.classify spec ~testcase:tc ~sender ~receiver outcome
+                  (Filter.funnel_create ())
+              with
+              | Filter.Reported r ->
+                let test ~sender ~receiver =
+                  match both ~what:(what ^ ", re-test") ~sender ~receiver with
+                  | Ok o ->
+                    Filter.protected_interfered spec receiver o.Runner.interfered
+                  | Error _ -> []
+                in
+                ignore
+                  (Diagnose.culprits ~test ~sender ~receiver
+                     ~interfered:r.Kit_detect.Report.interfered
+                    : Diagnose.pair list)
+              | Filter.No_divergence | Filter.Filtered_nondet
+              | Filter.Filtered_resource ->
+                ()))
+          cases
+      done;
+      hits := !hits + Metrics.counter_value delta_hits)
+    (Lazy.force delta_campaigns);
+  (!failed, !hung, !hits)
+
+let prop_senders_replayed =
+  QCheck.Test.make ~name:"the sender-state table replays real sender runs"
+    ~count:2
+    QCheck.(pair (int_range 0 1000) (int_range 3 12))
+    (fun (seed, fuel) ->
+      let faults =
+        "panic:socket:2,hang:read:1,hang:token_stat:3,panic:sethostname:2"
+      in
+      let faults =
+        match K.Fault.parse_schedule faults with
+        | Ok s ->
+          s
+          @ List.filter
+              (fun (a : K.Fault.arming) ->
+                match a.K.Fault.fault with
+                | K.Fault.Panic_on _ | K.Fault.Hang_on _ -> true
+                | K.Fault.Boot_failure | K.Fault.Snapshot_corruption -> false)
+              (K.Fault.schedule_of_seed ~seed ~intensity:4)
+        | Error e -> Alcotest.fail e
+      in
+      let failed, _, hits = check_senders_replayed () in
+      let failed', _, _ = check_senders_replayed ~faults () in
+      let _, hung, hits' = check_senders_replayed ~fuel () in
+      failed = 0 && hits > 0 && failed' > 0 && hung > 0 && hits' > 0)
+
 let suite =
   [
     Alcotest.test_case "env: reset restores state" `Quick
@@ -396,4 +552,5 @@ let suite =
       test_outcome_deterministic;
     Alcotest.test_case "runner: execute = the reference composition" `Quick
       test_execute_is_reference_composition;
+    QCheck_alcotest.to_alcotest prop_senders_replayed;
   ]

@@ -274,7 +274,7 @@ let online_result strategy =
   let events = ref [] in
   List.iteri
     (fun prog p ->
-      let accs = Dataflow.profile_program profiler p in
+      let accs = snd (Dataflow.profile_program_full profiler p) in
       events := List.rev_append (Cluster.feed st ~prog accs) !events)
     corpus;
   (Cluster.finalize st, List.rev !events)
@@ -418,7 +418,7 @@ let prop_online_equals_reference =
       List.iteri
         (fun prog p ->
           if prog = mid then at_mid := List.map Cluster.finalize tables;
-          let accs = Dataflow.profile_program profiler p in
+          let accs = snd (Dataflow.profile_program_full profiler p) in
           List.iter (fun st -> ignore (Cluster.feed st ~prog accs)) tables)
         corpus;
       if mid = size then at_mid := List.map Cluster.finalize tables;

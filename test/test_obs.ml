@@ -214,7 +214,7 @@ let test_export_round_trip () =
     ~attrs:[ ("k", "v") ]
     (fun () -> ());
   let lines =
-    Obs.export_lines ~meta:[ ("cmd", Jsonl.Str "test") ] obs
+    Test_traceana.export_lines ~meta:[ ("cmd", Jsonl.Str "test") ] obs
   in
   match Test_traceana.parse lines with
   | Error e -> Alcotest.failf "parse: %s" e
@@ -238,7 +238,7 @@ let test_event_attrs_escaping_round_trip () =
   let obs = Obs.create () in
   Tracer.with_span obs.Obs.tracer ~attrs:nasty "phase.nasty" (fun () ->
       Tracer.instant obs.Obs.tracer ~attrs:nasty "mark");
-  match Test_traceana.parse (Obs.export_lines obs) with
+  match Test_traceana.parse (Test_traceana.export_lines obs) with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok p ->
     check_int "all events survive" 3 (List.length p.Export.p_events);
@@ -302,7 +302,7 @@ let test_golden_export () =
       {|{"k":"counter","name":"exec.executions","value":12}|};
       {|{"k":"gauge","name":"sup.backoff_ms","value":35.0}|};
       {|{"k":"event","seq":0,"time":0,"ev":"instant","name":"sup.reboot"}|} ]
-    (Obs.export_lines obs)
+    (Test_traceana.export_lines obs)
 
 (* --- campaign integration ------------------------------------------------- *)
 
@@ -318,7 +318,7 @@ let campaign_fingerprint (c : Campaign.t) =
 let test_campaign_export_is_stable () =
   let export () =
     let c = Campaign.run small_options in
-    Obs.export_lines c.Campaign.obs
+    Test_traceana.export_lines c.Campaign.obs
   in
   check (Alcotest.list Alcotest.string) "two runs, identical JSONL"
     (export ()) (export ())

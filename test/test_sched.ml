@@ -261,7 +261,7 @@ let test_search_memo () =
   let search_cache_stats (r : Runner.t) =
     ( Kit_obs.Metrics.counter_value r.Runner.c_shits,
       Kit_obs.Metrics.counter_value r.Runner.c_smisses,
-      Kit_exec.Lru.length r.Runner.search_cache )
+      Runner.Search_lru.length r.Runner.search_cache )
   in
   let runner = runner_of () in
   let seq = Runner.execute runner ~sender ~receiver in
@@ -413,10 +413,9 @@ let test_campaign_deterministic_across_procs () =
   let reference = Lazy.force rw_campaign in
   let prepared = Campaign.prepare rw_campaign_options in
   let pooled =
-    Campaign.execute
+    Campaign.drive
       ~executor:(Pool.executor { Pool.default_config with Pool.procs = 2 })
-      prepared
-      (Campaign.generate_prepared prepared)
+      (Campaign.start prepared (Campaign.generate_prepared prepared))
   in
   let concurrent = pooled.Campaign.concurrent in
   let sched = pooled.Campaign.sched in
@@ -593,7 +592,7 @@ module Model = struct
      both sides execute alike. *)
   let solo_accesses (t : Runner.t) ~pid prog =
     let key = (pid, (Program.hash prog, prog)) in
-    match Kit_exec.Lru.find t.Runner.access_cache key with
+    match Runner.Access_lru.find t.Runner.access_cache key with
     | Some accesses -> accesses
     | None ->
       let env = t.Runner.env in
@@ -608,7 +607,7 @@ module Model = struct
           | _ -> ())
         (fun () -> ignore (K.Interp.run k ~pid prog : K.Interp.result list));
       let accesses = Array.of_list (List.rev !acc) in
-      Kit_exec.Lru.add t.Runner.access_cache key accesses;
+      Runner.Access_lru.add t.Runner.access_cache key accesses;
       accesses
 
   let schedule_classes (t : Runner.t) ~schedules ~sender ~receiver =

@@ -1212,10 +1212,9 @@ let test_sched_two_strikes () =
   let sp = spec "poison" 11 in
   let straight =
     let prepared = Campaign.prepare (Proto.options_of_spec sp) in
-    Campaign.execute
+    Campaign.drive
       ~executor:(Pool.executor { test_config with Pool.sabotage = poisoned_cfg })
-      prepared
-      (Campaign.generate_prepared prepared)
+      (Campaign.start prepared (Campaign.generate_prepared prepared))
   in
   with_sched (sched_cfg ~sabotage:poisoned_cfg ()) (fun s ->
       submit_ok s sp;

@@ -19,6 +19,14 @@ let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let check_str = check Alcotest.string
 
+(* A bundle's full JSONL export (metrics + trace events), as the CLI
+   writes it. Deterministic unless [~wall:true]. *)
+let export_lines ?(wall = false) ?meta (obs : Obs.t) =
+  Export.lines ~wall ?meta
+    ~events:(Tracer.events obs.Obs.tracer)
+    ~dropped:(Tracer.dropped obs.Obs.tracer)
+    (Metrics.snapshot ~volatile:wall obs.Obs.metrics)
+
 (* [lines] through an export file, read back as `kit stats` reads it. *)
 let parse lines =
   let path = Filename.temp_file "kit-export" ".jsonl" in
@@ -259,7 +267,7 @@ let test_fold_file_streams_ring_overflow () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Export.write_file path (Obs.export_lines obs);
+      Export.write_file path (export_lines obs);
       match
         Export.fold_file path ~init:(0, 0, 0, 0)
           ~f:(fun (m, mt, ev, dr) -> function
@@ -307,7 +315,7 @@ let test_phase_span_totals_equal_time_gauges () =
     Campaign.run { small_options with Campaign.obs = Some obs }
   in
   ignore c;
-  match parse (Obs.export_lines ~wall:true obs) with
+  match parse (export_lines ~wall:true obs) with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok p ->
     let tree =
