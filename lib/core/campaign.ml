@@ -582,38 +582,27 @@ let exec_cases_absorbing ~attrs ~emit options corpus sup cases =
   in
   go cases
 
-(* Deal a chunk's [(case, tc)] pairs over [domains] slices by receiver
-   program, so the per-domain runner memos (baseline, mask, search) hit
-   as they do sequentially: each receiver group goes whole, largest
+(* Deal [(case, tc)] pairs over [n] slices by receiver group, so each
+   slice's runner memos (baseline, mask, search) hit as they do
+   sequentially: each group of equal [key tc] goes whole, largest
    first, to the least-loaded slice (ties to the lowest index), and a
-   slice keeps its cases in chunk order. Groups are keyed by
-   [Program.hash]: a collision merges two groups, which only costs
-   balance. *)
-let deal ~domains corpus chunk =
-  let hashes = Hashtbl.create 64 in     (* receiver index -> hash *)
-  let groups = Hashtbl.create 64 in     (* hash -> cases, newest first *)
-  let order = ref [] in                 (* hashes, newest first *)
+   slice keeps its cases in case order. *)
+let deal ~key n cases =
+  let groups = Hashtbl.create 64 in     (* key -> cases, newest first *)
+  let order = ref [] in                 (* keys, newest first *)
   List.iter
-    (fun ((_, (tc : Testcase.t)) as case) ->
-      let r = tc.Testcase.receiver in
-      let h =
-        match Hashtbl.find_opt hashes r with
-        | Some h -> h
-        | None ->
-          let h = Program.hash corpus.(r) in
-          Hashtbl.add hashes r h;
-          h
-      in
-      match Hashtbl.find_opt groups h with
-      | Some cases -> Hashtbl.replace groups h (case :: cases)
+    (fun ((_, tc) as case) ->
+      let k = key tc in
+      match Hashtbl.find_opt groups k with
+      | Some cases -> Hashtbl.replace groups k (case :: cases)
       | None ->
-        order := h :: !order;
-        Hashtbl.add groups h [ case ])
-    chunk;
-  let slices = Array.make domains [] and load = Array.make domains 0 in
+        order := k :: !order;
+        Hashtbl.add groups k [ case ])
+    cases;
+  let slices = Array.make n [] and load = Array.make n 0 in
   List.rev_map
-    (fun h ->
-      let cases = Hashtbl.find groups h in
+    (fun k ->
+      let cases = Hashtbl.find groups k in
       (List.length cases, cases))
     !order
   |> List.stable_sort (fun (m, _) (n, _) -> Int.compare n m)
@@ -629,9 +618,11 @@ let deal ~domains corpus chunk =
    increasing index; [attrs case] its correlation attributes, built as
    the case runs) and run sequentially on [sup] unless [options.domains]
    exceeds 1; then they are dealt over that many slices by receiver
-   ([deal]). Each domain boots its own isolated supervised environment
-   and observability registry and produces per-case results, stamping
-   its executions with a ["domain"] attr on top of the case attrs. The
+   program ([deal] on [Program.hash]: a collision merges two groups,
+   which only costs balance). Each domain boots its own isolated
+   supervised environment and observability registry and produces
+   per-case results, stamping its executions with a ["domain"] attr on
+   top of the case attrs. The
    merge sorts by case index, so reports, funnel and quarantine come out
    structurally identical to the sequential schedule — only wall-clock
    and the execution count change. Per-domain registries are folded
@@ -647,7 +638,17 @@ let run_chunk ~attrs ~emit options corpus sup chunk =
   if domains <= 1 then exec_cases_absorbing ~attrs ~emit options corpus sup chunk
   else begin
     let obs = sup.Supervisor.obs in
-    let slices = deal ~domains corpus chunk in
+    let hashes = Hashtbl.create 64 in   (* receiver index -> hash *)
+    let key (tc : Testcase.t) =
+      let r = tc.Testcase.receiver in
+      match Hashtbl.find_opt hashes r with
+      | Some h -> h
+      | None ->
+        let h = Program.hash corpus.(r) in
+        Hashtbl.add hashes r h;
+        h
+    in
+    let slices = deal ~key domains chunk in
     let worker d slice () =
       let wobs = Obs.create () in
       let wsup = make_supervisor ~obs:wobs options in
@@ -762,7 +763,8 @@ let supervisor = make_supervisor
    other representatives with their global case indices, so case [i] is
    the same representative whichever process runs it; [complete] folds
    each completion as it arrives, records it in the log and saves the
-   log every [log.every] completions; [finish] builds the result.
+   log every [log.every] completions (the executor's end saves and
+   syncs it); [finish] builds the result.
    Results are folded in representative order through [absorb]; one
    that arrives early waits for the cases before it. A result's
    [executions] is the sum of the per-case costs the driver receives,
@@ -780,6 +782,7 @@ type log = {
   record : Testcase.t -> case_result -> int -> unit;
   every : int;
   save : unit -> unit;
+  sync : unit -> unit;
   close : unit -> unit;
 }
 
@@ -865,6 +868,11 @@ let save r =
     r.r_unsaved <- 0;
     l.save ()
   | Some _ | None -> ()
+
+(* The final save: every completion on disk and fsynced. *)
+let save_durably r =
+  save r;
+  Option.iter (fun l -> l.sync ()) r.r_log
 
 let complete r case res execs =
   fold r case res execs;
@@ -992,10 +1000,10 @@ let drive_on ?(executor = in_process) ?elapsed_base ~boot r =
           sup)
     with
     | sup, _ ->
-      save r;
+      save_durably r;
       sup
     | exception e ->
-      save r;
+      save_durably r;
       raise e
   in
   finish ~sup r
@@ -1157,6 +1165,7 @@ let stream_result s =
       record = (fun _ r execs -> memo_record s r execs);
       every = max_int;
       save = ignore;
+      sync = ignore;
       close = ignore }
   in
   let prepared =

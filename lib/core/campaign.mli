@@ -252,6 +252,16 @@ val lost_case_result :
     died under it ([Worker_lost]) — what drivers convert un-runnable
     cases into instead of aborting. *)
 
+val deal :
+  key:(Kit_gen.Testcase.t -> int) -> int ->
+  (int * Kit_gen.Testcase.t) list -> (int * Kit_gen.Testcase.t) list array
+(** [deal ~key n cases] splits [(case, representative)] pairs into [n]
+    slices by receiver group, so each slice's runner caches hit as they
+    do sequentially: the cases of one [key] go whole, largest group
+    first, to the least-loaded slice (ties to the lowest index), and a
+    slice keeps its cases in case order. [--domains] keys groups by the
+    receiver program's hash, the process pool by its corpus index. *)
+
 (** {2 The execute driver}
 
     Every campaign result is built by one driver, in four calls on a
@@ -288,7 +298,12 @@ type log = {
   record : Kit_gen.Testcase.t -> case_result -> int -> unit;
       (** one completion, as it arrives *)
   every : int;                    (** completions between saves *)
-  save : unit -> unit;            (** make the recorded completions durable *)
+  save : unit -> unit;
+      (** write the recorded completions; a process killed after it
+          loses none of them, while a machine crash may lose what the
+          log has not synced *)
+  sync : unit -> unit;
+      (** make everything saved durable, surviving a machine crash *)
   close : unit -> unit;
       (** called once the result is built; a campaign log deletes its
           file *)
@@ -331,8 +346,8 @@ val drive : ?executor:executor -> run -> t
     booted for it, then {!finish}. The default executor runs on that
     supervisor, or deals the cases over [options.domains] domains, in
     chunks of [log.every] cases. The ["time.diagnose_s"] gauge starts
-    the phase at 0. The log is saved when the executor returns, and
-    before an exception it raises propagates. Without a log no result
+    the phase at 0. The log is saved and synced when the executor
+    returns, and before an exception it raises propagates. Without a log no result
     is encoded, and the default executor runs every representative as
     one chunk. *)
 

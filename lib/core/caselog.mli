@@ -28,10 +28,20 @@ val log :
     [entries] (the last entry of a fingerprint wins) and every
     completion recorded since, saved every [every] completions. Its
     first save replaces [path] (or the file that has gone) with one
-    record holding every entry; later saves append one record with the
-    entries recorded since. Each record carries [header ()] at the time
-    of the save and ends with an fsync. Without a path nothing is
-    written. [close] deletes the file when [delete]. *)
+    record holding every entry, durably; later saves append one record
+    with the entries recorded since. Each record carries [header ()] at
+    the time of the save. Without a path nothing is written. [close]
+    deletes the file when [delete].
+
+    {b Durability.} An append fsyncs only when the log's last fsync is
+    more than 100 ms old; [sync] fsyncs whatever the saves left
+    unsynced, and the drivers call it at every final save (the end of a
+    campaign's execute phase, a tenant's finish, a daemon's shutdown).
+    So a killed process loses at most the completions recorded since
+    the last save, as with an fsync per append, and a machine crash
+    loses at most the records appended within 100 ms of the last fsync.
+    Either way the file reads back under the torn-tail rule
+    ({!Checkpoint}). *)
 
 val read :
   string -> kind:string -> 'h Codec.decoder ->

@@ -79,12 +79,13 @@ let write path ~kind records =
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)
 
-(* One write of the whole framed record, then one fsync. A crash midway
-   leaves a torn tail the reader drops. A write that fails (ENOSPC, a
-   short write followed by an error) is cut back off before the error
-   propagates, so a later append can never land behind a partial
-   record — which the reader would have to reject as corruption. *)
-let append path payload =
+(* One write of the whole framed record, then one fsync unless the
+   caller defers it to a later [sync]. A crash midway leaves a torn tail
+   the reader drops. A write that fails (ENOSPC, a short write followed
+   by an error) is cut back off before the error propagates, so a later
+   append can never land behind a partial record — which the reader
+   would have to reject as corruption. *)
+let append ?(fsync = true) path payload =
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0
   in
@@ -101,7 +102,13 @@ let append path payload =
        with e ->
          (try Unix.ftruncate fd size with Unix.Unix_error _ -> ());
          raise e);
-      Unix.fsync fd)
+      if fsync then Unix.fsync fd)
+
+(* fsync works on the file, not the descriptor: this one makes every
+   earlier append through another descriptor durable. *)
+let sync path =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
 type log = {
   records : string list;

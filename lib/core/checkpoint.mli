@@ -14,7 +14,10 @@
       previous file or the complete new one.
     - {!append} adds one record to the end of an existing log and
       fsyncs the file: one fsync instead of two, and the cost is the
-      record, not the file. A crash midway leaves a torn tail.
+      record, not the file. A crash midway leaves a torn tail. With
+      [~fsync:false] the record is written but not synced: a killed
+      process loses none of it (the kernel holds the bytes), a machine
+      crash may lose it, and a later {!sync} makes it durable.
 
     {b The torn-tail rule.} {!read} returns every complete record. An
     incomplete or digest-failing record with nothing valid after it is
@@ -26,7 +29,8 @@
     [kit campaign]/[kit coverage --checkpoint] and the [kit serve]
     tenant checkpoints ([Serve.Tenant]). The first save of each process
     writes the whole log with {!write}; later saves {!append} the new
-    completions as typed JSON records. *)
+    completions as typed JSON records, and fsync on a time budget
+    ({!Caselog.log}). *)
 
 val magic : string
 (** ["KITCKPT1"] — shared by every checkpoint family; [kind]
@@ -49,10 +53,15 @@ val write : string -> kind:string -> string list -> unit
 (** [write path ~kind records] atomically and durably replaces [path]
     with a log holding [records] in order. *)
 
-val append : string -> string -> unit
+val append : ?fsync:bool -> string -> string -> unit
 (** [append path payload] adds one record to the end of the existing
-    log at [path], then fsyncs it.
+    log at [path], then fsyncs it unless [fsync] is [false].
     @raise Unix.Unix_error when [path] cannot be opened or written. *)
+
+val sync : string -> unit
+(** fsync the file at [path], making every record appended to it
+    durable.
+    @raise Unix.Unix_error when [path] cannot be opened or synced. *)
 
 type log = {
   records : string list;  (** every complete record's payload, in order *)

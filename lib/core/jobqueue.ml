@@ -3,15 +3,15 @@
    Jobs live in a hashtable keyed by id and in one map keyed by submit
    sequence number, so every ordered read walks that map and the merge
    order is a function of the submissions alone — never of worker
-   scheduling. Two more indexes make the per-dispatch operations cheap:
+   scheduling. More indexes make the per-dispatch operations cheap:
    per worker, the assigned-but-unclaimed jobs in submit order with
-   their count, and the count of live (queued, assigned, running) jobs.
-   Every status write goes through [set], which moves the job between
-   the indexes, so they never drift from the statuses.
+   their count, and the counts of live (queued, assigned, running) and
+   of assigned jobs. Every status write goes through [set], which moves
+   the job between the indexes, so they never drift from the statuses.
    A claim, completion or drain check costs O(log n) or less, a steal
-   adds one pass over the workers; only the bulk operations
-   ([assign_round_robin], [release]) and the list-returning reads walk
-   every job. *)
+   adds one pass over the workers, and a grouped steal one pass over
+   the victim's queue; only the bulk operations ([assign_round_robin],
+   [release]) and the list-returning reads walk every job. *)
 
 module Imap = Map.Make (Int)
 
@@ -24,6 +24,7 @@ type ('a, 'b) status =
 type ('a, 'b) job = {
   j_id : int;
   j_seq : int;                         (* submit order *)
+  j_group : int;                       (* the group key; unused ungrouped *)
   j_payload : 'a;
   mutable j_status : ('a, 'b) status;
 }
@@ -38,16 +39,19 @@ type ('a, 'b) t = {
   jobs : (int, ('a, 'b) job) Hashtbl.t;
   mutable by_seq : ('a, 'b) job Imap.t;
   shards : (int, ('a, 'b) shard) Hashtbl.t;  (* by worker id *)
+  group : ('a -> int) option;
   mutable live : int;                  (* queued, assigned or running *)
+  mutable assigned : int;
   mutable seq : int;
   mutable next_id : int;
   mutable resharded : int;
   mutable stolen : int;
 }
 
-let create () =
+let create ?group () =
   { jobs = Hashtbl.create 64; by_seq = Imap.empty; shards = Hashtbl.create 8;
-    live = 0; seq = 0; next_id = 0; resharded = 0; stolen = 0 }
+    group; live = 0; assigned = 0; seq = 0; next_id = 0; resharded = 0;
+    stolen = 0 }
 
 let shard t w =
   match Hashtbl.find_opt t.shards w with
@@ -67,6 +71,7 @@ let account t j ~add =
     s.s_jobs <-
       (if add then Imap.add j.j_seq j s.s_jobs else Imap.remove j.j_seq s.s_jobs);
     s.s_len <- s.s_len + d;
+    t.assigned <- t.assigned + d;
     t.live <- t.live + d
   | Queued | Running _ -> t.live <- t.live + d
   | Completed _ -> ()
@@ -85,7 +90,9 @@ let job t id =
 let submit_as t ~id payload =
   if Hashtbl.mem t.jobs id then invalid_arg "Jobqueue.submit_as: id taken";
   let j =
-    { j_id = id; j_seq = t.seq; j_payload = payload; j_status = Queued }
+    { j_id = id; j_seq = t.seq;
+      j_group = (match t.group with Some g -> g payload | None -> 0);
+      j_payload = payload; j_status = Queued }
   in
   Hashtbl.replace t.jobs id j;
   t.by_seq <- Imap.add j.j_seq j t.by_seq;
@@ -148,9 +155,9 @@ let claim_next t ~worker =
 
 let steal t ~thief =
   (* Victim: the longest assigned queue that is not the thief's own;
-     take its newest (highest-seq) assigned job so the victim's own
-     claim order stays untouched at the front. Deterministic: longest
-     queue wins, lowest worker id breaks ties. *)
+     take the group of its newest (highest-seq) assigned job so the
+     victim's own claim order stays untouched at the front.
+     Deterministic: longest queue wins, lowest worker id breaks ties. *)
   let victim =
     Hashtbl.fold
       (fun w s best ->
@@ -164,8 +171,14 @@ let steal t ~thief =
   in
   Option.map
     (fun (_, s) ->
-      t.stolen <- t.stolen + 1;
-      start t (snd (Imap.max_binding s.s_jobs)) ~worker:thief)
+      let newest = snd (Imap.max_binding s.s_jobs) in
+      let group =
+        if t.group = None then Imap.singleton newest.j_seq newest
+        else Imap.filter (fun _ j -> j.j_group = newest.j_group) s.s_jobs
+      in
+      Imap.iter (fun _ j -> set t j (Assigned thief)) group;
+      t.stolen <- t.stolen + Imap.cardinal group;
+      start t (snd (Imap.min_binding group)) ~worker:thief)
     victim
 
 let release t ~worker =
@@ -192,7 +205,7 @@ let unfinished t =
       | Queued | Assigned _ | Running _ -> Some (j.j_id, j.j_payload)
       | Completed _ -> None)
 
-let unfinished_count t = t.live
+let assigned_count t = t.assigned
 let is_drained t = t.live = 0
 let resharded t = t.resharded
 let stolen t = t.stolen

@@ -12,23 +12,29 @@
     they complete in.
 
     Assignment is two-level, mirroring the paper's server mode: a job is
-    {e assigned} to a worker's queue (round-robin sharding, resharding
-    after a death) and then {e claimed} when the worker actually starts
-    it. {!release} returns a dead worker's whole unfinished queue —
+    {e assigned} to a worker's queue (sharding, resharding after a
+    death) and then {e claimed} when the worker actually starts it. {!release} returns a dead worker's whole unfinished queue —
     assigned and in-flight — for resharding over the survivors.
+
+    A queue created with a [group] key steals whole groups: the pool
+    groups cases by receiver, so a thief takes every case of one
+    receiver that the victim holds, and its runner caches stay warm.
 
     Costs below are for a queue of [n] jobs over [w] distinct worker
     ids. The queue keeps every job in a map keyed by submit order, each
-    worker's assigned-but-unclaimed jobs in a second ordered map, and a
-    running count of live jobs, so the operations a driver calls once
-    per dispatch or per event never walk the whole table. *)
+    worker's assigned-but-unclaimed jobs in a second ordered map, and
+    running counts of live and of assigned jobs, so the operations a
+    driver calls once per dispatch or per event never walk the whole
+    table. *)
 
 type ('a, 'b) t
 (** A queue of jobs with payload ['a] and result ['b]. Not
     domain-safe: drivers mutate it from the coordinating
     domain/process only. *)
 
-val create : unit -> ('a, 'b) t
+val create : ?group:('a -> int) -> unit -> ('a, 'b) t
+(** A queue whose jobs fall in groups by [group payload]; without
+    [group] each job is a group of its own. *)
 
 (** {2 Submission} *)
 
@@ -60,9 +66,10 @@ exception No_survivors
     generic [Invalid_argument]. *)
 
 val deal : ('a, 'b) t -> (int * 'a) list -> to_:int list -> unit
-(** [deal t jobs ~to_:survivors] reassigns [jobs] (typically a dead
-    worker's {!release}d queue) round-robin over the [survivors] in list
-    order: job [k] goes to [List.nth survivors (k mod n)].
+(** [deal t jobs ~to_:survivors] assigns [jobs] (a new shard, or a
+    dead worker's {!release}d queue) round-robin over the [survivors]
+    in list order: job [k] goes to [List.nth survivors (k mod n)]. The
+    pool deals each worker its receiver groups with one [survivor].
     O(log n) per job.
     @raise No_survivors when [survivors] is empty. *)
 
@@ -71,10 +78,13 @@ val claim_next : ('a, 'b) t -> worker:int -> (int * 'a) option
     marks it running. [None] if its queue is empty. O(log n). *)
 
 val steal : ('a, 'b) t -> thief:int -> (int * 'a) option
-(** Work stealing for an idle worker: take the {e last} assigned
+(** Work stealing for an idle worker: find the {e last} assigned
     (unclaimed) job of the worker with the longest queue (lowest worker
-    id on ties), mark it running on [thief]. [None] when nothing is
-    stealable. O(w + log n). *)
+    id on ties), move every job of its group that the victim holds to
+    [thief]'s queue, and mark the first of them (in submit order)
+    running on [thief]. [None] when nothing is stealable.
+    O(w + log n) ungrouped; a grouped steal adds one pass over the
+    victim's queue. *)
 
 val release : ('a, 'b) t -> worker:int -> (int * 'a) list
 (** A worker died: return its whole unfinished queue — assigned and
@@ -97,9 +107,9 @@ val result : ('a, 'b) t -> int -> 'b option
 val unfinished : ('a, 'b) t -> (int * 'a) list
 (** Jobs not yet completed, in submit order. O(n). *)
 
-val unfinished_count : ('a, 'b) t -> int
-(** [List.length (unfinished t)] — queued, assigned and running jobs —
-    in O(1). *)
+val assigned_count : ('a, 'b) t -> int
+(** Jobs assigned to a worker and not yet claimed, over every worker:
+    what {!claim_next} and {!steal} can still hand out. O(1). *)
 
 val is_drained : ('a, 'b) t -> bool
 (** No queued, assigned or running jobs remain. O(1). *)
@@ -108,3 +118,4 @@ val resharded : ('a, 'b) t -> int
 (** Total jobs ever {!release}d from dead workers. *)
 
 val stolen : ('a, 'b) t -> int
+(** Total jobs ever moved by {!steal}. *)

@@ -13,6 +13,14 @@
    memory, so campaign inputs travel the wire (plain data: the options
    hold no closure).
 
+   The pool pays per batch, not per case. A worker holds up to [depth]
+   cases at once, its flight: the coordinator queues their [Job] frames
+   and writes them in one write per [poll], and takes every [Done]
+   frame one read of a result pipe brings in. The worker runs its
+   flight in order and writes each [Done] frame as soon as the case
+   completes, before it starts the next, so the oldest case it has not
+   reported is the one it was running: a death blames exactly that case.
+
    The pool core is tenant-agnostic plumbing: it spawns, feeds, reaps,
    heartbeat-kills and respawns workers, and reports what happened as
    {!event}s. Policy — which job runs next, strikes, quarantine,
@@ -32,13 +40,23 @@
    stream. So a worker's result-pipe write end lives in exactly one
    process, and its death turns into EOF on the parent's read end the
    moment the kernel reaps it. waitpid gives the why (exit code or
-   signal); per-job wall-clock deadlines catch the one failure mode
-   with no signal at all, the hang.
+   signal); a wall-clock deadline on each worker's oldest case catches
+   the one failure mode with no signal at all, the hang.
+
+   The coordinator's writes block, so no worker may block on it in
+   turn: in-flight [Done] bytes fit the result pipe. A worker writes at
+   most [depth] [Done] frames the coordinator has not read — one per
+   case in its flight — and they measured at most 520 bytes (RAND 1500
+   and DF-IA over 320 programs), so 16 of them fill under 9 KB of a
+   64 KB pipe. A worker therefore never waits to write a result, and
+   always comes back to read its job pipe, even while the coordinator
+   is writing it a large [Context] frame.
 
    Workers never touch the parent's state: they exit only via
    [Unix._exit] (0 on Quit/EOF, 71 on Supervisor.Gave_up, 70 on any
-   other escaped exception), so an exception inside a worker is crash
-   isolation, not a half-initialised replay of the parent. *)
+   other escaped exception or an undecodable frame), so an exception
+   inside a worker is crash isolation, not a half-initialised replay of
+   the parent. *)
 
 module Program = Kit_abi.Program
 module Testcase = Kit_gen.Testcase
@@ -137,18 +155,21 @@ let child_main ~slot ~(sab : sabotage) rx tx =
      let kill_at = List.assoc_opt slot sab.kill_after in
      let hang_at = List.assoc_opt slot sab.hang_after in
      let completed = ref 0 in
+     let inbox = Wire.inbox () in
      let rec loop () =
-       match (Wire.recv rx : job_msg option) with
-       | None | Some Quit -> ()
-       | Some (Context { c_tenant; c_label; c_options; c_corpus }) ->
+       match (Wire.take inbox : job_msg Wire.next) with
+       | Wire.Short -> if Wire.fill rx inbox then loop ()
+       | Wire.Bad _ -> code := 70
+       | Wire.Frame Quit -> ()
+       | Wire.Frame (Context { c_tenant; c_label; c_options; c_corpus }) ->
          Hashtbl.replace envs c_tenant
            { e_label = c_label; e_options = c_options; e_corpus = c_corpus;
              e_sup = Campaign.supervisor ~obs c_options };
          loop ()
-       | Some (Retire tenant) ->
+       | Wire.Frame (Retire tenant) ->
          Hashtbl.remove envs tenant;
          loop ()
-       | Some (Job { j_tenant; j_id; j_tc }) ->
+       | Wire.Frame (Job { j_tenant; j_id; j_tc }) ->
          (match kill_at with
           | Some n when !completed >= n -> kill_self ()
           | Some _ | None -> ());
@@ -173,6 +194,8 @@ let child_main ~slot ~(sab : sabotage) rx tx =
               Campaign.exec_case ~attrs env.e_options env.e_corpus env.e_sup
                 j_tc
             in
+            (* Reported before the next case starts: the parent blames a
+               death on the oldest case it has no result for. *)
             Wire.send tx
               (Done
                  { d_tenant = j_tenant; d_id = j_id; d_result = r;
@@ -183,7 +206,6 @@ let child_main ~slot ~(sab : sabotage) rx tx =
      loop ()
    with
    | Supervisor.Gave_up _ -> code := 71
-   | Wire.Oversized _ -> code := 70
    | _ -> code := 70);
   Unix._exit !code
 
@@ -212,13 +234,24 @@ let worker_entry () =
 
 (* -- parent side: the persistent pool core -------------------------------- *)
 
+(* The most cases a worker holds at once. A constant, not a knob: 16
+   frames each way amortise the pipe writes and select turns a case
+   used to cost, its [Done] frames fit the result pipe with room to
+   spare (see the header), and a death re-queues at most 15 cases that
+   were not to blame. *)
+let depth = 16
+
 type worker = {
   slot : int;
   mutable pid : int;
   mutable tx : Unix.file_descr;          (* job pipe, write end *)
   mutable rx : Unix.file_descr;          (* result pipe, read end *)
   mutable alive : bool;
-  mutable job : (int * int * float) option; (* tenant, id, deadline *)
+  mutable flight : (int * int) list;     (* (tenant, id), oldest first *)
+  mutable unsent : int;                  (* its newest, still in [out] *)
+  mutable deadline : float;              (* its oldest's; infinity: none *)
+  out : Buffer.t;                        (* job frames queued for [tx] *)
+  mutable inbox : Wire.inbox;            (* bytes read from [rx] *)
   mutable respawns_left : int;
   mutable backoff_s : float;
   mutable span : Tracer.span option;
@@ -235,7 +268,7 @@ type event =
   | Worker_lost of {
       ev_slot : int;
       ev_why : string;
-      ev_in_flight : (int * int) option; (* tenant, id — already drained *)
+      ev_in_flight : (int * int) option; (* oldest unreported, after draining *)
       ev_respawned : bool;
     }
 
@@ -262,17 +295,39 @@ let status_to_string = function
   | Unix.WSIGNALED n -> Printf.sprintf "worker killed by signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "worker stopped by signal %d" n
 
-let send_context w ~tenant ~label ~options ~corpus =
+(* The heartbeat clock of the oldest case in flight starts when its
+   frame is written or when the case before it is read as done,
+   whichever is later; with nothing written, no clock runs. *)
+let restart_clock t (w : worker) now =
+  w.deadline <-
+    (if List.length w.flight > w.unsent then now +. t.cfg.heartbeat_s
+     else Float.infinity)
+
+(* Write the worker's queued frames in one go. A write to a dying
+   worker raises EPIPE; the death is picked up through EOF/waitpid and
+   its flight re-queued. *)
+let flush t (w : worker) =
+  if Buffer.length w.out > 0 then begin
+    (try Wire.flush w.tx w.out with Unix.Unix_error _ | Sys_error _ -> ());
+    let waiting = w.deadline = Float.infinity in
+    w.unsent <- 0;
+    if waiting then restart_clock t w (Unix.gettimeofday ())
+  end
+
+(* A control frame goes out at once, behind the jobs queued before it. *)
+let send t w msg =
+  flush t w;
+  try Wire.send w.tx msg with Unix.Unix_error _ | Sys_error _ -> ()
+
+let send_context t w ~tenant ~label ~options ~corpus =
   (* The context frame replaces the address space a fork would have
      copied. The options are plain data once the obs bundle is dropped —
      it is unmarshalable and private anyway; the worker builds its own. *)
-  try
-    Wire.send w.tx
-      (Context
-         { c_tenant = tenant; c_label = label;
-           c_options = { options with Campaign.obs = None };
-           c_corpus = corpus })
-  with Unix.Unix_error _ | Sys_error _ -> ()
+  send t w
+    (Context
+       { c_tenant = tenant; c_label = label;
+         c_options = { options with Campaign.obs = None };
+         c_corpus = corpus })
 
 let spawn t w =
   (* Kill/hang sabotage is a one-shot event schedule: the slot's entry
@@ -319,15 +374,18 @@ let spawn t w =
   w.tx <- jw;
   w.rx <- rr;
   w.alive <- true;
-  w.job <- None;
-  (try Wire.send jw (Hello { h_slot = w.slot; h_sab = sab })
-   with Unix.Unix_error _ | Sys_error _ -> ());
+  w.flight <- [];
+  w.unsent <- 0;
+  w.deadline <- Float.infinity;
+  Buffer.clear w.out;
+  w.inbox <- Wire.inbox ();
+  send t w (Hello { h_slot = w.slot; h_sab = sab });
   (* Every registered tenant context, in tenant order: a respawned
      worker can serve any tenant its predecessor could. *)
   Hashtbl.fold (fun tenant ctx acc -> (tenant, ctx) :: acc) t.contexts []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.iter (fun (tenant, (label, options, corpus)) ->
-         send_context w ~tenant ~label ~options ~corpus);
+         send_context t w ~tenant ~label ~options ~corpus);
   w.span <-
     Some
       (Tracer.span t.obs.Obs.tracer
@@ -342,7 +400,9 @@ let create ?obs cfg =
   let workers =
     Array.init procs (fun slot ->
         { slot; pid = -1; tx = Unix.stdin; rx = Unix.stdin; alive = false;
-          job = None; respawns_left = max 0 cfg.max_respawns;
+          flight = []; unsent = 0; deadline = Float.infinity;
+          out = Buffer.create 256; inbox = Wire.inbox ();
+          respawns_left = max 0 cfg.max_respawns;
           backoff_s = Float.max 0.0 cfg.backoff_base_ms /. 1000.0;
           span = None })
   in
@@ -361,59 +421,70 @@ let create ?obs cfg =
 
 let retire t ~tenant =
   Hashtbl.remove t.contexts tenant;
-  Array.iter
-    (fun w ->
-      if w.alive then
-        try Wire.send w.tx (Retire tenant)
-        with Unix.Unix_error _ | Sys_error _ -> ())
-    t.workers
+  Array.iter (fun w -> if w.alive then send t w (Retire tenant)) t.workers
 
 let alive_slots t =
   Array.to_list t.workers
   |> List.filter_map (fun w -> if w.alive then Some w.slot else None)
 
+let has_room (w : worker) = w.alive && List.length w.flight < depth
+
 let idle_slots t =
   Array.to_list t.workers
-  |> List.filter_map (fun w ->
-         if w.alive && w.job = None then Some w.slot else None)
+  |> List.filter_map (fun w -> if has_room w then Some w.slot else None)
 
 let live_count t =
   Array.fold_left (fun acc w -> if w.alive then acc + 1 else acc) 0 t.workers
 
+(* Queue a case on the slot; the next [poll] writes its frame. *)
 let dispatch_job t ~slot ~tenant ~id tc =
   let w = t.workers.(slot) in
-  if not (w.alive && w.job = None) then
-    invalid_arg "Pool.dispatch_job: slot is dead or busy";
-  w.job <- Some (tenant, id, Unix.gettimeofday () +. t.cfg.heartbeat_s);
-  (* A send to a dying worker raises EPIPE; the death is picked up
-     through EOF/waitpid and the job resharded with the rest. *)
-  try Wire.send w.tx (Job { j_tenant = tenant; j_id = id; j_tc = tc })
-  with Unix.Unix_error _ | Sys_error _ -> ()
+  if not (has_room w) then
+    invalid_arg "Pool.dispatch_job: slot is dead or full";
+  w.flight <- w.flight @ [ (tenant, id) ];
+  w.unsent <- w.unsent + 1;
+  Wire.add_frame w.out (Job { j_tenant = tenant; j_id = id; j_tc = tc })
 
 let push t ev = t.pending <- ev :: t.pending
 
-let record_done t (w : worker) (Done { d_tenant; d_id; d_result; d_execs }) =
-  (match w.job with
-   | Some (jt, jid, _) when jt = d_tenant && jid = d_id -> w.job <- None
+(* The worker reports its flight in order, so a result is for the
+   oldest case, whose successor's clock starts now. *)
+let record_done t (w : worker) now
+    (Done { d_tenant; d_id; d_result; d_execs }) =
+  (match w.flight with
+   | oldest :: rest when oldest = (d_tenant, d_id) ->
+     w.flight <- rest;
+     restart_clock t w now
    | _ -> ());
   push t
     (Job_done
        { ev_slot = w.slot; ev_tenant = d_tenant; ev_id = d_id;
          ev_result = d_result; ev_execs = d_execs })
 
-(* A worker died (or was killed): drain its buffered results, close its
-   pipes and respawn if budget remains — then report what was in flight
-   so the driver can count a strike and reshard. The kernel closed the
-   dead worker's result-pipe write end, so the drain terminates at
-   EOF. *)
+(* Take every complete frame the worker's inbox holds; [Some why] when
+   one cannot be decoded, which leaves the stream unusable. *)
+let rec take_frames t (w : worker) now =
+  match (Wire.take w.inbox : res_msg Wire.next) with
+  | Wire.Frame d ->
+    record_done t w now d;
+    take_frames t w now
+  | Wire.Short -> None
+  | Wire.Bad why -> Some why
+
+(* A worker died (or was killed): decode its buffered results and read
+   the rest to EOF — the kernel closed the dead worker's result-pipe
+   write end, so the drain terminates — then close its pipes and
+   respawn if budget remains, and report the oldest case still
+   unreported, so the driver can count a strike on it and reshard the
+   rest. *)
 let handle_death t (w : worker) ~why =
   let rec drain () =
-    match (Wire.recv w.rx : res_msg option) with
-    | Some d ->
-      record_done t w d;
-      drain ()
-    | None -> ()
-    | exception Wire.Oversized _ -> ()
+    match take_frames t w (Unix.gettimeofday ()) with
+    | Some _ -> ()
+    | None -> (
+      match Wire.fill w.rx w.inbox with
+      | true -> drain ()
+      | false | (exception Unix.Unix_error _) -> ())
   in
   drain ();
   (try Unix.close w.rx with Unix.Unix_error _ -> ());
@@ -426,8 +497,8 @@ let handle_death t (w : worker) ~why =
   Tracer.instant t.obs.Obs.tracer
     ~attrs:[ ("proc", string_of_int w.slot); ("why", why) ]
     "pool.death";
-  let in_flight = Option.map (fun (tn, id, _) -> (tn, id)) w.job in
-  w.job <- None;
+  let in_flight = match w.flight with oldest :: _ -> Some oldest | [] -> None in
+  w.flight <- [];
   let respawned =
     if w.respawns_left > 0 then begin
       w.respawns_left <- w.respawns_left - 1;
@@ -453,40 +524,43 @@ let reap t (w : worker) =
     | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
       handle_death t w ~why:"worker vanished (no child to reap)"
 
-let overdue now (w : worker) =
-  match w.job with Some (_, _, dl) -> w.alive && now > dl | None -> false
+let overdue now (w : worker) = w.alive && now > w.deadline
+
+let kill_worker (w : worker) =
+  (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ()
 
 let kill_overdue t now (w : worker) =
   if overdue now w then begin
     t.hb_timeouts <- t.hb_timeouts + 1;
     Metrics.inc (pc "heartbeat_timeouts" t);
-    (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
+    kill_worker w;
     handle_death t w
       ~why:(Printf.sprintf "heartbeat timeout after %.1fs" t.cfg.heartbeat_s)
   end
 
-(* Read one frame from a worker whose result pipe is readable: a result,
-   or the EOF of its death. *)
-let read_frame t (w : worker) =
-  match (Wire.recv w.rx : res_msg option) with
-  | Some d -> record_done t w d
-  | None ->
+(* One read from a worker whose result pipe is readable, and every
+   result it completed: results, or the EOF of its death. *)
+let read_frames t (w : worker) =
+  match Wire.fill w.rx w.inbox with
+  | true -> (
+    match take_frames t w (Unix.gettimeofday ()) with
+    | None -> ()
+    | Some why ->
+      (* The stream cannot be re-synchronised past a bad frame; treat
+         it as worker death. *)
+      kill_worker w;
+      handle_death t w ~why:("bad frame from worker: " ^ why))
+  | false ->
     let why =
       match Unix.waitpid [] w.pid with
       | _, status -> status_to_string status
       | exception Unix.Unix_error _ -> "worker closed its pipe"
     in
     handle_death t w ~why
-  | exception Wire.Oversized _ ->
-    (* The stream cannot be re-synchronised past a bogus length
-       announcement; treat it as worker death. *)
-    (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-    handle_death t w ~why:"oversized frame from worker"
 
-(* Select on [fds] and read a frame from every readable worker; returns
-   the readable descriptors that are no worker's. *)
+(* Select on [fds] and read from every readable worker; returns the
+   readable descriptors that are no worker's. *)
 let read_ready t fds timeout =
   match Unix.select fds [] [] timeout with
   | readable, _, _ ->
@@ -495,15 +569,16 @@ let read_ready t fds timeout =
         match
           Array.find_opt (fun (w : worker) -> w.alive && w.rx == fd) t.workers
         with
-        | Some w -> read_frame t w; false
+        | Some w -> read_frames t w; false
         | None -> true)
       readable
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
 let poll ?(extra = []) t ~timeout =
+  Array.iter (fun (w : worker) -> if w.alive then flush t w) t.workers;
   let now = Unix.gettimeofday () in
   (* A result that reached its pipe while the coordinator was away
-     clears its job before the deadline is judged. *)
+     clears its case before the deadline is judged. *)
   (match List.filter (overdue now) (Array.to_list t.workers) with
    | [] -> ()
    | late ->
@@ -526,10 +601,7 @@ let poll ?(extra = []) t ~timeout =
         (if t.pending <> [] then 0.0
          else
            List.fold_left
-             (fun acc (w : worker) ->
-               match w.job with
-               | Some (_, _, dl) -> Float.min acc (dl -. now)
-               | None -> acc)
+             (fun acc (w : worker) -> Float.min acc (w.deadline -. now))
              timeout alive
            |> Float.max 0.01)
   in
@@ -541,7 +613,9 @@ let shutdown t =
   Array.iter
     (fun (w : worker) ->
       if w.alive then begin
-        (try Wire.send w.tx Quit with Unix.Unix_error _ | Sys_error _ -> ());
+        (* Jobs not yet written are dropped, not run. *)
+        Buffer.clear w.out;
+        send t w Quit;
         (try Unix.close w.tx with Unix.Unix_error _ -> ());
         (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
         (try Unix.close w.rx with Unix.Unix_error _ -> ());
@@ -567,10 +641,13 @@ let core_stats t =
 (* -- the job policy ---------------------------------------------------------
 
    One campaign's cases on the pool, whichever driver feeds it: the
-   queue (job id = the campaign's case index), the strike counts of the
-   two-strike rule and the running count. A case is reported once, by
-   its first completion or by its quarantine, which completes its job
-   too; a completion resets the case's strikes. *)
+   queue (job id = the campaign's case index) and the strike counts of
+   the two-strike rule. Cases are dealt by receiver, as [--domains]
+   deals them, so each receiver's baseline and mask are computed on one
+   worker; a worker that runs dry steals a whole receiver group. A case
+   is reported once, by its first completion or by its quarantine,
+   which completes its job too; a completion resets the case's
+   strikes. *)
 
 type jobs = {
   j_tenant : int;
@@ -578,40 +655,54 @@ type jobs = {
   j_q : (Testcase.t, unit) Jobqueue.t;
   j_strikes : (int, int) Hashtbl.t;      (* consecutive kills per case *)
   j_on_done : int -> Campaign.case_result -> int -> unit;
-  mutable j_running : int;
   mutable j_poisoned : int;
 }
+
+let receiver (tc : Testcase.t) = tc.Testcase.receiver
+
+(* Assign [cases] to the slots [to_], whole receiver groups to the
+   least-loaded slot. *)
+let deal q cases ~to_ =
+  let slots = Array.of_list to_ in
+  Array.iteri
+    (fun i slice ->
+      if slice <> [] then Jobqueue.deal q slice ~to_:[ slots.(i) ])
+    (Campaign.deal ~key:receiver (Array.length slots) cases)
 
 let jobs t ~tenant ~label options corpus cases ~on_done =
   Hashtbl.replace t.contexts tenant (label, options, corpus);
   Array.iter
-    (fun w -> if w.alive then send_context w ~tenant ~label ~options ~corpus)
+    (fun w -> if w.alive then send_context t w ~tenant ~label ~options ~corpus)
     t.workers;
-  let q = Jobqueue.create () in
+  let q = Jobqueue.create ~group:receiver () in
   List.iter (fun (case, tc) -> Jobqueue.submit_as q ~id:case tc) cases;
-  ignore (Jobqueue.assign_round_robin q ~workers:(Array.length t.workers)
-          : (int * _) list array);
+  (* With no live slot the cases stay queued for the driver's all-dead
+     check. *)
+  (match alive_slots t with [] -> () | slots -> deal q cases ~to_:slots);
   { j_tenant = tenant; j_corpus = corpus; j_q = q; j_strikes = Hashtbl.create 16;
-    j_on_done = on_done; j_running = 0; j_poisoned = 0 }
+    j_on_done = on_done; j_poisoned = 0 }
 
 let drained j = Jobqueue.is_drained j.j_q
 
-(* Work a slot could start now: queued jobs beyond the running ones. *)
-let claimable j = Jobqueue.unfinished_count j.j_q > j.j_running
+(* Work a slot could start now: a case dealt to some slot and not yet
+   dispatched. *)
+let claimable j = Jobqueue.assigned_count j.j_q > 0
 
 let dispatch t j ~slot =
+  has_room t.workers.(slot)
+  &&
   let next =
     match Jobqueue.claim_next j.j_q ~worker:slot with
     | Some _ as job -> job
     | None ->
+      let stolen = Jobqueue.stolen j.j_q in
       let job = Jobqueue.steal j.j_q ~thief:slot in
-      if job <> None then Metrics.inc (pc "stolen" t);
+      Metrics.add (pc "stolen" t) (Jobqueue.stolen j.j_q - stolen);
       job
   in
   match next with
   | None -> false
   | Some (id, tc) ->
-    j.j_running <- j.j_running + 1;
     dispatch_job t ~slot ~tenant:j.j_tenant ~id tc;
     true
 
@@ -624,17 +715,15 @@ let report j id r execs =
 
 let handle t j = function
   | Job_done { ev_tenant; ev_id; ev_result; ev_execs; _ } ->
-    if ev_tenant = j.j_tenant && unreported j ev_id then begin
-      j.j_running <- j.j_running - 1;
+    if ev_tenant = j.j_tenant && unreported j ev_id then
       report j ev_id ev_result ev_execs
-    end
   | Worker_lost { ev_slot; ev_why; ev_in_flight; _ } ->
     (* Two strikes: a case that killed two workers in a row is poison —
        quarantine it as a first-class crash report instead of feeding it
-       to a third worker. *)
+       to a third worker. Only the oldest unreported case was running;
+       the rest of the flight goes back without a strike. *)
     (match ev_in_flight with
      | Some (tenant, id) when tenant = j.j_tenant && unreported j id ->
-       j.j_running <- j.j_running - 1;
        let strikes =
          1 + Option.value ~default:0 (Hashtbl.find_opt j.j_strikes id)
        in
@@ -657,7 +746,7 @@ let handle t j = function
     | [], _ -> ()
     | orphans, survivors ->
       Metrics.add (pc "resharded" t) (List.length orphans);
-      if survivors <> [] then Jobqueue.deal j.j_q orphans ~to_:survivors
+      if survivors <> [] then deal j.j_q orphans ~to_:survivors
 
 (* -- the single-campaign executor ----------------------------------------- *)
 
@@ -685,7 +774,8 @@ let execute ?obs cfg options corpus cases ~on_done =
               raise
                 (Aborted
                    { unfinished = Jobqueue.unfinished j.j_q; stats = stats () });
-            List.iter (fun slot -> ignore (dispatch t j ~slot : bool))
+            List.iter
+              (fun slot -> while dispatch t j ~slot do () done)
               (idle_slots t);
             let events, _ = poll t ~timeout:0.2 in
             List.iter (handle t j) events

@@ -9,15 +9,22 @@
     entered through {!worker_entry} — keeps one supervised execution
     environment per campaign context inside each worker, detects worker
     death via [waitpid] (exit code or signal) and pipe EOF, detects
-    hangs via per-job wall-clock heartbeat deadlines (an expired worker
-    is [SIGKILL]ed), respawns crashed workers with bounded retries and
-    exponential backoff (re-sending every context), and reports
-    everything as {!event}s.
+    hangs via a wall-clock heartbeat deadline on each worker's oldest
+    case (an expired worker is [SIGKILL]ed), respawns crashed workers
+    with bounded retries and exponential backoff (re-sending every
+    context), and reports everything as {!event}s.
+
+    A worker holds up to 16 cases at once, its {e flight}, so the pool
+    pays per batch rather than per case: {!poll} writes a worker's
+    queued [Job] frames in one write and decodes every [Done] frame one
+    read brings in. The worker runs its flight in order and reports
+    each case as it completes, so a death is still blamed on exactly
+    the case that was running. The depth is a constant, not an option.
 
     The {e job policy} ({!jobs}) is the one home of the rules both
-    drivers share: claim-or-steal, report-once, the two-strike
-    [Worker_lost] quarantine and reshard-on-death, over a
-    {!Kit_core.Jobqueue}. Its drivers are {!executor}, the
+    drivers share: receiver-group dealing, claim-or-steal, report-once,
+    the two-strike [Worker_lost] quarantine and reshard-on-death, over
+    a {!Kit_core.Jobqueue}. Its drivers are {!executor}, the
     single-campaign executor behind [kit campaign --procs], and the
     multi-tenant scheduler ([Kit_serve.Sched] behind [kit serve]).
     Checkpointing is the campaign driver's ({!Kit_core.Campaign}), the
@@ -43,22 +50,24 @@ val worker_entry : unit -> unit
     silence). *)
 type sabotage = {
   kill_after : (int * int) list;
-      (** [(slot, n)]: worker [slot] SIGKILLs itself on receiving its
-          next job once it has completed [n] cases — from the parent's
+      (** [(slot, n)]: worker [slot] SIGKILLs itself as it starts its
+          next case once it has completed [n] — from the parent's
           view, death mid-case. One-shot: the slot's respawned worker is
           not re-sabotaged. *)
   hang_after : (int * int) list;
       (** [(slot, n)]: as [kill_after], but the worker sleeps forever —
           only the heartbeat can catch it. One-shot per slot. *)
   poison : int list;
-      (** job ids whose receipt SIGKILLs {e any} worker — the
+      (** job ids that SIGKILL {e any} worker as it starts them — the
           twice-lethal quarantine path *)
 }
 
 type config = {
   procs : int;                       (** worker processes (at least 1) *)
   heartbeat_s : float;
-      (** per-job wall-clock deadline; an overdue worker is killed *)
+      (** wall-clock deadline on a worker's oldest case, counted from
+          when its frame was written or the case before it was read as
+          done, whichever is later; an overdue worker is killed *)
   max_respawns : int;                (** respawn budget per worker slot *)
   backoff_base_ms : float;           (** respawn backoff base, doubling *)
   sabotage : sabotage;
@@ -86,9 +95,11 @@ type event =
       ev_slot : int;
       ev_why : string;
       ev_in_flight : (int * int) option;
-          (** [(tenant, id)] that died with the worker — buffered [Done]
-              frames are drained first, so a case the worker finished
-              before dying is never blamed *)
+          (** [(tenant, id)] of the oldest case the worker had not
+              reported: the one it was running. Buffered [Done] frames
+              are decoded first, so a case the worker finished before
+              dying is never blamed; the cases behind it in its flight
+              go back to the queue without a strike ({!handle}). *)
       ev_respawned : bool;
           (** the slot was respawned (budget remained) and is idle *)
     }
@@ -99,23 +110,27 @@ val create : ?obs:Kit_obs.Obs.t -> config -> t
     per-worker spans (default: a private bundle). *)
 
 val retire : t -> tenant:int -> unit
-(** Drop a tenant's context (and its workers' environments). In-flight
-    jobs of the tenant still produce {!event.Job_done}. *)
+(** Drop a tenant's context (and its workers' environments). Cases of
+    the tenant already in flight still run and produce
+    {!event.Job_done}. *)
 
 val idle_slots : t -> int list
-(** Alive workers with no job in flight, in slot order. *)
+(** Alive workers with room in their flight (fewer than 16 cases
+    dispatched and unreported), in slot order. *)
 
 val live_count : t -> int
 
 val poll : ?extra:Unix.file_descr list -> t -> timeout:float ->
   event list * Unix.file_descr list
-(** One event-loop turn: read the results already waiting from
-    overdue workers, heartbeat-kill those still overdue, reap exits, select
-    on worker result pipes plus [extra] descriptors (capped at
-    [timeout] seconds, shortened to the earliest heartbeat deadline),
-    and return the events in arrival order plus whichever [extra]
-    descriptors are readable. Buffered events make the select
-    non-blocking. *)
+(** One event-loop turn: write every worker's queued frames, read the
+    results already waiting from overdue workers, heartbeat-kill those
+    still overdue, reap exits, select on worker result pipes plus
+    [extra] descriptors (capped at [timeout] seconds, shortened to the
+    earliest heartbeat deadline), and return the events in arrival
+    order plus whichever [extra] descriptors are readable. Buffered
+    events make the select non-blocking. A result frame that cannot be
+    decoded (a negative or oversized length, or bad payload bytes)
+    counts as the worker's death. *)
 
 val shutdown : t -> unit
 (** Quit, reap and close every live worker; restore SIGPIPE. *)
@@ -140,24 +155,32 @@ val jobs :
   on_done:(int -> Campaign.case_result -> int -> unit) -> jobs
 (** Install the campaign's context under [tenant] in every worker
     ([label] is stamped as a ["tenant"] trace attr on its executions
-    when non-empty) and queue [(case, representative)] pairs, sharded
-    round-robin over the slots. [on_done case result executions] fires
+    when non-empty) and queue [(case, representative)] pairs, dealt
+    over the live slots by receiver ({!Kit_core.Campaign.deal} keyed
+    by the corpus index): each receiver's cases go whole, largest group
+    first, to the least-loaded slot, so its baseline and mask are
+    computed on one worker. [on_done case result executions] fires
     once per case, for its first completion or for its quarantine (0
     executions) after it killed two workers in a row. *)
 
 val claimable : jobs -> bool
-(** Queued cases beyond the running ones. *)
+(** Cases dealt to a slot and not yet dispatched. *)
 
 val drained : jobs -> bool
 
 val dispatch : t -> jobs -> slot:int -> bool
-(** Send an idle slot its own next case, or one stolen from the longest
-    queue; [false] when there is none. *)
+(** Queue one case on a slot with room in its flight: its own next
+    case, or else the first of a whole receiver group stolen from the
+    longest queue, whose other cases become the slot's own. [false]
+    when the slot is full or there is no case. The frame goes out at
+    the next {!poll}. Drivers call it until it fails, for every slot of
+    {!idle_slots}. *)
 
 val handle : t -> jobs -> event -> unit
 (** Apply one {!poll} event: a completion of one of these cases, or a
-    worker death — a strike on the case it held, and its queue
-    resharded over the survivors. *)
+    worker death — a strike on the oldest case it had not reported, and
+    its whole queue, flight included, resharded over the survivors by
+    receiver. *)
 
 (** {2 The single-campaign executor} *)
 

@@ -185,7 +185,7 @@ let refill_cap = 8.0
 let actives t =
   List.filter (fun tn -> Tenant.phase tn = Tenant.Active) (tenants t)
 
-(* Pick the tenant the next idle slot should serve, in ring order:
+(* Pick the tenant a slot with room should serve next, in ring order:
    first entitled claimable tenant (spend quota); if quota credit is
    stranded on tenants that cannot run (momentarily out of claimable
    work), let the first claimable tenant steal it (its deficit
@@ -217,23 +217,30 @@ let rec pick_tenant active =
         pick_tenant active
       end)
 
-let dispatch_idle t =
-  List.iter
-    (fun slot ->
-      let active = actives t in
-      match pick_tenant active with
-      | None -> ()
-      | Some (tn, stolen) ->
-        let contended =
-          List.length (List.filter Tenant.claimable active) >= 2
-        in
-        if Pool.dispatch t.pool (Option.get (Tenant.jobs tn)) ~slot then begin
-          Tenant.set_deficit tn (Tenant.deficit tn -. 1.0);
-          Tenant.note_dispatch tn ~contended ~stolen;
-          Metrics.inc (sm "dispatched" t);
-          if stolen then Metrics.inc (sm "steals" t)
-        end)
-    (Pool.idle_slots t.pool)
+(* Fill every live worker's flight: one case per slot with room, round
+   after round, until the slots are full or no tenant has work. *)
+let rec dispatch_idle t =
+  let dispatched =
+    List.fold_left
+      (fun dispatched slot ->
+        let active = actives t in
+        match pick_tenant active with
+        | None -> dispatched
+        | Some (tn, stolen) ->
+          let contended =
+            List.length (List.filter Tenant.claimable active) >= 2
+          in
+          if Pool.dispatch t.pool (Option.get (Tenant.jobs tn)) ~slot then begin
+            Tenant.set_deficit tn (Tenant.deficit tn -. 1.0);
+            Tenant.note_dispatch tn ~contended ~stolen;
+            Metrics.inc (sm "dispatched" t);
+            if stolen then Metrics.inc (sm "steals" t);
+            true
+          end
+          else dispatched)
+      false (Pool.idle_slots t.pool)
+  in
+  if dispatched then dispatch_idle t
 
 (* -- events --------------------------------------------------------------- *)
 

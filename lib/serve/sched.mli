@@ -3,7 +3,8 @@
 
     A single-threaded event loop owns the pool and every {!Tenant}.
     Each {!step}: activate pending tenants (up to [sc_max_active]),
-    dispatch idle worker slots by deficit round robin, poll the pool,
+    fill every worker's flight by deficit round robin (one credit per
+    case dispatched), poll the pool,
     pass its events through the pool's job policy ({!Pool.handle}) of
     every active tenant, finish drained tenants (fold, summary and
     checkpoint; no kernel runs in the loop, as the workers diagnose
@@ -20,7 +21,9 @@
 
     {b Crash safety.} Each tenant's campaign driver saves its
     case-result log every [sc_checkpoint_every] completions (kind
-    ["serve-tenant-v4"]: see {!Tenant}). A SIGKILLed daemon restarted
+    ["serve-tenant-v4"]: see {!Tenant}), fsyncing it at most every
+    100 ms; a tenant's finish, [Shutdown] and a dead pool fsync every
+    log at once ({!Kit_core.Caselog.log}). A SIGKILLed daemon restarted
     with {!resume} rebuilds every tenant from [sc_state_dir] and
     replays logged results at activation — no logged representative is
     re-executed, and finished tenants keep serving their summaries.

@@ -160,8 +160,13 @@ let finish t =
     c
   | Some _ | None -> invalid_arg "Tenant.finish: tenant is not active"
 
+(* Called at finish and on shutdown or a dead pool: durable now,
+   whatever the time budget of the periodic saves left unsynced. *)
 let save_checkpoint t =
-  if t.t_phase <> Cancelled then t.t_log.Campaign.save ()
+  if t.t_phase <> Cancelled then begin
+    t.t_log.Campaign.save ();
+    t.t_log.Campaign.sync ()
+  end
 
 let cancel t =
   if t.t_phase = Pending || t.t_phase = Active then begin

@@ -104,7 +104,9 @@ val note_dispatch : t -> contended:bool -> stolen:bool -> unit
 val ckpt_kind : string
 
 val save_checkpoint : t -> unit
-(** Save the log now, unless the tenant was cancelled. *)
+(** Save the log now and fsync it, unless the tenant was cancelled.
+    The driver's periodic saves between these fsync on a time budget
+    ({!Kit_core.Caselog.log}). *)
 
 val of_checkpoint : every:int -> id:int -> string -> (t, string) result
 (** Rebuild from a log file, which the tenant goes on saving to:

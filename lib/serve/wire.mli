@@ -12,7 +12,11 @@
       socket, where the peer is any local process, so payloads are JSON
       and the receiver validates them ({!Proto.request_of_json}).
       Unmarshalling bytes from an untrusted peer can crash the process;
-      parsing a string cannot. *)
+      parsing a string cannot.
+
+    The pool moves many small [Marshal] frames each way, so it also
+    batches them: {!add_frame} queues frames that one {!flush} writes,
+    and an {!inbox} takes every frame one [read] brought in. *)
 
 val max_frame : int
 (** Sanity bound on a single frame (16 MiB). *)
@@ -38,4 +42,39 @@ val send : Unix.file_descr -> 'a -> unit
 
 val recv : Unix.file_descr -> 'a option
 (** {!recv_string}, unmarshalled; [None] also on undecodable payload
-    bytes. *)
+    bytes. Reads exactly one frame, so an {!inbox} can take over the
+    stream after it. *)
+
+(** {2 Batched frames} *)
+
+val add_frame : Buffer.t -> 'a -> unit
+(** Append the frame {!send} would write. *)
+
+val flush : Unix.file_descr -> Buffer.t -> unit
+(** Write every queued frame in one loop of writes, and empty the
+    buffer (also when the write raises).
+    @raise Unix.Unix_error as {!send_string}. *)
+
+type inbox
+(** Bytes read from one stream and not yet taken as frames. Its buffer
+    is allocated by the first {!fill} and grows to fit the largest
+    frame. *)
+
+val inbox : unit -> inbox
+
+val fill : Unix.file_descr -> inbox -> bool
+(** Read what the stream has ready into the inbox, blocking until there
+    is a byte: one [read], and more while each fills the room it was
+    given and the stream holds more, so every frame wholly sent is
+    wholly read. [false] at EOF. *)
+
+type 'a next =
+  | Frame of 'a       (** the oldest complete frame, now taken *)
+  | Short             (** no complete frame yet: {!fill} again *)
+  | Bad of string
+      (** a negative or over-{!max_frame} length, or a payload that is
+          not exactly one [Marshal] value: the stream cannot be
+          re-synchronised *)
+
+val take : inbox -> 'a next
+(** Take the oldest complete frame, unmarshalled. *)

@@ -325,8 +325,11 @@ let with_pool f =
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
 (* Run [tn]'s cases on a one-worker pool, activating it first if it is
-   pending, until [stop ()] or it drains. One case runs at a time, so a
-   stop after a completion leaves nothing in flight. *)
+   pending, until [stop ()] or it drains. The pool could hold 16 cases
+   in flight, but each turn queues one, and the poll that writes it
+   returns with its result: a stop after a completion leaves nothing in
+   flight unless a case outlasted the poll, and a case left in flight
+   completes in the next call. *)
 let run_cases ?(stop = fun () -> false) pool tn =
   if Tenant.phase tn = Tenant.Pending then Tenant.activate tn pool;
   let j = Option.get (Tenant.jobs tn) in

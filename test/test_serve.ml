@@ -77,7 +77,8 @@ let test_jobqueue_reshard () =
 (* The reference model: the queue as it was before it was indexed — one
    hashtable, and every ordered read sorts it by submit sequence. Slow,
    but obviously right; the indexed queue must agree with it on every
-   return value and every read. *)
+   return value and every read. A grouped model steals the whole group
+   of the victim's newest job. *)
 module Model = struct
   type ('a, 'b) status =
     | Queued
@@ -94,14 +95,16 @@ module Model = struct
 
   type ('a, 'b) t = {
     jobs : (int, ('a, 'b) job) Hashtbl.t;
+    group : ('a -> int) option;
     mutable seq : int;
     mutable next_id : int;
     mutable resharded : int;
     mutable stolen : int;
   }
 
-  let create () =
-    { jobs = Hashtbl.create 64; seq = 0; next_id = 0; resharded = 0; stolen = 0 }
+  let create ?group () =
+    { jobs = Hashtbl.create 64; group; seq = 0; next_id = 0; resharded = 0;
+      stolen = 0 }
 
   let job t id =
     match Hashtbl.find_opt t.jobs id with
@@ -192,10 +195,22 @@ module Model = struct
           None (ordered t)
       in
       Option.map
-        (fun j ->
-          j.j_status <- Running thief;
-          t.stolen <- t.stolen + 1;
-          (j.j_id, j.j_payload))
+        (fun last ->
+          let same j =
+            match t.group with
+            | Some g -> g j.j_payload = g last.j_payload
+            | None -> j == last
+          in
+          let group =
+            List.filter
+              (fun j -> j.j_status = Assigned w && same j)
+              (ordered t)
+          in
+          List.iter (fun j -> j.j_status <- Assigned thief) group;
+          t.stolen <- t.stolen + List.length group;
+          let first = List.hd group in
+          first.j_status <- Running thief;
+          (first.j_id, first.j_payload))
         last
 
   let release t ~worker =
@@ -225,6 +240,12 @@ module Model = struct
         | Queued | Assigned _ | Running _ -> Some (j.j_id, j.j_payload)
         | Completed _ -> None)
       (ordered t)
+
+  let assigned_count t =
+    Hashtbl.fold
+      (fun _ j n ->
+        match j.j_status with Assigned _ -> n + 1 | _ -> n)
+      t.jobs 0
 
   let is_drained t =
     Hashtbl.fold
@@ -283,14 +304,19 @@ let gen_jq_case =
         (1, map (fun w -> Release w) worker);
         (3, map2 (fun i r -> Complete (i, r)) id (int_range 0 99)) ]
   in
-  pair (return workers) (list_size (int_range 0 60) op)
+  triple (return workers) bool (list_size (int_range 0 60) op)
 
 let arb_jq_case =
   QCheck.make
-    ~print:(fun (workers, ops) ->
-      Printf.sprintf "workers=%d: %s" workers
+    ~print:(fun (workers, grouped, ops) ->
+      Printf.sprintf "workers=%d%s: %s" workers
+        (if grouped then ", grouped" else "")
         (String.concat ", " (List.map show_op ops)))
     gen_jq_case
+
+(* A grouped run's key: payloads are step numbers, so three groups
+   interleave in every shard. *)
+let jq_group p = p mod 3
 
 (* Run an operation, turning the exceptions both queues may raise into
    comparable values. *)
@@ -305,9 +331,10 @@ let outcome f =
 let prop_jobqueue_matches_model =
   QCheck.Test.make ~name:"jobqueue: indexed queue = sort-based model"
     ~count:500 arb_jq_case
-    (fun (_, ops) ->
-      let q : (int, int) Jobqueue.t = Jobqueue.create () in
-      let m : (int, int) Model.t = Model.create () in
+    (fun (_, grouped, ops) ->
+      let group = if grouped then Some jq_group else None in
+      let q : (int, int) Jobqueue.t = Jobqueue.create ?group () in
+      let m : (int, int) Model.t = Model.create ?group () in
       let agree step what a b =
         if a <> b then
           QCheck.Test.fail_reportf "step %d (%s): %s differs" step
@@ -350,8 +377,8 @@ let prop_jobqueue_matches_model =
                 (Jobqueue.result q id) (Model.result m id))
             (List.init 14 Fun.id);
           agree step "unfinished" (Jobqueue.unfinished q) (Model.unfinished m);
-          agree step "unfinished_count" (Jobqueue.unfinished_count q)
-            (List.length (Model.unfinished m));
+          agree step "assigned_count" (Jobqueue.assigned_count q)
+            (Model.assigned_count m);
           agree step "is_drained" (Jobqueue.is_drained q) (Model.is_drained m);
           agree step "resharded" (Jobqueue.resharded q) m.Model.resharded;
           agree step "stolen" (Jobqueue.stolen q) m.Model.stolen)
@@ -513,10 +540,10 @@ type outcome = {
   stats : Pool.stats;
 }
 
-let pool_fps (o : outcome) =
-  let reports = List.filter_map (fun r -> r.Campaign.cr_report) o.results in
+let results_fps results =
+  let reports = List.filter_map (fun r -> r.Campaign.cr_report) results in
   let quarantined =
-    List.concat_map (fun r -> r.Campaign.cr_crashes) o.results
+    List.concat_map (fun r -> r.Campaign.cr_crashes) results
   in
   let funnel =
     List.fold_left
@@ -524,9 +551,11 @@ let pool_fps (o : outcome) =
         let f = cr.Campaign.cr_funnel in
         ( e + f.Filter.executed, i + f.Filter.initial,
           n + f.Filter.after_nondet, r + f.Filter.after_resource ))
-      (0, 0, 0, 0) o.results
+      (0, 0, 0, 0) results
   in
   (multiset reports, funnel, multiset quarantined)
+
+let pool_fps (o : outcome) = results_fps o.results
 
 let campaign_fps (c : Campaign.t) =
   (multiset c.Campaign.reports, funnel_fp c.Campaign.funnel,
@@ -582,7 +611,9 @@ let prop_pool_equals_sequential =
   (* The acceptance invariant: for any procs count and any single-kill
      schedule (slot × cases-completed-before-death, SIGKILL mid-case),
      the merged funnel/reports/quarantine fingerprint equals the
-     sequential campaign. Multi-kill schedules are covered by the
+     sequential campaign, and no case is quarantined: the cases behind
+     the killed one in its worker's flight go back without a strike.
+     Multi-kill schedules are covered by the
      directed twice-lethal test — two kills in a row on one case
      *should* quarantine it, by design. *)
   QCheck.Test.make ~name:"pool procs=N × kill schedule = sequential campaign"
@@ -596,7 +627,9 @@ let prop_pool_equals_sequential =
             { Pool.default_config.Pool.sabotage with
               Pool.kill_after = [ (slot mod procs, after) ] } }
       in
-      pool_fps (run_pool ~cfg ()) = Lazy.force reference)
+      let o = run_pool ~cfg () in
+      (* one kill strikes one case once: nothing may be quarantined *)
+      o.stats.Pool.poisoned = 0 && pool_fps o = Lazy.force reference)
 
 let test_pool_poison_two_strikes () =
   (* Case 0 kills every worker that touches it. Two strikes must land it
@@ -619,6 +652,118 @@ let test_pool_poison_two_strikes () =
        (List.map fp_one rest = List.map fp_one clean_rest)
    | _ -> Alcotest.fail "pool produced no results")
 
+(* Every representative of the baseline through the job policy on a
+   fresh pool, as the executor drives it: the results in case order,
+   every event in arrival order, and the core counters. *)
+let pool_events cfg =
+  let b = Lazy.force baseline in
+  let reps = b.Campaign.generation.Kit_gen.Cluster.reps in
+  let results = Array.make (List.length reps) None and events = ref [] in
+  let pool = Pool.create cfg in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let j =
+        Pool.jobs pool ~tenant:0 ~label:"" small_options b.Campaign.corpus
+          (List.mapi (fun i tc -> (i, tc)) reps)
+          ~on_done:(fun case r _ ->
+            if results.(case) <> None then
+              Alcotest.failf "case %d reported twice" case;
+            results.(case) <- Some r)
+      in
+      while not (Pool.drained j) do
+        List.iter
+          (fun slot -> while Pool.dispatch pool j ~slot do () done)
+          (Pool.idle_slots pool);
+        List.iter
+          (fun ev ->
+            events := ev :: !events;
+            Pool.handle pool j ev)
+          (fst (Pool.poll pool ~timeout:0.2))
+      done;
+      ( Array.to_list (Array.map Option.get results),
+        List.rev !events,
+        Pool.core_stats pool ))
+
+let completions_of slot events =
+  List.filter_map
+    (function
+      | Pool.Job_done { ev_slot; ev_id; _ } when ev_slot = slot -> Some ev_id
+      | Pool.Job_done _ | Pool.Worker_lost _ -> None)
+    events
+
+let lost_case (r : Campaign.case_result) =
+  List.exists
+    (fun (c : Supervisor.crash) ->
+      match c.Supervisor.c_reason with
+      | Supervisor.Worker_lost _ -> true
+      | _ -> false)
+    r.Campaign.cr_crashes
+
+let test_pool_poison_behind_others () =
+  (* Slot 0 runs its flight in order, so the third case it completes in
+     a clean run sits behind two others in its first flight. Poisoned,
+     it kills slot 0 after the two ahead of it have reported, and then
+     whichever worker takes it next: two deaths, each blamed on it
+     alone, and a quarantine. *)
+  let cfg = { test_config with Pool.procs = 2 } in
+  let clean, clean_events, _ = pool_events cfg in
+  check_bool "clean pool = sequential campaign" true
+    (results_fps clean = Lazy.force reference);
+  let ahead, poison =
+    match completions_of 0 clean_events with
+    | a :: b :: p :: _ -> ([ a; b ], p)
+    | _ -> Alcotest.fail "slot 0 completed fewer than three cases"
+  in
+  let results, events, core =
+    pool_events
+      { cfg with
+        Pool.sabotage =
+          { Pool.default_config.Pool.sabotage with Pool.poison = [ poison ] } }
+  in
+  check_int "exactly two deaths" 2 core.Pool.c_deaths;
+  let deaths =
+    List.filter_map
+      (function
+        | Pool.Worker_lost { ev_slot; ev_in_flight; _ } ->
+          Some (ev_slot, ev_in_flight)
+        | Pool.Job_done _ -> None)
+      events
+  in
+  (match deaths with
+   | [ (0, Some (0, p1)); (_, Some (0, p2)) ] ->
+     check_int "the first death is blamed on the poison" poison p1;
+     check_int "the second death is blamed on the poison" poison p2
+   | _ -> Alcotest.fail "want two deaths, the first on slot 0");
+  let before_death =
+    let rec go acc = function
+      | Pool.Worker_lost _ :: _ -> List.rev acc
+      | ev :: rest -> go (ev :: acc) rest
+      | [] -> List.rev acc
+    in
+    completions_of 0 (go [] events)
+  in
+  check_bool "the cases ahead of it reported from slot 0 first" true
+    (List.for_all (fun c -> List.mem c before_death) ahead);
+  List.iteri
+    (fun i r ->
+      if i = poison then begin
+        match r.Campaign.cr_crashes with
+        | [ { Supervisor.c_reason = Supervisor.Worker_lost _; c_attempts; _ } ]
+          ->
+          check_int "two strikes recorded" 2 c_attempts
+        | _ -> Alcotest.fail "the poison must carry one Worker_lost crash"
+      end
+      else begin
+        check_bool (Printf.sprintf "case %d not quarantined" i) false
+          (lost_case r);
+        check_bool
+          (Printf.sprintf "case %d has its own result" i)
+          true
+          (fp_one r = fp_one (List.nth clean i))
+      end)
+    results
+
 let test_pool_heartbeat_timeout () =
   (* Worker 0 hangs forever on its first job; only the wall-clock
      heartbeat can catch it. With no respawn budget the slot retires and
@@ -637,9 +782,10 @@ let test_pool_heartbeat_timeout () =
     (pool_fps o = Lazy.force reference)
 
 let test_pool_reads_before_judging () =
-  (* The coordinator is away past the heartbeat while the job completes:
-     poll reads the result already in the pipe instead of killing the
-     worker as hung. *)
+  (* The coordinator is away past the heartbeat between queueing a case
+     and its next poll. The case's clock starts when that poll writes
+     its frame, not when it was queued, and the poll reads the result
+     instead of killing the worker as hung. *)
   let b = Lazy.force baseline in
   let pool =
     Pool.create { test_config with Pool.procs = 1; heartbeat_s = 0.5 }
@@ -660,6 +806,50 @@ let test_pool_reads_before_judging () =
       check_int "no heartbeat timeouts" 0 c.Pool.c_heartbeat_timeouts;
       check_bool "one completion" true
         (match events with [ Pool.Job_done _ ] -> true | _ -> false))
+
+let test_pool_reads_flight_before_judging () =
+  (* The coordinator is away past the heartbeat while the worker
+     completes its flight: poll reads the results already in the pipe
+     instead of killing the worker as hung. A first poll writes the
+     flight and returns at once, woken by an [extra] descriptor that is
+     already readable; the results land while the coordinator sleeps. *)
+  let b = Lazy.force baseline in
+  let pool =
+    Pool.create { test_config with Pool.procs = 1; heartbeat_s = 0.5 }
+  in
+  let ready, poke = Unix.pipe () in
+  ignore (Unix.write_substring poke "x" 0 1 : int);
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown pool;
+      Unix.close ready;
+      Unix.close poke)
+    (fun () ->
+      let cases =
+        List.filteri (fun i _ -> i < 16)
+          (List.mapi (fun i tc -> (i, tc))
+             b.Campaign.generation.Kit_gen.Cluster.reps)
+      in
+      let j =
+        Pool.jobs pool ~tenant:0 ~label:"" small_options b.Campaign.corpus
+          cases ~on_done:(fun _ _ _ -> ())
+      in
+      let rec fill n =
+        if Pool.dispatch pool j ~slot:0 then fill (n + 1) else n
+      in
+      check_int "the flight holds every case" (List.length cases) (fill 0);
+      let first, _ = Pool.poll ~extra:[ ready ] pool ~timeout:0.2 in
+      Unix.sleepf 1.0;
+      let late, _ = Pool.poll pool ~timeout:0.2 in
+      let c = Pool.core_stats pool in
+      check_int "no deaths" 0 c.Pool.c_deaths;
+      check_int "no heartbeat timeouts" 0 c.Pool.c_heartbeat_timeouts;
+      check_bool "results waited past the deadline" true (late <> []);
+      check_int "every case completed" (List.length cases)
+        (List.length
+           (List.filter
+              (function Pool.Job_done _ -> true | Pool.Worker_lost _ -> false)
+              (first @ late))))
 
 (* A pool campaign of [small_options] through the driver, logging to
    [path] every completion: the replayed count and the campaign. *)
@@ -725,6 +915,48 @@ let test_wire_oversized () =
       ignore (Unix.write tx header 0 8);
       check_bool "negative length is None" true
         ((Wire.recv rx : int option) = None))
+
+let test_wire_inbox () =
+  (* The pool's batched frames: queued frames go out in one flush, and
+     one fill reads every frame wholly in the pipe, even one larger than
+     the inbox's first read; a cut frame stays short until EOF, and a
+     negative length is a bad frame. *)
+  let rx, tx = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close rx)
+    (fun () ->
+      let big = String.make 20_000 'k' in
+      let out = Buffer.create 16 in
+      List.iter (Wire.add_frame out) [ "a"; big; "c" ];
+      Wire.flush tx out;
+      check_int "flush empties the queue" 0 (Buffer.length out);
+      let ib = Wire.inbox () in
+      check_bool "one fill" true (Wire.fill rx ib);
+      let take () : string Wire.next = Wire.take ib in
+      check_bool "every frame, in order" true
+        (List.map (fun _ -> take ()) [ 1; 2; 3 ]
+         = [ Wire.Frame "a"; Wire.Frame big; Wire.Frame "c" ]);
+      check_bool "then nothing" true (take () = Wire.Short);
+      Wire.add_frame out "cut";
+      let s = Buffer.contents out in
+      ignore (Unix.write_substring tx s 0 (String.length s - 1) : int);
+      Unix.close tx;
+      check_bool "a cut frame is read" true (Wire.fill rx ib);
+      check_bool "and stays short" true (take () = Wire.Short);
+      check_bool "until EOF" false (Wire.fill rx ib));
+  let rx, tx = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close rx; Unix.close tx)
+    (fun () ->
+      let header = Bytes.create 8 in
+      Bytes.set_int64_be header 0 (-1L);
+      ignore (Unix.write tx header 0 8 : int);
+      let ib = Wire.inbox () in
+      ignore (Wire.fill rx ib : bool);
+      check_bool "a negative length is a bad frame" true
+        (match (Wire.take ib : string Wire.next) with
+         | Wire.Bad _ -> true
+         | Wire.Frame _ | Wire.Short -> false))
 
 (* --- the socket protocol's codecs ---------------------------------------- *)
 
@@ -907,11 +1139,11 @@ let sched_cfg ?(procs = 2) ?(sabotage = Pool.default_config.Pool.sabotage) ?stat
     sc_max_active = 4; sc_max_pending = 16; sc_state_dir = state_dir;
     sc_checkpoint_every = ckpt_every }
 
-let spec ?(weight = 1) name seed =
+let spec ?(weight = 1) ?(corpus_size = 24) name seed =
   { Proto.default_spec with
     Proto.sp_name = name;
     sp_seed = seed;
-    sp_corpus_size = 24;
+    sp_corpus_size = corpus_size;
     sp_weight = weight;
     sp_diagnose = false }
 
@@ -950,7 +1182,10 @@ let prop_sched_equals_solo =
      vector and single-kill schedule, every tenant's report merged off
      the shared pool equals its own solo sequential campaign — funnel,
      report multiset and quarantine multiset. (Single kills only: a
-     slot's sabotage is one-shot, so no case ever takes two strikes.) *)
+     slot's sabotage is one-shot, so no case ever takes two strikes.)
+     The tenants run over 64 programs: below the 52 curated ones every
+     seed gives the same summary, and a completion routed to the wrong
+     tenant could not show. *)
   QCheck.Test.make ~name:"sched: every tenant = its solo campaign" ~count:4
     QCheck.(
       triple (int_range 1 3)
@@ -969,7 +1204,8 @@ let prop_sched_equals_solo =
           List.iteri
             (fun i seed ->
               let weight = if i = 0 then w1 else w2 in
-              submit_ok s (spec ~weight (Printf.sprintf "t%d" i) seed))
+              submit_ok s
+                (spec ~weight ~corpus_size:64 (Printf.sprintf "t%d" i) seed))
             seeds;
           drain s;
           List.for_all
@@ -978,9 +1214,9 @@ let prop_sched_equals_solo =
               match Tenant.result tn with
               | None -> false
               | Some c ->
-                campaign_fps c = campaign_fps (solo ~seed ~corpus_size:24)
+                campaign_fps c = campaign_fps (solo ~seed ~corpus_size:64)
                 && Tenant.summary tn
-                   = Some (Proto.summary (solo ~seed ~corpus_size:24)))
+                   = Some (Proto.summary (solo ~seed ~corpus_size:64)))
             (List.mapi (fun i seed -> (i, seed)) seeds)))
 
 let test_sched_fairness () =
@@ -1355,16 +1591,22 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pool_equals_sequential;
     Alcotest.test_case "twice-lethal case is quarantined, not retried" `Quick
       test_pool_poison_two_strikes;
+    Alcotest.test_case "a poison behind others in a flight takes both strikes"
+      `Quick test_pool_poison_behind_others;
     Alcotest.test_case "hung worker is caught by the heartbeat" `Quick
       test_pool_heartbeat_timeout;
     Alcotest.test_case "dead pool aborts with checkpoint; resume skips done"
       `Quick test_pool_abort_and_resume;
     Alcotest.test_case "poll reads a finished job before judging deadlines"
       `Quick test_pool_reads_before_judging;
+    Alcotest.test_case "poll reads a finished flight before judging deadlines"
+      `Quick test_pool_reads_flight_before_judging;
     Alcotest.test_case "deal with no survivors raises the typed error" `Quick
       test_jobqueue_deal_no_survivors;
     Alcotest.test_case "oversized wire frame raises the typed error" `Quick
       test_wire_oversized;
+    Alcotest.test_case "batched frames: one fill reads every whole frame"
+      `Quick test_wire_inbox;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_reply_roundtrip;
     Alcotest.test_case "every request and reply constructor round-trips"
