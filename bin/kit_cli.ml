@@ -1098,31 +1098,42 @@ let cmd_serve =
   let run socket state_dir procs heartbeat_s max_respawns max_active
       max_pending checkpoint_every resume tel =
     guarded (fun () ->
-        let obs = obs_of_telemetry tel in
-        let cfg =
-          { Sched.sc_pool =
-              { Pool.default_config with
-                Pool.procs;
-                heartbeat_s;
-                max_respawns };
-            sc_max_active = max_active;
-            sc_max_pending = max_pending;
-            sc_state_dir = state_dir;
-            sc_checkpoint_every = checkpoint_every }
-        in
-        let s = Sched.create ?obs cfg in
-        Fun.protect
-          ~finally:(fun () -> Sched.shutdown s)
-          (fun () ->
-            if resume then
-              List.iter
-                (fun (name, state) ->
-                  Fmt.pr "kit-serve: resumed tenant %s (%s)@." name state)
-                (Sched.resume s);
-            Sched.serve ~log:(fun m -> Fmt.pr "kit-serve: %s@." m) s ~socket);
-        export_obs obs tel
-          ~meta:[ ("cmd", Jsonl.Str "serve"); ("procs", Jsonl.Int procs) ];
-        exit_clean)
+        (* Listen first: a live daemon's socket is refused before any work. *)
+        match Proto.listen socket with
+        | exception Unix.Unix_error (Unix.EADDRINUSE, "listen", _) ->
+          Fmt.epr "kit: a daemon is already serving %s@." socket;
+          exit_internal
+        | listening ->
+          let obs = obs_of_telemetry tel in
+          let cfg =
+            { Sched.sc_pool =
+                { Pool.default_config with
+                  Pool.procs;
+                  heartbeat_s;
+                  max_respawns };
+              sc_max_active = max_active;
+              sc_max_pending = max_pending;
+              sc_state_dir = state_dir;
+              sc_checkpoint_every = checkpoint_every }
+          in
+          let s = Sched.create ?obs cfg in
+          Fun.protect
+            ~finally:(fun () ->
+              Sched.shutdown s;
+              Unix.close listening;
+              try Sys.remove socket with Sys_error _ -> ())
+            (fun () ->
+              if resume then
+                List.iter
+                  (fun (name, state) ->
+                    Fmt.pr "kit-serve: resumed tenant %s (%s)@." name state)
+                  (Sched.resume s);
+              Fmt.pr "kit-serve: listening on %s@." socket;
+              Sched.serve s listening;
+              Fmt.pr "kit-serve: shutting down (state checkpointed)@.");
+          export_obs obs tel
+            ~meta:[ ("cmd", Jsonl.Str "serve"); ("procs", Jsonl.Int procs) ];
+          exit_clean)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -7,11 +7,12 @@
    has ever spawned a domain, and the pool must coexist with the
    domain-distributed campaign paths in one executable. Each worker owns
    a job pipe (parent writes) and a result pipe (worker writes), both
-   carrying length-prefixed Marshal frames (Wire); the first job-pipe
-   frame is a [Hello] with the worker's slot and sabotage, followed by
-   one [Context] frame per registered tenant — spawned workers share no
-   memory, so campaign inputs travel the wire (plain data: the options
-   hold no closure).
+   carrying length-prefixed frames (Wire) whose payloads are Marshal
+   bytes, encoded and decoded here and nowhere else in the library. At
+   spawn the coordinator writes a [Hello] with the worker's slot and
+   sabotage and one [Context] frame per registered tenant in one write
+   — spawned workers share no memory, so campaign inputs travel the
+   wire (plain data: the options hold no closure).
 
    The pool pays per batch, not per case. A worker holds up to [depth]
    cases at once, its flight: the coordinator queues their [Job] frames
@@ -124,6 +125,25 @@ type res_msg =
       d_execs : int;                     (* execs delta *)
     }
 
+(* Both ends run the same executable image, so sender and receiver agree
+   on each frame's type, and every value sent is plain data. *)
+let encode v = Marshal.to_string v [ Marshal.No_sharing ]
+
+(* A payload decodes only if it is exactly one value: the decoder must
+   not read past it, nor leave bytes of it unread. *)
+let decode payload =
+  try
+    if Marshal.total_size (Bytes.unsafe_of_string payload) 0 = String.length payload
+    then Wire.Frame (Marshal.from_string payload 0)
+    else Wire.Bad "undecodable frame"
+  with Failure _ | Invalid_argument _ -> Wire.Bad "undecodable frame"
+
+let take ib =
+  match Wire.take ib with
+  | Wire.Frame payload -> decode payload
+  | Wire.Short -> Wire.Short
+  | Wire.Bad why -> Wire.Bad why
+
 let worker_env_var = "KIT_POOL_WORKER"
 
 (* -- worker (child) side -------------------------------------------------- *)
@@ -147,7 +167,8 @@ type child_env = {
   e_sup : Supervisor.t;
 }
 
-let child_main ~slot ~(sab : sabotage) rx tx =
+(* [inbox] holds what the read that brought [Hello] read past it. *)
+let child_main ~slot ~(sab : sabotage) rx inbox tx =
   let code = ref 0 in
   (try
      let obs = Obs.create () in
@@ -155,9 +176,9 @@ let child_main ~slot ~(sab : sabotage) rx tx =
      let kill_at = List.assoc_opt slot sab.kill_after in
      let hang_at = List.assoc_opt slot sab.hang_after in
      let completed = ref 0 in
-     let inbox = Wire.inbox () in
+     let out = Buffer.create 256 in
      let rec loop () =
-       match (Wire.take inbox : job_msg Wire.next) with
+       match (take inbox : job_msg Wire.next) with
        | Wire.Short -> if Wire.fill rx inbox then loop ()
        | Wire.Bad _ -> code := 70
        | Wire.Frame Quit -> ()
@@ -196,10 +217,12 @@ let child_main ~slot ~(sab : sabotage) rx tx =
             in
             (* Reported before the next case starts: the parent blames a
                death on the oldest case it has no result for. *)
-            Wire.send tx
-              (Done
-                 { d_tenant = j_tenant; d_id = j_id; d_result = r;
-                   d_execs = Supervisor.executions env.e_sup - e0 });
+            Wire.add_frame out
+              (encode
+                 (Done
+                    { d_tenant = j_tenant; d_id = j_id; d_result = r;
+                      d_execs = Supervisor.executions env.e_sup - e0 }));
+            Wire.flush tx out;
             incr completed;
             loop ())
      in
@@ -226,9 +249,15 @@ let worker_entry () =
         | _ -> Unix._exit 70)
       | _ -> Unix._exit 70
     in
-    (match (Wire.recv rx : hello option) with
-     | Some (Hello { h_slot; h_sab }) -> child_main ~slot:h_slot ~sab:h_sab rx tx
-     | None | (exception Wire.Oversized _) -> ());
+    let inbox = Wire.inbox () in
+    let rec hello () =
+      match (take inbox : hello Wire.next) with
+      | Wire.Short -> if Wire.fill rx inbox then hello ()
+      | Wire.Frame (Hello { h_slot; h_sab }) ->
+        child_main ~slot:h_slot ~sab:h_sab rx inbox tx
+      | Wire.Bad _ -> ()
+    in
+    hello ();
     (* Only reachable on a missing or undecodable Hello. *)
     Unix._exit 70
 
@@ -314,20 +343,18 @@ let flush t (w : worker) =
     if waiting then restart_clock t w (Unix.gettimeofday ())
   end
 
-(* A control frame goes out at once, behind the jobs queued before it. *)
-let send t w msg =
-  flush t w;
-  try Wire.send w.tx msg with Unix.Unix_error _ | Sys_error _ -> ()
+let queue (w : worker) (msg : job_msg) = Wire.add_frame w.out (encode msg)
 
-let send_context t w ~tenant ~label ~options ~corpus =
-  (* The context frame replaces the address space a fork would have
-     copied. The options are plain data once the obs bundle is dropped —
-     it is unmarshalable and private anyway; the worker builds its own. *)
-  send t w
-    (Context
-       { c_tenant = tenant; c_label = label;
-         c_options = { options with Campaign.obs = None };
-         c_corpus = corpus })
+(* A control frame goes out at once, behind the jobs queued before it. *)
+let send t w msg = queue w msg; flush t w
+
+(* The context frame replaces the address space a fork would have
+   copied. The options are plain data once the obs bundle is dropped —
+   it is unmarshalable and private anyway; the worker builds its own. *)
+let context tenant (label, options, corpus) =
+  Context
+    { c_tenant = tenant; c_label = label;
+      c_options = { options with Campaign.obs = None }; c_corpus = corpus }
 
 let spawn t w =
   (* Kill/hang sabotage is a one-shot event schedule: the slot's entry
@@ -379,13 +406,14 @@ let spawn t w =
   w.deadline <- Float.infinity;
   Buffer.clear w.out;
   w.inbox <- Wire.inbox ();
-  send t w (Hello { h_slot = w.slot; h_sab = sab });
-  (* Every registered tenant context, in tenant order: a respawned
-     worker can serve any tenant its predecessor could. *)
+  (* Hello, then every registered tenant context in tenant order, in
+     one write: a respawned worker can serve any tenant its predecessor
+     could. *)
+  Wire.add_frame w.out (encode (Hello { h_slot = w.slot; h_sab = sab }));
   Hashtbl.fold (fun tenant ctx acc -> (tenant, ctx) :: acc) t.contexts []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (tenant, (label, options, corpus)) ->
-         send_context t w ~tenant ~label ~options ~corpus);
+  |> List.iter (fun (tenant, ctx) -> queue w (context tenant ctx));
+  flush t w;
   w.span <-
     Some
       (Tracer.span t.obs.Obs.tracer
@@ -443,7 +471,7 @@ let dispatch_job t ~slot ~tenant ~id tc =
     invalid_arg "Pool.dispatch_job: slot is dead or full";
   w.flight <- w.flight @ [ (tenant, id) ];
   w.unsent <- w.unsent + 1;
-  Wire.add_frame w.out (Job { j_tenant = tenant; j_id = id; j_tc = tc })
+  queue w (Job { j_tenant = tenant; j_id = id; j_tc = tc })
 
 let push t ev = t.pending <- ev :: t.pending
 
@@ -464,7 +492,7 @@ let record_done t (w : worker) now
 (* Take every complete frame the worker's inbox holds; [Some why] when
    one cannot be decoded, which leaves the stream unusable. *)
 let rec take_frames t (w : worker) now =
-  match (Wire.take w.inbox : res_msg Wire.next) with
+  match (take w.inbox : res_msg Wire.next) with
   | Wire.Frame d ->
     record_done t w now d;
     take_frames t w now
@@ -672,7 +700,8 @@ let deal q cases ~to_ =
 let jobs t ~tenant ~label options corpus cases ~on_done =
   Hashtbl.replace t.contexts tenant (label, options, corpus);
   Array.iter
-    (fun w -> if w.alive then send_context t w ~tenant ~label ~options ~corpus)
+    (fun w ->
+      if w.alive then send t w (context tenant (label, options, corpus)))
     t.workers;
   let q = Jobqueue.create ~group:receiver () in
   List.iter (fun (case, tc) -> Jobqueue.submit_as q ~id:case tc) cases;

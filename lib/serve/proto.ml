@@ -1,13 +1,12 @@
 (* The kit-serve client/server protocol. See proto.mli.
 
    One request per connection over a Unix-domain SOCK_STREAM socket,
-   both directions one Wire string frame (8-byte length + JSON). The
-   peer is any local process, so its bytes are parsed and validated by
-   the codecs below, never unmarshalled: a garbage request earns a
-   [Rejected] reply, not a crashed daemon. An over-[Wire.max_frame]
-   announcement surfaces as the typed [Wire.Oversized], which the
-   daemon also answers with a clean [Rejected] (the connection is
-   one-shot, so no re-synchronisation is needed). *)
+   both directions one Wire frame holding JSON. The peer is any local
+   process, so its bytes are parsed and validated by the codecs below,
+   never unmarshalled: a garbage request, or a frame header announcing
+   a negative length or one over [Wire.max_frame], earns a [Rejected]
+   reply, not a crashed daemon (the connection is one-shot, so no
+   re-synchronisation is needed). *)
 
 module Campaign = Kit_core.Campaign
 module Codec = Kit_core.Codec
@@ -320,18 +319,24 @@ let summary (c : Campaign.t) =
 
 (* -- sockets -------------------------------------------------------------- *)
 
+let connect path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  try Unix.connect fd (Unix.ADDR_UNIX path); fd
+  with e -> Unix.close fd; raise e
+
 let listen path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_close_on_exec fd;
+  (* Only a stale path is unlinked: binding over one a daemon still
+     answers on would cut that daemon off from its clients. *)
+  (match connect path with
+   | fd ->
+     Unix.close fd;
+     raise (Unix.Unix_error (Unix.EADDRINUSE, "listen", path))
+   | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) -> (
+     try Unix.unlink path with Unix.Unix_error _ -> ())
+   | exception Unix.Unix_error _ -> ());
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX path);
   Unix.listen fd 16;
-  fd
-
-let connect path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_close_on_exec fd;
-  Unix.connect fd (Unix.ADDR_UNIX path);
   fd
 
 let request socket (req : request) : (reply, string) result =
@@ -341,20 +346,21 @@ let request socket (req : request) : (reply, string) result =
       (Printf.sprintf "cannot reach the daemon at %s: %s" socket
          (Unix.error_message e))
   | fd ->
+    let out = Buffer.create 256 and inbox = Wire.inbox () in
+    Wire.add_frame out (Jsonl.to_string (request_to_json req));
+    let hung_up = Error "the daemon hung up without replying" in
+    let rec reply () =
+      match Wire.take inbox with
+      | Wire.Frame payload ->
+        Result.map_error (( ^ ) "undecodable reply: ")
+          (Codec.parse reply_of_json payload)
+      | Wire.Bad why -> Error ("bad reply frame: " ^ why)
+      | Wire.Short -> if Wire.fill fd inbox then reply () else hung_up
+    in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        match Wire.send_string fd (Jsonl.to_string (request_to_json req)) with
+        match Wire.flush fd out with
         | exception (Unix.Unix_error _ | Sys_error _) ->
           Error "the daemon hung up before reading the request"
-        | () -> (
-          match Wire.recv_string fd with
-          | Some payload ->
-            Result.map_error
-              (fun e -> "undecodable reply: " ^ e)
-              (Codec.parse reply_of_json payload)
-          | None -> Error "the daemon hung up without replying"
-          | exception Wire.Oversized { announced; limit } ->
-            Error
-              (Printf.sprintf "oversized reply frame (%d > %d bytes)"
-                 announced limit)))
+        | () -> ( try reply () with Unix.Unix_error _ -> hung_up))

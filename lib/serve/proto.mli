@@ -5,12 +5,12 @@
     [kit cancel]).
 
     Transport: one request per connection over a [SOCK_STREAM]
-    Unix-domain socket, each direction a single {!Wire} string frame
-    holding JSON ({!request_to_json}, {!reply_to_json}). The daemon
-    parses and validates every request and never unmarshals a peer's
-    bytes: an undecodable request, or one announcing a frame beyond
-    [Wire.max_frame] (the typed {!Wire.Oversized}), is answered with a
-    clean {!reply.Rejected}. *)
+    Unix-domain socket, each direction a single {!Wire} frame holding
+    JSON ({!request_to_json}, {!reply_to_json}). The daemon parses and
+    validates every request and never unmarshals a peer's bytes: an
+    undecodable request, or a frame header announcing a negative length
+    or one beyond [Wire.max_frame], is answered with a clean
+    {!reply.Rejected}. *)
 
 (** What a tenant asks the daemon to run: the same knobs as a solo
     [kit campaign], plus the scheduling contract ([sp_weight] for the
@@ -134,11 +134,13 @@ val summary : Kit_core.Campaign.t -> string
 (** {2 Sockets} *)
 
 val listen : string -> Unix.file_descr
-(** Bind and listen on a Unix-domain socket path (unlinking any stale
-    socket first). Close-on-exec, so pool workers never inherit it. *)
+(** Bind and listen on a Unix-domain socket path, unlinking it first
+    only if it is stale (missing, or a connect to it is refused); a path
+    a daemon answers on raises [Unix_error (EADDRINUSE, "listen", path)].
+    Close-on-exec, so pool workers never inherit it. *)
 
 val request : string -> request -> (reply, string) result
 (** One-shot client call: connect to the socket path, send the request,
     read the single reply, close. All transport failures (daemon absent,
-    hang-up, oversized or undecodable reply) come back as
+    hang-up, a bad or undecodable reply frame) come back as
     [Error message]. *)

@@ -128,8 +128,10 @@ let submittable = function
   | Kit_gen.Cluster.Rand n -> n >= 1
   | Kit_gen.Cluster.Df | Kit_gen.Cluster.Df_st _ -> false
 
+let reject t why = Metrics.inc (sm "rejected" t); Proto.Rejected why
+
 let submit t spec =
-  let reject why = Metrics.inc (sm "rejected" t); Proto.Rejected why in
+  let reject = reject t in
   if not (Proto.valid_name spec.Proto.sp_name) then
     reject "invalid tenant name (1-64 chars from [A-Za-z0-9_-])"
   else if find_name t spec.Proto.sp_name <> None then
@@ -372,36 +374,45 @@ let request t (req : Proto.request) : Proto.reply =
 
 (* -- the daemon ----------------------------------------------------------- *)
 
-let handle_client t ~stop cfd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close cfd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let reject why = Metrics.inc (sm "rejected" t); Some (Proto.Rejected why) in
-      let reply =
-        match Wire.recv_string cfd with
-        | Some payload -> (
-          match Codec.parse Proto.request_of_json payload with
-          | Ok req ->
-            if req = Proto.Shutdown then stop := true;
-            Some (request t req)
-          | Error e -> reject ("undecodable request: " ^ e))
-        | None -> None
-        | exception Wire.Oversized { announced; limit } ->
-          (* a too-large request gets a clean protocol reply instead of
-             a dropped connection *)
-          reject
-            (Printf.sprintf "request frame too large (%d bytes, limit %d)"
-               announced limit)
-      in
-      match reply with
-      | Some r -> (
-        try Wire.send_string cfd (Jsonl.to_string (Proto.reply_to_json r))
-        with Unix.Unix_error _ | Sys_error _ -> ())
-      | None -> ())
+(* A connection accepted and not yet answered: the bytes of its request
+   so far, and when it is closed unanswered. *)
+type client = { fd : Unix.file_descr; inbox : Wire.inbox; deadline : float }
 
-let serve ?(log = fun (_ : string) -> ()) t ~socket =
-  let lfd = Proto.listen socket in
-  let stop = ref false in
+(* A client writes its one frame right after it connects, so a second is
+   ample, and a constant: no reply depends on it. *)
+let client_deadline_s = 1.0
+
+(* Connections open at once; more wait in the listen backlog, so a flood
+   of them cannot run the daemon out of descriptors [select] takes. *)
+let max_clients = 64
+
+let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+(* Read what a readable connection sent; [true] once it is done with:
+   answered, or hung up before a whole frame (no reply). *)
+let read_client t ~stop c =
+  let answer r =
+    let out = Buffer.create 256 in
+    Wire.add_frame out (Jsonl.to_string (Proto.reply_to_json r));
+    (try Wire.flush c.fd out with Unix.Unix_error _ | Sys_error _ -> ());
+    true
+  in
+  match Wire.fill c.fd c.inbox with
+  | false | (exception Unix.Unix_error _) -> true
+  | true -> (
+    match Wire.take c.inbox with
+    | Wire.Short -> false
+    | Wire.Bad why -> answer (reject t ("bad request frame: " ^ why))
+    | Wire.Frame payload -> (
+      match Codec.parse Proto.request_of_json payload with
+      | Ok req ->
+        if req = Proto.Shutdown then stop := true;
+        answer (request t req)
+      | Error e -> answer (reject t ("undecodable request: " ^ e))))
+
+let serve t lfd =
+  let stop = ref false and clients = ref [] in
+  let timeouts = sm "client_timeouts" t in
   let on_signal = Sys.Signal_handle (fun _ -> stop := true) in
   let prev_term = Sys.signal Sys.sigterm on_signal in
   let prev_int = Sys.signal Sys.sigint on_signal in
@@ -409,19 +420,33 @@ let serve ?(log = fun (_ : string) -> ()) t ~socket =
     ~finally:(fun () ->
       Sys.set_signal Sys.sigterm prev_term;
       Sys.set_signal Sys.sigint prev_int;
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      (try Sys.remove socket with Sys_error _ -> ()))
+      List.iter close_client !clients)
     (fun () ->
-      log (Printf.sprintf "listening on %s" socket);
       while not !stop do
-        match step t ~extra:[ lfd ] ~timeout:0.2 with
+        (* A step's select waits at most 0.2 s, so a deadline is judged
+           about that late at most. *)
+        let fds = List.map (fun c -> c.fd) !clients in
+        let extra = if List.length fds < max_clients then lfd :: fds else fds in
+        match step t ~extra ~timeout:0.2 with
         | readable ->
+          (* Bytes that arrived in time are read before any deadline is
+             judged. *)
+          let now = Unix.gettimeofday () in
+          let timed_out c = now > c.deadline && (Metrics.inc timeouts; true) in
+          let finished c =
+            (List.mem c.fd readable && read_client t ~stop c) || timed_out c
+          in
+          let closed, still_open = List.partition finished !clients in
+          List.iter close_client closed;
+          clients := still_open;
           if List.mem lfd readable then (
-            match Unix.accept lfd with
-            | cfd, _ -> handle_client t ~stop cfd
+            match Unix.accept ~cloexec:true lfd with
+            | fd, _ ->
+              clients :=
+                { fd; inbox = Wire.inbox (); deadline = now +. client_deadline_s }
+                :: !clients
             | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
               ())
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       done;
-      checkpoint_all t;
-      log "shutting down (state checkpointed)")
+      checkpoint_all t)

@@ -83,15 +83,19 @@ val request : t -> Proto.request -> Proto.reply
 val step : ?extra:Unix.file_descr list -> t -> timeout:float ->
   Unix.file_descr list
 (** One event-loop turn; returns whichever [extra] descriptors are
-    readable (the daemon passes its listening socket).
+    readable (the daemon passes its listening socket and connections).
     @raise Dead_pool as documented above. *)
 
 val tenants : t -> Tenant.t list
 (** In submission order. *)
 
-val serve : ?log:(string -> unit) -> t -> socket:string -> unit
-(** The daemon: listen on the Unix-domain socket, one request per
-    connection, stepping the scheduler between accepts. Returns after
-    [Shutdown] or SIGTERM/SIGINT, with every tenant checkpointed. An
-    oversized request frame ({!Wire.Oversized}) is answered with a
-    clean [Rejected] reply. *)
+val serve : t -> Unix.file_descr -> unit
+(** The daemon: step the scheduler and answer the connections of a
+    listening socket ({!Proto.listen}, which the caller opens before
+    {!create} and closes), one request per connection. Connections are
+    read in the step's [select], so no client can stall the loop: a
+    whole frame is answered, a bad one [Rejected] ([serve.rejected]),
+    and one not whole a second after its accept is closed unanswered
+    ([serve.client_timeouts]); at most 64 are open at once. Returns
+    after [Shutdown] or SIGTERM/SIGINT, with every tenant checkpointed
+    and every connection closed. *)

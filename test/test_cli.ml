@@ -53,8 +53,7 @@ let with_dir f =
   Unix.mkdir dir 0o700;
   Fun.protect
     ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int))
     (fun () -> f dir)
 
 let race = [ "campaign"; "--corpus-size"; "96"; "--seed"; "3"; "--race-bugs" ]
@@ -246,111 +245,368 @@ let test_out_of_range_serve_flags_refused () =
 
 (* The daemon's socket, driven through the built binary. A peer is any
    local process, so frames that are not a request — the Marshal bytes
-   of some other value, random bytes, unknown JSON — are answered with
-   [Rejected] and counted in serve.rejected; a frame cut short gets no
-   reply. The daemon must come out of all of them serving: a Status is
-   answered, and a tenant's summary equals its solo campaign. *)
+   of some other value, random bytes, unknown JSON, a header announcing
+   more than Wire.max_frame — are answered with [Rejected] and counted
+   in serve.rejected; a frame cut short gets no reply. The daemon must
+   come out of all of them serving: a Status is answered, and a tenant's
+   summary equals its solo campaign. *)
 module Proto = Kit_serve.Proto
 module Wire = Kit_serve.Wire
 
-let frame payload =
-  let header = Bytes.create 8 in
-  Bytes.set_int64_be header 0 (Int64.of_int (String.length payload));
-  Bytes.to_string header ^ payload
+(* The 8-byte header of a frame announcing [n] payload bytes. *)
+let header n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 (Int64.of_int n);
+  Bytes.to_string b
 
-(* Connect, write [bytes], close the sending side and read the reply:
-   [Some reply], or [None] when the daemon hangs up without one. *)
-let raw_exchange socket bytes =
+let frame payload = header (String.length payload) ^ payload
+
+(* The reply a connection brings: [Some reply], or [None] when the
+   daemon hangs up without one. *)
+let read_reply fd =
+  let inbox = Wire.inbox () in
+  let rec go () =
+    match Wire.take inbox with
+    | Wire.Frame payload ->
+      Some (Kit_core.Codec.parse Proto.reply_of_json payload)
+    | Wire.Bad why -> Alcotest.fail ("bad reply frame: " ^ why)
+    | Wire.Short -> if Wire.fill fd inbox then go () else None
+  in
+  go ()
+
+let connect socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
+
+(* Connect, write [bytes], close the sending side and read the reply. *)
+let raw_exchange socket bytes =
+  let fd = connect socket in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       ignore (Unix.write_substring fd bytes 0 (String.length bytes));
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      match Wire.recv_string fd with
-      | Some payload ->
-        Some (Kit_core.Codec.parse Proto.reply_of_json payload)
-      | None -> None)
+      read_reply fd)
+
+(* [kit serve --socket DIR/kit.sock ARGS], its output in DIR/daemon.log;
+   [f socket shutdown] runs once the socket is up. [shutdown ()] sends
+   Shutdown, checks the Bye and returns the daemon's exit status; a
+   daemon [f] leaves running is killed. *)
+let with_daemon dir args f =
+  let socket = Filename.concat dir "kit.sock" in
+  let fd =
+    Unix.openfile (Filename.concat dir "daemon.log")
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o600
+  in
+  let pid =
+    Unix.create_process (Lazy.force kit)
+      (Array.of_list ("kit" :: "serve" :: "--socket" :: socket :: args))
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let reaped = ref false in
+  let shutdown () =
+    check_bool "Shutdown says Bye" true
+      (Proto.request socket Proto.Shutdown = Ok Proto.Bye);
+    let _, status = Unix.waitpid [] pid in
+    reaped := true;
+    status
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe prev_sigpipe;
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      if Sys.file_exists socket then Sys.remove socket)
+    (fun () ->
+      let rec await n =
+        if Sys.file_exists socket then ()
+        else if n = 0 then Alcotest.fail "the daemon never listened"
+        else (Unix.sleepf 0.05; await (n - 1))
+      in
+      await 200;
+      f socket shutdown)
+
+let status socket =
+  match Proto.request socket Proto.Status with
+  | Ok (Proto.Status_is { st_pool; _ }) -> st_pool
+  | Ok _ -> Alcotest.fail "Status: unexpected reply"
+  | Error e -> Alcotest.failf "Status: %s" e
+
+let submit socket sp =
+  match Proto.request socket (Proto.Submit sp) with
+  | Ok (Proto.Accepted _) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "the submission was not accepted"
+
+let rec await_summary ?(tries = 600) socket name =
+  match Proto.request socket (Proto.Results name) with
+  | Ok (Proto.Summary s) -> s
+  | Ok (Proto.Not_ready _) when tries > 0 ->
+    Unix.sleepf 0.1;
+    await_summary ~tries:(tries - 1) socket name
+  | Ok _ | Error _ -> Alcotest.fail ("no summary for tenant " ^ name)
+
+let check_solo sp summary =
+  check_string "the tenant's summary = its solo campaign"
+    (Proto.summary (Kit_core.Campaign.run (Proto.options_of_spec sp)))
+    summary
+
+(* Send a Status and require its answer within half a second: a daemon
+   stalled by another client would answer only once that client is
+   done, so the read is bounded instead. *)
+let prompt_status socket ~during =
+  let fd = connect socket in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let t = Unix.gettimeofday () in
+      let req = frame "\"status\"" in
+      ignore (Unix.write_substring fd req 0 (String.length req) : int);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5;
+      (match read_reply fd with
+      | Some (Ok (Proto.Status_is _)) -> ()
+      | Some _ | None -> Alcotest.fail "Status: unexpected reply"
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.failf "a Status %s waited 0.5 s" during);
+      let waited = Unix.gettimeofday () -. t in
+      if waited >= 0.5 then
+        Alcotest.failf "a Status %s waited %.2f s" during waited)
+
+let counter_line name value =
+  Printf.sprintf "{\"k\":\"counter\",\"name\":\"%s\",\"value\":%d}" name
+    value
 
 let test_daemon_survives_bad_frames () =
   with_dir (fun dir ->
-      let socket = Filename.concat dir "kit.sock" in
-      let log = Filename.concat dir "daemon.log" in
-      let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
-      let pid =
-        Unix.create_process (Lazy.force kit)
-          [| "kit"; "serve"; "--socket"; socket; "--procs"; "1"; "--metrics";
-             Filename.concat dir "m.jsonl" |]
-          Unix.stdin fd fd
-      in
-      Unix.close fd;
-      let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-      let reaped = ref false in
-      Fun.protect
-        ~finally:(fun () ->
-          Sys.set_signal Sys.sigpipe prev_sigpipe;
-          if not !reaped then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid)
-          end;
-          if Sys.file_exists socket then Sys.remove socket)
-        (fun () ->
-          let rec await n =
-            if Sys.file_exists socket then ()
-            else if n = 0 then Alcotest.fail "the daemon never listened"
-            else (Unix.sleepf 0.05; await (n - 1))
-          in
-          await 200;
+      let metrics = Filename.concat dir "m.jsonl" in
+      with_daemon dir [ "--procs"; "1"; "--metrics"; metrics ]
+        (fun socket shutdown ->
           let rejected bytes =
             match raw_exchange socket bytes with
-            | Some (Ok (Proto.Rejected _)) -> true
-            | Some _ | None -> false
+            | Some (Ok (Proto.Rejected why)) -> Some why
+            | Some _ | None -> None
           in
           let marshalled =
             frame (Marshal.to_string (1, "x", [| 3.0 |]) [ Marshal.No_sharing ])
           in
           check_int "the Marshal frame is 42 bytes" 42 (String.length marshalled);
-          check_bool "Marshal bytes are rejected" true (rejected marshalled);
+          check_bool "Marshal bytes are rejected" true
+            (rejected marshalled <> None);
           let st = Random.State.make [| 26 |] in
           check_bool "random bytes are rejected" true
-            (rejected (frame (String.init 64 (fun _ -> Char.chr (Random.State.int st 256)))));
+            (rejected
+               (frame (String.init 64 (fun _ -> Char.chr (Random.State.int st 256))))
+            <> None);
           check_bool "an unknown request is rejected" true
-            (rejected (frame "\"reboot\""));
+            (rejected (frame "\"reboot\"") <> None);
+          (match rejected (header (Wire.max_frame + 1)) with
+          | None -> Alcotest.fail "an oversized header is not rejected"
+          | Some why ->
+            List.iter
+              (fun n ->
+                check_bool ("the rejection names " ^ n) true (contains ~sub:n why))
+              [ string_of_int (Wire.max_frame + 1); string_of_int Wire.max_frame ]);
           check_bool "a truncated frame gets no reply" true
             (raw_exchange socket (String.sub (frame "\"status\"") 0 12) = None);
-          (match Proto.request socket Proto.Status with
-          | Ok (Proto.Status_is _) -> ()
-          | Ok _ -> Alcotest.fail "Status: unexpected reply"
-          | Error e -> Alcotest.failf "Status after bad frames: %s" e);
+          ignore (status socket : Proto.pool_status);
           let sp =
             { Proto.default_spec with
               Proto.sp_name = "alpha"; sp_seed = 11; sp_corpus_size = 24 }
           in
-          (match Proto.request socket (Proto.Submit sp) with
-          | Ok (Proto.Accepted _) -> ()
-          | Ok _ | Error _ -> Alcotest.fail "the submission was not accepted");
-          let rec results n =
-            match Proto.request socket (Proto.Results "alpha") with
-            | Ok (Proto.Summary s) -> s
-            | Ok (Proto.Not_ready _) when n > 0 ->
-              Unix.sleepf 0.1;
-              results (n - 1)
-            | Ok _ | Error _ -> Alcotest.fail "no summary for the tenant"
+          submit socket sp;
+          check_solo sp (await_summary socket "alpha");
+          check_bool "the daemon exits cleanly" true (shutdown () = Unix.WEXITED 0));
+      check_bool "serve.rejected counts the four rejections" true
+        (contains ~sub:(counter_line "serve.rejected" 4) (read_file metrics)))
+
+(* A client that sends part of a frame and then sleeps stalls nothing:
+   its bytes are gathered between scheduler steps, a Status sent
+   meanwhile is answered at once, and the connection is closed about a
+   second after its accept and counted in serve.client_timeouts. The
+   tenant running under a heartbeat shorter than the hold loses no
+   worker, and its summary equals its solo campaign. *)
+let test_slow_client_stalls_nothing () =
+  with_dir (fun dir ->
+      let metrics = Filename.concat dir "m.jsonl" in
+      with_daemon dir
+        [ "--procs"; "1"; "--heartbeat"; "0.5"; "--metrics"; metrics ]
+        (fun socket shutdown ->
+          let sp =
+            { Proto.default_spec with
+              Proto.sp_name = "alpha"; sp_seed = 11; sp_corpus_size = 96 }
           in
-          check_string "the tenant's summary = its solo campaign"
-            (Proto.summary
-               (Kit_core.Campaign.run (Proto.options_of_spec sp)))
-            (results 600);
-          check_bool "Shutdown says Bye" true
-            (Proto.request socket Proto.Shutdown = Ok Proto.Bye);
-          let _, status = Unix.waitpid [] pid in
-          reaped := true;
-          check_bool "the daemon exits cleanly" true (status = Unix.WEXITED 0);
-          check_bool "serve.rejected counts the three rejections" true
-            (contains
-               ~sub:"{\"k\":\"counter\",\"name\":\"serve.rejected\",\"value\":3}"
-               (read_file (Filename.concat dir "m.jsonl")))))
+          submit socket sp;
+          let hold = 3.0 in
+          let held = connect socket in
+          Fun.protect
+            ~finally:(fun () -> Unix.close held)
+            (fun () ->
+              let t0 = Unix.gettimeofday () in
+              ignore (Unix.write_substring held (header 16) 0 8 : int);
+              Unix.sleepf 0.6;
+              prompt_status socket ~during:"during the hold";
+              let remaining = hold -. (Unix.gettimeofday () -. t0) in
+              check_bool "the held connection reads EOF before the hold ends"
+                true
+                (match Unix.select [ held ] [] [] remaining with
+                | [], _, _ -> false
+                | _ -> read_reply held = None));
+          check_solo sp (await_summary socket "alpha");
+          check_int "no worker died" 0 (status socket).Proto.ps_deaths;
+          check_bool "the daemon exits cleanly" true (shutdown () = Unix.WEXITED 0));
+      check_bool "serve.client_timeouts counts the held connection" true
+        (contains ~sub:(counter_line "serve.client_timeouts" 1)
+           (read_file metrics)))
+
+(* A client that streams without pause holds the daemon for one largest
+   frame at most: a connection's inbox stops filling at 8 +
+   Wire.max_frame bytes, so the frame its header announced is answered
+   [Rejected] and the connection closed long before the stream would
+   end, and a Status sent while the stream runs is answered at once. A
+   reader that kept reading while the stream held bytes stayed in one
+   fill for as long as the client wrote, its inbox doubling all the
+   while. *)
+let test_streaming_client () =
+  with_dir (fun dir ->
+      with_daemon dir [ "--procs"; "1" ] (fun socket shutdown ->
+          let length = 4 * Wire.max_frame in
+          let sent = Atomic.make 0 in
+          let streamer =
+            Domain.spawn (fun () ->
+                let fd = connect socket in
+                Fun.protect
+                  ~finally:(fun () -> Unix.close fd)
+                  (fun () ->
+                    (* Large writes keep the socket full, so a reader
+                       that read on while bytes were waiting would stay
+                       in one fill; a daemon that neither reads nor hangs
+                       up fails the test instead of blocking it. *)
+                    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0;
+                    let chunk = Bytes.make (4 lsl 20) 'x' in
+                    let rec go () =
+                      if Atomic.get sent >= length then `Read_to_its_end
+                      else
+                        match Unix.write fd chunk 0 (Bytes.length chunk) with
+                        | n -> ignore (Atomic.fetch_and_add sent n : int); go ()
+                        | exception
+                            Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+                          -> `Cut (read_reply fd)
+                        | exception
+                            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+                          -> `Stalled
+                    in
+                    ignore (Unix.write_substring fd (header Wire.max_frame) 0 8 : int);
+                    go ()))
+          in
+          let rec started n =
+            if Atomic.get sent < 1 lsl 20 && n > 0 then (
+              Unix.sleepf 0.001;
+              started (n - 1))
+          in
+          started 2000;
+          (try prompt_status socket ~during:"while a client streams"
+           with e -> ignore (Domain.join streamer); raise e);
+          (match Domain.join streamer with
+          | `Cut (Some (Ok (Proto.Rejected _))) -> ()
+          | `Cut _ -> Alcotest.fail "the cut stream got no Rejected reply"
+          | `Read_to_its_end -> Alcotest.fail "the daemon read the whole stream"
+          | `Stalled -> Alcotest.fail "the daemon stopped reading the stream");
+          (* Past the largest frame, only what the socket buffers hold. *)
+          check_bool "the daemon read one largest frame of the stream" true
+            (Atomic.get sent < Wire.max_frame + (4 lsl 20));
+          ignore (status socket : Proto.pool_status);
+          check_bool "the daemon exits cleanly" true (shutdown () = Unix.WEXITED 0)))
+
+(* A flood of idle connections cannot take the daemon down: it keeps a
+   bounded number open and the rest wait in the listen backlog. Accepting
+   every one ran past the descriptors [select] takes, and the daemon
+   died of EINVAL, within a fifth of a second of such a flood. *)
+let test_connection_flood () =
+  with_dir (fun dir ->
+      with_daemon dir [ "--procs"; "1" ] (fun socket shutdown ->
+          let conns = ref [] and opened = ref 0 in
+          let t0 = Unix.gettimeofday () in
+          let flooding () = !opened < 1100 && Unix.gettimeofday () -. t0 < 1.0 in
+          Fun.protect
+            ~finally:(fun () -> List.iter Unix.close !conns)
+            (fun () ->
+              (try
+                 while flooding () do
+                   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                   conns := fd :: !conns;
+                   Unix.set_nonblock fd;
+                   let rec go () =
+                     match Unix.connect fd (Unix.ADDR_UNIX socket) with
+                     | () -> incr opened
+                     | exception Unix.Unix_error (Unix.EAGAIN, _, _)
+                       when flooding () ->
+                       Unix.sleepf 0.001;
+                       go ()
+                   in
+                   go ()
+                 done
+               with
+               | Unix.Unix_error
+                   ((Unix.EAGAIN | Unix.EMFILE | Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+               -> ());
+              ignore (status socket : Proto.pool_status));
+          check_bool "the daemon exits cleanly" true (shutdown () = Unix.WEXITED 0)))
+
+(* A second daemon on a live socket exits 3 naming it, before it touches
+   anything: it resumes no tenant, the first keeps its socket file, its
+   state directory is byte for byte as it was, and it still answers. *)
+let test_second_daemon_refused () =
+  with_dir (fun dir ->
+      let state = Filename.concat dir "state" in
+      let args = [ "--procs"; "1"; "--state-dir"; state ] in
+      with_daemon dir args (fun socket shutdown ->
+          let sp =
+            { Proto.default_spec with
+              Proto.sp_name = "alpha"; sp_seed = 11; sp_corpus_size = 24 }
+          in
+          submit socket sp;
+          ignore (await_summary socket "alpha" : string);
+          let snapshot () =
+            ( (Unix.stat socket).Unix.st_ino,
+              Sys.readdir state |> Array.to_list |> List.sort compare
+              |> List.map (fun f -> (f, read_file (Filename.concat state f))) )
+          in
+          let before = snapshot () in
+          check_bool "the state dir holds the tenant's log" true
+            (snd before <> []);
+          (* A daemon that took the socket over would serve on: it is
+             given 10 s to exit, then killed. *)
+          let err = Filename.concat dir "second.err" in
+          let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+          let pid =
+            Unix.create_process (Lazy.force kit)
+              (Array.of_list
+                 ("kit" :: "serve" :: "--socket" :: socket :: "--resume" :: args))
+              Unix.stdin fd fd
+          in
+          Unix.close fd;
+          let rec wait n =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ when n > 0 -> Unix.sleepf 0.05; wait (n - 1)
+            | 0, _ ->
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid);
+              Alcotest.fail "the second daemon kept running"
+            | _, status -> status
+          in
+          check_bool "the second daemon exits 3" true (wait 200 = Unix.WEXITED 3);
+          let said = read_file err in
+          check_bool "its message names the socket" true (contains ~sub:socket said);
+          check_bool "it resumes no tenant" false
+            (contains ~sub:"resumed tenant" said);
+          check_bool "the socket file and the state dir are unchanged" true
+            (snapshot () = before);
+          ignore (status socket : Proto.pool_status);
+          check_bool "the daemon exits cleanly" true (shutdown () = Unix.WEXITED 0)))
 
 (* -- the unused-export check ------------------------------------------ *)
 
@@ -457,6 +713,14 @@ let suite =
       `Quick test_out_of_range_serve_flags_refused;
     Alcotest.test_case "the daemon rejects frames that are not requests"
       `Quick test_daemon_survives_bad_frames;
+    Alcotest.test_case "a slow client stalls no other client" `Quick
+      test_slow_client_stalls_nothing;
+    Alcotest.test_case "a streaming client holds the daemon for one frame"
+      `Quick test_streaming_client;
+    Alcotest.test_case "a second daemon leaves a live socket alone" `Quick
+      test_second_daemon_refused;
+    Alcotest.test_case "a flood of idle connections cannot kill the daemon"
+      `Quick test_connection_flood;
     Alcotest.test_case "the export check: a comment is no caller" `Quick
       test_unused_exports_check;
     Alcotest.test_case "robustness counters cover every executor" `Quick

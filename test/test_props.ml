@@ -159,7 +159,8 @@ let prop_baseline_cache_invisible =
      funnel or quarantine — with or without transient faults armed
      (fault-armed runs bypass the caches entirely), and under a fuel
      limit that hangs some cases where they hang when every sender
-     runs. *)
+     runs. The corpus runs past the 52 curated programs, so the seed
+     matters. *)
   QCheck.Test.make ~name:"baseline cache never changes campaign results"
     ~count:6
     QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 3 6))
@@ -167,7 +168,7 @@ let prop_baseline_cache_invisible =
       let options =
         { Campaign.default_options with
           Campaign.seed;
-          corpus_size = 24;
+          corpus_size = 96;
           faults = Fault.schedule_of_seed ~seed ~intensity;
           fuel }
       in
@@ -210,12 +211,13 @@ let prop_parallel_campaign_equals_sequential =
   (* Reports, funnel, quarantine and summary agree, and with no fault
      armed so does the execution count: each receiver group runs whole
      on one domain, and its reports are diagnosed there, on the caches
-     its cases warmed. *)
+     its cases warmed. The corpus runs past the 52 curated programs, so
+     the seed matters. *)
   QCheck.Test.make ~name:"campaign domains=N = domains=1" ~count:4
     QCheck.(pair (int_range 0 1000) (int_range 2 4))
     (fun (seed, domains) ->
       let options =
-        { Campaign.default_options with Campaign.seed; corpus_size = 24 }
+        { Campaign.default_options with Campaign.seed; corpus_size = 96 }
       in
       let parallel = Campaign.run { options with Campaign.domains } in
       let sequential = Campaign.run options in

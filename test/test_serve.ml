@@ -895,35 +895,50 @@ let test_jobqueue_deal_no_survivors () =
   | () -> Alcotest.fail "deal with no survivors must raise"
   | exception Jobqueue.No_survivors -> ()
 
-let test_wire_oversized () =
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* The client frame that used to kill the daemon: Marshal bytes where it
+   expects a request. *)
+let marshal_payload = Marshal.to_string (1, "x", [| 3.0 |]) [ Marshal.No_sharing ]
+
+let bad_frame announced =
+  (* What an inbox takes from a header announcing [announced] bytes. *)
   let rx, tx = Unix.pipe () in
   Fun.protect
     ~finally:(fun () -> Unix.close rx; Unix.close tx)
     (fun () ->
-      (* a well-formed header announcing a frame beyond the limit: the
-         typed condition a server can answer with a clean reply *)
       let header = Bytes.create 8 in
-      Bytes.set_int64_be header 0 (Int64.of_int (Wire.max_frame + 1));
-      ignore (Unix.write tx header 0 8);
-      (match (Wire.recv rx : int option) with
-      | Some _ | None -> Alcotest.fail "oversized announcement must raise"
-      | exception Wire.Oversized { announced; limit } ->
-        check_int "announced length" (Wire.max_frame + 1) announced;
-        check_int "limit" Wire.max_frame limit);
-      (* a negative length is stream garbage, not a protocol frame *)
-      Bytes.set_int64_be header 0 (-1L);
-      ignore (Unix.write tx header 0 8);
-      check_bool "negative length is None" true
-        ((Wire.recv rx : int option) = None))
+      Bytes.set_int64_be header 0 (Int64.of_int announced);
+      ignore (Unix.write tx header 0 8 : int);
+      let ib = Wire.inbox () in
+      ignore (Wire.fill rx ib : bool);
+      match Wire.take ib with
+      | Wire.Bad why -> why
+      | Wire.Frame _ | Wire.Short -> Alcotest.fail "expected a bad frame")
+
+let test_wire_oversized () =
+  (* A well-formed header announcing a frame beyond the limit is the
+     typed [Bad] a server can answer with a clean reply, naming the
+     announced length and the limit; a negative length is [Bad] too. *)
+  let why = bad_frame (Wire.max_frame + 1) in
+  List.iter
+    (fun n ->
+      check_bool ("an oversized header names " ^ n) true (contains ~sub:n why))
+    [ string_of_int (Wire.max_frame + 1); string_of_int Wire.max_frame ];
+  ignore (bad_frame (-1) : string)
 
 let test_wire_inbox () =
-  (* The pool's batched frames: queued frames go out in one flush, and
-     one fill reads every frame wholly in the pipe, even one larger than
-     the inbox's first read; a cut frame stays short until EOF, and a
-     negative length is a bad frame. *)
+  (* One writer and one reader for every stream: queued frames go out
+     in one flush, and one fill reads every frame wholly in the pipe,
+     even one larger than the inbox's first read. *)
   let rx, tx = Unix.pipe () in
   Fun.protect
-    ~finally:(fun () -> Unix.close rx)
+    ~finally:(fun () -> Unix.close rx; Unix.close tx)
     (fun () ->
       let big = String.make 20_000 'k' in
       let out = Buffer.create 16 in
@@ -932,31 +947,70 @@ let test_wire_inbox () =
       check_int "flush empties the queue" 0 (Buffer.length out);
       let ib = Wire.inbox () in
       check_bool "one fill" true (Wire.fill rx ib);
-      let take () : string Wire.next = Wire.take ib in
+      let take () = Wire.take ib in
       check_bool "every frame, in order" true
         (List.map (fun _ -> take ()) [ 1; 2; 3 ]
          = [ Wire.Frame "a"; Wire.Frame big; Wire.Frame "c" ]);
-      check_bool "then nothing" true (take () = Wire.Short);
-      Wire.add_frame out "cut";
+      check_bool "then nothing" true (take () = Wire.Short))
+
+let test_wire_fill_bounded () =
+  (* A stream that always has bytes ready (a file longer than a largest
+     frame) holds one fill for one largest frame at most: it stops at
+     8 + max_frame bytes, [take] finds the frame, and a second fill reads
+     nothing. Behind a bad header it stops after its first read. *)
+  let path = Filename.temp_file "kit-wire" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let fill_from announced =
+        Out_channel.with_open_bin path (fun oc ->
+            let header = Bytes.create 8 in
+            Bytes.set_int64_be header 0 (Int64.of_int announced);
+            Out_channel.output_bytes oc header;
+            Out_channel.output_string oc
+              (String.make (Wire.max_frame + (1 lsl 20)) 'x'));
+        let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let ib = Wire.inbox () in
+            check_bool "a fill" true (Wire.fill fd ib);
+            let read = Unix.lseek fd 0 Unix.SEEK_CUR in
+            check_bool "a second fill" true (Wire.fill fd ib);
+            check_int "reads nothing" read (Unix.lseek fd 0 Unix.SEEK_CUR);
+            (read, Wire.take ib))
+      in
+      let read, next = fill_from 16 in
+      check_int "a fill reads one largest frame" (8 + Wire.max_frame) read;
+      check_bool "and the frame is taken" true
+        (next = Wire.Frame (String.make 16 'x'));
+      let read, next = fill_from (Wire.max_frame + 1) in
+      check_bool "behind a bad header, one read" true (read <= 65536);
+      check_bool "and the header is bad" true
+        (match next with Wire.Bad _ -> true | Wire.Frame _ | Wire.Short -> false))
+
+let test_wire_string_frames () =
+  (* The socket's framing: a payload comes back byte for byte (Marshal
+     bytes too: Wire does not decode them), and a frame cut short by the
+     peer is never taken — it stays [Short] until EOF. *)
+  let rx, tx = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close rx)
+    (fun () ->
+      let out = Buffer.create 16 in
+      Wire.add_frame out marshal_payload;
+      Wire.flush tx out;
+      let ib = Wire.inbox () in
+      check_bool "a frame is read" true (Wire.fill rx ib);
+      check_bool "a frame round-trips" true
+        (Wire.take ib = Wire.Frame marshal_payload);
+      Wire.add_frame out "{\"submit\":";
       let s = Buffer.contents out in
       ignore (Unix.write_substring tx s 0 (String.length s - 1) : int);
       Unix.close tx;
       check_bool "a cut frame is read" true (Wire.fill rx ib);
-      check_bool "and stays short" true (take () = Wire.Short);
-      check_bool "until EOF" false (Wire.fill rx ib));
-  let rx, tx = Unix.pipe () in
-  Fun.protect
-    ~finally:(fun () -> Unix.close rx; Unix.close tx)
-    (fun () ->
-      let header = Bytes.create 8 in
-      Bytes.set_int64_be header 0 (-1L);
-      ignore (Unix.write tx header 0 8 : int);
-      let ib = Wire.inbox () in
-      ignore (Wire.fill rx ib : bool);
-      check_bool "a negative length is a bad frame" true
-        (match (Wire.take ib : string Wire.next) with
-         | Wire.Bad _ -> true
-         | Wire.Frame _ | Wire.Short -> false))
+      check_bool "and stays short" true (Wire.take ib = Wire.Short);
+      check_bool "until EOF" false (Wire.fill rx ib))
 
 (* --- the socket protocol's codecs ---------------------------------------- *)
 
@@ -1072,10 +1126,6 @@ let test_every_constructor_roundtrips () =
              (Proto.request_to_json
                 (Proto.Submit { sp with Proto.sp_name = "bad name!" })))))
 
-(* The client frame that used to kill the daemon: Marshal bytes where it
-   expects a request. *)
-let marshal_payload = Marshal.to_string (1, "x", [| 3.0 |]) [ Marshal.No_sharing ]
-
 let decodes_totally s =
   (match Kit_core.Codec.parse Proto.request_of_json s with
   | Ok _ | Error _ -> true)
@@ -1098,24 +1148,6 @@ let prop_decoders_total =
         ([ bytes; text; marshal_payload ]
         @ prefixes (Kit_obs.Jsonl.to_string (Proto.request_to_json req))
         @ prefixes (Kit_obs.Jsonl.to_string (Proto.reply_to_json reply))))
-
-let test_wire_string_frames () =
-  (* The socket's framing: a string round-trips, and a frame cut short
-     by the peer is [None], never a partial payload. *)
-  let rx, tx = Unix.pipe () in
-  Fun.protect
-    ~finally:(fun () -> Unix.close rx)
-    (fun () ->
-      Wire.send_string tx marshal_payload;
-      check_bool "a frame round-trips" true
-        (Wire.recv_string rx = Some marshal_payload);
-      let header = Bytes.create 8 in
-      Bytes.set_int64_be header 0 100L;
-      ignore (Unix.write tx header 0 8);
-      let part = "{\"submit\":" in
-      ignore (Unix.write_substring tx part 0 (String.length part));
-      Unix.close tx;
-      check_bool "a truncated frame is None" true (Wire.recv_string rx = None))
 
 (* --- the scheduler ------------------------------------------------------ *)
 
@@ -1607,13 +1639,15 @@ let suite =
       test_wire_oversized;
     Alcotest.test_case "batched frames: one fill reads every whole frame"
       `Quick test_wire_inbox;
+    Alcotest.test_case "a fill stops at one largest frame" `Quick
+      test_wire_fill_bounded;
+    Alcotest.test_case "string frames round-trip; a cut frame is None" `Quick
+      test_wire_string_frames;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_reply_roundtrip;
     Alcotest.test_case "every request and reply constructor round-trips"
       `Quick test_every_constructor_roundtrips;
     QCheck_alcotest.to_alcotest prop_decoders_total;
-    Alcotest.test_case "string frames round-trip; a cut frame is None" `Quick
-      test_wire_string_frames;
     QCheck_alcotest.to_alcotest prop_sched_equals_solo;
     Alcotest.test_case "sched holds 3:1 quotas under contention" `Quick
       test_sched_fairness;
